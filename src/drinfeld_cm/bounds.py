@@ -248,14 +248,17 @@ def upper_bound_h(order: Order, eps: Fraction, h: int | None = None) -> dict:
     return {"eps": eps, "eps_bound": eps_bound, "cor_bound": cor, "conditional": True}
 
 
-def lower_bounds_h(order: Order) -> dict:
-    """The two unconditional lower bounds (and the easy one), as safe intervals."""
+def lower_bounds_h(order: Order, *, data=None) -> dict:
+    """The two unconditional lower bounds (and the easy one), as safe intervals.
+
+    `data` is the order's OrderCM when the caller has built one.
+    """
     field = order.field
     q = field.base.q
     d = order.disc_deg()
     from .classno import class_number
 
-    h = class_number(order)
+    h = class_number(order, data=data)
     # easy: |D|^(1/2)/h(O), meaningful for |D| >= q
     sqrt_D = certlog.exp_q(Fraction(d, 2), q)
     easy = sqrt_D / h if d >= 1 else None

@@ -1,23 +1,38 @@
-"""Exact valuations of singular moduli, Weil heights, and unit certificates.
+"""Exact valuations and exact conjugate classes of singular moduli, Weil
+heights, and unit certificates.
 
 The absolute value of j at a reduced CM point is determined by the flavor and
 the point's size data alone: q^((q+1)q^n/2) when infinity ramifies (n >= 1),
 q^(q^(n+1)) at inert points above the unit sphere, and q^q |z-e|^(q+1) at
-inert points on it.  Everything here is exact rational arithmetic; numerical
-values (used to separate conjugates) come from the t-expansion evaluator and
-agree with these formulas digit-for-digit.
+inert points on it.
+
+Two reduced points have the same j exactly when a GL_2(A) move joins them, and
+such a move preserves the boundary of the fundamental domain: above the unit
+sphere (|z| > 1) the normalisation a monic, |b| < |a| <= |c| leaves only the
+identity, and between inert points on it (n = 0) the move lies in PGL_2(F_q).
+The conjugate classes are therefore found by applying those q(q^2 - 1) moves
+to the integral data of each boundary point, in exact arithmetic.  Numerical
+j-values from the t-expansion evaluator only cross-check the partition.
+
+`OrderCM` holds one order's points, j-values, classes and moduli for the
+length of one request, so every point is evaluated once per precision asked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import BadInputError, InvariantError, PrecisionError
 from .cmpoints import CMPoint, enumerate_points
+from .ffield import FieldDesc
+from . import polyring as pr
 from .quadfield import Order
 
-DEDUP_DIGITS = 24
+BROWN_DIGITS = 4  # digits past the valuation that the Brown check resolves
+MAX_SEPARATION_DIGITS = 128
 
 
 def log_abs_j(pt: CMPoint) -> Fraction:
@@ -35,6 +50,11 @@ def log_abs_j(pt: CMPoint) -> Fraction:
     return Fraction(q + (q + 1) * pt.dist_e_log)
 
 
+def brown_prec(pt: CMPoint) -> int:
+    """Absolute precision that resolves BROWN_DIGITS digits of j past its valuation."""
+    return int(math.ceil(-log_abs_j(pt))) + BROWN_DIGITS
+
+
 @dataclass
 class SingularModulus:
     """A distinct singular modulus: its exact valuation plus member points."""
@@ -48,95 +68,225 @@ class SingularModulus:
         return (-self.log_j, self.points[0].sort_key())
 
 
-def _values_at(pts, prec: int):
-    from .modforms import eval_j
-
-    return [eval_j(pt, prec).value for pt in pts]
+# ---------------------------------------------------------------------------
+# exact conjugate classes
 
 
-def _same_value(v1, v2, vlog: Fraction) -> bool | None:
-    """True/False when certain; None when precision does not decide.
+def pgl2_moves(base: FieldDesc) -> list:
+    """The q(q^2 - 1) elements of PGL_2(F_q), one matrix (alpha, beta, gamma, delta) each."""
+    els = range(base.q)
+    out = []
+    for g, d in [(1, d) for d in els] + [(0, 1)]:
+        for a in els:
+            for b in els:
+                if base.sub(base.mul(a, d), base.mul(b, g)):
+                    out.append((a, b, g, d))
+    return out
 
-    Arithmetic is exact, so any nonzero known digit of the difference
-    certifies distinctness; equality is accepted once every known digit
-    vanishes with enough digits past the common valuation -vlog.
+
+def _integral_data(pt: CMPoint) -> tuple:
+    """(A, x, C, s) with z = (x + eta)/A and C = (x^2 + s x - t)/A in A = F_q[T].
+
+    eta is the order's fixed root of eta^2 = s eta + t: sqrt(D_O) (odd),
+    f G xi (even separable) or f xi (inseparable), so (A, x) determines z.
     """
-    diff = v1 - v2
-    if not diff.is_zero_known():
-        return False
-    prec = diff.prec_q() if hasattr(diff, "prec_q") else diff.prec
-    if prec is None:
-        return True
-    if Fraction(prec) >= -vlog + 6:
-        return True
-    return None
+    order = pt.order
+    k = order.field
+    base = k.base
+    if k.flavor == "odd":  # z = (-b + sqrt(D_O))/(2a), b^2 - D_O = 2a * 2c
+        two = 2 % base.p
+        return pt.a.scale(two), -pt.b, pt.c.scale(two), pr.zero(base)
+    s = order.f * k.G if k.flavor == "even_sep" else pr.zero(base)
+    return pt.a, pt.b, pt.c, s  # b^2 + s b + t = a c in characteristic 2
 
 
-def moduli_of(order: Order, *, value_prec: int | None = None, expected: int | None = None) -> list:
-    """The distinct singular moduli of an order, deduplicated numerically.
+def _combine(base: FieldDesc, terms) -> tuple:
+    """The coefficient codes of sum c * P over the (code, Poly) pairs."""
+    out = [0] * max(len(P.coeffs) for _, P in terms)
+    for c, P in terms:
+        if c:
+            for i, pc in enumerate(P.coeffs):
+                out[i] = base.add(out[i], base.mul(c, pc))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
-    Points are first grouped by their exact valuation; within a group, two
-    points are identified when their numeric j values agree on every known
-    digit with enough digits past the common valuation.  A disagreeing digit
-    is an exact certificate of distinctness.  `expected` (a class number from
-    an independent route) triggers retries at doubled precision on mismatch.
+
+def _orbit_keys(pt: CMPoint, moves) -> list:
+    """The keys (A', x') of the images (alpha z + beta)/(gamma z + delta) of pt.
+
+    With N = gamma x + delta A the image is (X + det A eta)/(N^2 + s gamma N -
+    gamma^2 t), which divides out to A' = (gamma^2 C + gamma delta (2x + s)
+    + delta^2 A)/det and x' = (alpha gamma C + (alpha delta + beta gamma) x
+    + beta delta A + beta gamma s)/det: only F_q-linear combinations.
     """
-    pts = enumerate_points(order)
-    if not pts:
-        raise InvariantError("a valid order has a nonempty reduced point set")
+    base = pt.order.field.base
+    A, x, C, s = _integral_data(pt)
+    u = x.scale(2 % base.p) + s
+    mul = base.mul
+    out = []
+    for a, b, g, d in moves:
+        e = base.inv(base.sub(mul(a, d), mul(b, g)))
+        gd = mul(g, d)
+        bg = mul(b, g)
+        A2 = _combine(base, [(mul(e, mul(g, g)), C), (mul(e, gd), u), (mul(e, mul(d, d)), A)])
+        x2 = _combine(
+            base,
+            [(mul(e, mul(a, g)), C), (mul(e, base.add(mul(a, d), bg)), x), (mul(e, mul(b, d)), A), (mul(e, bg), s)],
+        )
+        out.append((A2, x2))
+    return out
+
+
+def conjugate_classes(points: list) -> list:
+    """The points grouped by equal j, decided exactly; members in enumeration order.
+
+    A point above the unit sphere, or of a ramified order, is alone in its
+    class.  An inert point on the unit sphere (n = 0) is joined to every
+    reduced point among its PGL_2(F_q) images.
+    """
+    if not points:
+        return []
+    order = points[0].order
+    index = {}
+    if order.field.infinite_type == "inert":
+        for i, pt in enumerate(points):
+            if pt.n == 0:
+                A, x, _, _ = _integral_data(pt)
+                index[(A.coeffs, x.coeffs)] = i
+    moves = pgl2_moves(order.field.base) if index else []
+    owner: set = set()
+    classes = []
+    for i, pt in enumerate(points):
+        if i in owner:
+            continue
+        members = {i}
+        if pt.n == 0 and index:
+            members.update(index[k] for k in _orbit_keys(pt, moves) if k in index)
+        for j in members:
+            if j in owner:
+                raise InvariantError(f"the moves do not act as a group on the points of {order.label()}")
+            owner.add(j)
+        classes.append(tuple(points[j] for j in sorted(members)))
+    return classes
+
+
+# ---------------------------------------------------------------------------
+# the per-request order object
+
+
+def _key(pt: CMPoint) -> tuple:
+    return (pt.a, pt.b)
+
+
+class OrderCM:
+    """One order's reduced CM points, their j-values and distinct moduli.
+
+    Built once per request (an `order_report` or one CLI command) and dropped
+    with it.  The points are enumerated once; each j-value is kept at the
+    highest precision asked for so far, so a point is evaluated again only
+    when a question needs more digits than are known.
+    """
+
+    def __init__(self, order: Order):
+        self.order = order
+        self.points = enumerate_points(order)
+        if not self.points:
+            raise InvariantError("a valid order has a nonempty reduced point set")
+        self.values: dict = {}  # (a, b) -> (precision, JValue)
+        self.moduli: list | None = None  # set by moduli_of once certified
+        self._classes: list | None = None
+        self._h_conductor: int | None = None
+
+    def j_value(self, pt: CMPoint, prec: int):
+        """The JValue of pt to absolute precision at least prec."""
+        key = _key(pt)
+        known = self.values.get(key)
+        if known is None or known[0] < prec:
+            from .modforms import eval_j
+
+            known = self.values[key] = (prec, eval_j(pt, prec))
+        return known[1]
+
+    def classes(self) -> list:
+        if self._classes is None:
+            self._classes = conjugate_classes(self.points)
+        return self._classes
+
+    def class_number_by_conductor(self) -> int:
+        if self._h_conductor is None:
+            from .classno import class_number_by_conductor
+
+            self._h_conductor = class_number_by_conductor(self.order, data=self)
+        return self._h_conductor
+
+
+def _cross_check(cm: OrderCM, mods: list) -> None:
+    """Numeric cross-check of the exact classes.
+
+    Members of one class must agree on every digit known for them.  Two
+    classes of equal valuation must show a nonzero digit: the values already
+    known (at BROWN_DIGITS past the valuation or more) are tried first, then
+    only the pairs not yet separated are evaluated at doubled digits, up to
+    MAX_SEPARATION_DIGITS.
+    """
+    for m in mods:
+        known = [cm.values[k][1].value for k in map(_key, m.points) if k in cm.values]
+        if any(not (v - known[0]).is_zero_known() for v in known[1:]):
+            raise InvariantError(f"conjugate points of {cm.order.label()} have different j-values")
     groups: dict = {}
-    for p in pts:
-        groups.setdefault(log_abs_j(p), []).append(p)
-    digits = DEDUP_DIGITS
-    for _ in range(4):
-        out = []
-        ok = True
-        for lg, members in sorted(groups.items(), key=lambda kv: -kv[0]):
-            prec = int(-lg) + digits  # `digits` exact digits past the common valuation
-            if value_prec is not None:
-                prec = max(prec, value_prec)
-            if len(members) == 1:
-                val = _values_at(members, prec)[0] if value_prec is not None else None
-                out.append(SingularModulus(order, lg, tuple(members), val))
-                continue
-            vals = _values_at(members, prec)
-            classes: list = []  # (rep_value, [points])
-            for pt, val in zip(members, vals):
-                placed = False
-                for cls in classes:
-                    same = _same_value(cls[0], val, lg)
-                    if same is None:
-                        ok = False
-                        break
-                    if same:
-                        cls[1].append(pt)
-                        placed = True
-                        break
-                if not ok:
-                    break
-                if not placed:
-                    classes.append((val, [pt]))
-            if not ok:
-                break
-            for val, cls_pts in classes:
-                out.append(SingularModulus(order, lg, tuple(cls_pts), val))
-        if ok and (expected is None or len(out) == expected):
-            out.sort(key=SingularModulus.sort_key)
-            return out
-        digits *= 2
-    if not ok:
-        raise PrecisionError("could not separate conjugate moduli at the precision cap")
-    raise InvariantError(
-        f"distinct-moduli count {len(out)} disagrees with the independent class number {expected}"
-    )
+    for i, m in enumerate(mods):
+        groups.setdefault(m.log_j, []).append(i)
+    for lg, idx in groups.items():
+        pairs = list(combinations(idx, 2))
+        digits = BROWN_DIGITS
+        while pairs:
+            if digits > MAX_SEPARATION_DIGITS:
+                raise PrecisionError("could not separate conjugate moduli at the precision cap")
+            prec = int(math.ceil(-lg)) + digits
+            vals = {i: cm.j_value(mods[i].points[0], prec).value for pair in pairs for i in pair}
+            pairs = [(i, j) for i, j in pairs if (vals[i] - vals[j]).is_zero_known()]
+            digits *= 2
 
 
-def weil_height(order: Order) -> Fraction:
+def moduli_of(
+    order: Order, *, data: OrderCM | None = None, value_prec: int | None = None, expected: int | None = None
+) -> list:
+    """The distinct singular moduli of an order, one per exact conjugate class.
+
+    `expected` (a class number from an independent route) must equal the
+    number of classes.  The first call on an OrderCM cross-checks the classes
+    numerically and stores the moduli on it.  With `value_prec`, each modulus
+    carries the j-value of its first point to that precision.
+    """
+    cm = data if data is not None else OrderCM(order)
+    mods = cm.moduli
+    if mods is None:
+        mods = []
+        for cls in cm.classes():
+            logs = {log_abs_j(p) for p in cls}
+            if len(logs) != 1:
+                raise InvariantError(f"conjugate points of {order.label()} have different valuations")
+            mods.append(SingularModulus(order, logs.pop(), cls))
+        mods.sort(key=SingularModulus.sort_key)
+    if expected is not None and len(mods) != expected:
+        raise InvariantError(
+            f"distinct-moduli count {len(mods)} disagrees with the independent class number {expected}"
+        )
+    if cm.moduli is None:
+        _cross_check(cm, mods)
+        cm.moduli = mods
+    if value_prec is not None:
+        mods = [replace(m, numeric=cm.j_value(m.points[0], value_prec).value.truncate(value_prec)) for m in mods]
+    return mods
+
+
+def weil_height(order: Order, *, data: OrderCM | None = None) -> Fraction:
     """h(j) = (1/m) sum over distinct moduli of max(0, log_q|j_i|).
 
     Finite places contribute nothing: singular moduli are integral over A.
     """
-    mods = moduli_of(order)
+    mods = moduli_of(order, data=data)
     m = len(mods)
     return Fraction(sum(max(Fraction(0), s.log_j) for s in mods), 1) / m
 

@@ -1,6 +1,7 @@
 """Class numbers by three independent routes.
 
-Route 1 (orbit): the number of distinct singular moduli of the order.
+Route 1 (orbit): the number of distinct singular moduli of the order, i.e. of
+exact conjugate classes of its reduced CM points (see `brownval`).
 Route 2 (conductor): h(O) = h(O_K) |f| / [O_K^x : O^x] * prod_{P | f} (1 - chi(P)/|P|).
 Route 3 (L-function, inert separable maximal orders): the character sum
 Lambda(chi, t) = sum_{deg a <= 2g+1} chi(a) t^(deg a) = (1 + t) L_K(t), with
@@ -54,14 +55,18 @@ def _divide_by_one_plus_t(lam: list) -> list:
     return list(reversed(acc[:-1]))
 
 
-def class_number_by_orbit(order: Order, expected: int | None = None) -> int:
+def class_number_by_orbit(order: Order, expected: int | None = None, *, data=None) -> int:
+    """The number of exact conjugate classes; `data` is the order's OrderCM, if built."""
     from .brownval import moduli_of
 
-    return len(moduli_of(order, expected=expected))
+    return len(moduli_of(order, data=data, expected=expected))
 
 
-def maximal_class_number(field: QuadField) -> int:
-    """h(O_K): the L-route when inert separable, the orbit route when ramified."""
+def maximal_class_number(field: QuadField, *, data=None) -> int:
+    """h(O_K): the L-route when inert separable, the orbit route when ramified.
+
+    `data` is an OrderCM the orbit route reuses when it belongs to O_K.
+    """
     if field.is_constant_extension:
         return 1
     if field.flavor == "even_insep":
@@ -69,7 +74,8 @@ def maximal_class_number(field: QuadField) -> int:
         return 1
     if field.infinite_type == "inert":
         return l_route(field).h_OK
-    return class_number_by_orbit(order_from(field, pr.one(field.base)))
+    maximal = order_from(field, pr.one(field.base))
+    return class_number_by_orbit(maximal, data=data if data is not None and data.order == maximal else None)
 
 
 def unit_index(order: Order) -> int:
@@ -79,11 +85,11 @@ def unit_index(order: Order) -> int:
     return 1
 
 
-def class_number_by_conductor(order: Order) -> int:
+def class_number_by_conductor(order: Order, *, data=None) -> int:
     """The conductor formula; the exact rational must be a positive integer."""
     field = order.field
     q = field.base.q
-    h_K = maximal_class_number(field)
+    h_K = maximal_class_number(field, data=data)
     val = Fraction(h_K * q**order.f.deg, unit_index(order))
     if not order.f.is_one():
         _, items = pr.factor(order.f)
@@ -148,16 +154,14 @@ def l_route(field: QuadField) -> LPolyData:
     return data
 
 
-def class_number(order: Order) -> int:
+def class_number(order: Order, *, data=None) -> int:
     """Agreed class number: orbit and conductor routes (and the L-route when inert
     separable and maximal) must coincide."""
-    by_formula = class_number_by_conductor(order)
-    by_orbit = class_number_by_orbit(order, expected=by_formula)
-    if by_orbit != by_formula:
-        raise InvariantError(
-            f"class number disagreement for {order.label()}: orbit {by_orbit} vs conductor {by_formula}"
-        )
-    return by_orbit
+    from .brownval import OrderCM
+
+    cm = data if data is not None else OrderCM(order)
+    # moduli_of raises InvariantError when the orbit count differs from `expected`
+    return class_number_by_orbit(order, expected=cm.class_number_by_conductor(), data=cm)
 
 
 def check_class_bound(order: Order) -> dict:

@@ -126,11 +126,13 @@ def cmd_enumerate(cfg: RunConfig, args) -> int:
 
 
 def cmd_class_number(cfg: RunConfig, args) -> int:
-    from .classno import class_number_by_conductor, class_number_by_orbit, l_route
+    from .brownval import OrderCM
+    from .classno import class_number_by_orbit, l_route
 
     order = _build_order(cfg, args)
-    by_formula = class_number_by_conductor(order)
-    by_orbit = class_number_by_orbit(order)
+    cm = OrderCM(order)
+    by_formula = cm.class_number_by_conductor()
+    by_orbit = class_number_by_orbit(order, data=cm)
     routes = {"orbit": by_orbit, "conductor": by_formula}
     k = order.field
     if k.infinite_type == "inert" and k.flavor != "even_insep" and not k.is_constant_extension and order.is_maximal():
@@ -146,12 +148,13 @@ def cmd_class_number(cfg: RunConfig, args) -> int:
 
 def cmd_height(cfg: RunConfig, args) -> int:
     from .bounds import lower_bounds_h
-    from .brownval import moduli_of, weil_height
+    from .brownval import OrderCM, moduli_of, weil_height
 
     order = _build_order(cfg, args)
-    mods = moduli_of(order)
-    h = weil_height(order)
-    lb = lower_bounds_h(order)
+    cm = OrderCM(order)
+    lb = lower_bounds_h(order, data=cm)  # certifies the moduli against the conductor formula
+    mods = moduli_of(order, data=cm)
+    h = weil_height(order, data=cm)
     payload = {
         "order": order.to_jsonable(),
         "m": len(mods),
@@ -330,8 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()  # building costs about 40 parses; it is reused
+    args = _parser.parse_args(argv)
     try:
         p, r = _factor_prime_power(args.q)
         if args.q > MAX_Q_GUARD and not args.allow_large_q:

@@ -29,7 +29,7 @@ from . import polyring as pr
 from .polyring import Poly
 from .quadfield import Order, QuadSeries, QuadSeriesContext, embed, lift_to_quad
 from .cmpoints import CMPoint
-from .brownval import log_abs_j
+from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of
 
 GUARD = 10
 
@@ -284,9 +284,7 @@ def eval_j(pt: CMPoint, prec: int, *, check: bool = True, cdesc: FieldDesc | Non
 
 def eval_j_valuation(pt: CMPoint) -> Fraction:
     """-v(j) resolved numerically with just enough digits; cross-checked against the formula."""
-    vj = -log_abs_j(pt)
-    jv = eval_j(pt, int(math.ceil(vj)) + 4)
-    return -jv.v
+    return -eval_j(pt, brown_prec(pt)).v
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +460,21 @@ def _round_series_to_A(s: LaurentSeries, base: FieldDesc):
 
 
 def hilbert_poly(order: Order, extra_prec: int = GUARD) -> HilbertPoly:
-    """Assemble the monic class polynomial from the distinct conjugates."""
-    mods0 = moduli_list(order)
-    sum_pos = sum(max(Fraction(0), s.log_j) for s in mods0)
-    W = int(math.ceil(sum_pos)) + extra_prec + 6
-    from .brownval import moduli_of
+    """Assemble the monic class polynomial from the distinct conjugates.
 
-    mods = moduli_of(order, value_prec=W, expected=len(mods0))
-    qctx = None
-    vals = []
+    Each class's first point is evaluated at the working precision W before
+    the moduli are certified, so the numeric cross-check starts from these
+    values and `plan` is that of the evaluations at W.
+    """
+    cm = OrderCM(order)
+    sum_pos = sum(max(Fraction(0), log_abs_j(cls[0])) for cls in cm.classes())
+    W = int(math.ceil(sum_pos)) + extra_prec + 6
     plans: dict = {}
-    for s in mods:
-        jv = eval_j(s.points[0], W)
-        plans = {k: max(plans.get(k, 0), v) for k, v in jv.plan.items()}
-        vals.append(jv.value)
-        if isinstance(jv.value, QuadSeries):
-            qctx = jv.value.ctx
+    for cls in cm.classes():
+        plans = {k: max(plans.get(k, 0), v) for k, v in cm.j_value(cls[0], W).plan.items()}
+    mods = moduli_of(order, data=cm, value_prec=W, expected=cm.class_number_by_conductor())
+    vals = [s.numeric for s in mods]
+    qctx = vals[0].ctx if isinstance(vals[0], QuadSeries) else None
     # expand prod (X - j_i)
     if qctx is None:
         coeffs = [LaurentSeries.one(vals[0].field, None)]
@@ -526,12 +523,6 @@ def hilbert_poly(order: Order, extra_prec: int = GUARD) -> HilbertPoly:
     return H
 
 
-def moduli_list(order: Order):
-    from .brownval import moduli_of
-
-    return moduli_of(order)
-
-
 def unit_check(H: HilbertPoly):
     """('unit'|'nonunit', norm degree): constant term in F_q^x means unit."""
     deg = H.constant_term_degree()
@@ -547,7 +538,7 @@ def hilbert_constant_degree(order: Order) -> Fraction:
     evaluator, so this equals the assembled polynomial's constant degree
     without building the full product.
     """
-    mods = moduli_list(order)
-    for s in mods:
-        eval_j_valuation(s.points[0])
-    return sum(s.log_j for s in mods)
+    cm = OrderCM(order)
+    for cls in cm.classes():
+        cm.j_value(cls[0], brown_prec(cls[0]))  # eval_j checks the valuation
+    return sum(s.log_j for s in moduli_of(order, data=cm, expected=cm.class_number_by_conductor()))

@@ -20,6 +20,7 @@ from .errors import BadInputError, InvariantError
 from .ffield import FieldDesc
 
 NEG_INF = float("-inf")
+SPLIT_TRIALS = 64  # each trial splits a valid input with probability about 1/2
 
 _factor_cache = {}
 _factor_lock = threading.Lock()
@@ -299,13 +300,17 @@ def _rng_for(a: Poly, seed: int) -> random.Random:
 
 
 def _equal_degree_split(f: Poly, d: int, rng: random.Random):
-    """Split a squarefree product of degree-d irreducibles (Cantor-Zassenhaus)."""
+    """Split a squarefree product of degree-d irreducibles (Cantor-Zassenhaus).
+
+    An input that is not such a product may never split; it raises
+    InvariantError after SPLIT_TRIALS random trials.
+    """
     fld = f.field
     q = fld.q
     n = f.deg
     if n == d:
         return [f]
-    while True:
+    for _ in range(SPLIT_TRIALS):
         r = Poly(fld, [rng.randrange(fld.order) for _ in range(n)] + [1])
         g = gcd(r, f)
         if 1 <= g.deg < n:
@@ -324,6 +329,7 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random):
             g = gcd(w - one(fld), f)
         if 1 <= g.deg < n:
             return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
+    raise InvariantError(f"no equal-degree split of {f} into degree-{d} factors after {SPLIT_TRIALS} trials")
 
 
 def _factor_squarefree(f: Poly, rng: random.Random):

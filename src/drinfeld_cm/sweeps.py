@@ -1,9 +1,13 @@
 """Order enumeration and shared per-order reports for the desk-scale sweeps.
 
 One `order_report` bundles everything the verification suites need from an
-order - points, exact valuations, the numeric valuation cross-check, the
-distinct moduli, and the class-number routes - and is cached so that the
-product search, the unit sweep and the lemma suites all reuse one pass.
+order: its points, the Brown check of every point's numeric j-valuation
+against the exact formula, the distinct moduli (exact conjugate classes,
+cross-checked by the j-values the Brown check already computed), the
+class-number routes and the height.  The report is built from one
+`brownval.OrderCM`, which is dropped afterwards; `_report_cache` keeps only
+the report, so the product search, the unit sweep and the lemma suites all
+reuse one pass.
 """
 
 from __future__ import annotations
@@ -127,28 +131,24 @@ def order_report(order: Order, *, check_brown: bool = True) -> OrderReport:
     """Points, moduli, class numbers and height of one order (cached).
 
     With check_brown=True every point's numeric j-valuation is verified
-    against the exact formula (the build's central cross-validation).
+    against the exact formula (the build's central cross-validation); the
+    values it computes then serve the numeric cross-check of the moduli.
     """
     key = (order.field.key(), order.f.coeffs, check_brown)
     hit = _report_cache.get(key)
     if hit is not None:
         return hit
-    from .brownval import log_abs_j, moduli_of, weil_height
-    from .classno import class_number_by_conductor, l_route
-    from .cmpoints import enumerate_points
-    from .modforms import eval_j_valuation
+    from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of
+    from .classno import l_route
 
-    points = enumerate_points(order)
+    cm = OrderCM(order)
     if check_brown:
-        for p in points:
-            got = eval_j_valuation(p)
-            if got != log_abs_j(p):
+        for p in cm.points:
+            if -cm.j_value(p, brown_prec(p)).v != log_abs_j(p):
                 raise InvariantError(f"Brown-vs-numeric mismatch at {order.label()} a={p.a} b={p.b}")
-    h_formula = class_number_by_conductor(order)
-    mods = moduli_of(order, expected=h_formula)
+    h_formula = cm.class_number_by_conductor()
+    mods = moduli_of(order, data=cm, expected=h_formula)
     h_orbit = len(mods)
-    if h_orbit != h_formula:
-        raise InvariantError(f"class-number disagreement for {order.label()}")  # pragma: no cover
     h_l = None
     field = order.field
     if (
@@ -161,7 +161,7 @@ def order_report(order: Order, *, check_brown: bool = True) -> OrderReport:
         if h_l != h_orbit:
             raise InvariantError(f"L-route disagreement for {order.label()}")  # pragma: no cover
     height = Fraction(sum(max(Fraction(0), m.log_j) for m in mods)) / h_orbit
-    rep = OrderReport(order, points, mods, h_orbit, h_formula, h_l, height, check_brown)
+    rep = OrderReport(order, cm.points, mods, h_orbit, h_formula, h_l, height, check_brown)
     _report_cache[key] = rep
     return rep
 
@@ -183,7 +183,3 @@ def sweep_moduli(base: FieldDesc, d_bound: int, *, check_brown: bool = False) ->
             key = (order.disc_deg(), order.label(), idx)
             out.append(ModulusRecord(order, m, key, f"{order.label()}#{idx} (log|j|={m.log_j})"))
     return out
-
-
-def clear_caches():
-    _report_cache.clear()

@@ -1,17 +1,23 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from drinfeld_cm.errors import BadInputError
+from drinfeld_cm.errors import BadInputError, InvariantError, PrecisionError
 from drinfeld_cm.ffield import field
+from drinfeld_cm import brownval
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.brownval import (
+    OrderCM,
+    brown_prec,
     log_abs_j,
     moduli_of,
+    pgl2_moves,
     product_degree,
     ramified_nonunit_certificate,
     weil_height,
 )
+from drinfeld_cm.classno import class_number_by_conductor
 from drinfeld_cm.cmpoints import enumerate_points
 from drinfeld_cm.quadfield import order_from, order_from_discriminant, validate_field
 
@@ -83,3 +89,136 @@ def test_insep_class_and_heights():
     assert len(mods) == 2  # h = |f| = 2
     assert sorted(m.log_j for m in mods) == [3, 6]
     assert weil_height(o) == Fraction(9, 2)
+
+
+# -- exact conjugate classes ----------------------------------------------------
+
+F4 = field(2, 2)
+F5 = field(5)
+
+
+def sample_orders():
+    """Orders over F_3, F_4 and F_5 covering every flavor and both infinite types."""
+
+    def sep4(B, C):
+        return validate_field(F4, "even_sep", B=P(F4, B), C=P(F4, C))
+
+    return [
+        hayes_order(),  # F_3 odd inert, classes of 1 and 4 points
+        order_from_discriminant(F3, P(F3, "2*T^2+2")),  # F_3 odd inert
+        order_from_discriminant(F3, P(F3, "T^3")),  # F_3 odd ramified, two conjugates of equal valuation
+        order_from(sep4("2*T+2", "T"), pr.one(F4)),  # F_4 even_sep inert, a class of 5 points
+        order_from(sep4("T", "1"), P(F4, "T")),  # F_4 even_sep ramified, two of equal valuation
+        order_from(validate_field(F4, "even_insep"), P(F4, "T")),  # F_4 even_insep
+        order_from_discriminant(F5, P(F5, "2*T^2+2")),  # F_5 odd inert, a class of 6 points
+        order_from_discriminant(F5, P(F5, "T^3")),  # F_5 odd ramified
+    ]
+
+
+def pkey(p):
+    return (p.a.coeffs, p.b.coeffs)
+
+
+def numeric_partition(points, digits=24):
+    """Points grouped by agreement of j on `digits` digits past the valuation."""
+    from drinfeld_cm.modforms import eval_j
+
+    classes = []  # (valuation, value, [keys])
+    for p in points:
+        lg = log_abs_j(p)
+        val = eval_j(p, int(-lg) + digits).value
+        for cls in classes:
+            if cls[0] == lg and (cls[1] - val).is_zero_known():
+                cls[2].append(pkey(p))
+                break
+        else:
+            classes.append((lg, val, [pkey(p)]))
+    return sorted(tuple(c[2]) for c in classes)
+
+
+@pytest.mark.parametrize("order", sample_orders(), ids=lambda o: f"q{o.field.q}-{o.label()}")
+def test_exact_partition_matches_numeric(order):
+    cm = OrderCM(order)
+    exact = sorted(tuple(map(pkey, cls)) for cls in cm.classes())
+    assert exact == numeric_partition(cm.points)
+    assert len(moduli_of(order, data=cm, expected=class_number_by_conductor(order))) == len(exact)
+    assert all(len(c) in (1, order.field.q + 1) for c in exact)
+
+
+def test_pgl2_moves_count():
+    for fld in (F2, F3, F4, F5):
+        q = fld.q
+        moves = pgl2_moves(fld)
+        assert len(moves) == len(set(moves)) == q * (q * q - 1)
+
+
+def test_dropped_move_is_caught(monkeypatch):
+    order = hayes_order()
+    cm = OrderCM(order)
+    big = next(cls for cls in cm.classes() if len(cls) > 1)
+    moves = pgl2_moves(F3)
+    # the one move that takes the first point of the class to the second
+    key = tuple(c.coeffs for c in brownval._integral_data(big[1])[:2])
+    joining = [mv for mv in moves if brownval._orbit_keys(big[0], [mv]) == [key]]
+    assert len(joining) == 1
+    monkeypatch.setattr(brownval, "pgl2_moves", lambda base: [mv for mv in moves if mv != joining[0]])
+    with pytest.raises(InvariantError):
+        moduli_of(order, expected=2)
+    with pytest.raises(InvariantError):  # the orbits no longer partition the points
+        moduli_of(order)
+
+
+def test_wrong_expected_is_caught():
+    with pytest.raises(InvariantError):
+        moduli_of(hayes_order(), expected=3)
+    o = order_from_discriminant(F3, P(F3, "T^3"))
+    with pytest.raises(InvariantError):
+        moduli_of(o, expected=2)
+
+
+def test_wrongly_split_class_exhausts_precision(monkeypatch):
+    # equal j-values never show a nonzero digit: exit code 2, not a wrong answer
+    real = brownval.conjugate_classes
+
+    def split(points):
+        return [part for cls in real(points) for part in ((cls[:1], cls[1:]) if len(cls) > 1 else (cls,))]
+
+    monkeypatch.setattr(brownval, "conjugate_classes", split)
+    with pytest.raises(PrecisionError):
+        moduli_of(hayes_order())
+
+
+def test_wrongly_merged_class_is_caught_by_known_values(monkeypatch):
+    o = order_from_discriminant(F3, P(F3, "T^3"))
+    real = brownval.conjugate_classes
+
+    def merge(points):
+        classes = real(points)
+        twins = [cls for cls in classes if log_abs_j(cls[0]) == 6]
+        assert len(twins) == 2
+        return [cls for cls in classes if cls not in twins] + [twins[0] + twins[1]]
+
+    monkeypatch.setattr(brownval, "conjugate_classes", merge)
+    cm = OrderCM(o)
+    for p in cm.points:
+        cm.j_value(p, brown_prec(p))
+    with pytest.raises(InvariantError):
+        moduli_of(o, data=cm)
+
+
+def test_brown_check_evaluates_each_point_once(monkeypatch):
+    from drinfeld_cm import modforms, sweeps
+
+    calls = Counter()
+    real = modforms.eval_j
+
+    def counting(pt, prec, **kw):
+        calls[pkey(pt)] += 1
+        return real(pt, prec, **kw)
+
+    monkeypatch.setattr(modforms, "eval_j", counting)
+    monkeypatch.setattr(sweeps, "_report_cache", {})
+    rep = sweeps.order_report(hayes_order(), check_brown=True)
+    assert sorted(calls) == sorted(map(pkey, rep.points))
+    assert set(calls.values()) == {1}
+    assert rep.h_orbit == 2

@@ -1,0 +1,38 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from drinfeld_cm import cli
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+REQUESTS = [
+    ["class-number", "--q", "3", "--flavor", "odd", "--D", "T-T^2"],
+    ["enumerate", "--q", "4", "--flavor", "even_insep", "--f", "T"],
+    ["height", "--q", "3", "--flavor", "odd", "--D", "T^3"],
+    ["hilbert", "--q", "3", "--flavor", "odd", "--D", "T-T^2"],
+]
+
+
+def separate_run(argv):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-m", "drinfeld_cm", *argv], capture_output=True, text=True, env=env)
+    return out.returncode, out.stdout
+
+
+def test_main_reused_in_one_process(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_parser", None)
+    in_process = []
+    for argv in REQUESTS:
+        code = cli.main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    assert cli._parser is not None
+    assert in_process == [separate_run(argv) for argv in REQUESTS]
+    assert all(code == 0 for code, _ in in_process)
+
+
+def test_bad_input_exit_code_unchanged_after_reuse(capsys):
+    assert cli.main(REQUESTS[0]) == 0
+    assert cli.main(["class-number", "--q", "6", "--flavor", "odd", "--D", "T"]) == 3
+    assert "not a prime power" in capsys.readouterr().err

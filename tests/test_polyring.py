@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drinfeld_cm.errors import BadInputError
+from drinfeld_cm.errors import BadInputError, InvariantError
 from drinfeld_cm.ffield import field
 from drinfeld_cm import polyring as pr
 
@@ -91,6 +91,14 @@ def test_factor_char2_power_exponents():
     b = (P(F2, "T^2+T+1")) ** 4
     _, items = pr.factor(b)
     assert items == ((P(F2, "T^2+T+1"), 4),)
+
+
+@pytest.mark.parametrize("fld, text", [(F3, "T^3+T"), (F2, "T^3+T^2+T")])
+def test_equal_degree_split_bad_input_ends(fld, text):
+    # T (T^2 + 1) over F_3 and T (T^2 + T + 1) over F_2: irreducible factors of
+    # degrees 1 and 2, so no split into degree-1 factors exists
+    with pytest.raises(InvariantError):
+        pr._equal_degree_split(P(fld, text), 1, random.Random(0))
 
 
 def test_gcd2_examples():
