@@ -433,78 +433,93 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int, guard: int 
     hits = []
     skipped = []
     pairs_checked = 0
-    cache: dict = {}
-
-    def numeric(rec, prec):
-        key = (rec.key, prec)
-        if key not in cache:
-            pt = rec.modulus.points[0]
-            if rec.order.field.infinite_type == "inert":
-                cache[key] = eval_j(pt, prec).value
-            else:
-                cache[key] = eval_j(pt, prec, cdesc=quadratic_extension(base)).value
-        return cache[key]
 
     by_log: dict = {}
     for rec in records:
         by_log.setdefault(rec.modulus.log_j, []).append(rec)
     logs = sorted(by_log)
-    for i1, lg1 in enumerate(logs):
-        for lg2 in logs[i1:]:
-            total = lg1 + lg2
-            if total < 0 or total > deg_bound:
-                continue
-            if total != int(total):
-                continue  # half-integer product valuation: never a polynomial
-            for r1 in by_log[lg1]:
-                for r2 in by_log[lg2]:
-                    if lg1 == lg2 and r1.key > r2.key:
-                        continue
-                    ram1 = r1.order.field.infinite_type == "ramified"
-                    ram2 = r2.order.field.infinite_type == "ramified"
-                    if ram1 and ram2 and r1.order.field != r2.order.field:
-                        skipped.append(
-                            {
-                                "pair": [r1.label, r2.label],
-                                "reason": "biquadratic ramified-ramified product",
-                                "degree_if_polynomial": str(total),
-                            }
+
+    def candidates():
+        """(r1, r2, total, biquadratic, prec1, prec2) for every pair whose
+        product valuation total could be a polynomial degree."""
+        for i1, lg1 in enumerate(logs):
+            for lg2 in logs[i1:]:
+                total = lg1 + lg2
+                if total < 0 or total > deg_bound:
+                    continue
+                if total != int(total):
+                    continue  # half-integer product valuation: never a polynomial
+                for r1 in by_log[lg1]:
+                    for r2 in by_log[lg2]:
+                        if lg1 == lg2 and r1.key > r2.key:
+                            continue
+                        biquadratic = (
+                            r1.order.field.infinite_type == "ramified"
+                            and r2.order.field.infinite_type == "ramified"
+                            and r1.order.field != r2.order.field
                         )
-                        continue
-                    pairs_checked += 1
-                    prec1 = int(guard + max(0, lg2)) + 2
-                    prec2 = int(guard + max(0, lg1)) + 2
-                    v1 = numeric(r1, prec1)
-                    v2 = numeric(r2, prec2)
-                    if isinstance(v1, QuadSeries) or isinstance(v2, QuadSeries):
-                        if not isinstance(v1, QuadSeries):
-                            v1 = lift_to_quad(v2.ctx, v1)
-                        elif not isinstance(v2, QuadSeries):
-                            v2 = lift_to_quad(v1.ctx, v2)
-                        prod = v1 * v2
-                        if not prod.y.is_zero_known():
-                            continue  # nonzero xi-part: certified non-hit
-                        flat = prod.x
-                    else:
-                        flat = v1 * v2
-                    poly, tail = flat.polynomial_part()
-                    if tail is not None:
-                        continue  # nonzero fractional digit: certified non-hit
-                    if flat.prec is not None and flat.prec < guard:
-                        skipped.append(
-                            {"pair": [r1.label, r2.label], "reason": f"precision {flat.prec} below guard {guard}"}
-                        )
-                        continue
-                    if poly.deg != total:
-                        raise InvariantError("hit degree differs from the valuation sum")  # pragma: no cover
-                    hits.append(
-                        {
-                            "pair": [r1.label, r2.label],
-                            "degree": int(poly.deg),
-                            "gamma": pr.format_poly(poly),
-                            "residual_zero_digits": None if flat.prec is None else int(flat.prec),
-                        }
-                    )
+                        prec1 = int(guard + max(0, lg2)) + 2
+                        prec2 = int(guard + max(0, lg1)) + 2
+                        yield r1, r2, total, biquadratic, prec1, prec2
+
+    # each record is evaluated once, at the highest precision any of its pairs
+    # needs; every known digit is exact, so a truncation equals a fresh evaluation
+    need: dict = {}
+    for r1, r2, _, biquadratic, prec1, prec2 in candidates():
+        if not biquadratic:
+            need[r1.key] = max(need.get(r1.key, 0), prec1)
+            need[r2.key] = max(need.get(r2.key, 0), prec2)
+    held: dict = {}
+
+    def numeric(rec, prec):
+        val = held.get(rec.key)
+        if val is None:
+            cdesc = None if rec.order.field.infinite_type == "inert" else quadratic_extension(base)
+            val = held[rec.key] = eval_j(rec.modulus.points[0], need[rec.key], cdesc=cdesc).value
+        return val.truncate(prec)
+
+    for r1, r2, total, biquadratic, prec1, prec2 in candidates():
+        if biquadratic:
+            skipped.append(
+                {
+                    "pair": [r1.label, r2.label],
+                    "reason": "biquadratic ramified-ramified product",
+                    "degree_if_polynomial": str(total),
+                }
+            )
+            continue
+        pairs_checked += 1
+        v1 = numeric(r1, prec1)
+        v2 = numeric(r2, prec2)
+        if isinstance(v1, QuadSeries) or isinstance(v2, QuadSeries):
+            if not isinstance(v1, QuadSeries):
+                v1 = lift_to_quad(v2.ctx, v1)
+            elif not isinstance(v2, QuadSeries):
+                v2 = lift_to_quad(v1.ctx, v2)
+            prod = v1 * v2
+            if not prod.y.is_zero_known():
+                continue  # nonzero xi-part: certified non-hit
+            flat = prod.x
+        else:
+            flat = v1 * v2
+        poly, tail = flat.polynomial_part()
+        if tail is not None:
+            continue  # nonzero fractional digit: certified non-hit
+        if flat.prec is not None and flat.prec < guard:
+            skipped.append(
+                {"pair": [r1.label, r2.label], "reason": f"precision {flat.prec} below guard {guard}"}
+            )
+            continue
+        if poly.deg != total:
+            raise InvariantError("hit degree differs from the valuation sum")  # pragma: no cover
+        hits.append(
+            {
+                "pair": [r1.label, r2.label],
+                "degree": int(poly.deg),
+                "gamma": pr.format_poly(poly),
+                "residual_zero_digits": None if flat.prec is None else int(flat.prec),
+            }
+        )
     hits.sort(key=lambda h: (h["degree"], h["gamma"]))
     return {
         "q": q,

@@ -6,35 +6,43 @@ the integer `prec` means the coefficients at exponents e >= prec are unknown
 the valuation normalised by v(T) = -1, v(series) = n0 and |x| = q^(-n0).
 
 Coefficients are stored as an int64 numpy array of F_p coordinates, shape
-(s, L) with s = [F_{q^m} : F_p]; multiplication is s^2 numpy convolutions
-combined through the basis-product tensor, so q-digit counts in the
-thousands stay cheap.  Every operation propagates `prec` exactly: a digit is
-either exactly known or beyond `prec`, there is no rounding noise anywhere.
+(s, L) with s = [F_{q^m} : F_p], in the power basis of the field modulus.
+A product packs the s coordinates of each column into one int64 as base-2^b
+digits (Kronecker substitution), makes one numpy convolution, unpacks the
+2s - 1 digits and reduces them mod the modulus with one (s x 2s-1) matrix.
+The digit width b holds the largest digit sum, min(La, Lb) * s * (p-1)^2,
+and the 2s - 1 digits of a product must fit in 62 bits; when they do not
+(F_16 operands of 64 or more columns, say), only one operand is packed and
+it is convolved with each coordinate of the other.  Every operation
+propagates `prec` exactly: a digit is either exactly known or beyond
+`prec`, there is no rounding noise anywhere.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .errors import BadInputError, InvariantError, PrecisionError
+from .errors import BadInputError, PrecisionError
 from .ffield import FieldDesc, embedding_table
 from .polyring import Poly
 
 _np_cache: dict = {}
 
+# packed words stay below 2^62, so no int64 sum in a convolution can overflow
+_WORD_BITS = 62
+
 
 def _tensors(desc: FieldDesc):
-    """Numpy copies of the basis-product tensor, Frobenius matrix, etc."""
+    """Numpy copies of the power-reduction and Frobenius matrices, etc."""
     t = _np_cache.get(desc)
     if t is None:
         s = desc.s
-        struct = np.zeros((s, s, s), dtype=np.int64)
-        bp = desc.basis_product_tensor()
-        for i in range(s):
-            for j in range(s):
-                struct[i, j, :] = bp[i][j]
+        # column k: coordinates of x^k mod desc.modulus (x has code p), k = 0..2s-2
+        reduce = np.array([desc.coords(desc.pow(desc.p, k)) for k in range(2 * s - 1)], dtype=np.int64).T
         frob = np.array(desc.frob_q_matrix(), dtype=np.int64).T  # rows = output coords
-        t = {"struct": struct, "frob": frob, "scalar": {}}
+        t = {"reduce": reduce, "frob": frob, "scalar": {}}
         _np_cache[desc] = t
     return t
 
@@ -48,40 +56,66 @@ def _scalar_matrix(desc: FieldDesc, code: int):
     return m
 
 
+def _packing(p: int, s: int, length: int):
+    """(g, h, b): pack g coordinates of A and h of B per int64 word, b bits a digit.
+
+    A digit of a packed product sums at most length * min(g, h) products of
+    two coordinates, each at most (p-1)^2, so b bits hold it exactly; a
+    product of two words has g + h - 1 digits and must fit in _WORD_BITS.
+    Both operands whole (one convolution) fit unless s and the operand
+    length are both large, as for F_16 operands of 64 or more columns; then
+    only A is packed, in as few words as fit, against each coordinate of B.
+    """
+    b = (length * s * (p - 1) ** 2).bit_length()
+    if (2 * s - 1) * b <= _WORD_BITS:
+        return s, s, b
+    b = (length * (p - 1) ** 2).bit_length()
+    return max(1, min(s, _WORD_BITS // b)), 1, b
+
+
+@lru_cache(maxsize=None)
+def _digits(b: int, n: int):
+    """(weights 2^(b i), shifts b i as a column), i < n, for words of n b-bit digits."""
+    shifts = np.arange(0, b * n, b, dtype=np.int64)
+    weights = np.left_shift(1, shifts)
+    shifts = shifts[:, None]
+    weights.setflags(write=False)
+    shifts.setflags(write=False)
+    return weights, shifts
+
+
 def _raw_mul(desc: FieldDesc, A: np.ndarray, B: np.ndarray, ncols: int | None = None) -> np.ndarray:
-    """Convolution product of coordinate arrays, optionally truncated to ncols."""
-    s = desc.s
+    """Convolution product of coordinate arrays, optionally truncated to ncols.
+
+    Kronecker substitution: the coordinates of a column are the base-2^b
+    digits of one int64, so one np.convolve yields, for each output column,
+    the coefficients of the product of two polynomials of degree < s in the
+    field generator x; they are reduced mod desc.modulus by one matrix.
+    """
+    s, p = desc.s, desc.p
     La, Lb = A.shape[1], B.shape[1]
     if La == 0 or Lb == 0:
         return np.zeros((s, 0), dtype=np.int64)
     Lout = La + Lb - 1
-    if ncols is not None:
-        Lout = min(Lout, ncols)
-        if La > Lout:
-            A = A[:, :Lout]
-            La = Lout
-        if Lb > Lout:
-            B = B[:, :Lout]
-            Lb = Lout
+    if ncols is not None and ncols < Lout:
+        Lout = ncols
+        A = A[:, :Lout]
+        B = B[:, :Lout]
+        La, Lb = A.shape[1], B.shape[1]
     if s == 1:
-        # prime field: one convolution, no basis bookkeeping
-        out = np.convolve(A[0], B[0])[None, :Lout] % desc.p
-        return out
-    struct = _tensors(desc)["struct"]
-    out = np.zeros((s, La + Lb - 1), dtype=np.int64)
-    for i in range(s):
-        if not A[i].any():
-            continue
-        for j in range(s):
-            if not B[j].any():
-                continue
-            conv = np.convolve(A[i], B[j])
-            coeffs = struct[i, j]
-            for k in range(s):
-                if coeffs[k]:
-                    out[k] += coeffs[k] * conv
-    out %= desc.p
-    return out[:, :Lout]
+        return (np.convolve(A[0], B[0])[:Lout] % p)[None, :]
+    g, h, b = _packing(p, s, min(La, Lb))
+    mask = (1 << b) - 1
+    digits = np.zeros((2 * s - 1, Lout), dtype=np.int64)
+    for i in range(0, s, g):
+        rows_a = A[i : i + g]
+        pa = _digits(b, rows_a.shape[0])[0] @ rows_a
+        for j in range(0, s, h):
+            rows_b = B[j : j + h]
+            nd = rows_a.shape[0] + rows_b.shape[0] - 1
+            conv = np.convolve(pa, _digits(b, rows_b.shape[0])[0] @ rows_b)[:Lout]
+            digits[i + j : i + j + nd] += (conv >> _digits(b, nd)[1]) & mask
+    return (_tensors(desc)["reduce"] @ digits) % p
 
 
 def _min_prec(*ps):
@@ -94,22 +128,32 @@ class LaurentSeries:
 
     __slots__ = ("field", "n0", "comps", "prec")
 
-    def __init__(self, fld: FieldDesc, n0: int, comps, prec):
-        comps = np.asarray(comps, dtype=np.int64)
-        if comps.ndim != 2 or comps.shape[0] != fld.s:
-            raise BadInputError("component array must have shape (s, L)")
-        comps = comps % fld.p
-        # drop columns at exponents >= prec
-        if prec is not None and comps.shape[1] > prec - n0:
-            comps = comps[:, : max(0, prec - n0)]
-        # strip leading zeros (raising n0) and trailing zeros (known zeros stay implicit)
-        nz = np.flatnonzero(comps.any(axis=0))
-        if nz.size == 0:
-            comps = comps[:, :0]
-            n0 = 0
+    def __init__(self, fld: FieldDesc, n0: int, comps, prec, *, reduced: bool = False):
+        """`reduced=True` is for an int64 array already reduced mod p, with no
+        column at an exponent >= prec and a nonzero first column (or none):
+        only trailing zeros are stripped.  Otherwise the array is checked,
+        reduced, cut at prec and stripped at both ends."""
+        if reduced:
+            if not comps.shape[1]:
+                n0 = 0
+            elif not comps[:, -1].any():
+                comps = comps[:, : np.flatnonzero(comps.any(axis=0))[-1] + 1]
         else:
-            comps = comps[:, nz[0] : nz[-1] + 1]
-            n0 = n0 + int(nz[0])
+            comps = np.asarray(comps, dtype=np.int64)
+            if comps.ndim != 2 or comps.shape[0] != fld.s:
+                raise BadInputError("component array must have shape (s, L)")
+            comps = comps % fld.p
+            # drop columns at exponents >= prec
+            if prec is not None and comps.shape[1] > prec - n0:
+                comps = comps[:, : max(0, prec - n0)]
+            # strip leading zeros (raising n0) and trailing zeros (known zeros stay implicit)
+            nz = np.flatnonzero(comps.any(axis=0))
+            if nz.size == 0:
+                comps = comps[:, :0]
+                n0 = 0
+            else:
+                comps = comps[:, nz[0] : nz[-1] + 1]
+                n0 = n0 + int(nz[0])
         comps.setflags(write=False)
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "n0", n0)
@@ -242,7 +286,7 @@ class LaurentSeries:
         return LaurentSeries(fld, lo, out, prec)
 
     def __neg__(self):
-        return LaurentSeries(self.field, self.n0, (-self.comps) % self.field.p, self.prec)
+        return LaurentSeries(self.field, self.n0, (-self.comps) % self.field.p, self.prec, reduced=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -269,7 +313,7 @@ class LaurentSeries:
         if ncols is not None and ncols <= 0:
             return LaurentSeries.zero(fld, prec)
         out = _raw_mul(fld, self.comps, other.comps, ncols)
-        return LaurentSeries(fld, self.n0 + other.n0, out, prec)
+        return LaurentSeries(fld, self.n0 + other.n0, out, prec, reduced=True)
 
     def scale(self, code: int) -> "LaurentSeries":
         """Multiply by a field constant."""
@@ -278,16 +322,19 @@ class LaurentSeries:
         if code == 1:
             return self
         M = _scalar_matrix(self.field, code)
-        return LaurentSeries(self.field, self.n0, (M @ self.comps) % self.field.p, self.prec)
+        return LaurentSeries(self.field, self.n0, (M @ self.comps) % self.field.p, self.prec, reduced=True)
 
     def mul_t_power(self, k: int) -> "LaurentSeries":
         """Multiply by T^k."""
         prec = None if self.prec is None else self.prec - k
-        return LaurentSeries(self.field, self.n0 - k, self.comps, prec)
+        return LaurentSeries(self.field, self.n0 - k, self.comps, prec, reduced=True)
 
     def truncate(self, prec: int) -> "LaurentSeries":
         new = _min_prec(self.prec, prec)
-        return LaurentSeries(self.field, self.n0, self.comps, new)
+        comps = self.comps
+        if new is not None and comps.shape[1] > new - self.n0:
+            comps = comps[:, : max(0, new - self.n0)]
+        return LaurentSeries(self.field, self.n0, comps, new, reduced=True)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -313,7 +360,7 @@ class LaurentSeries:
         mapped = (M @ self.comps) % fld.p
         out = np.zeros((fld.s, (L - 1) * q + 1), dtype=np.int64)
         out[:, ::q] = mapped
-        return LaurentSeries(fld, q * self.n0, out, prec)
+        return LaurentSeries(fld, q * self.n0, out, prec, reduced=True)
 
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse by Newton iteration; requires finite precision."""
@@ -342,7 +389,7 @@ class LaurentSeries:
             ynew[:, : y.shape[1]] = y
             ynew[:, : corr.shape[1]] = (ynew[:, : corr.shape[1]] + corr) % fld.p
             y = ynew
-        return LaurentSeries(fld, -v, y, self.prec - 2 * v)
+        return LaurentSeries(fld, -v, y, self.prec - 2 * v, reduced=True)
 
     def sqrt(self) -> "LaurentSeries":
         """Canonical square root (odd characteristic).
@@ -388,11 +435,11 @@ class LaurentSeries:
             rnew[:, : r.shape[1]] = r
             rnew[:, : corr.shape[1]] = (rnew[:, : corr.shape[1]] + corr) % fld.p
             r = rnew
-        invsqrt_unit = LaurentSeries(fld, 0, r, ell)
-        unit = LaurentSeries(fld, 0, U, ell)
+        invsqrt_unit = LaurentSeries(fld, 0, r, ell, reduced=True)
+        unit = LaurentSeries(fld, 0, U, ell, reduced=True)
         y_unit = unit * invsqrt_unit  # sqrt of the unit part, leading coeff c0/root0 = root0
         y = y_unit.mul_t_power(-v // 2)
-        return LaurentSeries(fld, y.n0, y.comps, self.prec - v // 2)
+        return LaurentSeries(fld, y.n0, y.comps, self.prec - v // 2, reduced=True)
 
     def artin_schreier_root(self) -> "LaurentSeries":
         """Canonical y with y^2 + y = self (p = 2, valuation >= 0).
@@ -474,15 +521,6 @@ def pi_power_qm1(fld: FieldDesc, prec: int) -> LaurentSeries:
     return out.truncate(prec)
 
 
-def carlitz_bracket(fld_poly, i: int) -> Poly:
-    """[i] = T^(q^i) - T in A."""
-    q = fld_poly.q
-    coeffs = [0] * (q**i + 1)
-    coeffs[1] = fld_poly.neg(1)
-    coeffs[q**i] = fld_poly.add(coeffs[q**i], 1)
-    return Poly(fld_poly, coeffs)
-
-
 def carlitz_d(fld_poly, i: int) -> Poly:
     """D_i = prod_{k=0}^{i-1} (T^(q^i) - T^(q^k)); D_0 = 1."""
     out = Poly(fld_poly, (1,))
@@ -506,40 +544,3 @@ def inverse_bracket_series(fld: FieldDesc, i: int, rel: int) -> LaurentSeries:
         codes.extend([1] + [0] * (gap - 1))
         e += gap
     return LaurentSeries.from_codes(fld, v, codes[:rel], v + rel)
-
-
-def carlitz_coefficient_series(fld: FieldDesc, imax: int, prec: int) -> list:
-    """The series pi^(q^i - 1)/D_i for i = 0..imax, each to absolute precision prec.
-
-    Built by the Frobenius recursion c_i = c_(i-1)^q * pi^(q-1) / [i]; the
-    valuation of c_i is i*q^i - q*(q^i - 1)/(q - 1) and is asserted.
-    """
-    q = fld.q
-    rel = prec + q + 1
-    pi = pi_power_qm1(fld, max(prec, q + rel))
-    out = [LaurentSeries.one(fld, prec)]
-    for i in range(1, imax + 1):
-        vi = i * q**i - q * (q**i - 1) // (q - 1)
-        prev = out[i - 1]
-        c = prev.frobenius_q() * pi
-        c = c * inverse_bracket_series(fld, i, max(1, prec - vi + 2))
-        c = c.truncate(prec)
-        if not c.is_zero_known() and c.valuation() != vi:
-            raise InvariantError(f"Carlitz coefficient valuation mismatch at i={i}")
-        out.append(c)
-    return out
-
-
-def carlitz_constants(fld: FieldDesc, prec: int, d_count: int | None = None):
-    """pi^(q-1) plus the exact D_i polynomials up to the e_C truncation scale."""
-    from .polyring import Poly as _P  # noqa: F401
-
-    pi = pi_power_qm1(fld, prec)
-    if d_count is None:
-        # default: all indices whose D_i stays desk-sized
-        d_count = 0
-        q = fld.q
-        while (d_count + 1) * q ** (d_count + 1) <= max(10_000, 4 * prec):
-            d_count += 1
-    ds = [carlitz_d(fld, i) for i in range(d_count + 1)]
-    return {"pi_qm1": pi, "D": ds}

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import BadInputError, InvariantError, PrecisionError
 from .ffield import FieldDesc, quadratic_extension
-from .laurent import LaurentSeries, pi_power_qm1
+from .laurent import LaurentSeries, inverse_bracket_series, pi_power_qm1
 from . import polyring as pr
 from .polyring import Poly
 from .quadfield import Order, QuadSeries, QuadSeriesContext, embed, lift_to_quad
@@ -45,7 +45,15 @@ class EvalContext:
     Multiplication preserves relative precision and Frobenius multiplies it
     by q, so every coefficient pi^(q^i - 1)/D_i can be carried with `rel`
     digits past its own (rapidly growing) valuation at constant cost.
+
+    The data depend only on (base, cdesc, rel), so the class owns one
+    context per key (`shared`) for the life of the process, and every
+    evaluation with that key reads the same pi^(q-1) and the same lazily
+    grown coefficient list; the digits are exact, so sharing changes no
+    result.
     """
+
+    _shared: dict = {}
 
     def __init__(self, base: FieldDesc, cdesc: FieldDesc, rel: int):
         self.base = base
@@ -55,10 +63,17 @@ class EvalContext:
         self.pi = pi_power_qm1(cdesc, rel + 2)  # v = -q, so rel + q + 2 known digits
         self._coeffs = [LaurentSeries.one(cdesc, rel)]
 
+    @classmethod
+    def shared(cls, base: FieldDesc, cdesc: FieldDesc, rel: int) -> "EvalContext":
+        """The one context of this key, built on first use."""
+        key = (base, cdesc, rel)
+        ctx = cls._shared.get(key)
+        if ctx is None:
+            ctx = cls._shared[key] = cls(base, cdesc, rel)
+        return ctx
+
     def coeff(self, i: int) -> LaurentSeries:
         """pi^(q^i - 1)/D_i by the Frobenius recursion c_i = c_(i-1)^q pi / [i]."""
-        from .laurent import inverse_bracket_series
-
         q = self.q
         while len(self._coeffs) <= i:
             k = len(self._coeffs)
@@ -79,7 +94,7 @@ def _context_for(order: Order, prec: int, cdesc: FieldDesc | None = None) -> Eva
     base = order.field.base
     if cdesc is None:
         cdesc = quadratic_extension(base) if order.field.infinite_type == "inert" else base
-    return EvalContext(base, cdesc, prec)
+    return EvalContext.shared(base, cdesc, prec)
 
 
 def _scale_poly(el, a_series: LaurentSeries):

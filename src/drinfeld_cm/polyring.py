@@ -13,7 +13,6 @@ imaginary quadratic extension, and the Mertens-style Euler product.
 from __future__ import annotations
 
 import random
-import threading
 from fractions import Fraction
 
 from .errors import BadInputError, InvariantError
@@ -23,7 +22,6 @@ NEG_INF = float("-inf")
 SPLIT_TRIALS = 64  # each trial splits a valid input with probability about 1/2
 
 _factor_cache = {}
-_factor_lock = threading.Lock()
 
 
 class Poly:
@@ -363,8 +361,7 @@ def factor(a: Poly, seed: int = 0):
     if a.is_zero():
         raise BadInputError("factor(0)")
     key = (a.field, a.coeffs, seed)
-    with _factor_lock:
-        hit = _factor_cache.get(key)
+    hit = _factor_cache.get(key)
     if hit is not None:
         return hit
     sgn = a.sgn
@@ -399,8 +396,7 @@ def factor(a: Poly, seed: int = 0):
     if check != a:
         raise InvariantError("factorization does not reproduce the input")  # pragma: no cover
     result = (sgn, tuple(items))
-    with _factor_lock:
-        _factor_cache[key] = result
+    _factor_cache[key] = result
     return result
 
 

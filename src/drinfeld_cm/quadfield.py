@@ -108,9 +108,10 @@ class RatFunc:
 class QuadField:
     """Validated imaginary quadratic extension descriptor."""
 
-    __slots__ = ("flavor", "base", "D", "B", "C", "G", "radG", "D_K", "infinite_type", "is_constant_extension")
+    __slots__ = ("flavor", "base", "D", "B", "C", "G", "radG", "D_K", "infinite_type", "is_constant_extension", "_xi")
 
     def __init__(self, flavor: str, base: FieldDesc, **data):
+        object.__setattr__(self, "_xi", {})  # coefficient field -> xi series (see xi_series)
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "D", None)
@@ -644,13 +645,21 @@ def sub_poly(z, a: Poly):
 
 
 def xi_series(qf: QuadField, desc2: FieldDesc, prec: int) -> LaurentSeries:
-    """The canonical flattening of xi in F_{q^2}((1/T)) (inert flavors only)."""
+    """The canonical flattening of xi in F_{q^2}((1/T)) (inert flavors only).
+
+    The field owns the series: it keeps one per coefficient field, at the
+    highest precision asked for so far, and hands each caller a truncation.
+    Every digit below the precision is exactly known, so the truncation
+    equals the series computed afresh at the lower precision.
+    """
     if qf.infinite_type != "inert":
         raise BadInputError("xi flattens to a series only when infinity is inert")
-    rel = qf.xi_relation().to_series(desc2, prec + 2).truncate(prec + 2)
-    if qf.flavor == "odd":
-        return rel.sqrt().truncate(prec)
-    return rel.artin_schreier_root().truncate(prec)
+    held = qf._xi.get(desc2)
+    if held is None or held.prec < prec:
+        rel = qf.xi_relation().to_series(desc2, prec + 2).truncate(prec + 2)
+        root = rel.sqrt() if qf.flavor == "odd" else rel.artin_schreier_root()
+        held = qf._xi[desc2] = root.truncate(prec)
+    return held.truncate(prec)
 
 
 def embed(z: QuadElement, prec: int, coeff_desc: FieldDesc | None = None):

@@ -3,7 +3,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from drinfeld_cm import cli
+from drinfeld_cm.errors import InvariantError, PrecisionError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -36,3 +39,18 @@ def test_bad_input_exit_code_unchanged_after_reuse(capsys):
     assert cli.main(REQUESTS[0]) == 0
     assert cli.main(["class-number", "--q", "6", "--flavor", "odd", "--D", "T"]) == 3
     assert "not a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(InvariantError, 1, "invariant violation: "), (PrecisionError, 2, "precision exhausted: ")],
+)
+def test_error_exit_codes(error, code, prefix, capsys, monkeypatch):
+    def fail(cfg, args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "_build_order", fail)
+    assert cli.main(REQUESTS[0]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == prefix + "injected\n"

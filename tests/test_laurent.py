@@ -1,18 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drinfeld_cm.errors import BadInputError, PrecisionError
 from drinfeld_cm.ffield import field
-from drinfeld_cm.laurent import (
-    LaurentSeries,
-    carlitz_constants,
-    carlitz_coefficient_series,
-    carlitz_d,
-    pi_power_qm1,
-)
+from drinfeld_cm import laurent
+from drinfeld_cm.laurent import LaurentSeries, _packing, _raw_mul, carlitz_d, pi_power_qm1
+from drinfeld_cm.modforms import EvalContext
 from drinfeld_cm import polyring as pr
 
 F2 = field(2)
@@ -162,27 +159,85 @@ def test_carlitz_d():
     assert carlitz_d(F2, 0).is_one()
     assert carlitz_d(F2, 1) == pr.parse_poly(F2, "T^2+T")
     assert carlitz_d(F3, 1) == pr.parse_poly(F3, "T^3-T")
-    cc = carlitz_constants(F2, 10)
-    assert cc["D"][0].is_one() and cc["D"][1] == pr.parse_poly(F2, "T^2+T")
 
 
 @pytest.mark.parametrize("fld", [F2, F3])
 def test_carlitz_coefficient_series(fld):
     q = fld.q
-    coeffs = carlitz_coefficient_series(fld, 3, 60)
-    for i, c in enumerate(coeffs):
-        if c.is_zero_known():
-            continue
-        assert c.valuation() == i * q**i - q * (q**i - 1) // (q - 1)
+    rel = 40
+    ctx = EvalContext(fld, fld, rel)
     # cross-check against exact polynomials: c_i * D_i = pi^(q^i - 1)
     pi = pi_power_qm1(fld, 80)
     pw = LaurentSeries.one(fld, 80)
-    e = 0
-    for i in range(3):
-        e = q * e + 1  # (q^(i+1) - 1)/(q - 1)
-        pw = (pw.frobenius_q() * pi).truncate(60)
-        lhs = coeffs[i + 1] * LaurentSeries.from_poly(carlitz_d(fld, i + 1), fld)
+    for i in range(1, 4):
+        c = ctx.coeff(i)
+        assert c.valuation() == i * q**i - q * (q**i - 1) // (q - 1)
+        assert c.prec - c.valuation() == rel
+        pw = (pw.frobenius_q() * pi).truncate(80)
+        lhs = c * LaurentSeries.from_poly(carlitz_d(fld, i), fld)
+        assert pw.prec >= lhs.prec > lhs.valuation()
         assert (lhs - pw.truncate(lhs.prec)).is_zero_known()
+
+
+def basis_tensor_mul(fld, A, B, ncols=None):
+    """The s^2 convolutions of every pair of coordinates, combined through the
+    products of basis elements: the product formula the packed kernel replaces."""
+    s = fld.s
+    tensor = fld.basis_product_tensor()
+    out = np.zeros((s, A.shape[1] + B.shape[1] - 1), dtype=np.int64)
+    for i in range(s):
+        for j in range(s):
+            conv = np.convolve(A[i], B[j])
+            for k in range(s):
+                out[k] += tensor[i][j][k] * conv
+    return (out % fld.p)[:, :ncols]
+
+
+F16 = field(2, 2, 2)
+F25 = field(5, 1, 2)
+F27 = field(3, 3)
+
+
+def test_packing_bound():
+    # F_16 (p = 2, s = 4): 7 digits of b bits, b = bit length of 4 * L
+    assert _packing(2, 4, 63) == (4, 4, 8)
+    assert _packing(2, 4, 64) == (4, 1, 7)
+    # F_9 and F_25 pack both operands whole up to far beyond series lengths in use
+    assert _packing(3, 2, 10_000)[:2] == (2, 2)
+    assert _packing(5, 2, 10_000)[:2] == (2, 2)
+    assert _packing(5, 2, 40_000)[:2] == (2, 1)
+
+
+@pytest.mark.parametrize("word_bits", [62, 16, 5])
+@pytest.mark.parametrize("fld", [F4, F9, F16, F25, F27], ids=lambda f: f"F{f.order}")
+def test_raw_mul_matches_basis_tensor(fld, word_bits, monkeypatch):
+    # 62 is the real word; fewer bits push every field past the packing bound
+    monkeypatch.setattr(laurent, "_WORD_BITS", word_bits)
+    rng = np.random.default_rng(fld.order + word_bits)
+    for la, lb in [(1, 1), (1, 7), (5, 3), (30, 30), (63, 63), (64, 64), (64, 100), (130, 70)]:
+        A = rng.integers(0, fld.p, (fld.s, la))
+        B = rng.integers(0, fld.p, (fld.s, lb))
+        A[:, -1] = fld.p - 1  # the largest coordinate, so digit sums reach their bound
+        for ncols in (None, 1, min(la, lb), la + lb - 1, la + lb + 3):
+            assert np.array_equal(_raw_mul(fld, A, B, ncols), basis_tensor_mul(fld, A, B, ncols))
+    ones = np.full((fld.s, 80), fld.p - 1)
+    assert np.array_equal(_raw_mul(fld, ones, ones), basis_tensor_mul(fld, ones, ones))
+
+
+@pytest.mark.parametrize("fld", [F3, F4, F9, F16])
+def test_reduced_constructor_equals_checked(fld):
+    rng = np.random.default_rng(fld.order)
+    for _ in range(40):
+        n0 = int(rng.integers(-5, 5))
+        L = int(rng.integers(0, 12))
+        comps = rng.integers(0, fld.p, (fld.s, L))
+        if L:
+            comps[:, L - int(rng.integers(0, L)) :] = 0  # trailing known zeros
+            comps[0, 0] = 1
+        for prec in (None, n0 + L, n0 + L + 3):
+            trusted = LaurentSeries(fld, n0, comps, prec, reduced=True)
+            assert trusted == LaurentSeries(fld, n0, comps, prec)
+            assert trusted.comps.shape[1] == 0 or trusted.comps[:, -1].any()
 
 
 def test_frobenius():

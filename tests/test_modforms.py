@@ -9,6 +9,7 @@ from drinfeld_cm import polyring as pr
 from drinfeld_cm.brownval import log_abs_j, moduli_of
 from drinfeld_cm.cmpoints import enumerate_points
 from drinfeld_cm.modforms import (
+    EvalContext,
     eval_j,
     eval_j_valuation,
     hilbert_poly,
@@ -20,6 +21,7 @@ from drinfeld_cm.quadfield import order_from, order_from_discriminant, validate_
 
 F2 = field(2)
 F3 = field(3)
+F4 = field(2, 2)
 
 
 def P(fld, text):
@@ -143,3 +145,38 @@ def test_eval_j_plan_reported():
     seed = [p for p in all_points(hayes_order()) if p.a.is_one()][0]
     jv = eval_j(seed, 25)
     assert jv.plan["max_deg_a"] >= 1 and jv.plan["e_c_terms"] >= 2
+
+
+SHARED_STATE_ORDERS = {
+    "inert odd": hayes_order,
+    "inert even_sep": lambda: order_from(validate_field(F4, "even_sep", B=P(F4, "2*T+2"), C=P(F4, "T")), pr.one(F4)),
+    "ramified odd": lambda: order_from_discriminant(F3, P(F3, "T^3+2*T+1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_STATE_ORDERS))
+def test_eval_j_shared_state_matches_fresh(name, monkeypatch):
+    # a fresh order has a fresh QuadField, hence no held xi series
+    make = SHARED_STATE_ORDERS[name]
+    lo, hi = 12, 40
+
+    def fresh(i, prec):
+        monkeypatch.setattr(EvalContext, "_shared", {})
+        return eval_j(enumerate_points(make())[i], prec)
+
+    npts = len(enumerate_points(make()))
+    expect = {(i, prec): fresh(i, prec) for i in range(npts) for prec in (lo, hi)}
+    for precs in ((hi, lo), (lo, hi)):
+        monkeypatch.setattr(EvalContext, "_shared", {})
+        pts = enumerate_points(make())
+        for prec in precs:
+            for i, pt in enumerate(pts):
+                got, want = eval_j(pt, prec), expect[(i, prec)]
+                assert got.plan == want.plan
+                if isinstance(got.value, LaurentSeries):
+                    assert got.value == want.value
+                else:
+                    assert (got.value.x, got.value.y) == (want.value.x, want.value.y)
+        assert 0 < len(EvalContext._shared) < 2 * npts  # some points shared a context
+        if pts[0].order.field.infinite_type == "inert":
+            assert pts[0].order.field._xi  # the field held its xi series

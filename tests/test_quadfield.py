@@ -236,6 +236,22 @@ def test_embed_even_sep_inert_relation():
     assert e not in (0, 1)
 
 
+@pytest.mark.parametrize("flavor, data", [("odd", {"D": "T-T^2"}), ("even_sep", {"B": "T+1", "C": "T"})])
+def test_xi_series_held_at_highest_precision(flavor, data):
+    base = F3 if flavor == "odd" else F2
+    desc2 = quadratic_extension(base)
+
+    def fresh_field():
+        return validate_field(base, flavor, **{k: P(base, v) for k, v in data.items()})
+
+    fresh = {prec: xi_series(fresh_field(), desc2, prec) for prec in (10, 40)}
+    for order in ((40, 10), (10, 40)):
+        k = fresh_field()
+        for prec in order:
+            assert xi_series(k, desc2, prec) == fresh[prec]
+        assert k._xi[desc2] == fresh[40]
+
+
 def test_quad_series_arithmetic():
     k = validate_field(F2, "even_insep")
     ctx = QuadSeriesContext(k, F2, 30)
