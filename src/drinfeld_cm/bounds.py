@@ -1,4 +1,4 @@
-"""Congruence counting, height bounds, the Taguchi shift, and the certificates.
+"""Congruence counting, height bounds, and the certificates.
 
 Counting is done by explicit per-prime-power solution sets glued by CRT and
 checked against the structural claims (at most 2 classes per prime power, at
@@ -20,7 +20,9 @@ from .errors import BadInputError, InvariantError
 from .ffield import FieldDesc
 from . import polyring as pr
 from .polyring import Poly
-from .quadfield import Order, QuadField, RatFunc
+from .quadfield import Order, RatFunc
+
+HIT_GUARD = 12  # fractional digits of a pair's product that must be known before it counts as a hit
 
 
 # ---------------------------------------------------------------------------
@@ -91,60 +93,6 @@ def _window_count(solutions, a: Poly, L: int, shift: Poly | None = None, zeta_lo
     return count
 
 
-def _log_q_of(eps: Fraction, q: int) -> Fraction:
-    """log_q(eps) for eps an exact power of q (BadInput otherwise)."""
-    n = 0
-    x = Fraction(eps)
-    while x > 1:
-        x /= q
-        n += 1
-    while x < 1:
-        x *= q
-        n -= 1
-    if x != 1:
-        raise BadInputError("epsilon must be an exact power of q")
-    return Fraction(n)
-
-
-def count_congruence_odd(a: Poly, D: Poly, eps: Fraction) -> CongruenceReport:
-    """{b : b^2 = D mod a, |b| < eps|a|} with the class structure verified."""
-    if a.is_zero() or D.is_zero():
-        raise BadInputError("nonzero a and D required")
-    if a.field.p == 2:
-        raise BadInputError("odd-characteristic counting")
-    a = a.monic()
-    _, items = pr.factor(a) if a.deg > 0 else (1, ())
-    # per prime power, then CRT
-    mod, sols = pr.one(a.field), [pr.zero(a.field)]
-    for P, s in items:
-        loc = solutions_mod_prime_power(P, s, lambda b: b * b - D)
-        mod, sols = _crt_pairs(mod, sols, P**s, loc)
-    if a.deg > 0:
-        direct = sorted((b for b in _residues_mod(a) if ((b * b - D) % a).is_zero()), key=pr.poly_code)
-        if sorted(sols, key=pr.poly_code) != direct:
-            raise InvariantError("CRT solution set differs from direct enumeration")  # pragma: no cover
-    g2 = pr.gcd2(a, D) if a.deg > 0 else pr.one(a.field)
-    m_cls = a // g2 if a.deg > 0 else pr.one(a.field)
-    classes = sorted({pr.poly_code(b % m_cls) for b in sols})
-    omega = len(items)
-    # odd flavor: the solution set is exactly a union of classes mod m_cls
-    cover = True
-    if a.deg > 0:
-        cls_set = set(classes)
-        sol_set = {pr.poly_code(b) for b in sols}
-        for b in _residues_mod(a):
-            if pr.poly_code(b % m_cls) in cls_set and pr.poly_code(b) not in sol_set:
-                cover = False
-                break
-    q = a.field.q
-    L = int(a.deg + _log_q_of(eps, q))
-    count = _window_count(sols, a, L)
-    bound = Fraction(2**omega) * max(Fraction(1), q * eps * q**g2.deg)
-    return CongruenceReport(
-        a, sols, m_cls, classes, omega, count, L, bound, count <= bound and len(classes) <= 2**omega, cover
-    )
-
-
 def count_congruence_even(a: Poly, delta: Poly, mu: Poly, eps: Fraction, beta=None) -> CongruenceReport:
     """{b : b^2 + delta b = mu mod a, |b + beta delta| < eps|a|} (q even).
 
@@ -185,7 +133,7 @@ def count_congruence_even(a: Poly, delta: Poly, mu: Poly, eps: Fraction, beta=No
         if zeta_log is not None and zeta_log >= 0:
             raise InvariantError("fractional part of beta*delta is not < 1")  # pragma: no cover
     q = a.field.q
-    L = int(a.deg + _log_q_of(eps, q))
+    L = a.deg + certlog.exact_log_q(eps, q)
     count = _window_count(sols, a, L, shift=shift, zeta_log=zeta_log)
     bound = Fraction(2**omega) * max(Fraction(1), q * eps * q**g2.deg)
     contained = len(classes) <= 2**omega
@@ -216,7 +164,7 @@ def _interval_pow_q(q: int, expo: Interval) -> Interval:
     return Interval(certlog.exp_q(expo.lo, q).lo, certlog.exp_q(expo.hi, q).hi)
 
 
-def upper_bound_h(order: Order, eps: Fraction, h: int | None = None) -> dict:
+def upper_bound_h(order: Order, eps: Fraction) -> dict:
     """The conditional upper bounds for h(j) when j is a unit (inert case).
 
     Returns certified intervals; callers must treat them as hypotheses-laden
@@ -231,10 +179,9 @@ def upper_bound_h(order: Order, eps: Fraction, h: int | None = None) -> dict:
         raise BadInputError("requires |D| >= q^4")
     if not (0 < eps <= 1):
         raise BadInputError("0 < eps <= 1 required")
-    if h is None:
-        from .classno import class_number
+    from .classno import class_number
 
-        h = class_number(order)
+    h = class_number(order)
     sqrt_D = Fraction(q) ** (d // 2)
     loglog = certlog.log_q(Fraction(d, 2), q)  # log_q log_q sqrt|D|
     expo = Interval.point(Fraction(15 * d, 2)) / loglog
@@ -283,30 +230,6 @@ def lower_bounds_h(order: Order, *, data=None) -> dict:
     term4 = Interval.point(Fraction(4 * q * q, 5 * (q - 1) ** 2)) * loglogf
     out["wei"] = term1 - term2 + term3 - term4
     return out
-
-
-def taguchi_shift(f: Poly, field: QuadField) -> dict:
-    """(1/2) log_q|f| - (1/2) sum_{v | f} deg(v) e_f(v), exactly.
-
-    e_f(v) = (1 - chi(v))(1 - |v|^-v(f)) / ((|v| - chi(v))(1 - |v|^-1)).
-    """
-    if not f.is_monic():
-        raise BadInputError("conductor must be monic")
-    q = field.base.q
-    rows = []
-    total = Fraction(f.deg, 2)
-    if f.deg > 0:
-        _, items = pr.factor(f)
-        for P, e in items:
-            c = pr.chi(P, field)
-            size = Fraction(q) ** P.deg
-            ef = (1 - c) * (1 - size**-e) / ((size - c) * (1 - 1 / size))
-            chain = Fraction(2, int(size) - 1) * Fraction(q, q - 1)
-            if ef > chain:
-                raise InvariantError("e_f(v) exceeds its bounding chain")  # pragma: no cover
-            rows.append({"v": str(P), "chi": c, "e_f": ef, "chain_bound": chain})
-            total -= Fraction(P.deg) * ef / 2
-    return {"shift": total, "local": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +337,7 @@ def final_certificate(q: int) -> CertificateReport:
 # searches (driven by the sweep machinery)
 
 
-def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int, guard: int = 12) -> dict:
+def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
     """All pairs of singular moduli with |D| <= d_bound whose product rounds to
     a polynomial of degree <= deg_bound.
 
@@ -425,7 +348,7 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int, guard: int 
     """
     from .sweeps import sweep_moduli
     from .modforms import eval_j
-    from .quadfield import QuadSeries, lift_to_quad
+    from .quadfield import QuadSeries
     from .ffield import quadratic_extension
 
     q = base.q
@@ -458,8 +381,8 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int, guard: int 
                             and r2.order.field.infinite_type == "ramified"
                             and r1.order.field != r2.order.field
                         )
-                        prec1 = int(guard + max(0, lg2)) + 2
-                        prec2 = int(guard + max(0, lg1)) + 2
+                        prec1 = int(HIT_GUARD + max(0, lg2)) + 2
+                        prec2 = int(HIT_GUARD + max(0, lg1)) + 2
                         yield r1, r2, total, biquadratic, prec1, prec2
 
     # each record is evaluated once, at the highest precision any of its pairs
@@ -493,9 +416,9 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int, guard: int 
         v2 = numeric(r2, prec2)
         if isinstance(v1, QuadSeries) or isinstance(v2, QuadSeries):
             if not isinstance(v1, QuadSeries):
-                v1 = lift_to_quad(v2.ctx, v1)
+                v1 = QuadSeries.from_series(v2.ctx, v1)
             elif not isinstance(v2, QuadSeries):
-                v2 = lift_to_quad(v1.ctx, v2)
+                v2 = QuadSeries.from_series(v1.ctx, v2)
             prod = v1 * v2
             if not prod.y.is_zero_known():
                 continue  # nonzero xi-part: certified non-hit
@@ -505,9 +428,9 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int, guard: int 
         poly, tail = flat.polynomial_part()
         if tail is not None:
             continue  # nonzero fractional digit: certified non-hit
-        if flat.prec is not None and flat.prec < guard:
+        if flat.prec is not None and flat.prec < HIT_GUARD:
             skipped.append(
-                {"pair": [r1.label, r2.label], "reason": f"precision {flat.prec} below guard {guard}"}
+                {"pair": [r1.label, r2.label], "reason": f"precision {flat.prec} below guard {HIT_GUARD}"}
             )
             continue
         if poly.deg != total:
@@ -533,21 +456,19 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int, guard: int 
     }
 
 
-def unit_search(base: FieldDesc, d_bound: int, full_hilbert_bound: int | None = None) -> dict:
+def unit_search(base: FieldDesc, d_bound: int) -> dict:
     """Unit exclusion over every order with |D| <= d_bound.
 
     Ramified separable orders get the valuation certificate; inert and
     inseparable orders get the class-polynomial constant-term route (fully
-    assembled up to `full_hilbert_bound`, by verified constant-term degree
-    beyond).  The laclef consistency check runs on inert orders >= q^4.
+    assembled up to |D| = q^4, by verified constant-term degree beyond).
+    The laclef consistency check runs on inert orders >= q^4.
     """
     from .sweeps import iter_orders
     from .modforms import hilbert_poly, unit_check, hilbert_constant_degree
     from .brownval import ramified_nonunit_certificate, weil_height
 
     q = base.q
-    if full_hilbert_bound is None:
-        full_hilbert_bound = q**4
     rows = []
     units_found = 0
     for order in iter_orders(base, d_bound):
@@ -558,7 +479,7 @@ def unit_search(base: FieldDesc, d_bound: int, full_hilbert_bound: int | None = 
             cert = ramified_nonunit_certificate(order)
             row.update(route="ramified-certificate", norm_degree=cert["norm_degree"], unit=False)
         else:
-            if q**order.disc_deg() <= full_hilbert_bound:
+            if order.disc_deg() <= 4:
                 H = hilbert_poly(order)
                 verdict, deg = unit_check(H)
                 row.update(route="hilbert-assembled", norm_degree=str(deg), unit=verdict == "unit", m=H.m)

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import mpmath
 
+from .errors import BadInputError
+
 _PREC_BITS = 120
 
 
@@ -80,9 +82,6 @@ class Interval:
     def certainly_ge(self, other) -> bool:
         return self.lo >= _coerce(other).hi
 
-    def certainly_positive(self) -> bool:
-        return self.lo > 0
-
     def __str__(self):
         return f"[{float(self.lo):.12f}, {float(self.hi):.12f}]"
 
@@ -129,6 +128,21 @@ def sqrt(x) -> Interval:
 def log_q(x, q: int) -> Interval:
     """log base q of a positive rational, as a certified interval."""
     return ln(x) / ln(q)
+
+
+def exact_log_q(x, q: int) -> int:
+    """log_q of an exact power of q (BadInputError otherwise)."""
+    n = 0
+    y = Fraction(x)
+    while y > 1:
+        y /= q
+        n += 1
+    while y < 1:
+        y *= q
+        n -= 1
+    if y != 1:
+        raise BadInputError(f"{x} is not a power of {q}")
+    return n
 
 
 def exp_q(e: Fraction, q: int) -> Interval:

@@ -1,26 +1,26 @@
 """Command-line front end.
 
 Subcommands: enumerate, class-number, height, hilbert, search-andre-oort,
-search-units, certificate, verify.  All reports echo the configuration
-(field modulus, precision, seed) and are deterministic for a fixed seed.
-Exit codes: 0 ok, 1 invariant violation, 2 precision exhaustion, 3 bad input.
+search-units, certificate, verify.  Every report echoes the field (with its
+modulus).  Reports are deterministic and take no seed or precision setting:
+the factorization's random splitter is seeded by its input, and every
+computation certifies the precision it needs.
+Exit codes: 0 ok, 1 invariant violation, 2 precision exhaustion, 3 bad input
+(including a malformed command line).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadInputError, InvariantError, PrecisionError
 from .ffield import FieldDesc, field
 from . import polyring as pr
-from .quadfield import Order, QuadField, order_from, order_from_discriminant, validate_field
+from .quadfield import Order, order_from, order_from_discriminant, validate_field
 
-DEFAULT_PREC = int(os.environ.get("DRINFELD_CM_PREC", "60"))
 MAX_Q_GUARD = 16
 
 
@@ -28,23 +28,21 @@ MAX_Q_GUARD = 16
 class RunConfig:
     p: int
     r: int
-    prec: int
-    seed: int
     d_bound: int
     deg_bound: int
     output: str
-    jobs: int
     modulus: tuple | None = None
 
     def base(self) -> FieldDesc:
         return field(self.p, self.r, 1, self.modulus)
 
     def header(self) -> dict:
+        # "prec" and "seed" are fixed: stored reports compare the whole header
         return {
             "schema": 1,
             "field": self.base().header(),
-            "prec": self.prec,
-            "seed": self.seed,
+            "prec": 60,
+            "seed": 0,
         }
 
 
@@ -98,6 +96,7 @@ def _emit(cfg: RunConfig, payload: dict):
 
 
 def cmd_enumerate(cfg: RunConfig, args) -> int:
+    """list the reduced CM points of one order"""
     from .cmpoints import enumerate_points
 
     order = _build_order(cfg, args)
@@ -126,6 +125,7 @@ def cmd_enumerate(cfg: RunConfig, args) -> int:
 
 
 def cmd_class_number(cfg: RunConfig, args) -> int:
+    """class number of one order by every applicable route"""
     from .brownval import OrderCM
     from .classno import class_number_by_orbit, l_route
 
@@ -147,6 +147,7 @@ def cmd_class_number(cfg: RunConfig, args) -> int:
 
 
 def cmd_height(cfg: RunConfig, args) -> int:
+    """Weil height of one order's singular moduli and its lower bounds"""
     from .bounds import lower_bounds_h
     from .brownval import OrderCM, moduli_of, weil_height
 
@@ -175,6 +176,7 @@ def cmd_height(cfg: RunConfig, args) -> int:
 
 
 def cmd_hilbert(cfg: RunConfig, args) -> int:
+    """Hilbert class polynomial of one order and its unit verdict"""
     from .modforms import hilbert_poly, unit_check
 
     order = _build_order(cfg, args)
@@ -188,6 +190,7 @@ def cmd_hilbert(cfg: RunConfig, args) -> int:
 
 
 def cmd_certificate(cfg: RunConfig, args) -> int:
+    """the discriminant-bound constants for q, certified"""
     from .bounds import final_certificate
 
     rep = final_certificate(cfg.base().q)
@@ -196,6 +199,7 @@ def cmd_certificate(cfg: RunConfig, args) -> int:
 
 
 def cmd_search_andre_oort(cfg: RunConfig, args) -> int:
+    """products of two singular moduli that are polynomials of degree <= --degbound"""
     from .bounds import andre_oort_search
 
     base = cfg.base()
@@ -212,6 +216,7 @@ def cmd_search_andre_oort(cfg: RunConfig, args) -> int:
 
 
 def cmd_search_units(cfg: RunConfig, args) -> int:
+    """singular units among all orders with |D| <= --dbound"""
     from .bounds import unit_search
 
     rep = unit_search(cfg.base(), cfg.d_bound)
@@ -231,59 +236,12 @@ def cmd_search_units(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _verify_worker(payload):
-    # top-level for pickling; rebuilds orders in the worker process
-    p, r, modulus, order_jsons, check_brown = payload
-    base = field(p, r, 1, modulus)
-    from .quadfield import field_from_jsonable
-    from .sweeps import order_report
-
-    out = []
-    for oj in order_jsons:
-        k = field_from_jsonable(base, oj["field"])
-        order = order_from(k, pr.Poly(base, oj["f"]))
-        rep = order_report(order, check_brown=check_brown)
-        out.append((oj["label"], rep.h_orbit, len(rep.points)))
-    return out
-
-
 def cmd_verify(cfg: RunConfig, args) -> int:
-    from . import verify as vf
-    from .sweeps import iter_orders
+    """run every verification suite for q up to --dbound"""
+    from .verify import run_all
 
-    base = cfg.base()
     ok_all = True
-    if cfg.jobs > 1:
-        # parallel Brown sweep (order-level), then the sequential lemma suites
-        from concurrent.futures import ProcessPoolExecutor
-
-        orders = list(iter_orders(base, cfg.d_bound))
-        payloads = []
-        chunk = max(1, len(orders) // (4 * cfg.jobs))
-        for i in range(0, len(orders), chunk):
-            batch = [{**o.to_jsonable(), "label": o.label()} for o in orders[i : i + chunk]]
-            payloads.append((cfg.p, cfg.r, cfg.modulus, batch, True))
-        rows = []
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-            for part in ex.map(_verify_worker, payloads):
-                rows.extend(part)
-        rows.sort()
-        print(f"PASS brown-vs-numeric: {len(rows)} orders via {cfg.jobs} workers")
-        checks = [
-            vf.check_appendix_lemmas(base, cfg.d_bound),
-            vf.check_class_numbers(base, cfg.d_bound),
-            vf.check_elliptic_lemmas(base, cfg.d_bound),
-            vf.check_counting_lemmas(base),
-            vf.check_analytic_lemmas(base),
-            vf.check_andre_oort(base, cfg.d_bound),
-            vf.check_unit_sweep(base, cfg.d_bound),
-            vf.check_certificate(base.q),
-        ]
-        if base.q == 3:
-            checks.insert(0, vf.check_hayes())
-    else:
-        checks = vf.run_all(base, cfg.d_bound)
-    for c in checks:
+    for c in run_all(cfg.base(), cfg.d_bound):
         status = "PASS" if c["ok"] else "FAIL"
         extra = {k: v for k, v in c.items() if k not in ("name", "ok")}
         print(f"{status} {c['name']}: {json.dumps(extra, sort_keys=True, default=str)}")
@@ -307,24 +265,34 @@ def _global_flags(target, suppress: bool):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     target.add_argument("--q", type=int, default=d(3), help="prime power q (default 3)")
     target.add_argument("--modulus", default=d(None), help="override modulus of F_q over F_p, as [c0,c1,...]")
-    target.add_argument("--prec", type=int, default=d(DEFAULT_PREC), help="working precision (env DRINFELD_CM_PREC)")
-    target.add_argument("--seed", type=int, default=d(0), help="seed for the factorization splitter")
-    target.add_argument("--dbound", type=int, default=d(0), help="discriminant size bound |D| (default q^6)")
-    target.add_argument("--degbound", type=int, default=d(0), help="product degree bound (default q^2 - 1)")
-    target.add_argument("--jobs", type=int, default=d(1), help="worker processes for sweeps")
-    target.add_argument("--output", choices=["tsv", "json"], default=d("json"))
+    target.add_argument(
+        "--dbound", type=int, default=d(0), help="discriminant size bound |D| for the sweeps (default q^6)"
+    )
+    target.add_argument(
+        "--degbound", type=int, default=d(0), help="product degree bound for search-andre-oort (default q^2 - 1)"
+    )
+    target.add_argument(
+        "--output", choices=["tsv", "json"], default=d("json"), help="report format of enumerate and the two searches"
+    )
     target.add_argument("--allow-large-q", action="store_true", default=d(False), help="lift the q <= 16 guard")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as bad input (exit 3), not argparse's exit 2."""
+
+    def error(self, message):
+        raise BadInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="drinfeld-cm",
         description="Exact arithmetic for rank-2 Drinfeld modules with complex multiplication.",
     )
     _global_flags(ap, suppress=False)
     sp = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub = sp.add_parser(name)
+    for name, cmd in COMMANDS.items():
+        sub = sp.add_parser(name, help=cmd.__doc__)
         # the same flags are accepted after the subcommand (suppressed defaults
         # so they only override when given)
         _global_flags(sub, suppress=True)
@@ -340,23 +308,23 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()  # building costs about 40 parses; it is reused
-    args = _parser.parse_args(argv)
     try:
+        args = _parser.parse_args(argv)
         p, r = _factor_prime_power(args.q)
         if args.q > MAX_Q_GUARD and not args.allow_large_q:
             raise BadInputError(f"q = {args.q} exceeds the desk-scale guard (use --allow-large-q)")
         modulus = None
         if args.modulus:
-            modulus = tuple(int(x) for x in args.modulus.strip("[]").split(","))
+            try:
+                modulus = tuple(int(x) for x in args.modulus.strip("[]").split(","))
+            except ValueError:
+                raise BadInputError(f"--modulus {args.modulus!r} is not a list of integer codes") from None
         cfg = RunConfig(
             p=p,
             r=r,
-            prec=args.prec,
-            seed=args.seed,
             d_bound=args.dbound if args.dbound > 0 else args.q**6,
             deg_bound=args.degbound,
             output=args.output,
-            jobs=args.jobs,
             modulus=modulus,
         )
         return COMMANDS[args.command](cfg, args)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import BadInputError, InvariantError, PrecisionError
-from .ffield import FFElem, embedding_table, quadratic_extension
+from .certlog import exact_log_q
+from .ffield import embedding_table, quadratic_extension
 from . import polyring as pr
 from .polyring import Poly
 from .quadfield import Order, QuadElement, RatFunc, embed, series_component
@@ -88,11 +89,11 @@ def _deg_a_bound(order: Order) -> int:
     return order.f.deg
 
 
-def enumerate_points(order: Order, *, geometry: bool = True, prec: int | None = None) -> list:
+def enumerate_points(order: Order) -> list:
     """The complete reduced CM-point set of an order, in canonical order.
 
-    With geometry=True, points with |z| = 1 in an inert field carry their
-    elliptic neighbor and the exact distance |z - e|.
+    Points with |z| = 1 in an inert field carry their elliptic neighbor and
+    the exact distance |z - e|.
     """
     k = order.field
     base = k.base
@@ -139,9 +140,7 @@ def enumerate_points(order: Order, *, geometry: bool = True, prec: int | None = 
     points.sort(key=CMPoint.sort_key)
     if len({(p.a, p.b) for p in points}) != len(points):
         raise InvariantError("(a, b) does not determine the point")  # pragma: no cover
-    if geometry:
-        points = [attach_elliptic_data(p, prec) for p in points]
-    return points
+    return [attach_elliptic_data(p) for p in points]
 
 
 def elliptic_floor_log(order: Order) -> int:
@@ -152,15 +151,15 @@ def elliptic_floor_log(order: Order) -> int:
     return order.f.deg + k.G.deg  # |z - e| >= 1/|fG|
 
 
-def attach_elliptic_data(pt: CMPoint, prec: int | None = None) -> CMPoint:
-    out = elliptic_neighbor(pt, prec)
+def attach_elliptic_data(pt: CMPoint) -> CMPoint:
+    out = elliptic_neighbor(pt)
     if out is None:
         return pt
     e_code, dist_log = out
     return replace(pt, e_code=e_code, dist_e_log=dist_log)
 
 
-def elliptic_neighbor(pt: CMPoint, prec: int | None = None):
+def elliptic_neighbor(pt: CMPoint):
     """(e, log_q|z-e|) for an inert point with |z| = 1; None otherwise.
 
     Verifies e^2 = sgn(D)/4 (odd) or e^2 + e = sgn(B) (even separable) and
@@ -175,7 +174,7 @@ def elliptic_neighbor(pt: CMPoint, prec: int | None = None):
     desc2 = quadratic_extension(base)
     emb = embedding_table(base, desc2)
     floor = elliptic_floor_log(order)
-    p = prec if prec is not None else floor + 8
+    p = floor + 8
     for _ in range(5):
         flat = embed(pt.z, p)
         if flat.valuation() != 0:
@@ -217,7 +216,7 @@ def c_epsilon_set(order: Order, eps: Fraction) -> list:
     return out
 
 
-def majb_check(pt: CMPoint, eps: Fraction, prec: int | None = None) -> dict:
+def majb_check(pt: CMPoint, eps: Fraction) -> dict:
     """Exact data for the near-elliptic approximation lemmas.
 
     For a point with |z - e| < eps: |a| = |D|^(1/2), |b| < eps|a|, and the
@@ -231,10 +230,10 @@ def majb_check(pt: CMPoint, eps: Fraction, prec: int | None = None) -> dict:
         raise BadInputError("majb_check needs a point with |z - e| < eps")
     q = base.q
     out = {"a_matches_sqrtD": 2 * pt.a.deg == order.D_O.deg}
-    eps_a_log = _log_q(eps, q) + pt.a.deg  # log_q(eps |a|)
+    eps_a_log = exact_log_q(eps, q) + pt.a.deg  # log_q(eps |a|)
     out["b_small"] = pt.b.is_zero() or pt.b.deg < eps_a_log
     floor = elliptic_floor_log(order)
-    p = prec if prec is not None else floor + 12
+    p = floor + 12
     desc2 = quadratic_extension(base)
     from .laurent import LaurentSeries
 
@@ -264,33 +263,12 @@ def majb_check(pt: CMPoint, eps: Fraction, prec: int | None = None) -> dict:
     return out
 
 
-def _log_q(x: Fraction, q: int) -> int:
-    """log_q of an exact power of q."""
-    if x == 1:
-        return 0
-    n = 0
-    if x > 1:
-        while x > 1:
-            x /= q
-            n += 1
-        if x != 1:
-            raise BadInputError("not a power of q")
-        return n
-    while x < 1:
-        x *= q
-        n -= 1
-    if x != 1:
-        raise BadInputError("not a power of q")
-    return n
-
-
-def fundamental_domain_check(pt: CMPoint, prec: int | None = None) -> bool:
+def fundamental_domain_check(pt: CMPoint) -> bool:
     """|z| = |z|_i = |z|_A >= 1, computed from the embedding."""
     from .quadfield import imag_part_log, lattice_dist_log
 
     size = pt.size_log()
-    p = prec if prec is not None else int(2 * size) + 10
-    ze = embed(pt.z, p)
+    ze = embed(pt.z, int(2 * size) + 10)
     im = imag_part_log(ze)
     if im != size:
         return False

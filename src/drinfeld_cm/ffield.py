@@ -443,17 +443,6 @@ class FFElem:
         return f"ff({self.code} in {self.desc.p}^{self.desc.s})"
 
 
-def ff_arith(x: FFElem, y: FFElem, kind: str) -> FFElem:
-    """Dispatch form of field arithmetic: kind in {add, mul, div}."""
-    if kind == "add":
-        return x + y
-    if kind == "mul":
-        return x * y
-    if kind == "div":
-        return x / y
-    raise BadInputError(f"unknown arithmetic kind {kind!r}")
-
-
 def is_square(x: FFElem) -> bool:
     """Euler test x^((q^m-1)/2) for odd q; 0 counts as a square."""
     desc = x.desc

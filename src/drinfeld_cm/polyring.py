@@ -5,9 +5,10 @@ low-to-high) over a FieldDesc.  The zero polynomial is the empty tuple and
 its degree is the distinguished marker NEG_INF.
 
 Besides ring arithmetic this module provides factorization (squarefree split
-+ distinct-degree + seeded equal-degree splitting), the counting functions
-d(a), omega(a), sigma_1(f), gcd_2, the quadratic character chi attached to an
-imaginary quadratic extension, and the Mertens-style Euler product.
++ distinct-degree + equal-degree splitting, its random choices seeded by the
+input), the counting functions d(a), omega(a), sigma_1(f), gcd_2, the
+quadratic character chi attached to an imaginary quadratic extension, and the
+Mertens-style Euler product.
 """
 
 from __future__ import annotations
@@ -69,12 +70,6 @@ class Poly:
             return self
         inv = self.field.inv(self.sgn)
         return Poly(self.field, [self.field.mul(inv, c) for c in self.coeffs])
-
-    def norm_size(self) -> int:
-        """|a| = q^deg a as an integer (BadInput on zero)."""
-        if self.is_zero():
-            raise BadInputError("|0| is not defined here")
-        return self.field.q ** (len(self.coeffs) - 1)
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
@@ -175,14 +170,6 @@ class Poly:
     def divides(self, other: "Poly") -> bool:
         return (other % self).is_zero()
 
-    def eval_code(self, x: int) -> int:
-        """Evaluate at a field element given by code."""
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
-
     def map_coeffs(self, table, fld2: FieldDesc) -> "Poly":
         """Push coefficients through a code table into another field."""
         return Poly(fld2, [table[c] for c in self.coeffs])
@@ -217,19 +204,6 @@ def one(fld: FieldDesc) -> Poly:
 
 def zero(fld: FieldDesc) -> Poly:
     return Poly(fld, ())
-
-
-def poly_arith(a: Poly, b: Poly, kind: str):
-    """Dispatch form: kind in {add, mul, divmod, gcd}."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "divmod":
-        return divmod(a, b)
-    if kind == "gcd":
-        return gcd(a, b)
-    raise BadInputError(f"unknown arithmetic kind {kind!r}")
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -292,8 +266,8 @@ def _pth_root(a: Poly) -> Poly:
     return Poly(f, out)
 
 
-def _rng_for(a: Poly, seed: int) -> random.Random:
-    key = (seed, a.field.p, a.field.r, a.field.m) + a.coeffs
+def _rng_for(a: Poly) -> random.Random:
+    key = (a.field.p, a.field.r, a.field.m) + a.coeffs
     return random.Random(repr(key))
 
 
@@ -352,21 +326,21 @@ def _factor_squarefree(f: Poly, rng: random.Random):
     return out
 
 
-def factor(a: Poly, seed: int = 0):
+def factor(a: Poly):
     """Factor a nonzero polynomial.
 
     Returns (sgn_code, [(monic irreducible, exponent), ...]) sorted by
-    (degree, coefficient codes).  Deterministic for a given seed.
+    (degree, coefficient codes).
     """
     if a.is_zero():
         raise BadInputError("factor(0)")
-    key = (a.field, a.coeffs, seed)
+    key = (a.field, a.coeffs)
     hit = _factor_cache.get(key)
     if hit is not None:
         return hit
     sgn = a.sgn
     f = a.monic()
-    rng = _rng_for(a, seed)
+    rng = _rng_for(a)
     factors = {}
 
     def accumulate(g: Poly, mult: int):
@@ -411,7 +385,7 @@ def is_square_poly(a: Poly) -> bool:
     """Whether a is a square in k = F_q(T) (equivalently in A, for a in A)."""
     if a.is_zero():
         return True
-    from .ffield import FFElem, is_square as ff_is_square, sqrt as ff_sqrt
+    from .ffield import FFElem, is_square as ff_is_square
 
     sgn_code, items = factor(a)
     if any(e % 2 for _, e in items):
@@ -627,11 +601,11 @@ def chi(P: Poly, K) -> int:
     raise BadInputError(f"unknown flavor {flavor!r}")
 
 
-def chi_of(a: Poly, K, seed: int = 0) -> int:
+def chi_of(a: Poly, K) -> int:
     """Multiplicative extension of chi to nonzero a (via factorization)."""
     if a.is_zero():
         raise BadInputError("chi_of(0)")
-    _, items = factor(a, seed)
+    _, items = factor(a)
     out = 1
     for p_, e in items:
         c = chi(p_, K)
@@ -729,7 +703,7 @@ def factor_with_spf(a: Poly, spf) -> list:
 # parsing / formatting
 
 
-def format_poly(a: Poly, var: str = "T") -> str:
+def format_poly(a: Poly) -> str:
     if a.is_zero():
         return "0"
     parts = []
@@ -741,13 +715,22 @@ def format_poly(a: Poly, var: str = "T") -> str:
             parts.append(str(c))
         else:
             head = "" if c == 1 else f"{c}*"
-            parts.append(f"{head}{var}" if i == 1 else f"{head}{var}^{i}")
+            parts.append(f"{head}T" if i == 1 else f"{head}T^{i}")
     return "+".join(parts)
 
 
 def parse_poly(fld: FieldDesc, text: str) -> Poly:
-    """Parse `[c0,c1,...]` or human form like `T^2+2*T+1` (codes as coefficients)."""
-    text = text.strip()
+    """Parse `[c0,c1,...]` or human form like `T^2+2*T+1` (codes as coefficients).
+
+    Raises BadInputError on text in neither form.
+    """
+    try:
+        return _parse_poly(fld, text.strip())
+    except ValueError as e:
+        raise BadInputError(f"cannot parse polynomial {text!r}") from e
+
+
+def _parse_poly(fld: FieldDesc, text: str) -> Poly:
     if text.startswith("["):
         inner = text.strip("[]").strip()
         if not inner:

@@ -257,15 +257,6 @@ def validate_field(base: FieldDesc, flavor: str, **data) -> QuadField:
     return QuadField(flavor, base, **data)
 
 
-def field_from_jsonable(base: FieldDesc, obj) -> QuadField:
-    flavor = obj["flavor"]
-    if flavor == "odd":
-        return QuadField("odd", base, D=Poly(base, obj["D"]))
-    if flavor == "even_sep":
-        return QuadField("even_sep", base, B=Poly(base, obj["B"]), C=Poly(base, obj["C"]))
-    return QuadField("even_insep", base)
-
-
 # ---------------------------------------------------------------------------
 # orders
 
@@ -473,9 +464,6 @@ class QuadSeries:
         if ctx.qf.flavor == "even_sep":
             return QuadSeries(ctx, x1 * x2 + yy * ctx.rel, cross + yy)
         return QuadSeries(ctx, x1 * x2 + yy * ctx.rel, cross)
-
-    def scale_series(self, s: LaurentSeries) -> "QuadSeries":
-        return QuadSeries(self.ctx, self.x * s, self.y * s)
 
     def conj(self) -> "QuadSeries":
         qf = self.ctx.qf
@@ -685,8 +673,3 @@ def embed(z: QuadElement, prec: int, coeff_desc: FieldDesc | None = None):
     xs = z.x.to_series(cdesc, prec + slack)
     ys = z.y.to_series(cdesc, prec + slack)
     return QuadSeries(ctx, xs, ys).truncate(prec)
-
-
-def lift_to_quad(ctx: QuadSeriesContext, flat: LaurentSeries) -> QuadSeries:
-    """View a plain series (over ctx.cdesc) as a QuadSeries with zero xi-part."""
-    return QuadSeries.from_series(ctx, flat)

@@ -6,8 +6,10 @@ against the exact formula, the distinct moduli (exact conjugate classes,
 cross-checked by the j-values the Brown check already computed), the
 class-number routes and the height.  The report is built from one
 `brownval.OrderCM`, which is dropped afterwards; `_report_cache` keeps only
-the report, so the product search, the unit sweep and the lemma suites all
-reuse one pass.
+the report, one per order, so the product search, the unit sweep and the
+lemma suites all reuse one pass.  A report built with the Brown check
+answers both kinds of request; one built without it is rebuilt, checked,
+when a checked report is asked for.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from fractions import Fraction
 from .errors import BadInputError, InvariantError
 from .ffield import FieldDesc
 from . import polyring as pr
-from .polyring import Poly
-from .quadfield import Order, QuadField, order_from, order_from_discriminant, validate_field
+from .quadfield import Order, order_from, order_from_discriminant, validate_field
 
 RAMIFIED_DEGB_WINDOW = 1  # ramified Hasse forms have unbounded deg B at fixed |D|
 
@@ -53,12 +54,12 @@ def iter_odd_orders(base: FieldDesc, d_bound: int):
                     continue
 
 
-def iter_even_sep_orders(base: FieldDesc, d_bound: int, degb_window: int = RAMIFIED_DEGB_WINDOW):
+def iter_even_sep_orders(base: FieldDesc, d_bound: int):
     """Even separable orders with |f^2 G^2| <= d_bound.
 
     Inert forms (deg B = deg C) are a finite family; ramified forms have
     unbounded deg B at fixed discriminant, so the sweep takes
-    deg B <= deg C + degb_window (documented sweep window).
+    deg B <= deg C + RAMIFIED_DEGB_WINDOW (documented sweep window).
     """
     q = base.q
     half = _log_q(d_bound, q) // 2
@@ -73,7 +74,7 @@ def iter_even_sep_orders(base: FieldDesc, d_bound: int, degb_window: int = RAMIF
                 C = pr.one(base)
             if C.deg > 2 * dg:  # pragma: no cover - C = G^2/rad(G) has degree <= 2 dg
                 continue
-            degBs = [C.deg] + [C.deg + k for k in range(1, degb_window + 1, 2)]
+            degBs = [C.deg] + [C.deg + k for k in range(1, RAMIFIED_DEGB_WINDOW + 1, 2)]
             for degB in degBs:
                 for Bm in pr.monic_of_degree(base, degB):
                     for s in range(1, base.order):
@@ -133,10 +134,11 @@ def order_report(order: Order, *, check_brown: bool = True) -> OrderReport:
     With check_brown=True every point's numeric j-valuation is verified
     against the exact formula (the build's central cross-validation); the
     values it computes then serve the numeric cross-check of the moduli.
+    A cached checked report also answers an unchecked request.
     """
-    key = (order.field.key(), order.f.coeffs, check_brown)
+    key = (order.field.key(), order.f.coeffs)
     hit = _report_cache.get(key)
-    if hit is not None:
+    if hit is not None and (hit.brown_checked or not check_brown):
         return hit
     from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of
     from .classno import l_route
@@ -174,11 +176,11 @@ class ModulusRecord:
     label: str
 
 
-def sweep_moduli(base: FieldDesc, d_bound: int, *, check_brown: bool = False) -> list:
+def sweep_moduli(base: FieldDesc, d_bound: int) -> list:
     """Every singular modulus of every order with |D| <= d_bound."""
     out = []
     for order in iter_orders(base, d_bound):
-        rep = order_report(order, check_brown=check_brown)
+        rep = order_report(order, check_brown=False)
         for idx, m in enumerate(rep.moduli):
             key = (order.disc_deg(), order.label(), idx)
             out.append(ModulusRecord(order, m, key, f"{order.label()}#{idx} (log|j|={m.log_j})"))

@@ -8,29 +8,23 @@ an inequality certified through directed-rounded interval enclosures.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import certlog
-from .errors import BadInputError
-from .ffield import FieldDesc, embedding_table, quadratic_extension
+from .ffield import FieldDesc, embedding_table, field, quadratic_extension
 from . import polyring as pr
-from .polyring import Poly
 from . import bounds as bnd
-from .brownval import log_abs_j, moduli_of
-from .cmpoints import c_epsilon_set, enumerate_points, majb_check
+from .brownval import moduli_of
+from .cmpoints import majb_check
 from .laurent import LaurentSeries
-from .modforms import eval_j, hilbert_poly, unit_check, verify_lemma_A1, verify_lemma_A2
+from .modforms import hilbert_poly, verify_lemma_A1, verify_lemma_A2
 from .quadfield import order_from_discriminant
 from .sweeps import iter_orders, order_report
 
 
-def check_hayes(prec: int = 100) -> dict:
+def check_hayes() -> dict:
     """The worked q = 3 example: valuations 9/-1, the product (T-T^2)^4, the
     explicit unit-power value for one square-root branch."""
-    F3 = None
-    from .ffield import field
-
     F3 = field(3)
     D = pr.parse_poly(F3, "T-T^2")
     order = order_from_discriminant(F3, D)
@@ -45,7 +39,7 @@ def check_hayes(prec: int = 100) -> dict:
     H = hilbert_poly(order)
     ok_const = H.coeffs[0] == D**4 and H.m == 2
     # eta = 1 + T + sqrt(T^2 - T); j1 must equal (T-T^2)^2 eta^5 for one branch
-    s = LaurentSeries.from_poly(pr.parse_poly(F3, "T^2-T"), F3).truncate(prec).sqrt()
+    s = LaurentSeries.from_poly(pr.parse_poly(F3, "T^2-T"), F3).truncate(100).sqrt()
     matches = []
     for root in (s, -s):
         eta = LaurentSeries.from_poly(pr.parse_poly(F3, "T+1"), F3) + root
@@ -100,7 +94,7 @@ def check_brown_sweep(base: FieldDesc, d_bound: int) -> dict:
 
 def check_class_numbers(base: FieldDesc, d_bound: int) -> dict:
     """Orbit = conductor (= L-route on inert separable maximal orders) everywhere."""
-    from .classno import check_class_bound, l_route
+    from .classno import check_class_bound
 
     counts = {"orders": 0, "lroute": 0, "bounds": 0}
     for order in iter_orders(base, d_bound):
@@ -210,22 +204,6 @@ def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 
                     if not bnd.easycounting_bound_check(m, b0, Mlog):
                         return {"name": "counting", "ok": False, "fail": f"easycounting m={m}"}
     return {"name": "counting", "ok": True, "pairs": pairs}
-
-
-def _eps_log(eps: Fraction, q: int) -> int:
-    n = 0
-    while eps < 1:
-        eps *= q
-        n -= 1
-    return n
-
-
-def _val_at(D: Poly, P: Poly) -> int:
-    nu = 0
-    while P.divides(D):
-        D = D // P
-        nu += 1
-    return nu
 
 
 def _all_nonzero(base: FieldDesc, maxdeg: int):

@@ -222,3 +222,35 @@ def test_brown_check_evaluates_each_point_once(monkeypatch):
     assert sorted(calls) == sorted(map(pkey, rep.points))
     assert set(calls.values()) == {1}
     assert rep.h_orbit == 2
+
+
+def test_report_cache_serves_unchecked_from_checked(monkeypatch):
+    from drinfeld_cm import modforms, sweeps
+
+    calls = Counter()
+    real = modforms.eval_j
+
+    def counting(pt, prec, **kw):
+        calls[pkey(pt)] += 1
+        return real(pt, prec, **kw)
+
+    def moduli(rep):
+        return [(m.log_j, [pkey(p) for p in m.points]) for m in rep.moduli]
+
+    monkeypatch.setattr(modforms, "eval_j", counting)
+    monkeypatch.setattr(sweeps, "_report_cache", {})
+    order = order_from_discriminant(F3, P(F3, "T^3"))  # equal-valuation classes: an unchecked build evaluates j
+    fresh = sweeps.order_report(order, check_brown=False)
+    assert calls and not fresh.brown_checked
+    calls.clear()
+    # a checked request after an unchecked one still checks every point
+    checked = sweeps.order_report(order, check_brown=True)
+    assert checked.brown_checked
+    assert sorted(calls) == sorted(map(pkey, checked.points))
+    assert moduli(checked) == moduli(fresh)
+    calls.clear()
+    monkeypatch.setattr(sweeps, "_report_cache", {})
+    checked = sweeps.order_report(order, check_brown=True)
+    calls.clear()
+    assert sweeps.order_report(order, check_brown=False) is checked
+    assert not calls

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -54,3 +55,35 @@ def test_error_exit_codes(error, code, prefix, capsys, monkeypatch):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == prefix + "injected\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nosuch"],
+        ["--modulus", "[1,x]", "class-number", "--flavor", "odd", "--D", "T"],
+        ["class-number", "--flavor", "odd", "--D", "T^^2"],
+        ["--prec", "60", *REQUESTS[0]],
+        ["--seed", "0", *REQUESTS[0]],
+        ["--jobs", "2", "verify", "--dbound", "9"],
+    ],
+)
+def test_bad_command_line_is_bad_input(argv, capsys):
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("bad input: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: drinfeld-cm" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [REQUESTS[0], REQUESTS[1]])
+def test_header_is_fixed(argv, capsys):
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["schema"], report["prec"], report["seed"]) == (1, 60, 0)

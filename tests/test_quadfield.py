@@ -295,13 +295,3 @@ def test_imag_and_lattice_size():
     assert imag_part_log(e2) == Fraction(1, 2)
     assert lattice_dist_log(e2, 2) == Fraction(1, 2)
 
-
-def test_field_jsonable_roundtrip():
-    from drinfeld_cm.quadfield import field_from_jsonable
-
-    for k in [
-        validate_field(F3, "odd", D=P(F3, "T-T^2")),
-        validate_field(F2, "even_sep", B=P(F2, "T+1"), C=P(F2, "T")),
-        validate_field(F2, "even_insep"),
-    ]:
-        assert field_from_jsonable(k.base, k.to_jsonable()) == k
