@@ -146,10 +146,10 @@ def easycounting_bound_check(m: Poly, b0: Poly, M_log: Fraction) -> bool:
     count = 0
     # enumerate b of degree < ceil(M_log) in the class of b0
     bound_deg = int(math.ceil(M_log))
+    r = b0 % m
     for t in pr.all_of_degree_less(m.field, max(0, bound_deg - m.deg) + 1):
-        b = b0 % m + m * t
-        size_ok = b.is_zero() or Fraction(b.deg) < M_log
-        if size_ok:
+        b = r + m * t
+        if b.is_zero() or b.deg < M_log:
             count += 1
     rhs = max(Fraction(1), Fraction(q) ** (1 + M_log) / q**m.deg)
     return count <= rhs

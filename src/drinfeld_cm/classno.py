@@ -19,6 +19,7 @@ from .errors import BadInputError, InvariantError
 from . import polyring as pr
 from .polyring import Poly
 from .quadfield import Order, QuadField, order_from
+from .sweeps import order_report
 
 
 @dataclass
@@ -165,7 +166,10 @@ def class_number(order: Order, *, data=None) -> int:
 
 
 def check_class_bound(order: Order) -> dict:
-    """h(O) <= 37/(2(q+1)) sqrt|D| (log_q|D|)^2 for inert orders with |D| > 1."""
+    """h(O) <= 37/(2(q+1)) sqrt|D| (log_q|D|)^2 for inert orders with |D| > 1.
+
+    h is read from the order's cached `sweeps.order_report`.
+    """
     field = order.field
     if field.infinite_type != "inert":
         raise BadInputError("the class bound is stated for the inert case")
@@ -173,7 +177,7 @@ def check_class_bound(order: Order) -> dict:
     if d < 1:
         raise BadInputError("need |D_O| > 1")
     q = field.base.q
-    h = class_number(order)
+    h = order_report(order, check_brown=False).h_orbit  # certified against the conductor formula
     bound = Fraction(37, 2 * (q + 1)) * q ** (d // 2) * d * d
     if 2 * (d // 2) != d:
         raise InvariantError("inert discriminant with odd degree")  # pragma: no cover

@@ -8,8 +8,10 @@ output headers.
 
 Elements are integer codes: the base-p digits of the code are the coordinates
 of the element in the power basis 1, x, x^2, ...  Zero and one are always the
-codes 0 and 1.  Multiplication is schoolbook with a full table cached for
-orders up to 256.
+codes 0 and 1.  Every field of order up to 256 keeps full addition,
+subtraction, negation, multiplication and inversion tables, so each of those
+operations is one lookup there.  Larger fields add, subtract and negate digit
+by digit in base p and multiply schoolbook modulo the modulus.
 """
 
 from __future__ import annotations
@@ -175,6 +177,9 @@ class FieldDesc:
             if len(modulus) != self.s + 1 or modulus[-1] != 1 or not _pf_is_irreducible(list(modulus), p):
                 raise BadInputError("modulus must be monic irreducible of degree r*m over F_p")
         self.modulus = modulus
+        self._add_table = None
+        self._sub_table = None
+        self._neg_table = None
         self._mul_table = None
         self._inv_table = None
         self._sqrt_table = None
@@ -205,10 +210,28 @@ class FieldDesc:
         prod = _pf_mul(self.coords(a), self.coords(b), self.p)
         return self.code(_pf_mod(prod, list(self.modulus), self.p))
 
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """Code of a + sign*b, one base-p digit at a time."""
+        p = self.p
+        if p == 2:
+            return a ^ b
+        out = 0
+        mult = 1
+        while a or b:
+            a, da = divmod(a, p)
+            b, db = divmod(b, p)
+            out += ((da + sign * db) % p) * mult
+            mult *= p
+        return out
+
     def _build_tables(self):
         n = self.order
-        table = [[0] * n for _ in range(n)]
-        for a in range(n):
+        elems = range(n)
+        self._add_table = [[self._digitwise(a, b, 1) for b in elems] for a in elems]
+        self._sub_table = [[self._digitwise(a, b, -1) for b in elems] for a in elems]
+        self._neg_table = [self._digitwise(0, a, -1) for a in elems]
+        table = [[0] * n for _ in elems]
+        for a in elems:
             for b in range(a, n):
                 v = self._mul_raw(a, b)
                 table[a][b] = v
@@ -222,32 +245,19 @@ class FieldDesc:
     # -- code-level arithmetic ----------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        out = 0
-        mult = 1
-        while a or b:
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            out += ((da + db) % p) * mult
-            mult *= p
-        return out
+        if self._add_table is not None:
+            return self._add_table[a][b]
+        return self._digitwise(a, b, 1)
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        out = 0
-        mult = 1
-        while a:
-            a, da = divmod(a, p)
-            out += ((-da) % p) * mult
-            mult *= p
-        return out
+        if self._neg_table is not None:
+            return self._neg_table[a]
+        return self._digitwise(0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self._sub_table is not None:
+            return self._sub_table[a][b]
+        return self._digitwise(a, b, -1)
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:

@@ -2,7 +2,10 @@
 
 Polynomials are immutable dense coefficient tuples (element codes,
 low-to-high) over a FieldDesc.  The zero polynomial is the empty tuple and
-its degree is the distinguished marker NEG_INF.
+its degree is the distinguished marker NEG_INF.  Coefficient arithmetic goes
+through the FieldDesc's add/sub/neg/mul, which the hot loops bind once per
+call; how the field computes them (tables or digit loops) stays inside
+`ffield`.
 
 Besides ring arithmetic this module provides factorization (squarefree split
 + distinct-degree + equal-degree splitting, its random choices seeded by the
@@ -88,21 +91,27 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        f = self.field
+        add = self.field.add
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
+            out[i] = add(out[i], c)
+        return Poly(self.field, out)
 
     def __neg__(self):
-        f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
+        neg = self.field.neg
+        return Poly(self.field, [neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        sub = self.field.sub
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = sub(out[i], c)
+        return Poly(self.field, out)
 
     def __mul__(self, other):
         self._check(other)
@@ -110,19 +119,21 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(f, ())
+        add, mul = f.add, f.mul
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(b, i):
                     if bj:
-                        out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+                        out[j] = add(out[j], mul(ai, bj))
         return Poly(f, out)
 
     def scale(self, code: int) -> "Poly":
         f = self.field
         if code == 0:
             return Poly(f, ())
-        return Poly(f, [f.mul(code, c) for c in self.coeffs])
+        mul = f.mul
+        return Poly(f, [mul(code, c) for c in self.coeffs])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by T^k (k >= 0)."""
@@ -135,16 +146,19 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
+        mul, sub = f.mul, f.sub
         rem = list(self.coeffs)
-        db = other.deg
+        low = other.coeffs[:-1]  # the leading term cancels by construction
+        db = len(low)
         lead_inv = f.inv(other.sgn)
         quot = [0] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db and rem:
+        while len(rem) > db:
             shift = len(rem) - 1 - db
-            factor = f.mul(rem[-1], lead_inv)
+            factor = mul(rem.pop(), lead_inv)
             quot[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = f.sub(rem[shift + i], f.mul(factor, c))
+            for i, c in enumerate(low, shift):
+                if c:
+                    rem[i] = sub(rem[i], mul(factor, c))
             while rem and rem[-1] == 0:
                 rem.pop()
         return Poly(f, quot), Poly(f, rem)
@@ -692,8 +706,11 @@ def factor_with_spf(a: Poly, spf) -> list:
             cs.append(c)
         P = Poly(fld, cs)
         e = 0
-        while P.divides(rest):
-            rest = rest // P
+        while True:
+            quot, r = divmod(rest, P)
+            if r:
+                break
+            rest = quot
             e += 1
         items[P] = e
     return sorted(items.items(), key=lambda kv: (kv[0].deg, kv[0].coeffs))

@@ -173,7 +173,7 @@ def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 
                                 if not okc:
                                     return {"name": "counting", "ok": False, "fail": f"classes/cover a={a} D~{Dm}*{sc}"}
                             for el, cnt in zip(eps_logs, counts):
-                                bound = Fraction(2**omega) * Fraction(q) ** max(0, 1 + el + g2d)
+                                bound = 2**omega * q ** max(0, 1 + el + g2d)
                                 if cnt > bound:
                                     return {"name": "counting", "ok": False, "fail": f"bound a={a} D~{Dm}*{sc} eps=q^{el}"}
     else:
@@ -236,16 +236,17 @@ def check_analytic_lemmas(base: FieldDesc, maxdeg: int = 10) -> dict:
             omega = len(items)
             dcount = 1
             sigma1 = 1
-            mert = Fraction(1)
+            mnum = mden = 1  # the Mertens product prod |P|/(|P| - 1) = mnum/mden
             for P, e in items:
                 dcount *= e + 1
                 pd = q**P.deg
                 sigma1 *= sum(pd**j for j in range(e + 1))
-                mert *= Fraction(pd, pd - 1)
-            # sigma_1(f)/|f| <= log_q|f| + 1, exact rationals
-            if Fraction(sigma1, q**d) > d + 1:
+                mnum *= pd
+                mden *= pd - 1
+            # sigma_1(f)/|f| <= log_q|f| + 1 and mnum/mden <= 37 deg f, cross-multiplied
+            if sigma1 > (d + 1) * q**d:
                 return {"name": "analytic", "ok": False, "fail": f"sigma1 {a}"}
-            if mert > 37 * d:
+            if mnum > 37 * d * mden:
                 return {"name": "analytic", "ok": False, "fail": f"mertens {a}"}
             if d >= 2:
                 key = ("d", dcount, d)

@@ -4,7 +4,7 @@ import pytest
 
 from drinfeld_cm.errors import BadInputError
 from drinfeld_cm.ffield import field
-from drinfeld_cm import polyring as pr
+from drinfeld_cm import modforms, polyring as pr
 from drinfeld_cm.classno import (
     check_class_bound,
     class_number,
@@ -15,6 +15,7 @@ from drinfeld_cm.classno import (
     unit_index,
 )
 from drinfeld_cm.quadfield import order_from, order_from_discriminant, validate_field
+from drinfeld_cm.verify import check_brown_sweep, check_class_numbers
 
 F2 = field(2)
 F3 = field(3)
@@ -108,3 +109,21 @@ def test_class_bound_sweep_small():
                 continue
             rep = check_class_bound(o)
             assert rep["holds"]
+
+
+def test_class_numbers_reuse_the_checked_reports(monkeypatch):
+    # the Brown sweep already evaluated every point: the class-number suite,
+    # class bound included, reads h from the cached reports (below |D| = 81 a
+    # fresh class-number computation makes no j-evaluation either)
+    check_brown_sweep(F3, 81)
+    calls = []
+    real_eval_j = modforms.eval_j
+
+    def eval_j(pt, prec, **kwargs):
+        calls.append(pt)
+        return real_eval_j(pt, prec, **kwargs)
+
+    monkeypatch.setattr(modforms, "eval_j", eval_j)
+    rep = check_class_numbers(F3, 81)
+    assert rep["ok"] and rep["bounds"] > 0
+    assert calls == []

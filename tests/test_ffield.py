@@ -136,6 +136,68 @@ def test_field_axioms_f25(a, b, c):
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     assert f.mul(a, b) == f.mul(b, a)
     assert f.add(a, f.neg(a)) == 0
+    assert f.sub(a, b) == f.add(a, f.neg(b))
+    assert f.add(f.sub(a, b), b) == a
+
+
+def _coord_ops(desc):
+    """add, sub, neg and mul on coordinate vectors mod p, written out here."""
+    p, s = desc.p, desc.s
+    modulus = desc.modulus
+
+    def add(a, b):
+        return [(x + y) % p for x, y in zip(a, b)]
+
+    def sub(a, b):
+        return [(x - y) % p for x, y in zip(a, b)]
+
+    def neg(a):
+        return [-x % p for x in a]
+
+    def mul(a, b):
+        prod = [0] * (2 * s - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for k in range(2 * s - 2, s - 1, -1):  # x^s = -(m_0 + ... + m_{s-1} x^{s-1})
+            top, prod[k] = prod[k], 0
+            for i in range(s):
+                prod[k - s + i] -= top * modulus[i]
+        return [c % p for c in prod[:s]]
+
+    return add, sub, neg, mul
+
+
+TABLED = [field(2), field(3), field(2, 2), field(5), field(3, 1, 2), field(2, 2, 2), field(5, 1, 2), field(3, 3)]
+
+
+@pytest.mark.parametrize("desc", TABLED, ids=lambda d: f"F{d.order}")
+def test_tables_match_coordinate_arithmetic(desc):
+    assert desc._add_table is not None and desc._mul_table is not None
+    add, sub, neg, mul = _coord_ops(desc)
+    vecs = [desc.coords(a) for a in range(desc.order)]
+    for a, va in enumerate(vecs):
+        assert desc.coords(desc.neg(a)) == neg(va)
+        for b, vb in enumerate(vecs):
+            assert desc.coords(desc.add(a, b)) == add(va, vb)
+            assert desc.coords(desc.sub(a, b)) == sub(va, vb)
+            assert desc.coords(desc.mul(a, b)) == mul(va, vb)
+
+
+F729 = field(3, 3, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 728), st.integers(0, 728))
+def test_digit_loop_matches_coordinate_arithmetic_f729(a, b):
+    # order 729 > 256: no tables, every operation takes the digit loop
+    assert F729._add_table is None and F729._mul_table is None
+    add, sub, neg, mul = _coord_ops(F729)
+    va, vb = F729.coords(a), F729.coords(b)
+    assert F729.coords(F729.add(a, b)) == add(va, vb)
+    assert F729.coords(F729.sub(a, b)) == sub(va, vb)
+    assert F729.coords(F729.neg(a)) == neg(va)
+    assert F729.coords(F729.mul(a, b)) == mul(va, vb)
 
 
 def test_header_roundtrip():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drinfeld_cm.errors import BadInputError, InvariantError
@@ -52,6 +52,24 @@ def test_divmod_postcondition():
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero() or r.deg < b.deg
+
+
+DIVMOD_FIELDS = [F3, field(2, 2), field(3, 1, 2), field(3, 3, 2)]  # F_3, F_4, F_9, F_729
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(DIVMOD_FIELDS),
+    st.lists(st.integers(0, 728), max_size=8),
+    st.lists(st.integers(0, 728), min_size=1, max_size=5),
+)
+def test_divmod_postcondition_hypothesis(fld, ca, cb):
+    a = pr.Poly(fld, [c % fld.order for c in ca])
+    b = pr.Poly(fld, [c % fld.order for c in cb])
+    assume(not b.is_zero())
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.is_zero() or r.deg < b.deg
 
 
 def test_factor_examples():
@@ -199,10 +217,11 @@ def test_mertens_bound_sweep(fld):
 
 
 def test_spf_table_agrees_with_factor():
-    spf = pr.spf_table(F2, 6)
-    for d in range(1, 7):
-        for a in pr.monic_of_degree(F2, d):
-            assert pr.factor_with_spf(a, spf) == list(pr.factor(a)[1])
+    for fld in (F2, F3):
+        spf = pr.spf_table(fld, 6)
+        for d in range(1, 7):
+            for a in pr.monic_of_degree(fld, d):
+                assert pr.factor_with_spf(a, spf) == list(pr.factor(a)[1])
 
 
 def test_parse_format_roundtrip():
