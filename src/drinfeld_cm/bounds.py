@@ -195,17 +195,14 @@ def upper_bound_h(order: Order, eps: Fraction) -> dict:
     return {"eps": eps, "eps_bound": eps_bound, "cor_bound": cor, "conditional": True}
 
 
-def lower_bounds_h(order: Order, *, data=None) -> dict:
-    """The two unconditional lower bounds (and the easy one), as safe intervals.
-
-    `data` is the order's OrderCM when the caller has built one.
-    """
+def lower_bounds_h(order: Order) -> dict:
+    """The two unconditional lower bounds (and the easy one), as safe intervals."""
     field = order.field
     q = field.base.q
     d = order.disc_deg()
     from .classno import class_number
 
-    h = class_number(order, data=data)
+    h = class_number(order)
     # easy: |D|^(1/2)/h(O), meaningful for |D| >= q
     sqrt_D = certlog.exp_q(Fraction(d, 2), q)
     easy = sqrt_D / h if d >= 1 else None
@@ -347,7 +344,7 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
     never dropped silently, after their valuation already excludes a hit.
     """
     from .sweeps import sweep_moduli
-    from .modforms import eval_j
+    from .brownval import OrderCM
     from .quadfield import QuadSeries
     from .ffield import quadratic_extension
 
@@ -385,21 +382,22 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
                         prec2 = int(HIT_GUARD + max(0, lg1)) + 2
                         yield r1, r2, total, biquadratic, prec1, prec2
 
-    # each record is evaluated once, at the highest precision any of its pairs
-    # needs; every known digit is exact, so a truncation equals a fresh evaluation
+    # each record's value is read once, order by order, through its OrderCM at
+    # the highest precision its pairs need (a ramified one over F_{q^2}, where
+    # the inert values live); every known digit is exact, so a truncation
+    # equals a fresh evaluation.  The search keeps what it read: its pairs
+    # cycle through more orders than the store may hold values for.
     need: dict = {}
     for r1, r2, _, biquadratic, prec1, prec2 in candidates():
         if not biquadratic:
             need[r1.key] = max(need.get(r1.key, 0), prec1)
             need[r2.key] = max(need.get(r2.key, 0), prec2)
-    held: dict = {}
-
-    def numeric(rec, prec):
-        val = held.get(rec.key)
-        if val is None:
-            cdesc = None if rec.order.field.infinite_type == "inert" else quadratic_extension(base)
-            val = held[rec.key] = eval_j(rec.modulus.points[0], need[rec.key], cdesc=cdesc).value
-        return val.truncate(prec)
+    desc2 = quadratic_extension(base)
+    values = {}
+    for rec in records:
+        if rec.key in need:
+            cdesc = None if rec.order.field.infinite_type == "inert" else desc2
+            values[rec.key] = OrderCM.of(rec.order).j_value(rec.modulus.points[0], need[rec.key], cdesc).value
 
     for r1, r2, total, biquadratic, prec1, prec2 in candidates():
         if biquadratic:
@@ -412,8 +410,8 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
             )
             continue
         pairs_checked += 1
-        v1 = numeric(r1, prec1)
-        v2 = numeric(r2, prec2)
+        v1 = values[r1.key].truncate(prec1)
+        v2 = values[r2.key].truncate(prec2)
         if isinstance(v1, QuadSeries) or isinstance(v2, QuadSeries):
             if not isinstance(v1, QuadSeries):
                 v1 = QuadSeries.from_series(v2.ctx, v1)

@@ -14,13 +14,17 @@ The conjugate classes are therefore found by applying those q(q^2 - 1) moves
 to the integral data of each boundary point, in exact arithmetic.  Numerical
 j-values from the t-expansion evaluator only cross-check the partition.
 
-`OrderCM` holds one order's points, j-values, classes and moduli for the
-length of one request, so every point is evaluated once per precision asked.
+`OrderCM.of(order)` is the one `OrderCM` of an order for the life of the
+process, so a repeated request reuses its points, j-values, classes,
+certified moduli, class number and `sweeps.OrderReport`.  Only the j-values
+are bounded: at most VALUE_CAP entries hold them, and the least recently used
+entry loses its values when another one gains some; the rest stays.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -33,6 +37,7 @@ from .quadfield import Order
 
 BROWN_DIGITS = 4  # digits past the valuation that the Brown check resolves
 MAX_SEPARATION_DIGITS = 128
+VALUE_CAP = 256  # store entries that hold j-values at once (the queries pool has 115 orders)
 
 
 def log_abs_j(pt: CMPoint) -> Fraction:
@@ -172,41 +177,80 @@ def conjugate_classes(points: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the per-request order object
+# the process-wide store of order objects
 
 
-def _key(pt: CMPoint) -> tuple:
-    return (pt.a, pt.b)
+_store: dict = {}  # (field key, conductor coefficients) -> OrderCM
+_holding: OrderedDict = OrderedDict()  # keys of the entries holding j-values, least recently used first
 
 
 class OrderCM:
-    """One order's reduced CM points, their j-values and distinct moduli.
+    """One order's reduced CM points, j-values, classes, moduli, class number
+    and report, kept for the life of the process (reached through `of`).
 
-    Built once per request (an `order_report` or one CLI command) and dropped
-    with it.  The points are enumerated once; each j-value is kept at the
-    highest precision asked for so far, so a point is evaluated again only
-    when a question needs more digits than are known.
+    The points are enumerated once; each j-value is kept at the highest
+    precision asked for so far, per coefficient field, so a point is
+    evaluated again only when a question needs more digits than are known.
+    At most VALUE_CAP entries hold values: the least recently used entry
+    loses its values (and their plans) first, and keeps everything else.
+    Only what is certified is stored, so a build or a check that raised
+    leaves nothing that a later request would take as its success.
     """
 
     def __init__(self, order: Order):
         self.order = order
+        self.key = (order.field.key(), order.f.coeffs)
         self.points = enumerate_points(order)
         if not self.points:
             raise InvariantError("a valid order has a nonempty reduced point set")
-        self.values: dict = {}  # (a, b) -> (precision, JValue)
+        self.values: dict = {}  # (a, b, coefficient field) -> (precision, JValue)
+        self.plans: dict = {}  # (a, b, precision) -> plan of the evaluation made at that precision
         self.moduli: list | None = None  # set by moduli_of once certified
+        self.report = None  # the sweeps.OrderReport, once built
         self._classes: list | None = None
         self._h_conductor: int | None = None
 
-    def j_value(self, pt: CMPoint, prec: int):
-        """The JValue of pt to absolute precision at least prec."""
-        key = _key(pt)
-        known = self.values.get(key)
-        if known is None or known[0] < prec:
-            from .modforms import eval_j
+    @classmethod
+    def of(cls, order: Order) -> "OrderCM":
+        """The order's one object, built on first use."""
+        key = (order.field.key(), order.f.coeffs)
+        if key in _holding:
+            _holding.move_to_end(key)
+        if key not in _store:
+            _store[key] = cls(order)
+        return _store[key]
 
-            known = self.values[key] = (prec, eval_j(pt, prec))
-        return known[1]
+    def _evaluate(self, pt: CMPoint, prec: int, cdesc: FieldDesc | None) -> None:
+        """Evaluate j at pt; keep the value unless a more precise one is held."""
+        from .modforms import eval_j
+
+        jv = eval_j(pt, prec, cdesc=cdesc)
+        key = (pt.a, pt.b, cdesc)
+        if key not in self.values or self.values[key][0] < prec:
+            self.values[key] = (prec, jv)
+        if cdesc is None:
+            self.plans[(pt.a, pt.b, prec)] = jv.plan
+        _holding[self.key] = self
+        _holding.move_to_end(self.key)
+        while len(_holding) > VALUE_CAP:
+            _, old = _holding.popitem(last=False)
+            old.values.clear()
+            old.plans.clear()
+
+    def j_value(self, pt: CMPoint, prec: int, cdesc: FieldDesc | None = None):
+        """The JValue of pt to absolute precision at least prec, over `cdesc`
+        (default: eval_j's coefficient field for the flavor)."""
+        known = self.values.get((pt.a, pt.b, cdesc))
+        if known is None or known[0] < prec:
+            self._evaluate(pt, prec, cdesc)
+        return self.values[(pt.a, pt.b, cdesc)][1]
+
+    def plan(self, pt: CMPoint, prec: int) -> dict:
+        """The truncation plan of an evaluation of pt at exactly `prec` (a value
+        held at a higher precision was made with another plan)."""
+        if (pt.a, pt.b, prec) not in self.plans:
+            self._evaluate(pt, prec, None)
+        return self.plans[(pt.a, pt.b, prec)]
 
     def classes(self) -> list:
         if self._classes is None:
@@ -217,7 +261,7 @@ class OrderCM:
         if self._h_conductor is None:
             from .classno import class_number_by_conductor
 
-            self._h_conductor = class_number_by_conductor(self.order, data=self)
+            self._h_conductor = class_number_by_conductor(self.order)
         return self._h_conductor
 
 
@@ -231,7 +275,7 @@ def _cross_check(cm: OrderCM, mods: list) -> None:
     MAX_SEPARATION_DIGITS.
     """
     for m in mods:
-        known = [cm.values[k][1].value for k in map(_key, m.points) if k in cm.values]
+        known = [cm.values[k][1].value for k in ((p.a, p.b, None) for p in m.points) if k in cm.values]
         if any(not (v - known[0]).is_zero_known() for v in known[1:]):
             raise InvariantError(f"conjugate points of {cm.order.label()} have different j-values")
     groups: dict = {}
@@ -249,17 +293,16 @@ def _cross_check(cm: OrderCM, mods: list) -> None:
             digits *= 2
 
 
-def moduli_of(
-    order: Order, *, data: OrderCM | None = None, value_prec: int | None = None, expected: int | None = None
-) -> list:
+def moduli_of(order: Order, *, value_prec: int | None = None, expected: int | None = None) -> list:
     """The distinct singular moduli of an order, one per exact conjugate class.
 
     `expected` (a class number from an independent route) must equal the
-    number of classes.  The first call on an OrderCM cross-checks the classes
-    numerically and stores the moduli on it.  With `value_prec`, each modulus
-    carries the j-value of its first point to that precision.
+    number of classes.  Until a call succeeds, each call cross-checks the
+    classes numerically; the first that passes stores the moduli on the
+    order's OrderCM.  With `value_prec`, each modulus carries the j-value of
+    its first point to that precision.
     """
-    cm = data if data is not None else OrderCM(order)
+    cm = OrderCM.of(order)
     mods = cm.moduli
     if mods is None:
         mods = []
@@ -281,12 +324,12 @@ def moduli_of(
     return mods
 
 
-def weil_height(order: Order, *, data: OrderCM | None = None) -> Fraction:
+def weil_height(order: Order) -> Fraction:
     """h(j) = (1/m) sum over distinct moduli of max(0, log_q|j_i|).
 
     Finite places contribute nothing: singular moduli are integral over A.
     """
-    mods = moduli_of(order, data=data)
+    mods = moduli_of(order)
     m = len(mods)
     return Fraction(sum(max(Fraction(0), s.log_j) for s in mods), 1) / m
 
@@ -309,8 +352,3 @@ def ramified_nonunit_certificate(order: Order) -> dict:
         "norm_degree": str(sum(logs)),
         "nonunit": True,
     }
-
-
-def product_degree(m1: SingularModulus, m2: SingularModulus) -> Fraction:
-    """log_q |j_1 j_2| by multiplicativity."""
-    return m1.log_j + m2.log_j

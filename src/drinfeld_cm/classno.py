@@ -56,18 +56,15 @@ def _divide_by_one_plus_t(lam: list) -> list:
     return list(reversed(acc[:-1]))
 
 
-def class_number_by_orbit(order: Order, expected: int | None = None, *, data=None) -> int:
-    """The number of exact conjugate classes; `data` is the order's OrderCM, if built."""
+def class_number_by_orbit(order: Order, expected: int | None = None) -> int:
+    """The number of exact conjugate classes."""
     from .brownval import moduli_of
 
-    return len(moduli_of(order, data=data, expected=expected))
+    return len(moduli_of(order, expected=expected))
 
 
-def maximal_class_number(field: QuadField, *, data=None) -> int:
-    """h(O_K): the L-route when inert separable, the orbit route when ramified.
-
-    `data` is an OrderCM the orbit route reuses when it belongs to O_K.
-    """
+def maximal_class_number(field: QuadField) -> int:
+    """h(O_K): the L-route when inert separable, the orbit route when ramified."""
     if field.is_constant_extension:
         return 1
     if field.flavor == "even_insep":
@@ -75,8 +72,7 @@ def maximal_class_number(field: QuadField, *, data=None) -> int:
         return 1
     if field.infinite_type == "inert":
         return l_route(field).h_OK
-    maximal = order_from(field, pr.one(field.base))
-    return class_number_by_orbit(maximal, data=data if data is not None and data.order == maximal else None)
+    return class_number_by_orbit(order_from(field, pr.one(field.base)))
 
 
 def unit_index(order: Order) -> int:
@@ -86,11 +82,11 @@ def unit_index(order: Order) -> int:
     return 1
 
 
-def class_number_by_conductor(order: Order, *, data=None) -> int:
+def class_number_by_conductor(order: Order) -> int:
     """The conductor formula; the exact rational must be a positive integer."""
     field = order.field
     q = field.base.q
-    h_K = maximal_class_number(field, data=data)
+    h_K = maximal_class_number(field)
     val = Fraction(h_K * q**order.f.deg, unit_index(order))
     if not order.f.is_one():
         _, items = pr.factor(order.f)
@@ -155,20 +151,19 @@ def l_route(field: QuadField) -> LPolyData:
     return data
 
 
-def class_number(order: Order, *, data=None) -> int:
+def class_number(order: Order) -> int:
     """Agreed class number: orbit and conductor routes (and the L-route when inert
     separable and maximal) must coincide."""
     from .brownval import OrderCM
 
-    cm = data if data is not None else OrderCM(order)
     # moduli_of raises InvariantError when the orbit count differs from `expected`
-    return class_number_by_orbit(order, expected=cm.class_number_by_conductor(), data=cm)
+    return class_number_by_orbit(order, expected=OrderCM.of(order).class_number_by_conductor())
 
 
 def check_class_bound(order: Order) -> dict:
     """h(O) <= 37/(2(q+1)) sqrt|D| (log_q|D|)^2 for inert orders with |D| > 1.
 
-    h is read from the order's cached `sweeps.order_report`.
+    h is read from the order's held `sweeps.order_report`.
     """
     field = order.field
     if field.infinite_type != "inert":

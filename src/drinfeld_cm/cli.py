@@ -97,10 +97,10 @@ def _emit(cfg: RunConfig, payload: dict):
 
 def cmd_enumerate(cfg: RunConfig, args) -> int:
     """list the reduced CM points of one order"""
-    from .cmpoints import enumerate_points
+    from .brownval import OrderCM
 
     order = _build_order(cfg, args)
-    pts = enumerate_points(order)
+    pts = OrderCM.of(order).points
     if cfg.output == "json":
         rows = [
             {
@@ -130,9 +130,8 @@ def cmd_class_number(cfg: RunConfig, args) -> int:
     from .classno import class_number_by_orbit, l_route
 
     order = _build_order(cfg, args)
-    cm = OrderCM(order)
-    by_formula = cm.class_number_by_conductor()
-    by_orbit = class_number_by_orbit(order, data=cm)
+    by_formula = OrderCM.of(order).class_number_by_conductor()
+    by_orbit = class_number_by_orbit(order)
     routes = {"orbit": by_orbit, "conductor": by_formula}
     k = order.field
     if k.infinite_type == "inert" and k.flavor != "even_insep" and not k.is_constant_extension and order.is_maximal():
@@ -149,13 +148,12 @@ def cmd_class_number(cfg: RunConfig, args) -> int:
 def cmd_height(cfg: RunConfig, args) -> int:
     """Weil height of one order's singular moduli and its lower bounds"""
     from .bounds import lower_bounds_h
-    from .brownval import OrderCM, moduli_of, weil_height
+    from .brownval import moduli_of, weil_height
 
     order = _build_order(cfg, args)
-    cm = OrderCM(order)
-    lb = lower_bounds_h(order, data=cm)  # certifies the moduli against the conductor formula
-    mods = moduli_of(order, data=cm)
-    h = weil_height(order, data=cm)
+    lb = lower_bounds_h(order)  # certifies the moduli against the conductor formula
+    mods = moduli_of(order)
+    h = weil_height(order)
     payload = {
         "order": order.to_jsonable(),
         "m": len(mods),

@@ -287,11 +287,6 @@ def eval_j(pt: CMPoint, prec: int, *, cdesc: FieldDesc | None = None) -> JValue:
     raise PrecisionError(f"could not reach precision {prec} for j at point a={pt.a}")
 
 
-def eval_j_valuation(pt: CMPoint) -> Fraction:
-    """-v(j) resolved numerically with just enough digits; cross-checked against the formula."""
-    return -eval_j(pt, brown_prec(pt)).v
-
-
 # ---------------------------------------------------------------------------
 # appendix lemmas as runnable checks
 
@@ -468,15 +463,16 @@ def hilbert_poly(order: Order, extra_prec: int = GUARD) -> HilbertPoly:
 
     Each class's first point is evaluated at the working precision W before
     the moduli are certified, so the numeric cross-check starts from these
-    values and `plan` is that of the evaluations at W.
+    values and `plan` is that of the evaluations at W (made again at W when
+    the order's OrderCM holds the value only at a higher precision).
     """
-    cm = OrderCM(order)
+    cm = OrderCM.of(order)
     sum_pos = sum(max(Fraction(0), log_abs_j(cls[0])) for cls in cm.classes())
     W = int(math.ceil(sum_pos)) + extra_prec + 6
     plans: dict = {}
     for cls in cm.classes():
-        plans = {k: max(plans.get(k, 0), v) for k, v in cm.j_value(cls[0], W).plan.items()}
-    mods = moduli_of(order, data=cm, value_prec=W, expected=cm.class_number_by_conductor())
+        plans = {k: max(plans.get(k, 0), v) for k, v in cm.plan(cls[0], W).items()}
+    mods = moduli_of(order, value_prec=W, expected=cm.class_number_by_conductor())
     vals = [s.numeric for s in mods]
     qctx = vals[0].ctx if isinstance(vals[0], QuadSeries) else None
     # expand prod (X - j_i)
@@ -542,7 +538,7 @@ def hilbert_constant_degree(order: Order) -> Fraction:
     evaluator, so this equals the assembled polynomial's constant degree
     without building the full product.
     """
-    cm = OrderCM(order)
+    cm = OrderCM.of(order)
     for cls in cm.classes():
         cm.j_value(cls[0], brown_prec(cls[0]))  # eval_j checks the valuation
-    return sum(s.log_j for s in moduli_of(order, data=cm, expected=cm.class_number_by_conductor()))
+    return sum(s.log_j for s in moduli_of(order, expected=cm.class_number_by_conductor()))

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BadInputError, InvariantError
 from .ffield import FieldDesc
 
 NEG_INF = float("-inf")
 SPLIT_TRIALS = 64  # each trial splits a valid input with probability about 1/2
-
-_factor_cache = {}
+FACTOR_CACHE_SIZE = 4096  # factorizations kept, least recently used dropped first
 
 
 class Poly:
@@ -340,18 +340,15 @@ def _factor_squarefree(f: Poly, rng: random.Random):
     return out
 
 
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def factor(a: Poly):
     """Factor a nonzero polynomial.
 
     Returns (sgn_code, [(monic irreducible, exponent), ...]) sorted by
-    (degree, coefficient codes).
+    (degree, coefficient codes).  The last FACTOR_CACHE_SIZE results are kept.
     """
     if a.is_zero():
         raise BadInputError("factor(0)")
-    key = (a.field, a.coeffs)
-    hit = _factor_cache.get(key)
-    if hit is not None:
-        return hit
     sgn = a.sgn
     f = a.monic()
     rng = _rng_for(a)
@@ -383,9 +380,7 @@ def factor(a: Poly):
         check = check * p_**e
     if check != a:
         raise InvariantError("factorization does not reproduce the input")  # pragma: no cover
-    result = (sgn, tuple(items))
-    _factor_cache[key] = result
-    return result
+    return sgn, tuple(items)
 
 
 def is_irreducible(a: Poly) -> bool:

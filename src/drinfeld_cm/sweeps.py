@@ -4,12 +4,13 @@ One `order_report` bundles everything the verification suites need from an
 order: its points, the Brown check of every point's numeric j-valuation
 against the exact formula, the distinct moduli (exact conjugate classes,
 cross-checked by the j-values the Brown check already computed), the
-class-number routes and the height.  The report is built from one
-`brownval.OrderCM`, which is dropped afterwards; `_report_cache` keeps only
-the report, one per order, so the product search, the unit sweep and the
-lemma suites all reuse one pass.  A report built with the Brown check
-answers both kinds of request; one built without it is rebuilt, checked,
-when a checked report is asked for.
+class-number routes and the height.  The report is kept on the order's
+process-wide `brownval.OrderCM.of(order)`, so the product search, the unit
+sweep and the lemma suites all reuse one pass; it stays when the store drops
+the entry's j-values (at most `brownval.VALUE_CAP` entries hold them, least
+recently used dropped first).  A report built with the Brown check answers
+both kinds of request; one built without it is rebuilt, checked, from the
+values the entry still holds, when a checked report is asked for.
 """
 
 from __future__ import annotations
@@ -125,31 +126,26 @@ class OrderReport:
         return [m.log_j for m in self.moduli]
 
 
-_report_cache: dict = {}
-
-
 def order_report(order: Order, *, check_brown: bool = True) -> OrderReport:
-    """Points, moduli, class numbers and height of one order (cached).
+    """Points, moduli, class numbers and height of one order (held on its OrderCM).
 
     With check_brown=True every point's numeric j-valuation is verified
     against the exact formula (the build's central cross-validation); the
     values it computes then serve the numeric cross-check of the moduli.
-    A cached checked report also answers an unchecked request.
+    A held checked report also answers an unchecked request.
     """
-    key = (order.field.key(), order.f.coeffs)
-    hit = _report_cache.get(key)
-    if hit is not None and (hit.brown_checked or not check_brown):
-        return hit
     from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of
     from .classno import l_route
 
-    cm = OrderCM(order)
+    cm = OrderCM.of(order)
+    if cm.report is not None and (cm.report.brown_checked or not check_brown):
+        return cm.report
     if check_brown:
         for p in cm.points:
             if -cm.j_value(p, brown_prec(p)).v != log_abs_j(p):
                 raise InvariantError(f"Brown-vs-numeric mismatch at {order.label()} a={p.a} b={p.b}")
     h_formula = cm.class_number_by_conductor()
-    mods = moduli_of(order, data=cm, expected=h_formula)
+    mods = moduli_of(order, expected=h_formula)
     h_orbit = len(mods)
     h_l = None
     field = order.field
@@ -163,9 +159,8 @@ def order_report(order: Order, *, check_brown: bool = True) -> OrderReport:
         if h_l != h_orbit:
             raise InvariantError(f"L-route disagreement for {order.label()}")  # pragma: no cover
     height = Fraction(sum(max(Fraction(0), m.log_j) for m in mods)) / h_orbit
-    rep = OrderReport(order, cm.points, mods, h_orbit, h_formula, h_l, height, check_brown)
-    _report_cache[key] = rep
-    return rep
+    cm.report = OrderReport(order, cm.points, mods, h_orbit, h_formula, h_l, height, check_brown)
+    return cm.report
 
 
 @dataclass

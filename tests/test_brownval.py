@@ -13,7 +13,6 @@ from drinfeld_cm.brownval import (
     log_abs_j,
     moduli_of,
     pgl2_moves,
-    product_degree,
     ramified_nonunit_certificate,
     weil_height,
 )
@@ -79,8 +78,8 @@ def test_certificate():
 
 def test_product_degree():
     mods = moduli_of(hayes_order())
-    assert product_degree(mods[0], mods[1]) == 8  # the Hayes pair: q^2 - 1
-    assert product_degree(mods[0], mods[0]) == 18
+    assert mods[0].log_j + mods[1].log_j == 8  # log_q |j_1 j_2| of the Hayes pair: q^2 - 1
+    assert mods[0].log_j + mods[0].log_j == 18
 
 
 def test_insep_class_and_heights():
@@ -138,10 +137,10 @@ def numeric_partition(points, digits=24):
 
 @pytest.mark.parametrize("order", sample_orders(), ids=lambda o: f"q{o.field.q}-{o.label()}")
 def test_exact_partition_matches_numeric(order):
-    cm = OrderCM(order)
+    cm = OrderCM.of(order)
     exact = sorted(tuple(map(pkey, cls)) for cls in cm.classes())
     assert exact == numeric_partition(cm.points)
-    assert len(moduli_of(order, data=cm, expected=class_number_by_conductor(order))) == len(exact)
+    assert len(moduli_of(order, expected=class_number_by_conductor(order))) == len(exact)
     assert all(len(c) in (1, order.field.q + 1) for c in exact)
 
 
@@ -199,11 +198,11 @@ def test_wrongly_merged_class_is_caught_by_known_values(monkeypatch):
         return [cls for cls in classes if cls not in twins] + [twins[0] + twins[1]]
 
     monkeypatch.setattr(brownval, "conjugate_classes", merge)
-    cm = OrderCM(o)
+    cm = OrderCM.of(o)
     for p in cm.points:
         cm.j_value(p, brown_prec(p))
     with pytest.raises(InvariantError):
-        moduli_of(o, data=cm)
+        moduli_of(o)
 
 
 def test_brown_check_evaluates_each_point_once(monkeypatch):
@@ -217,7 +216,7 @@ def test_brown_check_evaluates_each_point_once(monkeypatch):
         return real(pt, prec, **kw)
 
     monkeypatch.setattr(modforms, "eval_j", counting)
-    monkeypatch.setattr(sweeps, "_report_cache", {})
+    monkeypatch.setattr(brownval, "_store", {})
     rep = sweeps.order_report(hayes_order(), check_brown=True)
     assert sorted(calls) == sorted(map(pkey, rep.points))
     assert set(calls.values()) == {1}
@@ -234,22 +233,31 @@ def test_report_cache_serves_unchecked_from_checked(monkeypatch):
         calls[pkey(pt)] += 1
         return real(pt, prec, **kw)
 
+    asked = []
+    real_j_value = OrderCM.j_value
+
+    def recording(cm, pt, prec, cdesc=None):
+        asked.append((pkey(pt), prec))
+        return real_j_value(cm, pt, prec, cdesc)
+
     def moduli(rep):
         return [(m.log_j, [pkey(p) for p in m.points]) for m in rep.moduli]
 
     monkeypatch.setattr(modforms, "eval_j", counting)
-    monkeypatch.setattr(sweeps, "_report_cache", {})
     order = order_from_discriminant(F3, P(F3, "T^3"))  # equal-valuation classes: an unchecked build evaluates j
     fresh = sweeps.order_report(order, check_brown=False)
     assert calls and not fresh.brown_checked
-    calls.clear()
-    # a checked request after an unchecked one still checks every point
+    # a checked request after an unchecked one asks for every point at the
+    # Brown precision; the store evaluates only the points not yet held
+    monkeypatch.setattr(OrderCM, "j_value", recording)
     checked = sweeps.order_report(order, check_brown=True)
     assert checked.brown_checked
+    assert sorted(asked) == sorted((pkey(p), brown_prec(p)) for p in checked.points)
     assert sorted(calls) == sorted(map(pkey, checked.points))
+    assert set(calls.values()) == {1}  # across both requests every point is evaluated exactly once
     assert moduli(checked) == moduli(fresh)
     calls.clear()
-    monkeypatch.setattr(sweeps, "_report_cache", {})
+    monkeypatch.setattr(brownval, "_store", {})
     checked = sweeps.order_report(order, check_brown=True)
     calls.clear()
     assert sweeps.order_report(order, check_brown=False) is checked

@@ -6,12 +6,11 @@ from drinfeld_cm.errors import BadInputError
 from drinfeld_cm.ffield import field, quadratic_extension, embedding_table
 from drinfeld_cm.laurent import LaurentSeries
 from drinfeld_cm import polyring as pr
-from drinfeld_cm.brownval import log_abs_j, moduli_of
+from drinfeld_cm.brownval import brown_prec, log_abs_j, moduli_of
 from drinfeld_cm.cmpoints import enumerate_points
 from drinfeld_cm.modforms import (
     EvalContext,
     eval_j,
-    eval_j_valuation,
     hilbert_poly,
     unit_check,
     verify_lemma_A1,
@@ -38,7 +37,7 @@ def all_points(order):
 
 def test_eval_j_matches_formula_hayes():
     for pt in all_points(hayes_order()):
-        assert eval_j_valuation(pt) == log_abs_j(pt)
+        assert -eval_j(pt, brown_prec(pt)).v == log_abs_j(pt)
 
 
 def test_eval_j_matches_formula_other_flavors():
@@ -51,7 +50,7 @@ def test_eval_j_matches_formula_other_flavors():
     ]
     for o in orders:
         for pt in all_points(o):
-            assert eval_j_valuation(pt) == log_abs_j(pt)
+            assert -eval_j(pt, brown_prec(pt)).v == log_abs_j(pt)
 
 
 def test_lemma_A1_identity():

@@ -1,0 +1,153 @@
+"""The process-wide store of order objects (`brownval.OrderCM.of`)."""
+
+import contextlib
+import io
+import math
+from fractions import Fraction
+
+from drinfeld_cm import brownval, cli, modforms
+from drinfeld_cm import polyring as pr
+from drinfeld_cm.bounds import upper_bound_h
+from drinfeld_cm.brownval import OrderCM, log_abs_j, moduli_of, weil_height
+from drinfeld_cm.errors import InvariantError
+from drinfeld_cm.ffield import field
+from drinfeld_cm.modforms import GUARD, hilbert_constant_degree, hilbert_poly
+from drinfeld_cm.quadfield import order_from_discriminant
+
+from test_cli import separate_run
+
+F3 = field(3)
+
+
+def odd_order(D):
+    return order_from_discriminant(F3, pr.parse_poly(F3, D))
+
+
+def count_eval_j(monkeypatch) -> list:
+    calls = []
+    real = modforms.eval_j
+
+    def counting(pt, prec, **kwargs):
+        calls.append((pt, prec))
+        return real(pt, prec, **kwargs)
+
+    monkeypatch.setattr(modforms, "eval_j", counting)
+    return calls
+
+
+def count_builds(monkeypatch) -> list:
+    builds = []
+    real = OrderCM.__init__
+
+    def counting(self, order):
+        builds.append(order)
+        real(self, order)
+
+    monkeypatch.setattr(OrderCM, "__init__", counting)
+    return builds
+
+
+def run(argv) -> tuple:
+    """(exit code, stdout) of one in-process request."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def moduli_keys(order):
+    return [(m.log_j, [(p.a, p.b) for p in m.points]) for m in moduli_of(order)]
+
+
+def test_least_recently_used_entry_loses_its_values(monkeypatch):
+    monkeypatch.setattr(brownval, "VALUE_CAP", 2)
+    a, b, c = (odd_order(D) for D in ("2*T^2+T", "2*T^2+2", "2*T^2+1"))  # inert, h = 2 each
+    first = {o: (hilbert_poly(o).to_jsonable(), moduli_keys(o)) for o in (a, b)}
+    hilbert_poly(a)  # reads a's held values: a is now the most recently used
+    first[c] = (hilbert_poly(c).to_jsonable(), moduli_keys(c))
+    cm_a, cm_b, cm_c = map(OrderCM.of, (a, b, c))
+    assert cm_a.values and not cm_b.values and cm_c.values
+    assert not cm_b.plans and cm_b.moduli is not None  # only the values go
+    calls = count_eval_j(monkeypatch)
+    again = (hilbert_poly(b).to_jsonable(), moduli_keys(b))
+    assert again == first[b]
+    assert len(calls) == 2  # b's two classes, evaluated afresh
+    assert not cm_a.values and cm_b.values and cm_c.values
+    assert OrderCM.of(b) is cm_b
+    for o in (a, c):
+        assert (hilbert_poly(o).to_jsonable(), moduli_keys(o)) == first[o]
+
+
+def test_failed_certification_caches_no_success(monkeypatch):
+    argv = ["hilbert", "--q", "3", "--flavor", "odd", "--D", "T^3"]
+    real = brownval._cross_check
+    raised = []
+
+    def fail_once(cm, mods):
+        if not raised:
+            raised.append(cm.order)
+            raise InvariantError("injected")
+        real(cm, mods)
+
+    monkeypatch.setattr(brownval, "_cross_check", fail_once)
+    assert run(argv) == (1, "")
+    assert OrderCM.of(raised[0]).moduli is None  # nothing certified was stored
+    monkeypatch.setattr(brownval, "_cross_check", real)
+    assert run(argv) == separate_run(argv)
+
+
+def test_order_that_fails_fails_on_every_repeat(monkeypatch):
+    real = brownval.conjugate_classes
+
+    def merge(points):  # joins the two classes of valuation 6 of D = T^3
+        classes = real(points)
+        twins = [cls for cls in classes if log_abs_j(cls[0]) == 6]
+        if len(twins) != 2:
+            return classes  # the maximal order, D = T
+        return [cls for cls in classes if cls not in twins] + [twins[0] + twins[1]]
+
+    monkeypatch.setattr(brownval, "conjugate_classes", merge)
+    requests = [[cmd, "--q", "3", "--flavor", "odd", "--D", "T^3"] for cmd in ("hilbert", "height", "class-number")]
+    first = [run(argv) for argv in requests]
+    assert [code for code, _ in first] == [1, 1, 1]
+    assert [run(argv) for argv in requests] == first  # the count check runs on every request
+
+
+def test_hilbert_plan_ignores_a_held_higher_precision(monkeypatch):
+    argv = ["hilbert", "--q", "3", "--flavor", "odd", "--D", "T"]
+    order = odd_order("T")
+    cm = OrderCM.of(order)
+    classes = cm.classes()
+    W = int(math.ceil(sum(max(Fraction(0), log_abs_j(cls[0])) for cls in classes))) + GUARD + 6
+    held = cm.j_value(classes[0][0], W + 20)
+    code, out = run(argv)
+    assert (code, out) == separate_run(argv)
+    assert '"truncation": {"e_c_terms": 3, "max_deg_a": 1}' in out
+    assert held.plan != {"e_c_terms": 3, "max_deg_a": 1}  # the held evaluation's plan differs
+
+
+def test_repeated_requests_reuse_the_store(monkeypatch):
+    requests = [
+        ["hilbert", "--q", "3", "--flavor", "odd", "--D", "T^3"],
+        ["height", "--q", "3", "--flavor", "odd", "--D", "T^3"],
+        ["class-number", "--q", "3", "--flavor", "odd", "--D", "T^3"],
+        ["hilbert", "--q", "4", "--flavor", "even_insep", "--f", "T"],
+        ["height", "--q", "5", "--flavor", "odd", "--D", "2*T^2+2"],
+    ]
+    first = [run(argv) for argv in requests]
+    assert all(code == 0 for code, _ in first)
+    calls = count_eval_j(monkeypatch)
+    builds = count_builds(monkeypatch)
+    assert [run(argv) for argv in requests] == first
+    assert calls == [] and builds == []
+
+
+def test_unit_search_row_builds_one_object(monkeypatch):
+    order = odd_order("2*T^4+T+1")  # inert, |D| = 81: the constant-degree route
+    deg = hilbert_constant_degree(order)
+    builds = count_builds(monkeypatch)
+    calls = count_eval_j(monkeypatch)
+    h = weil_height(order)
+    ub = upper_bound_h(order, Fraction(1, 3))
+    assert builds == [] and calls == []
+    assert deg > 0 and h > 0 and ub["conditional"]
