@@ -343,13 +343,17 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
     pairs (genuinely biquadratic ramified-ramified products) are reported,
     never dropped silently, after their valuation already excludes a hit.
     """
-    from .sweeps import sweep_moduli
+    from .sweeps import iter_orders, modulus_records, order_report
     from .brownval import OrderCM
     from .quadfield import QuadSeries
     from .ffield import quadratic_extension
 
     q = base.q
-    records = sweep_moduli(base, d_bound)
+    # the exact classes give every record, hence every precision, before any
+    # j is evaluated; the moduli are certified (order_report) only after the
+    # values are held, so the numeric cross-check reads them
+    orders = list(iter_orders(base, d_bound))
+    records = [rec for order in orders for rec in modulus_records(order, OrderCM.of(order).exact_moduli())]
     hits = []
     skipped = []
     pairs_checked = 0
@@ -382,22 +386,30 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
                         prec2 = int(HIT_GUARD + max(0, lg1)) + 2
                         yield r1, r2, total, biquadratic, prec1, prec2
 
-    # each record's value is read once, order by order, through its OrderCM at
-    # the highest precision its pairs need (a ramified one over F_{q^2}, where
-    # the inert values live); every known digit is exact, so a truncation
-    # equals a fresh evaluation.  The search keeps what it read: its pairs
-    # cycle through more orders than the store may hold values for.
+    # each record's value is read once, through its OrderCM at the highest
+    # precision its pairs need (a ramified one over F_{q^2}, where the inert
+    # values live: the F_q value with its coefficients embedded); every known
+    # digit is exact, so a truncation equals a fresh evaluation.  The search
+    # keeps what it read: its pairs cycle through more orders than the store
+    # may hold values for.
     need: dict = {}
     for r1, r2, _, biquadratic, prec1, prec2 in candidates():
         if not biquadratic:
             need[r1.key] = max(need.get(r1.key, 0), prec1)
             need[r2.key] = max(need.get(r2.key, 0), prec2)
     desc2 = quadratic_extension(base)
-    values = {}
+    asks: dict = {}  # (order label, precision) -> records
     for rec in records:
         if rec.key in need:
-            cdesc = None if rec.order.field.infinite_type == "inert" else desc2
-            values[rec.key] = OrderCM.of(rec.order).j_value(rec.modulus.points[0], need[rec.key], cdesc).value
+            asks.setdefault((rec.key[1], need[rec.key]), []).append(rec)
+    values = {}
+    for (_, prec), recs in asks.items():
+        order = recs[0].order
+        cdesc = None if order.field.infinite_type == "inert" else desc2
+        for rec, jv in zip(recs, OrderCM.of(order).j_values([r.modulus.points[0] for r in recs], prec, cdesc)):
+            values[rec.key] = jv.value
+    for order in orders:
+        order_report(order, check_brown=False)
 
     for r1, r2, total, biquadratic, prec1, prec2 in candidates():
         if biquadratic:

@@ -18,7 +18,10 @@ j-values from the t-expansion evaluator only cross-check the partition.
 process, so a repeated request reuses its points, j-values, classes,
 certified moduli, class number and `sweeps.OrderReport`.  Only the j-values
 are bounded: at most VALUE_CAP entries hold them, and the least recently used
-entry loses its values when another one gains some; the rest stays.
+entry loses its values when another one gains some; the rest stays.  Callers
+ask `OrderCM.j_values` for all the points a step needs at once, and the
+points not yet held are evaluated as stacks (`modforms.eval_j_stack`), one
+per group of equal n, eps, |j| and precision.
 """
 
 from __future__ import annotations
@@ -220,16 +223,23 @@ class OrderCM:
             _store[key] = cls(order)
         return _store[key]
 
-    def _evaluate(self, pt: CMPoint, prec: int, cdesc: FieldDesc | None) -> None:
-        """Evaluate j at pt; keep the value unless a more precise one is held."""
-        from .modforms import eval_j
+    def _evaluate(self, points: list, need, cdesc: FieldDesc | None) -> None:
+        """Evaluate j at the points, one stack per group of equal (n, eps,
+        |j|, precision need(pt)); keep each value unless a more precise one
+        is held."""
+        from .modforms import eval_j_stack
 
-        jv = eval_j(pt, prec, cdesc=cdesc)
-        key = (pt.a, pt.b, cdesc)
-        if key not in self.values or self.values[key][0] < prec:
-            self.values[key] = (prec, jv)
-        if cdesc is None:
-            self.plans[(pt.a, pt.b, prec)] = jv.plan
+        groups: dict = {}
+        for pt in points:
+            groups.setdefault((pt.n, pt.eps, log_abs_j(pt), need(pt)), []).append(pt)
+        for (*_, prec), group in groups.items():
+            for jv in eval_j_stack(group, prec, cdesc=cdesc):
+                pt = jv.point
+                key = (pt.a, pt.b, cdesc)
+                if key not in self.values or self.values[key][0] < prec:
+                    self.values[key] = (prec, jv)
+                if cdesc is None:
+                    self.plans[(pt.a, pt.b, prec)] = jv.plan
         _holding[self.key] = self
         _holding.move_to_end(self.key)
         while len(_holding) > VALUE_CAP:
@@ -237,20 +247,51 @@ class OrderCM:
             old.values.clear()
             old.plans.clear()
 
-    def j_value(self, pt: CMPoint, prec: int, cdesc: FieldDesc | None = None):
-        """The JValue of pt to absolute precision at least prec, over `cdesc`
-        (default: eval_j's coefficient field for the flavor)."""
-        known = self.values.get((pt.a, pt.b, cdesc))
-        if known is None or known[0] < prec:
-            self._evaluate(pt, prec, cdesc)
-        return self.values[(pt.a, pt.b, cdesc)][1]
+    def j_values(self, points: list, prec, cdesc: FieldDesc | None = None) -> list:
+        """The JValues of the points to absolute precision at least `prec` (a
+        number, or a function of the point such as `brown_prec`), over
+        `cdesc` (default: eval_j's coefficient field for the flavor).
 
-    def plan(self, pt: CMPoint, prec: int) -> dict:
-        """The truncation plan of an evaluation of pt at exactly `prec` (a value
-        held at a higher precision was made with another plan)."""
-        if (pt.a, pt.b, prec) not in self.plans:
-            self._evaluate(pt, prec, None)
-        return self.plans[(pt.a, pt.b, prec)]
+        The points not yet held to that precision are evaluated in one call:
+        one stacked evaluation per group of equal (n, eps, |j|, precision),
+        whose rows share every truncation target.  A ramified point is only
+        ever evaluated over F_q: its value over an extension is the held F_q
+        value with its coefficients embedded, which is exact.
+        """
+        lift = cdesc is not None and self.order.field.infinite_type == "ramified"
+        src = None if lift else cdesc
+        need = prec if callable(prec) else (lambda pt: prec)
+        missing = {}
+        for pt in points:
+            known = self.values.get((pt.a, pt.b, src))
+            if known is None or known[0] < need(pt):
+                missing[(pt.a, pt.b)] = pt
+        if missing:
+            self._evaluate(list(missing.values()), need, src)
+        out = [self.values[(pt.a, pt.b, src)][1] for pt in points]
+        if lift:
+            out = [replace(jv, value=jv.value.lift(cdesc)) for jv in out]
+        return out
+
+    def plans_at(self, points: list, prec: int) -> list:
+        """The truncation plan of an evaluation of each point at exactly
+        `prec` (a value held at a higher precision was made with another
+        plan); the points without one are evaluated in one call."""
+        missing = {(pt.a, pt.b): pt for pt in points if (pt.a, pt.b, prec) not in self.plans}
+        if missing:
+            self._evaluate(list(missing.values()), lambda pt: prec, None)
+        return [self.plans[(pt.a, pt.b, prec)] for pt in points]
+
+    def exact_moduli(self) -> list:
+        """One SingularModulus per exact class, sorted; `moduli_of` certifies them."""
+        mods = []
+        for cls in self.classes():
+            logs = {log_abs_j(p) for p in cls}
+            if len(logs) != 1:
+                raise InvariantError(f"conjugate points of {self.order.label()} have different valuations")
+            mods.append(SingularModulus(self.order, logs.pop(), cls))
+        mods.sort(key=SingularModulus.sort_key)
+        return mods
 
     def classes(self) -> list:
         if self._classes is None:
@@ -288,7 +329,8 @@ def _cross_check(cm: OrderCM, mods: list) -> None:
             if digits > MAX_SEPARATION_DIGITS:
                 raise PrecisionError("could not separate conjugate moduli at the precision cap")
             prec = int(math.ceil(-lg)) + digits
-            vals = {i: cm.j_value(mods[i].points[0], prec).value for pair in pairs for i in pair}
+            idx = sorted({i for pair in pairs for i in pair})
+            vals = {i: jv.value for i, jv in zip(idx, cm.j_values([mods[i].points[0] for i in idx], prec))}
             pairs = [(i, j) for i, j in pairs if (vals[i] - vals[j]).is_zero_known()]
             digits *= 2
 
@@ -303,15 +345,7 @@ def moduli_of(order: Order, *, value_prec: int | None = None, expected: int | No
     its first point to that precision.
     """
     cm = OrderCM.of(order)
-    mods = cm.moduli
-    if mods is None:
-        mods = []
-        for cls in cm.classes():
-            logs = {log_abs_j(p) for p in cls}
-            if len(logs) != 1:
-                raise InvariantError(f"conjugate points of {order.label()} have different valuations")
-            mods.append(SingularModulus(order, logs.pop(), cls))
-        mods.sort(key=SingularModulus.sort_key)
+    mods = cm.moduli if cm.moduli is not None else cm.exact_moduli()
     if expected is not None and len(mods) != expected:
         raise InvariantError(
             f"distinct-moduli count {len(mods)} disagrees with the independent class number {expected}"
@@ -320,7 +354,8 @@ def moduli_of(order: Order, *, value_prec: int | None = None, expected: int | No
         _cross_check(cm, mods)
         cm.moduli = mods
     if value_prec is not None:
-        mods = [replace(m, numeric=cm.j_value(m.points[0], value_prec).value.truncate(value_prec)) for m in mods]
+        vals = cm.j_values([m.points[0] for m in mods], value_prec)
+        mods = [replace(m, numeric=jv.value.truncate(value_prec)) for m, jv in zip(mods, vals)]
     return mods
 
 

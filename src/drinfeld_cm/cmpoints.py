@@ -255,7 +255,7 @@ def majb_check(pt: CMPoint, eps: Fraction) -> dict:
         out["fG_close"] = v1 is None or -v1 < eps_a_log
         xi = (flat * a_s - b_s) * fg_s.truncate(p + fG.deg + 2).inverse()
         beta = xi - LaurentSeries.constant(desc2, pt.e_code, None)
-        if not beta.is_zero_known() and series_component(beta, 1).comps.shape[1]:
+        if not beta.is_zero_known() and series_component(beta, 1).comps.shape[2]:
             raise InvariantError("xi - e is not in k_infinity")
         w2 = b_s + beta * fg_s
         v2 = w2.valuation()

@@ -1,21 +1,30 @@
-"""Precision-tracked truncated Laurent series in 1/T over F_{q^m}.
+"""Precision-tracked truncated Laurent series in 1/T over F_{q^m}, in stacks.
 
 A series is sum_{e >= n0} c_e T^(-e) with coefficients in a FieldDesc field;
 the integer `prec` means the coefficients at exponents e >= prec are unknown
 (`prec = None`: the series is exact, e.g. the image of a polynomial).  With
 the valuation normalised by v(T) = -1, v(series) = n0 and |x| = q^(-n0).
 
+A `LaurentSeries` is a stack of R >= 1 such series (rows) that share n0 and
+`prec`; a single series is a one-row stack.  n0 is the least exponent with a
+nonzero digit in some row, so a row may start with zeros, and `valuation()`
+is the least valuation over the rows (`row_valuations()` gives each one).
+Arithmetic acts row by row, and a one-row operand is shared by every row of
+the other, so the rows of a stack pay the Python and NumPy overhead of one
+series.  The shared `prec` is the least precision the rule for each
+operation certifies over the rows.
+
 Coefficients are stored as an int64 numpy array of F_p coordinates, shape
-(s, L) with s = [F_{q^m} : F_p], in the power basis of the field modulus.
+(R, s, L) with s = [F_{q^m} : F_p], in the power basis of the field modulus.
 A product packs the s coordinates of each column into one int64 as base-2^b
-digits (Kronecker substitution), makes one numpy convolution, unpacks the
-2s - 1 digits and reduces them mod the modulus with one (s x 2s-1) matrix.
-The digit width b holds the largest digit sum, min(La, Lb) * s * (p-1)^2,
-and the 2s - 1 digits of a product must fit in 62 bits; when they do not
-(F_16 operands of 64 or more columns, say), only one operand is packed and
-it is convolved with each coordinate of the other.  Every operation
-propagates `prec` exactly: a digit is either exactly known or beyond
-`prec`, there is no rounding noise anywhere.
+digits (Kronecker substitution), multiplies the packed rows as one stack of
+Toeplitz products, unpacks the 2s - 1 digits and reduces them mod the
+modulus with one (s x 2s-1) matrix.  The digit width b holds the largest
+digit sum, min(La, Lb) * s * (p-1)^2, and the 2s - 1 digits of a product
+must fit in 62 bits; when they do not (F_16 operands of 64 or more columns,
+say), only one operand is packed and it is multiplied by each coordinate of
+the other.  Every operation propagates `prec` exactly: a digit is either
+exactly known or beyond `prec`, there is no rounding noise anywhere.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from .polyring import Poly
 
 _np_cache: dict = {}
 
-# packed words stay below 2^62, so no int64 sum in a convolution can overflow
+# packed words stay below 2^62, so no int64 sum in a product can overflow
 _WORD_BITS = 62
 
 
@@ -42,7 +51,8 @@ def _tensors(desc: FieldDesc):
         # column k: coordinates of x^k mod desc.modulus (x has code p), k = 0..2s-2
         reduce = np.array([desc.coords(desc.pow(desc.p, k)) for k in range(2 * s - 1)], dtype=np.int64).T
         frob = np.array(desc.frob_q_matrix(), dtype=np.int64).T  # rows = output coords
-        t = {"reduce": reduce, "frob": frob, "scalar": {}}
+        codes = desc.p ** np.arange(s, dtype=np.int64)  # coordinates -> code
+        t = {"reduce": reduce, "frob": frob, "codes": codes, "scalar": {}}
         _np_cache[desc] = t
     return t
 
@@ -56,13 +66,19 @@ def _scalar_matrix(desc: FieldDesc, code: int):
     return m
 
 
+@lru_cache(maxsize=None)
+def _lift_table(src: FieldDesc, dst: FieldDesc) -> np.ndarray:
+    """Row c: the coordinates in dst of the image of the src code c."""
+    return np.array([dst.coords(c) for c in embedding_table(src, dst)], dtype=np.int64)
+
+
 def _packing(p: int, s: int, length: int):
     """(g, h, b): pack g coordinates of A and h of B per int64 word, b bits a digit.
 
     A digit of a packed product sums at most length * min(g, h) products of
     two coordinates, each at most (p-1)^2, so b bits hold it exactly; a
     product of two words has g + h - 1 digits and must fit in _WORD_BITS.
-    Both operands whole (one convolution) fit unless s and the operand
+    Both operands whole (one stacked product) fit unless s and the operand
     length are both large, as for F_16 operands of 64 or more columns; then
     only A is packed, in as few words as fit, against each coordinate of B.
     """
@@ -84,38 +100,72 @@ def _digits(b: int, n: int):
     return weights, shifts
 
 
+def _convolve_rows(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """c[r, k] = sum_i a[r, i] b[r, k - i] for k < n, for every row r at once.
+
+    A one-row operand is shared by every row of the other.  The shorter
+    operand slides over the zero-padded longer one as a strided (rows, n, m)
+    view of Toeplitz windows, so one matmul makes every product and nothing
+    of size rows * n * m is ever allocated.
+    """
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
+    m = a.shape[1]
+    pad = np.zeros((b.shape[0], n + m - 1), dtype=np.int64)
+    w = min(b.shape[1], n)
+    pad[:, m - 1 : m - 1 + w] = b[:, :w]
+    rs, cs = pad.strides
+    windows = np.ndarray((pad.shape[0], n, m), np.int64, pad, 0, (rs, cs, cs))
+    return (windows @ a[:, ::-1, None])[:, :, 0]
+
+
 def _raw_mul(desc: FieldDesc, A: np.ndarray, B: np.ndarray, ncols: int | None = None) -> np.ndarray:
-    """Convolution product of coordinate arrays, optionally truncated to ncols.
+    """Row-wise product of stacked coordinate arrays (rows, s, L), optionally
+    truncated to ncols; a one-row operand is shared by every row of the other.
 
     Kronecker substitution: the coordinates of a column are the base-2^b
-    digits of one int64, so one np.convolve yields, for each output column,
-    the coefficients of the product of two polynomials of degree < s in the
-    field generator x; they are reduced mod desc.modulus by one matrix.
+    digits of one int64, so one stacked convolution yields, for each output
+    column, the coefficients of the product of two polynomials of degree < s
+    in the field generator x; they are reduced mod desc.modulus by one matrix.
+    This is the one product kernel of the series layer.
     """
     s, p = desc.s, desc.p
-    La, Lb = A.shape[1], B.shape[1]
+    La, Lb = A.shape[2], B.shape[2]
+    rows = max(A.shape[0], B.shape[0])
     if La == 0 or Lb == 0:
-        return np.zeros((s, 0), dtype=np.int64)
+        return np.zeros((rows, s, 0), dtype=np.int64)
     Lout = La + Lb - 1
     if ncols is not None and ncols < Lout:
         Lout = ncols
-        A = A[:, :Lout]
-        B = B[:, :Lout]
-        La, Lb = A.shape[1], B.shape[1]
+        A = A[:, :, :Lout]
+        B = B[:, :, :Lout]
+        La, Lb = A.shape[2], B.shape[2]
     if s == 1:
-        return (np.convolve(A[0], B[0])[:Lout] % p)[None, :]
+        return (_convolve_rows(A[:, 0], B[:, 0], Lout) % p)[:, None, :]
     g, h, b = _packing(p, s, min(La, Lb))
     mask = (1 << b) - 1
-    digits = np.zeros((2 * s - 1, Lout), dtype=np.int64)
+    digits = np.zeros((rows, 2 * s - 1, Lout), dtype=np.int64)
     for i in range(0, s, g):
-        rows_a = A[i : i + g]
-        pa = _digits(b, rows_a.shape[0])[0] @ rows_a
+        rows_a = A[:, i : i + g]
+        pa = _digits(b, rows_a.shape[1])[0] @ rows_a
         for j in range(0, s, h):
-            rows_b = B[j : j + h]
-            nd = rows_a.shape[0] + rows_b.shape[0] - 1
-            conv = np.convolve(pa, _digits(b, rows_b.shape[0])[0] @ rows_b)[:Lout]
-            digits[i + j : i + j + nd] += (conv >> _digits(b, nd)[1]) & mask
-    return (_tensors(desc)["reduce"] @ digits) % p
+            rows_b = B[:, j : j + h]
+            nd = rows_a.shape[1] + rows_b.shape[1] - 1
+            conv = _convolve_rows(pa, _digits(b, rows_b.shape[1])[0] @ rows_b, Lout)
+            unpacked = conv[:, None, :] >> _digits(b, nd)[1]
+            unpacked &= mask
+            digits[:, i + j : i + j + nd] += unpacked
+    out = _tensors(desc)["reduce"] @ digits
+    out %= p
+    return out
+
+
+def _strip(comps: np.ndarray, n0: int):
+    """Drop the zero columns at both ends of a stack: (comps, n0 of the first kept)."""
+    nz = np.flatnonzero(comps.any(axis=(0, 1)))
+    if nz.size == 0:
+        return comps[:, :, :0], 0
+    return comps[:, :, nz[0] : nz[-1] + 1], n0 + int(nz[0])
 
 
 def _min_prec(*ps):
@@ -124,36 +174,34 @@ def _min_prec(*ps):
 
 
 class LaurentSeries:
-    """Immutable truncated Laurent series with exact precision tracking."""
+    """Immutable stack of truncated Laurent series with exact precision tracking."""
 
     __slots__ = ("field", "n0", "comps", "prec")
 
     def __init__(self, fld: FieldDesc, n0: int, comps, prec, *, reduced: bool = False):
-        """`reduced=True` is for an int64 array already reduced mod p, with no
-        column at an exponent >= prec and a nonzero first column (or none):
-        only trailing zeros are stripped.  Otherwise the array is checked,
-        reduced, cut at prec and stripped at both ends."""
+        """`comps` has shape (rows, s, L); an (s, L) array is one row.
+
+        `reduced=True` is for an int64 (rows, s, L) array already reduced
+        mod p, with no column at an exponent >= prec: only zero columns at
+        either end are stripped.  Otherwise the array is checked, reduced,
+        cut at prec and stripped at both ends."""
         if reduced:
-            if not comps.shape[1]:
+            if not comps.shape[2]:
                 n0 = 0
-            elif not comps[:, -1].any():
-                comps = comps[:, : np.flatnonzero(comps.any(axis=0))[-1] + 1]
+            elif not (comps[:, :, 0].any() and comps[:, :, -1].any()):
+                comps, n0 = _strip(comps, n0)
         else:
             comps = np.asarray(comps, dtype=np.int64)
-            if comps.ndim != 2 or comps.shape[0] != fld.s:
-                raise BadInputError("component array must have shape (s, L)")
+            if comps.ndim == 2:
+                comps = comps[None]
+            if comps.ndim != 3 or comps.shape[1] != fld.s or not comps.shape[0]:
+                raise BadInputError("component array must have shape (rows, s, L)")
             comps = comps % fld.p
             # drop columns at exponents >= prec
-            if prec is not None and comps.shape[1] > prec - n0:
-                comps = comps[:, : max(0, prec - n0)]
+            if prec is not None and comps.shape[2] > prec - n0:
+                comps = comps[:, :, : max(0, prec - n0)]
             # strip leading zeros (raising n0) and trailing zeros (known zeros stay implicit)
-            nz = np.flatnonzero(comps.any(axis=0))
-            if nz.size == 0:
-                comps = comps[:, :0]
-                n0 = 0
-            else:
-                comps = comps[:, nz[0] : nz[-1] + 1]
-                n0 = n0 + int(nz[0])
+            comps, n0 = _strip(comps, n0)
         comps.setflags(write=False)
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "n0", n0)
@@ -167,7 +215,7 @@ class LaurentSeries:
 
     @staticmethod
     def zero(fld: FieldDesc, prec=None) -> "LaurentSeries":
-        return LaurentSeries(fld, 0, np.zeros((fld.s, 0), dtype=np.int64), prec)
+        return LaurentSeries(fld, 0, np.zeros((1, fld.s, 0), dtype=np.int64), prec)
 
     @staticmethod
     def one(fld: FieldDesc, prec=None) -> "LaurentSeries":
@@ -175,14 +223,14 @@ class LaurentSeries:
 
     @staticmethod
     def constant(fld: FieldDesc, code: int, prec=None) -> "LaurentSeries":
-        comps = np.array(fld.coords(code), dtype=np.int64).reshape(fld.s, 1)
+        comps = np.array(fld.coords(code), dtype=np.int64).reshape(1, fld.s, 1)
         return LaurentSeries(fld, 0, comps, prec)
 
     @staticmethod
     def from_codes(fld: FieldDesc, n0: int, codes, prec=None) -> "LaurentSeries":
-        comps = np.zeros((fld.s, len(codes)), dtype=np.int64)
+        comps = np.zeros((1, fld.s, len(codes)), dtype=np.int64)
         for j, c in enumerate(codes):
-            comps[:, j] = fld.coords(c)
+            comps[0, :, j] = fld.coords(c)
         return LaurentSeries(fld, n0, comps, prec)
 
     @staticmethod
@@ -205,42 +253,100 @@ class LaurentSeries:
         """T^k (any integer k), i.e. the exponent -k in 1/T."""
         return LaurentSeries.from_codes(fld, -k, [1], prec)
 
-    # -- inspection ------------------------------------------------------------
+    @staticmethod
+    def stack(items) -> "LaurentSeries":
+        """The rows of every item, in order, as one stack at their least precision."""
+        fld = items[0].field
+        prec = _min_prec(*(x.prec for x in items))
+        full = [x for x in items if x.comps.shape[2]]
+        lo = min((x.n0 for x in full), default=0)
+        width = max((x.n0 + x.comps.shape[2] for x in full), default=lo) - lo
+        comps = np.zeros((sum(x.comps.shape[0] for x in items), fld.s, width), dtype=np.int64)
+        r = 0
+        for x in items:
+            k, L = x.comps.shape[0], x.comps.shape[2]
+            if L:
+                comps[r : r + k, :, x.n0 - lo : x.n0 - lo + L] = x.comps
+            r += k
+        return LaurentSeries(fld, lo, comps, prec)
+
+    # -- rows ------------------------------------------------------------------
+
+    @property
+    def rows(self) -> int:
+        return self.comps.shape[0]
+
+    def take(self, index) -> "LaurentSeries":
+        """The stack of rows `index`; a one-row series stands for every row."""
+        if self.comps.shape[0] == 1:
+            return self
+        return LaurentSeries(self.field, self.n0, self.comps[np.asarray(index)], self.prec, reduced=True)
+
+    def fold(self, k: int) -> "LaurentSeries":
+        """Sum each run of k consecutive rows: a stack of rows/k rows (a
+        one-row series stands for every row, so each sum is k times it)."""
+        if self.comps.shape[0] == 1:
+            return self.scale(k % self.field.p)
+        c = self.comps
+        summed = c.reshape(c.shape[0] // k, k, c.shape[1], c.shape[2]).sum(axis=1) % self.field.p
+        return LaurentSeries(self.field, self.n0, summed, self.prec, reduced=True)
+
+    def row_valuations(self) -> list:
+        """The valuation of each row, None for a row indistinguishable from 0."""
+        if not self.comps.shape[2]:
+            return [None] * self.comps.shape[0]
+        nonzero = self.comps.any(axis=1)
+        first = nonzero.argmax(axis=1).tolist()
+        return [self.n0 + f if any_ else None for f, any_ in zip(first, nonzero.any(axis=1).tolist())]
+
+    def lift(self, fld: FieldDesc) -> "LaurentSeries":
+        """The same series with coefficients embedded in the extension `fld`."""
+        codes = _tensors(self.field)["codes"] @ self.comps
+        comps = np.moveaxis(_lift_table(self.field, fld)[codes], 2, 1)
+        return LaurentSeries(fld, self.n0, np.ascontiguousarray(comps), self.prec, reduced=True)
+
+    # -- inspection --------------------------------------------------------------
 
     def is_zero_known(self) -> bool:
-        """No nonzero digit among the known ones."""
-        return self.comps.shape[1] == 0
+        """No nonzero digit among the known ones (in any row)."""
+        return self.comps.shape[2] == 0
 
     def valuation(self):
-        """v_infinity, or None when indistinguishable from 0 at this precision."""
-        return self.n0 if self.comps.shape[1] else None
+        """v_infinity (the least over the rows), or None when indistinguishable from 0."""
+        return self.n0 if self.comps.shape[2] else None
 
     def val_bound(self):
         """Exact valuation, or (for a 0-looking series) the precision lower bound."""
-        if self.comps.shape[1]:
+        if self.comps.shape[2]:
             return self.n0
         return self.prec  # may be None: exact zero has valuation +infinity
 
+    def _column(self, j: int) -> int:
+        if self.comps.shape[0] != 1:
+            raise BadInputError("coefficients are read from a one-row series")
+        return self.field.code(self.comps[0, :, j].tolist())
+
     def sgn_code(self) -> int:
         """Leading coefficient code (sgn); BadInput on a 0-looking series."""
-        if not self.comps.shape[1]:
+        if not self.comps.shape[2]:
             raise BadInputError("sgn of (0 mod precision)")
-        return self.field.code(self.comps[:, 0].tolist())
+        return self._column(0)
 
     def coeff_code(self, e: int) -> int:
         """Coefficient code at exponent e (of T^-e); PrecisionError beyond prec."""
         if self.prec is not None and e >= self.prec:
             raise PrecisionError(f"coefficient at exponent {e} beyond precision {self.prec}")
         j = e - self.n0
-        if j < 0 or j >= self.comps.shape[1]:
+        if j < 0 or j >= self.comps.shape[2]:
             return 0
-        return self.field.code(self.comps[:, j].tolist())
+        return self._column(j)
 
     def __repr__(self):
         v = "zero" if self.is_zero_known() else str(self.n0)
-        codes = [self.field.code(self.comps[:, j].tolist()) for j in range(min(self.comps.shape[1], 12))]
-        more = "..." if self.comps.shape[1] > 12 else ""
-        return f"v={v} prec={self.prec} coeffs=[{','.join(map(str, codes))}{more}]"
+        rows = f" rows={self.rows}" if self.rows > 1 else ""
+        codes = [self.field.code(self.comps[0, :, j].tolist()) for j in range(min(self.comps.shape[2], 12))]
+        more = "..." if self.comps.shape[2] > 12 else ""
+        return f"v={v} prec={self.prec}{rows} coeffs=[{','.join(map(str, codes))}{more}]"
 
     def __eq__(self, other):
         return (
@@ -267,22 +373,23 @@ class LaurentSeries:
         prec = _min_prec(self.prec, other.prec)
         cols = []
         for x in (self, other):
-            if x.comps.shape[1]:
-                cols.append((x.n0, x.n0 + x.comps.shape[1]))
+            if x.comps.shape[2]:
+                cols.append((x.n0, x.n0 + x.comps.shape[2]))
+        rows = max(self.comps.shape[0], other.comps.shape[0])
         if not cols:
-            return LaurentSeries.zero(fld, prec)
+            return LaurentSeries(fld, 0, np.zeros((rows, fld.s, 0), dtype=np.int64), prec, reduced=True)
         lo = min(c[0] for c in cols)
         hi = max(c[1] for c in cols)
         if prec is not None:
             hi = min(hi, prec)
-        out = np.zeros((fld.s, max(hi - lo, 0)), dtype=np.int64)
+        out = np.zeros((rows, fld.s, max(hi - lo, 0)), dtype=np.int64)
         for x in (self, other):
-            L = x.comps.shape[1]
+            L = x.comps.shape[2]
             if L:
                 a = x.n0 - lo
-                seg = min(L, out.shape[1] - a)
+                seg = min(L, out.shape[2] - a)
                 if seg > 0:
-                    out[:, a : a + seg] += x.comps[:, :seg]
+                    out[:, :, a : a + seg] += x.comps[:, :, :seg]
         return LaurentSeries(fld, lo, out, prec)
 
     def __neg__(self):
@@ -332,8 +439,8 @@ class LaurentSeries:
     def truncate(self, prec: int) -> "LaurentSeries":
         new = _min_prec(self.prec, prec)
         comps = self.comps
-        if new is not None and comps.shape[1] > new - self.n0:
-            comps = comps[:, : max(0, new - self.n0)]
+        if new is not None and comps.shape[2] > new - self.n0:
+            comps = comps[:, :, : max(0, new - self.n0)]
         return LaurentSeries(self.field, self.n0, comps, new, reduced=True)
 
     def __pow__(self, e: int):
@@ -352,18 +459,19 @@ class LaurentSeries:
         """x -> x^q: coefficientwise Frobenius with exponents dilated by q."""
         fld = self.field
         q = fld.q
-        L = self.comps.shape[1]
+        R, _, L = self.comps.shape
         prec = None if self.prec is None else q * self.prec
         if L == 0:
-            return LaurentSeries.zero(fld, prec)
+            return LaurentSeries(fld, 0, self.comps, prec, reduced=True)
         M = _tensors(fld)["frob"]
         mapped = (M @ self.comps) % fld.p
-        out = np.zeros((fld.s, (L - 1) * q + 1), dtype=np.int64)
-        out[:, ::q] = mapped
+        out = np.zeros((R, fld.s, (L - 1) * q + 1), dtype=np.int64)
+        out[:, :, ::q] = mapped
         return LaurentSeries(fld, q * self.n0, out, prec, reduced=True)
 
     def inverse(self) -> "LaurentSeries":
-        """Multiplicative inverse by Newton iteration; requires finite precision."""
+        """Multiplicative inverse of every row by Newton iteration; requires
+        finite precision and, in a stack, rows of one valuation."""
         if self.is_zero_known():
             raise PrecisionError("inversion of a series indistinguishable from 0")
         if self.prec is None:
@@ -371,28 +479,26 @@ class LaurentSeries:
         fld = self.field
         v = self.n0
         ell = self.prec - v  # relative length
-        U = self.comps  # unit part, exponents 0..L-1 relative
-        c0 = fld.code(U[:, 0].tolist())
-        y = np.array(fld.coords(fld.inv(c0)), dtype=np.int64).reshape(fld.s, 1)
+        U = self.comps  # unit parts, exponents 0..L-1 relative
+        lead = (U[:, :, 0] @ _tensors(fld)["codes"]).tolist()
+        if not all(lead):
+            raise PrecisionError("inversion of a row that is 0 or of higher valuation than its stack")
+        y = np.array([fld.coords(fld.inv(c)) for c in lead], dtype=np.int64)[:, :, None]
+        one = np.array(fld.coords(1), dtype=np.int64)
         known = 1
         while known < ell:
             known = min(2 * known, ell)
             # y <- y + y*(1 - u*y) to `known` columns
-            uy = _raw_mul(fld, U[:, :known], y, known)
-            r = (-uy) % fld.p
-            if r.shape[1] == 0:
-                r = np.zeros((fld.s, 1), dtype=np.int64)
-            r[:, 0] = (r[:, 0] + np.array(fld.coords(1), dtype=np.int64)) % fld.p
+            r = (-_raw_mul(fld, U[:, :, :known], y, known)) % fld.p
+            r[:, :, 0] = (r[:, :, 0] + one) % fld.p
             corr = _raw_mul(fld, y, r, known)
-            width = max(y.shape[1], corr.shape[1])
-            ynew = np.zeros((fld.s, width), dtype=np.int64)
-            ynew[:, : y.shape[1]] = y
-            ynew[:, : corr.shape[1]] = (ynew[:, : corr.shape[1]] + corr) % fld.p
-            y = ynew
+            ynew = np.zeros(corr.shape, dtype=np.int64)
+            ynew[:, :, : y.shape[2]] = y
+            y = (ynew + corr) % fld.p
         return LaurentSeries(fld, -v, y, self.prec - 2 * v, reduced=True)
 
     def sqrt(self) -> "LaurentSeries":
-        """Canonical square root (odd characteristic).
+        """Canonical square root of a one-row series (odd characteristic).
 
         Requires even valuation and a square leading coefficient in the
         coefficient field; the branch is fixed by the canonical square root of
@@ -418,23 +524,19 @@ class LaurentSeries:
         # inverse square root of the unit part by Newton: r <- r + r*(1 - u r^2)/2
         U = self.comps
         inv2 = fld.inv(2 % fld.p)
-        r = np.array(fld.coords(fld.inv(root0.code)), dtype=np.int64).reshape(fld.s, 1)
+        one = np.array(fld.coords(1), dtype=np.int64)
+        r = np.array(fld.coords(fld.inv(root0.code)), dtype=np.int64).reshape(1, fld.s, 1)
         known = 1
         while known < ell:
             known = min(2 * known, ell)
             r2 = _raw_mul(fld, r, r, known)
-            ur2 = _raw_mul(fld, U[:, :known], r2, known)
-            e = (-ur2) % fld.p
-            if e.shape[1] == 0:
-                e = np.zeros((fld.s, 1), dtype=np.int64)
-            e[:, 0] = (e[:, 0] + np.array(fld.coords(1), dtype=np.int64)) % fld.p
+            e = (-_raw_mul(fld, U[:, :, :known], r2, known)) % fld.p
+            e[:, :, 0] = (e[:, :, 0] + one) % fld.p
             half_e = (_scalar_matrix(fld, inv2) @ e) % fld.p
             corr = _raw_mul(fld, r, half_e, known)
-            width = max(r.shape[1], corr.shape[1])
-            rnew = np.zeros((fld.s, width), dtype=np.int64)
-            rnew[:, : r.shape[1]] = r
-            rnew[:, : corr.shape[1]] = (rnew[:, : corr.shape[1]] + corr) % fld.p
-            r = rnew
+            rnew = np.zeros(corr.shape, dtype=np.int64)
+            rnew[:, :, : r.shape[2]] = r
+            r = (rnew + corr) % fld.p
         invsqrt_unit = LaurentSeries(fld, 0, r, ell, reduced=True)
         unit = LaurentSeries(fld, 0, U, ell, reduced=True)
         y_unit = unit * invsqrt_unit  # sqrt of the unit part, leading coeff c0/root0 = root0
@@ -490,7 +592,7 @@ class LaurentSeries:
         poly = Poly(fld, list(reversed(codes))) if self.n0 <= 0 else Poly(fld, ())
         tail = None
         start = max(1, self.n0)
-        stop = self.n0 + self.comps.shape[1]
+        stop = self.n0 + self.comps.shape[2]
         for e in range(start, stop):
             if self.coeff_code(e) != 0:
                 tail = e

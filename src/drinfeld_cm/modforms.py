@@ -7,6 +7,9 @@ and j = gt^(q+1)/dt, all powers of the Carlitz period cancelling since
 (q-1)(q+1) = q^2 - 1.  The period itself (a (q-1)-st root) is never
 constructed: with S_a = e_C(pi*a*z)/pi = sum_i pi^(q^i-1) (az)^(q^i) / D_i,
 only pi^(q-1) appears, and t(az)^(q-1) = S_a / (pi^(q-1) * S_a^q).
+Frobenius is a ring map, so 1/S_a^q = (1/S_a)^q: S_a is inverted only to
+its own relative length, the inverse is raised to the q-th power
+coefficientwise and multiplied by pi^-(q-1), which each `EvalContext` holds.
 
 Truncation indices are certified: the a-sum tail comes from the exact
 valuation v(t(az)) = (q/(q-1) - eps) q^(n + deg a) (verified on every term,
@@ -14,6 +17,14 @@ which is the appendix valuation lemma run as an assertion), and the
 Carlitz-sum tail from the exact term valuations i q^i - q (q^i-1)/(q-1).
 Frobenius powers (az)^(q^i) are coefficientwise, so they cost no
 convolutions and lose no precision.
+
+Evaluation runs on stacks (see `laurent`).  `eval_j_stack` evaluates j at
+several points of one order with equal n, eps and |j| in one computation:
+their z are the rows of one series, and the terms t(az)^(q-1) for every
+monic a of one degree are one stack of (point, a) rows.  The rows share
+every target, every Carlitz index set and every certified valuation, since
+v(az) = v(z) - deg a and v(z) is fixed by n; each row's valuation is still
+asserted against its formula.  `eval_j` is the one-point case.
 """
 
 from __future__ import annotations
@@ -21,6 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import BadInputError, InvariantError, PrecisionError
 from .ffield import FieldDesc, quadratic_extension
@@ -48,9 +62,9 @@ class EvalContext:
 
     The data depend only on (base, cdesc, rel), so the class owns one
     context per key (`shared`) for the life of the process, and every
-    evaluation with that key reads the same pi^(q-1) and the same lazily
-    grown coefficient list; the digits are exact, so sharing changes no
-    result.
+    evaluation with that key reads the same pi^(q-1), pi^-(q-1) and the same
+    lazily grown coefficient list; the digits are exact, so sharing changes
+    no result.
     """
 
     _shared: dict = {}
@@ -61,6 +75,7 @@ class EvalContext:
         self.q = base.q
         self.rel = rel
         self.pi = pi_power_qm1(cdesc, rel + 2)  # v = -q, so rel + q + 2 known digits
+        self.pi_inv = self.pi.inverse()  # the same relative precision
         self._coeffs = [LaurentSeries.one(cdesc, rel)]
 
     @classmethod
@@ -90,6 +105,18 @@ class EvalContext:
         return LaurentSeries.from_poly(a, self.cdesc)
 
 
+@lru_cache(maxsize=None)
+def _monic_stack(base: FieldDesc, cdesc: FieldDesc, d: int, e: int):
+    """(the monic a of degree d, the stack of the series of a^e over cdesc)."""
+    monics = tuple(pr.monic_of_degree(base, d))
+    return monics, LaurentSeries.stack([LaurentSeries.from_poly(a**e, cdesc) for a in monics])
+
+
+def _tiled(stack, points: int):
+    """The rows of `stack` once per point: row r * stack.rows + k is row k."""
+    return stack.take(np.tile(np.arange(stack.rows), points))
+
+
 def _context_for(order: Order, prec: int, cdesc: FieldDesc | None = None) -> EvalContext:
     base = order.field.base
     if cdesc is None:
@@ -97,40 +124,53 @@ def _context_for(order: Order, prec: int, cdesc: FieldDesc | None = None) -> Eva
     return EvalContext.shared(base, cdesc, prec)
 
 
-def _valuation(el) -> Fraction | None:
-    v = el.valuation()
-    return Fraction(v) if v is not None else None
+def _prec(el):
+    return el.prec if isinstance(el, LaurentSeries) else el.prec_q()
 
 
 def _truncate(el, prec: Fraction | int):
     return el.truncate(int(math.ceil(prec)))
 
 
-@dataclass
-class TermData:
-    """t(az)^(q-1) for one monic a, plus the appendix-lemma checkpoints."""
-
-    value: object
-    s_value: object
-    v_t: Fraction  # v(t(az)) as certified
-    e_c_terms: int
+def _assert_rows(el, expected: Fraction, what: str, where) -> None:
+    """Every row's valuation equals its exact formula; where(i) names row i."""
+    for i, v in enumerate(el.row_valuations()):
+        if v != expected:
+            raise InvariantError(f"{what} is {v}, formula says {expected} ({where(i)})")
 
 
-def carlitz_S(ctx: EvalContext, z_el, pt: CMPoint, a: Poly, s_target: Fraction):
-    """S_a = e_C(pi a z)/pi to absolute precision s_target, with its valuation
-    asserted against the exact formula -(q/(q-1) - eps) q^(n + deg a) + q/(q-1).
+def _term_row(pts: list, monics: tuple):
+    """where(row) for a stack of terms: row r q^d + k is the k-th monic at the r-th point."""
 
-    Returns (S_a, last index used).  The certified index set consists of the
+    def where(row):
+        p = pts[row // len(monics)]
+        return f"a={monics[row % len(monics)]}, point a={p.a}, b={p.b}"
+
+    return where
+
+
+def carlitz_S(ctx: EvalContext, z_el, pts: list, d: int, s_target: Fraction):
+    """S_a = e_C(pi a z)/pi at every point of the stack z_el (one row per
+    point of pts) and every monic a of degree d, to absolute precision
+    s_target; row r q^d + k holds the k-th monic at the r-th point.  Each
+    row's valuation is asserted against the exact formula
+    -(q/(q-1) - eps) q^(n + d) + q/(q-1).
+
+    Returns (S, last index used).  The certified index set consists of the
     i with exact term valuation i q^i - q (q^i-1)/(q-1) + q^i v(az) below
-    s_target; the valuations dip to the dominant index and then grow.
+    s_target; the valuations dip to the dominant index and then grow.  Every
+    row has the same v(az), hence the same index set.
     """
     q = ctx.q
+    pt = pts[0]
     theta = Fraction(q, q - 1) - pt.eps
-    v_s = -theta * q ** (pt.n + a.deg) + Fraction(q, q - 1)
-    az = z_el * ctx.poly_series(a)
-    v_az = _valuation(az)
-    if v_az is None:
-        raise PrecisionError("a*z indistinguishable from 0")
+    v_s = -theta * q ** (pt.n + d) + Fraction(q, q - 1)
+    v_rows = set(z_el.row_valuations())
+    if None in v_rows:
+        raise PrecisionError("z indistinguishable from 0")
+    if len(v_rows) != 1:
+        raise InvariantError(f"the rows of a stack differ in v(z): {sorted(v_rows)}")
+    v_az = Fraction(v_rows.pop()) - d
     incl = []
     i = 0
     prev_v = None
@@ -144,45 +184,48 @@ def carlitz_S(ctx: EvalContext, z_el, pt: CMPoint, a: Poly, s_target: Fraction):
         i += 1
         if i > 80:  # pragma: no cover
             raise InvariantError("Carlitz sum did not terminate")
-    s_val = None
-    u = az
     imax = incl[-1]
+
+    def fut(i):  # the digits of u that every included index after i needs
+        return max((s_target - _coeff_valuation(q, j)) / Fraction(q ** (j - i)) for j in incl if j > i)
+
+    # a*z only to the digits its first use keeps: z to that precision plus deg a
+    first = ([s_target - _coeff_valuation(q, 0)] if 0 in incl else []) + ([fut(0)] if imax else [])
+    monics, a_stack = _monic_stack(ctx.base, ctx.cdesc, d, 1)
+    z_rows = _truncate(z_el, max(first) + 2 + d).take(np.repeat(np.arange(len(pts)), len(monics)))
+    u = z_rows * _tiled(a_stack, len(pts))
+    s_val = None
     for i in range(imax + 1):
         if i in incl:
             needed = s_target - _coeff_valuation(q, i)
             term = _truncate(u, needed + 2) * ctx.coeff(i)
             s_val = term if s_val is None else s_val + term
         if i < imax:
-            # keep enough digits of u for every remaining included index
-            fut = max((s_target - _coeff_valuation(q, j)) / Fraction(q ** (j - i)) for j in incl if j > i)
-            u = _truncate(u, fut + 2).frobenius_q()
+            u = _truncate(u, fut(i) + 2).frobenius_q()
     s_val = _truncate(s_val, s_target)
-    v_s_got = _valuation(s_val)
-    if v_s_got != v_s:
-        raise InvariantError(
-            f"valuation of e_C(pi a z)/pi is {v_s_got}, formula says {v_s} (a={a}, point a={pt.a}, b={pt.b})"
-        )
+    _assert_rows(s_val, v_s, "valuation of e_C(pi a z)/pi", _term_row(pts, monics))
     return s_val, imax
 
 
-def t_pow_qm1(ctx: EvalContext, z_el, pt: CMPoint, a: Poly, target: Fraction) -> TermData | None:
-    """t(az)^(q-1) to absolute precision `target`; None when entirely negligible."""
+def t_pow_qm1(ctx: EvalContext, z_el, pts: list, d: int, target: Fraction):
+    """(t(az)^(q-1) to absolute precision `target`, last Carlitz index) for the
+    rows of carlitz_S; None when every term of degree d is negligible."""
     q = ctx.q
+    pt = pts[0]
     theta = Fraction(q, q - 1) - pt.eps
-    v_t1 = theta * q ** (pt.n + a.deg)
+    v_t1 = theta * q ** (pt.n + d)
     v_tq = (q - 1) * v_t1
     ell = Fraction(target) - v_tq
     if ell <= 0:
         return None
     v_s = -v_t1 + Fraction(q, q - 1)
-    s_val, used = carlitz_S(ctx, z_el, pt, a, v_s + ell + 1)
-    # t^(q-1) = S / (pi^(q-1) * S^q)
-    den = s_val.frobenius_q() * ctx.pi
-    t_qm1 = _truncate(s_val * den.inverse(), target)
-    v_got = _valuation(t_qm1)
-    if v_got != v_tq:
-        raise InvariantError(f"v(t(az)^(q-1)) = {v_got}, formula says {v_tq}")
-    return TermData(t_qm1, s_val, v_t1, used)
+    s_val, used = carlitz_S(ctx, z_el, pts, d, v_s + ell + 1)
+    # t^(q-1) = S (1/S)^q / pi^(q-1); (1/S)^q is kept to the relative length of S
+    keep = _prec(s_val) - (q + 1) * v_s
+    inv_q = _truncate(_truncate(s_val.inverse(), keep / q).frobenius_q(), keep)
+    t_qm1 = _truncate(s_val * (inv_q * ctx.pi_inv), target)
+    _assert_rows(t_qm1, v_tq, "v(t(az)^(q-1))", _term_row(pts, _monic_stack(ctx.base, ctx.cdesc, d, 1)[0]))
+    return t_qm1, used
 
 
 @dataclass
@@ -200,9 +243,11 @@ def _zero_like(ctx: EvalContext, mode_quad: QuadSeriesContext | None, prec):
     return QuadSeries.zero(mode_quad, p)
 
 
-def eval_gt_dt(ctx: EvalContext, pt: CMPoint, z_el, target_g: Fraction, target_d: Fraction):
-    """(gt, dt) to the requested absolute precisions, with certified a-tails."""
+def eval_gt_dt(ctx: EvalContext, pts: list, z_el, target_g: Fraction, target_d: Fraction):
+    """(gt, dt) at every point of the stack z_el to the requested absolute
+    precisions, with certified a-tails; the terms of one degree are one stack."""
     q = ctx.q
+    pt = pts[0]
     theta = Fraction(q, q - 1) - pt.eps
     qctx = None if isinstance(z_el, LaurentSeries) else z_el.ctx
     gsum = _zero_like(ctx, qctx, Fraction(target_g) + q)
@@ -221,15 +266,14 @@ def eval_gt_dt(ctx: EvalContext, pt: CMPoint, z_el, target_g: Fraction, target_d
             break
         prev = (v_g_term, v_d_term)
         need_t = max(Fraction(target_g) + q, Fraction(target_d) + q * (q - 1) * d)
-        for a in pr.monic_of_degree(ctx.base, d):
-            term = t_pow_qm1(ctx, z_el, pt, a, need_t)
-            if term is None:
-                continue
+        term = t_pow_qm1(ctx, z_el, pts, d, need_t)
+        if term is not None:
+            t_qm1, used = term
             max_deg_a = max(max_deg_a, d)
-            e_c_terms = max(e_c_terms, term.e_c_terms)
-            gsum = _truncate(gsum + term.value, Fraction(target_g) + q)
-            apow = ctx.poly_series(a ** (q * (q - 1)))
-            dsum = _truncate(dsum + term.value * apow, target_d)
+            e_c_terms = max(e_c_terms, used)
+            gsum = _truncate(gsum + t_qm1.fold(q**d), Fraction(target_g) + q)
+            apow = _tiled(_monic_stack(ctx.base, ctx.cdesc, d, q * (q - 1))[1], len(pts))
+            dsum = _truncate(dsum + (t_qm1 * apow).fold(q**d), target_d)
         d += 1
         if d > 40:  # pragma: no cover
             raise InvariantError("a-sum did not terminate")
@@ -244,17 +288,29 @@ def eval_gt_dt(ctx: EvalContext, pt: CMPoint, z_el, target_g: Fraction, target_d
     return gt, dt, {"max_deg_a": max_deg_a, "e_c_terms": e_c_terms}
 
 
-def eval_j(pt: CMPoint, prec: int, *, cdesc: FieldDesc | None = None) -> JValue:
-    """j(z) to absolute precision `prec`; its valuation must match the exact formula.
+def eval_j_stack(points: list, prec: int, *, cdesc: FieldDesc | None = None) -> list:
+    """j at every point to absolute precision `prec`, as one stacked computation.
 
-    Retries once with enlarged internal targets on a tracked-precision
-    shortfall, then raises PrecisionError.
+    The points must belong to one order and share n, eps and the exact
+    valuation of j, so that every target is shared; each row's valuation
+    must match the exact formula.  Returns one JValue per point, in order,
+    each equal to what `eval_j` makes at that point.  A shortfall of the
+    tracked precision retries the whole stack with enlarged internal
+    targets (margin x3, at most three rounds), then raises PrecisionError.
     """
+    pt = points[0]
     vj = -log_abs_j(pt)
+    if any((p.order, p.n, p.eps) != (pt.order, pt.n, pt.eps) or log_abs_j(p) != -vj for p in points):
+        raise BadInputError("a stack needs points of one order with equal n, eps and |j|")
     q = pt.order.field.q
     theta = Fraction(q, q - 1) - pt.eps
     v_d = (q - 1) * theta * q**pt.n
     v_g = (Fraction(vj) + v_d) / (q + 1)
+
+    def where(row):
+        p = points[row]
+        return f"order {p.order.label()}, a={p.a}, b={p.b}"
+
     margin = 6
     for _ in range(3):
         target = Fraction(prec)
@@ -262,29 +318,30 @@ def eval_j(pt: CMPoint, prec: int, *, cdesc: FieldDesc | None = None) -> JValue:
         target_d = target + 2 * v_d - (q + 1) * v_g + margin
         work = int(math.ceil(max(target_g, target_d, target))) + margin
         ctx = _context_for(pt.order, work + 4, cdesc)
-        if pt.order.field.infinite_type == "inert":
-            z_el = embed(pt.z, work + 4, coeff_desc=cdesc)
-        else:
-            z_el = embed(pt.z, work + 4, coeff_desc=ctx.cdesc)
-        gt, dt, plan = eval_gt_dt(ctx, pt, z_el, target_g, target_d)
-        v_dt = _valuation(dt)
-        if v_dt != v_d:
-            raise InvariantError(f"v(dt) = {v_dt}, expected {v_d} at point a={pt.a}, b={pt.b}")
+        zs = [embed(p.z, work + 4, coeff_desc=ctx.cdesc) for p in points]
+        z_el = type(zs[0]).stack(zs)
+        gt, dt, plan = eval_gt_dt(ctx, points, z_el, target_g, target_d)
+        _assert_rows(dt, v_d, "v(dt)", where)
         num = gt
         for _ in range(q):
             num = num * gt
         jval = _truncate(num * dt.inverse(), prec)
-        got_prec = jval.prec if isinstance(jval, LaurentSeries) else jval.prec_q()
+        got_prec = _prec(jval)
         if got_prec is not None and Fraction(got_prec) < prec:
             margin *= 3
             continue
-        v_got = _valuation(jval)
-        if v_got != vj:
-            raise InvariantError(
-                f"numeric valuation of j is {v_got}, exact formula says {vj} (order {pt.order.label()}, a={pt.a}, b={pt.b})"
-            )
-        return JValue(pt, jval, v_got if v_got is not None else vj, plan)
+        _assert_rows(jval, vj, "numeric valuation of j", where)
+        return [JValue(p, jval.take([i]), vj, plan) for i, p in enumerate(points)]
     raise PrecisionError(f"could not reach precision {prec} for j at point a={pt.a}")
+
+
+def eval_j(pt: CMPoint, prec: int, *, cdesc: FieldDesc | None = None) -> JValue:
+    """j(z) to absolute precision `prec`; its valuation must match the exact formula.
+
+    The one-point case of `eval_j_stack`: retries with enlarged internal
+    targets on a tracked-precision shortfall, then raises PrecisionError.
+    """
+    return eval_j_stack([pt], prec, cdesc=cdesc)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +364,14 @@ def verify_lemma_A1(pt: CMPoint, max_deg_a: int = 2, extra_prec: int = 6) -> lis
     zprec = pt.n + extra_prec + 14
     z_el = embed(pt.z, zprec, coeff_desc=None if order.field.infinite_type == "inert" else ctx.cdesc)
     for d in range(max_deg_a + 1):
-        for a in pr.monic_of_degree(order.field.base, d):
-            v_t_expected = theta * q ** (pt.n + d)
-            v_s = -v_t_expected + Fraction(q, q - 1)
-            s_val, _ = carlitz_S(ctx, z_el, pt, a, v_s + extra_prec)
-            v_t_computed = -( _valuation(s_val) - Fraction(q, q - 1))
-            # delta_a = 1/t(az) - pi a z = pi*(S_a - az): v = -theta q^(n+deg a)
-            az = z_el * ctx.poly_series(a)
-            r_val = s_val - az
-            v_r = _valuation(r_val)
+        monics, a_stack = _monic_stack(order.field.base, ctx.cdesc, d, 1)
+        v_t_expected = theta * q ** (pt.n + d)
+        v_s = -v_t_expected + Fraction(q, q - 1)
+        s_val, _ = carlitz_S(ctx, z_el, [pt], d, v_s + extra_prec)
+        # delta_a = 1/t(az) - pi a z = pi*(S_a - az): v = -theta q^(n+deg a)
+        r_val = s_val - z_el * a_stack
+        for a, v_s_row, v_r in zip(monics, s_val.row_valuations(), r_val.row_valuations()):
+            v_t_computed = -(v_s_row - Fraction(q, q - 1))
             v_delta = v_r - Fraction(q, q - 1) if v_r is not None else None
             rows.append(
                 {
@@ -362,24 +418,22 @@ def verify_lemma_A2(pt: CMPoint, delta: int, mu: int, nu: int, extra_prec: int =
             break
         v_s = -theta * q ** (pt.n + d) + Fraction(q, q - 1)
         s_window = extra_prec + q + 4
-        for a in pr.monic_of_degree(order.field.base, d):
-            az = z_el * ctx.poly_series(a)
-            s_val, _ = carlitz_S(ctx, z_el, pt, a, v_s + s_window)
-            r_val = s_val - az
-            # S_a^(-delta), R_a^nu
-            s_inv = s_val.inverse()
-            acc = None
-            for _ in range(delta):
-                acc = s_inv if acc is None else acc * s_inv
-            for _ in range(nu):
-                acc = acc * r_val
-            apow = ctx.poly_series(a**mu)
-            acc = acc * apow
-            qsum = acc if qsum is None else qsum + acc
+        monics, a_stack = _monic_stack(order.field.base, ctx.cdesc, d, 1)
+        s_val, _ = carlitz_S(ctx, z_el, [pt], d, v_s + s_window)
+        r_val = s_val - z_el * a_stack
+        # S_a^(-delta) R_a^nu a^mu, summed over the monic a of degree d
+        s_inv = s_val.inverse()
+        acc = None
+        for _ in range(delta):
+            acc = s_inv if acc is None else acc * s_inv
+        for _ in range(nu):
+            acc = acc * r_val
+        acc = (acc * _monic_stack(order.field.base, ctx.cdesc, d, mu)[1]).fold(len(monics))
+        qsum = acc if qsum is None else qsum + acc
         d += 1
         if d > 12:  # pragma: no cover
             raise InvariantError("A2 sum did not terminate")
-    v_q = _valuation(_truncate(qsum, target_q))
+    v_q = _truncate(qsum, target_q).valuation()
     total = v_q + gamma * Fraction(q, q - 1) if v_q is not None else None
     return {
         "delta": delta,
@@ -470,8 +524,8 @@ def hilbert_poly(order: Order, extra_prec: int = GUARD) -> HilbertPoly:
     sum_pos = sum(max(Fraction(0), log_abs_j(cls[0])) for cls in cm.classes())
     W = int(math.ceil(sum_pos)) + extra_prec + 6
     plans: dict = {}
-    for cls in cm.classes():
-        plans = {k: max(plans.get(k, 0), v) for k, v in cm.plan(cls[0], W).items()}
+    for plan in cm.plans_at([cls[0] for cls in cm.classes()], W):
+        plans = {k: max(plans.get(k, 0), v) for k, v in plan.items()}
     mods = moduli_of(order, value_prec=W, expected=cm.class_number_by_conductor())
     vals = [s.numeric for s in mods]
     qctx = vals[0].ctx if isinstance(vals[0], QuadSeries) else None
@@ -539,6 +593,5 @@ def hilbert_constant_degree(order: Order) -> Fraction:
     without building the full product.
     """
     cm = OrderCM.of(order)
-    for cls in cm.classes():
-        cm.j_value(cls[0], brown_prec(cls[0]))  # eval_j checks the valuation
+    cm.j_values([cls[0] for cls in cm.classes()], brown_prec)  # the evaluation checks each valuation
     return sum(s.log_j for s in moduli_of(order, expected=cm.class_number_by_conductor()))

@@ -390,11 +390,12 @@ class QuadElement:
 class QuadSeriesContext:
     """Shared data for QuadSeries arithmetic at a given coefficient field/precision."""
 
-    __slots__ = ("qf", "cdesc", "rel", "frob_mult", "frob_add", "v_xi")
+    __slots__ = ("qf", "cdesc", "prec", "rel", "frob_mult", "frob_add", "v_xi")
 
     def __init__(self, qf: QuadField, cdesc: FieldDesc, prec: int):
         self.qf = qf
         self.cdesc = cdesc
+        self.prec = prec
         q = qf.base.q
         rel_rf = qf.xi_relation()
         margin = 2 * max(1, abs(int(qf.v_xi() * 2))) + q + 6
@@ -421,7 +422,11 @@ class QuadSeriesContext:
 
 
 class QuadSeries:
-    """x + y*xi with truncated Laurent coordinates (used for ramified completions)."""
+    """x + y*xi with truncated Laurent coordinates (used for ramified completions).
+
+    The coordinates are `LaurentSeries` stacks, so a QuadSeries is a stack of
+    rows too; a one-row coordinate stands for every row.
+    """
 
     __slots__ = ("ctx", "x", "y")
 
@@ -504,30 +509,41 @@ class QuadSeries:
 
     # -- precision / valuation ------------------------------------------------------
 
-    def valuation(self) -> Fraction | None:
-        """Exact valuation in (1/2)Z, or None if indistinguishable from 0.
+    def row_valuations(self) -> list:
+        """Exact valuation of each row in (1/2)Z, None where it is not certified.
 
         v(x) and v(y*xi) lie in disjoint cosets mod Z for the ramified
-        flavors, so whenever both parts are visible the minimum is exact; a
-        visible part certifies the valuation only if it beats the precision
-        bound of the invisible one.
+        flavors, so whenever both parts of a row are visible the minimum is
+        exact; a visible part certifies the valuation only if it beats the
+        precision bound of the invisible one.
         """
         v_xi = self.ctx.v_xi
-        vx = self.x.valuation()
-        vy = self.y.valuation()
-        cand_x = Fraction(vx) if vx is not None else None
-        cand_y = Fraction(vy) + v_xi if vy is not None else None
-        if cand_x is not None and cand_y is not None:
-            return min(cand_x, cand_y)
-        bx = self.x.val_bound()
-        by = self.y.val_bound()
-        bound_x = Fraction(bx) if bx is not None else None  # None: exactly 0
-        bound_y = Fraction(by) + v_xi if by is not None else None
-        if cand_x is not None and (bound_y is None or cand_x < bound_y):
-            return cand_x
-        if cand_y is not None and (bound_x is None or cand_y < bound_x):
-            return cand_y
-        return None
+        vx = self.x.row_valuations()
+        vy = self.y.row_valuations()
+        if len(vx) < len(vy):
+            vx = vx * len(vy)
+        elif len(vy) < len(vx):
+            vy = vy * len(vx)
+        bound_x = Fraction(self.x.prec) if self.x.prec is not None else None  # None: exactly 0
+        bound_y = Fraction(self.y.prec) + v_xi if self.y.prec is not None else None
+        out = []
+        for a, b in zip(vx, vy):
+            cand_x = Fraction(a) if a is not None else None
+            cand_y = Fraction(b) + v_xi if b is not None else None
+            if cand_x is not None and cand_y is not None:
+                out.append(min(cand_x, cand_y))
+            elif cand_x is not None and (bound_y is None or cand_x < bound_y):
+                out.append(cand_x)
+            elif cand_y is not None and (bound_x is None or cand_y < bound_x):
+                out.append(cand_y)
+            else:
+                out.append(None)
+        return out
+
+    def valuation(self) -> Fraction | None:
+        """The least row valuation, or None when some row's is not certified."""
+        vals = self.row_valuations()
+        return None if None in vals else min(vals)
 
     def prec_q(self) -> Fraction | None:
         px = self.x.prec
@@ -547,6 +563,24 @@ class QuadSeries:
 
     def is_zero_known(self) -> bool:
         return self.x.is_zero_known() and self.y.is_zero_known()
+
+    # -- rows ------------------------------------------------------------------------
+
+    @staticmethod
+    def stack(items) -> "QuadSeries":
+        """The rows of every item (all over one context) as one stack."""
+        return QuadSeries(items[0].ctx, LaurentSeries.stack([z.x for z in items]), LaurentSeries.stack([z.y for z in items]))
+
+    def take(self, index) -> "QuadSeries":
+        return QuadSeries(self.ctx, self.x.take(index), self.y.take(index))
+
+    def fold(self, k: int) -> "QuadSeries":
+        return QuadSeries(self.ctx, self.x.fold(k), self.y.fold(k))
+
+    def lift(self, cdesc: FieldDesc) -> "QuadSeries":
+        """The same element with coefficients embedded in the extension `cdesc`."""
+        ctx = QuadSeriesContext(self.ctx.qf, cdesc, self.ctx.prec)
+        return QuadSeries(ctx, self.x.lift(cdesc), self.y.lift(cdesc))
 
     def __repr__(self):
         return f"QuadSeries(x: {self.x!r} | y: {self.y!r})"
@@ -583,7 +617,7 @@ def series_component(z: LaurentSeries, which: int) -> LaurentSeries:
     desc2 = z.field
     base, _, ta, tb = _subfield_decomposition(desc2)
     table = ta if which == 0 else tb
-    codes = [table[z.coeff_code(e)] for e in range(z.n0, z.n0 + z.comps.shape[1])]
+    codes = [table[z.coeff_code(e)] for e in range(z.n0, z.n0 + z.comps.shape[2])]
     return LaurentSeries.from_codes(base, z.n0, codes, z.prec)
 
 
@@ -655,21 +689,31 @@ def embed(z: QuadElement, prec: int, coeff_desc: FieldDesc | None = None):
 
     Inert flavor: returns the flattened LaurentSeries over F_{q^2}.
     Ramified flavors: returns a QuadSeries over F_q (or `coeff_desc`).
+    z = (x' + y' xi)/A over the least common denominator A of its
+    coordinates, and 1/A is expanded once for both.
     """
-    qf = z.field
-    base = qf.base
-    if qf.infinite_type == "inert":
-        desc2 = coeff_desc or quadratic_extension(base)
-        slack = max(0, -(z.x.v_infinity() or 0), -(z.y.v_infinity() or 0) + int(-qf.v_xi() + 1)) + 4
-        xs = z.x.to_series(desc2, prec + slack)
-        ys = z.y.to_series(desc2, prec + slack)
-        xi = xi_series(qf, desc2, prec + slack)
-        return (xs + ys * xi).truncate(prec)
-    cdesc = coeff_desc or base
     import math
 
-    slack = int(math.ceil(-qf.v_xi())) + 4
+    qf = z.field
+    base = qf.base
+    inert = qf.infinite_type == "inert"
+    cdesc = coeff_desc or (quadratic_extension(base) if inert else base)
+    if inert:
+        slack = max(0, -(z.x.v_infinity() or 0), -(z.y.v_infinity() or 0) + int(-qf.v_xi() + 1)) + 4
+    else:
+        slack = int(math.ceil(-qf.v_xi())) + 4
+    A, xn, yn = z.x.den, z.x.num, z.y.num
+    if z.y.den != A:
+        A = A * (z.y.den // pr.gcd(A, z.y.den))
+        xn, yn = xn * (A // z.x.den), yn * (A // z.y.den)
+    xs, ys = LaurentSeries.from_poly(xn, cdesc), LaurentSeries.from_poly(yn, cdesc)
+    if not A.is_one():
+        # 1/A to absolute precision at least prec + slack + deg of either numerator
+        keep = prec + slack + max(0, xn.deg, yn.deg) + A.deg + 2
+        inv_a = LaurentSeries.from_poly(A, cdesc).truncate(keep).inverse()
+        xs, ys = xs * inv_a, ys * inv_a
+    if inert:
+        xi = xi_series(qf, cdesc, prec + slack)
+        return (xs + ys * xi).truncate(prec)
     ctx = QuadSeriesContext(qf, cdesc, prec + slack)
-    xs = z.x.to_series(cdesc, prec + slack)
-    ys = z.y.to_series(cdesc, prec + slack)
     return QuadSeries(ctx, xs, ys).truncate(prec)

@@ -141,9 +141,9 @@ def order_report(order: Order, *, check_brown: bool = True) -> OrderReport:
     if cm.report is not None and (cm.report.brown_checked or not check_brown):
         return cm.report
     if check_brown:
-        for p in cm.points:
-            if -cm.j_value(p, brown_prec(p)).v != log_abs_j(p):
-                raise InvariantError(f"Brown-vs-numeric mismatch at {order.label()} a={p.a} b={p.b}")
+        for jv in cm.j_values(cm.points, brown_prec):
+            if -jv.v != log_abs_j(jv.point):
+                raise InvariantError(f"Brown-vs-numeric mismatch at {order.label()} a={jv.point.a} b={jv.point.b}")
     h_formula = cm.class_number_by_conductor()
     mods = moduli_of(order, expected=h_formula)
     h_orbit = len(mods)
@@ -171,12 +171,9 @@ class ModulusRecord:
     label: str
 
 
-def sweep_moduli(base: FieldDesc, d_bound: int) -> list:
-    """Every singular modulus of every order with |D| <= d_bound."""
-    out = []
-    for order in iter_orders(base, d_bound):
-        rep = order_report(order, check_brown=False)
-        for idx, m in enumerate(rep.moduli):
-            key = (order.disc_deg(), order.label(), idx)
-            out.append(ModulusRecord(order, m, key, f"{order.label()}#{idx} (log|j|={m.log_j})"))
-    return out
+def modulus_records(order: Order, moduli: list) -> list:
+    """One ModulusRecord per singular modulus of the order, in the given order."""
+    return [
+        ModulusRecord(order, m, (order.disc_deg(), order.label(), idx), f"{order.label()}#{idx} (log|j|={m.log_j})")
+        for idx, m in enumerate(moduli)
+    ]

@@ -108,8 +108,9 @@ def check_class_numbers(base: FieldDesc, d_bound: int) -> dict:
     return {"name": "class-numbers", "ok": True, **counts}
 
 
-def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 6) -> dict:
-    """Exhaustive oracle equivalence for the congruence-counting lemmas."""
+def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 6, *, max_deg_m: int = 4) -> dict:
+    """Exhaustive oracle equivalence for the congruence-counting lemmas; the
+    easycounting bound is checked on every monic m of degree <= max_deg_m."""
     q = base.q
     pairs = 0
     if base.p != 2:
@@ -196,8 +197,8 @@ def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 
                     rep = bnd.count_congruence_even(a, delta, mu, eps, beta=beta)
                     if not rep.bound_holds:
                         return {"name": "counting", "ok": False, "fail": f"beta case a={a}"}
-    # easycounting, exhaustively for deg m <= 4
-    for dm in range(0, 5):
+    # easycounting, exhaustively for deg m <= max_deg_m
+    for dm in range(0, max_deg_m + 1):
         for m in pr.monic_of_degree(base, dm):
             for b0 in pr.all_of_degree_less(base, min(dm, 2)):
                 for Mlog in (Fraction(0), Fraction(1), Fraction(dm), Fraction(dm + 1)):

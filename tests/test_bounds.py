@@ -1,35 +1,50 @@
-from drinfeld_cm import modforms, sweeps
 from drinfeld_cm.bounds import andre_oort_search
+from drinfeld_cm.brownval import OrderCM
 from drinfeld_cm.ffield import field, quadratic_extension
 from drinfeld_cm.laurent import LaurentSeries
+from drinfeld_cm.modforms import eval_j
+from drinfeld_cm import polyring as pr
+from drinfeld_cm.quadfield import order_from_discriminant
+
+from conftest import count_rows
 
 F3 = field(3)
+F9 = quadratic_extension(F3)
 
 
 def test_andre_oort_search_evaluates_each_point_once(monkeypatch):
-    real_sweep, real_eval_j = sweeps.sweep_moduli, modforms.eval_j
-    calls = []
-
-    def sweep_moduli(*args, **kwargs):
-        out = real_sweep(*args, **kwargs)
-        calls.clear()  # count only the search's own evaluations
-        return out
-
-    def eval_j(pt, prec, **kwargs):
-        calls.append((pt, prec))
-        return real_eval_j(pt, prec, **kwargs)
-
-    monkeypatch.setattr(sweeps, "sweep_moduli", sweep_moduli)
-    monkeypatch.setattr(modforms, "eval_j", eval_j)
+    rows = count_rows(monkeypatch)
     rep = andre_oort_search(F3, 9, 8)
     assert (rep["moduli"], rep["pairs_checked"], len(rep["hits"])) == (21, 90, 6)
-    assert len(calls) == len({id(pt) for pt, _ in calls}) == 21
+    assert len(rows) == len({id(pt) for pt, _, _ in rows}) == 21
     # the premise: a truncated evaluation equals a fresh one at the lower precision
-    for pt, prec in calls:
-        cdesc = None if pt.order.field.infinite_type == "inert" else quadratic_extension(F3)
-        high = real_eval_j(pt, prec, cdesc=cdesc).value.truncate(12)
-        low = real_eval_j(pt, 12, cdesc=cdesc).value
+    for pt, prec, _ in list(rows):
+        cdesc = None if pt.order.field.infinite_type == "inert" else F9
+        high = eval_j(pt, prec, cdesc=cdesc).value.truncate(12)
+        low = eval_j(pt, 12, cdesc=cdesc).value
         assert prec > 12 and parts(high) == parts(low)
+
+
+def test_search_and_cross_check_evaluate_each_point_once(monkeypatch):
+    # the search asks for its precisions before the moduli are certified, so
+    # the cross-check reads those values, and a ramified value over F_9 is
+    # the F_3 value, lifted
+    rows = count_rows(monkeypatch)
+    andre_oort_search(F3, 27, 8)
+    assert len(rows) == len({id(pt) for pt, _, _ in rows}) == 165
+    assert all(cdesc is None for _, _, cdesc in rows)
+
+
+def test_lifted_ramified_value_equals_fresh_evaluation():
+    order = order_from_discriminant(F3, pr.parse_poly(F3, "T^3+2*T+1"))  # ramified, some b = 0
+    cm = OrderCM.of(order)
+    assert order.field.infinite_type == "ramified" and any(p.b.is_zero() for p in cm.points)
+    for prec in (6, 14):
+        lifted = cm.j_values(cm.points, prec, F9)
+        for pt, jv in zip(cm.points, lifted):
+            fresh = eval_j(pt, prec, cdesc=F9)
+            assert jv.value.x.field == F9 and parts(jv.value) == parts(fresh.value)
+            assert (jv.v, jv.plan) == (fresh.v, fresh.plan)
 
 
 def parts(value):

@@ -20,6 +20,8 @@ from drinfeld_cm.classno import class_number_by_conductor
 from drinfeld_cm.cmpoints import enumerate_points
 from drinfeld_cm.quadfield import order_from, order_from_discriminant, validate_field
 
+from conftest import count_rows
+
 F2 = field(2)
 F3 = field(3)
 
@@ -199,66 +201,51 @@ def test_wrongly_merged_class_is_caught_by_known_values(monkeypatch):
 
     monkeypatch.setattr(brownval, "conjugate_classes", merge)
     cm = OrderCM.of(o)
-    for p in cm.points:
-        cm.j_value(p, brown_prec(p))
+    cm.j_values(cm.points, brown_prec)
     with pytest.raises(InvariantError):
         moduli_of(o)
 
 
 def test_brown_check_evaluates_each_point_once(monkeypatch):
-    from drinfeld_cm import modforms, sweeps
+    from drinfeld_cm import sweeps
 
-    calls = Counter()
-    real = modforms.eval_j
-
-    def counting(pt, prec, **kw):
-        calls[pkey(pt)] += 1
-        return real(pt, prec, **kw)
-
-    monkeypatch.setattr(modforms, "eval_j", counting)
-    monkeypatch.setattr(brownval, "_store", {})
+    rows = count_rows(monkeypatch)
     rep = sweeps.order_report(hayes_order(), check_brown=True)
+    calls = Counter(pkey(pt) for pt, _, _ in rows)
     assert sorted(calls) == sorted(map(pkey, rep.points))
     assert set(calls.values()) == {1}
     assert rep.h_orbit == 2
 
 
 def test_report_cache_serves_unchecked_from_checked(monkeypatch):
-    from drinfeld_cm import modforms, sweeps
+    from drinfeld_cm import sweeps
 
-    calls = Counter()
-    real = modforms.eval_j
-
-    def counting(pt, prec, **kw):
-        calls[pkey(pt)] += 1
-        return real(pt, prec, **kw)
-
+    rows = count_rows(monkeypatch)
     asked = []
-    real_j_value = OrderCM.j_value
+    real_j_values = OrderCM.j_values
 
-    def recording(cm, pt, prec, cdesc=None):
-        asked.append((pkey(pt), prec))
-        return real_j_value(cm, pt, prec, cdesc)
+    def recording(cm, points, prec, cdesc=None):
+        asked.extend((pkey(pt), prec(pt) if callable(prec) else prec) for pt in points)
+        return real_j_values(cm, points, prec, cdesc)
 
     def moduli(rep):
         return [(m.log_j, [pkey(p) for p in m.points]) for m in rep.moduli]
 
-    monkeypatch.setattr(modforms, "eval_j", counting)
     order = order_from_discriminant(F3, P(F3, "T^3"))  # equal-valuation classes: an unchecked build evaluates j
     fresh = sweeps.order_report(order, check_brown=False)
-    assert calls and not fresh.brown_checked
+    assert rows and not fresh.brown_checked
     # a checked request after an unchecked one asks for every point at the
     # Brown precision; the store evaluates only the points not yet held
-    monkeypatch.setattr(OrderCM, "j_value", recording)
+    monkeypatch.setattr(OrderCM, "j_values", recording)
     checked = sweeps.order_report(order, check_brown=True)
     assert checked.brown_checked
     assert sorted(asked) == sorted((pkey(p), brown_prec(p)) for p in checked.points)
+    calls = Counter(pkey(pt) for pt, _, _ in rows)
     assert sorted(calls) == sorted(map(pkey, checked.points))
     assert set(calls.values()) == {1}  # across both requests every point is evaluated exactly once
     assert moduli(checked) == moduli(fresh)
-    calls.clear()
     monkeypatch.setattr(brownval, "_store", {})
     checked = sweeps.order_report(order, check_brown=True)
-    calls.clear()
+    rows.clear()
     assert sweeps.order_report(order, check_brown=False) is checked
-    assert not calls
+    assert not rows

@@ -4,7 +4,7 @@ import pytest
 
 from drinfeld_cm.errors import BadInputError
 from drinfeld_cm.ffield import field
-from drinfeld_cm import modforms, polyring as pr
+from drinfeld_cm import polyring as pr
 from drinfeld_cm.classno import (
     check_class_bound,
     class_number,
@@ -16,6 +16,8 @@ from drinfeld_cm.classno import (
 )
 from drinfeld_cm.quadfield import order_from, order_from_discriminant, validate_field
 from drinfeld_cm.verify import check_brown_sweep, check_class_numbers
+
+from conftest import count_rows
 
 F2 = field(2)
 F3 = field(3)
@@ -116,14 +118,7 @@ def test_class_numbers_reuse_the_checked_reports(monkeypatch):
     # class bound included, reads h from the cached reports (below |D| = 81 a
     # fresh class-number computation makes no j-evaluation either)
     check_brown_sweep(F3, 81)
-    calls = []
-    real_eval_j = modforms.eval_j
-
-    def eval_j(pt, prec, **kwargs):
-        calls.append(pt)
-        return real_eval_j(pt, prec, **kwargs)
-
-    monkeypatch.setattr(modforms, "eval_j", eval_j)
+    rows = count_rows(monkeypatch)
     rep = check_class_numbers(F3, 81)
     assert rep["ok"] and rep["bounds"] > 0
-    assert calls == []
+    assert rows == []

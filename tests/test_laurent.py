@@ -211,17 +211,25 @@ def test_packing_bound():
 @pytest.mark.parametrize("word_bits", [62, 16, 5])
 @pytest.mark.parametrize("fld", [F4, F9, F16, F25, F27], ids=lambda f: f"F{f.order}")
 def test_raw_mul_matches_basis_tensor(fld, word_bits, monkeypatch):
-    # 62 is the real word; fewer bits push every field past the packing bound
+    # 62 is the real word; fewer bits push every field past the packing bound.
+    # Operands are stacks: every row of the product must be the product of
+    # its rows, and a one-row operand is shared by every row of the other.
     monkeypatch.setattr(laurent, "_WORD_BITS", word_bits)
     rng = np.random.default_rng(fld.order + word_bits)
     for la, lb in [(1, 1), (1, 7), (5, 3), (30, 30), (63, 63), (64, 64), (64, 100), (130, 70)]:
-        A = rng.integers(0, fld.p, (fld.s, la))
-        B = rng.integers(0, fld.p, (fld.s, lb))
-        A[:, -1] = fld.p - 1  # the largest coordinate, so digit sums reach their bound
-        for ncols in (None, 1, min(la, lb), la + lb - 1, la + lb + 3):
-            assert np.array_equal(_raw_mul(fld, A, B, ncols), basis_tensor_mul(fld, A, B, ncols))
-    ones = np.full((fld.s, 80), fld.p - 1)
-    assert np.array_equal(_raw_mul(fld, ones, ones), basis_tensor_mul(fld, ones, ones))
+        for ra, rb in [(1, 1), (3, 3), (1, 4), (4, 1)]:
+            A = rng.integers(0, fld.p, (ra, fld.s, la))
+            B = rng.integers(0, fld.p, (rb, fld.s, lb))
+            A[:, :, -1] = fld.p - 1  # the largest coordinate, so digit sums reach their bound
+            for ncols in (None, 1, min(la, lb), la + lb - 1, la + lb + 3):
+                got = _raw_mul(fld, A, B, ncols)
+                assert got.shape[0] == max(ra, rb)
+                for r in range(got.shape[0]):
+                    want = basis_tensor_mul(fld, A[min(r, ra - 1)], B[min(r, rb - 1)], ncols)
+                    assert np.array_equal(got[r], want)
+    ones = np.full((2, fld.s, 80), fld.p - 1)
+    want = basis_tensor_mul(fld, ones[0], ones[0])
+    assert all(np.array_equal(row, want) for row in _raw_mul(fld, ones, ones))
 
 
 @pytest.mark.parametrize("fld", [F3, F4, F9, F16])
@@ -230,14 +238,15 @@ def test_reduced_constructor_equals_checked(fld):
     for _ in range(40):
         n0 = int(rng.integers(-5, 5))
         L = int(rng.integers(0, 12))
-        comps = rng.integers(0, fld.p, (fld.s, L))
+        rows = int(rng.integers(1, 4))
+        comps = rng.integers(0, fld.p, (rows, fld.s, L))
         if L:
-            comps[:, L - int(rng.integers(0, L)) :] = 0  # trailing known zeros
-            comps[0, 0] = 1
+            comps[:, :, L - int(rng.integers(0, L)) :] = 0  # trailing known zeros
+            comps[:, :, : int(rng.integers(0, L))] = 0  # leading zeros in every row
         for prec in (None, n0 + L, n0 + L + 3):
             trusted = LaurentSeries(fld, n0, comps, prec, reduced=True)
             assert trusted == LaurentSeries(fld, n0, comps, prec)
-            assert trusted.comps.shape[1] == 0 or trusted.comps[:, -1].any()
+            assert trusted.comps.shape[2] == 0 or (trusted.comps[:, :, 0].any() and trusted.comps[:, :, -1].any())
 
 
 def test_frobenius():

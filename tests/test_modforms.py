@@ -1,16 +1,19 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from drinfeld_cm.errors import BadInputError
+from drinfeld_cm.errors import BadInputError, InvariantError
 from drinfeld_cm.ffield import field, quadratic_extension, embedding_table
 from drinfeld_cm.laurent import LaurentSeries
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.brownval import brown_prec, log_abs_j, moduli_of
 from drinfeld_cm.cmpoints import enumerate_points
+from drinfeld_cm import modforms
 from drinfeld_cm.modforms import (
     EvalContext,
     eval_j,
+    eval_j_stack,
     hilbert_poly,
     unit_check,
     verify_lemma_A1,
@@ -21,6 +24,7 @@ from drinfeld_cm.quadfield import order_from, order_from_discriminant, validate_
 F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2)
+F5 = field(5)
 
 
 def P(fld, text):
@@ -179,3 +183,84 @@ def test_eval_j_shared_state_matches_fresh(name, monkeypatch):
         assert 0 < len(EvalContext._shared) < 2 * npts  # some points shared a context
         if pts[0].order.field.infinite_type == "inert":
             assert pts[0].order.field._xi  # the field held its xi series
+
+
+def sep4(B, C):
+    return validate_field(F4, "even_sep", B=P(F4, B), C=P(F4, C))
+
+
+STACK_ORDERS = {
+    "q3 odd inert": hayes_order,
+    "q3 odd ramified": lambda: order_from_discriminant(F3, P(F3, "T^3+T")),
+    "q4 even_sep inert": lambda: order_from(sep4("2*T+2", "T"), pr.one(F4)),
+    "q4 even_sep ramified": lambda: order_from(sep4("T", "1"), P(F4, "T+2")),
+    "q4 even_insep": lambda: order_from(validate_field(F4, "even_insep"), P(F4, "T^2")),
+    "q5 odd inert": lambda: order_from_discriminant(F5, P(F5, "2*T^2+2")),
+    "q5 odd ramified": lambda: order_from_discriminant(F5, P(F5, "2*T^3+1")),
+}
+
+
+def stacks(order):
+    """The order's points grouped as the store stacks them: equal n, eps and |j|."""
+    groups: dict = {}
+    for pt in enumerate_points(order):
+        groups.setdefault((pt.n, pt.eps, log_abs_j(pt)), []).append(pt)
+    return list(groups.values())
+
+
+def same_value(a, b):
+    parts = (lambda v: (v,) if isinstance(v, LaurentSeries) else (v.x, v.y))
+    return parts(a.value) == parts(b.value) and (a.v, a.plan) == (b.v, b.plan)
+
+
+@pytest.mark.parametrize("name", sorted(STACK_ORDERS))
+def test_stacked_rows_equal_one_point_evaluations(name):
+    groups = stacks(STACK_ORDERS[name]())
+    assert max(map(len, groups)) > 1
+    if "ramified" in name:  # a row whose x-part is 0 shares a stack with rows whose x-part is not
+        assert any(any(p.b.is_zero() for p in g) and not all(p.b.is_zero() for p in g) for g in groups)
+    for group in groups:
+        for prec in (brown_prec(group[0]), 20):
+            rows = eval_j_stack(group, prec)
+            assert [jv.point for jv in rows] == group
+            assert all(same_value(jv, eval_j(pt, prec)) for jv, pt in zip(rows, group))
+
+
+def test_stack_rejects_points_of_different_targets():
+    groups = stacks(hayes_order())
+    with pytest.raises(BadInputError):
+        eval_j_stack([groups[0][0], groups[1][0]], 12)
+
+
+def test_stack_checks_the_valuation_of_every_row():
+    # a forged second row carries the z of a point whose j has valuation 5,
+    # not the stack's 1; the stack's least valuation is still 1, so only the
+    # check of every row sees it
+    pts = enumerate_points(order_from_discriminant(F3, P(F3, "2*T^4+2")))
+    far = next(p for p in pts if p.n == 0 and log_abs_j(p) == -1)
+    near = next(p for p in pts if p.n == 0 and log_abs_j(p) == -5)
+    assert all(same_value(jv, eval_j(far, 12)) for jv in eval_j_stack([far, far], 12))
+    with pytest.raises(InvariantError, match="numeric valuation of j is 5"):
+        eval_j_stack([far, replace(far, z=near.z)], 12)
+
+
+def test_stacked_retry_matches_one_point_retry(monkeypatch):
+    # Carlitz data 20 digits short make the first round fall short of the
+    # precision asked for: the whole stack retries, with the plan of the
+    # one-point retry for every row
+    real = modforms._context_for
+    works = set()
+
+    def starved(order, prec, cdesc=None):
+        works.add(prec)
+        return real(order, prec - 20, cdesc)
+
+    monkeypatch.setattr(modforms, "_context_for", starved)
+    monkeypatch.setattr(EvalContext, "_shared", {})
+    for name in ("q3 odd inert", "q4 even_sep inert"):
+        group = max(stacks(STACK_ORDERS[name]()), key=len)
+        works.clear()
+        rows = eval_j_stack(group, 20)
+        assert len(group) > 1 and len(works) == 2  # one retry
+        for jv, pt in zip(rows, group):
+            assert same_value(jv, eval_j(pt, 20)) and jv.value.prec == 20

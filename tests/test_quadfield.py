@@ -295,3 +295,41 @@ def test_imag_and_lattice_size():
     assert imag_part_log(e2) == Fraction(1, 2)
     assert lattice_dist_log(e2, 2) == Fraction(1, 2)
 
+
+
+F4 = field(2, 2)
+
+
+def sep4(B, C):
+    return validate_field(F4, "even_sep", B=P(F4, B), C=P(F4, C))
+
+
+EMBED_ORDERS = {
+    "odd inert": lambda: order_from_discriminant(F3, P(F3, "T-T^2")),
+    "odd ramified": lambda: order_from_discriminant(F3, P(F3, "T^3+T")),
+    "even_sep inert": lambda: order_from(sep4("2*T+2", "T"), pr.one(F4)),
+    "even_sep ramified": lambda: order_from(sep4("T", "1"), P(F4, "T+2")),
+    "even_insep": lambda: order_from(validate_field(F4, "even_insep"), P(F4, "T^2")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_ORDERS))
+def test_embed_equals_coordinates_over_their_own_denominators(name):
+    # embed expands 1/A once for the common denominator A of x and y; the
+    # reference expands x and y through their own denominators
+    from drinfeld_cm.cmpoints import enumerate_points
+
+    for pt in enumerate_points(EMBED_ORDERS[name]()):
+        z, qf = pt.z, pt.z.field
+        for prec in (3, 12, 40):
+            wide = prec + 30
+            if qf.infinite_type == "inert":
+                desc2 = quadratic_extension(qf.base)
+                xi = xi_series(qf, desc2, wide)
+                want = (z.x.to_series(desc2, wide) + z.y.to_series(desc2, wide) * xi).truncate(prec)
+                assert embed(z, prec) == want
+            else:
+                ctx = QuadSeriesContext(qf, qf.base, wide)
+                want = QuadSeries(ctx, z.x.to_series(qf.base, wide), z.y.to_series(qf.base, wide)).truncate(prec)
+                got = embed(z, prec)
+                assert (got.x, got.y) == (want.x, want.y)

@@ -5,7 +5,7 @@ import io
 import math
 from fractions import Fraction
 
-from drinfeld_cm import brownval, cli, modforms
+from drinfeld_cm import brownval, cli
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.bounds import upper_bound_h
 from drinfeld_cm.brownval import OrderCM, log_abs_j, moduli_of, weil_height
@@ -14,6 +14,7 @@ from drinfeld_cm.ffield import field
 from drinfeld_cm.modforms import GUARD, hilbert_constant_degree, hilbert_poly
 from drinfeld_cm.quadfield import order_from_discriminant
 
+from conftest import count_rows
 from test_cli import separate_run
 
 F3 = field(3)
@@ -21,18 +22,6 @@ F3 = field(3)
 
 def odd_order(D):
     return order_from_discriminant(F3, pr.parse_poly(F3, D))
-
-
-def count_eval_j(monkeypatch) -> list:
-    calls = []
-    real = modforms.eval_j
-
-    def counting(pt, prec, **kwargs):
-        calls.append((pt, prec))
-        return real(pt, prec, **kwargs)
-
-    monkeypatch.setattr(modforms, "eval_j", counting)
-    return calls
 
 
 def count_builds(monkeypatch) -> list:
@@ -68,7 +57,7 @@ def test_least_recently_used_entry_loses_its_values(monkeypatch):
     cm_a, cm_b, cm_c = map(OrderCM.of, (a, b, c))
     assert cm_a.values and not cm_b.values and cm_c.values
     assert not cm_b.plans and cm_b.moduli is not None  # only the values go
-    calls = count_eval_j(monkeypatch)
+    calls = count_rows(monkeypatch)
     again = (hilbert_poly(b).to_jsonable(), moduli_keys(b))
     assert again == first[b]
     assert len(calls) == 2  # b's two classes, evaluated afresh
@@ -119,7 +108,7 @@ def test_hilbert_plan_ignores_a_held_higher_precision(monkeypatch):
     cm = OrderCM.of(order)
     classes = cm.classes()
     W = int(math.ceil(sum(max(Fraction(0), log_abs_j(cls[0])) for cls in classes))) + GUARD + 6
-    held = cm.j_value(classes[0][0], W + 20)
+    held = cm.j_values([classes[0][0]], W + 20)[0]
     code, out = run(argv)
     assert (code, out) == separate_run(argv)
     assert '"truncation": {"e_c_terms": 3, "max_deg_a": 1}' in out
@@ -136,7 +125,7 @@ def test_repeated_requests_reuse_the_store(monkeypatch):
     ]
     first = [run(argv) for argv in requests]
     assert all(code == 0 for code, _ in first)
-    calls = count_eval_j(monkeypatch)
+    calls = count_rows(monkeypatch)
     builds = count_builds(monkeypatch)
     assert [run(argv) for argv in requests] == first
     assert calls == [] and builds == []
@@ -146,7 +135,7 @@ def test_unit_search_row_builds_one_object(monkeypatch):
     order = odd_order("2*T^4+T+1")  # inert, |D| = 81: the constant-degree route
     deg = hilbert_constant_degree(order)
     builds = count_builds(monkeypatch)
-    calls = count_eval_j(monkeypatch)
+    calls = count_rows(monkeypatch)
     h = weil_height(order)
     ub = upper_bound_h(order, Fraction(1, 3))
     assert builds == [] and calls == []
