@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import BadInputError
+from .errors import BadInputError, InvariantError
 
 _PREC_BITS = 120
+_EXACT_DEN = 64  # exp_q checks its enclosure exactly up to this exponent denominator
 
 
 def _mpf_tuple_to_fraction(t) -> Fraction:
@@ -146,7 +147,13 @@ def exact_log_q(x, q: int) -> int:
 
 
 def exp_q(e: Fraction, q: int) -> Interval:
-    """q^e for rational e (integer e is exact)."""
+    """q^e for rational e (integer e is exact).
+
+    mpmath rounds an approximation of exp in the directed sense, which can
+    miss q^e by a fraction of an ulp (3^(25/2) at 120 bits).  So each endpoint
+    moves out by 16 ulps, unless e = n/d has d <= _EXACT_DEN and the exact
+    test lo^d <= q^n (hi^d >= q^n) shows it on the right side.
+    """
     if e.denominator == 1:
         return Interval.point(Fraction(q) ** int(e))
     with mpmath.workprec(_PREC_BITS):
@@ -156,5 +163,14 @@ def exp_q(e: Fraction, q: int) -> Interval:
             val = mpmath.iv.mpf(q) ** (mpmath.iv.mpf(e.numerator) / mpmath.iv.mpf(e.denominator))
         finally:
             mpmath.iv.prec = old
-    lo, hi = val._mpi_
-    return Interval(_mpf_tuple_to_fraction(lo), _mpf_tuple_to_fraction(hi))
+    lo, hi = (_mpf_tuple_to_fraction(t) for t in val._mpi_)
+    d = e.denominator
+    power = Fraction(q) ** e.numerator if d <= _EXACT_DEN else None
+    slack = Fraction(1, 2 ** (_PREC_BITS - 4))
+    if power is None or lo**d > power:
+        lo *= 1 - slack
+    if power is None or hi**d < power:
+        hi *= 1 + slack
+    if power is not None and not lo**d <= power <= hi**d:
+        raise InvariantError(f"no enclosure of {q}^({e})")  # pragma: no cover
+    return Interval(lo, hi)

@@ -11,7 +11,9 @@ Besides ring arithmetic this module provides factorization (squarefree split
 + distinct-degree + equal-degree splitting, its random choices seeded by the
 input), the counting functions d(a), omega(a), sigma_1(f), gcd_2, the
 quadratic character chi attached to an imaginary quadratic extension, and the
-Mertens-style Euler product.
+Mertens-style Euler product.  For exhaustive sweeps it keeps tables indexed by
+integer poly codes: a linear smallest-prime sieve, residues mod a and scalar
+multiples.
 """
 
 from __future__ import annotations
@@ -39,6 +41,15 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "field", fld)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _of_trimmed(cls, fld: FieldDesc, coeffs: tuple) -> "Poly":
+        """Wrap a coefficient tuple whose last entry is nonzero (or that is empty),
+        without the copy and trim of __init__."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", fld)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Poly is immutable")
@@ -126,7 +137,7 @@ class Poly:
                 for j, bj in enumerate(b, i):
                     if bj:
                         out[j] = add(out[j], mul(ai, bj))
-        return Poly(f, out)
+        return Poly._of_trimmed(f, tuple(out))  # a field has no zero divisors: the top entry is nonzero
 
     def scale(self, code: int) -> "Poly":
         f = self.field
@@ -161,7 +172,8 @@ class Poly:
                     rem[i] = sub(rem[i], mul(factor, c))
             while rem and rem[-1] == 0:
                 rem.pop()
-        return Poly(f, quot), Poly(f, rem)
+        # quot[-1] is the first factor taken, nonzero; the loop leaves rem trimmed
+        return Poly._of_trimmed(f, tuple(quot)), Poly._of_trimmed(f, tuple(rem))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -634,81 +646,135 @@ def monic_of_degree(fld: FieldDesc, d: int):
     """All monic polynomials of degree d, in lexicographic code order."""
     if d < 0:
         return
-    q_order = fld.order
-    for v in range(q_order**d):
-        cs = []
-        t = v
-        for _ in range(d):
-            t, c = divmod(t, q_order)
-            cs.append(c)
-        yield Poly(fld, cs + [1])
+    low = fld.order**d
+    for v in range(low, 2 * low):
+        yield code_poly(fld, v)
 
 
 def all_of_degree_less(fld: FieldDesc, d: int):
     """All polynomials (monic or not, including 0) of degree < d."""
-    q_order = fld.order
-    for v in range(q_order**d):
-        cs = []
-        t = v
-        for _ in range(d):
-            t, c = divmod(t, q_order)
-            cs.append(c)
-        yield Poly(fld, cs)
+    for v in range(fld.order**d):
+        yield code_poly(fld, v)
 
 
 def poly_code(a: Poly) -> int:
-    """Integer code of a polynomial (base-order digits of coefficient codes)."""
+    """Integer code of a polynomial (base-order digits of coefficient codes).
+
+    The monic polynomials of degree d have the codes order^d .. 2*order^d - 1,
+    and the polynomials of degree < d the codes 0 .. order^d - 1.
+    """
+    o = a.field.order
     v = 0
     for c in reversed(a.coeffs):
-        v = v * a.field.order + c
+        v = v * o + c
     return v
 
 
+def code_poly(fld: FieldDesc, code: int) -> Poly:
+    """The polynomial with this poly code (the inverse of poly_code)."""
+    o = fld.order
+    cs = []
+    while code:
+        code, c = divmod(code, o)
+        cs.append(c)
+    return Poly._of_trimmed(fld, tuple(cs))
+
+
 def spf_table(fld: FieldDesc, maxdeg: int):
-    """Smallest-prime-factor table for all monic polynomials of degree <= maxdeg.
+    """Linear sieve over the monic polynomials of degree <= maxdeg.
 
-    Keys and values are poly codes; irreducibles are exactly the monic
-    polynomials of degree >= 1 that map to themselves.
+    Returns (spf, cof), two lists indexed by poly code.  For a monic a of
+    degree >= 1, spf[a] is the code of the smallest monic irreducible factor
+    of a in code order and cof[a] that of a / spf[a]; so the irreducibles are
+    exactly the codes with spf[P] = P, and they have cof[P] = 1 (the code of
+    the polynomial 1).  Other entries are 0.  As in the sieve of Gries and
+    Misra (CACM 21, 1978), each composite is set once, from the one product
+    P * m with P <= spf[m] in code order.
     """
-    spf = {}
-    monics_by_deg = [list(monic_of_degree(fld, d)) for d in range(maxdeg + 1)]
+    o = fld.order
+    spf = [0] * (2 * o**maxdeg)
+    cof = [0] * (2 * o**maxdeg)
+    primes = []  # (code, degree, polynomial) in code order
     for d in range(1, maxdeg + 1):
-        for P in monics_by_deg[d]:
-            cp = poly_code(P)
-            if cp in spf:
+        room = maxdeg - d  # the largest degree of a prime that m can still take
+        for c in range(o**d, 2 * o**d):
+            if not spf[c]:
+                spf[c], cof[c] = c, 1
+                primes.append((c, d, code_poly(fld, c)))
+            if not room:
                 continue
-            spf[cp] = cp  # P is irreducible
-            for md in range(0, maxdeg - d + 1):
-                if md == 0:
-                    continue
-                for m_ in monics_by_deg[md]:
-                    spf.setdefault(poly_code(P * m_), cp)
-    return spf
+            m = code_poly(fld, c)
+            least = spf[c]
+            for pc, pd, P in primes:
+                if pd > room or pc > least:
+                    break
+                prod = poly_code(P * m)
+                spf[prod], cof[prod] = pc, c
+    return spf, cof
 
 
-def factor_with_spf(a: Poly, spf) -> list:
-    """Factor a monic polynomial using a precomputed spf table."""
-    items = {}
-    rest = a.monic()
-    fld = a.field
-    while rest.deg > 0:
-        cp = spf[poly_code(rest)]
-        # decode the prime
-        cs = []
-        t = cp
-        while t:
-            t, c = divmod(t, fld.order)
-            cs.append(c)
-        P = Poly(fld, cs)
-        e = 0
-        while True:
-            quot, r = divmod(rest, P)
-            if r:
-                break
-            rest = quot
+def factor_with_spf(code: int, table) -> list:
+    """Factor the monic polynomial with this code by walking an spf_table.
+
+    Returns [(prime code, exponent), ...] in increasing code order; the walk
+    follows the cofactors down to 1 and divides nothing.
+    """
+    spf, cof = table
+    items = []
+    last, e = 0, 0
+    while code != 1:
+        P = spf[code]
+        if not P:
+            raise BadInputError(f"code {code} is not a monic polynomial of the table")
+        code = cof[code]
+        if P == last:
             e += 1
-        items[P] = e
-    return sorted(items.items(), key=lambda kv: (kv[0].deg, kv[0].coeffs))
+        else:
+            if e:
+                items.append((last, e))
+            last, e = P, 1
+    if e:
+        items.append((last, e))
+    return items
+
+
+def scale_tables(fld: FieldDesc, n: int) -> list:
+    """For each nonzero scalar c in code order, the list of code(c * r) over the codes r < order^n.
+
+    Each entry comes from the entry of r div T: one field product per entry.
+    """
+    o = fld.order
+    out = []
+    for sc in range(1, o):
+        row = [0]
+        for r in range(1, o**n):
+            row.append(row[r // o] * o + fld.mul(sc, r % o))
+        out.append(row)
+    return out
+
+
+def residue_table(a: Poly, maxdeg: int) -> list:
+    """code(D mod a) for every monic D of degree <= maxdeg, as a list indexed by code(D).
+
+    Needs deg a >= 1.  With D = T * D' + c0 (code(D) = c0 + order * code(D'),
+    D' = D div T the parent of D), D mod a is T * (D' mod a) mod a, read from
+    one table over the residues, plus c0 on the lowest digit.  Other entries
+    are 0.
+    """
+    fld = a.field
+    if a.deg < 1:
+        raise BadInputError("residue_table needs deg a >= 1")
+    o = fld.order
+    add = fld.add
+    times_t = [poly_code(code_poly(fld, r).shift(1) % a) for r in range(o**a.deg)]
+    red = [0] * (2 * o**maxdeg)
+    red[1] = 1
+    for d in range(1, maxdeg + 1):
+        for c in range(o**d, 2 * o**d):
+            x = times_t[red[c // o]]
+            low = x % o
+            red[c] = x - low + add(low, c % o)
+    return red
 
 
 # ---------------------------------------------------------------------------

@@ -108,74 +108,97 @@ def check_class_numbers(base: FieldDesc, d_bound: int) -> dict:
     return {"name": "class-numbers", "ok": True, **counts}
 
 
+EPS_LOGS = (0, -1, -2)  # the windows eps = 1, 1/q, 1/q^2 of the odd counting lemma
+
+
+def square_roots(a: pr.Poly) -> dict:
+    """Residue code of b^2 mod a -> the codes of every b with deg b < deg a and that square."""
+    fld = a.field
+    roots: dict = {}
+    for r in range(fld.order**a.deg):
+        b = pr.code_poly(fld, r)
+        roots.setdefault(pr.poly_code((b * b) % a), []).append(r)
+    return roots
+
+
+def window_counts(roots, deg_a: int, order: int) -> list:
+    """For each eps = q^el of EPS_LOGS, how many of the root codes b have deg b < deg a + el.
+
+    The codes below order^L are exactly the b of degree < L, b = 0 included.
+    """
+    return [sum(1 for b in roots if b < order ** max(0, deg_a + el)) for el in EPS_LOGS]
+
+
 def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 6, *, max_deg_m: int = 4) -> dict:
     """Exhaustive oracle equivalence for the congruence-counting lemmas; the
-    easycounting bound is checked on every monic m of degree <= max_deg_m."""
+    easycounting bound is checked on every monic m of degree <= max_deg_m.
+
+    For odd q, each pair (a, D) is every monic a of degree <= max_deg_a
+    against every nonzero D of degree <= max_deg_d, handled on poly codes:
+    D mod a comes from pr.residue_table, the scalar multiples of it from one
+    digit table per scalar, and the factorizations from pr.spf_table.
+    """
     q = base.q
     pairs = 0
     if base.p != 2:
-        eps_logs = [0, -1, -2]  # eps = 1, 1/q, 1/q^2
-        spf = pr.spf_table(base, max_deg_d)
-        fact_cache = {}
-        for d in range(1, max_deg_d + 1):
-            for m in pr.monic_of_degree(base, d):
-                fact_cache[pr.poly_code(m)] = {pr.poly_code(P): e for P, e in pr.factor_with_spf(m, spf)}
+        o = base.order
+        table = pr.spf_table(base, max(max_deg_a, max_deg_d))
+        facts = {}  # code of monic D -> {prime code: exponent}
+        for dd in range(0, max_deg_d + 1):
+            for c in range(o**dd, 2 * o**dd):
+                facts[c] = dict(pr.factor_with_spf(c, table))
+        scaled = pr.scale_tables(base, max_deg_a)
         for da in range(0, max_deg_a + 1):
             for a in pr.monic_of_degree(base, da):
-                # square table of A/a: residue code of b^2 -> solutions b
-                sq: dict = {}
-                if da > 0:
-                    for b in pr.all_of_degree_less(base, da):
-                        sq.setdefault(pr.poly_code((b * b) % a), []).append(b)
-                _, items = pr.factor(a) if da > 0 else (1, ())
+                red = pr.residue_table(a, max_deg_d) if da > 0 else None
+                roots = square_roots(a)
+                items = pr.factor_with_spf(pr.poly_code(a), table)
                 omega = len(items)
-                prime_codes = [(pr.poly_code(P), P, s) for P, s in items]
+                # gcd_2(a, D) depends only on the monic part of D, and only on
+                # the primes whose square divides a
+                halves = [(pc, s // 2, pr.code_poly(base, pc)) for pc, s in items if s >= 2]
+                bounds_of: dict = {}  # deg gcd_2(a, D) -> the bound 2^omega q^max(0, 1 + el + deg) per el
                 window_memo: dict = {}
                 class_memo: dict = {}
                 for dd in range(0, max_deg_d + 1):
-                    for Dm in pr.monic_of_degree(base, dd):
-                        Dm_facts = fact_cache.get(pr.poly_code(Dm), {})
-                        red = (Dm % a) if da > 0 else None
-                        # gcd_2(a, D) depends only on the monic part of D
-                        caps = tuple(min(Dm_facts.get(pc, 0) // 2, s // 2) for pc, _P, s in prime_codes)
-                        g2d = sum(k * P.deg for k, (_pc, P, _s) in zip(caps, prime_codes))
-                        for sc in range(1, base.order):
-                            D_scaled_code = pr.poly_code(red.scale(sc)) if red is not None else 0
+                    for dc in range(o**dd, 2 * o**dd):
+                        if halves:
+                            Dm_facts = facts[dc]
+                            caps = tuple(min(Dm_facts.get(pc, 0) // 2, h) for pc, h, _P in halves)
+                            g2d = sum(k * P.deg for k, (_pc, _h, P) in zip(caps, halves))
+                        else:
+                            caps, g2d = (), 0
+                        bounds = bounds_of.get(g2d)
+                        if bounds is None:
+                            bounds = bounds_of[g2d] = [2**omega * q ** max(0, 1 + el + g2d) for el in EPS_LOGS]
+                        r = red[dc] if da > 0 else 0
+                        for sc, row in enumerate(scaled, 1):
+                            D_scaled_code = row[r]
                             pairs += 1
                             counts = window_memo.get(D_scaled_code)
                             if counts is None:
-                                sols = sq.get(D_scaled_code, []) if da > 0 else [pr.zero(base)]
-                                counts = []
-                                for el in eps_logs:
-                                    Lexp = da + el
-                                    cnt = 0
-                                    for b in sols:
-                                        if Lexp > da:
-                                            cnt += q ** (Lexp - da)
-                                        elif b.is_zero() or b.deg < Lexp:
-                                            cnt += 1
-                                    counts.append(cnt)
-                                window_memo[D_scaled_code] = counts
+                                counts = window_memo[D_scaled_code] = window_counts(roots.get(D_scaled_code, ()), da, o)
                             if da > 0:
                                 key = (D_scaled_code, caps)
                                 okc = class_memo.get(key)
                                 if okc is None:
-                                    sols = sq.get(D_scaled_code, [])
+                                    sols = roots.get(D_scaled_code, ())
                                     okc = True
                                     if sols:
                                         g2 = pr.one(base)
-                                        for k, (_pc, P, _s) in zip(caps, prime_codes):
+                                        for k, (_pc, _h, P) in zip(caps, halves):
                                             if k:
                                                 g2 = g2 * P**k
                                         m_cls = a // g2
-                                        ncls = len({pr.poly_code(b % m_cls) for b in sols})
+                                        ncls = len({pr.poly_code(pr.code_poly(base, b) % m_cls) for b in sols})
                                         okc = ncls <= 2**omega and len(sols) == ncls * q ** (a.deg - m_cls.deg)
                                     class_memo[key] = okc
                                 if not okc:
+                                    Dm = pr.code_poly(base, dc)
                                     return {"name": "counting", "ok": False, "fail": f"classes/cover a={a} D~{Dm}*{sc}"}
-                            for el, cnt in zip(eps_logs, counts):
-                                bound = 2**omega * q ** max(0, 1 + el + g2d)
+                            for el, cnt, bound in zip(EPS_LOGS, counts, bounds):
                                 if cnt > bound:
+                                    Dm = pr.code_poly(base, dc)
                                     return {"name": "counting", "ok": False, "fail": f"bound a={a} D~{Dm}*{sc} eps=q^{el}"}
     else:
         eps_list = [Fraction(1), Fraction(1, q)]
@@ -192,7 +215,7 @@ def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 
                             return {"name": "counting", "ok": False, "fail": f"a={a} delta={delta} mu={mu}"}
                 for delta, mu, beta, eps in [
                     (pr.parse_poly(base, "T"), pr.one(base), betas[1], Fraction(1)),
-                    (pr.parse_poly(base, "T+1"), pr.parse_poly(base, "T"), betas[2], Fraction(1, 2)),
+                    (pr.parse_poly(base, "T+1"), pr.parse_poly(base, "T"), betas[2], Fraction(1, q)),
                 ]:
                     rep = bnd.count_congruence_even(a, delta, mu, eps, beta=beta)
                     if not rep.bound_holds:
@@ -219,6 +242,22 @@ def _all_of_deg_at_most(base: FieldDesc, maxdeg: int):
     yield from _all_nonzero(base, maxdeg)
 
 
+def divisor_stats(items, norms) -> tuple:
+    """(omega, d, sigma_1, mnum, mden) of a monic polynomial from its factorization.
+
+    `items` is [(prime code, exponent), ...] and norms[P] = |P|; the Mertens
+    product prod |P|/(|P| - 1) is mnum/mden.
+    """
+    dcount = sigma1 = mnum = mden = 1
+    for P, e in items:
+        pd = norms[P]
+        dcount *= e + 1
+        sigma1 *= (pd ** (e + 1) - 1) // (pd - 1)
+        mnum *= pd
+        mden *= pd - 1
+    return len(items), dcount, sigma1, mnum, mden
+
+
 def check_analytic_lemmas(base: FieldDesc, maxdeg: int = 10) -> dict:
     """Divisor/omega/sigma_1/Mertens bounds, exhaustively to degree `maxdeg`.
 
@@ -226,29 +265,24 @@ def check_analytic_lemmas(base: FieldDesc, maxdeg: int = 10) -> dict:
     (value, degree) pair is certified once through interval enclosures.
     """
     q = base.q
-    spf = pr.spf_table(base, maxdeg)
+    o = base.order
+    table = pr.spf_table(base, maxdeg)
     lnq2 = certlog.ln(q) * certlog.ln(q)
     checked: dict = {}
+    norms: dict = {}  # prime code -> |P| = q^deg P
     count = 0
     for d in range(1, maxdeg + 1):
-        for a in pr.monic_of_degree(base, d):
+        for c in range(o**d, 2 * o**d):
             count += 1
-            items = pr.factor_with_spf(a, spf)
-            omega = len(items)
-            dcount = 1
-            sigma1 = 1
-            mnum = mden = 1  # the Mertens product prod |P|/(|P| - 1) = mnum/mden
-            for P, e in items:
-                dcount *= e + 1
-                pd = q**P.deg
-                sigma1 *= sum(pd**j for j in range(e + 1))
-                mnum *= pd
-                mden *= pd - 1
+            items = pr.factor_with_spf(c, table)
+            if table[0][c] == c:  # c is irreducible
+                norms[c] = q**d
+            omega, dcount, sigma1, mnum, mden = divisor_stats(items, norms)
             # sigma_1(f)/|f| <= log_q|f| + 1 and mnum/mden <= 37 deg f, cross-multiplied
             if sigma1 > (d + 1) * q**d:
-                return {"name": "analytic", "ok": False, "fail": f"sigma1 {a}"}
+                return {"name": "analytic", "ok": False, "fail": f"sigma1 {pr.code_poly(base, c)}"}
             if mnum > 37 * d * mden:
-                return {"name": "analytic", "ok": False, "fail": f"mertens {a}"}
+                return {"name": "analytic", "ok": False, "fail": f"mertens {pr.code_poly(base, c)}"}
             if d >= 2:
                 key = ("d", dcount, d)
                 if key not in checked:
@@ -256,14 +290,14 @@ def check_analytic_lemmas(base: FieldDesc, maxdeg: int = 10) -> dict:
                     lhs = certlog.ln(dcount) * certlog.ln(d) if dcount > 1 else certlog.Interval.point(0)
                     checked[key] = lhs.certainly_le(lnq2 * (15 * d))
                 if not checked[key]:
-                    return {"name": "analytic", "ok": False, "fail": f"maj-omega {a}"}
+                    return {"name": "analytic", "ok": False, "fail": f"maj-omega {pr.code_poly(base, c)}"}
                 key2 = ("w", omega, d)
                 if key2 not in checked:
                     # omega * ln 2 * ln(deg a) <= 15 * deg a * (ln q)^2
                     lhs = certlog.ln(2) * certlog.ln(d) * omega if omega else certlog.Interval.point(0)
                     checked[key2] = lhs.certainly_le(lnq2 * (15 * d))
                 if not checked[key2]:
-                    return {"name": "analytic", "ok": False, "fail": f"majomega {a}"}
+                    return {"name": "analytic", "ok": False, "fail": f"majomega {pr.code_poly(base, c)}"}
     # a_n bounds, exactly
     for n in range(1, 13):
         an = pr.count_monic_irreducibles(n, q)

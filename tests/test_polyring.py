@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from drinfeld_cm.errors import BadInputError, InvariantError
 from drinfeld_cm.ffield import field
 from drinfeld_cm import polyring as pr
+from drinfeld_cm.verify import divisor_stats
 
 F2 = field(2)
 F3 = field(3)
@@ -70,6 +71,32 @@ def test_divmod_postcondition_hypothesis(fld, ca, cb):
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.is_zero() or r.deg < b.deg
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(DIVMOD_FIELDS),
+    st.lists(st.integers(0, 728), max_size=8),
+    st.lists(st.integers(0, 728), min_size=1, max_size=5),
+)
+def test_unchecked_results_equal_checked_construction(fld, ca, cb):
+    # products and divmod results skip the copy and trim of Poly.__init__
+    a = pr.Poly(fld, [c % fld.order for c in ca])
+    b = pr.Poly(fld, [c % fld.order for c in cb])
+    assume(not b.is_zero())
+    results = list(divmod(a, b))
+    if not a.is_zero():
+        schoolbook = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+        for i, ai in enumerate(a.coeffs):
+            for j, bj in enumerate(b.coeffs):
+                schoolbook[i + j] = fld.add(schoolbook[i + j], fld.mul(ai, bj))
+        prod = a * b
+        assert prod == pr.Poly(fld, schoolbook)
+        results.append(prod)
+    for r in results:
+        assert type(r.coeffs) is tuple
+        assert r == pr.Poly(fld, list(r.coeffs))
+        assert not r.coeffs or r.coeffs[-1] != 0
 
 
 def test_factor_examples():
@@ -217,11 +244,41 @@ def test_mertens_bound_sweep(fld):
 
 
 def test_spf_table_agrees_with_factor():
-    for fld in (F2, F3):
-        spf = pr.spf_table(fld, 6)
+    # F_4 has codes whose digits are not prime-field elements
+    for fld in (F2, F3, field(2, 2), field(5)):
+        table = pr.spf_table(fld, 6)
         for d in range(1, 7):
             for a in pr.monic_of_degree(fld, d):
-                assert pr.factor_with_spf(a, spf) == list(pr.factor(a)[1])
+                items = pr.factor_with_spf(pr.poly_code(a), table)
+                _, expect = pr.factor(a)
+                assert sorted(items) == sorted((pr.poly_code(P), e) for P, e in expect)
+                assert [pc for pc, _ in items] == sorted({pc for pc, _ in items})  # increasing code order
+                norms = {pr.poly_code(P): fld.q**P.deg for P, _ in expect}
+                omega, dcount, sigma1, mnum, mden = divisor_stats(items, norms)
+                assert {"omega": omega, "d": dcount, "sigma1": sigma1} == pr.arith_stats(a)
+                assert Fraction(mnum, mden) == pr.mertens_product(a)
+
+
+def test_factor_with_spf_rejects_codes_outside_the_table():
+    table = pr.spf_table(F3, 2)
+    with pytest.raises(BadInputError):
+        pr.factor_with_spf(pr.poly_code(P(F3, "2*T+1")), table)
+
+
+@pytest.mark.parametrize("fld", [F3, field(2, 2)])
+def test_residue_and_scale_tables_agree_with_division(fld):
+    monic_d = [(pr.poly_code(D), D) for d in range(7) for D in pr.monic_of_degree(fld, d)]
+    for da in range(1, 4):
+        for a in pr.monic_of_degree(fld, da):
+            red = pr.residue_table(a, 6)
+            for c, D in monic_d:
+                assert red[c] == pr.poly_code(D % a)
+    rows = pr.scale_tables(fld, 3)
+    assert len(rows) == fld.order - 1
+    for sc, row in enumerate(rows, 1):
+        assert row == [pr.poly_code(b.scale(sc)) for b in pr.all_of_degree_less(fld, 3)]
+    with pytest.raises(BadInputError):
+        pr.residue_table(pr.one(fld), 2)
 
 
 def test_parse_format_roundtrip():
