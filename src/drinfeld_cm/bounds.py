@@ -345,7 +345,7 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
     """
     from .sweeps import iter_orders, modulus_records, order_report
     from .brownval import OrderCM
-    from .quadfield import QuadSeries
+    from .quadfield import flat_part, product
     from .ffield import quadratic_extension
 
     q = base.q
@@ -387,11 +387,11 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
                         yield r1, r2, total, biquadratic, prec1, prec2
 
     # each record's value is read once, through its OrderCM at the highest
-    # precision its pairs need (a ramified one over F_{q^2}, where the inert
-    # values live: the F_q value with its coefficients embedded); every known
-    # digit is exact, so a truncation equals a fresh evaluation.  The search
-    # keeps what it read: its pairs cycle through more orders than the store
-    # may hold values for.
+    # precision its pairs need, over F_{q^2}, the value field of the inert
+    # orders (a ramified value is the F_q value with its coefficients
+    # embedded); every known digit is exact, so a truncation equals a fresh
+    # evaluation.  The search keeps what it read: its pairs cycle through
+    # more orders than the store may hold values for.
     need: dict = {}
     for r1, r2, _, biquadratic, prec1, prec2 in candidates():
         if not biquadratic:
@@ -405,8 +405,7 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
     values = {}
     for (_, prec), recs in asks.items():
         order = recs[0].order
-        cdesc = None if order.field.infinite_type == "inert" else desc2
-        for rec, jv in zip(recs, OrderCM.of(order).j_values([r.modulus.points[0] for r in recs], prec, cdesc)):
+        for rec, jv in zip(recs, OrderCM.of(order).j_values([r.modulus.points[0] for r in recs], prec, desc2)):
             values[rec.key] = jv.value
     for order in orders:
         order_report(order, check_brown=False)
@@ -422,19 +421,9 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
             )
             continue
         pairs_checked += 1
-        v1 = values[r1.key].truncate(prec1)
-        v2 = values[r2.key].truncate(prec2)
-        if isinstance(v1, QuadSeries) or isinstance(v2, QuadSeries):
-            if not isinstance(v1, QuadSeries):
-                v1 = QuadSeries.from_series(v2.ctx, v1)
-            elif not isinstance(v2, QuadSeries):
-                v2 = QuadSeries.from_series(v1.ctx, v2)
-            prod = v1 * v2
-            if not prod.y.is_zero_known():
-                continue  # nonzero xi-part: certified non-hit
-            flat = prod.x
-        else:
-            flat = v1 * v2
+        flat = flat_part(product(values[r1.key].truncate(prec1), values[r2.key].truncate(prec2)))
+        if flat is None:
+            continue  # nonzero xi-part: certified non-hit
         poly, tail = flat.polynomial_part()
         if tail is not None:
             continue  # nonzero fractional digit: certified non-hit

@@ -33,10 +33,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BadInputError, InvariantError, PrecisionError
-from .cmpoints import CMPoint, enumerate_points
+from .cmpoints import CMPoint, enumerate_points, point_form
 from .ffield import FieldDesc
-from . import polyring as pr
-from .quadfield import Order
+from .quadfield import Order, value_field
 
 BROWN_DIGITS = 4  # digits past the valuation that the Brown check resolves
 MAX_SEPARATION_DIGITS = 128
@@ -95,17 +94,12 @@ def pgl2_moves(base: FieldDesc) -> list:
 def _integral_data(pt: CMPoint) -> tuple:
     """(A, x, C, s) with z = (x + eta)/A and C = (x^2 + s x - t)/A in A = F_q[T].
 
-    eta is the order's fixed root of eta^2 = s eta + t: sqrt(D_O) (odd),
-    f G xi (even separable) or f xi (inseparable), so (A, x) determines z.
+    eta is the order's fixed root of eta^2 = s eta + t (`cmpoints.point_form`):
+    sqrt(D_O) (odd), f G xi (even separable) or f xi (inseparable), so (A, x)
+    determines z; s = f G for the even separable flavor and 0 otherwise.
     """
-    order = pt.order
-    k = order.field
-    base = k.base
-    if k.flavor == "odd":  # z = (-b + sqrt(D_O))/(2a), b^2 - D_O = 2a * 2c
-        two = 2 % base.p
-        return pt.a.scale(two), -pt.b, pt.c.scale(two), pr.zero(base)
-    s = order.f * k.G if k.flavor == "even_sep" else pr.zero(base)
-    return pt.a, pt.b, pt.c, s  # b^2 + s b + t = a c in characteristic 2
+    A, x, C, _, beta = point_form(pt.order, pt.a, pt.b, pt.c)
+    return A, x, C, beta.scale(pt.order.field.s)
 
 
 def _combine(base: FieldDesc, terms) -> tuple:
@@ -206,7 +200,7 @@ class OrderCM:
         self.points = enumerate_points(order)
         if not self.points:
             raise InvariantError("a valid order has a nonempty reduced point set")
-        self.values: dict = {}  # (a, b, coefficient field) -> (precision, JValue)
+        self.values: dict = {}  # (a, b) -> (precision, JValue over the order's value field)
         self.plans: dict = {}  # (a, b, precision) -> plan of the evaluation made at that precision
         self.moduli: list | None = None  # set by moduli_of once certified
         self.report = None  # the sweeps.OrderReport, once built
@@ -223,23 +217,22 @@ class OrderCM:
             _store[key] = cls(order)
         return _store[key]
 
-    def _evaluate(self, points: list, need, cdesc: FieldDesc | None) -> None:
-        """Evaluate j at the points, one stack per group of equal (n, eps,
-        |j|, precision need(pt)); keep each value unless a more precise one
-        is held."""
+    def _evaluate(self, points: list, need) -> None:
+        """Evaluate j at the points over the order's value field, one stack
+        per group of equal (n, eps, |j|, precision need(pt)); keep each value
+        unless a more precise one is held."""
         from .modforms import eval_j_stack
 
         groups: dict = {}
         for pt in points:
             groups.setdefault((pt.n, pt.eps, log_abs_j(pt), need(pt)), []).append(pt)
         for (*_, prec), group in groups.items():
-            for jv in eval_j_stack(group, prec, cdesc=cdesc):
+            for jv in eval_j_stack(group, prec):
                 pt = jv.point
-                key = (pt.a, pt.b, cdesc)
+                key = (pt.a, pt.b)
                 if key not in self.values or self.values[key][0] < prec:
                     self.values[key] = (prec, jv)
-                if cdesc is None:
-                    self.plans[(pt.a, pt.b, prec)] = jv.plan
+                self.plans[(pt.a, pt.b, prec)] = jv.plan
         _holding[self.key] = self
         _holding.move_to_end(self.key)
         while len(_holding) > VALUE_CAP:
@@ -250,26 +243,24 @@ class OrderCM:
     def j_values(self, points: list, prec, cdesc: FieldDesc | None = None) -> list:
         """The JValues of the points to absolute precision at least `prec` (a
         number, or a function of the point such as `brown_prec`), over
-        `cdesc` (default: eval_j's coefficient field for the flavor).
+        `cdesc` (default: the order's `value_field`).
 
         The points not yet held to that precision are evaluated in one call:
         one stacked evaluation per group of equal (n, eps, |j|, precision),
-        whose rows share every truncation target.  A ramified point is only
-        ever evaluated over F_q: its value over an extension is the held F_q
-        value with its coefficients embedded, which is exact.
+        whose rows share every truncation target.  A point is only ever
+        evaluated over the value field: its value over an extension is the
+        held value with its coefficients embedded, which is exact.
         """
-        lift = cdesc is not None and self.order.field.infinite_type == "ramified"
-        src = None if lift else cdesc
         need = prec if callable(prec) else (lambda pt: prec)
         missing = {}
         for pt in points:
-            known = self.values.get((pt.a, pt.b, src))
+            known = self.values.get((pt.a, pt.b))
             if known is None or known[0] < need(pt):
                 missing[(pt.a, pt.b)] = pt
         if missing:
-            self._evaluate(list(missing.values()), need, src)
-        out = [self.values[(pt.a, pt.b, src)][1] for pt in points]
-        if lift:
+            self._evaluate(list(missing.values()), need)
+        out = [self.values[(pt.a, pt.b)][1] for pt in points]
+        if cdesc is not None and cdesc != value_field(self.order.field):
             out = [replace(jv, value=jv.value.lift(cdesc)) for jv in out]
         return out
 
@@ -279,7 +270,7 @@ class OrderCM:
         plan); the points without one are evaluated in one call."""
         missing = {(pt.a, pt.b): pt for pt in points if (pt.a, pt.b, prec) not in self.plans}
         if missing:
-            self._evaluate(list(missing.values()), lambda pt: prec, None)
+            self._evaluate(list(missing.values()), lambda pt: prec)
         return [self.plans[(pt.a, pt.b, prec)] for pt in points]
 
     def exact_moduli(self) -> list:
@@ -316,7 +307,7 @@ def _cross_check(cm: OrderCM, mods: list) -> None:
     MAX_SEPARATION_DIGITS.
     """
     for m in mods:
-        known = [cm.values[k][1].value for k in ((p.a, p.b, None) for p in m.points) if k in cm.values]
+        known = [cm.values[k][1].value for k in ((p.a, p.b) for p in m.points) if k in cm.values]
         if any(not (v - known[0]).is_zero_known() for v in known[1:]):
             raise InvariantError(f"conjugate points of {cm.order.label()} have different j-values")
     groups: dict = {}

@@ -74,9 +74,6 @@ class Interval:
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def certainly_le(self, other) -> bool:
         return self.hi <= _coerce(other).lo
 

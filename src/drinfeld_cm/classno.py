@@ -98,6 +98,13 @@ def class_number_by_conductor(order: Order) -> int:
     return int(val)
 
 
+def l_route_applies(order: Order) -> bool:
+    """Whether `l_route` gives h(O): O maximal in an inert separable field
+    other than the constant extension."""
+    k = order.field
+    return k.infinite_type == "inert" and k.flavor != "even_insep" and not k.is_constant_extension and order.is_maximal()
+
+
 def l_route(field: QuadField) -> LPolyData:
     """Lambda(chi, t), h_K and h(O_K) for an inert separable extension.
 

@@ -127,15 +127,14 @@ def cmd_enumerate(cfg: RunConfig, args) -> int:
 def cmd_class_number(cfg: RunConfig, args) -> int:
     """class number of one order by every applicable route"""
     from .brownval import OrderCM
-    from .classno import class_number_by_orbit, l_route
+    from .classno import class_number_by_orbit, l_route, l_route_applies
 
     order = _build_order(cfg, args)
     by_formula = OrderCM.of(order).class_number_by_conductor()
     by_orbit = class_number_by_orbit(order)
     routes = {"orbit": by_orbit, "conductor": by_formula}
-    k = order.field
-    if k.infinite_type == "inert" and k.flavor != "even_insep" and not k.is_constant_extension and order.is_maximal():
-        data = l_route(k)
+    if l_route_applies(order):
+        data = l_route(order.field)
         routes["l_route"] = data.h_OK
         routes["lambda"] = data.lam
     agree = len({routes["orbit"], routes["conductor"], routes.get("l_route", routes["orbit"])}) == 1

@@ -67,17 +67,23 @@ def _rhs(order: Order, b: Poly) -> Poly:
     return b * b + f * f * pr.T(k.base)
 
 
-def _point_z(order: Order, a: Poly, b: Poly) -> QuadElement:
+def point_form(order: Order, a: Poly, b: Poly, c: Poly) -> tuple:
+    """(A, x, C, w, beta): the CM point of (a, b, c) is z = (x + w xi)/A, and
+    C = (x^2 + s x - t)/A, where w xi = f omega xi is the order's fixed root
+    eta of eta^2 = s eta + t (omega xi generates O_K, see `QuadField`):
+    sqrt(D_O) = (f/g) xi (odd, D = sgn g^2 D_0), f G xi (even separable) or
+    f xi (inseparable).  The odd flavor keeps the classical normalisation
+    b^2 - 4ac = D_O, so (A, x, C) = (2a, -b, 2c) there and (a, b, c) for
+    even q.  beta = f num(omega) is f G (even separable) or f, and the point
+    is proper exactly when gcd(a, b, c, beta) = 1.
+    """
     k = order.field
-    base = k.base
+    beta = order.f * k.omega.num
+    w = RatFunc(beta, k.omega.den)
     if k.flavor == "odd":
-        # sqrt(D_O) = (f/g) * xi when the field is presented by D = sgn * g^2 * D0
-        _, g, _ = pr.squarefree_split(k.D)
-        twoa = a.scale(2 % base.p)
-        return QuadElement(k, RatFunc(-b, twoa), RatFunc(order.f, twoa * g))
-    if k.flavor == "even_sep":
-        return QuadElement(k, RatFunc(b, a), RatFunc(order.f * k.G, a))
-    return QuadElement(k, RatFunc(b, a), RatFunc(order.f, a))
+        two = 2 % k.base.p
+        return a.scale(two), -b, c.scale(two), w, beta
+    return a, b, c, w, beta
 
 
 def _deg_a_bound(order: Order) -> int:
@@ -116,23 +122,19 @@ def enumerate_points(order: Order) -> list:
                 # Properness: End(A + Az) = O exactly.  Expanding the
                 # endomorphism conditions for z = (b + beta*xi)/a gives
                 # End = {x + y xi : beta | y * gcd(a, b, c)} with beta = fG
-                # (resp. f, resp. the odd classical normalisation), so the
-                # right condition is gcd(beta, a, b, c) = 1.  In odd
-                # characteristic any content p divides beta^2 = |D| data and
-                # this reduces to the classical gcd(a, b, c) = 1; in even
-                # characteristic a content dividing B must be allowed (see
-                # the worked counterexamples in the decisions ledger).
-                if k.flavor == "odd":
-                    if not pr.gcd_many([a, b, c]).is_one():
-                        continue
-                else:
-                    beta = order.f * k.G if k.flavor == "even_sep" else order.f
-                    if not pr.gcd_many([a, b, c, beta]).is_one():
-                        continue
+                # (resp. f), so the right condition is gcd(beta, a, b, c) = 1.
+                # In odd characteristic a prime P | gcd(a, b, c) has P^2 |
+                # D_O = f^2 D_K with D_K squarefree, so P | f = beta and this
+                # is the classical gcd(a, b, c) = 1; in even characteristic a
+                # content dividing B must be allowed (see the worked
+                # counterexamples in the decisions ledger).
+                A, x, _, w, beta = point_form(order, a, b, c)
+                if not pr.gcd_many([a, b, c, beta]).is_one():
+                    continue
                 diff = c.deg - a.deg
                 n = (diff + 1) // 2
                 eps = Fraction(n) - Fraction(diff, 2)
-                z = _point_z(order, a, b)
+                z = QuadElement(k, RatFunc(x, A), RatFunc(w.num, w.den * A))
                 # replay the defining identity in exact arithmetic
                 if z.v_infinity() != Fraction(a.deg - c.deg, 2):
                     raise InvariantError("point valuation does not match |c|/|a|")  # pragma: no cover

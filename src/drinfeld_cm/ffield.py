@@ -325,9 +325,6 @@ class FieldDesc:
 
     # -- misc ----------------------------------------------------------------
 
-    def elements(self):
-        return range(self.order)
-
     def elem(self, code_or_coords) -> "FFElem":
         if isinstance(code_or_coords, int):
             return FFElem(self, code_or_coords % self.order)
@@ -521,46 +518,44 @@ def artin_schreier_solve(c: FFElem):
     return FFElem(desc, lo), FFElem(desc, hi)
 
 
+def solve_f2(rows: list, target: list) -> list | None:
+    """A solution y of the F_2-linear system rows * y = target (bits), with
+    every free unknown 0, or None when the system has none.
+
+    Gauss-Jordan elimination, so each pivot unknown reads its bit directly.
+    """
+    n = len(rows[0])
+    a = [row + [t] for row, t in zip(rows, target)]
+    pivots = []
+    for col in range(n):
+        piv = next((r for r in range(len(pivots), len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        rank = len(pivots)
+        a[rank], a[piv] = a[piv], a[rank]
+        for r in range(len(a)):
+            if r != rank and a[r][col]:
+                a[r] = [u ^ v for u, v in zip(a[r], a[rank])]
+        pivots.append(col)
+    if any(a[r][n] for r in range(len(pivots), len(a))):
+        return None
+    sol = [0] * n
+    for r, col in enumerate(pivots):
+        sol[col] = a[r][n]
+    return sol
+
+
 def _as_solver(desc: FieldDesc):
-    """Solver for the F_2-linear map y -> y^2 + y via a precomputed echelon form."""
+    """Solver for the F_2-linear map y -> y^2 + y on the coordinates of the field."""
     if desc._as_solver is None:
         s = desc.s
-        cols = []
-        for j in range(s):
-            y = desc.code([1 if i == j else 0 for i in range(s)])
-            img = desc.add(desc.mul(y, y), y)
-            cols.append(desc.coords(img))
-        # Gaussian elimination over F_2 on the s x s matrix (columns = images)
-        rows = []
-        for i in range(s):
-            rows.append([cols[j][i] for j in range(s)])
+        images = [desc.coords(desc.add(desc.mul(y, y), y)) for y in (desc.p**j for j in range(s))]
+        rows = [[images[j][i] for j in range(s)] for i in range(s)]
 
         def solve(code):
-            target = desc.coords(code)
-            a = [row[:] + [t] for row, t in zip(rows, target)]
-            n = s
-            piv_cols = []
-            rank = 0
-            for col in range(n):
-                piv = None
-                for rr in range(rank, n):
-                    if a[rr][col]:
-                        piv = rr
-                        break
-                if piv is None:
-                    continue
-                a[rank], a[piv] = a[piv], a[rank]
-                for rr in range(n):
-                    if rr != rank and a[rr][col]:
-                        a[rr] = [(u + v) % 2 for u, v in zip(a[rr], a[rank])]
-                piv_cols.append(col)
-                rank += 1
-            for rr in range(rank, n):
-                if a[rr][n]:  # pragma: no cover - trace test already filtered
-                    raise InvariantError("inconsistent Artin-Schreier system")
-            sol = [0] * n
-            for idx, col in enumerate(piv_cols):
-                sol[col] = a[idx][n]
+            sol = solve_f2(rows, desc.coords(code))
+            if sol is None:  # pragma: no cover - trace test already filtered
+                raise InvariantError("inconsistent Artin-Schreier system")
             return desc.code(sol)
 
         desc._as_solver = solve

@@ -393,6 +393,9 @@ class LaurentSeries:
         return LaurentSeries(fld, lo, out, prec)
 
     def __neg__(self):
+        """-x; in characteristic 2 that is x itself, so `x - y` adds y as it is."""
+        if self.field.p == 2:
+            return self
         return LaurentSeries(self.field, self.n0, (-self.comps) % self.field.p, self.prec, reduced=True)
 
     def __sub__(self, other):

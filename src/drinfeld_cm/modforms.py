@@ -37,11 +37,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadInputError, InvariantError, PrecisionError
-from .ffield import FieldDesc, quadratic_extension
+from .ffield import FieldDesc
 from .laurent import LaurentSeries, inverse_bracket_series, pi_power_qm1
 from . import polyring as pr
 from .polyring import Poly
-from .quadfield import Order, QuadSeries, QuadSeriesContext, embed
+from .quadfield import Order, embed, one_like, round_to_A, value_field, zero_like
 from .cmpoints import CMPoint
 from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of
 
@@ -118,14 +118,7 @@ def _tiled(stack, points: int):
 
 
 def _context_for(order: Order, prec: int, cdesc: FieldDesc | None = None) -> EvalContext:
-    base = order.field.base
-    if cdesc is None:
-        cdesc = quadratic_extension(base) if order.field.infinite_type == "inert" else base
-    return EvalContext.shared(base, cdesc, prec)
-
-
-def _prec(el):
-    return el.prec if isinstance(el, LaurentSeries) else el.prec_q()
+    return EvalContext.shared(order.field.base, cdesc or value_field(order.field), prec)
 
 
 def _truncate(el, prec: Fraction | int):
@@ -221,7 +214,7 @@ def t_pow_qm1(ctx: EvalContext, z_el, pts: list, d: int, target: Fraction):
     v_s = -v_t1 + Fraction(q, q - 1)
     s_val, used = carlitz_S(ctx, z_el, pts, d, v_s + ell + 1)
     # t^(q-1) = S (1/S)^q / pi^(q-1); (1/S)^q is kept to the relative length of S
-    keep = _prec(s_val) - (q + 1) * v_s
+    keep = s_val.prec - (q + 1) * v_s
     inv_q = _truncate(_truncate(s_val.inverse(), keep / q).frobenius_q(), keep)
     t_qm1 = _truncate(s_val * (inv_q * ctx.pi_inv), target)
     _assert_rows(t_qm1, v_tq, "v(t(az)^(q-1))", _term_row(pts, _monic_stack(ctx.base, ctx.cdesc, d, 1)[0]))
@@ -236,22 +229,14 @@ class JValue:
     plan: dict
 
 
-def _zero_like(ctx: EvalContext, mode_quad: QuadSeriesContext | None, prec):
-    p = int(math.ceil(prec))
-    if mode_quad is None:
-        return LaurentSeries.zero(ctx.cdesc, p)
-    return QuadSeries.zero(mode_quad, p)
-
-
 def eval_gt_dt(ctx: EvalContext, pts: list, z_el, target_g: Fraction, target_d: Fraction):
     """(gt, dt) at every point of the stack z_el to the requested absolute
     precisions, with certified a-tails; the terms of one degree are one stack."""
     q = ctx.q
     pt = pts[0]
     theta = Fraction(q, q - 1) - pt.eps
-    qctx = None if isinstance(z_el, LaurentSeries) else z_el.ctx
-    gsum = _zero_like(ctx, qctx, Fraction(target_g) + q)
-    dsum = _zero_like(ctx, qctx, target_d)
+    gsum = zero_like(z_el, math.ceil(Fraction(target_g) + q))
+    dsum = zero_like(z_el, math.ceil(target_d))
     d = 0
     max_deg_a = 0
     e_c_terms = 0
@@ -278,12 +263,7 @@ def eval_gt_dt(ctx: EvalContext, pts: list, z_el, target_g: Fraction, target_d: 
         if d > 40:  # pragma: no cover
             raise InvariantError("a-sum did not terminate")
     bracket = ctx.poly_series(pr.parse_poly(ctx.base, f"T^{q}") - pr.T(ctx.base))
-    one_el = (
-        LaurentSeries.one(ctx.cdesc, None)
-        if qctx is None
-        else QuadSeries.one(qctx, None)
-    )
-    gt = one_el - _truncate(gsum * bracket, target_g)
+    gt = one_like(z_el) - _truncate(gsum * bracket, target_g)
     dt = -dsum
     return gt, dt, {"max_deg_a": max_deg_a, "e_c_terms": e_c_terms}
 
@@ -326,7 +306,7 @@ def eval_j_stack(points: list, prec: int, *, cdesc: FieldDesc | None = None) -> 
         for _ in range(q):
             num = num * gt
         jval = _truncate(num * dt.inverse(), prec)
-        got_prec = _prec(jval)
+        got_prec = jval.prec
         if got_prec is not None and Fraction(got_prec) < prec:
             margin *= 3
             continue
@@ -362,7 +342,7 @@ def verify_lemma_A1(pt: CMPoint, max_deg_a: int = 2, extra_prec: int = 6) -> lis
     rows = []
     ctx = _context_for(order, extra_prec + 3 * q + 14)
     zprec = pt.n + extra_prec + 14
-    z_el = embed(pt.z, zprec, coeff_desc=None if order.field.infinite_type == "inert" else ctx.cdesc)
+    z_el = embed(pt.z, zprec)
     for d in range(max_deg_a + 1):
         monics, a_stack = _monic_stack(order.field.base, ctx.cdesc, d, 1)
         v_t_expected = theta * q ** (pt.n + d)
@@ -408,7 +388,7 @@ def verify_lemma_A2(pt: CMPoint, delta: int, mu: int, nu: int, extra_prec: int =
     rel = (delta + nu + 2) * (extra_prec + q + 6)
     ctx = _context_for(order, rel)
     zprec = pt.n + extra_prec + 14
-    z_el = embed(pt.z, zprec, coeff_desc=None if order.field.infinite_type == "inert" else ctx.cdesc)
+    z_el = embed(pt.z, zprec)
     qsum = None
     d = 0
     while True:
@@ -488,30 +468,6 @@ class HilbertPoly:
         }
 
 
-def _round_series_to_A(s: LaurentSeries, base: FieldDesc):
-    """Round a flat series to a polynomial with coefficients in F_q."""
-    from .quadfield import series_component
-
-    poly2, tail = s.polynomial_part()
-    if tail is not None:
-        raise InvariantError(f"coefficient has a nonzero digit at exponent {tail}: not in A")
-    if s.prec is None:
-        residual = None
-    else:
-        residual = s.prec
-    if s.field == base:
-        return poly2, residual
-    # restrict F_{q^2} coefficients to the F_q image
-    comp1 = series_component(s, 1)
-    if not comp1.is_zero_known():
-        raise InvariantError("coefficient not Galois-stable: F_{q^2}-part is nonzero")
-    comp0 = series_component(s, 0)
-    poly, tail0 = comp0.polynomial_part()
-    if tail0 is not None:
-        raise InvariantError("unexpected tail after component split")  # pragma: no cover
-    return poly, residual
-
-
 def hilbert_poly(order: Order, extra_prec: int = GUARD) -> HilbertPoly:
     """Assemble the monic class polynomial from the distinct conjugates.
 
@@ -528,40 +484,16 @@ def hilbert_poly(order: Order, extra_prec: int = GUARD) -> HilbertPoly:
         plans = {k: max(plans.get(k, 0), v) for k, v in plan.items()}
     mods = moduli_of(order, value_prec=W, expected=cm.class_number_by_conductor())
     vals = [s.numeric for s in mods]
-    qctx = vals[0].ctx if isinstance(vals[0], QuadSeries) else None
     # expand prod (X - j_i)
-    if qctx is None:
-        coeffs = [LaurentSeries.one(vals[0].field, None)]
-        zero = LaurentSeries.zero(vals[0].field, None)
-    else:
-        coeffs = [QuadSeries.one(qctx, None)]
-        zero = QuadSeries.zero(qctx, None)
+    coeffs = [one_like(vals[0])]
+    zero = zero_like(vals[0])
     for v in vals:
         new = [zero] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             new[i + 1] = new[i + 1] + c
             new[i] = new[i] - c * v
         coeffs = new
-    base = order.field.base
-    rounded = []
-    residuals = []
-    for c in coeffs:
-        if isinstance(c, QuadSeries):
-            if order.field.flavor == "even_insep":
-                px, rx = _round_series_to_A(c.x, base)
-                py, ry = _round_series_to_A(c.y, base)
-                rounded.append((px, py))
-                residuals.append(min(r for r in (rx, ry) if r is not None) if (rx or ry) else None)
-            else:
-                if not c.y.is_zero_known():
-                    raise InvariantError("class polynomial coefficient has a nonzero xi-part")
-                px, rx = _round_series_to_A(c.x, base)
-                rounded.append(px)
-                residuals.append(rx)
-        else:
-            pxy, rx = _round_series_to_A(c, base)
-            rounded.append(pxy)
-            residuals.append(rx)
+    rounded, residuals = (list(col) for col in zip(*(round_to_A(c) for c in coeffs)))
     H = HilbertPoly(order, rounded, residuals, len(mods), plans)
     lead = H.coeffs[-1]
     if isinstance(lead, tuple):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadInputError, InvariantError
-from .ffield import FieldDesc
+from .ffield import FieldDesc, solve_f2
 
 NEG_INF = float("-inf")
 SPLIT_TRIALS = 64  # each trial splits a valid input with probability about 1/2
@@ -214,10 +214,6 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
-
-
-def poly(fld: FieldDesc, coeffs) -> Poly:
-    return Poly(fld, coeffs)
 
 
 def T(fld: FieldDesc) -> Poly:
@@ -566,27 +562,7 @@ def artin_schreier_solvable_mod(P: Poly, num: Poly, den: Poly) -> bool:
         img = (y * y + y) % P
         for i, bit in enumerate(to_bits(img)):
             rows[i][j] = bit
-    target = to_bits(beta)
-    # Gaussian elimination over F_2
-    aug = [rows[i] + [target[i]] for i in range(dim)]
-    rank = 0
-    for col in range(dim):
-        piv = None
-        for rr in range(rank, dim):
-            if aug[rr][col]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        for rr in range(dim):
-            if rr != rank and aug[rr][col]:
-                aug[rr] = [(x + y) % 2 for x, y in zip(aug[rr], aug[rank])]
-        rank += 1
-    for rr in range(rank, dim):
-        if aug[rr][dim]:
-            return False
-    return True
+    return solve_f2(rows, to_bits(beta)) is not None
 
 
 def chi(P: Poly, K) -> int:

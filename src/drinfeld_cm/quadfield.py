@@ -2,21 +2,36 @@
 
 Flavors: `odd` (K = k(sqrt(D)), q odd), `even_sep` (Hasse normal form
 xi^2 + xi = B/C, q even), `even_insep` (K = F_q(sqrt(T)), q even).  Elements
-are pairs x + y*xi; exact elements carry rational-function coordinates, and
-the analytic embedding produces either a flattened series in F_{q^2}((1/T))
-(inert place at infinity) or a quadratic algebra over Laurent coefficients
-(ramified place, where no series uniformizer is ever constructed; valuations
-come from the norm and live in (1/2)Z).
+are pairs x + y*xi; exact elements carry rational-function coordinates.
+
+Every flavor is one relation
+
+    xi^2 = s xi + t,    xi^q = alpha + beta xi,
+
+with s = 1 for even_sep and 0 otherwise, t = D, B/C or T, and (alpha, beta)
+= (0, D^((q-1)/2)), (t + t^2 + ... + t^(q/2), 1) or (T^(q/2), 0).
+Conjugation is xi -> s - xi and the norm is x^2 + s x y - t y^2, so
+products, conjugates, norms and Frobenius are one formula each, for exact
+elements and for series alike.
+
+This module is the one place that picks the value type and the coefficient
+field (`value_field`) of the analytic embedding: a flattened series over
+F_{q^2} when infinity is inert, a `QuadSeries` over F_q when it ramifies (no
+series uniformizer is ever constructed; valuations come from the norm and
+live in (1/2)Z).  Other modules work on embedded values through `zero_like`,
+`one_like`, `product`, `flat_part` and `round_to_A`, without asking which
+type they hold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadInputError, InvariantError, PrecisionError
-from .ffield import FieldDesc, FFElem, embedding_table, is_square, quadratic_extension
+from .ffield import FieldDesc, FFElem, embedding_table, field, is_square, quadratic_extension
 from .laurent import LaurentSeries
 from . import polyring as pr
 from .polyring import Poly
@@ -106,13 +121,22 @@ class RatFunc:
 
 
 class QuadField:
-    """Validated imaginary quadratic extension descriptor."""
+    """Validated imaginary quadratic extension descriptor.
 
-    __slots__ = ("flavor", "base", "D", "B", "C", "G", "radG", "D_K", "infinite_type", "is_constant_extension", "_xi")
+    xi satisfies xi^2 = s xi + t (the attributes `s` and `t`), and omega xi
+    generates the maximal order, O_K = A[omega xi], for the rational function
+    `omega`: 1/g (odd, D = sgn g^2 D_0), G (even_sep) or 1 (even_insep).
+    """
+
+    __slots__ = (
+        "flavor", "base", "D", "B", "C", "G", "radG", "D_K", "infinite_type", "is_constant_extension",
+        "s", "t", "omega", "_xi",
+    )
 
     def __init__(self, flavor: str, base: FieldDesc, **data):
         object.__setattr__(self, "_xi", {})  # coefficient field -> xi series (see xi_series)
         object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "s", 1 if flavor == "even_sep" else 0)  # xi^2 = s xi + t
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "D", None)
         object.__setattr__(self, "B", None)
@@ -153,6 +177,8 @@ class QuadField:
         sgn_code, g, d0 = pr.squarefree_split(D)
         self._set("D", D)
         self._set("D_K", d0.scale(sgn_code))
+        self._set("t", RatFunc.of(D))
+        self._set("omega", RatFunc(pr.one(base), g))  # sqrt(D_K) = xi/g
         self._set("infinite_type", "ramified" if deg_odd else "inert")
         self._set("is_constant_extension", d0.deg == 0)
 
@@ -192,12 +218,16 @@ class QuadField:
         self._set("G", G)
         self._set("radG", radG)
         self._set("D_K", G * G)
+        self._set("t", RatFunc(B, C))
+        self._set("omega", RatFunc.of(G))
         self._set("infinite_type", inf)
         self._set("is_constant_extension", C.is_one() and B.deg == 0)
 
     def _init_even_insep(self):
         if self.base.p != 2:
             raise BadInputError("even_insep flavor requires even q")
+        self._set("t", RatFunc.of(pr.T(self.base)))
+        self._set("omega", RatFunc.of(pr.one(self.base)))
         self._set("infinite_type", "ramified")
 
     # -- data ------------------------------------------------------------------
@@ -206,21 +236,9 @@ class QuadField:
     def q(self) -> int:
         return self.base.q
 
-    def xi_relation(self) -> RatFunc:
-        """xi^2 = rel (odd, insep) or xi^2 + xi = rel (even_sep)."""
-        if self.flavor == "odd":
-            return RatFunc.of(self.D)
-        if self.flavor == "even_sep":
-            return RatFunc(self.B, self.C)
-        return RatFunc.of(pr.T(self.base))
-
     def v_xi(self) -> Fraction:
-        """Valuation of xi in the completion."""
-        if self.flavor == "odd":
-            return Fraction(-self.D.deg, 2)
-        if self.flavor == "even_sep":
-            return Fraction(self.C.deg - self.B.deg, 2)
-        return Fraction(-1, 2)
+        """Valuation of xi in the completion: v(t)/2 (when v(t) = 0, even_sep inert, v(xi) = 0 too)."""
+        return Fraction(self.t.v_infinity(), 2)
 
     def key(self):
         return (
@@ -294,15 +312,11 @@ def order_from(field: QuadField, f: Poly) -> Order:
     """The unique order of conductor f in the given field."""
     if not f.is_monic():
         raise BadInputError("conductor must be monic")
-    if field.flavor == "odd":
-        if field.is_constant_extension and f.is_one():
-            raise BadInputError("maximal order of the constant-field extension: its singular modulus is 0")
-        return Order(field, f, (f * f * field.D_K))
-    if field.flavor == "even_sep":
-        if field.is_constant_extension and f.is_one():
-            raise BadInputError("maximal order of the constant-field extension: its singular modulus is 0")
-        return Order(field, f, f * f * field.D_K)
-    return Order(field, f, None)
+    if field.flavor == "even_insep":
+        return Order(field, f, None)
+    if field.is_constant_extension and f.is_one():
+        raise BadInputError("maximal order of the constant-field extension: its singular modulus is 0")
+    return Order(field, f, f * f * field.D_K)
 
 
 def order_from_discriminant(base: FieldDesc, D: Poly) -> Order:
@@ -341,29 +355,20 @@ class QuadElement:
 
     def __mul__(self, other):
         self._check(other)
-        rel = self.field.xi_relation()
+        k = self.field
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        cross = x1 * y2 + y1 * x2
-        if self.field.flavor == "even_sep":
-            return QuadElement(self.field, x1 * x2 + y1 * y2 * rel, cross + y1 * y2)
-        return QuadElement(self.field, x1 * x2 + y1 * y2 * rel, cross)
+        yy = y1 * y2
+        return QuadElement(k, x1 * x2 + yy * k.t, _mac(x1 * y2 + y1 * x2, yy, k.s))
 
     def conj(self) -> "QuadElement":
-        """xi -> -xi (odd), xi -> xi + 1 (even_sep), identity (even_insep)."""
-        if self.field.flavor == "odd":
-            return QuadElement(self.field, self.x, -self.y)
-        if self.field.flavor == "even_sep":
-            return QuadElement(self.field, self.x + self.y, self.y)
-        return self
+        """xi -> s - xi: -xi (odd), xi + 1 (even_sep), xi (even_insep)."""
+        return QuadElement(self.field, _mac(self.x, self.y, self.field.s), -self.y)
 
     def norm(self) -> RatFunc:
-        rel = self.field.xi_relation()
+        """x^2 + s x y - t y^2."""
+        k = self.field
         x, y = self.x, self.y
-        if self.field.flavor == "odd":
-            return x * x - rel * y * y
-        if self.field.flavor == "even_sep":
-            return x * x + x * y + rel * y * y
-        return x * x + rel * y * y
+        return _mac(x * x, x, y if k.s else 0) - k.t * y * y
 
     def v_infinity(self) -> Fraction | None:
         """v(z) = v(N(z))/2; None for 0."""
@@ -387,38 +392,54 @@ class QuadElement:
 # Laurent-coefficient quadratic algebra (ramified completions, composita)
 
 
-class QuadSeriesContext:
-    """Shared data for QuadSeries arithmetic at a given coefficient field/precision."""
+def _mac(acc, a, c):
+    """acc + a * c for a coefficient c that is a value or one of the integers
+    0 and 1; an integer costs no product (and 0 no sum)."""
+    if isinstance(c, int):
+        return acc + a if c else acc
+    return acc + a * c
 
-    __slots__ = ("qf", "cdesc", "prec", "rel", "frob_mult", "frob_add", "v_xi")
+
+def _times(a: LaurentSeries, c) -> LaurentSeries:
+    """a * c for a coefficient c that is a series or one of the integers 0 and 1."""
+    if isinstance(c, int):
+        return a if c else LaurentSeries.zero(a.field)
+    return a * c
+
+
+class QuadSeriesContext:
+    """The relation xi^2 = s xi + t, xi^q = alpha + beta xi over one
+    coefficient field, with t to a fixed precision.
+
+    s, alpha and beta are the integer 0 or 1 where they are constants, so the
+    arithmetic of `QuadSeries` makes no series product for them.
+    """
+
+    __slots__ = ("qf", "cdesc", "prec", "s", "t", "alpha", "beta", "v_xi")
 
     def __init__(self, qf: QuadField, cdesc: FieldDesc, prec: int):
         self.qf = qf
         self.cdesc = cdesc
         self.prec = prec
         q = qf.base.q
-        rel_rf = qf.xi_relation()
         margin = 2 * max(1, abs(int(qf.v_xi() * 2))) + q + 6
-        self.rel = rel_rf.to_series(cdesc, prec + margin)
+        self.s = qf.s
+        self.t = qf.t.to_series(cdesc, prec + margin)
         self.v_xi = qf.v_xi()
         if qf.flavor == "odd":
             # xi^q = D^((q-1)/2) xi
-            self.frob_mult = LaurentSeries.from_poly(qf.D, cdesc) ** ((q - 1) // 2)
-            self.frob_add = None
+            self.alpha, self.beta = 0, LaurentSeries.from_poly(qf.D, cdesc) ** ((q - 1) // 2)
         elif qf.flavor == "even_sep":
-            # xi^q = xi + s + s^2 + ... + s^(q/2), s = B/C
-            sigma = LaurentSeries.zero(cdesc, self.rel.prec)
-            term = self.rel
-            r = qf.base.r * qf.base.m
-            for _ in range(r):
+            # xi^q = xi + t + t^2 + ... + t^(q/2)
+            sigma = LaurentSeries.zero(cdesc, self.t.prec)
+            term = self.t
+            for _ in range(qf.base.r * qf.base.m):
                 sigma = sigma + term
-                term = (term * term).truncate(self.rel.prec)
-            self.frob_mult = None
-            self.frob_add = sigma
+                term = (term * term).truncate(self.t.prec)
+            self.alpha, self.beta = sigma, 1
         else:
             # xi^q = T^(q/2): the xi-part collapses under Frobenius
-            self.frob_mult = LaurentSeries.t_power(cdesc, q // 2)
-            self.frob_add = None
+            self.alpha, self.beta = LaurentSeries.t_power(cdesc, q // 2), 0
 
 
 class QuadSeries:
@@ -435,20 +456,7 @@ class QuadSeries:
         self.x = x
         self.y = y
 
-    # -- helpers -----------------------------------------------------------------
-
-    @staticmethod
-    def zero(ctx, prec=None):
-        z = LaurentSeries.zero(ctx.cdesc, prec)
-        return QuadSeries(ctx, z, z)
-
-    @staticmethod
-    def one(ctx, prec=None):
-        return QuadSeries(ctx, LaurentSeries.one(ctx.cdesc, prec), LaurentSeries.zero(ctx.cdesc, prec))
-
-    @staticmethod
-    def from_series(ctx, x: LaurentSeries):
-        return QuadSeries(ctx, x, LaurentSeries.zero(ctx.cdesc, None))
+    # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
         return QuadSeries(self.ctx, self.x + other.x, self.y + other.y)
@@ -460,33 +468,23 @@ class QuadSeries:
         return QuadSeries(self.ctx, -self.x, -self.y)
 
     def __mul__(self, other):
+        """The product with a QuadSeries, or with a flat series (a value of the base)."""
         if isinstance(other, LaurentSeries):
             return QuadSeries(self.ctx, self.x * other, self.y * other)
         ctx = self.ctx
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        cross = x1 * y2 + y1 * x2
         yy = y1 * y2
-        if ctx.qf.flavor == "even_sep":
-            return QuadSeries(ctx, x1 * x2 + yy * ctx.rel, cross + yy)
-        return QuadSeries(ctx, x1 * x2 + yy * ctx.rel, cross)
+        return QuadSeries(ctx, x1 * x2 + yy * ctx.t, _mac(x1 * y2 + y1 * x2, yy, ctx.s))
 
     def conj(self) -> "QuadSeries":
-        qf = self.ctx.qf
-        if qf.flavor == "odd":
-            return QuadSeries(self.ctx, self.x, -self.y)
-        if qf.flavor == "even_sep":
-            return QuadSeries(self.ctx, self.x + self.y, self.y)
-        return self
+        """xi -> s - xi."""
+        return QuadSeries(self.ctx, _mac(self.x, self.y, self.ctx.s), -self.y)
 
     def norm(self) -> LaurentSeries:
-        qf = self.ctx.qf
+        """x^2 + s x y - t y^2."""
         x, y = self.x, self.y
         yy = y * y
-        if qf.flavor == "odd":
-            return x * x - yy * self.ctx.rel
-        if qf.flavor == "even_sep":
-            return x * x + x * y + yy * self.ctx.rel
-        return x * x + yy * self.ctx.rel
+        return _mac(x * x, x, y if self.ctx.s else 0) - yy * self.ctx.t
 
     def inverse(self) -> "QuadSeries":
         n = self.norm()
@@ -497,15 +495,11 @@ class QuadSeries:
         return QuadSeries(self.ctx, c.x * inv_n, c.y * inv_n)
 
     def frobenius_q(self) -> "QuadSeries":
+        """(x + y xi)^q = x^q + alpha y^q + beta y^q xi."""
         ctx = self.ctx
         xq = self.x.frobenius_q()
         yq = self.y.frobenius_q()
-        if ctx.qf.flavor == "odd":
-            return QuadSeries(ctx, xq, yq * ctx.frob_mult)
-        if ctx.qf.flavor == "even_sep":
-            return QuadSeries(ctx, xq + yq * ctx.frob_add, yq)
-        # inseparable: xi^q lies in the base series field
-        return QuadSeries(ctx, xq + yq * ctx.frob_mult, LaurentSeries.zero(ctx.cdesc, None))
+        return QuadSeries(ctx, _mac(xq, yq, ctx.alpha), _times(yq, ctx.beta))
 
     # -- precision / valuation ------------------------------------------------------
 
@@ -545,7 +539,9 @@ class QuadSeries:
         vals = self.row_valuations()
         return None if None in vals else min(vals)
 
-    def prec_q(self) -> Fraction | None:
+    @property
+    def prec(self) -> Fraction | None:
+        """The least precision of x and y xi; None when both are exact."""
         px = self.x.prec
         py = self.y.prec
         vals = []
@@ -556,8 +552,6 @@ class QuadSeries:
         return min(vals) if vals else None
 
     def truncate(self, prec: int) -> "QuadSeries":
-        import math
-
         py = math.ceil(prec - self.ctx.v_xi)
         return QuadSeries(self.ctx, self.x.truncate(prec), self.y.truncate(py))
 
@@ -593,9 +587,6 @@ class QuadSeries:
 @lru_cache(maxsize=None)
 def _subfield_decomposition(desc2: FieldDesc):
     """Tables decomposing F_{q^2} codes as a + u*b with a, b in the F_q image."""
-    base = None
-    from .ffield import field
-
     base = field(desc2.p, desc2.r, 1)
     emb = embedding_table(base, desc2)
     image = {code: i for i, code in enumerate(emb)}
@@ -678,26 +669,29 @@ def xi_series(qf: QuadField, desc2: FieldDesc, prec: int) -> LaurentSeries:
         raise BadInputError("xi flattens to a series only when infinity is inert")
     held = qf._xi.get(desc2)
     if held is None or held.prec < prec:
-        rel = qf.xi_relation().to_series(desc2, prec + 2).truncate(prec + 2)
-        root = rel.sqrt() if qf.flavor == "odd" else rel.artin_schreier_root()
+        t = qf.t.to_series(desc2, prec + 2).truncate(prec + 2)
+        root = t.artin_schreier_root() if qf.s else t.sqrt()  # xi^2 = s xi + t
         held = qf._xi[desc2] = root.truncate(prec)
     return held.truncate(prec)
+
+
+def value_field(qf: QuadField) -> FieldDesc:
+    """The coefficient field of embedded values: F_{q^2} when infinity is
+    inert (flat series), F_q when it ramifies (QuadSeries)."""
+    return quadratic_extension(qf.base) if qf.infinite_type == "inert" else qf.base
 
 
 def embed(z: QuadElement, prec: int, coeff_desc: FieldDesc | None = None):
     """Analytic embedding of an exact element at absolute precision `prec`.
 
-    Inert flavor: returns the flattened LaurentSeries over F_{q^2}.
-    Ramified flavors: returns a QuadSeries over F_q (or `coeff_desc`).
-    z = (x' + y' xi)/A over the least common denominator A of its
-    coordinates, and 1/A is expanded once for both.
+    Inert flavor: returns the flattened LaurentSeries; ramified flavors:
+    returns a QuadSeries; the coefficients lie in `value_field` (or
+    `coeff_desc`).  z = (x' + y' xi)/A over the least common denominator A
+    of its coordinates, and 1/A is expanded once for both.
     """
-    import math
-
     qf = z.field
-    base = qf.base
     inert = qf.infinite_type == "inert"
-    cdesc = coeff_desc or (quadratic_extension(base) if inert else base)
+    cdesc = coeff_desc or value_field(qf)
     if inert:
         slack = max(0, -(z.x.v_infinity() or 0), -(z.y.v_infinity() or 0) + int(-qf.v_xi() + 1)) + 4
     else:
@@ -717,3 +711,72 @@ def embed(z: QuadElement, prec: int, coeff_desc: FieldDesc | None = None):
         return (xs + ys * xi).truncate(prec)
     ctx = QuadSeriesContext(qf, cdesc, prec + slack)
     return QuadSeries(ctx, xs, ys).truncate(prec)
+
+
+# ---------------------------------------------------------------------------
+# embedded values of either type
+
+
+def zero_like(z, prec=None):
+    """The zero of z's kind (its type, coefficient field and relation)."""
+    if isinstance(z, LaurentSeries):
+        return LaurentSeries.zero(z.field, prec)
+    zero = LaurentSeries.zero(z.ctx.cdesc, prec)
+    return QuadSeries(z.ctx, zero, zero)
+
+
+def one_like(z):
+    """The exact one of z's kind."""
+    if isinstance(z, LaurentSeries):
+        return LaurentSeries.one(z.field)
+    return QuadSeries(z.ctx, LaurentSeries.one(z.ctx.cdesc), LaurentSeries.zero(z.ctx.cdesc))
+
+
+def product(a, b):
+    """a * b for two values over one coefficient field, each flat or quadratic."""
+    if isinstance(a, LaurentSeries) and isinstance(b, QuadSeries):
+        a, b = b, a
+    return a * b
+
+
+def flat_part(z) -> LaurentSeries | None:
+    """z as a flat series when it lies in the coefficient field's k_infinity
+    (a QuadSeries with xi-part known to vanish); None when its xi-part is nonzero."""
+    if isinstance(z, LaurentSeries):
+        return z
+    return z.x if z.y.is_zero_known() else None
+
+
+def _round_flat(s: LaurentSeries):
+    """(the polynomial over F_q that s equals, s.prec); InvariantError when s is not in A."""
+    poly, tail = s.polynomial_part()
+    if tail is not None:
+        raise InvariantError(f"coefficient has a nonzero digit at exponent {tail}: not in A")
+    if s.field.m == 1:
+        return poly, s.prec
+    # restrict F_{q^2} coefficients to the F_q image
+    if not series_component(s, 1).is_zero_known():
+        raise InvariantError("coefficient not Galois-stable: F_{q^2}-part is nonzero")
+    poly, tail0 = series_component(s, 0).polynomial_part()
+    if tail0 is not None:
+        raise InvariantError("unexpected tail after component split")  # pragma: no cover
+    return poly, s.prec
+
+
+def round_to_A(z):
+    """(the exact coefficient that z equals, the precision certifying it).
+
+    A flat value or one of a separable field rounds to a Poly over F_q (its
+    xi-part must vanish); a value of the inseparable field rounds to the pair
+    (x, y) of Polys, x + y sqrt(T).  The precision is None when z is exact;
+    InvariantError when z is not of that form.
+    """
+    if isinstance(z, LaurentSeries):
+        return _round_flat(z)
+    if z.ctx.qf.flavor == "even_insep":
+        px, rx = _round_flat(z.x)
+        py, ry = _round_flat(z.y)
+        return (px, py), min(r for r in (rx, ry) if r is not None) if (rx or ry) else None
+    if not z.y.is_zero_known():
+        raise InvariantError("class polynomial coefficient has a nonzero xi-part")
+    return _round_flat(z.x)

@@ -61,14 +61,16 @@ def check_hayes() -> dict:
 
 
 def check_andre_oort(base: FieldDesc, d_bound: int | None = None) -> dict:
-    """No polynomial product of degree <= q^2 - 2; for q = 3 a hit at q^2 - 1."""
+    """No polynomial product of degree <= q^2 - 2; for q = 3 a hit at q^2 - 1
+    once |D| reaches q^2 (the hits pair the two conjugates of the h = 2
+    inert orders with |D| = 9)."""
     q = base.q
     if d_bound is None:
         d_bound = q**6
     report = bnd.andre_oort_search(base, d_bound, q * q - 1)
     min_hit = report["min_hit_degree"]
     ok = min_hit is None or min_hit > q * q - 2
-    expect_hit = q == 3
+    expect_hit = q == 3 and d_bound >= q * q
     has_expected = (min_hit == q * q - 1) if expect_hit else True
     return {
         "name": "andre-oort",

@@ -11,10 +11,11 @@ from drinfeld_cm.classno import (
     class_number_by_conductor,
     class_number_by_orbit,
     l_route,
+    l_route_applies,
     maximal_class_number,
     unit_index,
 )
-from drinfeld_cm.quadfield import order_from, order_from_discriminant, validate_field
+from drinfeld_cm.quadfield import Order, order_from, order_from_discriminant, validate_field
 from drinfeld_cm.verify import check_brown_sweep, check_class_numbers
 
 from conftest import count_rows
@@ -44,6 +45,24 @@ def test_l_route_guards():
         l_route(validate_field(F3, "odd", D=P(F3, "2*T^2")))  # constant extension
     with pytest.raises(BadInputError):
         l_route(validate_field(F2, "even_insep"))
+
+
+def test_l_route_applies_exactly_where_it_has_no_guard():
+    one2, one3 = pr.one(F2), pr.one(F3)
+    constant = validate_field(F3, "odd", D=P(F3, "2*T^2"))
+    applies = [
+        order_from(validate_field(F3, "odd", D=P(F3, "T-T^2")), one3),
+        order_from(validate_field(F2, "even_sep", B=P(F2, "T+1"), C=P(F2, "T")), one2),
+    ]
+    not_applies = [
+        order_from(validate_field(F3, "odd", D=P(F3, "T-T^2")), P(F3, "T")),  # not maximal
+        order_from(validate_field(F3, "odd", D=P(F3, "T")), one3),  # ramified
+        Order(constant, one3, constant.D_K),  # the constant extension's maximal order (order_from refuses it)
+        order_from(validate_field(F2, "even_insep"), one2),  # inseparable
+    ]
+    assert [l_route_applies(o) for o in applies + not_applies] == [True] * 2 + [False] * 4
+    for o in applies:
+        assert l_route(o.field).h_OK == class_number_by_orbit(o)
 
 
 def test_l_route_even_sep():

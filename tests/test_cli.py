@@ -87,3 +87,15 @@ def test_header_is_fixed(argv, capsys):
     assert cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["schema"], report["prec"], report["seed"]) == (1, 60, 0)
+
+
+def test_verify_below_q_squared_passes_every_check(capsys):
+    # the q = 3 hits of degree 8 pair the conjugates of the h = 2 orders with
+    # |D| = 9, so a bound below q^2 expects none
+    assert cli.main(["verify", "--dbound", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [
+        "hayes", "brown-vs-numeric", "appendix", "class-numbers", "elliptic",
+        "counting", "analytic", "andre-oort", "unit-sweep", "certificate",
+    ]
+    assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in names]

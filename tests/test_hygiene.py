@@ -1,11 +1,16 @@
-"""Static checks on the package source: no unused import, no uncalled definition.
+"""Static checks on the package source: no unused import, no uncalled
+definition, and no series-type test outside the series layer.
 
-A definition (function, method or class) counts as used when its name occurs
-anywhere under src/, tests/ or perfbench/ outside its own definition: as a
-name, an attribute, an imported name, or a word in a string that is not a
-docstring (string annotations, `monkeypatch.setattr` targets and the tracer's
-span paths name functions that way).  Dunders are exempt; so is the package
-`__init__.py`, which imports to re-export.
+A definition counts as used only through what can name it:
+- a method (a function defined in a class body): an attribute access
+  (`x.name`) or a dotted-path string (the tracer's span paths such as
+  "LaurentSeries.__mul__", `monkeypatch.setattr` targets);
+- any other function or class: a name in its own module, an attribute
+  access, an imported name or a dotted-path string.
+A dotted-path string is a string constant, other than a docstring, made of
+identifiers joined by dots; prose strings count for nothing, and neither does
+a local variable of the same name in another module.  Dunders are exempt; so
+is the package `__init__.py`, which imports to re-export.
 """
 
 import ast
@@ -14,15 +19,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "drinfeld_cm"
-WORD = re.compile(r"[A-Za-z_]\w*")
+PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+SERIES_TYPES = {"LaurentSeries", "QuadSeries"}
+SERIES_LAYER = {"quadfield.py", "laurent.py"}
 
 
 def _modules():
     return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def _string_words(tree) -> set:
-    """The identifiers in every string constant of the tree except docstrings."""
+def _path_words(tree) -> set:
+    """The identifiers of every dotted-path string constant of the tree except docstrings."""
     docs = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -32,7 +39,8 @@ def _string_words(tree) -> set:
     words = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
-            words.update(WORD.findall(node.value))
+            if PATH.fullmatch(node.value):
+                words.update(node.value.split("."))
     return words
 
 
@@ -44,7 +52,7 @@ def test_no_unused_imports():
     unused = []
     for path in _modules():
         tree = ast.parse(path.read_text())
-        read = _names(tree) | _string_words(tree)
+        read = _names(tree) | _path_words(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
                 for alias in node.names:
@@ -54,22 +62,48 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
+def _definitions(tree):
+    """(node, is_method) for every function and class definition of the tree."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, id(node) in methods and not isinstance(node, ast.ClassDef)
+
+
 def test_every_definition_is_named_elsewhere():
-    used = set()
+    reached = set()  # attribute accesses, imported names and dotted-path strings, anywhere
     for top in ("src", "tests", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
             tree = ast.parse(path.read_text())
-            used |= _names(tree) | _string_words(tree)
+            reached |= _path_words(tree)
             for node in ast.walk(tree):
                 if isinstance(node, ast.Attribute):
-                    used.add(node.attr)
+                    reached.add(node.attr)
                 elif isinstance(node, ast.alias):
-                    used.add(node.name.split(".")[-1])
+                    reached.add(node.name.split(".")[-1])
     uncalled = []
     for path in _modules():
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                dunder = node.name.startswith("__") and node.name.endswith("__")
-                if not dunder and node.name not in used:
-                    uncalled.append(f"{path.name}:{node.lineno} {node.name}")
+        tree = ast.parse(path.read_text())
+        own_names = _names(tree)
+        for node, is_method in _definitions(tree):
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            used = node.name in reached or (not is_method and node.name in own_names)
+            if not dunder and not used:
+                uncalled.append(f"{path.name}:{node.lineno} {node.name}")
     assert not uncalled, "named nowhere else:\n" + "\n".join(uncalled)
+
+
+def test_series_types_are_tested_only_in_the_series_layer():
+    # every other module does arithmetic on embedded values through quadfield's
+    # value interface, without asking whether it holds a flat or a quadratic one
+    offenders = []
+    for path in _modules():
+        if path.name in SERIES_LAYER:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                named = {n.id for arg in node.args[1:] for n in ast.walk(arg) if isinstance(n, ast.Name)}
+                named |= {n.attr for arg in node.args[1:] for n in ast.walk(arg) if isinstance(n, ast.Attribute)}
+                if named & SERIES_TYPES:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, "isinstance on a series type outside quadfield and laurent:\n" + "\n".join(offenders)

@@ -226,6 +226,20 @@ def test_chi_requires_irreducible():
         pr.chi(P(F3, "T^2-T"), OddField(P(F3, "T")))
 
 
+@pytest.mark.parametrize("fld", [F2, field(2, 2)], ids=["F2", "F4"])
+def test_artin_schreier_solvable_mod_matches_brute_force(fld):
+    # x^2 + x = num is solvable in A/P exactly when num is some x^2 + x mod P
+    one = pr.one(fld)
+    for d in range(1, 4):
+        for Pm in pr.monic_of_degree(fld, d):
+            if not pr.is_irreducible(Pm):
+                continue
+            images = {pr.poly_code((x * x + x) % Pm) for x in pr.all_of_degree_less(fld, d)}
+            for num in pr.all_of_degree_less(fld, d):
+                if not num.is_zero():
+                    assert pr.artin_schreier_solvable_mod(Pm, num, one) == (pr.poly_code(num) in images)
+
+
 def test_mertens_examples():
     assert pr.mertens_product(P(F2, "T")) == 2
     assert 2 <= 37 * 1

@@ -168,7 +168,7 @@ def test_defining_relation():
     ]:
         xi = QuadElement(k, RatFunc.of(pr.zero(k.base)), RatFunc.of(pr.one(k.base)))
         sq = xi * xi
-        rel = k.xi_relation()
+        rel = k.t
         if k.flavor == "even_sep":
             assert sq.x == rel and sq.y == RatFunc.of(pr.one(k.base))  # xi^2 = xi + B/C
         else:
@@ -281,6 +281,39 @@ def test_quad_series_frobenius_odd():
     assert (fr.y - cube.y.truncate(fr.y.prec)).is_zero_known()
 
 
+F4 = field(2, 2)
+
+RAMIFIED = {
+    "odd F3": (lambda: validate_field(F3, "odd", D=P(F3, "T")), "T^2+1", "1"),
+    "even_sep F4": (lambda: validate_field(F4, "even_sep", B=P(F4, "T"), C=P(F4, "1")), "2*T^2+3", "3*T+2"),
+    "even_insep F4": (lambda: validate_field(F4, "even_insep"), "T+2", "3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAMIFIED))
+def test_quad_series_frobenius_and_norm_every_flavor(name):
+    # frobenius_q is x^q + alpha y^q + beta y^q xi and norm is x^2 + s x y -
+    # t y^2: check them against z^q as q - 1 products and against z conj(z),
+    # over the field's own F_q and lifted to F_{q^2}
+    make, x, y = RAMIFIED[name]
+    k = make()
+    ctx = QuadSeriesContext(k, k.base, 40)
+    z = QuadSeries(ctx, LaurentSeries.from_poly(P(k.base, x)).truncate(40), LaurentSeries.from_poly(P(k.base, y)).truncate(40))
+    for w in (z, z.lift(quadratic_extension(k.base))):
+        power = w
+        for _ in range(k.q - 1):
+            power = power * w
+        fr = w.frobenius_q()
+        assert fr.prec >= 20 and power.prec >= 20
+        assert (fr.x - power.x).is_zero_known() and (fr.y - power.y).is_zero_known()
+        zc = w * w.conj()
+        n = w.norm()
+        assert n.prec >= 20 and zc.y.is_zero_known() and (zc.x - n).is_zero_known()
+    lifted = z.frobenius_q().lift(quadratic_extension(k.base))
+    fr2 = z.lift(quadratic_extension(k.base)).frobenius_q()
+    assert (lifted.x, lifted.y) == (fr2.x, fr2.y)
+
+
 def test_imag_and_lattice_size():
     # z = sqrt(T-T^2): |z| = |z|_i = |z|_A = 3
     k = validate_field(F3, "odd", D=P(F3, "T-T^2"))
@@ -294,10 +327,6 @@ def test_imag_and_lattice_size():
     e2 = embed(z2, 25)
     assert imag_part_log(e2) == Fraction(1, 2)
     assert lattice_dist_log(e2, 2) == Fraction(1, 2)
-
-
-
-F4 = field(2, 2)
 
 
 def sep4(B, C):
