@@ -29,17 +29,13 @@ HIT_GUARD = 12  # fractional digits of a pair's product that must be known befor
 # congruence counting
 
 
-def _residues_mod(m: Poly):
-    return pr.all_of_degree_less(m.field, m.deg)
-
-
 def solutions_mod_prime_power(P: Poly, s: int, value) -> list:
     """Solution set of the flavor congruence mod P^s by direct enumeration.
 
     `value(b)` returns the polynomial that must vanish mod P^s.
     """
     mod = P**s
-    return [b for b in _residues_mod(mod) if (value(b) % mod).is_zero()]
+    return [b for b in pr.all_of_degree_less(mod.field, mod.deg) if (value(b) % mod).is_zero()]
 
 
 def _crt_pairs(m1: Poly, r1s: list, m2: Poly, r2s: list):
@@ -110,9 +106,8 @@ def count_congruence_even(a: Poly, delta: Poly, mu: Poly, eps: Fraction, beta=No
         loc = solutions_mod_prime_power(P, s, lambda b: b * b + delta * b + mu)
         mod, sols = _crt_pairs(mod, sols, P**s, loc)
     if a.deg > 0:
-        direct = sorted(
-            (b for b in _residues_mod(a) if ((b * b + delta * b + mu) % a).is_zero()), key=pr.poly_code
-        )
+        residues = pr.all_of_degree_less(a.field, a.deg)
+        direct = sorted((b for b in residues if ((b * b + delta * b + mu) % a).is_zero()), key=pr.poly_code)
         if sorted(sols, key=pr.poly_code) != direct:
             raise InvariantError("CRT solution set differs from direct enumeration")  # pragma: no cover
     g2 = pr.gcd2(a, delta * delta) if a.deg > 0 else pr.one(a.field)

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import BadInputError, InvariantError, PrecisionError
-from .ffield import FieldDesc, field
+from .ffield import FieldDesc, factor_int, field
 from . import polyring as pr
 from .quadfield import Order, order_from, order_from_discriminant, validate_field
 
@@ -47,19 +47,11 @@ class RunConfig:
 
 
 def _factor_prime_power(q: int):
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            r = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                r += 1
-            if t != 1:
-                raise BadInputError(f"q = {q} is not a prime power")
-            return p, r
-        p += 1
-    return q, 1
+    """(p, r) with q = p^r; (q, 1) for q < 2, which the field then rejects as not prime."""
+    items = factor_int(q)
+    if len(items) > 1:
+        raise BadInputError(f"q = {q} is not a prime power")
+    return items[0] if items else (q, 1)
 
 
 def _field_args(sub):
@@ -104,9 +96,9 @@ def cmd_enumerate(cfg: RunConfig, args) -> int:
     if cfg.output == "json":
         rows = [
             {
-                "a": pr.poly_to_codes(p.a),
-                "b": pr.poly_to_codes(p.b),
-                "c": pr.poly_to_codes(p.c),
+                "a": list(p.a.coeffs),
+                "b": list(p.b.coeffs),
+                "c": list(p.c.coeffs),
                 "n": p.n,
                 "eps": str(p.eps),
                 "e": p.e_code,

@@ -257,7 +257,7 @@ def majb_check(pt: CMPoint, eps: Fraction) -> dict:
         out["fG_close"] = v1 is None or -v1 < eps_a_log
         xi = (flat * a_s - b_s) * fg_s.truncate(p + fG.deg + 2).inverse()
         beta = xi - LaurentSeries.constant(desc2, pt.e_code, None)
-        if not beta.is_zero_known() and series_component(beta, 1).comps.shape[2]:
+        if not beta.is_zero_known() and series_component(beta, 1, base).comps.shape[2]:
             raise InvariantError("xi - e is not in k_infinity")
         w2 = b_s + beta * fg_s
         v2 = w2.valuation()
@@ -271,9 +271,10 @@ def fundamental_domain_check(pt: CMPoint) -> bool:
 
     size = pt.size_log()
     ze = embed(pt.z, int(2 * size) + 10)
-    im = imag_part_log(ze)
+    base = pt.order.field.base
+    im = imag_part_log(ze, base)
     if im != size:
         return False
     deg_bound = int(size) + 1
-    lat = lattice_dist_log(ze, deg_bound)
+    lat = lattice_dist_log(ze, deg_bound, base)
     return lat == size and size >= 0

@@ -1,22 +1,26 @@
 """Arithmetic in the coefficient fields F_q and F_{q^2}, q = p^r.
 
 A field is described by (p, r, m) with m in {1, 2}; F_{p^(r*m)} is realised as
-F_p[x]/(modulus), where the modulus is the lexicographically least monic
-irreducible polynomial of degree r*m over F_p.  Descriptors are therefore
-reproducible from (p, r, m) alone, and the chosen modulus is echoed in all
-output headers.
+F_p[x]/(modulus), where the modulus is the least monic irreducible polynomial
+of degree r*m over F_p in poly-code order, i.e. by the base-p value of
+(c_0, ..., c_{r*m-1}).  `polyring` over the prime field finds it (and checks a
+user-given modulus) with `monic_of_degree` and `is_irreducible`.  The prime
+field itself needs no polynomial arithmetic, since every monic of degree 1 is
+irreducible, so this module reaches `polyring` only inside functions and the
+module-level imports stay acyclic.  Descriptors are therefore reproducible
+from (p, r, m) alone, and the chosen modulus is echoed in all output headers.
 
 Elements are integer codes: the base-p digits of the code are the coordinates
 of the element in the power basis 1, x, x^2, ...  Zero and one are always the
 codes 0 and 1.  Every field of order up to 256 keeps full addition,
 subtraction, negation, multiplication and inversion tables, so each of those
 operations is one lookup there.  Larger fields add, subtract and negate digit
-by digit in base p and multiply schoolbook modulo the modulus.
+by digit in base p and multiply by one schoolbook product of the coordinate
+lists, reduced from the top degree down by the monic modulus.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,128 +28,32 @@ from .errors import BadInputError, InvariantError
 
 MAX_ORDER = 2**16
 
-# ---------------------------------------------------------------------------
-# small helpers for polynomials over F_p (coefficient lists, low-to-high)
 
-
-def _pf_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pf_trim(out)
-
-
-def _pf_mod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1] % p
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        a.pop()
-    return _pf_trim(a)
-
-
-def _pf_powmod(a, e, m, p):
-    result = [1]
-    base = _pf_mod(list(a), m, p)
-    while e:
-        if e & 1:
-            result = _pf_mod(_pf_mul(result, base, p), m, p)
-        base = _pf_mod(_pf_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _pf_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # make b monic
-        inv = pow(b[-1], p - 2, p)
-        b = [(c * inv) % p for c in b]
-        a = _pf_mod(a, b, p)
-        a, b = b, a
-    return a
-
-
-def _pf_is_irreducible(f, p):
-    """Irreducibility of a monic polynomial over F_p (Rabin's test)."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    x = [0, 1]
-    # x^(p^n) == x mod f
-    w = list(x)
-    for _ in range(n):
-        w = _pf_powmod(w, p, f, p)
-    if _pf_trim([(wi - xi) % p for wi, xi in itertools.zip_longest(w, x, fillvalue=0)]):
-        return False
-    for ell in _prime_divisors(n):
-        w = list(x)
-        for _ in range(n // ell):
-            w = _pf_powmod(w, p, f, p)
-        d = _pf_gcd([(wi - xi) % p for wi, xi in itertools.zip_longest(w, x, fillvalue=0)], f, p)
-        if len(d) - 1 != 0:
-            return False
-    return True
-
-
-def _prime_divisors(n):
+def factor_int(n: int) -> list:
+    """[(prime, exponent), ...] of an integer n >= 2 by trial division, primes
+    increasing; [] for n < 2."""
     out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            e = 0
             while n % d == 0:
                 n //= d
+                e += 1
+            out.append((d, e))
         d += 1
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
 
 
-def _least_irreducible(p, n):
-    """Lexicographically least monic irreducible of degree n over F_p.
-
-    Candidates are ordered by the base-p value of (c_0, ..., c_{n-1}); the
-    polynomial is c_0 + c_1 x + ... + x^n.
-    """
+def _least_irreducible(p: int, n: int) -> tuple:
+    """The least monic irreducible of degree n over F_p in poly-code order."""
     if n == 1:
         return (0, 1)  # x itself
-    for v in range(p**n):
-        c = []
-        t = v
-        for _ in range(n):
-            t, d = divmod(t, p)
-            c.append(d)
-        f = c + [1]
-        if _pf_is_irreducible(f, p):
-            return tuple(f)
-    raise InvariantError(f"no irreducible of degree {n} over F_{p}")  # pragma: no cover
+    from . import polyring as pr
 
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return next(P.coeffs for P in pr.monic_of_degree(field(p), n) if pr.is_irreducible(P))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +66,7 @@ class FieldDesc:
     """
 
     def __init__(self, p: int, r: int, m: int, modulus=None):
-        if not _is_prime(p):
+        if factor_int(p) != [(p, 1)]:
             raise BadInputError(f"p = {p} is not prime")
         if r < 1 or m not in (1, 2):
             raise BadInputError("need r >= 1 and m in {1, 2}")
@@ -173,8 +81,10 @@ class FieldDesc:
         if modulus is None:
             modulus = _least_irreducible(p, self.s)
         else:
+            from . import polyring as pr
+
             modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != self.s + 1 or modulus[-1] != 1 or not _pf_is_irreducible(list(modulus), p):
+            if len(modulus) != self.s + 1 or modulus[-1] != 1 or not pr.is_irreducible(pr.Poly(field(p), modulus)):
                 raise BadInputError("modulus must be monic irreducible of degree r*m over F_p")
         self.modulus = modulus
         self._add_table = None
@@ -183,7 +93,6 @@ class FieldDesc:
         self._mul_table = None
         self._inv_table = None
         self._sqrt_table = None
-        self._scalar_mats = {}
         self._as_solver = None
         if self.order <= 256:
             self._build_tables()
@@ -207,8 +116,21 @@ class FieldDesc:
     # -- construction of tables --------------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
-        prod = _pf_mul(self.coords(a), self.coords(b), self.p)
-        return self.code(_pf_mod(prod, list(self.modulus), self.p))
+        """Code of a*b: the schoolbook product of the coordinates, reduced by the monic modulus."""
+        s = self.s
+        prod = [0] * (2 * s - 1)
+        ys = self.coords(b)
+        for i, x in enumerate(self.coords(a)):
+            if x:
+                for j, y in enumerate(ys, i):
+                    prod[j] += x * y
+        low = self.modulus[:-1]
+        for top in range(2 * s - 2, s - 1, -1):  # x^top = -(low part of the modulus) * x^(top - s)
+            c = prod[top] % self.p
+            if c:
+                for j, m in enumerate(low, top - s):
+                    prod[j] -= c * m
+        return self.code(prod[:s])
 
     def _digitwise(self, a: int, b: int, sign: int) -> int:
         """Code of a + sign*b, one base-p digit at a time."""
@@ -291,14 +213,6 @@ class FieldDesc:
         return self.pow(a, self.q)
 
     # -- scalars as F_p-linear maps (used by the series layer) ---------------
-
-    def scalar_matrix(self, c: int):
-        """Columns of multiplication-by-c on the power basis, as coordinate lists."""
-        mat = self._scalar_mats.get(c)
-        if mat is None:
-            mat = tuple(tuple(self.coords(self.mul(c, self.p**j))) for j in range(self.s))
-            self._scalar_mats[c] = mat
-        return mat
 
     def frob_q_matrix(self):
         """Columns of x -> x^q on the power basis (an F_p-linear map)."""

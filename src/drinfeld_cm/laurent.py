@@ -61,7 +61,8 @@ def _scalar_matrix(desc: FieldDesc, code: int):
     t = _tensors(desc)
     m = t["scalar"].get(code)
     if m is None:
-        m = np.array(desc.scalar_matrix(code), dtype=np.int64).T
+        # column j: coordinates of code * x^j (x^j has code p^j)
+        m = np.array([desc.coords(desc.mul(code, desc.p**j)) for j in range(desc.s)], dtype=np.int64).T
         t["scalar"][code] = m
     return m
 

@@ -40,7 +40,6 @@ from .errors import BadInputError, InvariantError, PrecisionError
 from .ffield import FieldDesc
 from .laurent import LaurentSeries, inverse_bracket_series, pi_power_qm1
 from . import polyring as pr
-from .polyring import Poly
 from .quadfield import Order, embed, one_like, round_to_A, value_field, zero_like
 from .cmpoints import CMPoint
 from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of
@@ -100,9 +99,6 @@ class EvalContext:
                 raise InvariantError(f"Carlitz coefficient valuation mismatch at i={k}")
             self._coeffs.append(c)
         return self._coeffs[i]
-
-    def poly_series(self, a: Poly) -> LaurentSeries:
-        return LaurentSeries.from_poly(a, self.cdesc)
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +258,7 @@ def eval_gt_dt(ctx: EvalContext, pts: list, z_el, target_g: Fraction, target_d: 
         d += 1
         if d > 40:  # pragma: no cover
             raise InvariantError("a-sum did not terminate")
-    bracket = ctx.poly_series(pr.parse_poly(ctx.base, f"T^{q}") - pr.T(ctx.base))
+    bracket = LaurentSeries.from_poly(pr.parse_poly(ctx.base, f"T^{q}") - pr.T(ctx.base), ctx.cdesc)
     gt = one_like(z_el) - _truncate(gsum * bracket, target_g)
     dt = -dsum
     return gt, dt, {"max_deg_a": max_deg_a, "e_c_terms": e_c_terms}
@@ -456,8 +452,8 @@ class HilbertPoly:
     def to_jsonable(self):
         def enc(c):
             if isinstance(c, tuple):
-                return {"x": pr.poly_to_codes(c[0]), "y": pr.poly_to_codes(c[1])}
-            return pr.poly_to_codes(c)
+                return {"x": list(c[0].coeffs), "y": list(c[1].coeffs)}
+            return list(c.coeffs)
 
         return {
             "order": self.order.to_jsonable(),
@@ -493,7 +489,7 @@ def hilbert_poly(order: Order, extra_prec: int = GUARD) -> HilbertPoly:
             new[i + 1] = new[i + 1] + c
             new[i] = new[i] - c * v
         coeffs = new
-    rounded, residuals = (list(col) for col in zip(*(round_to_A(c) for c in coeffs)))
+    rounded, residuals = (list(col) for col in zip(*(round_to_A(c, order.field.base) for c in coeffs)))
     H = HilbertPoly(order, rounded, residuals, len(mods), plans)
     lead = H.coeffs[-1]
     if isinstance(lead, tuple):

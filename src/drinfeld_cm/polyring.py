@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadInputError, InvariantError
-from .ffield import FieldDesc, solve_f2
+from .ffield import FieldDesc, factor_int, solve_f2
 
 NEG_INF = float("-inf")
 SPLIT_TRIALS = 64  # each trial splits a valid input with probability about 1/2
@@ -485,24 +485,11 @@ def count_monic_irreducibles(n: int, q: int) -> int:
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:
-            total += _moebius(n // d) * q**d
+            items = factor_int(n // d)
+            if all(e == 1 for _, e in items):  # Moebius(n/d) = (-1)^len(items), else 0
+                total += (-1) ** len(items) * q**d
     assert total % n == 0
     return total // n
-
-
-def _moebius(n: int) -> int:
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
 
 
 def mertens_product(f: Poly) -> Fraction:
@@ -814,7 +801,3 @@ def _parse_poly(fld: FieldDesc, text: str) -> Poly:
     for e, c in coeffs.items():
         out[e] = c
     return Poly(fld, out)
-
-
-def poly_to_codes(a: Poly) -> list:
-    return list(a.coeffs)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadInputError, InvariantError, PrecisionError
-from .ffield import FieldDesc, FFElem, embedding_table, field, is_square, quadratic_extension
+from .ffield import FieldDesc, FFElem, embedding_table, is_square, quadratic_extension
 from .laurent import LaurentSeries
 from . import polyring as pr
 from .polyring import Poly
@@ -257,9 +257,9 @@ class QuadField:
 
     def to_jsonable(self):
         if self.flavor == "odd":
-            return {"flavor": "odd", "D": pr.poly_to_codes(self.D)}
+            return {"flavor": "odd", "D": list(self.D.coeffs)}
         if self.flavor == "even_sep":
-            return {"flavor": "even_sep", "B": pr.poly_to_codes(self.B), "C": pr.poly_to_codes(self.C)}
+            return {"flavor": "even_sep", "B": list(self.B.coeffs), "C": list(self.C.coeffs)}
         return {"flavor": "even_insep"}
 
     def __repr__(self):
@@ -295,9 +295,9 @@ class Order:
         return self.f.is_one()
 
     def to_jsonable(self):
-        out = {"field": self.field.to_jsonable(), "f": pr.poly_to_codes(self.f)}
+        out = {"field": self.field.to_jsonable(), "f": list(self.f.coeffs)}
         if self.D_O is not None:
-            out["D_O"] = pr.poly_to_codes(self.D_O)
+            out["D_O"] = list(self.D_O.coeffs)
         return out
 
     def label(self) -> str:
@@ -585,9 +585,9 @@ class QuadSeries:
 
 
 @lru_cache(maxsize=None)
-def _subfield_decomposition(desc2: FieldDesc):
-    """Tables decomposing F_{q^2} codes as a + u*b with a, b in the F_q image."""
-    base = field(desc2.p, desc2.r, 1)
+def _subfield_decomposition(base: FieldDesc, desc2: FieldDesc):
+    """Tables decomposing F_{q^2} codes as a + u*b with a, b in the image of `base`
+    (F_q in its own presentation, which may have a user-given modulus)."""
     emb = embedding_table(base, desc2)
     image = {code: i for i, code in enumerate(emb)}
     u = next(c for c in range(desc2.order) if c not in image)
@@ -600,22 +600,21 @@ def _subfield_decomposition(desc2: FieldDesc):
             c = desc2.add(ea, desc2.mul(u, emb[b]))
             table_a[c] = a
             table_b[c] = b
-    return base, u, tuple(table_a), tuple(table_b)
+    return tuple(table_a), tuple(table_b)
 
 
-def series_component(z: LaurentSeries, which: int) -> LaurentSeries:
-    """F_q-components of a series over F_{q^2} w.r.t. a fixed basis {1, u}."""
-    desc2 = z.field
-    base, _, ta, tb = _subfield_decomposition(desc2)
+def series_component(z: LaurentSeries, which: int, base: FieldDesc) -> LaurentSeries:
+    """Components over `base` = F_q of a series over F_{q^2} w.r.t. a fixed basis {1, u}."""
+    ta, tb = _subfield_decomposition(base, z.field)
     table = ta if which == 0 else tb
     codes = [table[z.coeff_code(e)] for e in range(z.n0, z.n0 + z.comps.shape[2])]
     return LaurentSeries.from_codes(base, z.n0, codes, z.prec)
 
 
-def imag_part_log(z) -> Fraction | None:
-    """log_q |z|_i: the distance from z to k_infinity; None when z is in k_infinity."""
+def imag_part_log(z, base: FieldDesc) -> Fraction | None:
+    """log_q |z|_i: the distance from z to k_infinity (k over `base`); None when z is in k_infinity."""
     if isinstance(z, LaurentSeries):
-        z1 = series_component(z, 1)
+        z1 = series_component(z, 1, base)
         v = z1.valuation()
         return -Fraction(v) if v is not None else None
     vy = z.y.valuation()
@@ -624,13 +623,12 @@ def imag_part_log(z) -> Fraction | None:
     return -(Fraction(vy) + z.ctx.v_xi)
 
 
-def lattice_dist_log(z, deg_bound: int) -> Fraction:
-    """log_q |z|_A = log of the min over a in A (deg a <= deg_bound) of |z - a|."""
+def lattice_dist_log(z, deg_bound: int, base: FieldDesc) -> Fraction:
+    """log_q |z|_A = log of the min over a in A = base[T] (deg a <= deg_bound) of |z - a|."""
     best = None
-    fld_poly = _poly_field_of(z)
     for d in range(-1, deg_bound + 1):
-        cands = [pr.zero(fld_poly)] if d < 0 else [
-            p_.scale(s) for p_ in pr.monic_of_degree(fld_poly, d) for s in range(1, fld_poly.order)
+        cands = [pr.zero(base)] if d < 0 else [
+            p_.scale(s) for p_ in pr.monic_of_degree(base, d) for s in range(1, base.order)
         ]
         for a in cands:
             diff = sub_poly(z, a)
@@ -641,13 +639,6 @@ def lattice_dist_log(z, deg_bound: int) -> Fraction:
             if best is None or log < best:
                 best = log
     return best
-
-
-def _poly_field_of(z):
-    if isinstance(z, LaurentSeries):
-        base, _, _, _ = _subfield_decomposition(z.field)
-        return base
-    return z.ctx.qf.base
 
 
 def sub_poly(z, a: Poly):
@@ -747,36 +738,36 @@ def flat_part(z) -> LaurentSeries | None:
     return z.x if z.y.is_zero_known() else None
 
 
-def _round_flat(s: LaurentSeries):
-    """(the polynomial over F_q that s equals, s.prec); InvariantError when s is not in A."""
+def _round_flat(s: LaurentSeries, base: FieldDesc):
+    """(the polynomial over `base` = F_q that s equals, s.prec); InvariantError when s is not in A."""
     poly, tail = s.polynomial_part()
     if tail is not None:
         raise InvariantError(f"coefficient has a nonzero digit at exponent {tail}: not in A")
     if s.field.m == 1:
         return poly, s.prec
     # restrict F_{q^2} coefficients to the F_q image
-    if not series_component(s, 1).is_zero_known():
+    if not series_component(s, 1, base).is_zero_known():
         raise InvariantError("coefficient not Galois-stable: F_{q^2}-part is nonzero")
-    poly, tail0 = series_component(s, 0).polynomial_part()
+    poly, tail0 = series_component(s, 0, base).polynomial_part()
     if tail0 is not None:
         raise InvariantError("unexpected tail after component split")  # pragma: no cover
     return poly, s.prec
 
 
-def round_to_A(z):
+def round_to_A(z, base: FieldDesc):
     """(the exact coefficient that z equals, the precision certifying it).
 
-    A flat value or one of a separable field rounds to a Poly over F_q (its
-    xi-part must vanish); a value of the inseparable field rounds to the pair
-    (x, y) of Polys, x + y sqrt(T).  The precision is None when z is exact;
-    InvariantError when z is not of that form.
+    A flat value or one of a separable field rounds to a Poly over `base`,
+    the order's F_q (its xi-part must vanish); a value of the inseparable
+    field rounds to the pair (x, y) of Polys, x + y sqrt(T).  The precision
+    is None when z is exact; InvariantError when z is not of that form.
     """
     if isinstance(z, LaurentSeries):
-        return _round_flat(z)
+        return _round_flat(z, base)
     if z.ctx.qf.flavor == "even_insep":
-        px, rx = _round_flat(z.x)
-        py, ry = _round_flat(z.y)
+        px, rx = _round_flat(z.x, base)
+        py, ry = _round_flat(z.y, base)
         return (px, py), min(r for r in (rx, ry) if r is not None) if (rx or ry) else None
     if not z.y.is_zero_known():
         raise InvariantError("class polynomial coefficient has a nonzero xi-part")
-    return _round_flat(z.x)
+    return _round_flat(z.x, base)

@@ -58,6 +58,34 @@ def test_error_exit_codes(error, code, prefix, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "q, err",
+    [
+        (0, "p = 0 is not prime"),
+        (1, "p = 1 is not prime"),
+        (6, "q = 6 is not a prime power"),
+        (12, "q = 12 is not a prime power"),
+        (-3, "p = -3 is not prime"),
+    ],
+)
+def test_q_that_is_not_a_prime_power_is_bad_input(q, err, capsys):
+    assert cli.main([f"--q={q}", "class-number", "--flavor", "odd", "--D", "T^3+T+1"]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"bad input: {err}\n")
+
+
+def test_modulus_flag_is_checked_and_echoed(capsys):
+    # x^2 + 2 = (x + 1)(x + 2) over F_3; x^2 + x + 2 is irreducible
+    argv = ["--q", "9", "--modulus", "[2,0,1]", "class-number", "--flavor", "odd", "--D", "T^3+T+1"]
+    assert cli.main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("bad input: modulus must be monic irreducible")
+    argv[3] = "[2,1,1]"
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["field"] == "3,2,1,[2,1,1]"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["nosuch"],

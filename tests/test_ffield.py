@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from drinfeld_cm.ffield import (
     FFElem,
     artin_schreier_solve,
     embedding_table,
+    factor_int,
     field,
     is_square,
     quadratic_extension,
@@ -208,3 +211,43 @@ def test_header_roundtrip():
 def test_size_guard():
     with pytest.raises(BadInputError):
         field(2, 17)
+
+
+def _least_irreducible_by_trial_division(p, s):
+    """The least monic of degree s over F_p, by the base-p value of (c_0, ...,
+    c_{s-1}), with no monic factor of degree <= s/2 (integer lists, low-to-high)."""
+
+    def monics(d):
+        for v in range(p**d):
+            yield [v // p**i % p for i in range(d)] + [1]
+
+    def rem(f, g):
+        f, d = list(f), len(g) - 1
+        for top in range(len(f) - 1, d - 1, -1):
+            c = f[top]
+            for i, gi in enumerate(g, top - d):
+                f[i] = (f[i] - c * gi) % p
+        return f[:d]
+
+    for f in monics(s):
+        if all(any(rem(f, g)) for d in range(1, s // 2 + 1) for g in monics(d)):
+            return tuple(f)
+
+
+SMALL_EXTENSIONS = [(p, s) for p in (2, 3, 5, 7, 11, 13) for s in range(2, 9) if p**s <= 256]
+
+
+@pytest.mark.parametrize("p, s", SMALL_EXTENSIONS + [(3, 6), (2, 10)])
+def test_default_moduli_are_least_irreducibles(p, s):
+    assert field(p, s).modulus == _least_irreducible_by_trial_division(p, s)
+
+
+def test_factor_int():
+    assert [factor_int(n) for n in (-3, 0, 1, 2, 12, 97, 360)] == [
+        [], [], [], [(2, 1)], [(2, 2), (3, 1)], [(97, 1)], [(2, 3), (3, 2), (5, 1)]
+    ]
+    for n in range(2, 500):
+        items = factor_int(n)
+        assert [q for q, _ in items] == sorted({q for q, _ in items})
+        assert all(e >= 1 and all(q % d for d in range(2, q)) for q, e in items)
+        assert math.prod(q**e for q, e in items) == n

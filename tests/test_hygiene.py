@@ -1,5 +1,6 @@
 """Static checks on the package source: no unused import, no uncalled
-definition, and no series-type test outside the series layer.
+definition, no series-type test outside the series layer, and no cycle among
+the imports that run when a module is imported.
 
 A definition counts as used only through what can name it:
 - a method (a function defined in a class body): an attribute access
@@ -15,6 +16,7 @@ is the package `__init__.py`, which imports to re-export.
 
 import ast
 import re
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,3 +109,24 @@ def test_series_types_are_tested_only_in_the_series_layer():
                 if named & SERIES_TYPES:
                     offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, "isinstance on a series type outside quadfield and laurent:\n" + "\n".join(offenders)
+
+
+def _import_time_relative_imports(tree):
+    """Package modules a module imports when it is itself imported: every
+    relative import outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from [node.module] if node.module else [alias.name for alias in node.names]
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_top_level_imports_are_acyclic():
+    # ffield finds its moduli with polyring, which builds on ffield: ffield
+    # imports polyring only inside functions, so the layering stays a DAG
+    graph = {path.stem: set(_import_time_relative_imports(ast.parse(path.read_text()))) for path in _modules()}
+    order = list(TopologicalSorter(graph).static_order())  # CycleError on a cycle
+    assert order.index("ffield") < order.index("polyring")

@@ -130,6 +130,21 @@ def test_hilbert_insep():
     assert unit_check(H)[0] == "nonunit"
 
 
+def test_hilbert_poly_under_a_user_modulus_is_over_the_orders_base():
+    # F_9 = F_3[x]/(x^2 + x + 2) here, F_3[x]/(x^2 + 1) by default; D has the
+    # leading coefficient x, a non-square, so infinity is inert
+    base = field(3, 2, 1, (2, 1, 1))
+    default = field(3, 2)
+    D = P(base, "3*T^2+1")
+    H = hilbert_poly(order_from_discriminant(base, D))
+    assert all(c.field == base for c in H.coeffs)
+    # the isomorphism to the default presentation sends x to a root of x^2 + x + 2
+    root = next(r for r in range(9) if default.add(default.add(default.mul(r, r), r), 2) == 0)
+    image = [default.add(c0, default.mul(c1, root)) for c0, c1 in map(base.coords, range(9))]
+    H0 = hilbert_poly(order_from_discriminant(default, D.map_coeffs(image, default)))
+    assert [c.map_coeffs(image, default) for c in H.coeffs] == H0.coeffs
+
+
 def test_hilbert_h_of_j_vanishes():
     # H(j_i) = 0 to precision for each conjugate
     o = hayes_order()

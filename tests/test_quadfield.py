@@ -319,14 +319,14 @@ def test_imag_and_lattice_size():
     k = validate_field(F3, "odd", D=P(F3, "T-T^2"))
     z = QuadElement(k, RatFunc.of(pr.zero(F3)), rf(F3, "1"))
     flat = embed(z, 25)
-    assert imag_part_log(flat) == 1
-    assert lattice_dist_log(flat, 2) == 1
+    assert imag_part_log(flat, F3) == 1
+    assert lattice_dist_log(flat, 2, F3) == 1
     # ramified: z = sqrt(T)
     k2 = validate_field(F3, "odd", D=P(F3, "T"))
     z2 = QuadElement(k2, RatFunc.of(pr.zero(F3)), rf(F3, "1"))
     e2 = embed(z2, 25)
-    assert imag_part_log(e2) == Fraction(1, 2)
-    assert lattice_dist_log(e2, 2) == Fraction(1, 2)
+    assert imag_part_log(e2, F3) == Fraction(1, 2)
+    assert lattice_dist_log(e2, 2, F3) == Fraction(1, 2)
 
 
 def sep4(B, C):
