@@ -6,6 +6,8 @@ Route 2 (conductor): h(O) = h(O_K) |f| / [O_K^x : O^x] * prod_{P | f} (1 - chi(P
 Route 3 (L-function, inert separable maximal orders): the character sum
 Lambda(chi, t) = sum_{deg a <= 2g+1} chi(a) t^(deg a) = (1 + t) L_K(t), with
 h_K = q^(g+1) Lambda(1/q)/(q+1) and h(O_K) = 2 h_K because infinity is inert.
+The field holds these L-data (`l_data`), so route 2 and route 3 read one
+computation per field.
 
 All three must agree; the CLI treats disagreement as a hard error.
 """
@@ -71,7 +73,7 @@ def maximal_class_number(field: QuadField) -> int:
         # F_q[sqrt(T)] is a polynomial ring; cross-checked by the orbit route in tests
         return 1
     if field.infinite_type == "inert":
-        return l_route(field).h_OK
+        return l_data(field).h_OK
     return class_number_by_orbit(order_from(field, pr.one(field.base)))
 
 
@@ -103,6 +105,12 @@ def l_route_applies(order: Order) -> bool:
     other than the constant extension."""
     k = order.field
     return k.infinite_type == "inert" and k.flavor != "even_insep" and not k.is_constant_extension and order.is_maximal()
+
+
+def l_data(field: QuadField) -> LPolyData:
+    """The field's L-data: `l_route` runs once per field, which holds the result
+    for the conductor route and the reports alike."""
+    return field.held("l_data", lambda: l_route(field))
 
 
 def l_route(field: QuadField) -> LPolyData:

@@ -119,14 +119,15 @@ def cmd_enumerate(cfg: RunConfig, args) -> int:
 def cmd_class_number(cfg: RunConfig, args) -> int:
     """class number of one order by every applicable route"""
     from .brownval import OrderCM
-    from .classno import class_number_by_orbit, l_route, l_route_applies
+    from .classno import class_number_by_orbit, l_data, l_route_applies
 
     order = _build_order(cfg, args)
-    by_formula = OrderCM.of(order).class_number_by_conductor()
+    cm = OrderCM.of(order)
+    by_formula = cm.class_number_by_conductor()
     by_orbit = class_number_by_orbit(order)
     routes = {"orbit": by_orbit, "conductor": by_formula}
     if l_route_applies(order):
-        data = l_route(order.field)
+        data = l_data(cm.order.field)
         routes["l_route"] = data.h_OK
         routes["lambda"] = data.lam
     agree = len({routes["orbit"], routes["conductor"], routes.get("l_route", routes["orbit"])}) == 1

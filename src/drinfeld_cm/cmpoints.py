@@ -8,7 +8,10 @@ For every point, |z|^2 = |c|/|a| (the norm is c/a up to a unit), so
 n = ceil((deg c - deg a)/2) and the fractional defect eps is 0 (inert) or 1/2
 (ramified).  Points on the unit sphere of an inert field acquire an elliptic
 neighbor e in F_{q^2}\\F_q together with the exact distance |z - e|, a power
-of q read from a flattened series.
+of q read from a flattened series.  `enumerate_points` embeds all those
+points of an order as one stack (`quadfield.embed`) and hands each row to
+`elliptic_neighbor`; a point whose distance is not yet resolved is embedded
+again alone at doubled precision.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .ffield import embedding_table, quadratic_extension
 from . import polyring as pr
 from .polyring import Poly
 from .quadfield import Order, QuadElement, RatFunc, embed, series_component
+
+ELLIPTIC_DIGITS = 8  # digits past the distance floor at which |z - e| is first read
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ def enumerate_points(order: Order) -> list:
     points.sort(key=CMPoint.sort_key)
     if len({(p.a, p.b) for p in points}) != len(points):
         raise InvariantError("(a, b) does not determine the point")  # pragma: no cover
-    return [attach_elliptic_data(p) for p in points]
+    return attach_elliptic_data(points)
 
 
 def elliptic_floor_log(order: Order) -> int:
@@ -153,20 +158,28 @@ def elliptic_floor_log(order: Order) -> int:
     return order.f.deg + k.G.deg  # |z - e| >= 1/|fG|
 
 
-def attach_elliptic_data(pt: CMPoint) -> CMPoint:
-    out = elliptic_neighbor(pt)
-    if out is None:
-        return pt
-    e_code, dist_log = out
-    return replace(pt, e_code=e_code, dist_e_log=dist_log)
+def attach_elliptic_data(points: list) -> list:
+    """The points of one order, each inert point with n = 0 carrying its
+    elliptic neighbor; those points are embedded as one stack."""
+    near = [i for i, p in enumerate(points) if p.n == 0 and p.order.field.infinite_type == "inert"]
+    if not near:
+        return points
+    flat = embed([points[i].z for i in near], elliptic_floor_log(points[0].order) + ELLIPTIC_DIGITS)
+    out = list(points)
+    for r, i in enumerate(near):
+        e_code, dist_log = elliptic_neighbor(points[i], flat.take([r]))
+        out[i] = replace(points[i], e_code=e_code, dist_e_log=dist_log)
+    return out
 
 
-def elliptic_neighbor(pt: CMPoint):
+def elliptic_neighbor(pt: CMPoint, flat=None):
     """(e, log_q|z-e|) for an inert point with |z| = 1; None otherwise.
 
-    Verifies e^2 = sgn(D)/4 (odd) or e^2 + e = sgn(B) (even separable) and
-    the distance floors of the key lemmas; retries at doubled precision when
-    the distance is not yet resolved.
+    `flat` is the point's embedding at precision elliptic_floor_log +
+    ELLIPTIC_DIGITS when the caller has it (`attach_elliptic_data` embeds an
+    order's points as one stack).  Verifies e^2 = sgn(D)/4 (odd) or e^2 + e
+    = sgn(B) (even separable) and the distance floors of the key lemmas;
+    retries alone at doubled precision when the distance is not yet resolved.
     """
     order = pt.order
     k = order.field
@@ -176,9 +189,10 @@ def elliptic_neighbor(pt: CMPoint):
     desc2 = quadratic_extension(base)
     emb = embedding_table(base, desc2)
     floor = elliptic_floor_log(order)
-    p = floor + 8
+    p = floor + ELLIPTIC_DIGITS
     for _ in range(5):
-        flat = embed(pt.z, p)
+        if flat is None:
+            flat = embed([pt.z], p)
         if flat.valuation() != 0:
             raise InvariantError("inert point with n = 0 must have |z| = 1")
         e_code = flat.coeff_code(0)
@@ -198,6 +212,7 @@ def elliptic_neighbor(pt: CMPoint):
         v = diff.valuation()
         if v is None:
             p *= 2
+            flat = None
             continue
         if v < 1:
             raise InvariantError("|z - e| >= 1 at an n = 0 point")  # pragma: no cover
@@ -239,7 +254,7 @@ def majb_check(pt: CMPoint, eps: Fraction) -> dict:
     desc2 = quadratic_extension(base)
     from .laurent import LaurentSeries
 
-    flat = embed(pt.z, p)
+    flat = embed([pt.z], p)
     a_s = LaurentSeries.from_poly(pt.a, desc2)
     b_s = LaurentSeries.from_poly(pt.b, desc2)
     if k.flavor == "odd":
@@ -270,7 +285,7 @@ def fundamental_domain_check(pt: CMPoint) -> bool:
     from .quadfield import imag_part_log, lattice_dist_log
 
     size = pt.size_log()
-    ze = embed(pt.z, int(2 * size) + 10)
+    ze = embed([pt.z], int(2 * size) + 10)
     base = pt.order.field.base
     im = imag_part_log(ze, base)
     if im != size:

@@ -237,17 +237,26 @@ class LaurentSeries:
     @staticmethod
     def from_poly(a: Poly, fld: FieldDesc | None = None) -> "LaurentSeries":
         """Exact series of a polynomial; embeds coefficients if fld extends a.field."""
-        src = a.field
+        return LaurentSeries.from_polys([a], fld)
+
+    @staticmethod
+    def from_polys(polys: list, fld: FieldDesc | None = None, shifts: list | None = None) -> "LaurentSeries":
+        """The exact stack whose row r is polys[r] T^-shifts[r] (no shift by
+        default); embeds coefficients if fld extends the polynomials' field."""
+        src = polys[0].field
         dst = fld or src
-        if a.is_zero():
-            return LaurentSeries.zero(dst)
-        if dst == src:
-            codes = list(a.coeffs)
-        else:
-            table = embedding_table(src, dst)
-            codes = [table[c] for c in a.coeffs]
-        # coefficient of T^i sits at exponent -i
-        return LaurentSeries.from_codes(dst, -a.deg, list(reversed(codes)))
+        table = None if dst == src else embedding_table(src, dst)
+        shifts = shifts or [0] * len(polys)
+        # the coefficient of T^i in row r sits at exponent shifts[r] - i
+        rows = [(r, a, k) for r, (a, k) in enumerate(zip(polys, shifts)) if not a.is_zero()]
+        lo = min((k - a.deg for _, a, k in rows), default=0)
+        width = max((k + 1 for _, _, k in rows), default=lo) - lo
+        comps = np.zeros((len(polys), dst.s, width), dtype=np.int64)
+        for r, a, k in rows:
+            for i, c in enumerate(a.coeffs):
+                if c:
+                    comps[r, :, k - i - lo] = dst.coords(c if table is None else table[c])
+        return LaurentSeries(dst, lo, comps, None)
 
     @staticmethod
     def t_power(fld: FieldDesc, k: int, prec=None) -> "LaurentSeries":

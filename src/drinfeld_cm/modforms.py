@@ -20,11 +20,13 @@ convolutions and lose no precision.
 
 Evaluation runs on stacks (see `laurent`).  `eval_j_stack` evaluates j at
 several points of one order with equal n, eps and |j| in one computation:
-their z are the rows of one series, and the terms t(az)^(q-1) for every
-monic a of one degree are one stack of (point, a) rows.  The rows share
-every target, every Carlitz index set and every certified valuation, since
-v(az) = v(z) - deg a and v(z) is fixed by n; each row's valuation is still
-asserted against its formula.  `eval_j` is the one-point case.
+their z are embedded by one `quadfield.embed` call, on every retry round,
+as the rows of one series (one Newton inverse for all their denominators),
+and the terms t(az)^(q-1) for every monic a of one degree are one stack of
+(point, a) rows.  The rows share every target, every Carlitz index set and
+every certified valuation, since v(az) = v(z) - deg a and v(z) is fixed by
+n; each row's valuation is still asserted against its formula.  `eval_j` is
+the one-point case.
 """
 
 from __future__ import annotations
@@ -294,8 +296,7 @@ def eval_j_stack(points: list, prec: int, *, cdesc: FieldDesc | None = None) -> 
         target_d = target + 2 * v_d - (q + 1) * v_g + margin
         work = int(math.ceil(max(target_g, target_d, target))) + margin
         ctx = _context_for(pt.order, work + 4, cdesc)
-        zs = [embed(p.z, work + 4, coeff_desc=ctx.cdesc) for p in points]
-        z_el = type(zs[0]).stack(zs)
+        z_el = embed([p.z for p in points], work + 4, coeff_desc=ctx.cdesc)
         gt, dt, plan = eval_gt_dt(ctx, points, z_el, target_g, target_d)
         _assert_rows(dt, v_d, "v(dt)", where)
         num = gt
@@ -338,7 +339,7 @@ def verify_lemma_A1(pt: CMPoint, max_deg_a: int = 2, extra_prec: int = 6) -> lis
     rows = []
     ctx = _context_for(order, extra_prec + 3 * q + 14)
     zprec = pt.n + extra_prec + 14
-    z_el = embed(pt.z, zprec)
+    z_el = embed([pt.z], zprec)
     for d in range(max_deg_a + 1):
         monics, a_stack = _monic_stack(order.field.base, ctx.cdesc, d, 1)
         v_t_expected = theta * q ** (pt.n + d)
@@ -384,7 +385,7 @@ def verify_lemma_A2(pt: CMPoint, delta: int, mu: int, nu: int, extra_prec: int =
     rel = (delta + nu + 2) * (extra_prec + q + 6)
     ctx = _context_for(order, rel)
     zprec = pt.n + extra_prec + 14
-    z_el = embed(pt.z, zprec)
+    z_el = embed([pt.z], zprec)
     qsum = None
     d = 0
     while True:

@@ -130,11 +130,12 @@ class QuadField:
 
     __slots__ = (
         "flavor", "base", "D", "B", "C", "G", "radG", "D_K", "infinite_type", "is_constant_extension",
-        "s", "t", "omega", "_xi",
+        "s", "t", "omega", "_xi", "_held",
     )
 
     def __init__(self, flavor: str, base: FieldDesc, **data):
         object.__setattr__(self, "_xi", {})  # coefficient field -> xi series (see xi_series)
+        object.__setattr__(self, "_held", {})  # name -> derived data (see held)
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "s", 1 if flavor == "even_sep" else 0)  # xi^2 = s xi + t
         object.__setattr__(self, "base", base)
@@ -239,6 +240,12 @@ class QuadField:
     def v_xi(self) -> Fraction:
         """Valuation of xi in the completion: v(t)/2 (when v(t) = 0, even_sep inert, v(xi) = 0 too)."""
         return Fraction(self.t.v_infinity(), 2)
+
+    def held(self, name: str, build):
+        """The data the field holds under `name`, made by build() on first use."""
+        if name not in self._held:
+            self._held[name] = build()
+        return self._held[name]
 
     def key(self):
         return (
@@ -560,11 +567,6 @@ class QuadSeries:
 
     # -- rows ------------------------------------------------------------------------
 
-    @staticmethod
-    def stack(items) -> "QuadSeries":
-        """The rows of every item (all over one context) as one stack."""
-        return QuadSeries(items[0].ctx, LaurentSeries.stack([z.x for z in items]), LaurentSeries.stack([z.y for z in items]))
-
     def take(self, index) -> "QuadSeries":
         return QuadSeries(self.ctx, self.x.take(index), self.y.take(index))
 
@@ -651,18 +653,21 @@ def sub_poly(z, a: Poly):
 def xi_series(qf: QuadField, desc2: FieldDesc, prec: int) -> LaurentSeries:
     """The canonical flattening of xi in F_{q^2}((1/T)) (inert flavors only).
 
-    The field owns the series: it keeps one per coefficient field, at the
-    highest precision asked for so far, and hands each caller a truncation.
-    Every digit below the precision is exactly known, so the truncation
-    equals the series computed afresh at the lower precision.
+    The field owns the series: it keeps one per coefficient field and hands
+    each caller a truncation.  A request beyond the held precision takes the
+    root afresh at no less than twice that precision, so a rising sequence
+    of requests takes O(log) roots.  Every digit below the precision is
+    exactly known, so the truncation equals the series computed afresh at
+    the lower precision.
     """
     if qf.infinite_type != "inert":
         raise BadInputError("xi flattens to a series only when infinity is inert")
     held = qf._xi.get(desc2)
     if held is None or held.prec < prec:
-        t = qf.t.to_series(desc2, prec + 2).truncate(prec + 2)
+        work = prec if held is None else max(prec, 2 * held.prec)
+        t = qf.t.to_series(desc2, work + 2).truncate(work + 2)
         root = t.artin_schreier_root() if qf.s else t.sqrt()  # xi^2 = s xi + t
-        held = qf._xi[desc2] = root.truncate(prec)
+        held = qf._xi[desc2] = root.truncate(work)
     return held.truncate(prec)
 
 
@@ -672,30 +677,42 @@ def value_field(qf: QuadField) -> FieldDesc:
     return quadratic_extension(qf.base) if qf.infinite_type == "inert" else qf.base
 
 
-def embed(z: QuadElement, prec: int, coeff_desc: FieldDesc | None = None):
-    """Analytic embedding of an exact element at absolute precision `prec`.
+def embed(zs: list, prec: int, coeff_desc: FieldDesc | None = None):
+    """Analytic embedding of exact elements of one field, as one stack, at
+    absolute precision `prec`: row r is zs[r], and a one-element list gives
+    that element's one-row value.
 
-    Inert flavor: returns the flattened LaurentSeries; ramified flavors:
-    returns a QuadSeries; the coefficients lie in `value_field` (or
-    `coeff_desc`).  z = (x' + y' xi)/A over the least common denominator A
-    of its coordinates, and 1/A is expanded once for both.
+    Inert flavor: a flattened LaurentSeries; ramified flavors: a QuadSeries;
+    the coefficients lie in `value_field` (or `coeff_desc`).  Each z is
+    (x' + y' xi)/A over the least common denominator A of its coordinates.
+    The unit parts A/T^deg A of all rows are inverted by one Newton call, and
+    the numerators, shifted by T^-deg A, are multiplied by them as one
+    stacked product.  Every digit is exact, so each row equals the element
+    embedded alone.
     """
-    qf = z.field
+    qf = zs[0].field
     inert = qf.infinite_type == "inert"
     cdesc = coeff_desc or value_field(qf)
-    if inert:
-        slack = max(0, -(z.x.v_infinity() or 0), -(z.y.v_infinity() or 0) + int(-qf.v_xi() + 1)) + 4
-    else:
-        slack = int(math.ceil(-qf.v_xi())) + 4
-    A, xn, yn = z.x.den, z.x.num, z.y.num
-    if z.y.den != A:
-        A = A * (z.y.den // pr.gcd(A, z.y.den))
-        xn, yn = xn * (A // z.x.den), yn * (A // z.y.den)
-    xs, ys = LaurentSeries.from_poly(xn, cdesc), LaurentSeries.from_poly(yn, cdesc)
-    if not A.is_one():
-        # 1/A to absolute precision at least prec + slack + deg of either numerator
-        keep = prec + slack + max(0, xn.deg, yn.deg) + A.deg + 2
-        inv_a = LaurentSeries.from_poly(A, cdesc).truncate(keep).inverse()
+    slack = 4 if inert else int(math.ceil(-qf.v_xi())) + 4
+    dens, xns, yns = [], [], []
+    lift = 0  # the most any numerator row exceeds its denominator in degree
+    for z in zs:
+        if inert:
+            slack = max(slack, -(z.x.v_infinity() or 0) + 4, -(z.y.v_infinity() or 0) + int(-qf.v_xi() + 1) + 4)
+        A, xn, yn = z.x.den, z.x.num, z.y.num
+        if z.y.den != A:
+            A = A * (z.y.den // pr.gcd(A, z.y.den))
+            xn, yn = xn * (A // z.x.den), yn * (A // z.y.den)
+        lift = max(lift, xn.deg - A.deg, yn.deg - A.deg)
+        dens.append(A)
+        xns.append(xn)
+        yns.append(yn)
+    shifts = [A.deg for A in dens]
+    xs = LaurentSeries.from_polys(xns, cdesc, shifts)
+    ys = LaurentSeries.from_polys(yns, cdesc, shifts)
+    units = LaurentSeries.from_polys(dens, cdesc, shifts)  # A/T^deg A: valuation 0 in every row
+    if units.comps.shape[2] > 1:  # some unit part is not 1 (A is not a power of T)
+        inv_a = units.truncate(prec + slack + lift + 2).inverse()
         xs, ys = xs * inv_a, ys * inv_a
     if inert:
         xi = xi_series(qf, cdesc, prec + slack)

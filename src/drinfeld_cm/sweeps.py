@@ -135,7 +135,7 @@ def order_report(order: Order, *, check_brown: bool = True) -> OrderReport:
     A held checked report also answers an unchecked request.
     """
     from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of
-    from .classno import l_route, l_route_applies
+    from .classno import l_data, l_route_applies
 
     cm = OrderCM.of(order)
     if cm.report is not None and (cm.report.brown_checked or not check_brown):
@@ -149,7 +149,7 @@ def order_report(order: Order, *, check_brown: bool = True) -> OrderReport:
     h_orbit = len(mods)
     h_l = None
     if l_route_applies(order):
-        h_l = l_route(order.field).h_OK
+        h_l = l_data(cm.order.field).h_OK
         if h_l != h_orbit:
             raise InvariantError(f"L-route disagreement for {order.label()}")  # pragma: no cover
     height = Fraction(sum(max(Fraction(0), m.log_j) for m in mods)) / h_orbit

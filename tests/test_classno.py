@@ -10,6 +10,7 @@ from drinfeld_cm.classno import (
     class_number,
     class_number_by_conductor,
     class_number_by_orbit,
+    l_data,
     l_route,
     l_route_applies,
     maximal_class_number,
@@ -36,6 +37,20 @@ def test_l_route_hayes_field():
     assert data.h_K == 1 and data.h_OK == 2
     assert sum(data.lam) == 2 * data.h_K
     assert all(r == 0 for r in data.functional_equation_residual())
+
+
+def test_l_route_runs_once_per_field(monkeypatch):
+    from drinfeld_cm import classno
+    from drinfeld_cm.sweeps import order_report
+
+    calls = []
+    real = classno.l_route
+    monkeypatch.setattr(classno, "l_route", lambda field: calls.append(field) or real(field))
+    o = order_from_discriminant(F3, P(F3, "T-T^2"))
+    rep = order_report(o)  # conductor route and h_lroute read one L-data
+    assert rep.h_lroute == rep.h_conductor == 2
+    assert maximal_class_number(o.field) == l_data(o.field).h_OK == 2
+    assert calls == [o.field]
 
 
 def test_l_route_guards():

@@ -63,6 +63,24 @@ def test_elliptic_neighbors_hayes():
     assert all(p.dist_e_log is None for p in ram)  # ramified flavor: never
 
 
+def test_enumerate_embeds_the_unit_sphere_points_as_one_stack(monkeypatch):
+    from drinfeld_cm import cmpoints
+
+    calls = []
+    real = cmpoints.embed
+
+    def counting(zs, prec, **kwargs):
+        calls.append(len(zs))
+        return real(zs, prec, **kwargs)
+
+    monkeypatch.setattr(cmpoints, "embed", counting)
+    pts = enumerate_points(hayes_order())
+    assert calls == [4]  # the four n = 0 points, in one call, none retried
+    lone = [elliptic_neighbor(p) for p in pts if p.n == 0]  # each point embedded alone
+    assert lone == [(p.e_code, p.dist_e_log) for p in pts if p.n == 0]
+    assert calls == [4, 1, 1, 1, 1]
+
+
 def test_elliptic_floor_sweep():
     # Lemma floor: dist >= 1/sqrt|D| for all odd-flavor points, |D| <= 3^6
     for dd in (2, 4):

@@ -181,7 +181,7 @@ def test_defining_relation():
 def test_embed_odd_inert_flat():
     k = validate_field(F3, "odd", D=P(F3, "T-T^2"))
     z = QuadElement(k, RatFunc.of(pr.zero(F3)), rf(F3, "1"))  # z = xi = sqrt(T-T^2)
-    flat = embed(z, 25)
+    flat = embed([z], 25)
     assert flat.valuation() == -1  # |z| = 3
     f9 = quadratic_extension(F3)
     e = flat.sgn_code()
@@ -197,7 +197,7 @@ def test_embed_odd_inert_flat():
 def test_embed_insep():
     k = validate_field(F2, "even_insep")
     z = QuadElement(k, RatFunc.of(pr.zero(F2)), rf(F2, "1"))  # sqrt(T)
-    e = embed(z, 20)
+    e = embed([z], 20)
     assert e.valuation() == Fraction(-1, 2)
     assert z.size_log() == Fraction(1, 2)  # |z| = q^(1/2)
 
@@ -219,7 +219,7 @@ def test_embed_matches_norm():
             if z.is_zero():
                 continue
             v_exact = z.v_infinity()
-            ze = embed(z, int(v_exact) + 15)
+            ze = embed([z], int(v_exact) + 15)
             assert ze.valuation() == v_exact  # |z|^2 = |N(z)|
             done += 1
 
@@ -250,6 +250,22 @@ def test_xi_series_held_at_highest_precision(flavor, data):
         for prec in order:
             assert xi_series(k, desc2, prec) == fresh[prec]
         assert k._xi[desc2] == fresh[40]
+
+
+@pytest.mark.parametrize("flavor, data", [("odd", {"D": "T-T^2"}), ("even_sep", {"B": "T+1", "C": "T"})])
+def test_xi_series_rising_requests_take_log_many_roots(flavor, data, monkeypatch):
+    # a request beyond the held precision takes the root at least at twice it
+    base = F3 if flavor == "odd" else F2
+    desc2 = quadratic_extension(base)
+    k = validate_field(base, flavor, **{key: P(base, v) for key, v in data.items()})
+    want = xi_series(validate_field(base, flavor, **{key: P(base, v) for key, v in data.items()}), desc2, 80)
+    roots = []
+    for name in ("sqrt", "artin_schreier_root"):
+        real = getattr(LaurentSeries, name)
+        monkeypatch.setattr(LaurentSeries, name, lambda self, real=real: roots.append(self.prec) or real(self))
+    for prec in range(10, 81):
+        assert xi_series(k, desc2, prec) == want.truncate(prec)
+    assert roots == [12, 22, 42, 82]  # held at 10, 20, 40 and 80 (t carries 2 more digits)
 
 
 def test_quad_series_arithmetic():
@@ -318,13 +334,13 @@ def test_imag_and_lattice_size():
     # z = sqrt(T-T^2): |z| = |z|_i = |z|_A = 3
     k = validate_field(F3, "odd", D=P(F3, "T-T^2"))
     z = QuadElement(k, RatFunc.of(pr.zero(F3)), rf(F3, "1"))
-    flat = embed(z, 25)
+    flat = embed([z], 25)
     assert imag_part_log(flat, F3) == 1
     assert lattice_dist_log(flat, 2, F3) == 1
     # ramified: z = sqrt(T)
     k2 = validate_field(F3, "odd", D=P(F3, "T"))
     z2 = QuadElement(k2, RatFunc.of(pr.zero(F3)), rf(F3, "1"))
-    e2 = embed(z2, 25)
+    e2 = embed([z2], 25)
     assert imag_part_log(e2, F3) == Fraction(1, 2)
     assert lattice_dist_log(e2, 2, F3) == Fraction(1, 2)
 
@@ -342,23 +358,69 @@ EMBED_ORDERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EMBED_ORDERS))
-def test_embed_equals_coordinates_over_their_own_denominators(name):
-    # embed expands 1/A once for the common denominator A of x and y; the
-    # reference expands x and y through their own denominators
+def _embed_reference(z, prec):
+    """z embedded through its coordinates, each over its own denominator."""
+    qf = z.field
+    wide = prec + 30
+    if qf.infinite_type == "inert":
+        desc2 = quadratic_extension(qf.base)
+        xi = xi_series(qf, desc2, wide)
+        return (z.x.to_series(desc2, wide) + z.y.to_series(desc2, wide) * xi).truncate(prec)
+    ctx = QuadSeriesContext(qf, qf.base, wide)
+    return QuadSeries(ctx, z.x.to_series(qf.base, wide), z.y.to_series(qf.base, wide)).truncate(prec)
+
+
+def _same_value(got, want) -> bool:
+    if isinstance(want, LaurentSeries):
+        return got == want
+    return (got.x, got.y) == (want.x, want.y)
+
+
+def _embed_rows(order) -> list:
+    """The order's points, then xi (A = 1, x = 0) and 1/T + xi/(T+1) (x and y
+    over different denominators)."""
     from drinfeld_cm.cmpoints import enumerate_points
 
-    for pt in enumerate_points(EMBED_ORDERS[name]()):
-        z, qf = pt.z, pt.z.field
-        for prec in (3, 12, 40):
-            wide = prec + 30
-            if qf.infinite_type == "inert":
-                desc2 = quadratic_extension(qf.base)
-                xi = xi_series(qf, desc2, wide)
-                want = (z.x.to_series(desc2, wide) + z.y.to_series(desc2, wide) * xi).truncate(prec)
-                assert embed(z, prec) == want
-            else:
-                ctx = QuadSeriesContext(qf, qf.base, wide)
-                want = QuadSeries(ctx, z.x.to_series(qf.base, wide), z.y.to_series(qf.base, wide)).truncate(prec)
-                got = embed(z, prec)
-                assert (got.x, got.y) == (want.x, want.y)
+    k, base = order.field, order.field.base
+    one, zero = RatFunc.of(pr.one(base)), RatFunc.of(pr.zero(base))
+    extra = [QuadElement(k, zero, one), QuadElement(k, rf(base, "1", "T"), rf(base, "1", "T+1"))]
+    return [pt.z for pt in enumerate_points(order)] + extra
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_ORDERS))
+def test_embed_equals_coordinates_over_their_own_denominators(name):
+    # embed expands 1/A once for the common denominator A of x and y, for all
+    # rows of a stack at once; the reference expands x and y of each element
+    # through their own denominators
+    zs = _embed_rows(EMBED_ORDERS[name]())
+    assert any(z.x.den.is_one() and z.y.den.is_one() for z in zs)
+    assert any(z.x.is_zero() for z in zs)
+    assert any(not z.x.is_zero() and z.x.den != z.y.den for z in zs)
+    for prec in (3, 12, 40):
+        stack = embed(zs, prec)
+        for r, z in enumerate(zs):
+            want = _embed_reference(z, prec)
+            assert want.prec == prec
+            assert _same_value(embed([z], prec), want)
+            assert _same_value(stack.take([r]), want)
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_ORDERS))
+def test_a_stack_inverts_its_denominators_once(name, monkeypatch):
+    zs = _embed_rows(EMBED_ORDERS[name]())
+    k, base = zs[0].field, zs[0].field.base
+    polys = [QuadElement(k, RatFunc.of(pr.T(base)), RatFunc.of(pr.one(base))), zs[-2]]  # T + xi, xi
+    embed(zs, 20)  # the field's xi and t at this precision are now held
+    calls = []
+    real = LaurentSeries.inverse
+
+    def counting(self):
+        calls.append(self.rows)
+        return real(self)
+
+    monkeypatch.setattr(LaurentSeries, "inverse", counting)
+    embed(zs, 20)
+    assert calls == [len(zs)]  # one Newton call for every row of the stack
+    calls.clear()
+    embed(polys, 20)
+    assert calls == []  # every A = 1: nothing to invert
