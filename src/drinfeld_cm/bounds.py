@@ -460,7 +460,7 @@ def unit_search(base: FieldDesc, d_bound: int) -> dict:
     """
     from .sweeps import iter_orders
     from .modforms import hilbert_poly, unit_check, hilbert_constant_degree
-    from .brownval import ramified_nonunit_certificate, weil_height
+    from .brownval import moduli_of, ramified_nonunit_certificate, weil_height
 
     q = base.q
     rows = []
@@ -483,7 +483,7 @@ def unit_search(base: FieldDesc, d_bound: int) -> dict:
         if row["unit"]:
             units_found += 1  # pragma: no cover - the sweep finds none
         if inert and order.disc_deg() >= 4:
-            h = weil_height(order)
+            h = weil_height(moduli_of(order))
             ub = upper_bound_h(order, Fraction(1, q))
             consistent = (not row["unit"]) or Fraction(h) > ub["cor_bound"].hi
             row["laclef_consistent"] = bool(consistent)

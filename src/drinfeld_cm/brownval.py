@@ -98,7 +98,7 @@ def _integral_data(pt: CMPoint) -> tuple:
     sqrt(D_O) (odd), f G xi (even separable) or f xi (inseparable), so (A, x)
     determines z; s = f G for the even separable flavor and 0 otherwise.
     """
-    A, x, C, _, beta = point_form(pt.order, pt.a, pt.b, pt.c)
+    A, x, C, beta = point_form(pt.order, pt.a, pt.b, pt.c)
     return A, x, C, beta.scale(pt.order.field.s)
 
 
@@ -350,14 +350,12 @@ def moduli_of(order: Order, *, value_prec: int | None = None, expected: int | No
     return mods
 
 
-def weil_height(order: Order) -> Fraction:
-    """h(j) = (1/m) sum over distinct moduli of max(0, log_q|j_i|).
+def weil_height(mods: list) -> Fraction:
+    """h(j) = (1/m) sum over the m distinct moduli of an order of max(0, log_q|j_i|).
 
     Finite places contribute nothing: singular moduli are integral over A.
     """
-    mods = moduli_of(order)
-    m = len(mods)
-    return Fraction(sum(max(Fraction(0), s.log_j) for s in mods), 1) / m
+    return Fraction(sum(max(Fraction(0), s.log_j) for s in mods)) / len(mods)
 
 
 def ramified_nonunit_certificate(order: Order) -> dict:

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .errors import BadInputError, InvariantError
 from . import polyring as pr
-from .polyring import Poly
 from .quadfield import Order, QuadField, order_from
 from .sweeps import order_report
 
@@ -130,26 +129,16 @@ def l_route(field: QuadField) -> LPolyData:
     if deg_dk % 2:
         raise InvariantError("inert discriminant with odd degree")  # pragma: no cover
     g = deg_dk // 2 - 1
-    lam = []
-    chi_cache: dict = {}
-
-    def chi_of(a: Poly) -> int:
-        _, items = pr.factor(a)
-        out = 1
-        for P, e in items:
-            c = chi_cache.get(P)
-            if c is None:
-                c = pr.chi(P, field)
-                chi_cache[P] = c
-            if c == 0:
-                if e:
-                    return 0
-            elif c == -1 and e % 2:
-                out = -out
-        return out
-
-    for k in range(2 * g + 2):
-        lam.append(sum(chi_of(a) for a in pr.monic_of_degree(field.base, k)))
+    base = field.base
+    o = base.order
+    # chi on every monic of degree <= 2g + 1, by poly code: pr.chi at each
+    # prime, and chi(P m) = chi(P) chi(m) through the sieve's smallest factor
+    spf, cof = pr.spf_table(base, 2 * g + 1)
+    chi = [0] * len(spf)
+    chi[1] = 1
+    for c in range(o, len(chi)):
+        chi[c] = pr.chi(pr.code_poly(base, c), field) if spf[c] == c else chi[spf[c]] * chi[cof[c]]
+    lam = [sum(chi[o**k : 2 * o**k]) for k in range(2 * g + 2)]
     if lam[-1] == 0:
         raise InvariantError("deg Lambda < 2g + 1")  # pragma: no cover
     for k, c in enumerate(lam):

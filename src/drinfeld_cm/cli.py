@@ -145,7 +145,7 @@ def cmd_height(cfg: RunConfig, args) -> int:
     order = _build_order(cfg, args)
     lb = lower_bounds_h(order)  # certifies the moduli against the conductor formula
     mods = moduli_of(order)
-    h = weil_height(order)
+    h = weil_height(mods)
     payload = {
         "order": order.to_jsonable(),
         "m": len(mods),

@@ -4,14 +4,17 @@ Odd flavor: S_D = {(-b + sqrt(D))/(2a)} with b^2 - 4ac = D, |b| < |a| <= |c|,
 gcd(a, b, c) = 1.  Even separable: S_f(xi) with ac = b^2 + b f G + f^2 rad(G) B
 and gcd(a, b, f) = 1.  Even inseparable: S_f(sqrt(T)) with ac = b^2 + f^2 T.
 
-For every point, |z|^2 = |c|/|a| (the norm is c/a up to a unit), so
-n = ceil((deg c - deg a)/2) and the fractional defect eps is 0 (inert) or 1/2
-(ramified).  Points on the unit sphere of an inert field acquire an elliptic
-neighbor e in F_{q^2}\\F_q together with the exact distance |z - e|, a power
-of q read from a flattened series.  `enumerate_points` embeds all those
-points of an order as one stack (`quadfield.embed`) and hands each row to
-`elliptic_neighbor`; a point whose distance is not yet resolved is embedded
-again alone at doubled precision.
+Each point is held as the exact element z = (x + y xi)/den of `quadfield`,
+three polynomials built from the integer data (a, b, c) of `point_form` and
+the order's w = f omega, with no gcd taken.  For every point, |z|^2 = |c|/|a|
+(the norm is c/a up to a unit), so n = ceil((deg c - deg a)/2) and the
+fractional defect eps is 0 (inert) or 1/2 (ramified); `enumerate_points`
+replays that identity from the polynomials.  Points on the unit sphere of
+an inert field acquire an elliptic neighbor e in F_{q^2}\\F_q together with
+the exact distance |z - e|, a power of q read from a flattened series.
+`enumerate_points` embeds all those points of an order as one stack
+(`quadfield.embed`) and hands each row to `elliptic_neighbor`; a point whose
+distance is not yet resolved is embedded again alone at doubled precision.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def _rhs(order: Order, b: Poly) -> Poly:
 
 
 def point_form(order: Order, a: Poly, b: Poly, c: Poly) -> tuple:
-    """(A, x, C, w, beta): the CM point of (a, b, c) is z = (x + w xi)/A, and
+    """(A, x, C, beta): the CM point of (a, b, c) is z = (x + w xi)/A, and
     C = (x^2 + s x - t)/A, where w xi = f omega xi is the order's fixed root
     eta of eta^2 = s eta + t (omega xi generates O_K, see `QuadField`):
     sqrt(D_O) = (f/g) xi (odd, D = sgn g^2 D_0), f G xi (even separable) or
@@ -84,11 +87,10 @@ def point_form(order: Order, a: Poly, b: Poly, c: Poly) -> tuple:
     """
     k = order.field
     beta = order.f * k.omega.num
-    w = RatFunc(beta, k.omega.den)
     if k.flavor == "odd":
         two = 2 % k.base.p
-        return a.scale(two), -b, c.scale(two), w, beta
-    return a, b, c, w, beta
+        return a.scale(two), -b, c.scale(two), beta
+    return a, b, c, beta
 
 
 def _deg_a_bound(order: Order) -> int:
@@ -103,11 +105,15 @@ def _deg_a_bound(order: Order) -> int:
 def enumerate_points(order: Order) -> list:
     """The complete reduced CM-point set of an order, in canonical order.
 
-    Points with |z| = 1 in an inert field carry their elliptic neighbor and
-    the exact distance |z - e|.
+    Each point is the exact element (x w_den + w_num xi)/(A w_den) of
+    `point_form`, where w = w_num/w_den = f omega is reduced once for the
+    order; its valuation is replayed against |c|/|a| from the norm.  Points
+    with |z| = 1 in an inert field carry their elliptic neighbor and the
+    exact distance |z - e|.
     """
     k = order.field
     base = k.base
+    w = RatFunc(order.f * k.omega.num, k.omega.den)
     four_inv = base.inv(4 % base.p) if base.p != 2 else None
     points = []
     for da in range(_deg_a_bound(order) + 1):
@@ -133,16 +139,16 @@ def enumerate_points(order: Order) -> list:
                 # is the classical gcd(a, b, c) = 1; in even characteristic a
                 # content dividing B must be allowed (see the worked
                 # counterexamples in the decisions ledger).
-                A, x, _, w, beta = point_form(order, a, b, c)
+                A, x, _, beta = point_form(order, a, b, c)
                 if not pr.gcd_many([a, b, c, beta]).is_one():
                     continue
                 diff = c.deg - a.deg
                 n = (diff + 1) // 2
                 eps = Fraction(n) - Fraction(diff, 2)
-                z = QuadElement(k, RatFunc(x, A), RatFunc(w.num, w.den * A))
-                # replay the defining identity in exact arithmetic
+                z = QuadElement(k, x * w.den, w.num, A * w.den)
+                # replay |z|^2 = |c|/|a| exactly, from the norm's numerator
                 if z.v_infinity() != Fraction(a.deg - c.deg, 2):
-                    raise InvariantError("point valuation does not match |c|/|a|")  # pragma: no cover
+                    raise InvariantError("point valuation does not match |c|/|a|")
                 points.append(CMPoint(order, a, b, c, z, n, eps))
     points.sort(key=CMPoint.sort_key)
     if len({(p.a, p.b) for p in points}) != len(points):
@@ -222,15 +228,11 @@ def elliptic_neighbor(pt: CMPoint, flat=None):
     raise PrecisionError("could not resolve |z - e| (z = e would mean j = 0, an excluded order)")
 
 
-def c_epsilon_set(order: Order, eps: Fraction) -> list:
-    """Points of the order whose elliptic distance is < eps (0 < eps <= 1)."""
+def c_epsilon_set(points: list, eps: Fraction) -> list:
+    """The points whose elliptic distance is < eps (0 < eps <= 1)."""
     if not (0 < eps <= 1):
         raise BadInputError("eps must satisfy 0 < eps <= 1")
-    out = []
-    for p in enumerate_points(order):
-        if p.dist_e is not None and p.dist_e < eps:
-            out.append(p)
-    return out
+    return [p for p in points if p.dist_e is not None and p.dist_e < eps]
 
 
 def majb_check(pt: CMPoint, eps: Fraction) -> dict:

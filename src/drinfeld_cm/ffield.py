@@ -12,16 +12,17 @@ from (p, r, m) alone, and the chosen modulus is echoed in all output headers.
 
 Elements are integer codes: the base-p digits of the code are the coordinates
 of the element in the power basis 1, x, x^2, ...  Zero and one are always the
-codes 0 and 1.  Every field of order up to 256 keeps full addition,
-subtraction, negation, multiplication and inversion tables, so each of those
-operations is one lookup there.  Larger fields add, subtract and negate digit
+codes 0 and 1, and every operation (`is_square`, `sqrt` and
+`artin_schreier_solve` included) takes a descriptor and codes.  Every field
+of order up to 256 keeps full addition, subtraction, negation,
+multiplication and inversion tables, so each of those operations is one
+lookup there.  Larger fields add, subtract and negate digit
 by digit in base p and multiply by one schoolbook product of the coordinate
 lists, reduced from the top degree down by the monic modulus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadInputError, InvariantError
@@ -193,9 +194,6 @@ class FieldDesc:
             return self._inv_table[a]
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         e = int(e)
         if e < 0:
@@ -238,24 +236,6 @@ class FieldDesc:
         return acc
 
     # -- misc ----------------------------------------------------------------
-
-    def elem(self, code_or_coords) -> "FFElem":
-        if isinstance(code_or_coords, int):
-            return FFElem(self, code_or_coords % self.order)
-        return FFElem(self, self.code(code_or_coords))
-
-    @property
-    def zero(self) -> "FFElem":
-        return FFElem(self, 0)
-
-    @property
-    def one(self) -> "FFElem":
-        return FFElem(self, 1)
-
-    @property
-    def gen(self) -> "FFElem":
-        """The class of x (a generator of the field over F_p, not of the unit group)."""
-        return FFElem(self, self.p if self.s > 1 else 0)
 
     def header(self) -> str:
         """Serialized descriptor `p,r,m,[modulus coeffs]` for output headers."""
@@ -322,73 +302,23 @@ def embedding_table(src: FieldDesc, dst: FieldDesc):
     return tuple(table)
 
 
-@dataclass(frozen=True)
-class FFElem:
-    """A finite-field element: a descriptor plus an integer code."""
-
-    desc: FieldDesc
-    code: int
-
-    def _check(self, other):
-        if self.desc is not other.desc and self.desc != other.desc:
-            raise BadInputError("elements of different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FFElem(self.desc, self.desc.add(self.code, other.code))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FFElem(self.desc, self.desc.sub(self.code, other.code))
-
-    def __neg__(self):
-        return FFElem(self.desc, self.desc.neg(self.code))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FFElem(self.desc, self.desc.mul(self.code, other.code))
-
-    def __truediv__(self, other):
-        self._check(other)
-        if other.code == 0:
-            raise ZeroDivisionError("division by zero field element")
-        return FFElem(self.desc, self.desc.div(self.code, other.code))
-
-    def __pow__(self, e):
-        return FFElem(self.desc, self.desc.pow(self.code, e))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"ff({self.code} in {self.desc.p}^{self.desc.s})"
-
-
-def is_square(x: FFElem) -> bool:
+def is_square(desc: FieldDesc, code: int) -> bool:
     """Euler test x^((q^m-1)/2) for odd q; 0 counts as a square."""
-    desc = x.desc
     if desc.p == 2:
         raise BadInputError("is_square is defined for odd q only")
-    if x.code == 0:
-        return True
-    return desc.pow(x.code, (desc.order - 1) // 2) == 1
+    return code == 0 or desc.pow(code, (desc.order - 1) // 2) == 1
 
 
-def sqrt(x: FFElem):
-    """Canonical square root in the element's own field, or None.
+def sqrt(desc: FieldDesc, code: int) -> int | None:
+    """Canonical square root of an element of the field, or None.
 
     Canonical choice: the root with the smaller integer code.
     """
-    desc = x.desc
     if desc.p == 2:
-        # squaring is bijective in char 2
-        return FFElem(desc, desc.pow(x.code, desc.order // 2))
-    if x.code == 0:
-        return desc.zero
-    if not is_square(x):
+        return desc.pow(code, desc.order // 2)  # squaring is bijective in char 2
+    if not is_square(desc, code):
         return None
-    tab = _sqrt_table(desc)
-    return FFElem(desc, tab[x.code])
+    return _sqrt_table(desc)[code]
 
 
 def _sqrt_table(desc: FieldDesc):
@@ -400,36 +330,19 @@ def _sqrt_table(desc: FieldDesc):
     return desc._sqrt_table
 
 
-def sqrt_fq2(x: FFElem) -> FFElem:
-    """Square root in F_{q^2} of an element of F_q^x (q odd); always exists."""
-    desc = x.desc
-    if desc.p == 2:
-        raise BadInputError("sqrt_fq2 requires odd q")
-    if desc.m == 1:
-        desc2 = quadratic_extension(desc)
-        x = FFElem(desc2, embedding_table(desc, desc2)[x.code])
-    r = sqrt(x)
-    if r is None:  # pragma: no cover - every F_q element is a square in F_{q^2}
-        raise InvariantError("element of F_q has no square root in F_{q^2}")
-    return r
-
-
-def artin_schreier_solve(c: FFElem):
-    """Roots of y^2 + y = c in the element's field (p = 2), or None.
+def artin_schreier_solve(desc: FieldDesc, code: int) -> tuple | None:
+    """The codes of the roots of y^2 + y = c in the field (p = 2), or None.
 
     Solvable iff the absolute trace of c to F_2 vanishes; the two roots differ
     by 1 and are returned as (least, least + 1).
     """
-    desc = c.desc
     if desc.p != 2:
         raise BadInputError("artin_schreier_solve requires p = 2")
-    if desc.trace_to_prime(c.code) != 0:
+    if desc.trace_to_prime(code) != 0:
         return None
-    solver = _as_solver(desc)
-    root = solver(c.code)
+    root = _as_solver(desc)(code)
     other = root ^ 1  # adding 1 flips the constant coordinate
-    lo, hi = min(root, other), max(root, other)
-    return FFElem(desc, lo), FFElem(desc, hi)
+    return min(root, other), max(root, other)
 
 
 def solve_f2(rows: list, target: list) -> list | None:

@@ -525,10 +525,9 @@ class LaurentSeries:
         v = self.n0
         if v % 2:
             raise BadInputError("sqrt of a series with odd valuation")
-        from .ffield import FFElem, sqrt as ff_sqrt
+        from .ffield import sqrt as ff_sqrt
 
-        c0 = self.sgn_code()
-        root0 = ff_sqrt(FFElem(fld, c0))
+        root0 = ff_sqrt(fld, self.sgn_code())
         if root0 is None:
             raise BadInputError("leading coefficient is not a square in the coefficient field")
         if self.prec is None:
@@ -538,7 +537,7 @@ class LaurentSeries:
         U = self.comps
         inv2 = fld.inv(2 % fld.p)
         one = np.array(fld.coords(1), dtype=np.int64)
-        r = np.array(fld.coords(fld.inv(root0.code)), dtype=np.int64).reshape(1, fld.s, 1)
+        r = np.array(fld.coords(fld.inv(root0)), dtype=np.int64).reshape(1, fld.s, 1)
         known = 1
         while known < ell:
             known = min(2 * known, ell)
@@ -569,14 +568,14 @@ class LaurentSeries:
             raise BadInputError("artin_schreier_root requires valuation >= 0")
         if self.prec is None:
             raise BadInputError("artin_schreier_root of an exact series: truncate() first")
-        from .ffield import FFElem, artin_schreier_solve
+        from .ffield import artin_schreier_solve
 
         P = self.prec
         s_codes = [self.coeff_code(e) for e in range(0, P)]
-        roots = artin_schreier_solve(FFElem(fld, s_codes[0]))
+        roots = artin_schreier_solve(fld, s_codes[0])
         if roots is None:
             raise BadInputError("constant term has no Artin-Schreier root in this coefficient field")
-        y = [roots[0].code] + [0] * (P - 1)
+        y = [roots[0]] + [0] * (P - 1)
         for e in range(1, P):
             c = s_codes[e]
             if e % 2 == 0:

@@ -402,14 +402,14 @@ def is_square_poly(a: Poly) -> bool:
     """Whether a is a square in k = F_q(T) (equivalently in A, for a in A)."""
     if a.is_zero():
         return True
-    from .ffield import FFElem, is_square as ff_is_square
+    from .ffield import is_square as ff_is_square
 
     sgn_code, items = factor(a)
     if any(e % 2 for _, e in items):
         return False
     if a.field.p == 2:
         return True  # every constant is a square in char 2
-    return ff_is_square(FFElem(a.field, sgn_code))
+    return ff_is_square(a.field, sgn_code)
 
 
 def squarefree_split(a: Poly):
@@ -583,22 +583,6 @@ def chi(P: Poly, K) -> int:
     if flavor == "even_insep":
         return 0
     raise BadInputError(f"unknown flavor {flavor!r}")
-
-
-def chi_of(a: Poly, K) -> int:
-    """Multiplicative extension of chi to nonzero a (via factorization)."""
-    if a.is_zero():
-        raise BadInputError("chi_of(0)")
-    _, items = factor(a)
-    out = 1
-    for p_, e in items:
-        c = chi(p_, K)
-        if c == 0:
-            if e:
-                return 0
-        elif c == -1 and e % 2:
-            out = -out
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Imaginary quadratic extensions K/k and their orders, in all three flavors.
 
 Flavors: `odd` (K = k(sqrt(D)), q odd), `even_sep` (Hasse normal form
-xi^2 + xi = B/C, q even), `even_insep` (K = F_q(sqrt(T)), q even).  Elements
-are pairs x + y*xi; exact elements carry rational-function coordinates.
+xi^2 + xi = B/C, q even), `even_insep` (K = F_q(sqrt(T)), q even).  An exact
+element is (x + y xi)/den for three polynomials, den monic and the fraction
+not necessarily reduced (`QuadElement`); the field's own data t and omega
+are reduced rational functions (`RatFunc`).  Exact elements are embedded,
+not multiplied: all arithmetic happens on series.
 
 Every flavor is one relation
 
@@ -11,8 +14,8 @@ Every flavor is one relation
 with s = 1 for even_sep and 0 otherwise, t = D, B/C or T, and (alpha, beta)
 = (0, D^((q-1)/2)), (t + t^2 + ... + t^(q/2), 1) or (T^(q/2), 0).
 Conjugation is xi -> s - xi and the norm is x^2 + s x y - t y^2, so
-products, conjugates, norms and Frobenius are one formula each, for exact
-elements and for series alike.
+products, conjugates, norms and Frobenius of series are one formula each;
+the valuation of an exact element reads the same norm on polynomials.
 
 This module is the one place that picks the value type and the coefficient
 field (`value_field`) of the analytic embedding: a flattened series over
@@ -31,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadInputError, InvariantError, PrecisionError
-from .ffield import FieldDesc, FFElem, embedding_table, is_square, quadratic_extension
+from .ffield import FieldDesc, embedding_table, is_square, quadratic_extension
 from .laurent import LaurentSeries
 from . import polyring as pr
 from .polyring import Poly
@@ -68,31 +71,14 @@ class RatFunc:
     def of(a: Poly) -> "RatFunc":
         return RatFunc(a, pr.one(a.field))
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def v_infinity(self):
         """v(num/den) with v(T) = -1; None for 0."""
         if self.num.is_zero():
             return None
         return self.den.deg - self.num.deg
 
-    def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
     def __mul__(self, other):
         return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other):
         return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
@@ -172,7 +158,7 @@ class QuadField:
         if pr.is_square_poly(D):
             raise BadInputError("D is a square: k(sqrt(D)) is not a field")
         deg_odd = D.deg % 2 == 1
-        sgn_square = is_square(FFElem(base, D.sgn))
+        sgn_square = is_square(base, D.sgn)
         if not deg_odd and sgn_square:
             raise BadInputError("not imaginary: deg D even with square leading coefficient")
         sgn_code, g, d0 = pr.squarefree_split(D)
@@ -341,58 +327,41 @@ def order_from_discriminant(base: FieldDesc, D: Poly) -> Order:
 
 @dataclass(frozen=True)
 class QuadElement:
+    """The exact element (x + y xi)/den of a field, for polynomials x, y and
+    den.  den is monic (a non-monic one is normalised: x, y and den are
+    divided by its leading coefficient) but shares factors with x and y
+    freely: nothing takes a gcd.  The element is only ever embedded
+    (`embed`) or has its valuation read (`v_infinity`); it has no
+    arithmetic of its own.
+    """
+
     field: QuadField
-    x: RatFunc
-    y: RatFunc
+    x: Poly
+    y: Poly
+    den: Poly
 
-    def _check(self, other):
-        if self.field != other.field:
-            raise BadInputError("elements of different quadratic fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return QuadElement(self.field, self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        self._check(other)
-        return QuadElement(self.field, self.x - other.x, self.y - other.y)
-
-    def __neg__(self):
-        return QuadElement(self.field, -self.x, -self.y)
-
-    def __mul__(self, other):
-        self._check(other)
-        k = self.field
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        yy = y1 * y2
-        return QuadElement(k, x1 * x2 + yy * k.t, _mac(x1 * y2 + y1 * x2, yy, k.s))
-
-    def conj(self) -> "QuadElement":
-        """xi -> s - xi: -xi (odd), xi + 1 (even_sep), xi (even_insep)."""
-        return QuadElement(self.field, _mac(self.x, self.y, self.field.s), -self.y)
-
-    def norm(self) -> RatFunc:
-        """x^2 + s x y - t y^2."""
-        k = self.field
-        x, y = self.x, self.y
-        return _mac(x * x, x, y if k.s else 0) - k.t * y * y
+    def __post_init__(self):
+        den = self.den
+        if den.is_zero():
+            raise ZeroDivisionError("quadratic element with zero denominator")
+        if not den.is_monic():
+            inv = den.field.inv(den.sgn)
+            object.__setattr__(self, "x", self.x.scale(inv))
+            object.__setattr__(self, "y", self.y.scale(inv))
+            object.__setattr__(self, "den", den.monic())
 
     def v_infinity(self) -> Fraction | None:
-        """v(z) = v(N(z))/2; None for 0."""
-        n = self.norm()
+        """v(z) = v(N(z))/2; None for 0.
+
+        With t = t_num/t_den, N(z) = (t_den (x^2 + s x y) - t_num y^2) /
+        (t_den den^2), so the valuation needs the degrees of polynomials only.
+        """
+        k = self.field
+        x, y = self.x, self.y
+        n = k.t.den * _mac(x * x, x, y if k.s else 0) - k.t.num * y * y
         if n.is_zero():
             return None
-        return Fraction(n.v_infinity(), 2)
-
-    def size_log(self) -> Fraction:
-        """log_q |z| = -v(z)."""
-        v = self.v_infinity()
-        if v is None:
-            raise BadInputError("|0| undefined")
-        return -v
-
-    def is_zero(self) -> bool:
-        return self.x.is_zero() and self.y.is_zero()
+        return Fraction(k.t.den.deg + 2 * self.den.deg - n.deg, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -677,41 +646,37 @@ def value_field(qf: QuadField) -> FieldDesc:
     return quadratic_extension(qf.base) if qf.infinite_type == "inert" else qf.base
 
 
+def _minus_v(num: Poly, den: Poly) -> int:
+    """-v(num/den), and 0 for num = 0."""
+    return 0 if num.is_zero() else num.deg - den.deg
+
+
 def embed(zs: list, prec: int, coeff_desc: FieldDesc | None = None):
     """Analytic embedding of exact elements of one field, as one stack, at
     absolute precision `prec`: row r is zs[r], and a one-element list gives
     that element's one-row value.
 
     Inert flavor: a flattened LaurentSeries; ramified flavors: a QuadSeries;
-    the coefficients lie in `value_field` (or `coeff_desc`).  Each z is
-    (x' + y' xi)/A over the least common denominator A of its coordinates.
-    The unit parts A/T^deg A of all rows are inverted by one Newton call, and
-    the numerators, shifted by T^-deg A, are multiplied by them as one
-    stacked product.  Every digit is exact, so each row equals the element
-    embedded alone.
+    the coefficients lie in `value_field` (or `coeff_desc`).  Each z is read
+    as it is held, (x + y xi)/den: the unit parts den/T^deg den of all rows
+    are inverted by one Newton call, and the numerators, shifted by
+    T^-deg den, are multiplied by them as one stacked product.  Every digit
+    is exact, so each row equals the element embedded alone.
     """
     qf = zs[0].field
     inert = qf.infinite_type == "inert"
     cdesc = coeff_desc or value_field(qf)
     slack = 4 if inert else int(math.ceil(-qf.v_xi())) + 4
-    dens, xns, yns = [], [], []
     lift = 0  # the most any numerator row exceeds its denominator in degree
     for z in zs:
         if inert:
-            slack = max(slack, -(z.x.v_infinity() or 0) + 4, -(z.y.v_infinity() or 0) + int(-qf.v_xi() + 1) + 4)
-        A, xn, yn = z.x.den, z.x.num, z.y.num
-        if z.y.den != A:
-            A = A * (z.y.den // pr.gcd(A, z.y.den))
-            xn, yn = xn * (A // z.x.den), yn * (A // z.y.den)
-        lift = max(lift, xn.deg - A.deg, yn.deg - A.deg)
-        dens.append(A)
-        xns.append(xn)
-        yns.append(yn)
-    shifts = [A.deg for A in dens]
-    xs = LaurentSeries.from_polys(xns, cdesc, shifts)
-    ys = LaurentSeries.from_polys(yns, cdesc, shifts)
-    units = LaurentSeries.from_polys(dens, cdesc, shifts)  # A/T^deg A: valuation 0 in every row
-    if units.comps.shape[2] > 1:  # some unit part is not 1 (A is not a power of T)
+            slack = max(slack, _minus_v(z.x, z.den) + 4, _minus_v(z.y, z.den) + int(-qf.v_xi() + 1) + 4)
+        lift = max(lift, z.x.deg - z.den.deg, z.y.deg - z.den.deg)
+    shifts = [z.den.deg for z in zs]
+    xs = LaurentSeries.from_polys([z.x for z in zs], cdesc, shifts)
+    ys = LaurentSeries.from_polys([z.y for z in zs], cdesc, shifts)
+    units = LaurentSeries.from_polys([z.den for z in zs], cdesc, shifts)  # den/T^deg den: valuation 0 in every row
+    if units.comps.shape[2] > 1:  # some unit part is not 1 (den is not a power of T)
         inv_a = units.truncate(prec + slack + lift + 2).inverse()
         xs, ys = xs * inv_a, ys * inv_a
     if inert:

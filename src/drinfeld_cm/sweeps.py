@@ -39,11 +39,11 @@ def iter_odd_orders(base: FieldDesc, d_bound: int):
     sgn(D) is normalised to 1 or the least non-square; squares and
     non-imaginary D are skipped, as is the maximal order of F_{q^2}(T).
     """
-    from .ffield import FFElem, is_square
+    from .ffield import is_square
 
     q = base.q
     maxdeg = _log_q(d_bound, q)
-    nonsquare = next(c for c in range(2, base.order) if not is_square(FFElem(base, c)))
+    nonsquare = next(c for c in range(2, base.order) if not is_square(base, c))
     for d in range(1, maxdeg + 1):
         sgns = [1, nonsquare] if d % 2 == 1 else [nonsquare]
         for monic in pr.monic_of_degree(base, d):
@@ -134,7 +134,7 @@ def order_report(order: Order, *, check_brown: bool = True) -> OrderReport:
     values it computes then serve the numeric cross-check of the moduli.
     A held checked report also answers an unchecked request.
     """
-    from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of
+    from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of, weil_height
     from .classno import l_data, l_route_applies
 
     cm = OrderCM.of(order)
@@ -152,8 +152,7 @@ def order_report(order: Order, *, check_brown: bool = True) -> OrderReport:
         h_l = l_data(cm.order.field).h_OK
         if h_l != h_orbit:
             raise InvariantError(f"L-route disagreement for {order.label()}")  # pragma: no cover
-    height = Fraction(sum(max(Fraction(0), m.log_j) for m in mods)) / h_orbit
-    cm.report = OrderReport(order, cm.points, mods, h_orbit, h_formula, h_l, height, check_brown)
+    cm.report = OrderReport(order, cm.points, mods, h_orbit, h_formula, h_l, weil_height(mods), check_brown)
     return cm.report
 
 

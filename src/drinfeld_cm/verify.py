@@ -15,7 +15,7 @@ from .ffield import FieldDesc, embedding_table, field, quadratic_extension
 from . import polyring as pr
 from . import bounds as bnd
 from .brownval import moduli_of
-from .cmpoints import majb_check
+from .cmpoints import c_epsilon_set, majb_check
 from .laurent import LaurentSeries
 from .modforms import hilbert_poly, verify_lemma_A1, verify_lemma_A2
 from .quadfield import order_from_discriminant
@@ -380,7 +380,7 @@ def check_elliptic_lemmas(base: FieldDesc, d_bound: int) -> dict:
         d = order.disc_deg()
         if order.field.infinite_type == "inert" and d >= 4:
             for eps in (Fraction(1), Fraction(1, q), Fraction(1, q * q)):
-                card = sum(1 for p in near if p.dist_e is not None and p.dist_e < eps)
+                card = len(c_epsilon_set(near, eps))
                 # 3 q eps sqrt|D| |D|^(15/(2 loglog sqrt|D|)) log_q sqrt|D|
                 loglog = certlog.log_q(Fraction(d, 2), q)
                 expo = certlog.Interval.point(Fraction(15 * d, 2)) / loglog

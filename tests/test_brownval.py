@@ -51,7 +51,7 @@ def test_moduli_hayes():
 
 
 def test_weil_height_hayes():
-    h = weil_height(hayes_order())
+    h = weil_height(moduli_of(hayes_order()))
     assert h == Fraction(9, 2)
     # easy lower bound |D|^(1/2)/h = 3/2
     assert h >= Fraction(3, 2)
@@ -64,7 +64,7 @@ def test_ramified_heights_floor():
         mods = moduli_of(o)
         for m in mods:
             assert m.log_j >= Fraction(q * (q + 1), 2)
-        assert weil_height(o) >= Fraction(q * (q + 1), 2)
+        assert weil_height(moduli_of(o)) >= Fraction(q * (q + 1), 2)
 
 
 def test_certificate():
@@ -89,7 +89,7 @@ def test_insep_class_and_heights():
     mods = moduli_of(o)
     assert len(mods) == 2  # h = |f| = 2
     assert sorted(m.log_j for m in mods) == [3, 6]
-    assert weil_height(o) == Fraction(9, 2)
+    assert weil_height(moduli_of(o)) == Fraction(9, 2)
 
 
 # -- exact conjugate classes ----------------------------------------------------

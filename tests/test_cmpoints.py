@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld_cm.errors import BadInputError
+from drinfeld_cm.errors import BadInputError, InvariantError
 from drinfeld_cm.ffield import field
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.cmpoints import (
@@ -81,6 +81,35 @@ def test_enumerate_embeds_the_unit_sphere_points_as_one_stack(monkeypatch):
     assert calls == [4, 1, 1, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        hayes_order,
+        lambda: order_from_discriminant(F3, P(F3, "T")),
+        lambda: order_from(validate_field(F3, "odd", D=P(F3, "T^3")), pr.one(F3)),  # w = f/g = 1/T
+        lambda: order_from(validate_field(F2, "even_sep", B=P(F2, "T+1"), C=P(F2, "T")), pr.one(F2)),
+        lambda: order_from(validate_field(F2, "even_insep"), P(F2, "T")),
+    ],
+    ids=["odd inert", "odd ramified", "odd, g = T", "even_sep", "even_insep"],
+)
+def test_enumerate_replays_each_point_valuation(make, monkeypatch):
+    # a numerator that does not match (a, b, c) changes |z|, and the exact
+    # replay of |z|^2 = |c|/|a| from the norm must catch it
+    from drinfeld_cm import cmpoints
+
+    order = make()
+    assert enumerate_points(order)
+    real = cmpoints.point_form
+
+    def perturbed(order, a, b, c):
+        A, x, C, beta = real(order, a, b, c)
+        return A, x + A * pr.T(A.field), C, beta  # z + T, and |z + T| = q where |z| < q
+
+    monkeypatch.setattr(cmpoints, "point_form", perturbed)
+    with pytest.raises(InvariantError, match="valuation"):
+        enumerate_points(order)
+
+
 def test_elliptic_floor_sweep():
     # Lemma floor: dist >= 1/sqrt|D| for all odd-flavor points, |D| <= 3^6
     for dd in (2, 4):
@@ -128,12 +157,13 @@ def test_even_sep_inert_points():
 
 def test_c_epsilon():
     o = hayes_order()
-    all_near = c_epsilon_set(o, Fraction(1))
+    pts = enumerate_points(o)
+    all_near = c_epsilon_set(pts, Fraction(1))
     assert len(all_near) == 4
-    none_near = c_epsilon_set(o, Fraction(1, 3))  # strict: distance exactly 1/3 excluded
+    none_near = c_epsilon_set(pts, Fraction(1, 3))  # strict: distance exactly 1/3 excluded
     assert none_near == []
     with pytest.raises(BadInputError):
-        c_epsilon_set(o, Fraction(2))
+        c_epsilon_set(pts, Fraction(2))
 
 
 def test_majb():

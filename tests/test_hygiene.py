@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused import, no uncalled
-definition, no series-type test outside the series layer, and no cycle among
-the imports that run when a module is imported.
+definition, no definition that only tests use (save the listed reference
+implementations), no series-type test outside the series layer, and no cycle
+among the imports that run when a module is imported.
 
 A definition counts as used only through what can name it:
 - a method (a function defined in a class body): an attribute access
@@ -30,8 +31,19 @@ def _modules():
     return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def _path_words(tree) -> set:
-    """The identifiers of every dotted-path string constant of the tree except docstrings."""
+def _walk(tree, skip=None):
+    """ast.walk, leaving out the subtree `skip`."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _path_words(tree, skip=None) -> set:
+    """The identifiers of every dotted-path string constant of the tree except
+    docstrings, leaving out the subtree `skip`."""
     docs = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -39,7 +51,7 @@ def _path_words(tree) -> set:
             if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
                 docs.add(id(first.value))
     words = set()
-    for node in ast.walk(tree):
+    for node in _walk(tree, skip):
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
             if PATH.fullmatch(node.value):
                 words.update(node.value.split("."))
@@ -130,3 +142,49 @@ def test_top_level_imports_are_acyclic():
     graph = {path.stem: set(_import_time_relative_imports(ast.parse(path.read_text()))) for path in _modules()}
     order = list(TopologicalSorter(graph).static_order())  # CycleError on a cycle
     assert order.index("ffield") < order.index("polyring")
+
+
+# Implementations that tests compare the program against, and that the
+# program itself has no use for.
+TEST_REFERENCES = {
+    "fundamental_domain_check",
+    "carlitz_d",
+    "basis_product_tensor",
+    "arith_stats",
+    "divisors",
+    "mertens_product",
+}
+
+
+def _uses(tree, skip=None) -> tuple:
+    """(attribute, imported and dotted-path words; plain names) of a tree,
+    leaving out the subtree `skip`."""
+    words, names = _path_words(tree, skip), set()
+    for node in _walk(tree, skip):
+        if isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.alias):
+            words.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return words, names
+
+
+def test_every_definition_is_used_by_the_program():
+    # the reach check above counts tests as users; this one does not, so code
+    # that only tests call is deleted rather than kept alive by its own tests
+    trees = {path: ast.parse(path.read_text()) for top in ("src", "perfbench") for path in (ROOT / top).rglob("*.py")}
+    words = {path: _uses(tree)[0] for path, tree in trees.items()}
+    test_only = []
+    for path in _modules():
+        tree = trees[path]
+        for node, is_method in _definitions(tree):
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")) or name in TEST_REFERENCES:
+                continue
+            own_words, own_names = _uses(tree, skip=node)
+            elsewhere = any(name in w for p, w in words.items() if p != path)
+            used = elsewhere or name in own_words or (not is_method and name in own_names)
+            if not used:
+                test_only.append(f"{path.name}:{node.lineno} {name}")
+    assert not test_only, "named by no program code outside its own body:\n" + "\n".join(test_only)

@@ -84,9 +84,9 @@ def test_sqrt_random_f9():
         x = rand_series(F9, rng)
         if x.valuation() % 2:
             continue
-        from drinfeld_cm.ffield import FFElem, is_square
+        from drinfeld_cm.ffield import is_square
 
-        if not is_square(FFElem(F9, x.sgn_code())):
+        if not is_square(F9, x.sgn_code()):
             continue
         y = x.sqrt()
         assert (y * y - x).is_zero_known()

@@ -207,18 +207,30 @@ def test_chi_examples():
 
 
 def test_chi_multiplicativity():
-    D = P(F3, "T^3+2*T+1")
-    K = OddField(D)
-    rng = random.Random(2)
-    for _ in range(100):
-        a = random_poly(F3, 6, rng)
-        if a.is_zero():
-            continue
-        _, items = pr.factor(a)
-        prod = 1
-        for p_, e in items:
-            prod *= pr.chi(p_, K) ** e
-        assert pr.chi_of(a, K) == prod
+    # the L-route extends chi from the primes through the sieve's smallest
+    # factors; Lambda must be the sum of prod chi(P)^e over the factorisation
+    from drinfeld_cm.classno import l_route
+    from drinfeld_cm.quadfield import validate_field
+
+    for base, flavor, data in [
+        (F3, "odd", {"D": "T-T^2"}),
+        (F3, "odd", {"D": "2*T^4+T+1"}),
+        (F2, "even_sep", {"B": "T+1", "C": "T"}),
+        (F2, "even_sep", {"B": "T^2+T+1", "C": "T^2+T"}),
+        (field(2, 2), "even_sep", {"B": "2*T+2", "C": "T"}),
+    ]:
+        k = validate_field(base, flavor, **{key: P(base, v) for key, v in data.items()})
+        lam = l_route(k).lam
+        want = []
+        for d in range(len(lam)):
+            total = 0
+            for a in pr.monic_of_degree(base, d):
+                prod = 1
+                for p_, e in pr.factor(a)[1] if d else ():
+                    prod *= pr.chi(p_, k) ** e
+                total += prod
+            want.append(total)
+        assert lam == want, (base, data)
 
 
 def test_chi_requires_irreducible():

@@ -31,16 +31,27 @@ def P(fld, text):
     return pr.parse_poly(fld, text)
 
 
-def rf(fld, num, den="1"):
-    return RatFunc(P(fld, num), P(fld, den))
+def el(k, x, y, den="1"):
+    """The exact element (x + y xi)/den of k, from the polynomials' text."""
+    return QuadElement(k, P(k.base, x), P(k.base, y), P(k.base, den))
 
 
-def rand_ratfunc(fld, rng):
-    num = pr.Poly(fld, [rng.randrange(fld.order) for _ in range(rng.randint(0, 4))])
+def rand_poly(fld, rng, lo, hi):
+    return pr.Poly(fld, [rng.randrange(fld.order) for _ in range(rng.randint(lo, hi))])
+
+
+def rand_element(k, rng):
+    """(x + y xi)/den with random x, y and den; every other one has a random
+    factor common to all three."""
+    fld = k.base
     den = pr.zero(fld)
     while den.is_zero():
-        den = pr.Poly(fld, [rng.randrange(fld.order) for _ in range(rng.randint(1, 3))])
-    return RatFunc(num, den)
+        den = rand_poly(fld, rng, 1, 3)
+    x, y = rand_poly(fld, rng, 0, 4), rand_poly(fld, rng, 0, 4)
+    if rng.random() < 0.5:
+        g = pr.T(fld) + pr.one(fld).scale(rng.randrange(fld.order))
+        x, y, den = x * g, y * g, den * g
+    return QuadElement(k, x, y, den)
 
 
 # -- validation -----------------------------------------------------------------
@@ -127,52 +138,48 @@ def test_even_disc_monic():
 # -- exact elements -----------------------------------------------------------------
 
 
-def test_conj_examples():
+def test_nonmonic_denominator_is_normalised():
     k = validate_field(F3, "odd", D=P(F3, "T-T^2"))
-    rng = random.Random(17)
-    for _ in range(20):
-        z = QuadElement(k, rand_ratfunc(F3, rng), rand_ratfunc(F3, rng))
-        assert z.conj().conj() == z
-        assert z.conj().x == z.x and z.conj().y == -z.y
-    ke = validate_field(F2, "even_sep", B=P(F2, "T+1"), C=P(F2, "T"))
-    xi = QuadElement(ke, rf(F2, "0"), rf(F2, "1"))
-    assert xi.conj() == QuadElement(ke, rf(F2, "1"), rf(F2, "1"))  # xi + 1
-    prod = xi * xi.conj()
-    assert prod.y.is_zero() and prod.x == RatFunc(ke.B, ke.C)  # xi*conj(xi) = B/C
-    for _ in range(20):
-        z = QuadElement(ke, rand_ratfunc(F2, rng), rand_ratfunc(F2, rng))
-        assert z.conj().conj() == z
+    z = el(k, "T+1", "2", "2*T^2+1")
+    assert (z.x, z.y, z.den) == (P(F3, "2*T+2"), P(F3, "1"), P(F3, "T^2+2"))  # all divided by 2
+    assert z == el(k, "2*T+2", "1", "T^2+2")
+    with pytest.raises(ZeroDivisionError):
+        el(k, "1", "1", "0")
 
 
-def test_norm_is_z_times_conj():
-    rng = random.Random(23)
-    flavors = [
-        validate_field(F3, "odd", D=P(F3, "T^3+2*T+1")),
-        validate_field(F2, "even_sep", B=P(F2, "T+1"), C=P(F2, "T")),
-        validate_field(F2, "even_insep"),
-    ]
-    for k in flavors:
-        fld = k.base
-        for _ in range(100):
-            z = QuadElement(k, rand_ratfunc(fld, rng), rand_ratfunc(fld, rng))
-            prod = z * z.conj() if k.flavor != "even_insep" else z * z
-            assert prod.y.is_zero()
-            assert prod.x == z.norm()
+def test_v_infinity_reads_the_norm_numerator():
+    # N((x + y xi)/den) = (t_den (x^2 + s x y) - t_num y^2) / (t_den den^2)
+    k = validate_field(F2, "even_sep", B=P(F2, "T^2+T+1"), C=P(F2, "T^2+T"))
+    assert el(k, "0", "1").v_infinity() == 0  # |t| = 1: |xi| = 1
+    assert el(k, "T", "1").v_infinity() == -1  # |T| = q beats |xi|
+    assert el(k, "T", "T", "T^3").v_infinity() == 2
+    assert el(k, "0", "0", "T").v_infinity() is None
+    ki = validate_field(F2, "even_insep")
+    assert el(ki, "0", "1").v_infinity() == Fraction(-1, 2)  # |sqrt(T)| = q^(1/2)
+    assert el(ki, "T+1", "1", "T^2+T").v_infinity() == Fraction(1)
 
 
 def test_defining_relation():
+    # the embedding of xi satisfies xi^2 = s xi + t in every flavor: as a
+    # flat series when infinity is inert, as the coordinates (0, 1) otherwise
     for k in [
         validate_field(F3, "odd", D=P(F3, "T")),
+        validate_field(F3, "odd", D=P(F3, "T-T^2")),
         validate_field(F2, "even_sep", B=P(F2, "T+1"), C=P(F2, "T")),
+        validate_field(F2, "even_sep", B=P(F2, "T^2+T+1"), C=P(F2, "T^2+T")),
+        validate_field(F2, "even_sep", B=P(F2, "T^3+T+1"), C=P(F2, "T^2+T")),
         validate_field(F2, "even_insep"),
     ]:
-        xi = QuadElement(k, RatFunc.of(pr.zero(k.base)), RatFunc.of(pr.one(k.base)))
-        sq = xi * xi
-        rel = k.t
-        if k.flavor == "even_sep":
-            assert sq.x == rel and sq.y == RatFunc.of(pr.one(k.base))  # xi^2 = xi + B/C
+        xi = embed([el(k, "0", "1")], 30)
+        if k.infinite_type == "inert":
+            rel = xi * xi - k.t.to_series(xi.field, 40)
+            if k.s:
+                rel = rel - xi
+            assert rel.prec >= 25 and rel.is_zero_known()
         else:
-            assert sq.x == rel and sq.y.is_zero()
+            assert xi.x.is_zero_known() and (xi.y - LaurentSeries.one(k.base)).is_zero_known()
+            sq = xi * xi
+            assert (sq.y - xi.y.scale(k.s)).is_zero_known() and (sq.x - xi.ctx.t).truncate(25).is_zero_known()
 
 
 # -- embeddings -----------------------------------------------------------------------
@@ -180,7 +187,7 @@ def test_defining_relation():
 
 def test_embed_odd_inert_flat():
     k = validate_field(F3, "odd", D=P(F3, "T-T^2"))
-    z = QuadElement(k, RatFunc.of(pr.zero(F3)), rf(F3, "1"))  # z = xi = sqrt(T-T^2)
+    z = el(k, "0", "1")  # z = xi = sqrt(T-T^2)
     flat = embed([z], 25)
     assert flat.valuation() == -1  # |z| = 3
     f9 = quadratic_extension(F3)
@@ -196,10 +203,10 @@ def test_embed_odd_inert_flat():
 
 def test_embed_insep():
     k = validate_field(F2, "even_insep")
-    z = QuadElement(k, RatFunc.of(pr.zero(F2)), rf(F2, "1"))  # sqrt(T)
+    z = el(k, "0", "1")  # sqrt(T)
     e = embed([z], 20)
     assert e.valuation() == Fraction(-1, 2)
-    assert z.size_log() == Fraction(1, 2)  # |z| = q^(1/2)
+    assert z.v_infinity() == Fraction(-1, 2)  # |z| = q^(1/2)
 
 
 def test_embed_matches_norm():
@@ -209,26 +216,29 @@ def test_embed_matches_norm():
         validate_field(F3, "odd", D=P(F3, "T-T^2")),
         validate_field(F2, "even_sep", B=P(F2, "T"), C=P(F2, "1")),
         validate_field(F2, "even_sep", B=P(F2, "T+1"), C=P(F2, "T")),
+        validate_field(F2, "even_sep", B=P(F2, "T^2+T+1"), C=P(F2, "T^2+T")),  # deg C = 2, inert
+        validate_field(F2, "even_sep", B=P(F2, "T^3+T+1"), C=P(F2, "T^2+T")),  # deg C = 2, ramified
         validate_field(F2, "even_insep"),
     ]
     for k in fields_:
-        fld = k.base
-        done = 0
+        done = shared = 0
         while done < 25:
-            z = QuadElement(k, rand_ratfunc(fld, rng), rand_ratfunc(fld, rng))
-            if z.is_zero():
-                continue
+            z = rand_element(k, rng)
             v_exact = z.v_infinity()
+            if v_exact is None:
+                continue
             ze = embed([z], int(v_exact) + 15)
             assert ze.valuation() == v_exact  # |z|^2 = |N(z)|
             done += 1
+            shared += pr.gcd_many([z.x, z.y, z.den]).deg > 0
+        assert shared  # some rows' den shares a factor with x and y
 
 
 def test_embed_even_sep_inert_relation():
     k = validate_field(F2, "even_sep", B=P(F2, "T+1"), C=P(F2, "T"))
     f4 = quadratic_extension(F2)
     xi = xi_series(k, f4, 30)
-    rel = RatFunc(k.B, k.C).to_series(f4, 30)
+    rel = k.t.to_series(f4, 30)
     assert ((xi * xi + xi) - rel).is_zero_known()
     e = xi.coeff_code(0)
     # e^2 + e = sgn(B) = 1 and e not in F_2
@@ -333,13 +343,13 @@ def test_quad_series_frobenius_and_norm_every_flavor(name):
 def test_imag_and_lattice_size():
     # z = sqrt(T-T^2): |z| = |z|_i = |z|_A = 3
     k = validate_field(F3, "odd", D=P(F3, "T-T^2"))
-    z = QuadElement(k, RatFunc.of(pr.zero(F3)), rf(F3, "1"))
+    z = el(k, "0", "1")
     flat = embed([z], 25)
     assert imag_part_log(flat, F3) == 1
     assert lattice_dist_log(flat, 2, F3) == 1
     # ramified: z = sqrt(T)
     k2 = validate_field(F3, "odd", D=P(F3, "T"))
-    z2 = QuadElement(k2, RatFunc.of(pr.zero(F3)), rf(F3, "1"))
+    z2 = el(k2, "0", "1")
     e2 = embed([z2], 25)
     assert imag_part_log(e2, F3) == Fraction(1, 2)
     assert lattice_dist_log(e2, 2, F3) == Fraction(1, 2)
@@ -353,21 +363,26 @@ EMBED_ORDERS = {
     "odd inert": lambda: order_from_discriminant(F3, P(F3, "T-T^2")),
     "odd ramified": lambda: order_from_discriminant(F3, P(F3, "T^3+T")),
     "even_sep inert": lambda: order_from(sep4("2*T+2", "T"), pr.one(F4)),
+    "even_sep inert, deg C = 2": lambda: order_from(
+        validate_field(F2, "even_sep", B=P(F2, "T^2+T+1"), C=P(F2, "T^2+T")), P(F2, "T+1")
+    ),
     "even_sep ramified": lambda: order_from(sep4("T", "1"), P(F4, "T+2")),
     "even_insep": lambda: order_from(validate_field(F4, "even_insep"), P(F4, "T^2")),
 }
 
 
 def _embed_reference(z, prec):
-    """z embedded through its coordinates, each over its own denominator."""
+    """z embedded through its coordinates x/den and y/den, each reduced to
+    lowest terms first."""
     qf = z.field
     wide = prec + 30
+    x, y = RatFunc(z.x, z.den), RatFunc(z.y, z.den)
     if qf.infinite_type == "inert":
         desc2 = quadratic_extension(qf.base)
         xi = xi_series(qf, desc2, wide)
-        return (z.x.to_series(desc2, wide) + z.y.to_series(desc2, wide) * xi).truncate(prec)
+        return (x.to_series(desc2, wide) + y.to_series(desc2, wide) * xi).truncate(prec)
     ctx = QuadSeriesContext(qf, qf.base, wide)
-    return QuadSeries(ctx, z.x.to_series(qf.base, wide), z.y.to_series(qf.base, wide)).truncate(prec)
+    return QuadSeries(ctx, x.to_series(qf.base, wide), y.to_series(qf.base, wide)).truncate(prec)
 
 
 def _same_value(got, want) -> bool:
@@ -377,25 +392,26 @@ def _same_value(got, want) -> bool:
 
 
 def _embed_rows(order) -> list:
-    """The order's points, then xi (A = 1, x = 0) and 1/T + xi/(T+1) (x and y
-    over different denominators)."""
+    """The order's points, then xi (den = 1, x = 0), 1/T + xi/(T+1) and
+    (T^2 + T + (T+1) xi)/(T+1)^2 (den shares the factor T+1 with x and y)."""
     from drinfeld_cm.cmpoints import enumerate_points
 
-    k, base = order.field, order.field.base
-    one, zero = RatFunc.of(pr.one(base)), RatFunc.of(pr.zero(base))
-    extra = [QuadElement(k, zero, one), QuadElement(k, rf(base, "1", "T"), rf(base, "1", "T+1"))]
+    k = order.field
+    g = P(k.base, "T+1")
+    extra = [el(k, "0", "1"), el(k, "T+1", "T", "T^2+T"), QuadElement(k, pr.T(k.base) * g, g, g * g)]
     return [pt.z for pt in enumerate_points(order)] + extra
 
 
 @pytest.mark.parametrize("name", sorted(EMBED_ORDERS))
 def test_embed_equals_coordinates_over_their_own_denominators(name):
-    # embed expands 1/A once for the common denominator A of x and y, for all
-    # rows of a stack at once; the reference expands x and y of each element
-    # through their own denominators
+    # embed expands 1/den once for each row's own (unreduced) den, for all
+    # rows of a stack at once; the reference expands x/den and y/den of each
+    # element in lowest terms
     zs = _embed_rows(EMBED_ORDERS[name]())
-    assert any(z.x.den.is_one() and z.y.den.is_one() for z in zs)
+    assert any(z.den.is_one() for z in zs)
     assert any(z.x.is_zero() for z in zs)
-    assert any(not z.x.is_zero() and z.x.den != z.y.den for z in zs)
+    assert any(RatFunc(z.x, z.den).den != RatFunc(z.y, z.den).den for z in zs)
+    assert any(pr.gcd_many([z.x, z.y, z.den]).deg > 0 for z in zs)
     for prec in (3, 12, 40):
         stack = embed(zs, prec)
         for r, z in enumerate(zs):
@@ -408,8 +424,8 @@ def test_embed_equals_coordinates_over_their_own_denominators(name):
 @pytest.mark.parametrize("name", sorted(EMBED_ORDERS))
 def test_a_stack_inverts_its_denominators_once(name, monkeypatch):
     zs = _embed_rows(EMBED_ORDERS[name]())
-    k, base = zs[0].field, zs[0].field.base
-    polys = [QuadElement(k, RatFunc.of(pr.T(base)), RatFunc.of(pr.one(base))), zs[-2]]  # T + xi, xi
+    k = zs[0].field
+    polys = [el(k, "T", "1"), el(k, "0", "1")]  # T + xi, xi
     embed(zs, 20)  # the field's xi and t at this precision are now held
     calls = []
     real = LaurentSeries.inverse

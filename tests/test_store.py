@@ -136,7 +136,7 @@ def test_unit_search_row_builds_one_object(monkeypatch):
     deg = hilbert_constant_degree(order)
     builds = count_builds(monkeypatch)
     calls = count_rows(monkeypatch)
-    h = weil_height(order)
+    h = weil_height(moduli_of(order))
     ub = upper_bound_h(order, Fraction(1, 3))
     assert builds == [] and calls == []
     assert deg > 0 and h > 0 and ub["conditional"]
