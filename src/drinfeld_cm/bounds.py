@@ -16,11 +16,15 @@ from fractions import Fraction
 
 from . import certlog
 from .certlog import Interval
+from .brownval import OrderCM, moduli_of, ramified_nonunit_certificate, weil_height
+from .classno import class_number
 from .errors import BadInputError, InvariantError
-from .ffield import FieldDesc
+from .ffield import FieldDesc, quadratic_extension
+from .modforms import hilbert_constant_degree, hilbert_poly, unit_check
 from . import polyring as pr
 from .polyring import Poly
-from .quadfield import Order, RatFunc
+from .quadfield import Order, RatFunc, flat_part, product
+from .sweeps import iter_orders, modulus_records, order_report
 
 HIT_GUARD = 12  # fractional digits of a pair's product that must be known before it counts as a hit
 
@@ -52,20 +56,6 @@ def _crt_pairs(m1: Poly, r1s: list, m2: Poly, r2s: list):
     return m, out
 
 
-@dataclass
-class CongruenceReport:
-    a: Poly
-    solutions_mod_a: list  # residues mod a
-    class_modulus: Poly  # a / gcd_2(a, D or delta^2)
-    classes: list  # distinct residues mod class_modulus meeting solutions
-    omega: int
-    count_in_window: int
-    window_log: Fraction | None
-    bound: Fraction
-    bound_holds: bool
-    classes_cover_exactly: bool  # odd flavor only: union of classes == solution set
-
-
 def _window_count(solutions, a: Poly, L: int, shift: Poly | None = None, zeta_log=None):
     """Count b = sol + a*t with |b + beta*delta| < q^L exactly.
 
@@ -89,11 +79,14 @@ def _window_count(solutions, a: Poly, L: int, shift: Poly | None = None, zeta_lo
     return count
 
 
-def count_congruence_even(a: Poly, delta: Poly, mu: Poly, eps: Fraction, beta=None) -> CongruenceReport:
-    """{b : b^2 + delta b = mu mod a, |b + beta delta| < eps|a|} (q even).
+def count_congruence_even(a: Poly, delta: Poly, mu: Poly, eps: Fraction, beta=None) -> bool:
+    """Whether {b : b^2 + delta b = mu mod a, |b + beta delta| < eps|a|} (q even)
+    meets its bound.
 
-    The solution set is only *contained* in at most 2^omega(a) classes; the
-    containment and the cardinality bound are both verified.
+    The solution set is only *contained* in at most 2^omega(a) classes
+    modulo a/gcd_2(a, delta^2); the verdict needs both that containment and
+    the cardinality bound 2^omega(a) max{1, q eps |gcd_2|}.  The CRT solution
+    set is checked against direct enumeration first (InvariantError).
     """
     if a.is_zero() or delta.is_zero():
         raise BadInputError("nonzero a and delta required")
@@ -112,7 +105,7 @@ def count_congruence_even(a: Poly, delta: Poly, mu: Poly, eps: Fraction, beta=No
             raise InvariantError("CRT solution set differs from direct enumeration")  # pragma: no cover
     g2 = pr.gcd2(a, delta * delta) if a.deg > 0 else pr.one(a.field)
     m_cls = a // g2 if a.deg > 0 else pr.one(a.field)
-    classes = sorted({pr.poly_code(b % m_cls) for b in sols})
+    classes = {pr.poly_code(b % m_cls) for b in sols}
     omega = len(items)
     # window shift: beta*delta = u + zeta with u in A, |zeta| < 1
     shift = None
@@ -131,8 +124,7 @@ def count_congruence_even(a: Poly, delta: Poly, mu: Poly, eps: Fraction, beta=No
     L = a.deg + certlog.exact_log_q(eps, q)
     count = _window_count(sols, a, L, shift=shift, zeta_log=zeta_log)
     bound = Fraction(2**omega) * max(Fraction(1), q * eps * q**g2.deg)
-    contained = len(classes) <= 2**omega
-    return CongruenceReport(a, sols, m_cls, classes, omega, count, L, bound, count <= bound and contained, True)
+    return count <= bound and len(classes) <= 2**omega
 
 
 def easycounting_bound_check(m: Poly, b0: Poly, M_log: Fraction) -> bool:
@@ -174,8 +166,6 @@ def upper_bound_h(order: Order, eps: Fraction) -> dict:
         raise BadInputError("requires |D| >= q^4")
     if not (0 < eps <= 1):
         raise BadInputError("0 < eps <= 1 required")
-    from .classno import class_number
-
     h = class_number(order)
     sqrt_D = Fraction(q) ** (d // 2)
     loglog = certlog.log_q(Fraction(d, 2), q)  # log_q log_q sqrt|D|
@@ -195,8 +185,6 @@ def lower_bounds_h(order: Order) -> dict:
     field = order.field
     q = field.base.q
     d = order.disc_deg()
-    from .classno import class_number
-
     h = class_number(order)
     # easy: |D|^(1/2)/h(O), meaningful for |D| >= q
     sqrt_D = certlog.exp_q(Fraction(d, 2), q)
@@ -338,11 +326,6 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
     pairs (genuinely biquadratic ramified-ramified products) are reported,
     never dropped silently, after their valuation already excludes a hit.
     """
-    from .sweeps import iter_orders, modulus_records, order_report
-    from .brownval import OrderCM
-    from .quadfield import flat_part, product
-    from .ffield import quadratic_extension
-
     q = base.q
     # the exact classes give every record, hence every precision, before any
     # j is evaluated; the moduli are certified (order_report) only after the
@@ -458,10 +441,6 @@ def unit_search(base: FieldDesc, d_bound: int) -> dict:
     assembled up to |D| = q^4, by verified constant-term degree beyond).
     The laclef consistency check runs on inert orders >= q^4.
     """
-    from .sweeps import iter_orders
-    from .modforms import hilbert_poly, unit_check, hilbert_constant_degree
-    from .brownval import moduli_of, ramified_nonunit_certificate, weil_height
-
     q = base.q
     rows = []
     units_found = 0

@@ -33,6 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BadInputError, InvariantError, PrecisionError
+from .classno import class_number_by_conductor
 from .cmpoints import CMPoint, enumerate_points, point_form
 from .ffield import FieldDesc
 from .quadfield import Order, value_field
@@ -291,8 +292,6 @@ class OrderCM:
 
     def class_number_by_conductor(self) -> int:
         if self._h_conductor is None:
-            from .classno import class_number_by_conductor
-
             self._h_conductor = class_number_by_conductor(self.order)
         return self._h_conductor
 

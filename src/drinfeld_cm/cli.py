@@ -16,10 +16,15 @@ import json
 import sys
 from dataclasses import dataclass
 
+from .bounds import andre_oort_search, final_certificate, lower_bounds_h, unit_search
+from .brownval import OrderCM, moduli_of, weil_height
+from .classno import class_number_by_orbit, l_data, l_route_applies
 from .errors import BadInputError, InvariantError, PrecisionError
 from .ffield import FieldDesc, factor_int, field
+from .modforms import hilbert_poly, unit_check
 from . import polyring as pr
 from .quadfield import Order, order_from, order_from_discriminant, validate_field
+from .verify import run_all
 
 MAX_Q_GUARD = 16
 
@@ -89,8 +94,6 @@ def _emit(cfg: RunConfig, payload: dict):
 
 def cmd_enumerate(cfg: RunConfig, args) -> int:
     """list the reduced CM points of one order"""
-    from .brownval import OrderCM
-
     order = _build_order(cfg, args)
     pts = OrderCM.of(order).points
     if cfg.output == "json":
@@ -118,9 +121,6 @@ def cmd_enumerate(cfg: RunConfig, args) -> int:
 
 def cmd_class_number(cfg: RunConfig, args) -> int:
     """class number of one order by every applicable route"""
-    from .brownval import OrderCM
-    from .classno import class_number_by_orbit, l_data, l_route_applies
-
     order = _build_order(cfg, args)
     cm = OrderCM.of(order)
     by_formula = cm.class_number_by_conductor()
@@ -139,9 +139,6 @@ def cmd_class_number(cfg: RunConfig, args) -> int:
 
 def cmd_height(cfg: RunConfig, args) -> int:
     """Weil height of one order's singular moduli and its lower bounds"""
-    from .bounds import lower_bounds_h
-    from .brownval import moduli_of, weil_height
-
     order = _build_order(cfg, args)
     lb = lower_bounds_h(order)  # certifies the moduli against the conductor formula
     mods = moduli_of(order)
@@ -167,8 +164,6 @@ def cmd_height(cfg: RunConfig, args) -> int:
 
 def cmd_hilbert(cfg: RunConfig, args) -> int:
     """Hilbert class polynomial of one order and its unit verdict"""
-    from .modforms import hilbert_poly, unit_check
-
     order = _build_order(cfg, args)
     H = hilbert_poly(order)
     verdict, deg = unit_check(H)
@@ -181,8 +176,6 @@ def cmd_hilbert(cfg: RunConfig, args) -> int:
 
 def cmd_certificate(cfg: RunConfig, args) -> int:
     """the discriminant-bound constants for q, certified"""
-    from .bounds import final_certificate
-
     rep = final_certificate(cfg.base().q)
     _emit(cfg, {"certificate": rep.to_jsonable()})
     return 0 if rep.ok() else 1
@@ -190,8 +183,6 @@ def cmd_certificate(cfg: RunConfig, args) -> int:
 
 def cmd_search_andre_oort(cfg: RunConfig, args) -> int:
     """products of two singular moduli that are polynomials of degree <= --degbound"""
-    from .bounds import andre_oort_search
-
     base = cfg.base()
     deg_bound = cfg.deg_bound if cfg.deg_bound > 0 else base.q**2 - 1
     rep = andre_oort_search(base, cfg.d_bound, deg_bound)
@@ -207,8 +198,6 @@ def cmd_search_andre_oort(cfg: RunConfig, args) -> int:
 
 def cmd_search_units(cfg: RunConfig, args) -> int:
     """singular units among all orders with |D| <= --dbound"""
-    from .bounds import unit_search
-
     rep = unit_search(cfg.base(), cfg.d_bound)
     if cfg.output == "json":
         _emit(cfg, {"search": rep})
@@ -228,8 +217,6 @@ def cmd_search_units(cfg: RunConfig, args) -> int:
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     """run every verification suite for q up to --dbound"""
-    from .verify import run_all
-
     ok_all = True
     for c in run_all(cfg.base(), cfg.d_bound):
         status = "PASS" if c["ok"] else "FAIL"

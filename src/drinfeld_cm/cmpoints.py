@@ -25,9 +25,10 @@ from fractions import Fraction
 from .errors import BadInputError, InvariantError, PrecisionError
 from .certlog import exact_log_q
 from .ffield import embedding_table, quadratic_extension
+from .laurent import LaurentSeries
 from . import polyring as pr
 from .polyring import Poly
-from .quadfield import Order, QuadElement, RatFunc, embed, series_component
+from .quadfield import Order, QuadElement, RatFunc, embed, imag_part_log, lattice_dist_log, series_component
 
 ELLIPTIC_DIGITS = 8  # digits past the distance floor at which |z - e| is first read
 
@@ -212,8 +213,6 @@ def elliptic_neighbor(pt: CMPoint, flat=None):
         else:
             if desc2.add(desc2.mul(e_code, e_code), e_code) != emb[k.B.sgn]:
                 raise InvariantError("e^2 + e != sgn(B)")
-        from .laurent import LaurentSeries
-
         diff = flat - LaurentSeries.constant(desc2, e_code, None)
         v = diff.valuation()
         if v is None:
@@ -254,8 +253,6 @@ def majb_check(pt: CMPoint, eps: Fraction) -> dict:
     floor = elliptic_floor_log(order)
     p = floor + 12
     desc2 = quadratic_extension(base)
-    from .laurent import LaurentSeries
-
     flat = embed([pt.z], p)
     a_s = LaurentSeries.from_poly(pt.a, desc2)
     b_s = LaurentSeries.from_poly(pt.b, desc2)
@@ -284,8 +281,6 @@ def majb_check(pt: CMPoint, eps: Fraction) -> dict:
 
 def fundamental_domain_check(pt: CMPoint) -> bool:
     """|z| = |z|_i = |z|_A >= 1, computed from the embedding."""
-    from .quadfield import imag_part_log, lattice_dist_log
-
     size = pt.size_log()
     ze = embed([pt.z], int(2 * size) + 10)
     base = pt.order.field.base

@@ -13,7 +13,10 @@ from (p, r, m) alone, and the chosen modulus is echoed in all output headers.
 Elements are integer codes: the base-p digits of the code are the coordinates
 of the element in the power basis 1, x, x^2, ...  Zero and one are always the
 codes 0 and 1, and every operation (`is_square`, `sqrt` and
-`artin_schreier_solve` included) takes a descriptor and codes.  Every field
+`artin_schreier_solve` included) takes a descriptor and codes.  In
+characteristic 2, y^2 + y = c has a root exactly when the absolute trace of c
+vanishes, and then y = sum_{0<i<s} (c + c^2 + ... + c^(2^(i-1)))
+theta^(2^i) is one, for a basis element theta = x^i of trace 1.  Every field
 of order up to 256 keeps full addition, subtraction, negation,
 multiplication and inversion tables, so each of those operations is one
 lookup there.  Larger fields add, subtract and negate digit
@@ -94,7 +97,6 @@ class FieldDesc:
         self._mul_table = None
         self._inv_table = None
         self._sqrt_table = None
-        self._as_solver = None
         if self.order <= 256:
             self._build_tables()
 
@@ -333,57 +335,24 @@ def _sqrt_table(desc: FieldDesc):
 def artin_schreier_solve(desc: FieldDesc, code: int) -> tuple | None:
     """The codes of the roots of y^2 + y = c in the field (p = 2), or None.
 
-    Solvable iff the absolute trace of c to F_2 vanishes; the two roots differ
-    by 1 and are returned as (least, least + 1).
+    Solvable iff the absolute trace of c to F_2 vanishes (additive Hilbert
+    90); then y = sum_{0<i<s} (c + c^2 + ... + c^(2^(i-1))) theta^(2^i) is a
+    root for any theta of trace 1, taken here as the first basis element x^i
+    of trace 1.  The two roots differ by 1 and are returned as
+    (least, least + 1).
     """
     if desc.p != 2:
         raise BadInputError("artin_schreier_solve requires p = 2")
     if desc.trace_to_prime(code) != 0:
         return None
-    root = _as_solver(desc)(code)
+    mul, add = desc.mul, desc.add
+    theta = next(b for b in (1 << i for i in range(desc.s)) if desc.trace_to_prime(b))
+    root = partial = 0
+    c_pow = code  # c^(2^(i-1))
+    for _ in range(1, desc.s):
+        partial = add(partial, c_pow)
+        theta = mul(theta, theta)  # theta^(2^i)
+        root = add(root, mul(partial, theta))
+        c_pow = mul(c_pow, c_pow)
     other = root ^ 1  # adding 1 flips the constant coordinate
     return min(root, other), max(root, other)
-
-
-def solve_f2(rows: list, target: list) -> list | None:
-    """A solution y of the F_2-linear system rows * y = target (bits), with
-    every free unknown 0, or None when the system has none.
-
-    Gauss-Jordan elimination, so each pivot unknown reads its bit directly.
-    """
-    n = len(rows[0])
-    a = [row + [t] for row, t in zip(rows, target)]
-    pivots = []
-    for col in range(n):
-        piv = next((r for r in range(len(pivots), len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        rank = len(pivots)
-        a[rank], a[piv] = a[piv], a[rank]
-        for r in range(len(a)):
-            if r != rank and a[r][col]:
-                a[r] = [u ^ v for u, v in zip(a[r], a[rank])]
-        pivots.append(col)
-    if any(a[r][n] for r in range(len(pivots), len(a))):
-        return None
-    sol = [0] * n
-    for r, col in enumerate(pivots):
-        sol[col] = a[r][n]
-    return sol
-
-
-def _as_solver(desc: FieldDesc):
-    """Solver for the F_2-linear map y -> y^2 + y on the coordinates of the field."""
-    if desc._as_solver is None:
-        s = desc.s
-        images = [desc.coords(desc.add(desc.mul(y, y), y)) for y in (desc.p**j for j in range(s))]
-        rows = [[images[j][i] for j in range(s)] for i in range(s)]
-
-        def solve(code):
-            sol = solve_f2(rows, desc.coords(code))
-            if sol is None:  # pragma: no cover - trace test already filtered
-                raise InvariantError("inconsistent Artin-Schreier system")
-            return desc.code(sol)
-
-        desc._as_solver = solve
-    return desc._as_solver

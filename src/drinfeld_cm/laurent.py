@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadInputError, PrecisionError
-from .ffield import FieldDesc, embedding_table
+from .ffield import FieldDesc, artin_schreier_solve, embedding_table, sqrt as ff_sqrt
 from .polyring import Poly
 
 _np_cache: dict = {}
@@ -525,8 +525,6 @@ class LaurentSeries:
         v = self.n0
         if v % 2:
             raise BadInputError("sqrt of a series with odd valuation")
-        from .ffield import sqrt as ff_sqrt
-
         root0 = ff_sqrt(fld, self.sgn_code())
         if root0 is None:
             raise BadInputError("leading coefficient is not a square in the coefficient field")
@@ -568,8 +566,6 @@ class LaurentSeries:
             raise BadInputError("artin_schreier_root requires valuation >= 0")
         if self.prec is None:
             raise BadInputError("artin_schreier_root of an exact series: truncate() first")
-        from .ffield import artin_schreier_solve
-
         P = self.prec
         s_codes = [self.coeff_code(e) for e in range(0, P)]
         roots = artin_schreier_solve(fld, s_codes[0])

@@ -11,9 +11,13 @@ Besides ring arithmetic this module provides factorization (squarefree split
 + distinct-degree + equal-degree splitting, its random choices seeded by the
 input), the counting functions d(a), omega(a), sigma_1(f), gcd_2, the
 quadratic character chi attached to an imaginary quadratic extension, and the
-Mertens-style Euler product.  For exhaustive sweeps it keeps tables indexed by
-integer poly codes: a linear smallest-prime sieve, residues mod a and scalar
-multiples.
+Mertens-style Euler product.  In characteristic 2 one helper, `trace_mod`,
+sums w + w^2 + ... + w^(2^(e-1)) mod f: it splits equal-degree factors, and
+it decides every Artin-Schreier question x^2 + x = c mod P, since a root
+exists exactly when the trace of c to F_2 vanishes.  For odd q, chi reads the
+fundamental discriminant D_K that the field holds.  For exhaustive sweeps
+this module keeps tables indexed by integer poly codes: a linear
+smallest-prime sieve, residues mod a and scalar multiples.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadInputError, InvariantError
-from .ffield import FieldDesc, factor_int, solve_f2
+from .ffield import FieldDesc, factor_int, is_square as ff_is_square
 
 NEG_INF = float("-inf")
 SPLIT_TRIALS = 64  # each trial splits a valid input with probability about 1/2
@@ -272,6 +276,17 @@ def powmod(a: Poly, e: int, m: Poly) -> Poly:
     return result
 
 
+def trace_mod(w: Poly, f: Poly, e: int) -> Poly:
+    """w + w^2 + ... + w^(2^(e-1)) mod f (p = 2): the trace to F_2 of w when
+    A/f is the field F_{2^e}, and that trace in each residue field of a
+    squarefree f whose prime factors all have that residue degree."""
+    t = w = w % f
+    for _ in range(e - 1):
+        w = (w * w) % f
+        t = t + w
+    return t
+
+
 # ---------------------------------------------------------------------------
 # factorization
 
@@ -310,14 +325,7 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random):
         if 1 <= g.deg < n:
             pass
         elif fld.p == 2:
-            # trace map over F_2: sum r^(2^i), i < log2(q^d)
-            e = d * fld.r * fld.m
-            t = zero(fld)
-            w = r % f
-            for _ in range(e):
-                t = t + w
-                w = (w * w) % f
-            g = gcd(t, f)
+            g = gcd(trace_mod(r, f, d * fld.s), f)  # the trace to F_2 of each residue field F_{q^d}
         else:
             w = powmod(r, (q**d - 1) // 2, f)
             g = gcd(w - one(fld), f)
@@ -402,8 +410,6 @@ def is_square_poly(a: Poly) -> bool:
     """Whether a is a square in k = F_q(T) (equivalently in A, for a in A)."""
     if a.is_zero():
         return True
-    from .ffield import is_square as ff_is_square
-
     sgn_code, items = factor(a)
     if any(e % 2 for _, e in items):
         return False
@@ -512,65 +518,36 @@ def mertens_product(f: Poly) -> Fraction:
 def artin_schreier_solvable_mod(P: Poly, num: Poly, den: Poly) -> bool:
     """Whether x^2 + x = num/den is solvable in the residue field A/P (p = 2).
 
-    Solved as an F_2-linear system on the residue field written in the basis
-    1, T, ..., T^(deg P - 1); avoids constructing large extension fields.
+    By additive Hilbert 90 it is exactly when the trace of num/den mod P to
+    F_2 vanishes; A/P has degree s deg P over F_2, s = [F_q : F_2].
     """
     fld = P.field
     if fld.p != 2:
         raise BadInputError("Artin-Schreier residue test requires p = 2")
-    dP = P.deg
-    # beta = num * den^{-1} mod P
     g, u, _ = xgcd(den % P, P)
     if not g.is_one():
         raise BadInputError("denominator not invertible mod P")
-    beta = (num * u) % P
-    s = fld.s  # F_q over F_2 degree
-    dim = dP * s
-
-    def to_bits(pol: Poly):
-        bits = []
-        cs = list(pol.coeffs) + [0] * (dP - len(pol.coeffs))
-        for c in cs[:dP]:
-            bits.extend(fld.coords(c))
-        return bits
-
-    def from_bits(bits):
-        cs = []
-        for i in range(dP):
-            cs.append(fld.code(bits[i * s : (i + 1) * s]))
-        return Poly(fld, cs)
-
-    # matrix of y -> y^2 + y on the F_2-basis
-    rows = [[0] * dim for _ in range(dim)]
-    for j in range(dim):
-        bits = [0] * dim
-        bits[j] = 1
-        y = from_bits(bits)
-        img = (y * y + y) % P
-        for i, bit in enumerate(to_bits(img)):
-            rows[i][j] = bit
-    return solve_f2(rows, to_bits(beta)) is not None
+    return trace_mod(num * u, P, fld.s * P.deg).is_zero()
 
 
 def chi(P: Poly, K) -> int:
     """Quadratic character of an imaginary quadratic extension at a monic irreducible P.
 
-    K is any object exposing .flavor and the defining data (D or B, C).
-    Returns -1, 0 or +1; 0 at ramified primes.
+    K is a `quadfield.QuadField`: the odd flavor reads its fundamental
+    discriminant D_K, even_sep its B and C.  Returns -1, 0 or +1; 0 at
+    ramified primes.
     """
     if not is_irreducible(P):
         raise BadInputError("chi requires an irreducible P")
     P = P.monic()
     flavor = K.flavor
     if flavor == "odd":
-        # ramification is governed by the fundamental discriminant sgn * D0
-        sgn_code, _, d0 = squarefree_split(K.D)
-        if P.divides(d0):
+        # Euler's criterion on the fundamental discriminant, which P divides exactly when it ramifies
+        if P.divides(K.D_K):
             return 0
         fld = P.field
-        q = fld.q
-        e = (q**P.deg - 1) // 2
-        w = powmod(d0.scale(sgn_code), e, P)
+        e = (fld.q**P.deg - 1) // 2
+        w = powmod(K.D_K, e, P)
         if w.is_one():
             return 1
         if w == one(fld).scale(fld.neg(1)):

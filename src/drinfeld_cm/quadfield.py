@@ -45,22 +45,22 @@ from .polyring import Poly
 
 
 class RatFunc:
-    """num/den with den monic and gcd(num, den) = 1."""
+    """num/den with gcd(num, den) = 1, built from a monic den (every program
+    path passes one; any other is an InvariantError)."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
+        if not den.is_monic():
+            raise InvariantError("rational function with a non-monic denominator")
         if not num.is_zero():
             g = pr.gcd(num, den)
             if g.deg > 0:
                 num, den = num // g, den // g
         else:
             den = pr.one(den.field)
-        if not den.is_monic():
-            inv = den.field.inv(den.sgn)
-            num, den = num.scale(inv), den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -121,7 +121,7 @@ class QuadField:
 
     def __init__(self, flavor: str, base: FieldDesc, **data):
         object.__setattr__(self, "_xi", {})  # coefficient field -> xi series (see xi_series)
-        object.__setattr__(self, "_held", {})  # name -> derived data (see held)
+        object.__setattr__(self, "_held", {})  # key -> derived data (see held)
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "s", 1 if flavor == "even_sep" else 0)  # xi^2 = s xi + t
         object.__setattr__(self, "base", base)
@@ -227,11 +227,12 @@ class QuadField:
         """Valuation of xi in the completion: v(t)/2 (when v(t) = 0, even_sep inert, v(xi) = 0 too)."""
         return Fraction(self.t.v_infinity(), 2)
 
-    def held(self, name: str, build):
-        """The data the field holds under `name`, made by build() on first use."""
-        if name not in self._held:
-            self._held[name] = build()
-        return self._held[name]
+    def held(self, key, build):
+        """The data the field holds under `key` (a name, or a tuple led by
+        one), made by build() on first use."""
+        if key not in self._held:
+            self._held[key] = build()
+        return self._held[key]
 
     def key(self):
         return (
@@ -417,6 +418,11 @@ class QuadSeriesContext:
             # xi^q = T^(q/2): the xi-part collapses under Frobenius
             self.alpha, self.beta = LaurentSeries.t_power(cdesc, q // 2), 0
 
+    @staticmethod
+    def of(qf: QuadField, cdesc: FieldDesc, prec: int) -> "QuadSeriesContext":
+        """The context the field holds for this coefficient field and precision."""
+        return qf.held(("series_context", cdesc, prec), lambda: QuadSeriesContext(qf, cdesc, prec))
+
 
 class QuadSeries:
     """x + y*xi with truncated Laurent coordinates (used for ramified completions).
@@ -544,7 +550,7 @@ class QuadSeries:
 
     def lift(self, cdesc: FieldDesc) -> "QuadSeries":
         """The same element with coefficients embedded in the extension `cdesc`."""
-        ctx = QuadSeriesContext(self.ctx.qf, cdesc, self.ctx.prec)
+        ctx = QuadSeriesContext.of(self.ctx.qf, cdesc, self.ctx.prec)
         return QuadSeries(ctx, self.x.lift(cdesc), self.y.lift(cdesc))
 
     def __repr__(self):
@@ -682,7 +688,7 @@ def embed(zs: list, prec: int, coeff_desc: FieldDesc | None = None):
     if inert:
         xi = xi_series(qf, cdesc, prec + slack)
         return (xs + ys * xi).truncate(prec)
-    ctx = QuadSeriesContext(qf, cdesc, prec + slack)
+    ctx = QuadSeriesContext.of(qf, cdesc, prec + slack)
     return QuadSeries(ctx, xs, ys).truncate(prec)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadInputError, InvariantError
-from .ffield import FieldDesc
+from .ffield import FieldDesc, is_square
 from . import polyring as pr
 from .quadfield import Order, order_from, order_from_discriminant, validate_field
 
@@ -39,8 +39,6 @@ def iter_odd_orders(base: FieldDesc, d_bound: int):
     sgn(D) is normalised to 1 or the least non-square; squares and
     non-imaginary D are skipped, as is the maximal order of F_{q^2}(T).
     """
-    from .ffield import is_square
-
     q = base.q
     maxdeg = _log_q(d_bound, q)
     nonsquare = next(c for c in range(2, base.order) if not is_square(base, c))

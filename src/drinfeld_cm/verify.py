@@ -15,10 +15,11 @@ from .ffield import FieldDesc, embedding_table, field, quadratic_extension
 from . import polyring as pr
 from . import bounds as bnd
 from .brownval import moduli_of
-from .cmpoints import c_epsilon_set, majb_check
+from .classno import check_class_bound
+from .cmpoints import c_epsilon_set, elliptic_floor_log, majb_check
 from .laurent import LaurentSeries
 from .modforms import hilbert_poly, verify_lemma_A1, verify_lemma_A2
-from .quadfield import order_from_discriminant
+from .quadfield import RatFunc, order_from_discriminant
 from .sweeps import iter_orders, order_report
 
 
@@ -96,8 +97,6 @@ def check_brown_sweep(base: FieldDesc, d_bound: int) -> dict:
 
 def check_class_numbers(base: FieldDesc, d_bound: int) -> dict:
     """Orbit = conductor (= L-route on inert separable maximal orders) everywhere."""
-    from .classno import check_class_bound
-
     counts = {"orders": 0, "lroute": 0, "bounds": 0}
     for order in iter_orders(base, d_bound):
         rep = order_report(order, check_brown=False)
@@ -204,23 +203,19 @@ def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 
                                     return {"name": "counting", "ok": False, "fail": f"bound a={a} D~{Dm}*{sc} eps=q^{el}"}
     else:
         eps_list = [Fraction(1), Fraction(1, q)]
-        from .quadfield import RatFunc
-
         betas = [None, RatFunc(pr.one(base), pr.parse_poly(base, "T")), RatFunc(pr.parse_poly(base, "T+1"), pr.parse_poly(base, "T^2"))]
         for da in range(0, max_deg_a + 1):
             for a in pr.monic_of_degree(base, da):
                 for delta in _all_nonzero(base, 2):
                     for mu in _all_of_deg_at_most(base, 3):
                         pairs += 1
-                        rep = bnd.count_congruence_even(a, delta, mu, Fraction(1))
-                        if not rep.bound_holds:
+                        if not bnd.count_congruence_even(a, delta, mu, Fraction(1)):
                             return {"name": "counting", "ok": False, "fail": f"a={a} delta={delta} mu={mu}"}
                 for delta, mu, beta, eps in [
                     (pr.parse_poly(base, "T"), pr.one(base), betas[1], Fraction(1)),
                     (pr.parse_poly(base, "T+1"), pr.parse_poly(base, "T"), betas[2], Fraction(1, q)),
                 ]:
-                    rep = bnd.count_congruence_even(a, delta, mu, eps, beta=beta)
-                    if not rep.bound_holds:
+                    if not bnd.count_congruence_even(a, delta, mu, eps, beta=beta):
                         return {"name": "counting", "ok": False, "fail": f"beta case a={a}"}
     # easycounting, exhaustively for deg m <= max_deg_m
     for dm in range(0, max_deg_m + 1):
@@ -367,8 +362,6 @@ def check_elliptic_lemmas(base: FieldDesc, d_bound: int) -> dict:
         rep = order_report(order, check_brown=False)
         near = [p for p in rep.points if p.dist_e_log is not None]
         for p in near:
-            from .cmpoints import elliptic_floor_log
-
             if -p.dist_e_log > elliptic_floor_log(order):
                 return {"name": "elliptic", "ok": False, "fail": f"floor {order.label()}"}
             if -p.dist_e_log == elliptic_floor_log(order):

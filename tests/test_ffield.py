@@ -116,6 +116,18 @@ def test_artin_schreier_trace_criterion(desc):
             assert r2 == desc.add(r1, 1)
 
 
+@pytest.mark.parametrize("r,m", [(r, m) for m in (1, 2) for r in range(1, 8 // m + 1)])
+def test_artin_schreier_roots_match_brute_force(r, m):
+    # every char-2 field of order <= 256: the trace formula's roots are the
+    # roots found by squaring every element
+    desc = field(2, r, m)
+    roots = {}
+    for y in range(desc.order):
+        roots.setdefault(desc.add(desc.mul(y, y), y), []).append(y)
+    for c in range(desc.order):
+        assert artin_schreier_solve(desc, c) == (tuple(roots[c]) if c in roots else None)
+
+
 def test_embedding_is_ring_hom():
     f3 = field(3)
     f9 = field(3, 1, 2)

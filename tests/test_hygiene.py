@@ -1,7 +1,9 @@
 """Static checks on the package source: no unused import, no uncalled
 definition, no definition that only tests use (save the listed reference
-implementations), no series-type test outside the series layer, and no cycle
-among the imports that run when a module is imported.
+implementations), no series-type test outside the series layer, no cycle
+among the imports that run when a module is imported, and no import inside a
+function unless it closes such a cycle: a package module is imported at the
+top of a module unless it reaches that module through top-level imports.
 
 A definition counts as used only through what can name it:
 - a method (a function defined in a class body): an attribute access
@@ -123,25 +125,60 @@ def test_series_types_are_tested_only_in_the_series_layer():
     assert not offenders, "isinstance on a series type outside quadfield and laurent:\n" + "\n".join(offenders)
 
 
-def _import_time_relative_imports(tree):
-    """Package modules a module imports when it is itself imported: every
-    relative import outside a function body."""
-    stack = list(tree.body)
+def _relative_imports(tree, in_functions: bool):
+    """(line, package module) of every relative import of a module, either
+    those outside every function body (the ones that run when the module is
+    itself imported) or those inside one."""
+    stack = [(node, False) for node in tree.body]
     while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.ImportFrom) and node.level:
-            yield from [node.module] if node.module else [alias.name for alias in node.names]
-        stack.extend(ast.iter_child_nodes(node))
+        node, inside = stack.pop()
+        inside = inside or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        if isinstance(node, ast.ImportFrom) and node.level and inside == in_functions:
+            for name in [node.module] if node.module else [alias.name for alias in node.names]:
+                yield node.lineno, name
+        stack.extend((child, inside) for child in ast.iter_child_nodes(node))
+
+
+def _import_time_relative_imports(tree):
+    """Package modules a module imports when it is itself imported."""
+    return {name for _, name in _relative_imports(tree, in_functions=False)}
+
+
+def _import_graph() -> dict:
+    return {path.stem: _import_time_relative_imports(ast.parse(path.read_text())) for path in _modules()}
 
 
 def test_top_level_imports_are_acyclic():
     # ffield finds its moduli with polyring, which builds on ffield: ffield
     # imports polyring only inside functions, so the layering stays a DAG
-    graph = {path.stem: set(_import_time_relative_imports(ast.parse(path.read_text()))) for path in _modules()}
-    order = list(TopologicalSorter(graph).static_order())  # CycleError on a cycle
+    order = list(TopologicalSorter(_import_graph()).static_order())  # CycleError on a cycle
     assert order.index("ffield") < order.index("polyring")
+
+
+def test_function_level_imports_close_a_cycle():
+    # an import inside a function is kept only where the imported module
+    # reaches the importing one through top-level imports, so moving it to the
+    # top would close a cycle
+    graph = _import_graph()
+
+    def reaches(start, goal):
+        seen, stack = set(), [start]
+        while stack:
+            for nxt in graph.get(stack.pop(), ()):
+                if nxt == goal:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    movable = [
+        f"{path.name}:{line} {name}"
+        for path in _modules()
+        for line, name in _relative_imports(ast.parse(path.read_text()), in_functions=True)
+        if not reaches(name, path.stem)
+    ]
+    assert not movable, "function-level imports that can move to the top of their module:\n" + "\n".join(movable)
 
 
 # Implementations that tests compare the program against, and that the

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from drinfeld_cm.errors import BadInputError, InvariantError
 from drinfeld_cm.ffield import field
 from drinfeld_cm import polyring as pr
+from drinfeld_cm.quadfield import validate_field
 from drinfeld_cm.verify import divisor_stats
 
 F2 = field(2)
@@ -16,13 +17,6 @@ F3 = field(3)
 
 def P(fld, text):
     return pr.parse_poly(fld, text)
-
-
-class OddField:
-    flavor = "odd"
-
-    def __init__(self, D):
-        self.D = D
 
 
 def random_poly(fld, maxdeg, rng):
@@ -199,8 +193,7 @@ def test_an_bounds():
 
 
 def test_chi_examples():
-    D = P(F3, "T-T^2")
-    K = OddField(D)
+    K = validate_field(F3, "odd", D=P(F3, "T-T^2"))
     assert pr.chi(P(F3, "T"), K) == 0
     assert pr.chi(P(F3, "T+1"), K) == 1
     assert pr.chi(P(F3, "T+2"), K) == 0  # T+2 = T-1 divides T-T^2
@@ -210,7 +203,6 @@ def test_chi_multiplicativity():
     # the L-route extends chi from the primes through the sieve's smallest
     # factors; Lambda must be the sum of prod chi(P)^e over the factorisation
     from drinfeld_cm.classno import l_route
-    from drinfeld_cm.quadfield import validate_field
 
     for base, flavor, data in [
         (F3, "odd", {"D": "T-T^2"}),
@@ -235,21 +227,67 @@ def test_chi_multiplicativity():
 
 def test_chi_requires_irreducible():
     with pytest.raises(BadInputError):
-        pr.chi(P(F3, "T^2-T"), OddField(P(F3, "T")))
+        pr.chi(P(F3, "T^2-T"), validate_field(F3, "odd", D=P(F3, "T")))
 
 
-@pytest.mark.parametrize("fld", [F2, field(2, 2)], ids=["F2", "F4"])
-def test_artin_schreier_solvable_mod_matches_brute_force(fld):
-    # x^2 + x = num is solvable in A/P exactly when num is some x^2 + x mod P
-    one = pr.one(fld)
-    for d in range(1, 4):
-        for Pm in pr.monic_of_degree(fld, d):
-            if not pr.is_irreducible(Pm):
-                continue
-            images = {pr.poly_code((x * x + x) % Pm) for x in pr.all_of_degree_less(fld, d)}
-            for num in pr.all_of_degree_less(fld, d):
-                if not num.is_zero():
-                    assert pr.artin_schreier_solvable_mod(Pm, num, one) == (pr.poly_code(num) in images)
+def _residues(Pm):
+    return list(pr.all_of_degree_less(Pm.field, Pm.deg))
+
+
+def _primes(fld, maxdeg):
+    return [Pm for d in range(1, maxdeg + 1) for Pm in pr.monic_of_degree(fld, d) if pr.is_irreducible(Pm)]
+
+
+@pytest.mark.parametrize("fld,maxdeg", [(F2, 4), (field(2, 2), 3)], ids=["F2", "F4"])
+def test_artin_schreier_solvable_mod_matches_brute_force(fld, maxdeg):
+    # x^2 + x = num/den is solvable in A/P exactly when num = den (x^2 + x) mod P
+    # for some x; every numerator is tried over 1, and every constant over every
+    # nonzero denominator, which again reaches every quotient num/den
+    for Pm in _primes(fld, maxdeg):
+        residues = _residues(Pm)
+        images = {(x * x + x) % Pm for x in residues}
+        for num in residues:
+            assert pr.artin_schreier_solvable_mod(Pm, num, pr.one(fld)) == (num in images)
+        for den in residues[1:]:
+            solvable = {(den * y) % Pm for y in images}
+            for num in residues[: fld.order]:  # the constants
+                assert pr.artin_schreier_solvable_mod(Pm, num, den) == (num in solvable), (Pm, num, den)
+
+
+@pytest.mark.parametrize(
+    "fld,B,C",
+    [
+        (F2, "T^2+T+1", "T^2+T"),
+        (F2, "[1,1,1,1,1]", "[0,1,1,1,1]"),
+        (F2, "T^2+1", "T"),
+        (field(2, 2), "[3,3,3,3]", "[1,3,2,1]"),
+        (field(2, 2), "2*T+2", "T"),
+    ],
+)
+def test_chi_even_sep_counts_artin_schreier_roots(fld, B, C):
+    # chi(P) = 1 when X^2 + X - B/C has its two roots mod P, -1 when it has none
+    k = validate_field(fld, "even_sep", B=P(fld, B), C=P(fld, C))
+    for Pm in _primes(fld, 3):
+        if Pm.divides(k.C):
+            assert pr.chi(Pm, k) == 0
+            continue
+        roots = sum(((k.C * (x * x + x) - k.B) % Pm).is_zero() for x in _residues(Pm))
+        assert pr.chi(Pm, k) == roots - 1, (Pm, roots)
+
+
+@pytest.mark.parametrize("D", ["T^3+T^2", "2*T^4+2*T^3", "2*T^5+2*T^3"])
+def test_chi_odd_reads_the_fundamental_discriminant(D):
+    # D = g^2 D_K with g != 1: at a prime dividing g but not D_K, chi is the
+    # Legendre symbol of D_K, not the 0 that D itself would give (D = T^2 (T + 1)
+    # has chi(T) = 1 from D_K = T + 1)
+    k = validate_field(F3, "odd", D=P(F3, D))
+    assert k.D_K != k.D
+    for Pm in _primes(F3, 3):
+        if Pm.divides(k.D_K):
+            assert pr.chi(Pm, k) == 0
+            continue
+        squares = {(x * x) % Pm for x in _residues(Pm)[1:]}
+        assert pr.chi(Pm, k) == (1 if k.D_K % Pm in squares else -1), Pm
 
 
 def test_mertens_examples():

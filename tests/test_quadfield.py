@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld_cm.errors import BadInputError
+from drinfeld_cm.errors import BadInputError, InvariantError
 from drinfeld_cm.ffield import field, quadratic_extension
 from drinfeld_cm.laurent import LaurentSeries
 from drinfeld_cm import polyring as pr
@@ -440,3 +440,35 @@ def test_a_stack_inverts_its_denominators_once(name, monkeypatch):
     calls.clear()
     embed(polys, 20)
     assert calls == []  # every A = 1: nothing to invert
+
+
+def test_the_field_holds_its_series_contexts(monkeypatch):
+    # t = B/C is expanded once per coefficient field and precision: repeated
+    # embeddings and a lift reuse the relation the field holds
+    from drinfeld_cm.cmpoints import enumerate_points
+
+    k = sep4("T^2+1", "T")
+    zs = [pt.z for pt in enumerate_points(order_from(k, pr.one(F4)))]
+    assert len(zs) == 8
+    calls = []
+    real = LaurentSeries.inverse
+
+    def counting(self):
+        calls.append(self.rows)
+        return real(self)
+
+    monkeypatch.setattr(LaurentSeries, "inverse", counting)
+    first = embed(zs, 20)
+    assert embed(zs, 20).ctx is first.ctx
+    embed(zs, 20)
+    lifted = first.take([0]).lift(field(2, 4))
+    assert calls.count(1) == 2  # one t over F_4, one over F_16
+    assert calls == [8, 1, 8, 8, 1]
+    assert lifted.ctx is first.take([0]).lift(field(2, 4)).ctx
+
+
+def test_ratfunc_rejects_a_non_monic_denominator():
+    assert RatFunc(P(F3, "T"), P(F3, "T^2+1")).den == P(F3, "T^2+1")
+    for num in ("T", "0"):
+        with pytest.raises(InvariantError):
+            RatFunc(P(F3, num), P(F3, "2*T+1"))
