@@ -181,11 +181,22 @@ def upper_bound_h(order: Order, eps: Fraction) -> dict:
 
 
 def lower_bounds_h(order: Order) -> dict:
-    """The two unconditional lower bounds (and the easy one), as safe intervals."""
+    """The two unconditional lower bounds (and the easy one), as safe intervals.
+
+    The class number is agreed on every call; the bounds are held on the
+    order's OrderCM once computed.
+    """
+    h = class_number(order)
+    cm = OrderCM.of(order)
+    if cm.height_bounds is None:
+        cm.height_bounds = _lower_bounds_h(order, h)
+    return cm.height_bounds
+
+
+def _lower_bounds_h(order: Order, h: int) -> dict:
     field = order.field
     q = field.base.q
     d = order.disc_deg()
-    h = class_number(order)
     # easy: |D|^(1/2)/h(O), meaningful for |D| >= q
     sqrt_D = certlog.exp_q(Fraction(d, 2), q)
     easy = sqrt_D / h if d >= 1 else None

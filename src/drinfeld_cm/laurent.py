@@ -378,6 +378,14 @@ class LaurentSeries:
             raise BadInputError("series over different coefficient fields")
 
     def __add__(self, other):
+        return self._aligned_sum(other, np.add)
+
+    def __sub__(self, other):
+        """x - y in the same aligned pass as x + y (in characteristic 2, the same sum)."""
+        return self._aligned_sum(other, np.add if self.field.p == 2 else np.subtract)
+
+    def _aligned_sum(self, other, op) -> "LaurentSeries":
+        """op(self, other) for op = np.add or np.subtract, on one aligned column range."""
         self._check(other)
         fld = self.field
         prec = _min_prec(self.prec, other.prec)
@@ -393,23 +401,21 @@ class LaurentSeries:
         if prec is not None:
             hi = min(hi, prec)
         out = np.zeros((rows, fld.s, max(hi - lo, 0)), dtype=np.int64)
-        for x in (self, other):
+        for x, x_op in ((self, np.add), (other, op)):
             L = x.comps.shape[2]
             if L:
                 a = x.n0 - lo
                 seg = min(L, out.shape[2] - a)
                 if seg > 0:
-                    out[:, :, a : a + seg] += x.comps[:, :, :seg]
+                    view = out[:, :, a : a + seg]
+                    x_op(view, x.comps[:, :, :seg], out=view)
         return LaurentSeries(fld, lo, out, prec)
 
     def __neg__(self):
-        """-x; in characteristic 2 that is x itself, so `x - y` adds y as it is."""
+        """-x; in characteristic 2 that is x itself."""
         if self.field.p == 2:
             return self
         return LaurentSeries(self.field, self.n0, (-self.comps) % self.field.p, self.prec, reduced=True)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         self._check(other)

@@ -10,6 +10,9 @@ only pi^(q-1) appears, and t(az)^(q-1) = S_a / (pi^(q-1) * S_a^q).
 Frobenius is a ring map, so 1/S_a^q = (1/S_a)^q: S_a is inverted only to
 its own relative length, the inverse is raised to the q-th power
 coefficientwise and multiplied by pi^-(q-1), which each `EvalContext` holds.
+For the same reason gt^(q+1) = gt^q * gt is one product: the q-th power is
+coefficientwise, and its tracked precision min(q p + v, p + q v) = p + q v
+is that of q repeated products.
 
 Truncation indices are certified: the a-sum tail comes from the exact
 valuation v(t(az)) = (q/(q-1) - eps) q^(n + deg a) (verified on every term,
@@ -299,9 +302,7 @@ def eval_j_stack(points: list, prec: int, *, cdesc: FieldDesc | None = None) -> 
         z_el = embed([p.z for p in points], work + 4, coeff_desc=ctx.cdesc)
         gt, dt, plan = eval_gt_dt(ctx, points, z_el, target_g, target_d)
         _assert_rows(dt, v_d, "v(dt)", where)
-        num = gt
-        for _ in range(q):
-            num = num * gt
+        num = gt.frobenius_q() * gt
         jval = _truncate(num * dt.inverse(), prec)
         got_prec = jval.prec
         if got_prec is not None and Fraction(got_prec) < prec:
@@ -471,9 +472,14 @@ def hilbert_poly(order: Order, extra_prec: int = GUARD) -> HilbertPoly:
     Each class's first point is evaluated at the working precision W before
     the moduli are certified, so the numeric cross-check starts from these
     values and `plan` is that of the evaluations at W (made again at W when
-    the order's OrderCM holds the value only at a higher precision).
+    the order's OrderCM holds the value only at a higher precision).  The
+    polynomial is held on the OrderCM, per `extra_prec`, once its checks
+    pass; a repeat runs only the count check of the moduli.
     """
     cm = OrderCM.of(order)
+    if extra_prec in cm.hilbert:
+        moduli_of(order, expected=cm.class_number_by_conductor())
+        return cm.hilbert[extra_prec]
     sum_pos = sum(max(Fraction(0), log_abs_j(cls[0])) for cls in cm.classes())
     W = int(math.ceil(sum_pos)) + extra_prec + 6
     plans: dict = {}
@@ -503,6 +509,7 @@ def hilbert_poly(order: Order, extra_prec: int = GUARD) -> HilbertPoly:
         raise InvariantError(
             f"constant-term degree {H.constant_term_degree()} != sum of conjugate valuations {total}"
         )
+    cm.hilbert[extra_prec] = H
     return H
 
 

@@ -657,6 +657,19 @@ def _minus_v(num: Poly, den: Poly) -> int:
     return 0 if num.is_zero() else num.deg - den.deg
 
 
+def _divided_out(z: QuadElement) -> QuadElement:
+    """z with den 1 when den divides x and y; z itself when den is a power of T
+    (its unit part is 1 already) or does not divide both."""
+    den = z.den
+    if sum(1 for c in den.coeffs if c) == 1 or any(0 <= p.deg < den.deg for p in (z.x, z.y)):
+        return z
+    qx, rx = divmod(z.x, den)
+    if not rx.is_zero():
+        return z
+    qy, ry = divmod(z.y, den)
+    return QuadElement(z.field, qx, qy, pr.one(den.field)) if ry.is_zero() else z
+
+
 def embed(zs: list, prec: int, coeff_desc: FieldDesc | None = None):
     """Analytic embedding of exact elements of one field, as one stack, at
     absolute precision `prec`: row r is zs[r], and a one-element list gives
@@ -664,12 +677,15 @@ def embed(zs: list, prec: int, coeff_desc: FieldDesc | None = None):
 
     Inert flavor: a flattened LaurentSeries; ramified flavors: a QuadSeries;
     the coefficients lie in `value_field` (or `coeff_desc`).  Each z is read
-    as it is held, (x + y xi)/den: the unit parts den/T^deg den of all rows
-    are inverted by one Newton call, and the numerators, shifted by
-    T^-deg den, are multiplied by them as one stacked product.  Every digit
-    is exact, so each row equals the element embedded alone.
+    as it is held, (x + y xi)/den, or as (x/den + (y/den) xi)/1 when den
+    divides x and y: the unit parts den/T^deg den of all rows are inverted by
+    one Newton call, made only when some unit part is not 1, and the
+    numerators, shifted by T^-deg den, are multiplied by them as one stacked
+    product.  Every digit is exact, so each row equals the element embedded
+    alone.
     """
     qf = zs[0].field
+    zs = [_divided_out(z) for z in zs]
     inert = qf.infinite_type == "inert"
     cdesc = coeff_desc or value_field(qf)
     slack = 4 if inert else int(math.ceil(-qf.v_xi())) + 4

@@ -27,3 +27,19 @@ def count_rows(monkeypatch) -> list:
 
     monkeypatch.setattr(modforms, "eval_j_stack", counting)
     return rows
+
+
+def count_products(monkeypatch) -> list:
+    """From now on, record the row counts of the operands of every call of
+    `laurent._raw_mul`, the one product kernel of the series layer."""
+    from drinfeld_cm import laurent
+
+    calls = []
+    real = laurent._raw_mul
+
+    def counting(desc, A, B, ncols=None):
+        calls.append((A.shape[0], B.shape[0]))
+        return real(desc, A, B, ncols)
+
+    monkeypatch.setattr(laurent, "_raw_mul", counting)
+    return calls

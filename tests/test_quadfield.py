@@ -442,6 +442,34 @@ def test_a_stack_inverts_its_denominators_once(name, monkeypatch):
     assert calls == []  # every A = 1: nothing to invert
 
 
+@pytest.mark.parametrize("fld, B, C", [(F4, "T^2", "T+1"), (F2, "T^2+T+1", "T^2+T")])
+def test_a_denominator_that_divides_its_numerators_is_not_inverted(fld, B, C, monkeypatch):
+    # with C != 1 the point a = G, b = 0 is held as (0 + G xi)/G: such a row
+    # is embedded from the exact quotients, and only the other rows' dens
+    # are inverted
+    from drinfeld_cm.cmpoints import enumerate_points
+
+    k = validate_field(fld, "even_sep", B=P(fld, B), C=P(fld, C))
+    zs = [pt.z for pt in enumerate_points(order_from(k, pr.one(fld)))]
+    divided = [z for z in zs if z.den.deg > 0 and (z.x % z.den).is_zero() and (z.y % z.den).is_zero()]
+    assert divided
+    want = [_embed_reference(z, 20) for z in divided]
+    embed(zs, 20)  # the field's xi and t at this precision are now held
+    calls = []
+    real = LaurentSeries.inverse
+
+    def counting(self):
+        calls.append(self.rows)
+        return real(self)
+
+    monkeypatch.setattr(LaurentSeries, "inverse", counting)
+    stack = embed(divided, 20)
+    assert calls == []
+    assert all(_same_value(stack.take([r]), w) for r, w in enumerate(want))
+    embed(zs, 20)
+    assert calls == [len(zs)]  # the remaining dens, inverted once for the stack
+
+
 def test_the_field_holds_its_series_contexts(monkeypatch):
     # t = B/C is expanded once per coefficient field and precision: repeated
     # embeddings and a lift reuse the relation the field holds

@@ -1,11 +1,14 @@
 """The process-wide store of order objects (`brownval.OrderCM.of`)."""
 
+import ast
 import contextlib
+import inspect
 import io
 import math
+import textwrap
 from fractions import Fraction
 
-from drinfeld_cm import brownval, cli
+from drinfeld_cm import brownval, certlog, cli, modforms
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.bounds import upper_bound_h
 from drinfeld_cm.brownval import OrderCM, log_abs_j, moduli_of, weil_height
@@ -14,7 +17,7 @@ from drinfeld_cm.ffield import field
 from drinfeld_cm.modforms import GUARD, hilbert_constant_degree, hilbert_poly
 from drinfeld_cm.quadfield import order_from_discriminant
 
-from conftest import count_rows
+from conftest import count_products, count_rows
 from test_cli import separate_run
 
 F3 = field(3)
@@ -140,3 +143,90 @@ def test_unit_search_row_builds_one_object(monkeypatch):
     ub = upper_bound_h(order, Fraction(1, 3))
     assert builds == [] and calls == []
     assert deg > 0 and h > 0 and ub["conditional"]
+
+
+HELD_REQUESTS = [
+    ["--q", "3", "--flavor", "odd", "--D", "T^3"],
+    ["--q", "4", "--flavor", "even_sep", "--B", "T", "--C", "1", "--f", "T+2"],  # infinity ramifies
+    ["--q", "4", "--flavor", "even_insep", "--f", "T"],
+]
+
+
+def test_repeated_hilbert_and_height_are_read_from_the_store(monkeypatch):
+    requests = [[cmd, *argv] for argv in HELD_REQUESTS for cmd in ("hilbert", "height")]
+    first = [run(argv) for argv in requests]
+    products = count_products(monkeypatch)
+    logs = []
+    real_ln = certlog.ln
+
+    def counting_ln(x):
+        logs.append(x)
+        return real_ln(x)
+
+    monkeypatch.setattr(certlog, "ln", counting_ln)
+    again = [run(argv) for argv in requests]
+    assert products == [] and logs == []  # no series product, no logarithm
+    assert again == first == [separate_run(argv) for argv in requests]
+
+
+def test_a_class_polynomial_that_fails_its_check_is_not_held(monkeypatch):
+    argv = ["hilbert", "--q", "3", "--flavor", "odd", "--D", "T^3"]
+    real = modforms.HilbertPoly.constant_term_degree
+    monkeypatch.setattr(modforms.HilbertPoly, "constant_term_degree", lambda H: real(H) + 1)
+    assert run(argv) == (1, "")
+    cm = OrderCM.of(odd_order("T^3"))
+    assert cm.hilbert == {} and cm.values  # the values stay, the polynomial is not held
+    monkeypatch.setattr(modforms.HilbertPoly, "constant_term_degree", real)
+    calls = count_rows(monkeypatch)
+    assert run(argv) == separate_run(argv)
+    assert calls == [] and list(cm.hilbert) == [GUARD]  # rebuilt from the held values, then held
+
+
+def test_class_polynomials_are_held_per_extra_precision():
+    order = odd_order("T-T^2")
+    H = hilbert_poly(order)
+    H30 = hilbert_poly(order, extra_prec=30)
+    assert H30 is not H and H30.coeffs == H.coeffs and H30.residuals != H.residuals
+    assert OrderCM.of(order).hilbert == {GUARD: H, 30: H30}
+    assert hilbert_poly(order) is H and hilbert_poly(order, extra_prec=30) is H30
+
+
+def _syntax(method):
+    return ast.parse(textwrap.dedent(inspect.getsource(method)))
+
+
+def _attributes_set_by_init() -> set:
+    targets = []
+    for node in ast.walk(_syntax(OrderCM.__init__)):
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    return {t.attr for t in targets if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self"}
+
+
+def _attributes_cleared_on_eviction() -> set:
+    """The x of every `old.x.clear()` in the eviction loop of `OrderCM._evaluate`."""
+    (loop,) = [node for node in ast.walk(_syntax(OrderCM._evaluate)) if isinstance(node, ast.While)]
+    calls = [node.value for node in loop.body if isinstance(node, ast.Expr)]
+    return {c.func.value.attr for c in calls if isinstance(c.func, ast.Attribute) and c.func.attr == "clear"}
+
+
+# what an entry keeps when it loses its values; the eviction branch names the rest
+KEPT_ON_EVICTION = {"order", "key", "points", "moduli", "report", "height_bounds", "_classes", "_h_conductor"}
+
+
+def test_every_holder_states_its_eviction_policy():
+    cleared = _attributes_cleared_on_eviction()
+    assert cleared == {"values", "plans", "hilbert"}
+    assert not cleared & KEPT_ON_EVICTION
+    assert _attributes_set_by_init() == cleared | KEPT_ON_EVICTION
+
+
+def test_a_held_answer_still_runs_the_count_check():
+    requests = [[cmd, "--q", "3", "--flavor", "odd", "--D", "T^3"] for cmd in ("hilbert", "height")]
+    assert all(run(argv)[0] == 0 for argv in requests)
+    cm = OrderCM.of(odd_order("T^3"))
+    assert cm.hilbert and cm.height_bounds
+    cm._h_conductor += 1  # an independent count that no longer agrees
+    assert [run(argv) for argv in requests] == [(1, ""), (1, "")]
