@@ -1,8 +1,5 @@
-"""Congruence counting, height bounds, and the certificates.
+"""The easycounting bound, height bounds, and the certificates.
 
-Counting is done by explicit per-prime-power solution sets glued by CRT and
-checked against the structural claims (at most 2 classes per prime power, at
-most 2^omega(a) classes modulo a/gcd_2, the max{1, qM/|m|} window count).
 Height bounds are evaluated as certified rational intervals: everything
 transcendental (ln 2, ln q, sqrt q) is enclosed with directed rounding, so an
 asserted inequality can only pass when it holds.
@@ -23,108 +20,14 @@ from .ffield import FieldDesc, quadratic_extension
 from .modforms import hilbert_constant_degree, hilbert_poly, unit_check
 from . import polyring as pr
 from .polyring import Poly
-from .quadfield import Order, RatFunc, flat_part, product
+from .quadfield import Order, flat_part, product
 from .sweeps import iter_orders, modulus_records, order_report
 
 HIT_GUARD = 12  # fractional digits of a pair's product that must be known before it counts as a hit
 
 
 # ---------------------------------------------------------------------------
-# congruence counting
-
-
-def solutions_mod_prime_power(P: Poly, s: int, value) -> list:
-    """Solution set of the flavor congruence mod P^s by direct enumeration.
-
-    `value(b)` returns the polynomial that must vanish mod P^s.
-    """
-    mod = P**s
-    return [b for b in pr.all_of_degree_less(mod.field, mod.deg) if (value(b) % mod).is_zero()]
-
-
-def _crt_pairs(m1: Poly, r1s: list, m2: Poly, r2s: list):
-    g, u, v = pr.xgcd(m1, m2)
-    if not g.is_one():
-        raise BadInputError("CRT moduli not coprime")
-    m = m1 * m2
-    out = []
-    for a1 in r1s:
-        for a2 in r2s:
-            # x = a1 * v * m2 + a2 * u * m1 mod m
-            x = (a1 * v * m2 + a2 * u * m1) % m
-            out.append(x)
-    return m, out
-
-
-def _window_count(solutions, a: Poly, L: int, shift: Poly | None = None, zeta_log=None):
-    """Count b = sol + a*t with |b + beta*delta| < q^L exactly.
-
-    For the even flavor the window applies to b + beta*delta = (b + u) + zeta
-    with u integral and |zeta| < 1; `shift` is u and zeta_log = log_q|zeta|.
-    Writing b' = b + u, the size is |b'| unless b' = 0, where it is |zeta|.
-    """
-    q = a.field.q
-    count = 0
-    for r in solutions:
-        r_sh = ((r + shift) % a) if shift is not None and a.deg > 0 else r
-        if L > a.deg:
-            # every b' in the class satisfies |b'| < q^L; a zero b' is even smaller
-            count += q ** (L - a.deg)
-        else:
-            if r_sh.is_zero():
-                if shift is None or zeta_log is None or Fraction(zeta_log) < L:
-                    count += 1  # |0| (or |zeta|) is inside the window
-            elif r_sh.deg < L:
-                count += 1
-    return count
-
-
-def count_congruence_even(a: Poly, delta: Poly, mu: Poly, eps: Fraction, beta=None) -> bool:
-    """Whether {b : b^2 + delta b = mu mod a, |b + beta delta| < eps|a|} (q even)
-    meets its bound.
-
-    The solution set is only *contained* in at most 2^omega(a) classes
-    modulo a/gcd_2(a, delta^2); the verdict needs both that containment and
-    the cardinality bound 2^omega(a) max{1, q eps |gcd_2|}.  The CRT solution
-    set is checked against direct enumeration first (InvariantError).
-    """
-    if a.is_zero() or delta.is_zero():
-        raise BadInputError("nonzero a and delta required")
-    if a.field.p != 2:
-        raise BadInputError("even-characteristic counting")
-    a = a.monic()
-    _, items = pr.factor(a) if a.deg > 0 else (1, ())
-    mod, sols = pr.one(a.field), [pr.zero(a.field)]
-    for P, s in items:
-        loc = solutions_mod_prime_power(P, s, lambda b: b * b + delta * b + mu)
-        mod, sols = _crt_pairs(mod, sols, P**s, loc)
-    if a.deg > 0:
-        residues = pr.all_of_degree_less(a.field, a.deg)
-        direct = sorted((b for b in residues if ((b * b + delta * b + mu) % a).is_zero()), key=pr.poly_code)
-        if sorted(sols, key=pr.poly_code) != direct:
-            raise InvariantError("CRT solution set differs from direct enumeration")  # pragma: no cover
-    g2 = pr.gcd2(a, delta * delta) if a.deg > 0 else pr.one(a.field)
-    m_cls = a // g2 if a.deg > 0 else pr.one(a.field)
-    classes = {pr.poly_code(b % m_cls) for b in sols}
-    omega = len(items)
-    # window shift: beta*delta = u + zeta with u in A, |zeta| < 1
-    shift = None
-    zeta_log = None
-    if beta is not None:
-        if not isinstance(beta, RatFunc):
-            raise BadInputError("beta must be a RatFunc")
-        bd = beta * RatFunc.of(delta)
-        u, rem = divmod(bd.num, bd.den)
-        shift = u
-        zl = RatFunc(rem, bd.den).v_infinity()
-        zeta_log = -Fraction(zl) if zl is not None else None  # log|zeta| <= -1
-        if zeta_log is not None and zeta_log >= 0:
-            raise InvariantError("fractional part of beta*delta is not < 1")  # pragma: no cover
-    q = a.field.q
-    L = a.deg + certlog.exact_log_q(eps, q)
-    count = _window_count(sols, a, L, shift=shift, zeta_log=zeta_log)
-    bound = Fraction(2**omega) * max(Fraction(1), q * eps * q**g2.deg)
-    return count <= bound and len(classes) <= 2**omega
+# easycounting
 
 
 def easycounting_bound_check(m: Poly, b0: Poly, M_log: Fraction) -> bool:

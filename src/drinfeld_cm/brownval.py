@@ -43,7 +43,7 @@ from .quadfield import Order, value_field
 
 BROWN_DIGITS = 4  # digits past the valuation that the Brown check resolves
 MAX_SEPARATION_DIGITS = 128
-VALUE_CAP = 256  # store entries that hold j-values at once (the queries pool has 115 orders)
+VALUE_CAP = 256  # store entries that hold j-values at once (the queries pool has 341 orders; its 600 requests touch 115)
 
 
 def log_abs_j(pt: CMPoint) -> Fraction:

@@ -488,6 +488,15 @@ class LaurentSeries:
         out[:, :, ::q] = mapped
         return LaurentSeries(fld, q * self.n0, out, prec, reduced=True)
 
+    def conjugate(self) -> "LaurentSeries":
+        """Coefficientwise x -> x^q, the exponents kept: over F_{q^2} the
+        conjugate zbar of z under Gal(F_{q^2}/F_q)."""
+        if not self.comps.shape[2]:
+            return self
+        fld = self.field
+        mapped = (_tensors(fld)["frob"] @ self.comps) % fld.p
+        return LaurentSeries(fld, self.n0, mapped, self.prec, reduced=True)
+
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse of every row by Newton iteration; requires
         finite precision and, in a stack, rows of one valuation."""

@@ -226,7 +226,6 @@ def t_pow_qm1(ctx: EvalContext, z_el, pts: list, d: int, target: Fraction):
 class JValue:
     point: CMPoint
     value: object  # LaurentSeries (inert) or QuadSeries (ramified)
-    v: Fraction
     plan: dict
 
 
@@ -309,7 +308,7 @@ def eval_j_stack(points: list, prec: int, *, cdesc: FieldDesc | None = None) -> 
             margin *= 3
             continue
         _assert_rows(jval, vj, "numeric valuation of j", where)
-        return [JValue(p, jval.take([i]), vj, plan) for i, p in enumerate(points)]
+        return [JValue(p, jval.take([i]), plan) for i, p in enumerate(points)]
     raise PrecisionError(f"could not reach precision {prec} for j at point a={pt.a}")
 
 

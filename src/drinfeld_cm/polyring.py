@@ -17,7 +17,7 @@ it decides every Artin-Schreier question x^2 + x = c mod P, since a root
 exists exactly when the trace of c to F_2 vanishes.  For odd q, chi reads the
 fundamental discriminant D_K that the field holds.  For exhaustive sweeps
 this module keeps tables indexed by integer poly codes: a linear
-smallest-prime sieve, residues mod a and scalar multiples.
+smallest-prime sieve and residues mod a.
 """
 
 from __future__ import annotations
@@ -662,42 +662,28 @@ def factor_with_spf(code: int, table) -> list:
     return items
 
 
-def scale_tables(fld: FieldDesc, n: int) -> list:
-    """For each nonzero scalar c in code order, the list of code(c * r) over the codes r < order^n.
+def residue_table(a: Poly, n: int) -> list:
+    """code(c mod a) for every code c < n, as a list indexed by c.
 
-    Each entry comes from the entry of r div T: one field product per entry.
-    """
-    o = fld.order
-    out = []
-    for sc in range(1, o):
-        row = [0]
-        for r in range(1, o**n):
-            row.append(row[r // o] * o + fld.mul(sc, r % o))
-        out.append(row)
-    return out
-
-
-def residue_table(a: Poly, maxdeg: int) -> list:
-    """code(D mod a) for every monic D of degree <= maxdeg, as a list indexed by code(D).
-
-    Needs deg a >= 1.  With D = T * D' + c0 (code(D) = c0 + order * code(D'),
-    D' = D div T the parent of D), D mod a is T * (D' mod a) mod a, read from
-    one table over the residues, plus c0 on the lowest digit.  Other entries
-    are 0.
+    A residue (code below order^deg a) is its own entry.  Above, with
+    c = T * c' + c0 (code(c) = c0 + order * code(c'), c' = c div T the
+    parent of c), c mod a is T * (c' mod a) mod a, read from one table over
+    the residues, plus c0 on the lowest digit.  A constant a sends every c
+    to 0.
     """
     fld = a.field
     if a.deg < 1:
-        raise BadInputError("residue_table needs deg a >= 1")
+        return [0] * n
     o = fld.order
+    red = list(range(min(n, o**a.deg)))
+    if n <= o**a.deg:
+        return red
     add = fld.add
-    times_t = [poly_code(code_poly(fld, r).shift(1) % a) for r in range(o**a.deg)]
-    red = [0] * (2 * o**maxdeg)
-    red[1] = 1
-    for d in range(1, maxdeg + 1):
-        for c in range(o**d, 2 * o**d):
-            x = times_t[red[c // o]]
-            low = x % o
-            red[c] = x - low + add(low, c % o)
+    times_t = [poly_code(code_poly(fld, r).shift(1) % a) for r in red]
+    for c in range(len(red), n):
+        x = times_t[red[c // o]]
+        low = x % o
+        red.append(x - low + add(low, c % o))
     return red
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import BadInputError, InvariantError, PrecisionError
 from .ffield import FieldDesc, embedding_table, is_square, quadratic_extension
@@ -561,38 +560,14 @@ class QuadSeries:
 # embedding into the completion
 
 
-@lru_cache(maxsize=None)
-def _subfield_decomposition(base: FieldDesc, desc2: FieldDesc):
-    """Tables decomposing F_{q^2} codes as a + u*b with a, b in the image of `base`
-    (F_q in its own presentation, which may have a user-given modulus)."""
-    emb = embedding_table(base, desc2)
-    image = {code: i for i, code in enumerate(emb)}
-    u = next(c for c in range(desc2.order) if c not in image)
-    # solve c = emb[a] + u*emb[b] for each c by iterating the q^2 pairs once
-    table_a = [0] * desc2.order
-    table_b = [0] * desc2.order
-    for a in range(base.order):
-        ea = emb[a]
-        for b in range(base.order):
-            c = desc2.add(ea, desc2.mul(u, emb[b]))
-            table_a[c] = a
-            table_b[c] = b
-    return tuple(table_a), tuple(table_b)
+def imag_part_log(z) -> Fraction | None:
+    """log_q |z|_i: the distance from z to k_infinity; None when z is in k_infinity.
 
-
-def series_component(z: LaurentSeries, which: int, base: FieldDesc) -> LaurentSeries:
-    """Components over `base` = F_q of a series over F_{q^2} w.r.t. a fixed basis {1, u}."""
-    ta, tb = _subfield_decomposition(base, z.field)
-    table = ta if which == 0 else tb
-    codes = [table[z.coeff_code(e)] for e in range(z.n0, z.n0 + z.comps.shape[2])]
-    return LaurentSeries.from_codes(base, z.n0, codes, z.prec)
-
-
-def imag_part_log(z, base: FieldDesc) -> Fraction | None:
-    """log_q |z|_i: the distance from z to k_infinity (k over `base`); None when z is in k_infinity."""
+    A flat z over F_{q^2} has the distance of its xi-part, and that of
+    z - zbar (zbar the coefficientwise conjugate) since u - ubar is a unit
+    for any u outside F_q."""
     if isinstance(z, LaurentSeries):
-        z1 = series_component(z, 1, base)
-        v = z1.valuation()
+        v = (z - z.conjugate()).valuation()
         return -Fraction(v) if v is not None else None
     vy = z.y.valuation()
     if vy is None:
@@ -750,12 +725,10 @@ def _round_flat(s: LaurentSeries, base: FieldDesc):
     if s.field.m == 1:
         return poly, s.prec
     # restrict F_{q^2} coefficients to the F_q image
-    if not series_component(s, 1, base).is_zero_known():
+    back = {c: i for i, c in enumerate(embedding_table(base, s.field))}
+    if any(c not in back for c in poly.coeffs):
         raise InvariantError("coefficient not Galois-stable: F_{q^2}-part is nonzero")
-    poly, tail0 = series_component(s, 0, base).polynomial_part()
-    if tail0 is not None:
-        raise InvariantError("unexpected tail after component split")  # pragma: no cover
-    return poly, s.prec
+    return Poly(base, [back[c] for c in poly.coeffs]), s.prec
 
 
 def round_to_A(z, base: FieldDesc):

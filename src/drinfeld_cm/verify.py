@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from . import certlog
+from .errors import InvariantError
 from .ffield import FieldDesc, embedding_table, field, quadratic_extension
 from . import polyring as pr
 from . import bounds as bnd
@@ -109,114 +112,195 @@ def check_class_numbers(base: FieldDesc, d_bound: int) -> dict:
     return {"name": "class-numbers", "ok": True, **counts}
 
 
-EPS_LOGS = (0, -1, -2)  # the windows eps = 1, 1/q, 1/q^2 of the odd counting lemma
+EPS_LOGS = (0, -1, -2)  # the windows eps = 1, 1/q, 1/q^2 of the counting lemma
 
 
-def square_roots(a: pr.Poly) -> dict:
-    """Residue code of b^2 mod a -> the codes of every b with deg b < deg a and that square."""
-    fld = a.field
-    roots: dict = {}
-    for r in range(fld.order**a.deg):
-        b = pr.code_poly(fld, r)
-        roots.setdefault(pr.poly_code((b * b) % a), []).append(r)
-    return roots
+def value_table(a: pr.Poly, delta: pr.Poly) -> np.ndarray:
+    """code((b^2 + delta b) mod a) for every residue b mod a, indexed by code(b).
 
-
-def window_counts(roots, deg_a: int, order: int) -> list:
-    """For each eps = q^el of EPS_LOGS, how many of the root codes b have deg b < deg a + el.
-
-    The codes below order^L are exactly the b of degree < L, b = 0 included.
+    For p = 2 the map b -> b^2 + delta b is additive and the bits of a code
+    are its coordinates over F_2, so the table is built by doubling: the
+    entries below 2^(i+1) are those below 2^i XOR the image of bit i.
+    Otherwise it takes one product per residue.
     """
-    return [sum(1 for b in roots if b < order ** max(0, deg_a + el)) for el in EPS_LOGS]
+    fld = a.field
+    if fld.p != 2:
+        return np.array([pr.poly_code((b * (b + delta)) % a) for b in pr.all_of_degree_less(fld, a.deg)])
+    table = np.zeros(fld.order**a.deg, dtype=np.int64)
+    bit = 1
+    while bit < len(table):
+        b = pr.code_poly(fld, bit)
+        table[bit : 2 * bit] = table[:bit] ^ pr.poly_code((b * (b + delta)) % a)
+        bit *= 2
+    return table
+
+
+def counting_bound(omega: int, q: int, el, g2_deg):
+    """2^omega(a) max(1, q eps |gcd_2|) for eps = q^el: the counting lemma's
+    bound on the solutions in the window (elementwise on arrays)."""
+    return 2**omega * q ** np.maximum(0, 1 + el + g2_deg)
+
+
+def window_counts(table: np.ndarray, deg_a: int, order: int, shift: int = 0, zeta_log=None) -> np.ndarray:
+    """counts[i, r]: how many residues b with table[b] = r lie in the window
+    |b + beta delta| < q^el |a|, el = EPS_LOGS[i].
+
+    Write beta delta = u + zeta with u in A and |zeta| < 1: `shift` is the
+    code of u mod a, added to b by XOR (the shifted windows are those of
+    characteristic 2), and zeta_log = log_q |zeta|, None for zeta = 0.  A
+    nonzero b' = b + u mod a is inside when deg b' < deg a + el, and b' = 0
+    stands for zeta.  With no shift this counts the b of degree
+    < deg a + el, b = 0 included.
+    """
+    moved = np.arange(len(table)) ^ shift
+    rows = []
+    for el in EPS_LOGS:
+        inside = moved < order ** max(0, deg_a + el)
+        if zeta_log is not None and zeta_log >= deg_a + el:
+            inside &= moved != 0
+        rows.append(np.bincount(table[inside], minlength=len(table)))
+    return np.array(rows)
+
+
+def crt_reductions(a: pr.Poly, moduli: list) -> list:
+    """code(b mod m) for every residue b mod a, one array per modulus m.
+
+    InvariantError unless the residues mod a map one-to-one onto the tuples
+    of residues mod the moduli (the prime powers P^s || a).
+    """
+    size = a.field.order**a.deg
+    reductions = [np.array(pr.residue_table(m, size)) for m in moduli]
+    key = np.zeros(size, dtype=np.int64)
+    for m, red in zip(moduli, reductions):
+        key = key * a.field.order**m.deg + red
+    if len(np.unique(key)) != size:
+        raise InvariantError(f"the residues mod {a} are not the tuples of residues mod its prime powers")
+    return reductions
+
+
+def check_crt(table: np.ndarray, reductions: list, local_tables: list) -> None:
+    """InvariantError unless every value of the table mod a reduces, mod each
+    prime power P^s || a, to the value of the local table at b mod P^s.
+
+    With `crt_reductions` this is the CRT cross-check for every mu at once:
+    the solutions of b^2 + delta b = mu mod a read from the table are then
+    exactly the CRT gluings of the local solutions.
+    """
+    for red, local in zip(reductions, local_tables):
+        if not np.array_equal(red[table], local[red]):
+            raise InvariantError("a value mod a does not reduce to its value mod a prime power of a")
 
 
 def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 6, *, max_deg_m: int = 4) -> dict:
-    """Exhaustive oracle equivalence for the congruence-counting lemmas; the
-    easycounting bound is checked on every monic m of degree <= max_deg_m.
+    """The congruence-counting lemma, exhaustively, and the easycounting bound
+    on every monic m of degree <= max_deg_m.
 
-    For odd q, each pair (a, D) is every monic a of degree <= max_deg_a
-    against every nonzero D of degree <= max_deg_d, handled on poly codes:
-    D mod a comes from pr.residue_table, the scalar multiples of it from one
-    digit table per scalar, and the factorizations from pr.spf_table.
+    One rule in both characteristics: for every monic a of degree
+    <= max_deg_a, every delta of the characteristic's delta-set and every mu,
+    the solutions b mod a of b^2 + delta b = mu lie in at most 2^omega(a)
+    classes modulo m = a / gcd_2(a, delta^2 + 4 mu) and fill every class they
+    meet, and at most 2^omega(a) q^max(0, 1 + el + deg gcd_2) of them lie in
+    the window |b| < q^el |a|, for each el of EPS_LOGS.  For odd q the
+    delta-set is {0} (b^2 = D is the case delta = 0) and mu = D runs over
+    the nonzero polynomials of degree <= max_deg_d.  For even q delta runs
+    over the nonzero polynomials of degree <= 2 and mu over all of degree
+    <= 3, so max_deg_d sizes D for odd q only; the two beta rows of each a
+    also count the shifted window |b + beta delta| < eps |a|.
+
+    Each (a, delta) makes one table of code((b^2 + delta b) mod a) over the
+    residues b (`value_table`), and every mu reads its solutions, window
+    counts and class checks from it.  For composite a the table is checked
+    against the tables mod the prime powers of a (`check_crt`); the local
+    tables are made once per (P^s, delta).  A pair is one (a, delta, mu).
     """
-    q = base.q
-    pairs = 0
-    if base.p != 2:
-        o = base.order
-        table = pr.spf_table(base, max(max_deg_a, max_deg_d))
-        facts = {}  # code of monic D -> {prime code: exponent}
-        for dd in range(0, max_deg_d + 1):
-            for c in range(o**dd, 2 * o**dd):
-                facts[c] = dict(pr.factor_with_spf(c, table))
-        scaled = pr.scale_tables(base, max_deg_a)
-        for da in range(0, max_deg_a + 1):
-            for a in pr.monic_of_degree(base, da):
-                red = pr.residue_table(a, max_deg_d) if da > 0 else None
-                roots = square_roots(a)
-                items = pr.factor_with_spf(pr.poly_code(a), table)
-                omega = len(items)
-                # gcd_2(a, D) depends only on the monic part of D, and only on
-                # the primes whose square divides a
-                halves = [(pc, s // 2, pr.code_poly(base, pc)) for pc, s in items if s >= 2]
-                bounds_of: dict = {}  # deg gcd_2(a, D) -> the bound 2^omega q^max(0, 1 + el + deg) per el
-                window_memo: dict = {}
-                class_memo: dict = {}
-                for dd in range(0, max_deg_d + 1):
-                    for dc in range(o**dd, 2 * o**dd):
-                        if halves:
-                            Dm_facts = facts[dc]
-                            caps = tuple(min(Dm_facts.get(pc, 0) // 2, h) for pc, h, _P in halves)
-                            g2d = sum(k * P.deg for k, (_pc, _h, P) in zip(caps, halves))
-                        else:
-                            caps, g2d = (), 0
-                        bounds = bounds_of.get(g2d)
-                        if bounds is None:
-                            bounds = bounds_of[g2d] = [2**omega * q ** max(0, 1 + el + g2d) for el in EPS_LOGS]
-                        r = red[dc] if da > 0 else 0
-                        for sc, row in enumerate(scaled, 1):
-                            D_scaled_code = row[r]
-                            pairs += 1
-                            counts = window_memo.get(D_scaled_code)
-                            if counts is None:
-                                counts = window_memo[D_scaled_code] = window_counts(roots.get(D_scaled_code, ()), da, o)
-                            if da > 0:
-                                key = (D_scaled_code, caps)
-                                okc = class_memo.get(key)
-                                if okc is None:
-                                    sols = roots.get(D_scaled_code, ())
-                                    okc = True
-                                    if sols:
-                                        g2 = pr.one(base)
-                                        for k, (_pc, _h, P) in zip(caps, halves):
-                                            if k:
-                                                g2 = g2 * P**k
-                                        m_cls = a // g2
-                                        ncls = len({pr.poly_code(pr.code_poly(base, b) % m_cls) for b in sols})
-                                        okc = ncls <= 2**omega and len(sols) == ncls * q ** (a.deg - m_cls.deg)
-                                    class_memo[key] = okc
-                                if not okc:
-                                    Dm = pr.code_poly(base, dc)
-                                    return {"name": "counting", "ok": False, "fail": f"classes/cover a={a} D~{Dm}*{sc}"}
-                            for el, cnt, bound in zip(EPS_LOGS, counts, bounds):
-                                if cnt > bound:
-                                    Dm = pr.code_poly(base, dc)
-                                    return {"name": "counting", "ok": False, "fail": f"bound a={a} D~{Dm}*{sc} eps=q^{el}"}
+    q, o = base.q, base.order
+    even = base.p == 2
+    mu_deg = 3 if even else max_deg_d
+    mus = np.arange(0 if even else 1, o ** (mu_deg + 1))
+    # the monic part of delta^2 + 4 mu for every (delta, mu), as an index into
+    # disc_codes: delta^2 for p = 2, and mu's own monic part for delta = 0
+    if even:
+        deltas = [pr.code_poly(base, c) for c in range(1, o**3)]
+        discs = [pr.poly_code((d * d).monic()) for d in deltas]
+        disc_codes = sorted(set(discs))
+        disc_index = [np.full(len(mus), disc_codes.index(c)) for c in discs]
     else:
-        eps_list = [Fraction(1), Fraction(1, q)]
-        betas = [None, RatFunc(pr.one(base), pr.parse_poly(base, "T")), RatFunc(pr.parse_poly(base, "T+1"), pr.parse_poly(base, "T^2"))]
-        for da in range(0, max_deg_a + 1):
-            for a in pr.monic_of_degree(base, da):
-                for delta in _all_nonzero(base, 2):
-                    for mu in _all_of_deg_at_most(base, 3):
-                        pairs += 1
-                        if not bnd.count_congruence_even(a, delta, mu, Fraction(1)):
-                            return {"name": "counting", "ok": False, "fail": f"a={a} delta={delta} mu={mu}"}
-                for delta, mu, beta, eps in [
-                    (pr.parse_poly(base, "T"), pr.one(base), betas[1], Fraction(1)),
-                    (pr.parse_poly(base, "T+1"), pr.parse_poly(base, "T"), betas[2], Fraction(1, q)),
-                ]:
-                    if not bnd.count_congruence_even(a, delta, mu, eps, beta=beta):
-                        return {"name": "counting", "ok": False, "fail": f"beta case a={a}"}
+        deltas = [pr.zero(base)]
+        monic_parts = [pr.poly_code(pr.code_poly(base, int(c)).monic()) for c in mus]
+        disc_codes = sorted(set(monic_parts))
+        index_of = {c: i for i, c in enumerate(disc_codes)}
+        disc_index = [np.array([index_of[c] for c in monic_parts])]
+    spf = pr.spf_table(base, max(max_deg_a, 4 if even else max_deg_d))
+    disc_facts = [dict(pr.factor_with_spf(c, spf)) for c in disc_codes]
+    beta_rows = {}  # code of delta -> (mu, u, log_q |zeta|, el) with beta delta = u + zeta
+    if even:
+        t, one = pr.T(base), pr.one(base)
+        for delta, mu, beta, el in ((t, one, RatFunc(one, t), 0), (t + one, t, RatFunc(t + one, t * t), -1)):
+            bd = beta * RatFunc.of(delta)
+            u, rem = divmod(bd.num, bd.den)
+            zl = RatFunc(rem, bd.den).v_infinity()
+            beta_rows[pr.poly_code(delta)] = (mu, u, None if zl is None else -zl, el)
+    els = np.array(EPS_LOGS)[:, None]
+    local_tables: dict = {}  # (code of P^s, code of delta) -> value_table(P^s, delta)
+    pairs = 0
+    for da in range(max_deg_a + 1):
+        size = o**da
+        for a in pr.monic_of_degree(base, da):
+            items = pr.factor_with_spf(pr.poly_code(a), spf)
+            omega = len(items)
+            parts = [pr.code_poly(base, pc) ** s for pc, s in items]
+            reductions = crt_reductions(a, parts) if len(parts) > 1 else []
+            # gcd_2(a, disc) depends only on the exponents of disc at the primes
+            # whose square divides a: the discs that agree there form one group
+            halves = [(pc, s // 2) for pc, s in items if s >= 2]
+            caps_of = [()] * len(disc_facts)
+            if halves:
+                caps_of = [tuple(min(f.get(pc, 0) // 2, h) for pc, h in halves) for f in disc_facts]
+            kinds = list(dict.fromkeys(caps_of))
+            group = np.array([kinds.index(caps) for caps in caps_of])
+            classes = []  # per group: (deg gcd_2, code of b mod a / gcd_2 for every residue b)
+            for caps in kinds:
+                g2 = pr.gcd2(a, pr.code_poly(base, disc_codes[caps_of.index(caps)]))
+                classes.append((g2.deg, np.array(pr.residue_table(a // g2, size))))
+            g2_deg = np.array([g2d for g2d, _ in classes])
+            res = np.array(pr.residue_table(a, o ** (mu_deg + 1)))[mus]  # code of mu mod a
+            for delta, index in zip(deltas, disc_index):
+                dc = pr.poly_code(delta)
+                table = value_table(a, delta)
+                local = []
+                for m in parts if reductions else ():
+                    key = (pr.poly_code(m), dc)
+                    if key not in local_tables:
+                        local_tables[key] = value_table(m, delta)
+                    local.append(local_tables[key])
+                check_crt(table, reductions, local)
+                counts = window_counts(table, da, o)
+                mu_group = group[index]
+                bad = np.zeros(len(mus), dtype=bool)
+                for k in np.unique(mu_group):
+                    g2d, cls = classes[k]
+                    if not g2d:  # the classes mod a itself: one per solution
+                        ncls = counts[0]
+                    else:
+                        ncls = np.bincount(np.unique(table * size + cls) // size, minlength=size)
+                    ok = (ncls <= 2**omega) & (counts[0] == ncls * o**g2d)
+                    bad |= (mu_group == k) & ~ok[res]
+                over = counts[:, res] > counting_bound(omega, q, els, g2_deg[mu_group])
+                failing = bad | over.any(axis=0)
+                if failing.any():
+                    i = int(failing.argmax())
+                    at = f"a={a} delta={delta} mu={pr.code_poly(base, int(mus[i]))}"
+                    if bad[i]:
+                        return {"name": "counting", "ok": False, "fail": f"classes/cover {at}"}
+                    el = EPS_LOGS[int(over[:, i].argmax())]
+                    return {"name": "counting", "ok": False, "fail": f"bound {at} eps=q^{el}"}
+                pairs += len(mus)
+                if dc in beta_rows:
+                    mu, u, zeta_log, el = beta_rows[dc]
+                    shifted = window_counts(table, da, o, pr.poly_code(u % a), zeta_log)
+                    g2d = g2_deg[mu_group[pr.poly_code(mu) - mus[0]]]
+                    if shifted[EPS_LOGS.index(el), pr.poly_code(mu % a)] > counting_bound(omega, q, el, g2d):
+                        return {"name": "counting", "ok": False, "fail": f"beta case a={a} delta={delta}"}
     # easycounting, exhaustively for deg m <= max_deg_m
     for dm in range(0, max_deg_m + 1):
         for m in pr.monic_of_degree(base, dm):
@@ -225,18 +309,6 @@ def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 
                     if not bnd.easycounting_bound_check(m, b0, Mlog):
                         return {"name": "counting", "ok": False, "fail": f"easycounting m={m}"}
     return {"name": "counting", "ok": True, "pairs": pairs}
-
-
-def _all_nonzero(base: FieldDesc, maxdeg: int):
-    for d in range(0, maxdeg + 1):
-        for m in pr.monic_of_degree(base, d):
-            for s in range(1, base.order):
-                yield m.scale(s)
-
-
-def _all_of_deg_at_most(base: FieldDesc, maxdeg: int):
-    yield pr.zero(base)
-    yield from _all_nonzero(base, maxdeg)
 
 
 def divisor_stats(items, norms) -> tuple:

@@ -330,19 +330,13 @@ def test_factor_with_spf_rejects_codes_outside_the_table():
 
 
 @pytest.mark.parametrize("fld", [F3, field(2, 2)])
-def test_residue_and_scale_tables_agree_with_division(fld):
-    monic_d = [(pr.poly_code(D), D) for d in range(7) for D in pr.monic_of_degree(fld, d)]
-    for da in range(1, 4):
+def test_residue_table_agrees_with_division(fld):
+    polys = list(pr.all_of_degree_less(fld, 7 if fld.p == 3 else 5))  # every mu code of the lemma suites
+    for da in range(4):
         for a in pr.monic_of_degree(fld, da):
-            red = pr.residue_table(a, 6)
-            for c, D in monic_d:
-                assert red[c] == pr.poly_code(D % a)
-    rows = pr.scale_tables(fld, 3)
-    assert len(rows) == fld.order - 1
-    for sc, row in enumerate(rows, 1):
-        assert row == [pr.poly_code(b.scale(sc)) for b in pr.all_of_degree_less(fld, 3)]
-    with pytest.raises(BadInputError):
-        pr.residue_table(pr.one(fld), 2)
+            red = pr.residue_table(a, len(polys))
+            assert red == [pr.poly_code(D % a) for D in polys]
+    assert pr.residue_table(pr.T(fld), 1) == [0]
 
 
 def test_parse_format_roundtrip():

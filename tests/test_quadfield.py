@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from drinfeld_cm.errors import BadInputError, InvariantError
-from drinfeld_cm.ffield import field, quadratic_extension
+from drinfeld_cm.ffield import embedding_table, field, quadratic_extension
 from drinfeld_cm.laurent import LaurentSeries
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.quadfield import (
@@ -19,6 +19,7 @@ from drinfeld_cm.quadfield import (
     lattice_dist_log,
     order_from,
     order_from_discriminant,
+    round_to_A,
     validate_field,
     xi_series,
 )
@@ -345,14 +346,30 @@ def test_imag_and_lattice_size():
     k = validate_field(F3, "odd", D=P(F3, "T-T^2"))
     z = el(k, "0", "1")
     flat = embed([z], 25)
-    assert imag_part_log(flat, F3) == 1
+    assert imag_part_log(flat) == 1
     assert lattice_dist_log(flat, 2, F3) == 1
     # ramified: z = sqrt(T)
     k2 = validate_field(F3, "odd", D=P(F3, "T"))
     z2 = el(k2, "0", "1")
     e2 = embed([z2], 25)
-    assert imag_part_log(e2, F3) == Fraction(1, 2)
+    assert imag_part_log(e2) == Fraction(1, 2)
     assert lattice_dist_log(e2, 2, F3) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("base", [F3, field(3, 2, 1, (2, 1, 1)), field(2, 2)])
+def test_round_to_a_reads_coefficients_in_the_base_presentation(base):
+    # a flat value over F_{q^2} rounds to the Poly over the order's F_q whose
+    # embedded coefficients it has; a coefficient outside F_q is an error
+    ext = quadratic_extension(base)
+    emb = embedding_table(base, ext)
+    rng = random.Random(base.order)
+    for _ in range(20):
+        poly = pr.Poly(base, [rng.randrange(base.order) for _ in range(4)])
+        s = LaurentSeries.from_poly(poly, ext).truncate(8)
+        assert round_to_A(s, base) == (poly, 8)
+        outside = next(c for c in rng.sample(range(ext.order), ext.order) if c not in emb)
+        with pytest.raises(InvariantError, match="Galois-stable"):
+            round_to_A(s + LaurentSeries.constant(ext, outside), base)
 
 
 def sep4(B, C):

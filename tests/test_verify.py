@@ -1,8 +1,25 @@
+from fractions import Fraction
+from itertools import product
+
+import numpy as np
 import pytest
 
+from drinfeld_cm.errors import InvariantError
 from drinfeld_cm.ffield import field
 from drinfeld_cm import polyring as pr
-from drinfeld_cm.verify import EPS_LOGS, check_analytic_lemmas, check_counting_lemmas, square_roots, window_counts
+from drinfeld_cm.quadfield import RatFunc
+from drinfeld_cm.verify import (
+    EPS_LOGS,
+    check_analytic_lemmas,
+    check_counting_lemmas,
+    check_crt,
+    counting_bound,
+    crt_reductions,
+    value_table,
+    window_counts,
+)
+
+FIELDS = {2: field(2), 3: field(3), 4: field(2, 2), 5: field(5)}
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -26,25 +43,103 @@ def test_counting_lemmas_tiny(q):
     assert rep["pairs"] == monic_a * monic_d * (q - 1)
 
 
-@pytest.mark.parametrize("q", [3, 5])
+def brute_window(sols, a, el, u=None, zeta_log=None):
+    """How many residues b of `sols` have |b + beta delta| < q^el |a|, with
+    beta delta = u + zeta, |zeta| = q^zeta_log (zeta = 0 when zeta_log is
+    None): b' = (b + u) mod a has size |b'|, or |zeta| when b' = 0."""
+    L = a.deg + el
+    count = 0
+    for b in sols:
+        moved = (b + u) % a if u is not None else b
+        if moved.is_zero():
+            count += zeta_log is None or zeta_log < L
+        else:
+            count += moved.deg < L
+    return count
+
+
+@pytest.mark.parametrize("q", [3, 5, 2, 4])
 def test_window_counts_match_brute_force(q):
-    # the suite's path: D mod a from the residue table, scaled by a digit table,
-    # then the window count over the square roots of the residue
-    fld = field(q)
-    rows = pr.scale_tables(fld, 2)
+    # the suite's path against a direct enumeration of the residues b mod a:
+    # mu mod a from the residue table, its solutions and its window counts
+    # from the table of b^2 + delta b mod a
+    fld = FIELDS[q]
+    even = fld.p == 2
+    mu_deg = 3  # deg mu <= 3 for even q, deg D <= 3 for odd q
+    mus = [pr.code_poly(fld, c) for c in range(0 if even else 1, q ** (mu_deg + 1))]
+    deltas = [pr.code_poly(fld, c) for c in range(1, q**3)] if even else [pr.zero(fld)]
+    t, one = pr.T(fld), pr.one(fld)
+    # the two beta rows of even q: (delta, mu, u, log_q |zeta|, el) with beta delta = u + zeta
+    beta_rows = []
+    rows = ((t, one, RatFunc(one, t), 0), (t + one, t, RatFunc(t + one, t * t), -1))
+    for delta, mu, beta, el in rows if even else ():
+        bd = beta * RatFunc.of(delta)
+        u, rem = divmod(bd.num, bd.den)
+        zl = RatFunc(rem, bd.den).v_infinity()
+        beta_rows.append((delta, mu, u, None if zl is None else -zl, el))
+    assert [(u, z) for _, _, u, z, _ in beta_rows] == ([(one, None), (one, -2)] if even else [])
+    checked = 0
     for da in range(3):
         for a in pr.monic_of_degree(fld, da):
-            roots = square_roots(a)
-            red = pr.residue_table(a, 3) if da else None
-            squares = [(b, (b * b) % a) for b in pr.all_of_degree_less(fld, da)]
-            for dd in range(4):
-                for Dm in pr.monic_of_degree(fld, dd):
-                    for sc, row in enumerate(rows, 1):
-                        r = Dm.scale(sc) % a
-                        expect = [sum(1 for b, sq in squares if sq == r and b.deg < da + el) for el in EPS_LOGS]
-                        code = row[red[pr.poly_code(Dm)]] if da else 0
-                        assert code == pr.poly_code(r)
-                        assert window_counts(roots.get(code, ()), da, q) == expect
+            res = pr.residue_table(a, q ** (mu_deg + 1))
+            mu_mod_a = [(pr.poly_code(mu), pr.poly_code(mu % a)) for mu in mus]
+            residues = list(pr.all_of_degree_less(fld, da))
+            for delta in deltas:
+                table = value_table(a, delta)
+                counts = window_counts(table, da, q)
+                direct: dict = {}
+                for b in residues:
+                    direct.setdefault(pr.poly_code((b * b + delta * b) % a), []).append(b)
+                read = {r: np.flatnonzero(table == r).tolist() for r in range(len(table))}
+                expect = {r: [pr.poly_code(b) for b in direct.get(r, [])] for r in range(len(table))}
+                windows = {r: [brute_window(direct.get(r, []), a, el) for el in EPS_LOGS] for r in range(len(table))}
+                for code, r in mu_mod_a:
+                    assert res[code] == r
+                    assert read[res[code]] == expect[r]
+                    assert counts[:, res[code]].tolist() == windows[r]
+                    checked += 1
+                for d, mu, u, zeta_log, el in beta_rows:
+                    if d == delta:
+                        sols = direct.get(pr.poly_code(mu % a), [])
+                        shifted = window_counts(table, da, q, pr.poly_code(u % a), zeta_log)
+                        want = [brute_window(sols, a, e, u, zeta_log) for e in EPS_LOGS]
+                        assert shifted[:, pr.poly_code(mu % a)].tolist() == want
+    assert checked == sum(q**d for d in range(3)) * len(deltas) * len(mus)
+
+
+@pytest.mark.parametrize(
+    "q, a_text, delta_text",
+    [(2, "T^3+T", "T"), (2, "T^4+T^2+T", "T^2+1"), (3, "T^3+T^2", "0"), (4, "T^2+T", "2*T+3"), (5, "T^3+T", "0")],
+)
+def test_crt_check_catches_a_perturbed_entry(q, a_text, delta_text):
+    fld = FIELDS[q]
+    a = pr.parse_poly(fld, a_text)
+    delta = pr.parse_poly(fld, delta_text)
+    parts = [P**s for P, s in pr.factor(a)[1]]
+    assert len(parts) >= 2
+    reductions = crt_reductions(a, parts)
+    local = [value_table(m, delta) for m in parts]
+    table = value_table(a, delta)
+    check_crt(table, reductions, local)
+    for b in range(len(table)):
+        bad = table.copy()
+        bad[b] = (bad[b] + 1) % len(table)
+        with pytest.raises(InvariantError):
+            check_crt(bad, reductions, local)
+
+
+def test_crt_reductions_need_coprime_moduli():
+    fld = field(3)
+    t = pr.T(fld)
+    with pytest.raises(InvariantError):
+        crt_reductions(t * t, [t, t])
+
+
+def test_counting_bound_is_the_lemmas():
+    # 2^omega max(1, q eps |gcd_2|) with eps = q^el, in exact arithmetic
+    for omega, q, el, g2_deg in product(range(3), (2, 3, 4, 5), EPS_LOGS, range(3)):
+        want = 2**omega * max(1, q * Fraction(q) ** el * q**g2_deg)
+        assert counting_bound(omega, q, el, g2_deg) == want
 
 
 def test_counting_lemmas_even_q_above_2():
@@ -52,3 +147,24 @@ def test_counting_lemmas_even_q_above_2():
     # every nonzero delta of degree <= 2 and mu of degree <= 3
     rep = check_counting_lemmas(field(2, 2), 0, 0, max_deg_m=1)
     assert rep == {"name": "counting", "ok": True, "pairs": 16128}
+
+
+def test_counting_lemmas_f2_default_sizes():
+    # every monic a of degree <= 5, nonzero delta of degree <= 2, mu of degree <= 3
+    assert check_counting_lemmas(field(2)) == {"name": "counting", "ok": True, "pairs": 63 * 7 * 16}
+
+
+def test_counting_reads_tables_not_one_division_per_mu(monkeypatch):
+    # 21 monic a x 63 delta x 256 mu: the table path divides O(#(a, delta))
+    # times, so a path that divides once per mu cannot come back unnoticed
+    calls = []
+    real = pr.Poly.__divmod__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(pr.Poly, "__divmod__", counting)
+    rep = check_counting_lemmas(field(2, 2), 2, 0, max_deg_m=0)
+    assert rep == {"name": "counting", "ok": True, "pairs": 338688}
+    assert len(calls) < 338688 // 10
