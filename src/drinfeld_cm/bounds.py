@@ -14,13 +14,12 @@ from fractions import Fraction
 from . import certlog
 from .certlog import Interval
 from .brownval import OrderCM, moduli_of, ramified_nonunit_certificate, weil_height
-from .classno import class_number
 from .errors import BadInputError, InvariantError
 from .ffield import FieldDesc, quadratic_extension
 from .modforms import hilbert_constant_degree, hilbert_poly, unit_check
 from . import polyring as pr
 from .polyring import Poly
-from .quadfield import Order, flat_part, product
+from .quadfield import Order, flat_part, product, restrict_to_base
 from .sweeps import iter_orders, modulus_records, order_report
 
 HIT_GUARD = 12  # fractional digits of a pair's product that must be known before it counts as a hit
@@ -69,7 +68,7 @@ def upper_bound_h(order: Order, eps: Fraction) -> dict:
         raise BadInputError("requires |D| >= q^4")
     if not (0 < eps <= 1):
         raise BadInputError("0 < eps <= 1 required")
-    h = class_number(order)
+    h = len(moduli_of(order))
     sqrt_D = Fraction(q) ** (d // 2)
     loglog = certlog.log_q(Fraction(d, 2), q)  # log_q log_q sqrt|D|
     expo = Interval.point(Fraction(15 * d, 2)) / loglog
@@ -86,10 +85,10 @@ def upper_bound_h(order: Order, eps: Fraction) -> dict:
 def lower_bounds_h(order: Order) -> dict:
     """The two unconditional lower bounds (and the easy one), as safe intervals.
 
-    The class number is agreed on every call; the bounds are held on the
-    order's OrderCM once computed.
+    The class count is certified (`moduli_of`) on every call; the bounds are
+    held on the order's OrderCM once computed.
     """
-    h = class_number(order)
+    h = len(moduli_of(order))
     cm = OrderCM.of(order)
     if cm.height_bounds is None:
         cm.height_bounds = _lower_bounds_h(order, h)
@@ -319,6 +318,9 @@ def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
         poly, tail = flat.polynomial_part()
         if tail is not None:
             continue  # nonzero fractional digit: certified non-hit
+        poly = restrict_to_base(poly, base)
+        if poly is None:
+            continue  # a coefficient outside F_q: gamma is not in A, a certified non-hit
         if flat.prec is not None and flat.prec < HIT_GUARD:
             skipped.append(
                 {"pair": [r1.label, r2.label], "reason": f"precision {flat.prec} below guard {HIT_GUARD}"}

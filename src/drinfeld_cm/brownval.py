@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BadInputError, InvariantError, PrecisionError
-from .classno import class_number_by_conductor
+from . import classno
 from .cmpoints import CMPoint, enumerate_points, point_form
 from .ffield import FieldDesc
 from .quadfield import Order, value_field
@@ -301,7 +301,7 @@ class OrderCM:
 
     def class_number_by_conductor(self) -> int:
         if self._h_conductor is None:
-            self._h_conductor = class_number_by_conductor(self.order)
+            self._h_conductor = classno.class_number_by_conductor(self.order)
         return self._h_conductor
 
 
@@ -334,21 +334,22 @@ def _cross_check(cm: OrderCM, mods: list) -> None:
             digits *= 2
 
 
-def moduli_of(order: Order, *, value_prec: int | None = None, expected: int | None = None) -> list:
-    """The distinct singular moduli of an order, one per exact conjugate class.
+def moduli_of(order: Order, *, value_prec: int | None = None) -> list:
+    """The distinct singular moduli of an order, one per exact conjugate class:
+    the one certification of the class count.
 
-    `expected` (a class number from an independent route) must equal the
-    number of classes.  Until a call succeeds, each call cross-checks the
-    classes numerically; the first that passes stores the moduli on the
+    Every call compares the number of classes with the order's conductor
+    count (`OrderCM.class_number_by_conductor`), held moduli included.
+    Until a call succeeds, each call also cross-checks the classes
+    numerically; the first that passes both checks stores the moduli on the
     order's OrderCM.  With `value_prec`, each modulus carries the j-value of
     its first point to that precision.
     """
     cm = OrderCM.of(order)
     mods = cm.moduli if cm.moduli is not None else cm.exact_moduli()
-    if expected is not None and len(mods) != expected:
-        raise InvariantError(
-            f"distinct-moduli count {len(mods)} disagrees with the independent class number {expected}"
-        )
+    h = cm.class_number_by_conductor()
+    if len(mods) != h:
+        raise InvariantError(f"distinct-moduli count {len(mods)} disagrees with the conductor class number {h}")
     if cm.moduli is None:
         _cross_check(cm, mods)
         cm.moduli = mods

@@ -1,15 +1,19 @@
-"""Class numbers by three independent routes.
+"""Class numbers by two routes, and the class-number bound.
 
-Route 1 (orbit): the number of distinct singular moduli of the order, i.e. of
-exact conjugate classes of its reduced CM points (see `brownval`).
-Route 2 (conductor): h(O) = h(O_K) |f| / [O_K^x : O^x] * prod_{P | f} (1 - chi(P)/|P|).
-Route 3 (L-function, inert separable maximal orders): the character sum
-Lambda(chi, t) = sum_{deg a <= 2g+1} chi(a) t^(deg a) = (1 + t) L_K(t), with
-h_K = q^(g+1) Lambda(1/q)/(q+1) and h(O_K) = 2 h_K because infinity is inert.
-The field holds these L-data (`l_data`), so route 2 and route 3 read one
-computation per field.
+Route 1 (conductor): h(O) = h(O_K) |f| / [O_K^x : O^x] * prod_{P | f} (1 - chi(P)/|P|).
+Route 2 (L-function, every separable field but F_{q^2}(T)): the character sum
+Lambda(chi, t) = sum_{deg a <= top} chi(a) t^(deg a) over the monic a.  With
+2g = deg D_K - 2 + d_inf, where d_inf is the different exponent at infinity
+(0 inert, 1 for odd q ramified, deg B - deg C + 1 for even q ramified):
+- infinity inert: top = 2g + 1, Lambda = (1 + t) L_K(t), and h(O_K) = 2 h_K;
+- infinity ramified: top = 2g, Lambda = L_K(t), and h(O_K) = h_K;
+with h_K = L_K(1) (Rosen, Number Theory in Function Fields, ch. 14 and 17).
+The field holds these L-data (`l_data`), and route 1 reads h(O_K) from them,
+so h(O_K) never rests on the singular moduli.  The printed `l_route` of an
+inert maximal order is therefore the conductor route itself.
 
-All three must agree; the CLI treats disagreement as a hard error.
+The count of exact conjugate classes (the orbit route) is checked against
+route 1 in one place, `brownval.moduli_of`.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ from fractions import Fraction
 
 from .errors import BadInputError, InvariantError
 from . import polyring as pr
-from .quadfield import Order, QuadField, order_from
-from .sweeps import order_report
+from .quadfield import Order, QuadField
 
 
 @dataclass
@@ -28,20 +31,15 @@ class LPolyData:
     field: QuadField
     g_K: int
     lam: list  # integer coefficients of Lambda(chi, t), low to high
+    L: list  # integer coefficients of L_K(t), low to high
     h_K: int
     h_OK: int
 
     def functional_equation_residual(self) -> list:
         """Coefficients of L(t) - q^g t^(2g) L(1/(qt)); all must be 0."""
-        L = _divide_by_one_plus_t(self.lam)
-        g = self.g_K
-        q = self.field.base.q
-        out = []
-        for j in range(2 * g + 1):
-            lhs = Fraction(L[j])
-            rhs = Fraction(L[2 * g - j], q ** (g - j)) if g - j >= 0 else Fraction(L[2 * g - j]) * q ** (j - g)
-            out.append(lhs - rhs)
-        return out
+        g, L = self.g_K, self.L
+        q = Fraction(self.field.base.q)
+        return [L[j] - L[2 * g - j] * q ** (j - g) for j in range(2 * g + 1)]
 
 
 def _divide_by_one_plus_t(lam: list) -> list:
@@ -57,23 +55,12 @@ def _divide_by_one_plus_t(lam: list) -> list:
     return list(reversed(acc[:-1]))
 
 
-def class_number_by_orbit(order: Order, expected: int | None = None) -> int:
-    """The number of exact conjugate classes."""
-    from .brownval import moduli_of
-
-    return len(moduli_of(order, expected=expected))
-
-
 def maximal_class_number(field: QuadField) -> int:
-    """h(O_K): the L-route when inert separable, the orbit route when ramified."""
-    if field.is_constant_extension:
+    """h(O_K): 1 for F_{q^2}(T) and for F_q(sqrt(T)), whose rings of integers
+    are polynomial rings, and the L-route for every other field."""
+    if field.is_constant_extension or field.flavor == "even_insep":
         return 1
-    if field.flavor == "even_insep":
-        # F_q[sqrt(T)] is a polynomial ring; cross-checked by the orbit route in tests
-        return 1
-    if field.infinite_type == "inert":
-        return l_data(field).h_OK
-    return class_number_by_orbit(order_from(field, pr.one(field.base)))
+    return l_data(field).h_OK
 
 
 def unit_index(order: Order) -> int:
@@ -100,8 +87,9 @@ def class_number_by_conductor(order: Order) -> int:
 
 
 def l_route_applies(order: Order) -> bool:
-    """Whether `l_route` gives h(O): O maximal in an inert separable field
-    other than the constant extension."""
+    """Whether the reports print the L-route: O maximal in an inert separable
+    field other than the constant extension (`l_route` itself covers the
+    ramified fields too, which the printed reports leave out)."""
     k = order.field
     return k.infinite_type == "inert" and k.flavor != "even_insep" and not k.is_constant_extension and order.is_maximal()
 
@@ -113,62 +101,47 @@ def l_data(field: QuadField) -> LPolyData:
 
 
 def l_route(field: QuadField) -> LPolyData:
-    """Lambda(chi, t), h_K and h(O_K) for an inert separable extension.
+    """Lambda(chi, t), L_K, h_K and h(O_K) for a separable extension.
 
-    Requires the constant field of K to be F_q (deg D_K >= 1); the case
-    K = F_{q^2}(T) has h(O_K) = 1 and is handled by the callers.
+    Requires the constant field of K to be F_q (K != F_{q^2}(T)); that case
+    has h(O_K) = 1 and is handled by the callers.
     """
-    if field.infinite_type != "inert":
-        raise BadInputError("the L-route is implemented for the inert case only")
     if field.flavor == "even_insep":
         raise BadInputError("the L-route needs a separable extension")
     if field.is_constant_extension:
         raise BadInputError("K = F_{q^2}(T): h(O_K) = 1 by the special case")
     q = field.base.q
-    deg_dk = field.D_K.deg
-    if deg_dk % 2:
-        raise InvariantError("inert discriminant with odd degree")  # pragma: no cover
-    g = deg_dk // 2 - 1
+    inert = field.infinite_type == "inert"
+    d_inf = 0 if inert else 1 if field.flavor == "odd" else field.B.deg - field.C.deg + 1  # different exponent at infinity
+    two_g = field.D_K.deg - 2 + d_inf
+    if two_g % 2 or two_g < 0:
+        raise InvariantError(f"2g = {two_g} is not an even genus count")
+    g = two_g // 2
+    top = 2 * g + 1 if inert else 2 * g
     base = field.base
     o = base.order
-    # chi on every monic of degree <= 2g + 1, by poly code: pr.chi at each
+    # chi on every monic of degree <= top, by poly code: pr.chi at each
     # prime, and chi(P m) = chi(P) chi(m) through the sieve's smallest factor
-    spf, cof = pr.spf_table(base, 2 * g + 1)
+    spf, cof = pr.spf_table(base, top)
     chi = [0] * len(spf)
     chi[1] = 1
     for c in range(o, len(chi)):
         chi[c] = pr.chi(pr.code_poly(base, c), field) if spf[c] == c else chi[spf[c]] * chi[cof[c]]
-    lam = [sum(chi[o**k : 2 * o**k]) for k in range(2 * g + 2)]
-    if lam[-1] == 0:
-        raise InvariantError("deg Lambda < 2g + 1")  # pragma: no cover
-    for k, c in enumerate(lam):
-        if abs(c) > q**k:
-            raise InvariantError("Lambda coefficient exceeds the monic count")  # pragma: no cover
-    h_K = Fraction(q ** (g + 1)) * sum(Fraction(c, q**k) for k, c in enumerate(lam)) / (q + 1)
-    if h_K.denominator != 1 or h_K <= 0:
-        raise InvariantError(f"h_K = {h_K} is not a positive integer")
-    data = LPolyData(field, g, lam, int(h_K), 2 * int(h_K))
-    if sum(lam) != 2 * data.h_K:
-        raise InvariantError("Lambda(1) != 2 h_K")
+    lam = [sum(chi[o**k : 2 * o**k]) for k in range(top + 1)]
+    L = _divide_by_one_plus_t(lam) if inert else lam
+    h_K = sum(L)
+    if h_K <= 0:
+        raise InvariantError(f"h_K = {h_K} is not positive")
+    if inert and q ** (g + 1) * sum(Fraction(c, q**k) for k, c in enumerate(lam)) != (q + 1) * h_K:
+        raise InvariantError("q^(g+1) Lambda(1/q) != (q + 1) h_K")
+    data = LPolyData(field, g, lam, L, h_K, 2 * h_K if inert else h_K)
     if any(r != 0 for r in data.functional_equation_residual()):
         raise InvariantError("functional equation residual nonzero")
     return data
 
 
-def class_number(order: Order) -> int:
-    """Agreed class number: orbit and conductor routes (and the L-route when inert
-    separable and maximal) must coincide."""
-    from .brownval import OrderCM
-
-    # moduli_of raises InvariantError when the orbit count differs from `expected`
-    return class_number_by_orbit(order, expected=OrderCM.of(order).class_number_by_conductor())
-
-
-def check_class_bound(order: Order) -> dict:
-    """h(O) <= 37/(2(q+1)) sqrt|D| (log_q|D|)^2 for inert orders with |D| > 1.
-
-    h is read from the order's held `sweeps.order_report`.
-    """
+def check_class_bound(order: Order, h: int) -> dict:
+    """h = h(O) <= 37/(2(q+1)) sqrt|D| (log_q|D|)^2 for inert orders with |D| > 1."""
     field = order.field
     if field.infinite_type != "inert":
         raise BadInputError("the class bound is stated for the inert case")
@@ -176,7 +149,6 @@ def check_class_bound(order: Order) -> dict:
     if d < 1:
         raise BadInputError("need |D_O| > 1")
     q = field.base.q
-    h = order_report(order, check_brown=False).h_orbit  # certified against the conductor formula
     bound = Fraction(37, 2 * (q + 1)) * q ** (d // 2) * d * d
     if 2 * (d // 2) != d:
         raise InvariantError("inert discriminant with odd degree")  # pragma: no cover

@@ -477,14 +477,14 @@ def hilbert_poly(order: Order, extra_prec: int = GUARD) -> HilbertPoly:
     """
     cm = OrderCM.of(order)
     if extra_prec in cm.hilbert:
-        moduli_of(order, expected=cm.class_number_by_conductor())
+        moduli_of(order)
         return cm.hilbert[extra_prec]
     sum_pos = sum(max(Fraction(0), log_abs_j(cls[0])) for cls in cm.classes())
     W = int(math.ceil(sum_pos)) + extra_prec + 6
     plans: dict = {}
     for plan in cm.plans_at([cls[0] for cls in cm.classes()], W):
         plans = {k: max(plans.get(k, 0), v) for k, v in plan.items()}
-    mods = moduli_of(order, value_prec=W, expected=cm.class_number_by_conductor())
+    mods = moduli_of(order, value_prec=W)
     vals = [s.numeric for s in mods]
     # expand prod (X - j_i)
     coeffs = [one_like(vals[0])]
@@ -529,4 +529,4 @@ def hilbert_constant_degree(order: Order) -> Fraction:
     """
     cm = OrderCM.of(order)
     cm.j_values([cls[0] for cls in cm.classes()], brown_prec)  # the evaluation checks each valuation
-    return sum(s.log_j for s in moduli_of(order, expected=cm.class_number_by_conductor()))
+    return sum(s.log_j for s in moduli_of(order))

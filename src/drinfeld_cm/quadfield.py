@@ -717,18 +717,26 @@ def flat_part(z) -> LaurentSeries | None:
     return z.x if z.y.is_zero_known() else None
 
 
+def restrict_to_base(poly: Poly, base: FieldDesc) -> Poly | None:
+    """A polynomial over F_q or F_{q^2} as one over `base` = F_q, through the
+    inverse of `embedding_table`; None when a coefficient lies outside F_q."""
+    if poly.field.m == 1:
+        return poly
+    back = {c: i for i, c in enumerate(embedding_table(base, poly.field))}
+    if any(c not in back for c in poly.coeffs):
+        return None
+    return Poly(base, [back[c] for c in poly.coeffs])
+
+
 def _round_flat(s: LaurentSeries, base: FieldDesc):
     """(the polynomial over `base` = F_q that s equals, s.prec); InvariantError when s is not in A."""
     poly, tail = s.polynomial_part()
     if tail is not None:
         raise InvariantError(f"coefficient has a nonzero digit at exponent {tail}: not in A")
-    if s.field.m == 1:
-        return poly, s.prec
-    # restrict F_{q^2} coefficients to the F_q image
-    back = {c: i for i, c in enumerate(embedding_table(base, s.field))}
-    if any(c not in back for c in poly.coeffs):
+    poly = restrict_to_base(poly, base)
+    if poly is None:
         raise InvariantError("coefficient not Galois-stable: F_{q^2}-part is nonzero")
-    return Poly(base, [back[c] for c in poly.coeffs]), s.prec
+    return poly, s.prec
 
 
 def round_to_A(z, base: FieldDesc):

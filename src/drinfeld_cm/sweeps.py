@@ -3,8 +3,9 @@
 One `order_report` bundles everything the verification suites need from an
 order: its points, the Brown check of every point's numeric j-valuation
 against the exact formula, the distinct moduli (exact conjugate classes,
-cross-checked by the j-values the Brown check already computed), the
-class-number routes and the height.  The report is kept on the order's
+cross-checked by the j-values the Brown check already computed, and
+counted against the conductor route by `brownval.moduli_of`), the class
+numbers and the height.  The report is kept on the order's
 process-wide `brownval.OrderCM.of(order)`, so the product search, the unit
 sweep and the lemma suites all reuse one pass; it stays when the store drops
 the entry's j-values (at most `brownval.VALUE_CAP` entries hold them, least
@@ -18,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadInputError, InvariantError
+from .brownval import OrderCM, brown_prec, moduli_of, weil_height
+from .classno import l_data, l_route_applies
+from .errors import BadInputError
 from .ffield import FieldDesc, is_square
 from . import polyring as pr
 from .quadfield import Order, order_from, order_from_discriminant, validate_field
@@ -130,26 +133,20 @@ def order_report(order: Order, *, check_brown: bool = True) -> OrderReport:
     With check_brown=True j is evaluated at every point, and the evaluator
     asserts that every row's numeric valuation equals the exact formula (the
     build's central cross-validation); the values it computes then serve
-    the numeric cross-check of the moduli.
+    the numeric cross-check of the moduli, which `moduli_of` certifies
+    against the conductor count.  h_lroute is the L-route's h(O_K), which for
+    these orders is the conductor count itself.
     A held checked report also answers an unchecked request.
     """
-    from .brownval import OrderCM, brown_prec, moduli_of, weil_height
-    from .classno import l_data, l_route_applies
-
     cm = OrderCM.of(order)
     if cm.report is not None and (cm.report.brown_checked or not check_brown):
         return cm.report
     if check_brown:
         cm.j_values(cm.points, brown_prec)
-    h_formula = cm.class_number_by_conductor()
-    mods = moduli_of(order, expected=h_formula)
-    h_orbit = len(mods)
-    h_l = None
-    if l_route_applies(order):
-        h_l = l_data(cm.order.field).h_OK
-        if h_l != h_orbit:
-            raise InvariantError(f"L-route disagreement for {order.label()}")  # pragma: no cover
-    cm.report = OrderReport(order, cm.points, mods, h_orbit, h_formula, h_l, weil_height(mods), check_brown)
+    mods = moduli_of(order)
+    h = len(mods)  # the conductor count, which moduli_of checked
+    h_l = l_data(order.field).h_OK if l_route_applies(order) else None
+    cm.report = OrderReport(order, cm.points, mods, h, h, h_l, weil_height(mods), check_brown)
     return cm.report
 
 

@@ -99,7 +99,7 @@ def check_brown_sweep(base: FieldDesc, d_bound: int) -> dict:
 
 
 def check_class_numbers(base: FieldDesc, d_bound: int) -> dict:
-    """Orbit = conductor (= L-route on inert separable maximal orders) everywhere."""
+    """Orbit = conductor (`moduli_of` checks it) everywhere, and the class bound on inert orders."""
     counts = {"orders": 0, "lroute": 0, "bounds": 0}
     for order in iter_orders(base, d_bound):
         rep = order_report(order, check_brown=False)
@@ -107,7 +107,7 @@ def check_class_numbers(base: FieldDesc, d_bound: int) -> dict:
         if rep.h_lroute is not None:
             counts["lroute"] += 1
         if order.field.infinite_type == "inert" and order.disc_deg() >= 1:
-            check_class_bound(order)
+            check_class_bound(order, rep.h_orbit)
             counts["bounds"] += 1
     return {"name": "class-numbers", "ok": True, **counts}
 

@@ -49,3 +49,13 @@ def test_lifted_ramified_value_equals_fresh_evaluation():
 
 def parts(value):
     return (value,) if isinstance(value, LaurentSeries) else (value.x, value.y)
+
+
+def test_andre_oort_gamma_is_printed_in_F_q_codes():
+    # the products are read over F_16: each gamma is mapped back through the
+    # embedding of F_4, whose codes are 0-3
+    rep = andre_oort_search(field(2, 2), 16, 15)
+    assert rep["hits"]
+    for hit in rep["hits"]:
+        codes = [int(term.split("T")[0].rstrip("*") or 1) for term in hit["gamma"].split("+")]
+        assert all(c < 4 for c in codes), hit["gamma"]

@@ -5,7 +5,7 @@ import pytest
 
 from drinfeld_cm.errors import BadInputError, InvariantError, PrecisionError
 from drinfeld_cm.ffield import field
-from drinfeld_cm import brownval
+from drinfeld_cm import brownval, classno, cli
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.brownval import (
     OrderCM,
@@ -16,7 +16,6 @@ from drinfeld_cm.brownval import (
     ramified_nonunit_certificate,
     weil_height,
 )
-from drinfeld_cm.classno import class_number_by_conductor
 from drinfeld_cm.cmpoints import enumerate_points
 from drinfeld_cm.quadfield import order_from, order_from_discriminant, validate_field
 
@@ -142,7 +141,7 @@ def test_exact_partition_matches_numeric(order):
     cm = OrderCM.of(order)
     exact = sorted(tuple(map(pkey, cls)) for cls in cm.classes())
     assert exact == numeric_partition(cm.points)
-    assert len(moduli_of(order, expected=class_number_by_conductor(order))) == len(exact)
+    assert len(moduli_of(order)) == len(exact)
     assert all(len(c) in (1, order.field.q + 1) for c in exact)
 
 
@@ -163,18 +162,20 @@ def test_dropped_move_is_caught(monkeypatch):
     joining = [mv for mv in moves if brownval._orbit_keys(big[0], [mv]) == [key]]
     assert len(joining) == 1
     monkeypatch.setattr(brownval, "pgl2_moves", lambda base: [mv for mv in moves if mv != joining[0]])
-    with pytest.raises(InvariantError):
-        moduli_of(order, expected=2)
     with pytest.raises(InvariantError):  # the orbits no longer partition the points
         moduli_of(order)
 
 
-def test_wrong_expected_is_caught():
-    with pytest.raises(InvariantError):
-        moduli_of(hayes_order(), expected=3)
-    o = order_from_discriminant(F3, P(F3, "T^3"))
-    with pytest.raises(InvariantError):
-        moduli_of(o, expected=2)
+def test_wrong_expected_is_caught(monkeypatch, capsys):
+    # every answer that rests on the moduli counts them against the conductor route
+    real = classno.class_number_by_conductor
+    monkeypatch.setattr(classno, "class_number_by_conductor", lambda order: real(order) + 1)
+    for cmd in ("hilbert", "height", "class-number"):
+        monkeypatch.setattr(brownval, "_store", {})
+        assert cli.main([cmd, "--q", "3", "--flavor", "odd", "--D", "T-T^2"]) == 1
+        assert capsys.readouterr().err.startswith("invariant violation: distinct-moduli count 2 disagrees")
+    with pytest.raises(InvariantError, match="distinct-moduli count"):
+        ramified_nonunit_certificate(order_from_discriminant(F3, P(F3, "T^3")))
 
 
 def test_wrongly_split_class_exhausts_precision(monkeypatch):
@@ -185,6 +186,7 @@ def test_wrongly_split_class_exhausts_precision(monkeypatch):
         return [part for cls in real(points) for part in ((cls[:1], cls[1:]) if len(cls) > 1 else (cls,))]
 
     monkeypatch.setattr(brownval, "conjugate_classes", split)
+    monkeypatch.setattr(classno, "class_number_by_conductor", lambda order: 3)  # the split count
     with pytest.raises(PrecisionError):
         moduli_of(hayes_order())
 
@@ -201,8 +203,9 @@ def test_wrongly_merged_class_is_caught_by_known_values(monkeypatch):
 
     monkeypatch.setattr(brownval, "conjugate_classes", merge)
     cm = OrderCM.of(o)
+    cm._h_conductor = len(cm.classes())  # the merged count, so the count check passes
     cm.j_values(cm.points, brown_prec)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="different j-values"):
         moduli_of(o)
 
 

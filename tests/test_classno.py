@@ -2,14 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from drinfeld_cm.brownval import OrderCM, moduli_of
 from drinfeld_cm.errors import BadInputError
 from drinfeld_cm.ffield import field
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.classno import (
     check_class_bound,
-    class_number,
     class_number_by_conductor,
-    class_number_by_orbit,
     l_data,
     l_route,
     l_route_applies,
@@ -17,12 +16,15 @@ from drinfeld_cm.classno import (
     unit_index,
 )
 from drinfeld_cm.quadfield import Order, order_from, order_from_discriminant, validate_field
+from drinfeld_cm.sweeps import iter_orders
 from drinfeld_cm.verify import check_brown_sweep, check_class_numbers
 
 from conftest import count_rows
 
 F2 = field(2)
 F3 = field(3)
+F4 = field(2, 2)
+F5 = field(5)
 
 
 def P(fld, text):
@@ -34,6 +36,7 @@ def test_l_route_hayes_field():
     data = l_route(k)
     assert data.g_K == 0
     assert data.lam == [1, 1]  # chi(T) = 0, chi(T+1) = 1, chi(T+2) = 0
+    assert data.L == [1]  # Lambda = (1 + t) L_K
     assert data.h_K == 1 and data.h_OK == 2
     assert sum(data.lam) == 2 * data.h_K
     assert all(r == 0 for r in data.functional_equation_residual())
@@ -55,14 +58,12 @@ def test_l_route_runs_once_per_field(monkeypatch):
 
 def test_l_route_guards():
     with pytest.raises(BadInputError):
-        l_route(validate_field(F3, "odd", D=P(F3, "T")))  # ramified
-    with pytest.raises(BadInputError):
         l_route(validate_field(F3, "odd", D=P(F3, "2*T^2")))  # constant extension
     with pytest.raises(BadInputError):
         l_route(validate_field(F2, "even_insep"))
 
 
-def test_l_route_applies_exactly_where_it_has_no_guard():
+def test_l_route_applies_to_inert_separable_maximal_orders():
     one2, one3 = pr.one(F2), pr.one(F3)
     constant = validate_field(F3, "odd", D=P(F3, "2*T^2"))
     applies = [
@@ -76,8 +77,24 @@ def test_l_route_applies_exactly_where_it_has_no_guard():
         order_from(validate_field(F2, "even_insep"), one2),  # inseparable
     ]
     assert [l_route_applies(o) for o in applies + not_applies] == [True] * 2 + [False] * 4
-    for o in applies:
-        assert l_route(o.field).h_OK == class_number_by_orbit(o)
+    for o in applies + not_applies[1:2]:  # maximal orders; the route itself covers the ramified field too
+        assert l_route(o.field).h_OK == len(OrderCM.of(o).classes())
+
+
+@pytest.mark.parametrize("base, d_bound", [(F3, 81), (F4, 16), (F5, 25)], ids=["q3", "q4", "q5"])
+def test_ramified_l_route_matches_the_exact_class_count(base, d_bound):
+    # with infinity ramified, h(O_K) = L_K(1) and Lambda = L_K has degree 2g
+    maximal = [
+        o
+        for o in iter_orders(base, d_bound)
+        if o.is_maximal() and o.field.infinite_type == "ramified" and o.field.flavor != "even_insep"
+    ]
+    assert maximal
+    for o in maximal:
+        data = l_route(o.field)
+        assert data.L == data.lam and len(data.L) == 2 * data.g_K + 1
+        assert all(r == 0 for r in data.functional_equation_residual())
+        assert data.h_OK == data.h_K == len(OrderCM.of(o).classes()), o.label()
 
 
 def test_l_route_even_sep():
@@ -85,14 +102,14 @@ def test_l_route_even_sep():
     data = l_route(k)
     assert data.g_K == 0
     assert data.h_OK == 2
-    assert class_number_by_orbit(order_from(k, pr.one(F2))) == 2
+    assert len(OrderCM.of(order_from(k, pr.one(F2))).classes()) == 2
 
 
 def test_triple_agreement_hayes():
     o = order_from_discriminant(F3, P(F3, "T-T^2"))
-    assert class_number_by_orbit(o) == 2
+    assert len(OrderCM.of(o).classes()) == 2
     assert class_number_by_conductor(o) == 2
-    assert class_number(o) == 2
+    assert len(moduli_of(o)) == 2
     assert l_route(o.field).h_OK == 2
 
 
@@ -100,9 +117,9 @@ def test_insep_conductor_route():
     k = validate_field(F2, "even_insep")
     o = order_from(k, P(F2, "T"))
     assert class_number_by_conductor(o) == 2  # h = |f|, all chi = 0
-    assert class_number(o) == 2
+    assert len(moduli_of(o)) == 2
     assert maximal_class_number(k) == 1
-    assert class_number_by_orbit(order_from(k, pr.one(F2))) == 1  # cross-check h(O_F) = 1
+    assert len(OrderCM.of(order_from(k, pr.one(F2))).classes()) == 1  # cross-check h(O_F) = 1
 
 
 def test_constant_extension_unit_index():
@@ -110,24 +127,23 @@ def test_constant_extension_unit_index():
     o = order_from_discriminant(F3, P(F3, "2*T^2"))
     assert unit_index(o) == 4
     assert maximal_class_number(o.field) == 1
-    assert class_number(o) == 1
+    assert len(moduli_of(o)) == 1
 
 
 def test_conductor_route_nonmaximal_odd():
-    # D = T^3 has D_K = T, f = T: ramified field, orbit route on the maximal order
+    # D = T^3 has D_K = T, f = T: ramified field, L-route on the maximal order
     o = order_from_discriminant(F3, P(F3, "T^3"))
     assert o.f == P(F3, "T")
-    h = class_number(o)
-    assert h == class_number_by_orbit(o)
+    assert class_number_by_conductor(o) == len(OrderCM.of(o).classes()) == len(moduli_of(o))
 
 
 def test_class_bound():
     o = order_from_discriminant(F3, P(F3, "T-T^2"))
-    rep = check_class_bound(o)
+    rep = check_class_bound(o, len(moduli_of(o)))
     assert rep["holds"] and rep["h"] == 2
     assert Fraction(rep["bound"]) == Fraction(37, 8) * 3 * 4
     with pytest.raises(BadInputError):
-        check_class_bound(order_from_discriminant(F3, P(F3, "T")))  # ramified
+        check_class_bound(order_from_discriminant(F3, P(F3, "T")), 1)  # ramified
 
 
 def test_class_bound_sweep_small():
@@ -143,7 +159,7 @@ def test_class_bound_sweep_small():
                 o = order_from_discriminant(F3, D)
             except BadInputError:
                 continue
-            rep = check_class_bound(o)
+            rep = check_class_bound(o, len(moduli_of(o)))
             assert rep["holds"]
 
 

@@ -207,9 +207,11 @@ def test_chi_multiplicativity():
     for base, flavor, data in [
         (F3, "odd", {"D": "T-T^2"}),
         (F3, "odd", {"D": "2*T^4+T+1"}),
+        (F3, "odd", {"D": "T^3+T"}),
         (F2, "even_sep", {"B": "T+1", "C": "T"}),
         (F2, "even_sep", {"B": "T^2+T+1", "C": "T^2+T"}),
         (field(2, 2), "even_sep", {"B": "2*T+2", "C": "T"}),
+        (field(2, 2), "even_sep", {"B": "T^2+1", "C": "T"}),
     ]:
         k = validate_field(base, flavor, **{key: P(base, v) for key, v in data.items()})
         lam = l_route(k).lam

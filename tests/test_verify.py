@@ -12,6 +12,7 @@ from drinfeld_cm.verify import (
     EPS_LOGS,
     check_analytic_lemmas,
     check_counting_lemmas,
+    check_elliptic_lemmas,
     check_crt,
     counting_bound,
     crt_reductions,
@@ -168,3 +169,9 @@ def test_counting_reads_tables_not_one_division_per_mu(monkeypatch):
     rep = check_counting_lemmas(field(2, 2), 2, 0, max_deg_m=0)
     assert rep == {"name": "counting", "ok": True, "pairs": 338688}
     assert len(calls) < 338688 // 10
+
+
+def test_cardc_bound_runs_on_inert_orders_from_q4():
+    # verify at q = 2, |D| <= 8 and q = 3, |D| <= 27 stays below |D| = q^4, where the cardC bound starts
+    rep = check_elliptic_lemmas(field(2), 16)
+    assert rep["ok"] and rep["cardC_checked"] == 60
