@@ -1,13 +1,16 @@
-"""The easycounting bound, height bounds, and the certificates.
+"""The easycounting bound, height bounds, the certificates and the two searches.
 
 Height bounds are evaluated as certified rational intervals: everything
 transcendental (ln 2, ln q, sqrt q) is enclosed with directed rounding, so an
-asserted inequality can only pass when it holds.
+asserted inequality can only pass when it holds.  The product search
+(`andre_oort_search`) reads no digit of any j-value: it decides each pair of
+singular moduli from the valuations and the certified class polynomials.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -15,15 +18,12 @@ from . import certlog
 from .certlog import Interval
 from .brownval import OrderCM, moduli_of, ramified_nonunit_certificate, weil_height
 from .errors import BadInputError, InvariantError
-from .ffield import FieldDesc, quadratic_extension
+from .ffield import FieldDesc
 from .modforms import hilbert_constant_degree, hilbert_poly, unit_check
 from . import polyring as pr
 from .polyring import Poly
-from .quadfield import Order, flat_part, product, restrict_to_base
+from .quadfield import Order
 from .sweeps import iter_orders, modulus_records, order_report
-
-HIT_GUARD = 12  # fractional digits of a pair's product that must be known before it counts as a hit
-
 
 # ---------------------------------------------------------------------------
 # easycounting
@@ -48,9 +48,13 @@ def easycounting_bound_check(m: Poly, b0: Poly, M_log: Fraction) -> bool:
 # height bounds
 
 
-def _interval_pow_q(q: int, expo: Interval) -> Interval:
-    """q^I for an interval exponent, outward-rounded."""
-    return Interval(certlog.exp_q(expo.lo, q).lo, certlog.exp_q(expo.hi, q).hi)
+def disc_power(q: int, d: int) -> tuple:
+    """(log_q log_q sqrt|D|, |D|^(15/(2 log_q log_q sqrt|D|))) for |D| = q^d,
+    as outward-rounded intervals: the |D|-power of the cardC bound and of
+    `upper_bound_h`."""
+    loglog = certlog.log_q(Fraction(d, 2), q)
+    expo = Interval.point(Fraction(15 * d, 2)) / loglog
+    return loglog, Interval(certlog.exp_q(expo.lo, q).lo, certlog.exp_q(expo.hi, q).hi)
 
 
 def upper_bound_h(order: Order, eps: Fraction) -> dict:
@@ -70,9 +74,7 @@ def upper_bound_h(order: Order, eps: Fraction) -> dict:
         raise BadInputError("0 < eps <= 1 required")
     h = len(moduli_of(order))
     sqrt_D = Fraction(q) ** (d // 2)
-    loglog = certlog.log_q(Fraction(d, 2), q)  # log_q log_q sqrt|D|
-    expo = Interval.point(Fraction(15 * d, 2)) / loglog
-    d_power = _interval_pow_q(q, expo)
+    loglog, d_power = disc_power(q, d)
     eps_term = Interval.point(Fraction(q + 1)) * certlog.log_q(1 / eps, q) if eps != 1 else Interval.point(0)
     main = Interval.point(Fraction(3 * q * (q + 1), 4) * eps * Fraction(sqrt_D, h) * d * d) * d_power
     eps_bound = eps_term + main
@@ -231,122 +233,119 @@ def final_certificate(q: int) -> CertificateReport:
 
 
 def andre_oort_search(base: FieldDesc, d_bound: int, deg_bound: int) -> dict:
-    """All pairs of singular moduli with |D| <= d_bound whose product rounds to
-    a polynomial of degree <= deg_bound.
+    """All pairs of singular moduli with |D| <= d_bound whose product is a
+    polynomial gamma of degree <= deg_bound, decided exactly from the
+    certified moduli (`order_report`) and class polynomials (`hilbert_poly`).
 
-    Pair filtering is by exact valuations; only candidates are evaluated
-    numerically.  A nonzero known digit certifies a non-hit exactly; skipped
-    pairs (genuinely biquadratic ramified-ramified products) are reported,
-    never dropped silently, after their valuation already excludes a hit.
+    Work over F = k = F_q(T) for odd q and F = k(sqrt T) for even q.  Each
+    H_O is irreducible over F: it is the minimal polynomial of j over K, and
+    a separable H_O stays irreducible over the purely inseparable k(sqrt T).
+    Let j1 j2 = gamma in A, gamma != 0 (no singular modulus is 0), for roots
+    j1 of H1 and j2 of H2.  Then F(j1) = F(j2), so h1 = h2 = h, and the
+    degree-h polynomial X^h H2(gamma/X), of leading coefficient H2(0),
+    vanishes at j1, so it is H2(0) H1(X).  Conversely that identity maps
+    every root j1 of H1 to the root gamma/j1 of H2.  Hence:
+
+    - the valuations of O2 mirror those of O1: they are deg gamma minus those
+      of O1, with deg gamma = min log O1 + max log O2 integral in
+      [0, deg_bound] (the exact prefilter; only the orders passing it are
+      read further);
+    - the constant coefficient gives gamma^h = H1(0) H2(0), whose
+      sqrt(T)-part must vanish: gamma = c prod P^(e/h) over its factors P^e,
+      for each c in F_q^x with c^h its leading coefficient; the coefficients
+      of X^h (H1 monic) and X^0 (this construction) then hold, and a
+      candidate is a hit of the orders when the other h - 1 hold too;
+    - the partner of j1 is gamma/j1, the one modulus of O2 of valuation
+      deg gamma - log|j1|; when O2 has several of that valuation the pair is
+      reported in `skipped`, never dropped.
+
+    `pairs_checked` counts the pairs of moduli whose valuation sum is such a
+    degree.  Coefficients x + y sqrt(T) are (x, y) pairs, y = 0 when
+    separable.
     """
-    q = base.q
-    # the exact classes give every record, hence every precision, before any
-    # j is evaluated; the moduli are certified (order_report) only after the
-    # values are held, so the numeric cross-check reads them
-    orders = list(iter_orders(base, d_bound))
-    records = [rec for order in orders for rec in modulus_records(order, OrderCM.of(order).exact_moduli())]
+    reports = [order_report(order, check_brown=False) for order in iter_orders(base, d_bound)]
+    records = [modulus_records(rep.order, rep.moduli) for rep in reports]
+    position = {rec.key: i for i, rec in enumerate(r for recs in records for r in recs)}
+    counts = Counter(rec.modulus.log_j for recs in records for rec in recs)
+    pairs_checked = sum(
+        n1 * n2 if lg1 < lg2 else n1 * (n1 + 1) // 2
+        for lg1, n1 in counts.items()
+        for lg2, n2 in counts.items()
+        if lg1 <= lg2 and (lg1 + lg2).denominator == 1 and 0 <= lg1 + lg2 <= deg_bound
+    )
+    polys: dict = {}
     hits = []
     skipped = []
-    pairs_checked = 0
-
-    by_log: dict = {}
-    for rec in records:
-        by_log.setdefault(rec.modulus.log_j, []).append(rec)
-    logs = sorted(by_log)
-
-    def candidates():
-        """(r1, r2, total, biquadratic, prec1, prec2) for every pair whose
-        product valuation total could be a polynomial degree."""
-        for i1, lg1 in enumerate(logs):
-            for lg2 in logs[i1:]:
-                total = lg1 + lg2
-                if total < 0 or total > deg_bound:
-                    continue
-                if total != int(total):
-                    continue  # half-integer product valuation: never a polynomial
-                for r1 in by_log[lg1]:
-                    for r2 in by_log[lg2]:
-                        if lg1 == lg2 and r1.key > r2.key:
-                            continue
-                        biquadratic = (
-                            r1.order.field.infinite_type == "ramified"
-                            and r2.order.field.infinite_type == "ramified"
-                            and r1.order.field != r2.order.field
+    for i1, rep1 in enumerate(reports):
+        for i2 in range(i1, len(reports)):
+            logs1, logs2 = rep1.logs, reports[i2].logs
+            deg = min(logs1) + max(logs2)
+            if deg.denominator != 1 or not 0 <= deg <= deg_bound or sorted(deg - lg for lg in logs1) != sorted(logs2):
+                continue
+            for i in (i1, i2):
+                if i not in polys:
+                    polys[i] = [_pair(c) for c in hilbert_poly(reports[i].order).coeffs]
+            for gamma in _gammas(polys[i1], polys[i2]):
+                for r1 in records[i1]:
+                    partner = [r2 for r2 in records[i2] if r2.modulus.log_j == deg - r1.modulus.log_j]
+                    if len(partner) != 1:
+                        skipped.append(
+                            {
+                                "pair": [r1.label, reports[i2].order.label()],
+                                "reason": f"{len(partner)} partner moduli of valuation {deg - r1.modulus.log_j}",
+                                "gamma": pr.format_poly(gamma),
+                            }
                         )
-                        prec1 = int(HIT_GUARD + max(0, lg2)) + 2
-                        prec2 = int(HIT_GUARD + max(0, lg1)) + 2
-                        yield r1, r2, total, biquadratic, prec1, prec2
-
-    # each record's value is read once, through its OrderCM at the highest
-    # precision its pairs need, over F_{q^2}, the value field of the inert
-    # orders (a ramified value is the F_q value with its coefficients
-    # embedded); every known digit is exact, so a truncation equals a fresh
-    # evaluation.  The search keeps what it read: its pairs cycle through
-    # more orders than the store may hold values for.
-    need: dict = {}
-    for r1, r2, _, biquadratic, prec1, prec2 in candidates():
-        if not biquadratic:
-            need[r1.key] = max(need.get(r1.key, 0), prec1)
-            need[r2.key] = max(need.get(r2.key, 0), prec2)
-    desc2 = quadratic_extension(base)
-    asks: dict = {}  # (order label, precision) -> records
-    for rec in records:
-        if rec.key in need:
-            asks.setdefault((rec.key[1], need[rec.key]), []).append(rec)
-    values = {}
-    for (_, prec), recs in asks.items():
-        order = recs[0].order
-        for rec, jv in zip(recs, OrderCM.of(order).j_values([r.modulus.points[0] for r in recs], prec, desc2)):
-            values[rec.key] = jv.value
-    for order in orders:
-        order_report(order, check_brown=False)
-
-    for r1, r2, total, biquadratic, prec1, prec2 in candidates():
-        if biquadratic:
-            skipped.append(
-                {
-                    "pair": [r1.label, r2.label],
-                    "reason": "biquadratic ramified-ramified product",
-                    "degree_if_polynomial": str(total),
-                }
-            )
-            continue
-        pairs_checked += 1
-        flat = flat_part(product(values[r1.key].truncate(prec1), values[r2.key].truncate(prec2)))
-        if flat is None:
-            continue  # nonzero xi-part: certified non-hit
-        poly, tail = flat.polynomial_part()
-        if tail is not None:
-            continue  # nonzero fractional digit: certified non-hit
-        poly = restrict_to_base(poly, base)
-        if poly is None:
-            continue  # a coefficient outside F_q: gamma is not in A, a certified non-hit
-        if flat.prec is not None and flat.prec < HIT_GUARD:
-            skipped.append(
-                {"pair": [r1.label, r2.label], "reason": f"precision {flat.prec} below guard {HIT_GUARD}"}
-            )
-            continue
-        if poly.deg != total:
-            raise InvariantError("hit degree differs from the valuation sum")  # pragma: no cover
-        hits.append(
-            {
-                "pair": [r1.label, r2.label],
-                "degree": int(poly.deg),
-                "gamma": pr.format_poly(poly),
-                "residual_zero_digits": None if flat.prec is None else int(flat.prec),
-            }
-        )
-    hits.sort(key=lambda h: (h["degree"], h["gamma"]))
+                        continue
+                    first, second = sorted((r1, partner[0]), key=lambda r: (r.modulus.log_j, r.key))
+                    if i1 == i2 and first is not r1:
+                        continue  # the same pair, met from its other modulus
+                    hits.append((int(deg), pr.format_poly(gamma), first, second))
+    hits.sort(key=lambda t: (t[0], t[1], t[2].modulus.log_j, position[t[2].key], position[t[3].key]))
     return {
-        "q": q,
+        "q": base.q,
         "d_bound": d_bound,
         "deg_bound": deg_bound,
-        "moduli": len(records),
+        "moduli": len(position),
         "pairs_checked": pairs_checked,
-        "hits": hits,
+        "hits": [{"pair": [r1.label, r2.label], "degree": deg, "gamma": gamma} for deg, gamma, r1, r2 in hits],
         "skipped": skipped,
-        "min_hit_degree": min((h["degree"] for h in hits), default=None),
+        "min_hit_degree": min((t[0] for t in hits), default=None),
     }
+
+
+def _pair(c) -> tuple:
+    """A class-polynomial coefficient as the pair (x, y) of x + y sqrt(T)."""
+    return c if isinstance(c, tuple) else (c, pr.zero(c.field))
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """(x1 + y1 sqrt(T))(x2 + y2 sqrt(T)) as a pair."""
+    (x1, y1), (x2, y2) = a, b
+    return x1 * x2 + pr.T(x1.field) * y1 * y2, x1 * y2 + x2 * y1
+
+
+def _gammas(H1: list, H2: list) -> list:
+    """Every gamma in A with X^h H2(gamma/X) = H2(0) H1(X), for the
+    coefficient pairs of two class polynomials of degree h (see
+    `andre_oort_search`)."""
+    h = len(H1) - 1
+    x, y = _times(H1[0], H2[0])
+    if y:
+        return []  # gamma^h has a sqrt(T)-part: gamma is not in A
+    sign, items = pr.factor(x)
+    if any(e % h for _, e in items):
+        return []
+    root = pr.one(x.field)
+    for P, e in items:
+        root = root * P ** (e // h)
+    fq = x.field
+    gammas = [root.scale(c) for c in range(1, fq.order) if fq.pow(c, h) == sign]
+    return [
+        g
+        for g in gammas
+        if all(_times(H2[i], (g**i, pr.zero(fq))) == _times(H2[0], H1[h - i]) for i in range(1, h))
+    ]
 
 
 def unit_search(base: FieldDesc, d_bound: int) -> dict:

@@ -17,11 +17,11 @@ j-values from the t-expansion evaluator only cross-check the partition.
 `OrderCM.of(order)` is the one `OrderCM` of an order for the life of the
 process, so a repeated request reuses its points, j-values, classes,
 certified moduli, class number, `sweeps.OrderReport`, certified class
-polynomials (`modforms.hilbert_poly`) and height lower bounds
+polynomial (`modforms.hilbert_poly`) and height lower bounds
 (`bounds.lower_bounds_h`).  Only the j-values are bounded: at most VALUE_CAP
 entries hold them, and the least recently used entry loses its values when
 another one gains some, together with what was read off them (the plans of
-their evaluations and the class polynomials); the rest stays.  Callers
+their evaluations and the class polynomial); the rest stays.  Callers
 ask `OrderCM.j_values` for all the points a step needs at once, and the
 points not yet held are evaluated as stacks (`modforms.eval_j_stack`), one
 per group of equal n, eps, |j| and precision.
@@ -187,14 +187,14 @@ _holding: OrderedDict = OrderedDict()  # keys of the entries holding j-values, l
 
 class OrderCM:
     """One order's reduced CM points, j-values, classes, moduli, class number,
-    report, class polynomials and height lower bounds, kept for the life of
+    report, class polynomial and height lower bounds, kept for the life of
     the process (reached through `of`).
 
     The points are enumerated once; each j-value is kept at the highest
     precision asked for so far, per coefficient field, so a point is
     evaluated again only when a question needs more digits than are known.
     At most VALUE_CAP entries hold values: the least recently used entry
-    loses its values, their plans and the class polynomials rounded from
+    loses its values, their plans and the class polynomial rounded from
     them first, and keeps everything else (points, classes, moduli, class
     number, report and height bounds).  Only what is certified is stored, so
     a build or a check that raised leaves nothing that a later request would
@@ -211,7 +211,7 @@ class OrderCM:
         self.plans: dict = {}  # (a, b, precision) -> plan of the evaluation made at that precision
         self.moduli: list | None = None  # set by moduli_of once certified
         self.report = None  # the sweeps.OrderReport, once built
-        self.hilbert: dict = {}  # extra_prec -> modforms.HilbertPoly, once its checks passed
+        self.hilbert = None  # the modforms.HilbertPoly, once its checks passed
         self.height_bounds: dict | None = None  # bounds.lower_bounds_h, once computed
         self._classes: list | None = None
         self._h_conductor: int | None = None
@@ -248,7 +248,7 @@ class OrderCM:
             _, old = _holding.popitem(last=False)
             old.values.clear()
             old.plans.clear()
-            old.hilbert.clear()
+            old.hilbert = None
 
     def j_values(self, points: list, prec, cdesc: FieldDesc | None = None) -> list:
         """The JValues of the points to absolute precision at least `prec` (a

@@ -239,10 +239,10 @@ def _global_flags(target, suppress: bool):
     target.add_argument("--q", type=int, default=d(3), help="prime power q (default 3)")
     target.add_argument("--modulus", default=d(None), help="override modulus of F_q over F_p, as [c0,c1,...]")
     target.add_argument(
-        "--dbound", type=int, default=d(0), help="discriminant size bound |D| for the sweeps (default q^6)"
+        "--dbound", type=int, default=d(0), help="discriminant size bound |D| for the sweeps (0 or unset: q^6)"
     )
     target.add_argument(
-        "--degbound", type=int, default=d(0), help="product degree bound for search-andre-oort (default q^2 - 1)"
+        "--degbound", type=int, default=d(0), help="product degree bound for search-andre-oort (0 or unset: q^2 - 1)"
     )
     target.add_argument(
         "--output", choices=["tsv", "json"], default=d("json"), help="report format of enumerate and the two searches"
@@ -286,6 +286,8 @@ def main(argv=None) -> int:
         p, r = _factor_prime_power(args.q)
         if args.q > MAX_Q_GUARD and not args.allow_large_q:
             raise BadInputError(f"q = {args.q} exceeds the desk-scale guard (use --allow-large-q)")
+        if min(args.dbound, args.degbound) < 0:
+            raise BadInputError("--dbound and --degbound take a size >= 0 (0 for the default)")
         modulus = None
         if args.modulus:
             try:

@@ -465,22 +465,23 @@ class HilbertPoly:
         }
 
 
-def hilbert_poly(order: Order, extra_prec: int = GUARD) -> HilbertPoly:
+def hilbert_poly(order: Order) -> HilbertPoly:
     """Assemble the monic class polynomial from the distinct conjugates.
 
-    Each class's first point is evaluated at the working precision W before
-    the moduli are certified, so the numeric cross-check starts from these
-    values and `plan` is that of the evaluations at W (made again at W when
-    the order's OrderCM holds the value only at a higher precision).  The
-    polynomial is held on the OrderCM, per `extra_prec`, once its checks
-    pass; a repeat runs only the count check of the moduli.
+    Each class's first point is evaluated at the working precision W (GUARD
+    + 6 digits past the coefficients' degree bound) before the moduli are
+    certified, so the numeric cross-check starts from these values and
+    `plan` is that of the evaluations at W (made again at W when the order's
+    OrderCM holds the value only at a higher precision).  The polynomial is
+    held on the OrderCM once its checks pass; a repeat runs only the count
+    check of the moduli.
     """
     cm = OrderCM.of(order)
-    if extra_prec in cm.hilbert:
+    if cm.hilbert is not None:
         moduli_of(order)
-        return cm.hilbert[extra_prec]
+        return cm.hilbert
     sum_pos = sum(max(Fraction(0), log_abs_j(cls[0])) for cls in cm.classes())
-    W = int(math.ceil(sum_pos)) + extra_prec + 6
+    W = int(math.ceil(sum_pos)) + GUARD + 6
     plans: dict = {}
     for plan in cm.plans_at([cls[0] for cls in cm.classes()], W):
         plans = {k: max(plans.get(k, 0), v) for k, v in plan.items()}
@@ -508,7 +509,7 @@ def hilbert_poly(order: Order, extra_prec: int = GUARD) -> HilbertPoly:
         raise InvariantError(
             f"constant-term degree {H.constant_term_degree()} != sum of conjugate valuations {total}"
         )
-    cm.hilbert[extra_prec] = H
+    cm.hilbert = H
     return H
 
 

@@ -23,7 +23,6 @@ smallest-prime sieve and residues mod a.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BadInputError, InvariantError
@@ -69,9 +68,6 @@ class Poly:
 
     def is_one(self) -> bool:
         return self.coeffs == (1,)
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     @property
     def sgn(self) -> int:
@@ -496,19 +492,6 @@ def count_monic_irreducibles(n: int, q: int) -> int:
                 total += (-1) ** len(items) * q**d
     assert total % n == 0
     return total // n
-
-
-def mertens_product(f: Poly) -> Fraction:
-    """Exact prod_{P | f} (1 - 1/|P|)^{-1} for non-constant monic f."""
-    if f.is_zero() or f.is_constant():
-        raise BadInputError("mertens_product needs deg f >= 1")
-    _, items = factor(f)
-    q = f.field.q
-    out = Fraction(1)
-    for p_, _ in items:
-        np_ = q**p_.deg
-        out *= Fraction(np_, np_ - 1)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ field (`value_field`) of the analytic embedding: a flattened series over
 F_{q^2} when infinity is inert, a `QuadSeries` over F_q when it ramifies (no
 series uniformizer is ever constructed; valuations come from the norm and
 live in (1/2)Z).  Other modules work on embedded values through `zero_like`,
-`one_like`, `product`, `flat_part` and `round_to_A`, without asking which
-type they hold.
+`one_like` and `round_to_A`, without asking which type they hold.
 """
 
 from __future__ import annotations
@@ -702,41 +701,18 @@ def one_like(z):
     return QuadSeries(z.ctx, LaurentSeries.one(z.ctx.cdesc), LaurentSeries.zero(z.ctx.cdesc))
 
 
-def product(a, b):
-    """a * b for two values over one coefficient field, each flat or quadratic."""
-    if isinstance(a, LaurentSeries) and isinstance(b, QuadSeries):
-        a, b = b, a
-    return a * b
-
-
-def flat_part(z) -> LaurentSeries | None:
-    """z as a flat series when it lies in the coefficient field's k_infinity
-    (a QuadSeries with xi-part known to vanish); None when its xi-part is nonzero."""
-    if isinstance(z, LaurentSeries):
-        return z
-    return z.x if z.y.is_zero_known() else None
-
-
-def restrict_to_base(poly: Poly, base: FieldDesc) -> Poly | None:
-    """A polynomial over F_q or F_{q^2} as one over `base` = F_q, through the
-    inverse of `embedding_table`; None when a coefficient lies outside F_q."""
-    if poly.field.m == 1:
-        return poly
-    back = {c: i for i, c in enumerate(embedding_table(base, poly.field))}
-    if any(c not in back for c in poly.coeffs):
-        return None
-    return Poly(base, [back[c] for c in poly.coeffs])
-
-
 def _round_flat(s: LaurentSeries, base: FieldDesc):
-    """(the polynomial over `base` = F_q that s equals, s.prec); InvariantError when s is not in A."""
+    """(the polynomial over `base` = F_q that s equals, s.prec), its F_{q^2}
+    codes mapped back through `embedding_table`; InvariantError when s is not in A."""
     poly, tail = s.polynomial_part()
     if tail is not None:
         raise InvariantError(f"coefficient has a nonzero digit at exponent {tail}: not in A")
-    poly = restrict_to_base(poly, base)
-    if poly is None:
+    if poly.field.m == 1:
+        return poly, s.prec
+    back = {c: i for i, c in enumerate(embedding_table(base, poly.field))}
+    if any(c not in back for c in poly.coeffs):
         raise InvariantError("coefficient not Galois-stable: F_{q^2}-part is nonzero")
-    return poly, s.prec
+    return Poly(base, [back[c] for c in poly.coeffs]), s.prec
 
 
 def round_to_A(z, base: FieldDesc):

@@ -444,12 +444,10 @@ def check_elliptic_lemmas(base: FieldDesc, d_bound: int) -> dict:
         # cardC bound for |D| >= q^4
         d = order.disc_deg()
         if order.field.infinite_type == "inert" and d >= 4:
+            _, power = bnd.disc_power(q, d)
             for eps in (Fraction(1), Fraction(1, q), Fraction(1, q * q)):
                 card = len(c_epsilon_set(near, eps))
                 # 3 q eps sqrt|D| |D|^(15/(2 loglog sqrt|D|)) log_q sqrt|D|
-                loglog = certlog.log_q(Fraction(d, 2), q)
-                expo = certlog.Interval.point(Fraction(15 * d, 2)) / loglog
-                power = bnd._interval_pow_q(q, expo)
                 bound = certlog.Interval.point(3 * q * eps * Fraction(q) ** (d // 2) * Fraction(d, 2)) * power
                 if not bound.certainly_ge(card):
                     return {"name": "elliptic", "ok": False, "fail": f"cardC {order.label()} eps={eps}"}

@@ -94,6 +94,8 @@ def test_modulus_flag_is_checked_and_echoed(capsys):
         ["--prec", "60", *REQUESTS[0]],
         ["--seed", "0", *REQUESTS[0]],
         ["--jobs", "2", "verify", "--dbound", "9"],
+        ["--dbound", "-9", "search-units"],
+        ["search-andre-oort", "--degbound", "-4"],
     ],
 )
 def test_bad_command_line_is_bad_input(argv, capsys):
@@ -101,6 +103,36 @@ def test_bad_command_line_is_bad_input(argv, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("bad input: ")
+
+
+Q3_DEGREE_8_GAMMAS = [
+    "2*T^8",
+    "2*T^8+2*T^7+2*T^6+2*T^5+2*T^4+2*T^3+2*T^2+2*T+2",
+    "2*T^8+T^7+2*T^6+T^5+2*T^4+T^3+2*T^2+T+2",
+    "T^8+2*T^6+2*T^2+1",
+    "T^8+2*T^7+2*T^5+T^4",
+    "T^8+T^7+T^5+T^4",
+]
+UNIT_COLUMNS = ("order", "disc_deg", "route", "norm_degree", "unit", "laclef_consistent")
+
+
+@pytest.mark.parametrize("command", ["search-andre-oort", "search-units"])
+def test_search_tsv_rows_equal_the_json_rows(command, capsys):
+    argv = ["--q", "3", "--dbound", "9", command, "--output"]
+    assert cli.main([*argv, "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)["search"]
+    assert cli.main([*argv, "tsv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# ")
+    rows = [line.split("\t") for line in lines[2:]]
+    if command == "search-andre-oort":
+        assert lines[1] == "degree\tgamma\tpair"
+        assert [h["gamma"] for h in rep["hits"]] == Q3_DEGREE_8_GAMMAS and rep["min_hit_degree"] == 8
+        assert rows == [[str(h["degree"]), h["gamma"], str(h["pair"])] for h in rep["hits"]]
+    else:
+        assert lines[1] == "order\tdisc_deg\troute\tnorm_degree\tunit\tlaclef"
+        assert rep["orders"] == len(rows) > 0 and rep["units_found"] == 0
+        assert rows == [[str(row.get(k, "")) for k in UNIT_COLUMNS] for row in rep["rows"]]
 
 
 def test_help_exits_zero(capsys):

@@ -189,7 +189,6 @@ TEST_REFERENCES = {
     "basis_product_tensor",
     "arith_stats",
     "divisors",
-    "mertens_product",
 }
 
 

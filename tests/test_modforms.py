@@ -1,3 +1,4 @@
+from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from drinfeld_cm.laurent import LaurentSeries
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.brownval import brown_prec, log_abs_j, moduli_of
 from drinfeld_cm.cmpoints import enumerate_points
-from drinfeld_cm import modforms
+from drinfeld_cm import brownval, modforms
 from drinfeld_cm.modforms import (
     EvalContext,
     eval_j,
@@ -114,10 +115,13 @@ def test_hilbert_hayes():
     assert unit_check(H) == ("nonunit", 8)
 
 
-def test_hilbert_stability():
+def test_hilbert_stability(monkeypatch):
     H1 = hilbert_poly(hayes_order())
-    H2 = hilbert_poly(hayes_order(), extra_prec=30)
-    assert H1.coeffs == H2.coeffs
+    monkeypatch.setattr(brownval, "_store", {})  # an emptied store: H2 is built afresh
+    monkeypatch.setattr(brownval, "_holding", OrderedDict())
+    monkeypatch.setattr(modforms, "GUARD", 30)
+    H2 = hilbert_poly(hayes_order())
+    assert H2 is not H1 and H1.coeffs == H2.coeffs and H1.residuals != H2.residuals
 
 
 def test_hilbert_insep():

@@ -175,20 +175,11 @@ def test_a_class_polynomial_that_fails_its_check_is_not_held(monkeypatch):
     monkeypatch.setattr(modforms.HilbertPoly, "constant_term_degree", lambda H: real(H) + 1)
     assert run(argv) == (1, "")
     cm = OrderCM.of(odd_order("T^3"))
-    assert cm.hilbert == {} and cm.values  # the values stay, the polynomial is not held
+    assert cm.hilbert is None and cm.values  # the values stay, the polynomial is not held
     monkeypatch.setattr(modforms.HilbertPoly, "constant_term_degree", real)
     calls = count_rows(monkeypatch)
     assert run(argv) == separate_run(argv)
-    assert calls == [] and list(cm.hilbert) == [GUARD]  # rebuilt from the held values, then held
-
-
-def test_class_polynomials_are_held_per_extra_precision():
-    order = odd_order("T-T^2")
-    H = hilbert_poly(order)
-    H30 = hilbert_poly(order, extra_prec=30)
-    assert H30 is not H and H30.coeffs == H.coeffs and H30.residuals != H.residuals
-    assert OrderCM.of(order).hilbert == {GUARD: H, 30: H30}
-    assert hilbert_poly(order) is H and hilbert_poly(order, extra_prec=30) is H30
+    assert calls == [] and cm.hilbert is not None  # rebuilt from the held values, then held
 
 
 def _syntax(method):
@@ -206,10 +197,12 @@ def _attributes_set_by_init() -> set:
 
 
 def _attributes_cleared_on_eviction() -> set:
-    """The x of every `old.x.clear()` in the eviction loop of `OrderCM._evaluate`."""
+    """The x of every `old.x.clear()` and `old.x = None` in the eviction loop of `OrderCM._evaluate`."""
     (loop,) = [node for node in ast.walk(_syntax(OrderCM._evaluate)) if isinstance(node, ast.While)]
     calls = [node.value for node in loop.body if isinstance(node, ast.Expr)]
-    return {c.func.value.attr for c in calls if isinstance(c.func, ast.Attribute) and c.func.attr == "clear"}
+    resets = [node for node in loop.body if isinstance(node, ast.Assign) and getattr(node.value, "value", 0) is None]
+    cleared = {c.func.value.attr for c in calls if isinstance(c.func, ast.Attribute) and c.func.attr == "clear"}
+    return cleared | {t.attr for node in resets for t in node.targets if isinstance(t, ast.Attribute)}
 
 
 # what an entry keeps when it loses its values; the eviction branch names the rest
