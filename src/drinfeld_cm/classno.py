@@ -20,10 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BadInputError, InvariantError
+from .ffield import FieldDesc
 from . import polyring as pr
 from .quadfield import Order, QuadField
+
+SIEVE_CACHE_SIZE = 16  # sieves kept for the L-route, least recently used dropped first
 
 
 @dataclass
@@ -100,6 +104,14 @@ def l_data(field: QuadField) -> LPolyData:
     return field.held("l_data", lambda: l_route(field))
 
 
+@lru_cache(maxsize=SIEVE_CACHE_SIZE)
+def _sieve(base: FieldDesc, top: int) -> tuple:
+    """(spf, cof) of `pr.spf_table(base, top)` as tuples.  The fields over one
+    base ask for a few small tables, one per genus, and an array sieve that
+    small costs more than the character sum it serves, so each is made once."""
+    return tuple(tuple(t.tolist()) for t in pr.spf_table(base, top))
+
+
 def l_route(field: QuadField) -> LPolyData:
     """Lambda(chi, t), L_K, h_K and h(O_K) for a separable extension.
 
@@ -122,7 +134,7 @@ def l_route(field: QuadField) -> LPolyData:
     o = base.order
     # chi on every monic of degree <= top, by poly code: pr.chi at each
     # prime, and chi(P m) = chi(P) chi(m) through the sieve's smallest factor
-    spf, cof = pr.spf_table(base, top)
+    spf, cof = _sieve(base, top)
     chi = [0] * len(spf)
     chi[1] = 1
     for c in range(o, len(chi)):

@@ -28,7 +28,7 @@ from .ffield import embedding_table, quadratic_extension
 from .laurent import LaurentSeries
 from . import polyring as pr
 from .polyring import Poly
-from .quadfield import Order, QuadElement, RatFunc, embed, imag_part_log, lattice_dist_log
+from .quadfield import Order, QuadElement, RatFunc, embed
 
 ELLIPTIC_DIGITS = 8  # digits past the distance floor at which |z - e| is first read
 
@@ -50,10 +50,6 @@ class CMPoint:
         if self.dist_e_log is None:
             return None
         return Fraction(1, self.order.field.q ** (-self.dist_e_log))
-
-    def size_log(self) -> Fraction:
-        """log_q |z| = (deg c - deg a)/2."""
-        return Fraction(self.c.deg - self.a.deg, 2)
 
     def sort_key(self):
         return (self.a.deg, pr.poly_code(self.a), pr.poly_code(self.b))
@@ -277,16 +273,3 @@ def majb_check(pt: CMPoint, eps: Fraction) -> dict:
         v2 = w2.valuation()
         out["b_beta_close"] = v2 is None or -v2 < eps_a_log
     return out
-
-
-def fundamental_domain_check(pt: CMPoint) -> bool:
-    """|z| = |z|_i = |z|_A >= 1, computed from the embedding."""
-    size = pt.size_log()
-    ze = embed([pt.z], int(2 * size) + 10)
-    base = pt.order.field.base
-    im = imag_part_log(ze)
-    if im != size:
-        return False
-    deg_bound = int(size) + 1
-    lat = lattice_dist_log(ze, deg_bound, base)
-    return lat == size and size >= 0

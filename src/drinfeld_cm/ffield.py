@@ -218,13 +218,6 @@ class FieldDesc:
         """Columns of x -> x^q on the power basis (an F_p-linear map)."""
         return tuple(tuple(self.coords(self.frob_q(self.p**j))) for j in range(self.s))
 
-    def basis_product_tensor(self):
-        """coords of g^i * g^j for the power basis, indexed [i][j]."""
-        return tuple(
-            tuple(tuple(self.coords(self._mul_raw(self.p**i, self.p**j))) for j in range(self.s))
-            for i in range(self.s)
-        )
-
     # -- traces --------------------------------------------------------------
 
     def trace_to_prime(self, a: int) -> int:

@@ -646,18 +646,6 @@ def pi_power_qm1(fld: FieldDesc, prec: int) -> LaurentSeries:
     return out.truncate(prec)
 
 
-def carlitz_d(fld_poly, i: int) -> Poly:
-    """D_i = prod_{k=0}^{i-1} (T^(q^i) - T^(q^k)); D_0 = 1."""
-    out = Poly(fld_poly, (1,))
-    q = fld_poly.q
-    for k in range(i):
-        coeffs = [0] * (q**i + 1)
-        coeffs[q**k] = fld_poly.neg(1)
-        coeffs[q**i] = fld_poly.add(coeffs[q**i], 1)
-        out = out * Poly(fld_poly, coeffs)
-    return out
-
-
 def inverse_bracket_series(fld: FieldDesc, i: int, rel: int) -> LaurentSeries:
     """1/(T^(q^i) - T) as a series with `rel` known digits past the lead."""
     q = fld.q

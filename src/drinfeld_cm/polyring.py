@@ -9,15 +9,17 @@ call; how the field computes them (tables or digit loops) stays inside
 
 Besides ring arithmetic this module provides factorization (squarefree split
 + distinct-degree + equal-degree splitting, its random choices seeded by the
-input), the counting functions d(a), omega(a), sigma_1(f), gcd_2, the
-quadratic character chi attached to an imaginary quadratic extension, and the
-Mertens-style Euler product.  In characteristic 2 one helper, `trace_mod`,
-sums w + w^2 + ... + w^(2^(e-1)) mod f: it splits equal-degree factors, and
-it decides every Artin-Schreier question x^2 + x = c mod P, since a root
-exists exactly when the trace of c to F_2 vanishes.  For odd q, chi reads the
-fundamental discriminant D_K that the field holds.  For exhaustive sweeps
-this module keeps tables indexed by integer poly codes: a linear
-smallest-prime sieve and residues mod a.
+input), gcd_2, the count of monic irreducibles, and the quadratic character
+chi attached to an imaginary quadratic extension.  In characteristic 2 one
+helper, `trace_mod`, sums w + w^2 + ... + w^(2^(e-1)) mod f: it splits
+equal-degree factors, and it decides every Artin-Schreier question
+x^2 + x = c mod P, since a root exists exactly when the trace of c to F_2
+vanishes.  For odd q, chi reads the fundamental discriminant D_K that the
+field holds.  For exhaustive sweeps
+this module keeps tables indexed by integer poly codes: residues mod a, and
+a linear smallest-prime sieve built on numpy arrays one degree at a time,
+from which `sieve_stats` reads omega(a), d(a), sigma_1(a) and the Mertens
+product prod_{P | a} |P|/(|P| - 1) for every monic a.
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BadInputError, InvariantError
 from .ffield import FieldDesc, factor_int, is_square as ff_is_square
 
 NEG_INF = float("-inf")
 SPLIT_TRIALS = 64  # each trial splits a valid input with probability about 1/2
 FACTOR_CACHE_SIZE = 4096  # factorizations kept, least recently used dropped first
+CHUNK = 1 << 16  # rows of one array operation in spf_table and sieve_stats; bounds their temporaries
 
 
 class Poly:
@@ -446,40 +451,6 @@ def gcd2(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def arith_stats(a: Poly):
-    """omega(a), d(a) and sigma_1 of a nonzero polynomial.
-
-    sigma_1(a) = sum over monic divisors d of |d| (an integer).
-    """
-    if a.is_zero():
-        raise BadInputError("arith_stats(0)")
-    _, items = factor(a)
-    q = a.field.q
-    omega = len(items)
-    dcount = 1
-    sigma1 = 1
-    for p_, e in items:
-        dcount *= e + 1
-        pd = q**p_.deg
-        sigma1 *= sum(pd**j for j in range(e + 1))
-    return {"omega": omega, "d": dcount, "sigma1": sigma1}
-
-
-def divisors(a: Poly):
-    """All monic divisors (desk-scale helper used by test oracles)."""
-    _, items = factor(a)
-    out = [one(a.field)]
-    for p_, e in items:
-        new = []
-        pk = one(a.field)
-        for k in range(e + 1):
-            new.extend(d * pk for d in out)
-            if k < e:
-                pk = pk * p_
-        out = new
-    return out
-
-
 def count_monic_irreducibles(n: int, q: int) -> int:
     """Number of monic irreducibles of degree n via the Moebius/necklace formula."""
     if n <= 0:
@@ -587,37 +558,150 @@ def code_poly(fld: FieldDesc, code: int) -> Poly:
     return Poly._of_trimmed(fld, tuple(cs))
 
 
+def _signed_to(bound: int):
+    """The least signed integer dtype that holds 0 .. bound (signed, so that
+    products with int64 stay integers)."""
+    return np.min_scalar_type(-bound - 1)
+
+
+def _digits(codes: np.ndarray, o: int, n: int, dtype) -> np.ndarray:
+    """The n lowest base-o digits of each code, low to high: one row of
+    coefficient codes per polynomial."""
+    out = np.empty((len(codes), n), dtype=dtype)
+    for i in range(n):
+        codes, out[:, i] = np.divmod(codes, o)
+    return out
+
+
+def _code_tables(fld: FieldDesc, dtype) -> tuple:
+    """The order x order tables of fld.add and fld.mul on codes."""
+    elems = range(fld.order)
+    add = np.array([[fld.add(a, b) for b in elems] for a in elems], dtype=dtype)
+    mul = np.array([[fld.mul(a, b) for b in elems] for a in elems], dtype=dtype)
+    return add, mul
+
+
+def _product_codes(A: np.ndarray, B: np.ndarray, o: int, tables) -> np.ndarray:
+    """Codes of the products of the polynomials with coefficient rows A and B,
+    row by row, their coefficient sums taken through the code tables."""
+    add, mul = tables
+    n, la = A.shape
+    lb = B.shape[1]
+    out = np.zeros((n, la + lb - 1), dtype=A.dtype)
+    for j in range(la):
+        out[:, j : j + lb] = add[out[:, j : j + lb], mul[A[:, j : j + 1], B]]
+    codes = np.zeros(n, dtype=np.int64)
+    for digit in out.T[::-1]:  # Horner, from the leading coefficient down
+        codes *= o
+        codes += digit
+    return codes
+
+
 def spf_table(fld: FieldDesc, maxdeg: int):
     """Linear sieve over the monic polynomials of degree <= maxdeg.
 
-    Returns (spf, cof), two lists indexed by poly code.  For a monic a of
-    degree >= 1, spf[a] is the code of the smallest monic irreducible factor
-    of a in code order and cof[a] that of a / spf[a]; so the irreducibles are
-    exactly the codes with spf[P] = P, and they have cof[P] = 1 (the code of
-    the polynomial 1).  Other entries are 0.  As in the sieve of Gries and
-    Misra (CACM 21, 1978), each composite is set once, from the one product
-    P * m with P <= spf[m] in code order.
+    Returns (spf, cof), two int32 arrays indexed by poly code.  For a monic
+    a of degree >= 1, spf[a] is the code of the smallest monic irreducible
+    factor of a in code order and cof[a] that of a / spf[a]; so the
+    irreducibles are exactly the codes with spf[P] = P, and they have
+    cof[P] = 1 (the code of the polynomial 1).  Other entries are 0.
+
+    The sieve runs one degree d at a time on numpy arrays.  Every composite
+    of degree d is a product of lower degrees, so once the blocks below d
+    are done the zero entries of block d are its irreducibles.  Then every m
+    of degree d is multiplied by every irreducible P <= spf[m] in code order
+    with deg P <= maxdeg - d (such a P has deg P <= d), all these pairs in
+    one array operation on coefficient rows (`_product_codes`, through the
+    order x order tables of fld.add and fld.mul), in chunks of about CHUNK
+    products.  As in the sieve of Gries and Misra (CACM 21, 1978), each
+    composite is set once, from the one product P * m with P <= spf[m].  A
+    table of 2^31 codes or more is refused.
     """
     o = fld.order
-    spf = [0] * (2 * o**maxdeg)
-    cof = [0] * (2 * o**maxdeg)
-    primes = []  # (code, degree, polynomial) in code order
+    size = 2 * o**maxdeg
+    if size >= 2**31:
+        raise BadInputError(f"a sieve to degree {maxdeg} over F_{o} needs more than 2^31 codes")
+    spf = np.zeros(size, dtype=np.int32)
+    cof = np.zeros(size, dtype=np.int32)
+    dtype = _signed_to(o - 1)  # a digit holds a coefficient code
+    tables = _code_tables(fld, dtype) if maxdeg >= 2 else None  # no products below degree 2
+    width = maxdeg // 2 + 1  # coefficients of a prime P that takes some m with deg m >= deg P
+    primes = np.zeros(0, dtype=np.int64)  # the irreducibles of degree <= maxdeg / 2, increasing
+    prime_rows = np.zeros((0, width), dtype=dtype)  # their coefficient rows
     for d in range(1, maxdeg + 1):
-        room = maxdeg - d  # the largest degree of a prime that m can still take
-        for c in range(o**d, 2 * o**d):
-            if not spf[c]:
-                spf[c], cof[c] = c, 1
-                primes.append((c, d, code_poly(fld, c)))
-            if not room:
-                continue
-            m = code_poly(fld, c)
-            least = spf[c]
-            for pc, pd, P in primes:
-                if pd > room or pc > least:
-                    break
-                prod = poly_code(P * m)
-                spf[prod], cof[prod] = pc, c
+        lo = o**d
+        least = spf[lo : 2 * lo]  # a view: spf of the m of degree d
+        new = np.flatnonzero(least == 0) + lo
+        spf[new], cof[new] = new, 1
+        e = min(d, maxdeg - d)  # the largest degree of a prime P that takes an m of degree d
+        if not e:
+            continue
+        if e == d:
+            primes = np.concatenate((primes, new))
+            prime_rows = np.concatenate((prime_rows, _digits(new, o, width, dtype)))
+        rows = _digits(np.arange(lo, 2 * lo), o, d + 1, dtype)
+        usable = primes[: np.searchsorted(primes, o ** (e + 1))]
+        step = max(1, CHUNK // len(usable))
+        for s in range(0, lo, step):
+            mi, pi = np.nonzero(usable <= least[s : s + step, None])  # m takes every prime P <= spf[m]
+            mi += s
+            prod = _product_codes(prime_rows[pi, : e + 1], rows[mi], o, tables)
+            spf[prod], cof[prod] = usable[pi], mi + lo
     return spf, cof
+
+
+def sieve_stats(fld: FieldDesc, table, maxdeg: int):
+    """Yield (d, first, omega, d(a), sigma_1(a), mnum, mden) for runs of
+    consecutive monic a of one degree d, d = 1, ..., maxdeg, in code order:
+    the arrays are indexed by code(a) - first, and a run has at most
+    CHUNK codes.
+
+    d(a) counts the monic divisors of a, sigma_1(a) sums their |.|, and
+    mnum/mden = prod_{P | a} |P| / (|P| - 1), the Mertens product.  Every
+    statistic is read from (spf, cof) of an spf_table to degree >= maxdeg
+    and from those of lower degree, one degree at a time.  Let P = spf(a),
+    m = cof(a) = a / P and R(a) = a / P^E, where P^E || a.  Then P divides m
+    exactly when spf(m) = P (E >= 2), and then R(a) = R(m), otherwise
+    R(a) = m.  The statistics are multiplicative, so
+        omega(a) = omega(m) + [P does not divide m],
+        d(a) = d(m) + d(R(a)),
+        sigma_1(a) = |P| sigma_1(m) + sigma_1(R(a)),
+    and the Mertens product of a is that of m, times |P| / (|P| - 1) when
+    P does not divide m; so the exponent E itself is never needed.  Only
+    the codes below order^maxdeg are read back, and they are kept in the
+    least dtypes that hold d(a) <= 2^deg a, sigma_1(a) <= 2^omega(a) |a| and
+    mden < mnum <= |a|.
+    """
+    spf, cof = table
+    q, o = fld.q, fld.order
+    n = o**maxdeg
+    rest = np.zeros(n, dtype=np.int32)  # code of R(a)
+    omega = np.zeros(n, dtype=np.int8)
+    dcount = np.zeros(n, dtype=_signed_to(2**maxdeg))
+    sigma1 = np.zeros(n, dtype=_signed_to((2 * q) ** maxdeg))
+    mnum = np.zeros(n, dtype=_signed_to(q**maxdeg))
+    mden = np.zeros(n, dtype=mnum.dtype)
+    dcount[1] = sigma1[1] = mnum[1] = mden[1] = 1  # the polynomial 1
+    powers = o ** np.arange(1, maxdeg + 1)
+    for d in range(1, maxdeg + 1):
+        for first in range(o**d, 2 * o**d, CHUNK):
+            run = slice(first, min(first + CHUNK, 2 * o**d))
+            P, m = spf[run], cof[run]
+            degP = np.searchsorted(powers, P, side="right")
+            norm = q**degP
+            new = spf[m] != P  # spf(1) = 0 is no prime
+            r = np.where(new, m, rest[m])
+            stats = (
+                omega[m] + new,
+                dcount[m] + dcount[r],
+                norm * sigma1[m] + sigma1[r],
+                mnum[m] * np.where(new, norm, 1),
+                mden[m] * np.where(new, norm - 1, 1),
+            )
+            if d < maxdeg:
+                rest[run] = r
+                omega[run], dcount[run], sigma1[run], mnum[run], mden[run] = stats
+            yield (d, first, *stats)
 
 
 def factor_with_spf(code: int, table) -> list:
@@ -630,10 +714,10 @@ def factor_with_spf(code: int, table) -> list:
     items = []
     last, e = 0, 0
     while code != 1:
-        P = spf[code]
+        P = int(spf[code])
         if not P:
             raise BadInputError(f"code {code} is not a monic polynomial of the table")
-        code = cof[code]
+        code = int(cof[code])
         if P == last:
             e += 1
         else:

@@ -559,46 +559,6 @@ class QuadSeries:
 # embedding into the completion
 
 
-def imag_part_log(z) -> Fraction | None:
-    """log_q |z|_i: the distance from z to k_infinity; None when z is in k_infinity.
-
-    A flat z over F_{q^2} has the distance of its xi-part, and that of
-    z - zbar (zbar the coefficientwise conjugate) since u - ubar is a unit
-    for any u outside F_q."""
-    if isinstance(z, LaurentSeries):
-        v = (z - z.conjugate()).valuation()
-        return -Fraction(v) if v is not None else None
-    vy = z.y.valuation()
-    if vy is None:
-        return None
-    return -(Fraction(vy) + z.ctx.v_xi)
-
-
-def lattice_dist_log(z, deg_bound: int, base: FieldDesc) -> Fraction:
-    """log_q |z|_A = log of the min over a in A = base[T] (deg a <= deg_bound) of |z - a|."""
-    best = None
-    for d in range(-1, deg_bound + 1):
-        cands = [pr.zero(base)] if d < 0 else [
-            p_.scale(s) for p_ in pr.monic_of_degree(base, d) for s in range(1, base.order)
-        ]
-        for a in cands:
-            diff = sub_poly(z, a)
-            v = diff.valuation()
-            if v is None:
-                raise PrecisionError("z - a indistinguishable from 0")
-            log = -Fraction(v)
-            if best is None or log < best:
-                best = log
-    return best
-
-
-def sub_poly(z, a: Poly):
-    """z - a for a polynomial a over F_q."""
-    if isinstance(z, LaurentSeries):
-        return z - LaurentSeries.from_poly(a, z.field)
-    return QuadSeries(z.ctx, z.x - LaurentSeries.from_poly(a, z.ctx.cdesc), z.y)
-
-
 def xi_series(qf: QuadField, desc2: FieldDesc, prec: int) -> LaurentSeries:
     """The canonical flattening of xi in F_{q^2}((1/T)) (inert flavors only).
 

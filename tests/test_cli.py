@@ -155,7 +155,21 @@ def test_verify_below_q_squared_passes_every_check(capsys):
     assert cli.main(["verify", "--dbound", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     names = [
-        "hayes", "brown-vs-numeric", "appendix", "class-numbers", "elliptic",
+        "hayes", "brown-vs-numeric", "appendix", "class-numbers",
+        "elliptic (cardC checked 0 cases; no inert order with |D| >= q^4 lies below --dbound)",
         "counting", "analytic", "andre-oort", "unit-sweep", "certificate",
     ]
     assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in names]
+
+
+def test_verify_says_when_cardc_checked_no_case(capsys):
+    # at q = 3 every inert order with |D| <= 9 has |D| < q^4, so the cardC
+    # bound of the elliptic suite has no case; the suite still passes
+    assert cli.main(["verify", "--dbound", "9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    elliptic = [line for line in lines if line.startswith("PASS elliptic")]
+    assert elliptic == [
+        "PASS elliptic (cardC checked 0 cases; no inert order with |D| >= q^4 lies below --dbound): "
+        '{"cardC_checked": 0, "floor_attained": true}'
+    ]
+    assert all(line.startswith("PASS ") for line in lines)

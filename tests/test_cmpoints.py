@@ -9,10 +9,10 @@ from drinfeld_cm.cmpoints import (
     c_epsilon_set,
     elliptic_neighbor,
     enumerate_points,
-    fundamental_domain_check,
     majb_check,
 )
-from drinfeld_cm.quadfield import order_from, order_from_discriminant, validate_field
+from drinfeld_cm.quadfield import embed, order_from, order_from_discriminant, validate_field
+from test_quadfield import imag_part_log, lattice_dist_log
 
 F2 = field(2)
 F3 = field(3)
@@ -178,6 +178,15 @@ def test_majb():
         if p.dist_e_log is not None:
             res = majb_check(p, Fraction(1))
             assert all(res.values()), res
+
+
+def fundamental_domain_check(pt) -> bool:
+    """|z| = |z|_i = |z|_A >= 1, computed from the embedding."""
+    size = Fraction(pt.c.deg - pt.a.deg, 2)  # log_q |z|
+    ze = embed([pt.z], int(2 * size) + 10)
+    if imag_part_log(ze) != size:
+        return False
+    return lattice_dist_log(ze, int(size) + 1, pt.order.field.base) == size and size >= 0
 
 
 def test_fundamental_domain():

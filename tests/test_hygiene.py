@@ -181,17 +181,6 @@ def test_function_level_imports_close_a_cycle():
     assert not movable, "function-level imports that can move to the top of their module:\n" + "\n".join(movable)
 
 
-# Implementations that tests compare the program against, and that the
-# program itself has no use for.
-TEST_REFERENCES = {
-    "fundamental_domain_check",
-    "carlitz_d",
-    "basis_product_tensor",
-    "arith_stats",
-    "divisors",
-}
-
-
 def _uses(tree, skip=None) -> tuple:
     """(attribute, imported and dotted-path words; plain names) of a tree,
     leaving out the subtree `skip`."""
@@ -216,7 +205,7 @@ def test_every_definition_is_used_by_the_program():
         tree = trees[path]
         for node, is_method in _definitions(tree):
             name = node.name
-            if (name.startswith("__") and name.endswith("__")) or name in TEST_REFERENCES:
+            if name.startswith("__") and name.endswith("__"):
                 continue
             own_words, own_names = _uses(tree, skip=node)
             elsewhere = any(name in w for p, w in words.items() if p != path)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,18 +10,43 @@ from drinfeld_cm.errors import BadInputError, InvariantError
 from drinfeld_cm.ffield import field
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.quadfield import validate_field
-from drinfeld_cm.verify import divisor_stats
 
 F2 = field(2)
 F3 = field(3)
+F4 = field(2, 2)
+F5 = field(5)
+F8 = field(2, 3)
 
 
 def P(fld, text):
     return pr.parse_poly(fld, text)
 
 
+def arith_stats(a):
+    """omega(a), d(a) and sigma_1(a) = sum of |d| over the monic divisors d of
+    a nonzero polynomial, from its factorization: the oracle of `pr.sieve_stats`."""
+    if a.is_zero():
+        raise BadInputError("arith_stats(0)")
+    _, items = pr.factor(a)
+    q = a.field.q
+    dcount = sigma1 = 1
+    for p_, e in items:
+        dcount *= e + 1
+        sigma1 *= sum(q ** (p_.deg * j) for j in range(e + 1))
+    return {"omega": len(items), "d": dcount, "sigma1": sigma1}
+
+
+def divisors(a):
+    """All monic divisors of a nonzero polynomial: the oracle of `arith_stats`."""
+    _, items = pr.factor(a)
+    out = [pr.one(a.field)]
+    for p_, e in items:
+        out = [d * p_**k for k in range(e + 1) for d in out]
+    return out
+
+
 def mertens_product(f):
-    """Exact prod_{P | f} (1 - 1/|P|)^{-1} for non-constant monic f: the oracle of `verify.divisor_stats`."""
+    """Exact prod_{P | f} (1 - 1/|P|)^{-1} for non-constant monic f: the oracle of `pr.sieve_stats`."""
     if f.deg < 1:
         raise BadInputError("mertens_product needs deg f >= 1")
     out = Fraction(1)
@@ -161,11 +187,11 @@ def test_gcd2_examples():
 
 def test_arith_stats_example():
     a = P(F2, "T^2") * P(F2, "T+1")
-    st_ = pr.arith_stats(a)
+    st_ = arith_stats(a)
     assert st_ == {"omega": 2, "d": 6, "sigma1": 21}
-    assert pr.arith_stats(pr.one(F2)) == {"omega": 0, "d": 1, "sigma1": 1}
+    assert arith_stats(pr.one(F2)) == {"omega": 0, "d": 1, "sigma1": 1}
     f = P(F2, "T^2")
-    s = pr.arith_stats(f)["sigma1"]
+    s = arith_stats(f)["sigma1"]
     assert Fraction(s, 4) == Fraction(7, 4) and Fraction(s, 4) <= 3
 
 
@@ -175,8 +201,8 @@ def test_sigma1_oracle_matches_divisor_enumeration():
         a = random_poly(F3, 5, rng)
         if a.is_zero():
             continue
-        stats = pr.arith_stats(a)
-        divs = pr.divisors(a)
+        stats = arith_stats(a)
+        divs = divisors(a)
         assert stats["d"] == len(divs)
         assert stats["sigma1"] == sum(3**d.deg for d in divs)
 
@@ -319,20 +345,77 @@ def test_mertens_bound_sweep(fld):
             assert mertens_product(f) <= 37 * d
 
 
+SIEVE_FIELDS = {"F2": F2, "F3": F3, "F4": F4, "F5": F5, "F8": F8}  # F_4 and F_8 have codes that are not F_p digits
+
+
+@pytest.mark.parametrize(
+    "fld, maxdeg",
+    [*((fld, 6) for fld in SIEVE_FIELDS.values()), (field(3, 2), 4)],  # F_9 adds digits mod 3 through tables
+    ids=[*SIEVE_FIELDS, "F9"],
+)
+def test_spf_table_marks_exactly_the_irreducibles(fld, maxdeg):
+    # every entry with spf[c] != c is checked to be P * m with both degrees >= 1,
+    # so it is reducible; then equal counts make the marked codes of each degree
+    # exactly its irreducibles, and with P prime and P <= spf[m], P is the least
+    # prime factor of P * m by induction on the degree
+    o = fld.order
+    spf, cof = pr.spf_table(fld, maxdeg)
+    codes = np.arange(len(spf))
+    monic = np.zeros(len(spf), dtype=bool)
+    for d in range(1, maxdeg + 1):
+        block = codes[o**d : 2 * o**d]
+        monic[block] = True
+        marked = block[spf[block] == block]
+        assert len(marked) == pr.count_monic_irreducibles(d, fld.q)
+        assert (cof[marked] == 1).all()
+    assert not spf[~monic].any() and not cof[~monic].any()
+    for c in np.flatnonzero(monic & (spf != codes)).tolist():
+        P, m = int(spf[c]), int(cof[c])
+        assert spf[P] == P and m > 1 and P <= spf[m], c
+        assert pr.code_poly(fld, P) * pr.code_poly(fld, m) == pr.code_poly(fld, c)
+
+
+def _stats_at_every_code(fld, table, maxdeg) -> dict:
+    """code -> (omega, d, sigma_1, Mertens product) from `pr.sieve_stats`."""
+    out = {}
+    for _, first, *stats in pr.sieve_stats(fld, table, maxdeg):
+        for i, (omega, dcount, sigma1, mnum, mden) in enumerate(zip(*(s.tolist() for s in stats))):
+            out[first + i] = (omega, dcount, sigma1, Fraction(mnum, mden))
+    return out
+
+
 def test_spf_table_agrees_with_factor():
-    # F_4 has codes whose digits are not prime-field elements
-    for fld in (F2, F3, field(2, 2), field(5)):
+    # every monic of degree <= 6 over F_2 .. F_5; over F_8 every monic of
+    # degree <= 4 and 300 seeded samples of each of degrees 5 and 6
+    rng = random.Random(0)
+    for name, fld in SIEVE_FIELDS.items():
+        o = fld.order
         table = pr.spf_table(fld, 6)
+        stats = _stats_at_every_code(fld, table, 6)
+        assert sorted(stats) == [c for d in range(1, 7) for c in range(o**d, 2 * o**d)]
         for d in range(1, 7):
-            for a in pr.monic_of_degree(fld, d):
-                items = pr.factor_with_spf(pr.poly_code(a), table)
+            codes = range(o**d, 2 * o**d)
+            if name == "F8" and d > 4:
+                codes = rng.sample(codes, 300)
+            for c in codes:
+                a = pr.code_poly(fld, c)
+                items = pr.factor_with_spf(c, table)
                 _, expect = pr.factor(a)
-                assert sorted(items) == sorted((pr.poly_code(P), e) for P, e in expect)
-                assert [pc for pc, _ in items] == sorted({pc for pc, _ in items})  # increasing code order
-                norms = {pr.poly_code(P): fld.q**P.deg for P, _ in expect}
-                omega, dcount, sigma1, mnum, mden = divisor_stats(items, norms)
-                assert {"omega": omega, "d": dcount, "sigma1": sigma1} == pr.arith_stats(a)
-                assert Fraction(mnum, mden) == mertens_product(a)
+                assert items == sorted((pr.poly_code(P), e) for P, e in expect)  # increasing code order
+                want = arith_stats(a)
+                assert stats[c] == (want["omega"], want["d"], want["sigma1"], mertens_product(a)), (name, a)
+
+
+def test_sieve_stats_reach_d_of_two_to_the_maxdeg():
+    # T^7 - T over F_7 is the product of the 7 monic linears: d = 2^7 = 128 sits
+    # at the edge of the least dtype for d(a) <= 2^maxdeg
+    F7 = field(7)
+    c = pr.poly_code(P(F7, "T^7+6*T"))
+    stats = None
+    for _, first, *run in pr.sieve_stats(F7, pr.spf_table(F7, 7), 7):
+        if first <= c < first + len(run[0]):
+            stats = [int(s[c - first]) for s in run]
+    assert stats == [7, 2**7, 8**7, 7**7, 6**7]
 
 
 def test_factor_with_spf_rejects_codes_outside_the_table():

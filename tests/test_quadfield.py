@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld_cm.errors import BadInputError, InvariantError
+from drinfeld_cm.errors import BadInputError, InvariantError, PrecisionError
 from drinfeld_cm.ffield import embedding_table, field, quadratic_extension
 from drinfeld_cm.laurent import LaurentSeries
 from drinfeld_cm import polyring as pr
@@ -15,8 +15,6 @@ from drinfeld_cm.quadfield import (
     QuadSeriesContext,
     RatFunc,
     embed,
-    imag_part_log,
-    lattice_dist_log,
     order_from,
     order_from_discriminant,
     round_to_A,
@@ -339,6 +337,42 @@ def test_quad_series_frobenius_and_norm_every_flavor(name):
     lifted = z.frobenius_q().lift(quadratic_extension(k.base))
     fr2 = z.lift(quadratic_extension(k.base)).frobenius_q()
     assert (lifted.x, lifted.y) == (fr2.x, fr2.y)
+
+
+def imag_part_log(z) -> Fraction | None:
+    """log_q |z|_i: the distance from a flat z to k_infinity; None when z is in k_infinity.
+
+    A flat z over F_{q^2} has the distance of its xi-part, and that of
+    z - zbar (zbar the coefficientwise conjugate) since u - ubar is a unit
+    for any u outside F_q."""
+    if isinstance(z, LaurentSeries):
+        v = (z - z.conjugate()).valuation()
+        return -Fraction(v) if v is not None else None
+    vy = z.y.valuation()
+    if vy is None:
+        return None
+    return -(Fraction(vy) + z.ctx.v_xi)
+
+
+def lattice_dist_log(z, deg_bound: int, base) -> Fraction:
+    """log_q |z|_A = log of the min over a in A = base[T] (deg a <= deg_bound) of |z - a|."""
+    best = None
+    for d in range(-1, deg_bound + 1):
+        cands = [pr.zero(base)] if d < 0 else [
+            p_.scale(s) for p_ in pr.monic_of_degree(base, d) for s in range(1, base.order)
+        ]
+        for a in cands:
+            if isinstance(z, LaurentSeries):
+                diff = z - LaurentSeries.from_poly(a, z.field)
+            else:
+                diff = QuadSeries(z.ctx, z.x - LaurentSeries.from_poly(a, z.ctx.cdesc), z.y)
+            v = diff.valuation()
+            if v is None:
+                raise PrecisionError("z - a indistinguishable from 0")
+            log = -Fraction(v)
+            if best is None or log < best:
+                best = log
+    return best
 
 
 def test_imag_and_lattice_size():

@@ -8,6 +8,7 @@ from drinfeld_cm.errors import InvariantError
 from drinfeld_cm.ffield import field
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.quadfield import RatFunc
+from drinfeld_cm import verify
 from drinfeld_cm.verify import (
     EPS_LOGS,
     check_analytic_lemmas,
@@ -29,6 +30,61 @@ def test_analytic_lemmas_tiny(q):
     rep = check_analytic_lemmas(field(q), maxdeg=n)
     assert rep["ok"] is True
     assert rep["polynomials"] == sum(q**d for d in range(1, n + 1))  # every monic of degree 1..n
+
+
+def test_analytic_lemmas_f4_to_degree_8():
+    rep = check_analytic_lemmas(field(2, 2), 8)
+    assert rep == {"name": "analytic", "ok": True, "polynomials": sum(4**d for d in range(1, 9))}
+
+
+def test_analytic_lemmas_f7_to_degree_7():
+    # d(T^7 - T) = 2^7 is the largest value of d(a) here, and np.bincount reads it
+    rep = check_analytic_lemmas(field(7), 7)
+    assert rep == {"name": "analytic", "ok": True, "polynomials": sum(7**d for d in range(1, 8))}
+
+
+def _least_with(base, kind, value, d):
+    """The least monic a of degree d in code order with d(a) = value (kind "d")
+    or omega(a) = value (kind "w"), by factoring every one."""
+    for a in pr.monic_of_degree(base, d):
+        items = pr.factor(a)[1]
+        dcount = 1
+        for _, e in items:
+            dcount *= e + 1
+        if (dcount if kind == "d" else len(items)) == value:
+            return a
+    raise AssertionError("no polynomial with this key")
+
+
+@pytest.mark.parametrize(
+    "keys, name",
+    [
+        ([("d", 2, 3)], "maj-omega"),  # the least prime of degree 3, T^3+2*T+1
+        ([("d", 3, 4)], "maj-omega"),  # (T^2+1)^2, the 20th monic of degree 4
+        ([("d", 8, 5)], "maj-omega"),
+        ([("w", 2, 3)], "majomega"),
+        ([("w", 3, 5)], "majomega"),
+        ([("w", 1, 4), ("d", 5, 4)], "maj-omega"),  # both fail first at T^4: d(a) is checked first
+        ([("d", 3, 4), ("w", 2, 4)], "majomega"),  # omega = 2 at T^4+1 comes before (T^2+1)^2
+    ],
+)
+def test_analytic_failure_names_the_least_polynomial_with_the_failing_key(monkeypatch, keys, name):
+    # one (kind, value, degree) key of the log bounds fails; the suite must name
+    # the least polynomial that has it, found here by brute force, and certify
+    # every key once
+    base = field(3)
+    real = verify.log_bound_holds
+    asked = []
+
+    def failing(kind, value, d, lnq2):
+        asked.append((kind, value, d))
+        return (kind, value, d) not in keys and real(kind, value, d, lnq2)
+
+    monkeypatch.setattr(verify, "log_bound_holds", failing)
+    rep = check_analytic_lemmas(base, 5)
+    least = min((_least_with(base, *key) for key in keys), key=pr.poly_code)
+    assert rep == {"name": "analytic", "ok": False, "fail": f"{name} {least}"}
+    assert len(asked) == len(set(asked))
 
 
 @pytest.mark.parametrize("q", [3, 5])
