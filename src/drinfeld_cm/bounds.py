@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+import numpy as np
+
 from . import certlog
 from .certlog import Interval
 from .brownval import OrderCM, moduli_of, ramified_nonunit_certificate, weil_height
@@ -21,7 +23,6 @@ from .errors import BadInputError, InvariantError
 from .ffield import FieldDesc
 from .modforms import hilbert_constant_degree, hilbert_poly, unit_check
 from . import polyring as pr
-from .polyring import Poly
 from .quadfield import Order
 from .sweeps import iter_orders, modulus_records, order_report
 
@@ -29,19 +30,32 @@ from .sweeps import iter_orders, modulus_records, order_report
 # easycounting
 
 
-def easycounting_bound_check(m: Poly, b0: Poly, M_log: Fraction) -> bool:
-    """|{b = b0 mod m, |b| < q^M_log}| <= max(1, q^(1 + M_log)/|m|), exhaustively."""
-    q = m.field.q
-    count = 0
-    # enumerate b of degree < ceil(M_log) in the class of b0
-    bound_deg = int(math.ceil(M_log))
-    r = b0 % m
-    for t in pr.all_of_degree_less(m.field, max(0, bound_deg - m.deg) + 1):
-        b = r + m * t
-        if b.is_zero() or b.deg < M_log:
-            count += 1
-    rhs = max(Fraction(1), Fraction(q) ** (1 + M_log) / q**m.deg)
-    return count <= rhs
+def easycounting_counts(base: FieldDesc, deg_m: int, b0_deg: int, M_log: Fraction) -> np.ndarray:
+    """counts[i, j] = |{b = b0 + m t, |b| < q^M_log}| for the i-th monic m of
+    degree deg_m and the j-th b0 of degree < b0_deg <= deg_m (so b0 is its
+    own residue mod m), both in code order, with t of degree
+    < max(0, ceil(M_log) - deg m) + 1.
+
+    |b| < q^M_log holds exactly when code(b) < order^max(0, ceil(M_log)),
+    which counts b = 0 too.  The products m t are coefficient rows
+    (`pr.product_rows`), and b0 enters their low digits through the add
+    table; the pairs (m, t) go in blocks of about CHUNK rows per b0.
+    """
+    o = base.order
+    limit = o ** max(0, math.ceil(M_log))
+    k = max(0, math.ceil(M_log) - deg_m) + 1
+    ms = pr.digit_rows(base, np.arange(o**deg_m, 2 * o**deg_m), deg_m + 1)
+    ts = pr.digit_rows(base, np.arange(o**k), k)
+    b0s = pr.digit_rows(base, np.arange(o**b0_deg), b0_deg)
+    counts = np.empty((len(ms), len(b0s)), dtype=np.int64)
+    step = max(1, pr.CHUNK // (len(ts) * len(b0s)))
+    for s in range(0, len(ms), step):
+        block = ms[s : s + step]
+        prod = pr.product_rows(base, np.repeat(block, len(ts), axis=0), np.tile(ts, (len(block), 1)))
+        high = pr.row_codes(base, prod[:, b0_deg:]) * o**b0_deg
+        codes = pr.row_codes(base, pr.add_codes(base, prod[None, :, :b0_deg], b0s[:, None, :])) + high
+        counts[s : s + len(block)] = (codes < limit).reshape(len(b0s), len(block), len(ts)).sum(axis=2).T
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .errors import BadInputError, InvariantError, PrecisionError
 from . import classno
 from .cmpoints import CMPoint, enumerate_points, point_form
 from .ffield import FieldDesc
-from .quadfield import Order, value_field
+from .quadfield import Order
 
 BROWN_DIGITS = 4  # digits past the valuation that the Brown check resolves
 MAX_SEPARATION_DIGITS = 128
@@ -250,16 +250,14 @@ class OrderCM:
             old.plans.clear()
             old.hilbert = None
 
-    def j_values(self, points: list, prec, cdesc: FieldDesc | None = None) -> list:
+    def j_values(self, points: list, prec) -> list:
         """The JValues of the points to absolute precision at least `prec` (a
-        number, or a function of the point such as `brown_prec`), over
-        `cdesc` (default: the order's `value_field`).
+        number, or a function of the point such as `brown_prec`), over the
+        order's `value_field`.
 
         The points not yet held to that precision are evaluated in one call:
         one stacked evaluation per group of equal (n, eps, |j|, precision),
-        whose rows share every truncation target.  A point is only ever
-        evaluated over the value field: its value over an extension is the
-        held value with its coefficients embedded, which is exact.
+        whose rows share every truncation target.
         """
         need = prec if callable(prec) else (lambda pt: prec)
         missing = {}
@@ -269,10 +267,7 @@ class OrderCM:
                 missing[(pt.a, pt.b)] = pt
         if missing:
             self._evaluate(list(missing.values()), need)
-        out = [self.values[(pt.a, pt.b)][1] for pt in points]
-        if cdesc is not None and cdesc != value_field(self.order.field):
-            out = [replace(jv, value=jv.value.lift(cdesc)) for jv in out]
-        return out
+        return [self.values[(pt.a, pt.b)][1] for pt in points]
 
     def plans_at(self, points: list, prec: int) -> list:
         """The truncation plan of an evaluation of each point at exactly

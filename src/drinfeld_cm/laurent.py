@@ -67,12 +67,6 @@ def _scalar_matrix(desc: FieldDesc, code: int):
     return m
 
 
-@lru_cache(maxsize=None)
-def _lift_table(src: FieldDesc, dst: FieldDesc) -> np.ndarray:
-    """Row c: the coordinates in dst of the image of the src code c."""
-    return np.array([dst.coords(c) for c in embedding_table(src, dst)], dtype=np.int64)
-
-
 def _packing(p: int, s: int, length: int):
     """(g, h, b): pack g coordinates of A and h of B per int64 word, b bits a digit.
 
@@ -308,12 +302,6 @@ class LaurentSeries:
         nonzero = self.comps.any(axis=1)
         first = nonzero.argmax(axis=1).tolist()
         return [self.n0 + f if any_ else None for f, any_ in zip(first, nonzero.any(axis=1).tolist())]
-
-    def lift(self, fld: FieldDesc) -> "LaurentSeries":
-        """The same series with coefficients embedded in the extension `fld`."""
-        codes = _tensors(self.field)["codes"] @ self.comps
-        comps = np.moveaxis(_lift_table(self.field, fld)[codes], 2, 1)
-        return LaurentSeries(fld, self.n0, np.ascontiguousarray(comps), self.prec, reduced=True)
 
     # -- inspection --------------------------------------------------------------
 

@@ -118,8 +118,8 @@ def _tiled(stack, points: int):
     return stack.take(np.tile(np.arange(stack.rows), points))
 
 
-def _context_for(order: Order, prec: int, cdesc: FieldDesc | None = None) -> EvalContext:
-    return EvalContext.shared(order.field.base, cdesc or value_field(order.field), prec)
+def _context_for(order: Order, prec: int) -> EvalContext:
+    return EvalContext.shared(order.field.base, value_field(order.field), prec)
 
 
 def _truncate(el, prec: Fraction | int):
@@ -268,7 +268,7 @@ def eval_gt_dt(ctx: EvalContext, pts: list, z_el, target_g: Fraction, target_d: 
     return gt, dt, {"max_deg_a": max_deg_a, "e_c_terms": e_c_terms}
 
 
-def eval_j_stack(points: list, prec: int, *, cdesc: FieldDesc | None = None) -> list:
+def eval_j_stack(points: list, prec: int) -> list:
     """j at every point to absolute precision `prec`, as one stacked computation.
 
     The points must belong to one order and share n, eps and the exact
@@ -297,8 +297,8 @@ def eval_j_stack(points: list, prec: int, *, cdesc: FieldDesc | None = None) -> 
         target_g = target + v_d - q * v_g + margin
         target_d = target + 2 * v_d - (q + 1) * v_g + margin
         work = int(math.ceil(max(target_g, target_d, target))) + margin
-        ctx = _context_for(pt.order, work + 4, cdesc)
-        z_el = embed([p.z for p in points], work + 4, coeff_desc=ctx.cdesc)
+        ctx = _context_for(pt.order, work + 4)
+        z_el = embed([p.z for p in points], work + 4)
         gt, dt, plan = eval_gt_dt(ctx, points, z_el, target_g, target_d)
         _assert_rows(dt, v_d, "v(dt)", where)
         num = gt.frobenius_q() * gt
@@ -312,13 +312,13 @@ def eval_j_stack(points: list, prec: int, *, cdesc: FieldDesc | None = None) -> 
     raise PrecisionError(f"could not reach precision {prec} for j at point a={pt.a}")
 
 
-def eval_j(pt: CMPoint, prec: int, *, cdesc: FieldDesc | None = None) -> JValue:
+def eval_j(pt: CMPoint, prec: int) -> JValue:
     """j(z) to absolute precision `prec`; its valuation must match the exact formula.
 
     The one-point case of `eval_j_stack`: retries with enlarged internal
     targets on a tracked-precision shortfall, then raises PrecisionError.
     """
-    return eval_j_stack([pt], prec, cdesc=cdesc)[0]
+    return eval_j_stack([pt], prec)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,14 @@ helper, `trace_mod`, sums w + w^2 + ... + w^(2^(e-1)) mod f: it splits
 equal-degree factors, and it decides every Artin-Schreier question
 x^2 + x = c mod P, since a root exists exactly when the trace of c to F_2
 vanishes.  For odd q, chi reads the fundamental discriminant D_K that the
-field holds.  For exhaustive sweeps
-this module keeps tables indexed by integer poly codes: residues mod a, and
-a linear smallest-prime sieve built on numpy arrays one degree at a time,
-from which `sieve_stats` reads omega(a), d(a), sigma_1(a) and the Mertens
-product prod_{P | a} |P|/(|P| - 1) for every monic a.
+field holds.
+
+For exhaustive sweeps this module works on numpy arrays of coefficient rows
+(the digits of integer poly codes) through flat code tables of F_q: row
+products, reduction mod a by the rows of T^i mod a, residue tables, and a
+linear smallest-prime sieve built one degree at a time, from which
+`sieve_stats` reads omega(a), d(a), sigma_1(a) and the Mertens product
+prod_{P | a} |P|/(|P| - 1) for every monic a.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .ffield import FieldDesc, factor_int, is_square as ff_is_square
 NEG_INF = float("-inf")
 SPLIT_TRIALS = 64  # each trial splits a valid input with probability about 1/2
 FACTOR_CACHE_SIZE = 4096  # factorizations kept, least recently used dropped first
-CHUNK = 1 << 16  # rows of one array operation in spf_table and sieve_stats; bounds their temporaries
+CHUNK = 1 << 16  # rows of one array operation in the code tables and sieves; bounds their temporaries
 
 
 class Poly:
@@ -150,12 +153,6 @@ class Poly:
             return Poly(f, ())
         mul = f.mul
         return Poly(f, [mul(code, c) for c in self.coeffs])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by T^k (k >= 0)."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs)
 
     def __divmod__(self, other):
         self._check(other)
@@ -564,37 +561,104 @@ def _signed_to(bound: int):
     return np.min_scalar_type(-bound - 1)
 
 
-def _digits(codes: np.ndarray, o: int, n: int, dtype) -> np.ndarray:
-    """The n lowest base-o digits of each code, low to high: one row of
-    coefficient codes per polynomial."""
-    out = np.empty((len(codes), n), dtype=dtype)
+def _digit_dtype(fld: FieldDesc):
+    """The least dtype of a coefficient code that also holds a flat index
+    x * order + y of the code tables."""
+    return _signed_to(fld.order**2 - 1)
+
+
+def digit_rows(fld: FieldDesc, codes: np.ndarray, n: int) -> np.ndarray:
+    """The n lowest base-order digits of each poly code, low to high: one row
+    of coefficient codes per polynomial."""
+    out = np.empty((len(codes), n), dtype=_digit_dtype(fld))
     for i in range(n):
-        codes, out[:, i] = np.divmod(codes, o)
+        codes, out[:, i] = np.divmod(codes, fld.order)
     return out
 
 
-def _code_tables(fld: FieldDesc, dtype) -> tuple:
-    """The order x order tables of fld.add and fld.mul on codes."""
+@lru_cache(maxsize=8)
+def _code_tables(fld: FieldDesc) -> tuple:
+    """The tables of fld.add and fld.mul on codes, flat: entry x * order + y
+    holds x + y (x y).  The last few fields' tables are kept."""
     elems = range(fld.order)
-    add = np.array([[fld.add(a, b) for b in elems] for a in elems], dtype=dtype)
-    mul = np.array([[fld.mul(a, b) for b in elems] for a in elems], dtype=dtype)
+    add = np.array([fld.add(a, b) for a in elems for b in elems], dtype=_digit_dtype(fld))
+    mul = np.array([fld.mul(a, b) for a in elems for b in elems], dtype=_digit_dtype(fld))
     return add, mul
 
 
-def _product_codes(A: np.ndarray, B: np.ndarray, o: int, tables) -> np.ndarray:
-    """Codes of the products of the polynomials with coefficient rows A and B,
-    row by row, their coefficient sums taken through the code tables."""
-    add, mul = tables
+def add_codes(fld: FieldDesc, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X + Y on arrays of codes (broadcast), through the add table."""
+    return _code_tables(fld)[0][X * fld.order + Y]
+
+
+def mul_codes(fld: FieldDesc, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X Y on arrays of codes (broadcast), through the mul table."""
+    return _code_tables(fld)[1][X * fld.order + Y]
+
+
+def row_codes(fld: FieldDesc, rows: np.ndarray) -> np.ndarray:
+    """The poly codes of coefficient rows (along the last axis), as int64."""
+    codes = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for i in range(rows.shape[-1] - 1, -1, -1):  # Horner, from the leading coefficient down
+        codes *= fld.order
+        codes += rows[..., i]
+    return codes
+
+
+def product_rows(fld: FieldDesc, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Coefficient rows of the products of the polynomials with coefficient
+    rows A and B, row by row, their coefficient sums taken through the code
+    tables."""
     n, la = A.shape
     lb = B.shape[1]
-    out = np.zeros((n, la + lb - 1), dtype=A.dtype)
+    out = np.zeros((n, max(0, la + lb - 1)), dtype=A.dtype)
     for j in range(la):
-        out[:, j : j + lb] = add[out[:, j : j + lb], mul[A[:, j : j + 1], B]]
-    codes = np.zeros(n, dtype=np.int64)
-    for digit in out.T[::-1]:  # Horner, from the leading coefficient down
-        codes *= o
-        codes += digit
-    return codes
+        out[:, j : j + lb] = add_codes(fld, out[:, j : j + lb], mul_codes(fld, A[:, j : j + 1], B))
+    return out
+
+
+def _power_rows(a: Poly, n: int) -> np.ndarray:
+    """Row i: the coefficient codes of T^i mod a, for i < n (n > deg a >= 1).
+
+    T^i is its own residue below deg a; above, T^(i+1) mod a is T (T^i mod a)
+    with its top term c T^deg a replaced by c (T^deg a mod a)."""
+    fld = a.field
+    add, mul = fld.add, fld.mul
+    d = a.deg
+    inv = fld.inv(a.sgn)
+    low = [fld.neg(mul(inv, c)) for c in a.coeffs[:-1]]  # T^d mod a
+    rows = np.zeros((n, d), dtype=_digit_dtype(fld))
+    np.fill_diagonal(rows, 1)
+    row = low
+    for i in range(d, n):
+        rows[i] = row
+        top = row[-1]
+        row = [mul(top, low[0])] + [add(c, mul(top, x)) for c, x in zip(row, low[1:])]
+    return rows
+
+
+def reduce_rows(rows: np.ndarray, a: Poly) -> np.ndarray:
+    """Coefficient rows (of width deg a) of the residues mod a of the
+    polynomials with coefficient rows `rows`.
+
+    Reduction mod a is F_q-linear: column i >= deg a adds c (T^i mod a) for
+    its coefficient c, a row read from the table of all c (T^i mod a), and
+    the sums go through the add table."""
+    if a.is_zero():
+        raise ZeroDivisionError("reduction mod the zero polynomial")
+    d = a.deg
+    n = rows.shape[1]
+    if n <= d:
+        return np.pad(rows, ((0, 0), (0, d - n)))
+    if not d:
+        return rows[:, :0]  # a nonzero constant divides everything
+    fld = a.field
+    elems = np.arange(fld.order, dtype=rows.dtype)[:, None]
+    multiples = mul_codes(fld, elems, _power_rows(a, n)[:, None, :])  # [i, c]: the row of c (T^i mod a)
+    out = rows[:, :d]
+    for i in range(d, n):
+        out = add_codes(fld, out, multiples[i].take(rows[:, i], axis=0))
+    return out
 
 
 def spf_table(fld: FieldDesc, maxdeg: int):
@@ -611,7 +675,7 @@ def spf_table(fld: FieldDesc, maxdeg: int):
     are done the zero entries of block d are its irreducibles.  Then every m
     of degree d is multiplied by every irreducible P <= spf[m] in code order
     with deg P <= maxdeg - d (such a P has deg P <= d), all these pairs in
-    one array operation on coefficient rows (`_product_codes`, through the
+    one array operation on coefficient rows (`product_rows`, through the
     order x order tables of fld.add and fld.mul), in chunks of about CHUNK
     products.  As in the sieve of Gries and Misra (CACM 21, 1978), each
     composite is set once, from the one product P * m with P <= spf[m].  A
@@ -623,11 +687,9 @@ def spf_table(fld: FieldDesc, maxdeg: int):
         raise BadInputError(f"a sieve to degree {maxdeg} over F_{o} needs more than 2^31 codes")
     spf = np.zeros(size, dtype=np.int32)
     cof = np.zeros(size, dtype=np.int32)
-    dtype = _signed_to(o - 1)  # a digit holds a coefficient code
-    tables = _code_tables(fld, dtype) if maxdeg >= 2 else None  # no products below degree 2
     width = maxdeg // 2 + 1  # coefficients of a prime P that takes some m with deg m >= deg P
     primes = np.zeros(0, dtype=np.int64)  # the irreducibles of degree <= maxdeg / 2, increasing
-    prime_rows = np.zeros((0, width), dtype=dtype)  # their coefficient rows
+    prime_rows = digit_rows(fld, primes, width)  # their coefficient rows
     for d in range(1, maxdeg + 1):
         lo = o**d
         least = spf[lo : 2 * lo]  # a view: spf of the m of degree d
@@ -638,14 +700,14 @@ def spf_table(fld: FieldDesc, maxdeg: int):
             continue
         if e == d:
             primes = np.concatenate((primes, new))
-            prime_rows = np.concatenate((prime_rows, _digits(new, o, width, dtype)))
-        rows = _digits(np.arange(lo, 2 * lo), o, d + 1, dtype)
+            prime_rows = np.concatenate((prime_rows, digit_rows(fld, new, width)))
+        rows = digit_rows(fld, np.arange(lo, 2 * lo), d + 1)
         usable = primes[: np.searchsorted(primes, o ** (e + 1))]
         step = max(1, CHUNK // len(usable))
         for s in range(0, lo, step):
             mi, pi = np.nonzero(usable <= least[s : s + step, None])  # m takes every prime P <= spf[m]
             mi += s
-            prod = _product_codes(prime_rows[pi, : e + 1], rows[mi], o, tables)
+            prod = row_codes(fld, product_rows(fld, prime_rows[pi, : e + 1], rows[mi]))
             spf[prod], cof[prod] = usable[pi], mi + lo
     return spf, cof
 
@@ -729,29 +791,22 @@ def factor_with_spf(code: int, table) -> list:
     return items
 
 
-def residue_table(a: Poly, n: int) -> list:
-    """code(c mod a) for every code c < n, as a list indexed by c.
+def residue_table(a: Poly, n: int) -> np.ndarray:
+    """code(c mod a) for every code c < n, as an int64 array indexed by c.
 
-    A residue (code below order^deg a) is its own entry.  Above, with
-    c = T * c' + c0 (code(c) = c0 + order * code(c'), c' = c div T the
-    parent of c), c mod a is T * (c' mod a) mod a, read from one table over
-    the residues, plus c0 on the lowest digit.  A constant a sends every c
-    to 0.
+    The codes run through `reduce_rows` as coefficient rows, in blocks of
+    CHUNK codes.  A constant a sends every c to 0; a = 0 raises
+    ZeroDivisionError, as c % 0 does.
     """
     fld = a.field
-    if a.deg < 1:
-        return [0] * n
-    o = fld.order
-    red = list(range(min(n, o**a.deg)))
-    if n <= o**a.deg:
-        return red
-    add = fld.add
-    times_t = [poly_code(code_poly(fld, r).shift(1) % a) for r in red]
-    for c in range(len(red), n):
-        x = times_t[red[c // o]]
-        low = x % o
-        red.append(x - low + add(low, c % o))
-    return red
+    width = 0  # the digits of the codes below n
+    while fld.order**width < n:
+        width += 1
+    out = np.empty(n, dtype=np.int64)
+    for s in range(0, n, CHUNK):
+        rows = digit_rows(fld, np.arange(s, min(n, s + CHUNK)), width)
+        out[s : s + len(rows)] = row_codes(fld, reduce_rows(rows, a))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -546,11 +546,6 @@ class QuadSeries:
     def fold(self, k: int) -> "QuadSeries":
         return QuadSeries(self.ctx, self.x.fold(k), self.y.fold(k))
 
-    def lift(self, cdesc: FieldDesc) -> "QuadSeries":
-        """The same element with coefficients embedded in the extension `cdesc`."""
-        ctx = QuadSeriesContext.of(self.ctx.qf, cdesc, self.ctx.prec)
-        return QuadSeries(ctx, self.x.lift(cdesc), self.y.lift(cdesc))
-
     def __repr__(self):
         return f"QuadSeries(x: {self.x!r} | y: {self.y!r})"
 
@@ -604,13 +599,13 @@ def _divided_out(z: QuadElement) -> QuadElement:
     return QuadElement(z.field, qx, qy, pr.one(den.field)) if ry.is_zero() else z
 
 
-def embed(zs: list, prec: int, coeff_desc: FieldDesc | None = None):
+def embed(zs: list, prec: int):
     """Analytic embedding of exact elements of one field, as one stack, at
     absolute precision `prec`: row r is zs[r], and a one-element list gives
     that element's one-row value.
 
     Inert flavor: a flattened LaurentSeries; ramified flavors: a QuadSeries;
-    the coefficients lie in `value_field` (or `coeff_desc`).  Each z is read
+    the coefficients lie in `value_field`.  Each z is read
     as it is held, (x + y xi)/den, or as (x/den + (y/den) xi)/1 when den
     divides x and y: the unit parts den/T^deg den of all rows are inverted by
     one Newton call, made only when some unit part is not 1, and the
@@ -621,7 +616,7 @@ def embed(zs: list, prec: int, coeff_desc: FieldDesc | None = None):
     qf = zs[0].field
     zs = [_divided_out(z) for z in zs]
     inert = qf.infinite_type == "inert"
-    cdesc = coeff_desc or value_field(qf)
+    cdesc = value_field(qf)
     slack = 4 if inert else int(math.ceil(-qf.v_xi())) + 4
     lift = 0  # the most any numerator row exceeds its denominator in degree
     for z in zs:

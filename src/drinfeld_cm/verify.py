@@ -8,6 +8,7 @@ an inequality certified through directed-rounded interval enclosures.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -115,24 +116,40 @@ def check_class_numbers(base: FieldDesc, d_bound: int) -> dict:
 EPS_LOGS = (0, -1, -2)  # the windows eps = 1, 1/q, 1/q^2 of the counting lemma
 
 
-def value_table(a: pr.Poly, delta: pr.Poly) -> np.ndarray:
-    """code((b^2 + delta b) mod a) for every residue b mod a, indexed by code(b).
+def value_tables(a: pr.Poly, deltas: list) -> np.ndarray:
+    """tables[k, code(b)] = code((b^2 + delta_k b) mod a) for every delta_k of
+    `deltas` and every residue b mod a.
 
-    For p = 2 the map b -> b^2 + delta b is additive and the bits of a code
-    are its coordinates over F_2, so the table is built by doubling: the
+    The values at a set of residues b come in one array pass for all the
+    deltas: the b are coefficient rows (`pr.digit_rows`), each b + delta
+    goes through the add table, and the row products b (b + delta) are
+    reduced mod a (`pr.reduce_rows`), in blocks of about CHUNK rows.  For
+    odd p that set is every residue.  For p = 2 the map b -> b^2 + delta b
+    is additive and the bits of a code are its coordinates over F_2, so the
+    pass runs on the bits alone and each table is built by doubling: the
     entries below 2^(i+1) are those below 2^i XOR the image of bit i.
-    Otherwise it takes one product per residue.
     """
     fld = a.field
-    if fld.p != 2:
-        return np.array([pr.poly_code((b * (b + delta)) % a) for b in pr.all_of_degree_less(fld, a.deg)])
-    table = np.zeros(fld.order**a.deg, dtype=np.int64)
-    bit = 1
-    while bit < len(table):
-        b = pr.code_poly(fld, bit)
-        table[bit : 2 * bit] = table[:bit] ^ pr.poly_code((b * (b + delta)) % a)
-        bit *= 2
-    return table
+    d, size = a.deg, fld.order**a.deg
+    width = max([d] + [len(delta.coeffs) for delta in deltas])
+    shifts = pr.digit_rows(fld, np.array([pr.poly_code(delta) for delta in deltas]), width)[:, None, :]
+
+    def values(codes):
+        b = pr.digit_rows(fld, codes, width)
+        moved = pr.add_codes(fld, b, shifts).reshape(len(deltas) * len(b), width)  # b + delta, delta by delta
+        prod = pr.product_rows(fld, np.tile(b[:, :d], (len(deltas), 1)), moved)
+        return pr.row_codes(fld, pr.reduce_rows(prod, a)).reshape(len(deltas), len(b))
+
+    tables = np.zeros((len(deltas), size), dtype=np.int64)
+    if fld.p == 2:
+        bits = 1 << np.arange(size.bit_length() - 1)
+        for bit, image in zip(bits.tolist(), values(bits).T):
+            tables[:, bit : 2 * bit] = tables[:, :bit] ^ image[:, None]
+        return tables
+    step = max(1, pr.CHUNK // len(deltas))
+    for s in range(0, size, step):
+        tables[:, s : s + step] = values(np.arange(s, min(size, s + step)))
+    return tables
 
 
 def counting_bound(omega: int, q: int, el, g2_deg):
@@ -169,7 +186,7 @@ def crt_reductions(a: pr.Poly, moduli: list) -> list:
     of residues mod the moduli (the prime powers P^s || a).
     """
     size = a.field.order**a.deg
-    reductions = [np.array(pr.residue_table(m, size)) for m in moduli]
+    reductions = [pr.residue_table(m, size) for m in moduli]
     key = np.zeros(size, dtype=np.int64)
     for m, red in zip(moduli, reductions):
         key = key * a.field.order**m.deg + red
@@ -207,16 +224,25 @@ def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 
     <= 3, so max_deg_d sizes D for odd q only; the two beta rows of each a
     also count the shifted window |b + beta delta| < eps |a|.
 
-    Each (a, delta) makes one table of code((b^2 + delta b) mod a) over the
-    residues b (`value_table`), and every mu reads its solutions, window
-    counts and class checks from it.  For composite a the table is checked
-    against the tables mod the prime powers of a (`check_crt`); the local
-    tables are made once per (P^s, delta).  A pair is one (a, delta, mu).
+    Everything runs on arrays of coefficient rows through the code tables of
+    F_q (`pr.digit_rows`, `pr.product_rows`, `pr.reduce_rows`); no step
+    makes a Poly product per residue.  Each a makes one table of
+    code((b^2 + delta b) mod a) over the residues b for all deltas at once
+    (`value_tables`), and mu mod a for every mu from the coefficient rows of
+    the mus, made once; every (delta, mu) reads its solutions, window
+    counts and class checks from them.  For composite a each table is
+    checked against the tables mod the prime powers of a (`check_crt`); the
+    local tables are made once per P^s.  gcd_2(a, delta^2 + 4 mu) is read
+    from one matrix of halved exponents of the discriminants, made once.
+    The easycounting bound is one array pass per (deg m, M_log)
+    (`bnd.easycounting_counts`), compared with the exact bound
+    max(1, q^(1 + M_log) / |m|).  A pair is one (a, delta, mu).
     """
     q, o = base.q, base.order
     even = base.p == 2
     mu_deg = 3 if even else max_deg_d
     mus = np.arange(0 if even else 1, o ** (mu_deg + 1))
+    mu_rows = pr.digit_rows(base, mus, mu_deg + 1)
     # the monic part of delta^2 + 4 mu for every (delta, mu), as an index into
     # disc_codes: delta^2 for p = 2, and mu's own monic part for delta = 0
     if even:
@@ -226,12 +252,24 @@ def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 
         disc_index = [np.full(len(mus), disc_codes.index(c)) for c in discs]
     else:
         deltas = [pr.zero(base)]
-        monic_parts = [pr.poly_code(pr.code_poly(base, int(c)).monic()) for c in mus]
-        disc_codes = sorted(set(monic_parts))
-        index_of = {c: i for i, c in enumerate(disc_codes)}
-        disc_index = [np.array([index_of[c] for c in monic_parts])]
+        top = mu_deg - np.argmax(mu_rows[:, ::-1] != 0, axis=1)  # the degree of mu
+        inverse = np.array([0] + [base.inv(c) for c in range(1, o)], dtype=mu_rows.dtype)
+        lead_inv = inverse[mu_rows[np.arange(len(mus)), top]]
+        monic = pr.mul_codes(base, mu_rows, lead_inv[:, None])
+        codes, index = np.unique(pr.row_codes(base, monic), return_inverse=True)
+        disc_codes = codes.tolist()
+        disc_index = [index]
     spf = pr.spf_table(base, max(max_deg_a, 4 if even else max_deg_d))
-    disc_facts = [dict(pr.factor_with_spf(c, spf)) for c in disc_codes]
+    # the exponent // 2 of each disc at each prime of degree <= max_deg_a / 2,
+    # a prime whose square may divide some a; a column per prime that occurs
+    disc_facts = [pr.factor_with_spf(c, spf) for c in disc_codes]
+    small = o ** (max_deg_a // 2 + 1)
+    column = {pc: i for i, pc in enumerate(sorted({pc for f in disc_facts for pc, _ in f if pc < small}))}
+    halved = np.zeros((len(disc_codes), len(column)), dtype=np.int8)
+    for r, f in enumerate(disc_facts):
+        for pc, e in f:
+            if pc < small:
+                halved[r, column[pc]] = e // 2
     beta_rows = {}  # code of delta -> (mu, u, log_q |zeta|, el) with beta delta = u + zeta
     if even:
         t, one = pr.T(base), pr.one(base)
@@ -241,38 +279,39 @@ def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 
             zl = RatFunc(rem, bd.den).v_infinity()
             beta_rows[pr.poly_code(delta)] = (mu, u, None if zl is None else -zl, el)
     els = np.array(EPS_LOGS)[:, None]
-    local_tables: dict = {}  # (code of P^s, code of delta) -> value_table(P^s, delta)
+    local_tables: dict = {}  # code of P^s -> value_tables(P^s, deltas)
     pairs = 0
     for da in range(max_deg_a + 1):
         size = o**da
         for a in pr.monic_of_degree(base, da):
             items = pr.factor_with_spf(pr.poly_code(a), spf)
             omega = len(items)
-            parts = [pr.code_poly(base, pc) ** s for pc, s in items]
-            reductions = crt_reductions(a, parts) if len(parts) > 1 else []
+            parts = [pr.code_poly(base, pc) ** s for pc, s in items] if omega > 1 else []  # the CRT moduli
+            reductions = crt_reductions(a, parts) if parts else []
             # gcd_2(a, disc) depends only on the exponents of disc at the primes
             # whose square divides a: the discs that agree there form one group
-            halves = [(pc, s // 2) for pc, s in items if s >= 2]
-            caps_of = [()] * len(disc_facts)
-            if halves:
-                caps_of = [tuple(min(f.get(pc, 0) // 2, h) for pc, h in halves) for f in disc_facts]
-            kinds = list(dict.fromkeys(caps_of))
-            group = np.array([kinds.index(caps) for caps in caps_of])
-            classes = []  # per group: (deg gcd_2, code of b mod a / gcd_2 for every residue b)
-            for caps in kinds:
-                g2 = pr.gcd2(a, pr.code_poly(base, disc_codes[caps_of.index(caps)]))
-                classes.append((g2.deg, np.array(pr.residue_table(a // g2, size))))
+            capped = [(column[pc], s // 2) for pc, s in items if s >= 2 and pc in column]
+            if capped:
+                cols, heights = zip(*capped)
+                caps, first, group = np.unique(
+                    np.minimum(halved[:, cols], heights), axis=0, return_index=True, return_inverse=True
+                )
+            else:  # gcd_2 = 1 for every disc
+                caps, first, group = np.zeros((1, 0)), [0], np.zeros(len(disc_codes), dtype=np.int64)
+            classes = []  # per group: (deg gcd_2, code of b mod a / gcd_2 for every residue b, or None)
+            for cap, i in zip(caps, first):
+                g2 = pr.gcd2(a, pr.code_poly(base, disc_codes[i])) if cap.any() else pr.one(base)
+                classes.append((g2.deg, pr.residue_table(a // g2, size) if g2.deg else None))
             g2_deg = np.array([g2d for g2d, _ in classes])
-            res = np.array(pr.residue_table(a, o ** (mu_deg + 1)))[mus]  # code of mu mod a
-            for delta, index in zip(deltas, disc_index):
+            res = pr.row_codes(base, pr.reduce_rows(mu_rows, a))  # code of mu mod a
+            tables = value_tables(a, deltas)
+            for m in parts:
+                if pr.poly_code(m) not in local_tables:
+                    local_tables[pr.poly_code(m)] = value_tables(m, deltas)
+            for j, (delta, index) in enumerate(zip(deltas, disc_index)):
                 dc = pr.poly_code(delta)
-                table = value_table(a, delta)
-                local = []
-                for m in parts if reductions else ():
-                    key = (pr.poly_code(m), dc)
-                    if key not in local_tables:
-                        local_tables[key] = value_table(m, delta)
-                    local.append(local_tables[key])
+                table = tables[j]
+                local = [local_tables[pr.poly_code(m)][j] for m in parts]
                 check_crt(table, reductions, local)
                 counts = window_counts(table, da, o)
                 mu_group = group[index]
@@ -301,13 +340,16 @@ def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 
                     g2d = g2_deg[mu_group[pr.poly_code(mu) - mus[0]]]
                     if shifted[EPS_LOGS.index(el), pr.poly_code(mu % a)] > counting_bound(omega, q, el, g2d):
                         return {"name": "counting", "ok": False, "fail": f"beta case a={a} delta={delta}"}
-    # easycounting, exhaustively for deg m <= max_deg_m
+    # easycounting, exhaustively for deg m <= max_deg_m: every b0 of degree
+    # < min(deg m, 2) is its own residue mod m; the first failing m is named
     for dm in range(0, max_deg_m + 1):
-        for m in pr.monic_of_degree(base, dm):
-            for b0 in pr.all_of_degree_less(base, min(dm, 2)):
-                for Mlog in (Fraction(0), Fraction(1), Fraction(dm), Fraction(dm + 1)):
-                    if not bnd.easycounting_bound_check(m, b0, Mlog):
-                        return {"name": "counting", "ok": False, "fail": f"easycounting m={m}"}
+        failing = np.zeros(o**dm, dtype=bool)
+        for Mlog in (Fraction(0), Fraction(1), Fraction(dm), Fraction(dm + 1)):
+            bound = max(Fraction(1), Fraction(q) ** (1 + Mlog) / q**dm)
+            failing |= (bnd.easycounting_counts(base, dm, min(dm, 2), Mlog) > math.floor(bound)).any(axis=1)
+        if failing.any():
+            m = pr.code_poly(base, o**dm + int(failing.argmax()))
+            return {"name": "counting", "ok": False, "fail": f"easycounting m={m}"}
     return {"name": "counting", "ok": True, "pairs": pairs}
 
 

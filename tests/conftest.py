@@ -13,7 +13,7 @@ def empty_store(monkeypatch):
 
 
 def count_rows(monkeypatch) -> list:
-    """From now on, record (point, precision, coefficient field) for every row
+    """From now on, record (point, precision) for every row
     evaluated through `modforms.eval_j_stack`, the entry every held j-value
     comes from: a point evaluated twice is recorded twice."""
     from drinfeld_cm import modforms
@@ -21,9 +21,9 @@ def count_rows(monkeypatch) -> list:
     rows = []
     real = modforms.eval_j_stack
 
-    def counting(points, prec, **kwargs):
-        rows.extend((pt, prec, kwargs.get("cdesc")) for pt in points)
-        return real(points, prec, **kwargs)
+    def counting(points, prec):
+        rows.extend((pt, prec) for pt in points)
+        return real(points, prec)
 
     monkeypatch.setattr(modforms, "eval_j_stack", counting)
     return rows

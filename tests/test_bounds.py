@@ -1,14 +1,17 @@
-from drinfeld_cm.bounds import andre_oort_search
+import math
+from fractions import Fraction
+
+import pytest
+
+from drinfeld_cm.bounds import andre_oort_search, easycounting_counts
 from drinfeld_cm.brownval import OrderCM
-from drinfeld_cm.ffield import field, quadratic_extension
+from drinfeld_cm.ffield import field
 from drinfeld_cm.laurent import LaurentSeries
 from drinfeld_cm.modforms import eval_j, hilbert_poly
 from drinfeld_cm import polyring as pr
-from drinfeld_cm.quadfield import order_from_discriminant
 from drinfeld_cm.sweeps import iter_orders
 
 F3 = field(3)
-F9 = quadratic_extension(F3)
 
 
 def test_truncated_value_equals_fresh_evaluation():
@@ -17,18 +20,6 @@ def test_truncated_value_equals_fresh_evaluation():
         for pt in OrderCM.of(order).points:
             high = eval_j(pt, 26).value.truncate(12)
             assert parts(high) == parts(eval_j(pt, 12).value)
-
-
-def test_lifted_ramified_value_equals_fresh_evaluation():
-    order = order_from_discriminant(F3, pr.parse_poly(F3, "T^3+2*T+1"))  # ramified, some b = 0
-    cm = OrderCM.of(order)
-    assert order.field.infinite_type == "ramified" and any(p.b.is_zero() for p in cm.points)
-    for prec in (6, 14):
-        lifted = cm.j_values(cm.points, prec, F9)
-        for pt, jv in zip(cm.points, lifted):
-            fresh = eval_j(pt, prec, cdesc=F9)
-            assert jv.value.x.field == F9 and parts(jv.value) == parts(fresh.value)
-            assert jv.plan == fresh.plan
 
 
 def parts(value):
@@ -87,3 +78,44 @@ def test_andre_oort_gamma_is_printed_in_F_q_codes():
     for hit in rep["hits"]:
         codes = [int(term.split("T")[0].rstrip("*") or 1) for term in hit["gamma"].split("+")]
         assert all(c < 4 for c in codes), hit["gamma"]
+
+
+def easycounting_count(m, b0, M_log) -> int:
+    """|{b = b0 mod m, |b| < q^M_log}| by enumeration, one Poly product per b:
+    the scalar oracle of `easycounting_counts`.  It walks b = (b0 mod m) + m t
+    over the t of degree < max(0, ceil(M_log) - deg m) + 1."""
+    count = 0
+    r = b0 % m
+    for t in pr.all_of_degree_less(m.field, max(0, math.ceil(M_log) - m.deg) + 1):
+        b = r + m * t
+        if b.is_zero() or b.deg < M_log:
+            count += 1
+    return count
+
+
+def easycounting_bound_check(m, b0, M_log) -> bool:
+    """|{b = b0 mod m, |b| < q^M_log}| <= max(1, q^(1 + M_log)/|m|), exhaustively."""
+    q = m.field.q
+    return easycounting_count(m, b0, M_log) <= max(Fraction(1), Fraction(q) ** (1 + M_log) / q**m.deg)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_easycounting_counts_match_the_scalar_oracle(q):
+    # every monic m of degree <= 2 and every b0 mod m, at the suite's M_log
+    # (0, 1, deg m, deg m + 1) and at non-integer and negative ones
+    fld = field(2, 2) if q == 4 else field(q)
+    for dm in range(3):
+        for M_log in {Fraction(0), Fraction(1), Fraction(dm), Fraction(dm + 1), Fraction(3, 2), Fraction(-1, 2)}:
+            counts = easycounting_counts(fld, dm, dm, M_log)
+            want = [
+                [easycounting_count(m, b0, M_log) for b0 in pr.all_of_degree_less(fld, dm)]
+                for m in pr.monic_of_degree(fld, dm)
+            ]
+            assert counts.tolist() == want
+            if M_log.denominator == 1 and M_log >= 0:  # the suite's bound, an exact Fraction
+                bound = max(Fraction(1), Fraction(q) ** (1 + M_log) / q**dm)
+                verdicts = [
+                    [easycounting_bound_check(m, b0, M_log) for b0 in pr.all_of_degree_less(fld, dm)]
+                    for m in pr.monic_of_degree(fld, dm)
+                ]
+                assert (counts <= math.floor(bound)).tolist() == verdicts

@@ -214,7 +214,7 @@ def test_brown_check_evaluates_each_point_once(monkeypatch):
 
     rows = count_rows(monkeypatch)
     rep = sweeps.order_report(hayes_order(), check_brown=True)
-    calls = Counter(pkey(pt) for pt, _, _ in rows)
+    calls = Counter(pkey(pt) for pt, _ in rows)
     assert sorted(calls) == sorted(map(pkey, rep.points))
     assert set(calls.values()) == {1}
     assert rep.h_orbit == 2
@@ -227,9 +227,9 @@ def test_report_cache_serves_unchecked_from_checked(monkeypatch):
     asked = []
     real_j_values = OrderCM.j_values
 
-    def recording(cm, points, prec, cdesc=None):
+    def recording(cm, points, prec):
         asked.extend((pkey(pt), prec(pt) if callable(prec) else prec) for pt in points)
-        return real_j_values(cm, points, prec, cdesc)
+        return real_j_values(cm, points, prec)
 
     def moduli(rep):
         return [(m.log_j, [pkey(p) for p in m.points]) for m in rep.moduli]
@@ -243,7 +243,7 @@ def test_report_cache_serves_unchecked_from_checked(monkeypatch):
     checked = sweeps.order_report(order, check_brown=True)
     assert checked.brown_checked
     assert sorted(asked) == sorted((pkey(p), brown_prec(p)) for p in checked.points)
-    calls = Counter(pkey(pt) for pt, _, _ in rows)
+    calls = Counter(pkey(pt) for pt, _ in rows)
     assert sorted(calls) == sorted(map(pkey, checked.points))
     assert set(calls.values()) == {1}  # across both requests every point is evaluated exactly once
     assert moduli(checked) == moduli(fresh)

@@ -270,9 +270,9 @@ def test_stacked_retry_matches_one_point_retry(monkeypatch):
     real = modforms._context_for
     works = set()
 
-    def starved(order, prec, cdesc=None):
+    def starved(order, prec):
         works.add(prec)
-        return real(order, prec - 20, cdesc)
+        return real(order, prec - 20)
 
     monkeypatch.setattr(modforms, "_context_for", starved)
     monkeypatch.setattr(EvalContext, "_shared", {})

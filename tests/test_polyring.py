@@ -427,11 +427,25 @@ def test_factor_with_spf_rejects_codes_outside_the_table():
 @pytest.mark.parametrize("fld", [F3, field(2, 2)])
 def test_residue_table_agrees_with_division(fld):
     polys = list(pr.all_of_degree_less(fld, 7 if fld.p == 3 else 5))  # every mu code of the lemma suites
-    for da in range(4):
-        for a in pr.monic_of_degree(fld, da):
-            red = pr.residue_table(a, len(polys))
-            assert red == [pr.poly_code(D % a) for D in polys]
-    assert pr.residue_table(pr.T(fld), 1) == [0]
+    moduli = [a for da in range(4) for a in pr.monic_of_degree(fld, da)] + [pr.one(fld).scale(2)]
+    moduli += [a.scale(2) for a in pr.monic_of_degree(fld, 2)]  # non-monic: T^i mod a divides by the sign
+    for a in moduli:
+        red = pr.residue_table(a, len(polys))
+        assert isinstance(red, np.ndarray) and red.dtype == np.int64
+        assert red.tolist() == [pr.poly_code(D % a) for D in polys]
+    assert pr.residue_table(pr.T(fld), 1).tolist() == [0]
+    # a length that is no power of the field order ends in a partial top digit
+    assert pr.residue_table(pr.T(fld), 5).tolist() == [c % fld.order for c in range(5)]
+
+
+def test_residue_table_mod_zero_raises_like_division():
+    zero = pr.zero(F3)
+    with pytest.raises(ZeroDivisionError):
+        P(F3, "T+1") % zero
+    with pytest.raises(ZeroDivisionError):
+        pr.residue_table(zero, 5)
+    with pytest.raises(ZeroDivisionError):
+        pr.reduce_rows(pr.digit_rows(F3, np.arange(5), 2), zero)
 
 
 def test_parse_format_roundtrip():

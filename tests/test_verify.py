@@ -17,7 +17,7 @@ from drinfeld_cm.verify import (
     check_crt,
     counting_bound,
     crt_reductions,
-    value_table,
+    value_tables,
     window_counts,
 )
 
@@ -141,8 +141,7 @@ def test_window_counts_match_brute_force(q):
             res = pr.residue_table(a, q ** (mu_deg + 1))
             mu_mod_a = [(pr.poly_code(mu), pr.poly_code(mu % a)) for mu in mus]
             residues = list(pr.all_of_degree_less(fld, da))
-            for delta in deltas:
-                table = value_table(a, delta)
+            for delta, table in zip(deltas, value_tables(a, deltas)):
                 counts = window_counts(table, da, q)
                 direct: dict = {}
                 for b in residues:
@@ -175,14 +174,31 @@ def test_crt_check_catches_a_perturbed_entry(q, a_text, delta_text):
     parts = [P**s for P, s in pr.factor(a)[1]]
     assert len(parts) >= 2
     reductions = crt_reductions(a, parts)
-    local = [value_table(m, delta) for m in parts]
-    table = value_table(a, delta)
+    local = [value_tables(m, [delta])[0] for m in parts]
+    table = value_tables(a, [delta])[0]
     check_crt(table, reductions, local)
     for b in range(len(table)):
         bad = table.copy()
         bad[b] = (bad[b] + 1) % len(table)
         with pytest.raises(InvariantError):
             check_crt(bad, reductions, local)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_value_tables_agree_with_poly_arithmetic(q):
+    # every a of degree <= 2 (deg a = 0 included, and one non-monic a) against
+    # every delta of degree <= 1 and two of degree 2 and 3, so deg delta >= deg a
+    # occurs at every deg a; F_4 is not a prime field, so its code tables are
+    # not arithmetic mod p, and its tables are doubled from the bits of b
+    fld = FIELDS[q]
+    deltas = [pr.code_poly(fld, c) for c in range(q**2)] + [pr.code_poly(fld, c) for c in (q**2 + 1, q**3 + q)]
+    moduli = [a for d in range(3) for a in pr.monic_of_degree(fld, d)] + [pr.parse_poly(fld, "2*T^2+1")]
+    for a in moduli:
+        tables = value_tables(a, deltas)
+        assert tables.shape == (len(deltas), q ** max(0, a.deg))
+        for delta, table in zip(deltas, tables):
+            want = [pr.poly_code((b * (b + delta)) % a) for b in pr.all_of_degree_less(fld, a.deg)]
+            assert table.tolist() == want
 
 
 def test_crt_reductions_need_coprime_moduli():
@@ -225,6 +241,49 @@ def test_counting_reads_tables_not_one_division_per_mu(monkeypatch):
     rep = check_counting_lemmas(field(2, 2), 2, 0, max_deg_m=0)
     assert rep == {"name": "counting", "ok": True, "pairs": 338688}
     assert len(calls) < 338688 // 10
+
+
+def test_counting_makes_few_poly_products(monkeypatch):
+    # the residue tables, value tables and easycounting counts are array
+    # passes on coefficient rows; a per-residue or per-(m, b0, t) Poly product
+    # or division coming back would cost tens of thousands of calls (27 509
+    # products and 22 508 divisions before the array passes)
+    calls = {"mul": 0, "divmod": 0}
+    real_mul, real_divmod = pr.Poly.__mul__, pr.Poly.__divmod__
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return real_mul(self, other)
+
+    def counting_divmod(self, other):
+        calls["divmod"] += 1
+        return real_divmod(self, other)
+
+    monkeypatch.setattr(pr.Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(pr.Poly, "__divmod__", counting_divmod)
+    rep = check_counting_lemmas(field(3), 4, 6)
+    assert rep == {"name": "counting", "ok": True, "pairs": 264506}
+    assert calls["mul"] < 2500 and calls["divmod"] < 2500
+
+
+def test_easycounting_failure_names_the_least_failing_m(monkeypatch):
+    # a count of bound + 1 at the 5th and 7th monic m of degree 2 over F_3 (one
+    # M_log each) is reported at the 5th, in code order; a count equal to the
+    # bound max(1, q^(1 + M_log)/|m|) = 3^(1 + M_log - 2) passes
+    real = verify.bnd.easycounting_counts
+    excess = []
+
+    def overcounting(base, deg_m, b0_deg, M_log):
+        counts = real(base, deg_m, b0_deg, M_log)
+        if deg_m == 2 and M_log in (2, 3):
+            counts[4 if M_log == 3 else 6, -1] = 3 ** int(M_log - 1) + excess[0]
+        return counts
+
+    monkeypatch.setattr(verify.bnd, "easycounting_counts", overcounting)
+    for extra, want in ((0, {"name": "counting", "ok": True, "pairs": 2}),
+                        (1, {"name": "counting", "ok": False, "fail": f"easycounting m={pr.code_poly(field(3), 9 + 4)}"})):
+        excess[:] = [extra]
+        assert check_counting_lemmas(field(3), 0, 0, max_deg_m=3) == want
 
 
 def test_cardc_bound_runs_on_inert_orders_from_q4():
