@@ -8,8 +8,9 @@ Lambda(chi, t) = sum_{deg a <= top} chi(a) t^(deg a) over the monic a.  With
 - infinity inert: top = 2g + 1, Lambda = (1 + t) L_K(t), and h(O_K) = 2 h_K;
 - infinity ramified: top = 2g, Lambda = L_K(t), and h(O_K) = h_K;
 with h_K = L_K(1) (Rosen, Number Theory in Function Fields, ch. 14 and 17).
-The field holds these L-data (`l_data`), and route 1 reads h(O_K) from them,
-so h(O_K) never rests on the singular moduli.  The printed `l_route` of an
+The field of K holds these L-data (`l_data`; an odd field reads them from
+the field of its D_K), and route 1 reads h(O_K) from them, so h(O_K) never
+rests on the singular moduli.  The printed `l_route` of an
 inert maximal order is therefore the conductor route itself.
 
 The count of exact conjugate classes (the orbit route) is checked against
@@ -20,14 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import BadInputError, InvariantError
-from .ffield import FieldDesc
 from . import polyring as pr
-from .quadfield import Order, QuadField
-
-SIEVE_CACHE_SIZE = 16  # sieves kept for the L-route, least recently used dropped first
+from .quadfield import Order, QuadField, validate_field
 
 
 @dataclass
@@ -99,17 +96,13 @@ def l_route_applies(order: Order) -> bool:
 
 
 def l_data(field: QuadField) -> LPolyData:
-    """The field's L-data: `l_route` runs once per field, which holds the result
-    for the conductor route and the reports alike."""
-    return field.held("l_data", lambda: l_route(field))
-
-
-@lru_cache(maxsize=SIEVE_CACHE_SIZE)
-def _sieve(base: FieldDesc, top: int) -> tuple:
-    """(spf, cof) of `pr.spf_table(base, top)` as tuples.  The fields over one
-    base ask for a few small tables, one per genus, and an array sieve that
-    small costs more than the character sum it serves, so each is made once."""
-    return tuple(tuple(t.tolist()) for t in pr.spf_table(base, top))
+    """The L-data of the field K: `l_route` runs once per K, and the field
+    holds the result for the conductor route and the reports alike.  An odd
+    field k(sqrt(f^2 D_K)) reads the data held on k(sqrt(D_K)), the one
+    canonical field of K."""
+    if field.flavor == "odd" and field.D != field.D_K:
+        field = validate_field(field.base, "odd", D=field.D_K)
+    return field.held("l_data", l_route, field)
 
 
 def l_route(field: QuadField) -> LPolyData:
@@ -133,8 +126,9 @@ def l_route(field: QuadField) -> LPolyData:
     base = field.base
     o = base.order
     # chi on every monic of degree <= top, by poly code: pr.chi at each
-    # prime, and chi(P m) = chi(P) chi(m) through the sieve's smallest factor
-    spf, cof = _sieve(base, top)
+    # prime, and chi(P m) = chi(P) chi(m) through the sieve's smallest factor;
+    # the base holds each sieve, as one costs more than the sum it serves
+    spf, cof = base.held(("sieve", top), lambda: tuple(tuple(t.tolist()) for t in pr.spf_table(base, top)))
     chi = [0] * len(spf)
     chi[1] = 1
     for c in range(o, len(chi)):

@@ -64,26 +64,29 @@ def _field_args(sub):
     sub.add_argument("--D", help="defining D for the odd flavor (human form or [codes])")
     sub.add_argument("--B", help="Hasse normal form numerator B (even_sep)")
     sub.add_argument("--C", help="Hasse normal form denominator C (even_sep)")
-    sub.add_argument("--f", default="1", help="conductor (monic), default 1")
+    sub.add_argument(
+        "--f",
+        help="conductor (monic) of the order in the field; unset: the order of discriminant exactly D "
+        "for the odd flavor, the maximal order for the others",
+    )
 
 
 def _build_order(cfg: RunConfig, args) -> Order:
     base = cfg.base()
-    f = pr.parse_poly(base, args.f)
+    f = pr.one(base) if args.f is None else pr.parse_poly(base, args.f)
     if args.flavor == "odd":
         if not args.D:
             raise BadInputError("--D is required for the odd flavor")
         D = pr.parse_poly(base, args.D)
-        if args.f != "1":
-            k = validate_field(base, "odd", D=D)
-            return order_from(k, f)
-        return order_from_discriminant(base, D)
-    if args.flavor == "even_sep":
+        if args.f is None:
+            return order_from_discriminant(base, D)
+        k = validate_field(base, "odd", D=D)
+    elif args.flavor == "even_sep":
         if not (args.B and args.C):
             raise BadInputError("--B and --C are required for even_sep")
         k = validate_field(base, "even_sep", B=pr.parse_poly(base, args.B), C=pr.parse_poly(base, args.C))
-        return order_from(k, f)
-    k = validate_field(base, "even_insep")
+    else:
+        k = validate_field(base, "even_insep")
     return order_from(k, f)
 
 

@@ -22,6 +22,13 @@ multiplication and inversion tables, so each of those operations is one
 lookup there.  Larger fields add, subtract and negate digit
 by digit in base p and multiply by one schoolbook product of the coordinate
 lists, reduced from the top degree down by the monic modulus.
+
+`field` gives one descriptor per (p, r, m, modulus), and that descriptor
+owns every datum derived from the coefficient field alone (`held`): the
+square-root and embedding tables here, the series layer's matrices, the
+flat code tables of `polyring`, and, on a base F_q, its quadratic
+extensions (`quadfield.validate_field`), the L-route sieves and the Carlitz
+contexts and monic stacks of `modforms`.
 """
 
 from __future__ import annotations
@@ -63,10 +70,25 @@ def _least_irreducible(p: int, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class FieldDesc:
-    """Descriptor of F_{p^(r*m)} with its tower data and cached tables.
+class Holder:
+    """An owner of derived data, kept in its dict `_held`."""
 
-    Use :func:`field` to obtain the canonical cached instance.
+    __slots__ = ()
+
+    def held(self, key, build, *args):
+        """The data held under `key` (a name, or a tuple led by one), made by
+        build(*args) on first use."""
+        value = self._held.get(key)
+        if value is None:
+            value = self._held[key] = build(*args)
+        return value
+
+
+class FieldDesc(Holder):
+    """Descriptor of F_{p^(r*m)} with its tower data, its tables and the
+    data it holds for other layers (`held`).
+
+    Use :func:`field` to obtain the canonical instance.
     """
 
     def __init__(self, p: int, r: int, m: int, modulus=None):
@@ -91,12 +113,8 @@ class FieldDesc:
             if len(modulus) != self.s + 1 or modulus[-1] != 1 or not pr.is_irreducible(pr.Poly(field(p), modulus)):
                 raise BadInputError("modulus must be monic irreducible of degree r*m over F_p")
         self.modulus = modulus
-        self._add_table = None
-        self._sub_table = None
-        self._neg_table = None
-        self._mul_table = None
-        self._inv_table = None
-        self._sqrt_table = None
+        self._add_table = self._sub_table = self._neg_table = self._mul_table = self._inv_table = None
+        self._held = {}  # key -> derived data (see held)
         if self.order <= 256:
             self._build_tables()
 
@@ -212,12 +230,6 @@ class FieldDesc:
         """x -> x^q, the relative Frobenius over F_q."""
         return self.pow(a, self.q)
 
-    # -- scalars as F_p-linear maps (used by the series layer) ---------------
-
-    def frob_q_matrix(self):
-        """Columns of x -> x^q on the power basis (an F_p-linear map)."""
-        return tuple(tuple(self.coords(self.frob_q(self.p**j))) for j in range(self.s))
-
     # -- traces --------------------------------------------------------------
 
     def trace_to_prime(self, a: int) -> int:
@@ -249,9 +261,14 @@ class FieldDesc:
         )
 
 
-@lru_cache(maxsize=None)
 def field(p: int, r: int = 1, m: int = 1, modulus=None) -> FieldDesc:
-    """Canonical cached field descriptor for F_{p^(r*m)}."""
+    """The canonical descriptor of F_{p^(r*m)}, the one owner of its held
+    data: every spelling of (p, r, m, modulus) gives the same object."""
+    return _descriptor(p, r, m, None if modulus is None else tuple(modulus))
+
+
+@lru_cache(maxsize=None)
+def _descriptor(p: int, r: int, m: int, modulus) -> FieldDesc:
     return FieldDesc(p, r, m, modulus)
 
 
@@ -262,15 +279,18 @@ def quadratic_extension(fq: FieldDesc) -> FieldDesc:
     return field(fq.p, fq.r, 2)
 
 
-@lru_cache(maxsize=None)
 def embedding_table(src: FieldDesc, dst: FieldDesc):
-    """Code table of the canonical embedding F_{p^s} -> F_{p^(2s)}.
+    """Code table of the canonical embedding F_{p^s} -> F_{p^(2s)}, held by src.
 
     The generator of src maps to the lexicographically least root of src's
     modulus inside dst; this fixes the embedding deterministically.
     """
     if not (src.p == dst.p and dst.s == 2 * src.s):
         raise BadInputError("embedding supported only into the quadratic extension")
+    return src.held(("embedding", dst), _embedding_table, src, dst)
+
+
+def _embedding_table(src: FieldDesc, dst: FieldDesc) -> tuple:
     root = None
     for cand in range(dst.order):
         acc = 0
@@ -313,16 +333,8 @@ def sqrt(desc: FieldDesc, code: int) -> int | None:
         return desc.pow(code, desc.order // 2)  # squaring is bijective in char 2
     if not is_square(desc, code):
         return None
-    return _sqrt_table(desc)[code]
-
-
-def _sqrt_table(desc: FieldDesc):
-    if desc._sqrt_table is None:
-        tab = {}
-        for y in range(desc.order - 1, -1, -1):
-            tab[desc.mul(y, y)] = y  # later (smaller) codes overwrite: canonical = min
-        desc._sqrt_table = tab
-    return desc._sqrt_table
+    # later (smaller) codes overwrite: canonical = min
+    return desc.held("sqrt", lambda: {desc.mul(y, y): y for y in range(desc.order - 1, -1, -1)})[code]
 
 
 def artin_schreier_solve(desc: FieldDesc, code: int) -> tuple | None:

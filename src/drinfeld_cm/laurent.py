@@ -35,36 +35,36 @@ import numpy as np
 
 from .errors import BadInputError, PrecisionError
 from .ffield import FieldDesc, artin_schreier_solve, embedding_table, sqrt as ff_sqrt
-from .polyring import Poly
-
-_np_cache: dict = {}
+from .polyring import Poly, binary_power
 
 # packed words stay below 2^62, so no int64 sum in a product can overflow
 _WORD_BITS = 62
 
 
-def _tensors(desc: FieldDesc):
-    """Numpy copies of the power-reduction and Frobenius matrices, etc."""
-    t = _np_cache.get(desc)
-    if t is None:
-        s = desc.s
-        # column k: coordinates of x^k mod desc.modulus (x has code p), k = 0..2s-2
-        reduce = np.array([desc.coords(desc.pow(desc.p, k)) for k in range(2 * s - 1)], dtype=np.int64).T
-        frob = np.array(desc.frob_q_matrix(), dtype=np.int64).T  # rows = output coords
-        codes = desc.p ** np.arange(s, dtype=np.int64)  # coordinates -> code
-        t = {"reduce": reduce, "frob": frob, "codes": codes, "scalar": {}}
-        _np_cache[desc] = t
-    return t
+def _tensors(desc: FieldDesc) -> dict:
+    """The field's numpy matrices of power reduction and Frobenius and its
+    coordinates-to-code weights, held by the field."""
+    return desc.held("tensors", _build_tensors, desc)
+
+
+def _build_tensors(desc: FieldDesc) -> dict:
+    s = desc.s
+    # column k: coordinates of x^k mod desc.modulus (x has code p), k = 0..2s-2
+    reduce = np.array([desc.coords(desc.pow(desc.p, k)) for k in range(2 * s - 1)], dtype=np.int64).T
+    # column j: coordinates of (x^j)^q, an F_p-linear map of the power basis
+    frob = np.array([desc.coords(desc.frob_q(desc.p**j)) for j in range(s)], dtype=np.int64).T
+    codes = desc.p ** np.arange(s, dtype=np.int64)  # coordinates -> code
+    return {"reduce": reduce, "frob": frob, "codes": codes}
 
 
 def _scalar_matrix(desc: FieldDesc, code: int):
-    t = _tensors(desc)
-    m = t["scalar"].get(code)
-    if m is None:
-        # column j: coordinates of code * x^j (x^j has code p^j)
-        m = np.array([desc.coords(desc.mul(code, desc.p**j)) for j in range(desc.s)], dtype=np.int64).T
-        t["scalar"][code] = m
-    return m
+    """The matrix of x -> code * x on coordinates, held by the field: column j
+    holds code * x^j (x^j has code p^j)."""
+
+    def build():
+        return np.array([desc.coords(desc.mul(code, desc.p**j)) for j in range(desc.s)], dtype=np.int64).T
+
+    return desc.held(("scalar", code), build)
 
 
 def _packing(p: int, s: int, length: int):
@@ -453,14 +453,9 @@ class LaurentSeries:
     def __pow__(self, e: int):
         if e < 0:
             raise BadInputError("negative power: use inverse() explicitly")
-        result = LaurentSeries.one(self.field, None)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        if e == 0:
+            return LaurentSeries.one(self.field, None)
+        return binary_power(self, e)
 
     def frobenius_q(self) -> "LaurentSeries":
         """x -> x^q: coefficientwise Frobenius with exponents dilated by q."""

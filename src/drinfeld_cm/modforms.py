@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,14 +63,12 @@ class EvalContext:
     by q, so every coefficient pi^(q^i - 1)/D_i can be carried with `rel`
     digits past its own (rapidly growing) valuation at constant cost.
 
-    The data depend only on (base, cdesc, rel), so the class owns one
-    context per key (`shared`) for the life of the process, and every
-    evaluation with that key reads the same pi^(q-1), pi^-(q-1) and the same
-    lazily grown coefficient list; the digits are exact, so sharing changes
-    no result.
+    The data depend only on (base, cdesc, rel), so the base field holds one
+    context per (cdesc, rel) for the life of the process (`_context_for`),
+    and every evaluation with that key reads the same pi^(q-1), pi^-(q-1)
+    and the same lazily grown coefficient list; the digits are exact, so
+    sharing changes no result.
     """
-
-    _shared: dict = {}
 
     def __init__(self, base: FieldDesc, cdesc: FieldDesc, rel: int):
         self.base = base
@@ -81,15 +78,6 @@ class EvalContext:
         self.pi = pi_power_qm1(cdesc, rel + 2)  # v = -q, so rel + q + 2 known digits
         self.pi_inv = self.pi.inverse()  # the same relative precision
         self._coeffs = [LaurentSeries.one(cdesc, rel)]
-
-    @classmethod
-    def shared(cls, base: FieldDesc, cdesc: FieldDesc, rel: int) -> "EvalContext":
-        """The one context of this key, built on first use."""
-        key = (base, cdesc, rel)
-        ctx = cls._shared.get(key)
-        if ctx is None:
-            ctx = cls._shared[key] = cls(base, cdesc, rel)
-        return ctx
 
     def coeff(self, i: int) -> LaurentSeries:
         """pi^(q^i - 1)/D_i by the Frobenius recursion c_i = c_(i-1)^q pi / [i]."""
@@ -106,11 +94,14 @@ class EvalContext:
         return self._coeffs[i]
 
 
-@lru_cache(maxsize=None)
 def _monic_stack(base: FieldDesc, cdesc: FieldDesc, d: int, e: int):
-    """(the monic a of degree d, the stack of the series of a^e over cdesc)."""
-    monics = tuple(pr.monic_of_degree(base, d))
-    return monics, LaurentSeries.stack([LaurentSeries.from_poly(a**e, cdesc) for a in monics])
+    """(the monic a of degree d, the stack of the series of a^e over cdesc), held by the base field."""
+
+    def build():
+        monics = tuple(pr.monic_of_degree(base, d))
+        return monics, LaurentSeries.stack([LaurentSeries.from_poly(a**e, cdesc) for a in monics])
+
+    return base.held(("monics", cdesc, d, e), build)
 
 
 def _tiled(stack, points: int):
@@ -119,7 +110,10 @@ def _tiled(stack, points: int):
 
 
 def _context_for(order: Order, prec: int) -> EvalContext:
-    return EvalContext.shared(order.field.base, value_field(order.field), prec)
+    """The Carlitz context of the order's value field at relative precision
+    `prec`, held by the order's base field."""
+    base, cdesc = order.field.base, value_field(order.field)
+    return base.held(("carlitz", cdesc, prec), EvalContext, base, cdesc, prec)
 
 
 def _truncate(el, prec: Fraction | int):

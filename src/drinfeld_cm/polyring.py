@@ -186,14 +186,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise BadInputError("negative polynomial power")
-        result = Poly(self.field, (1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return binary_power(self, e) if e else Poly._of_trimmed(self.field, (1,))
 
     def divides(self, other: "Poly") -> bool:
         return (other % self).is_zero()
@@ -216,6 +209,17 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
+
+
+def binary_power(x, e: int):
+    """x^e for an integer e >= 1 by squaring from the top bit down: bit_length(e) - 1
+    squarings and popcount(e) - 1 products by x, so x^1 costs no product."""
+    result = x
+    for bit in bin(e)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
 
 
 def T(fld: FieldDesc) -> Poly:
@@ -576,10 +580,9 @@ def digit_rows(fld: FieldDesc, codes: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
 def _code_tables(fld: FieldDesc) -> tuple:
     """The tables of fld.add and fld.mul on codes, flat: entry x * order + y
-    holds x + y (x y).  The last few fields' tables are kept."""
+    holds x + y (x y).  The field holds them."""
     elems = range(fld.order)
     add = np.array([fld.add(a, b) for a in elems for b in elems], dtype=_digit_dtype(fld))
     mul = np.array([fld.mul(a, b) for a in elems for b in elems], dtype=_digit_dtype(fld))
@@ -588,12 +591,12 @@ def _code_tables(fld: FieldDesc) -> tuple:
 
 def add_codes(fld: FieldDesc, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X + Y on arrays of codes (broadcast), through the add table."""
-    return _code_tables(fld)[0][X * fld.order + Y]
+    return fld.held("code_tables", _code_tables, fld)[0][X * fld.order + Y]
 
 
 def mul_codes(fld: FieldDesc, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X Y on arrays of codes (broadcast), through the mul table."""
-    return _code_tables(fld)[1][X * fld.order + Y]
+    return fld.held("code_tables", _code_tables, fld)[1][X * fld.order + Y]
 
 
 def row_codes(fld: FieldDesc, rows: np.ndarray) -> np.ndarray:

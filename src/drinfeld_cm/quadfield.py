@@ -23,6 +23,10 @@ F_{q^2} when infinity is inert, a `QuadSeries` over F_q when it ramifies (no
 series uniformizer is ever constructed; valuations come from the norm and
 live in (1/2)Z).  Other modules work on embedded values through `zero_like`,
 `one_like` and `round_to_A`, without asking which type they hold.
+
+`validate_field` gives one QuadField per (base, flavor, data), held by the
+base, and that field holds what depends on K alone (`QuadField.held`): its
+xi series, its series contexts and its L-data (`classno.l_data`).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadInputError, InvariantError, PrecisionError
-from .ffield import FieldDesc, embedding_table, is_square, quadratic_extension
+from .ffield import FieldDesc, Holder, embedding_table, is_square, quadratic_extension
 from .laurent import LaurentSeries
 from . import polyring as pr
 from .polyring import Poly
@@ -104,8 +108,9 @@ class RatFunc:
 # fields
 
 
-class QuadField:
-    """Validated imaginary quadratic extension descriptor.
+class QuadField(Holder):
+    """Validated imaginary quadratic extension descriptor, with the data it
+    holds (`held`); `validate_field` gives the canonical instance.
 
     xi satisfies xi^2 = s xi + t (the attributes `s` and `t`), and omega xi
     generates the maximal order, O_K = A[omega xi], for the rational function
@@ -114,26 +119,21 @@ class QuadField:
 
     __slots__ = (
         "flavor", "base", "D", "B", "C", "G", "radG", "D_K", "infinite_type", "is_constant_extension",
-        "s", "t", "omega", "_xi", "_held",
+        "s", "t", "omega", "_held",
     )
 
-    def __init__(self, flavor: str, base: FieldDesc, **data):
-        object.__setattr__(self, "_xi", {})  # coefficient field -> xi series (see xi_series)
-        object.__setattr__(self, "_held", {})  # key -> derived data (see held)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "s", 1 if flavor == "even_sep" else 0)  # xi^2 = s xi + t
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "D", None)
-        object.__setattr__(self, "B", None)
-        object.__setattr__(self, "C", None)
-        object.__setattr__(self, "G", None)
-        object.__setattr__(self, "radG", None)
-        object.__setattr__(self, "D_K", None)
-        object.__setattr__(self, "is_constant_extension", False)
+    def __init__(self, flavor: str, base: FieldDesc, D: Poly | None, B: Poly | None, C: Poly | None):
+        for name in ("D", "B", "C", "G", "radG", "D_K"):
+            self._set(name, None)
+        self._set("_held", {})  # key -> derived data (see held)
+        self._set("flavor", flavor)
+        self._set("s", 1 if flavor == "even_sep" else 0)  # xi^2 = s xi + t
+        self._set("base", base)
+        self._set("is_constant_extension", False)
         if flavor == "odd":
-            self._init_odd(data["D"])
+            self._init_odd(D)
         elif flavor == "even_sep":
-            self._init_even_sep(data["B"], data["C"])
+            self._init_even_sep(B, C)
         elif flavor == "even_insep":
             self._init_even_insep()
         else:
@@ -225,13 +225,6 @@ class QuadField:
         """Valuation of xi in the completion: v(t)/2 (when v(t) = 0, even_sep inert, v(xi) = 0 too)."""
         return Fraction(self.t.v_infinity(), 2)
 
-    def held(self, key, build):
-        """The data the field holds under `key` (a name, or a tuple led by
-        one), made by build() on first use."""
-        if key not in self._held:
-            self._held[key] = build()
-        return self._held[key]
-
     def key(self):
         return (
             self.flavor,
@@ -262,9 +255,12 @@ class QuadField:
         return "QuadField(even_insep)"
 
 
-def validate_field(base: FieldDesc, flavor: str, **data) -> QuadField:
-    """Spec-facing constructor; checks every invariant of the flavor."""
-    return QuadField(flavor, base, **data)
+def validate_field(
+    base: FieldDesc, flavor: str, *, D: Poly | None = None, B: Poly | None = None, C: Poly | None = None
+) -> QuadField:
+    """The one QuadField of (flavor, D, B, C) over base, which holds it, built
+    on first use; the constructor checks every invariant of the flavor."""
+    return base.held(("quadratic", flavor, D, B, C), QuadField, flavor, base, D, B, C)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +309,10 @@ def order_from(field: QuadField, f: Poly) -> Order:
 
 def order_from_discriminant(base: FieldDesc, D: Poly) -> Order:
     """Odd flavor: the unique order A[sqrt(D)] of discriminant exactly D."""
-    field = QuadField("odd", base, D=D)
+    field = validate_field(base, "odd", D=D)
     if D.deg == 0:
         raise BadInputError("constant discriminant: the order is the constant-field extension ring (j = 0)")
-    _, g, _ = pr.squarefree_split(D)
-    return Order(field, g, D)
+    return Order(field, field.omega.den, D)  # conductor g, for D = sgn g^2 D_0
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +410,6 @@ class QuadSeriesContext:
         else:
             # xi^q = T^(q/2): the xi-part collapses under Frobenius
             self.alpha, self.beta = LaurentSeries.t_power(cdesc, q // 2), 0
-
-    @staticmethod
-    def of(qf: QuadField, cdesc: FieldDesc, prec: int) -> "QuadSeriesContext":
-        """The context the field holds for this coefficient field and precision."""
-        return qf.held(("series_context", cdesc, prec), lambda: QuadSeriesContext(qf, cdesc, prec))
 
 
 class QuadSeries:
@@ -566,12 +556,13 @@ def xi_series(qf: QuadField, desc2: FieldDesc, prec: int) -> LaurentSeries:
     """
     if qf.infinite_type != "inert":
         raise BadInputError("xi flattens to a series only when infinity is inert")
-    held = qf._xi.get(desc2)
+    key = ("xi", desc2)
+    held = qf._held.get(key)
     if held is None or held.prec < prec:
         work = prec if held is None else max(prec, 2 * held.prec)
         t = qf.t.to_series(desc2, work + 2).truncate(work + 2)
         root = t.artin_schreier_root() if qf.s else t.sqrt()  # xi^2 = s xi + t
-        held = qf._xi[desc2] = root.truncate(work)
+        held = qf._held[key] = root.truncate(work)
     return held.truncate(prec)
 
 
@@ -633,7 +624,7 @@ def embed(zs: list, prec: int):
     if inert:
         xi = xi_series(qf, cdesc, prec + slack)
         return (xs + ys * xi).truncate(prec)
-    ctx = QuadSeriesContext.of(qf, cdesc, prec + slack)
+    ctx = qf.held(("series_context", cdesc, prec + slack), QuadSeriesContext, qf, cdesc, prec + slack)
     return QuadSeries(ctx, xs, ys).truncate(prec)
 
 

@@ -2,14 +2,23 @@ from collections import OrderedDict
 
 import pytest
 
-from drinfeld_cm import brownval
+from drinfeld_cm import brownval, ffield
+
+
+def empty_registry():
+    """Drop every canonical field descriptor: the next `ffield.field` call
+    builds a fresh one, which holds nothing yet, not even the QuadFields over
+    it (objects a test made before keep what they hold)."""
+    ffield._descriptor.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def empty_store(monkeypatch):
-    """Every test starts with an empty store of order objects, so call counts do not depend on test order."""
+    """Every test starts with an empty store of order objects and an empty
+    field registry, so call counts do not depend on test order."""
     monkeypatch.setattr(brownval, "_store", {})
     monkeypatch.setattr(brownval, "_holding", OrderedDict())
+    empty_registry()
 
 
 def count_rows(monkeypatch) -> list:

@@ -49,11 +49,44 @@ def test_l_route_runs_once_per_field(monkeypatch):
     calls = []
     real = classno.l_route
     monkeypatch.setattr(classno, "l_route", lambda field: calls.append(field) or real(field))
-    o = order_from_discriminant(F3, P(F3, "T-T^2"))
+    base = field(3)  # the registry's F_3, emptied for this test: no field over it holds L-data yet
+    o = order_from_discriminant(base, P(base, "T-T^2"))
     rep = order_report(o)  # conductor route and h_lroute read one L-data
     assert rep.h_lroute == rep.h_conductor == 2
     assert maximal_class_number(o.field) == l_data(o.field).h_OK == 2
     assert calls == [o.field]
+
+
+def test_l_data_of_an_odd_field_is_held_on_the_field_of_its_D_K(monkeypatch):
+    from drinfeld_cm import classno
+
+    calls = []
+    real = classno.l_route
+    monkeypatch.setattr(classno, "l_route", lambda field: calls.append(field) or real(field))
+    base = field(3)
+    wide = order_from_discriminant(base, P(base, "2*T^4+T^3"))  # conductor T in k(sqrt(2 T^2 + T))
+    assert wide.field.D_K == P(base, "2*T^2+T") and not wide.is_maximal()
+    K = validate_field(base, "odd", D=wide.field.D_K)
+    assert order_from_discriminant(base, P(base, "2*T^2+T")).field is K  # one QuadField per key
+    assert l_data(wide.field) is l_data(K)
+    assert class_number_by_conductor(wide) == OrderCM.of(wide).class_number_by_conductor()
+    assert calls == [K]
+
+
+def test_class_numbers_of_the_sweep_orders_run_l_route_once_per_K(monkeypatch):
+    # 150 orders of F_3[T] with |D| <= 81 lie in 102 fields with a non-constant
+    # D_K; the orders of one K share its L-data, whatever D defines their field
+    from drinfeld_cm import classno
+
+    calls = []
+    real = classno.l_route
+    monkeypatch.setattr(classno, "l_route", lambda field: calls.append(field) or real(field))
+    orders = list(iter_orders(field(3), 81))
+    for o in orders:
+        class_number_by_conductor(o)
+    assert len(orders) == 150
+    assert len(calls) == len({k.D_K for k in calls}) == 102
+    assert {k.D_K for k in calls} == {o.field.D_K for o in orders if not o.field.is_constant_extension}
 
 
 def test_l_route_guards():

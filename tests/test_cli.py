@@ -173,3 +173,40 @@ def test_verify_says_when_cardc_checked_no_case(capsys):
         '{"cardC_checked": 0, "floor_attained": true}'
     ]
     assert all(line.startswith("PASS ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "conductor, f, D_O",
+    [
+        ([], [0, 1], [0, 0, 0, 1]),  # no --f: the order of discriminant exactly D = T^3, conductor T
+        (["--f", "1"], [1], [0, 1]),  # conductor 1 in k(sqrt(T^3)) = k(sqrt(T)): the maximal order
+        (["--f", "[1]"], [1], [0, 1]),
+    ],
+)
+def test_conductor_flag_takes_every_spelling_of_f(conductor, f, D_O, capsys):
+    assert cli.main(["class-number", "--q", "3", "--flavor", "odd", "--D", "T^3", *conductor]) == 0
+    order = json.loads(capsys.readouterr().out)["order"]
+    assert (order["f"], order["D_O"]) == (f, D_O)
+
+
+@pytest.mark.parametrize(
+    "spec, fields",
+    [
+        (["--D", "T-T^2", "--f", "T"], 1),  # the field of D = D_K itself
+        (["--D", "2*T^4+T^3"], 2),  # the field of D = T^2 D_K, and that of D_K, which holds the L-data
+    ],
+)
+def test_repeated_class_number_requests_build_one_field_and_one_l_route(spec, fields, capsys, monkeypatch):
+    from drinfeld_cm import classno, quadfield
+
+    built, routes = [], []
+    real_init, real_route = quadfield.QuadField.__init__, classno.l_route
+    monkeypatch.setattr(quadfield.QuadField, "__init__", lambda self, *a: built.append(a) or real_init(self, *a))
+    monkeypatch.setattr(classno, "l_route", lambda k: routes.append(k) or real_route(k))
+    argv = ["class-number", "--q", "3", "--flavor", "odd", *spec]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert len(built) == fields and len(routes) == 1

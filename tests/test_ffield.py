@@ -29,6 +29,13 @@ def test_arith_examples():
         assert f9.mul(x, f9.inv(x)) == 1
 
 
+def test_every_spelling_of_a_field_gives_one_descriptor():
+    # the descriptor owns the field's held data, so one field is one object
+    assert field(3) is field(3, 1) is field(3, 1, 1, None) is field(p=3, m=1)
+    assert field(3, 2, 1, [2, 1, 1]) is field(3, 2, 1, (2, 1, 1)) != field(3, 2)
+    assert field(3, 1, 2).held("probe", list) is field(3, m=2).held("probe", dict)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         field(3).inv(0)

@@ -1,9 +1,10 @@
 """Static checks on the package source: no unused import, no uncalled
 definition, no definition that only tests use (save the listed reference
 implementations), no series-type test outside the series layer, no cycle
-among the imports that run when a module is imported, and no import inside a
-function unless it closes such a cycle: a package module is imported at the
-top of a module unless it reaches that module through top-level imports.
+among the imports that run when a module is imported, no import inside a
+function unless it closes such a cycle (a package module is imported at the
+top of a module unless it reaches that module through top-level imports),
+and no module-level cache outside the listed ones.
 
 A definition counts as used only through what can name it:
 - a method (a function defined in a class body): an attribute access
@@ -27,6 +28,18 @@ PACKAGE = ROOT / "src" / "drinfeld_cm"
 PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 SERIES_TYPES = {"LaurentSeries", "QuadSeries"}
 SERIES_LAYER = {"quadfield.py", "laurent.py"}
+# the caches kept at module level: the registry of canonical field descriptors,
+# the order store and its recency list, factorizations, the digit weights of
+# the packed product and the argument parser; other held data has an owner
+# (a FieldDesc, a QuadField or an OrderCM)
+MODULE_CACHES = {
+    "ffield._descriptor",
+    "brownval._store",
+    "brownval._holding",
+    "polyring.factor",
+    "laurent._digits",
+    "cli._parser",
+}
 
 
 def _modules():
@@ -213,3 +226,80 @@ def test_every_definition_is_used_by_the_program():
             if not used:
                 test_only.append(f"{path.name}:{node.lineno} {name}")
     assert not test_only, "named by no program code outside its own body:\n" + "\n".join(test_only)
+
+
+def _called_name(node):
+    """The name a decorator or call target ends in (`lru_cache` for
+    `functools.lru_cache(maxsize=8)`), or None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_caches(tree) -> set:
+    """The caches a module keeps from call to call: a function or method
+    under `lru_cache` or `cache`, an empty dict or a dict, OrderedDict or
+    defaultdict made by a call and bound at module or class level (a class's
+    as `Class.name`), and a module global that a function rebinds."""
+    found = set()
+    scopes = [("", tree.body)] + [(f"{c.name}.", c.body) for c in tree.body if isinstance(c, ast.ClassDef)]
+    for prefix, body in scopes:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_called_name(d) in ("lru_cache", "cache") for d in node.decorator_list):
+                    found.add(prefix + node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                value = node.value
+                empty = isinstance(value, ast.Dict) and not value.keys
+                made = isinstance(value, ast.Call) and _called_name(value) in ("dict", "OrderedDict", "defaultdict")
+                if empty or made:
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    found.update(prefix + t.id for t in targets if isinstance(t, ast.Name))
+    found.update(name for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names)
+    return found
+
+
+def test_cache_rule_sees_every_form():
+    source = """
+from collections import OrderedDict
+from functools import cache, lru_cache
+import functools
+
+TABLE = {"a": 1}
+_seen: dict = {}
+_recent = OrderedDict()
+_last = None
+
+
+@lru_cache(maxsize=None)
+def one(x):
+    return x
+
+
+@functools.cache
+def two(x):
+    return x
+
+
+class Owner:
+    _shared: dict = {}
+    names = {"b": 2}
+
+    @functools.lru_cache(maxsize=8)
+    def three(self):
+        return 3
+
+
+def remember(x):
+    global _last
+    _last = x
+"""
+    assert _module_caches(ast.parse(source)) == {"_seen", "_recent", "one", "two", "Owner._shared", "Owner.three", "_last"}
+
+
+def test_only_the_listed_module_level_caches_remain():
+    kept = {f"{path.stem}.{name}" for path in _modules() for name in _module_caches(ast.parse(path.read_text()))}
+    assert not kept - MODULE_CACHES, "module-level caches outside the list:\n" + "\n".join(sorted(kept - MODULE_CACHES))
+    assert not MODULE_CACHES - kept, "listed caches that are gone:\n" + "\n".join(sorted(MODULE_CACHES - kept))

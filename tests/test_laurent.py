@@ -306,3 +306,17 @@ def test_mul_precision_rule():
 def test_debug_format():
     x = LaurentSeries.from_codes(F3, -1, [1, 2], 9)
     assert repr(x) == "v=-1 prec=9 coeffs=[1,2]"
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 6, 9])
+def test_series_power_makes_only_the_needed_products(e, monkeypatch):
+    x = LaurentSeries.from_codes(F9, -1, [1, 2, 0, 5, 7], 6)
+    want = LaurentSeries.one(F9)
+    for _ in range(e):
+        want = want * x
+    calls = []
+    real = LaurentSeries.__mul__
+    monkeypatch.setattr(LaurentSeries, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    got = x**e
+    assert got == want and got.prec == want.prec
+    assert len(calls) == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0)

@@ -12,7 +12,6 @@ from drinfeld_cm.brownval import brown_prec, log_abs_j, moduli_of
 from drinfeld_cm.cmpoints import enumerate_points
 from drinfeld_cm import brownval, modforms
 from drinfeld_cm.modforms import (
-    EvalContext,
     eval_j,
     eval_j_stack,
     hilbert_poly,
@@ -21,6 +20,8 @@ from drinfeld_cm.modforms import (
     verify_lemma_A2,
 )
 from drinfeld_cm.quadfield import order_from, order_from_discriminant, validate_field
+
+from conftest import empty_registry
 
 F2 = field(2)
 F3 = field(3)
@@ -33,7 +34,9 @@ def P(fld, text):
 
 
 def hayes_order():
-    return order_from_discriminant(F3, P(F3, "T-T^2"))
+    # over the registry's current F_3: after `empty_registry`, one that holds nothing yet
+    base = field(3)
+    return order_from_discriminant(base, P(base, "T-T^2"))
 
 
 def all_points(order):
@@ -171,25 +174,26 @@ def test_eval_j_plan_reported():
 
 SHARED_STATE_ORDERS = {
     "inert odd": hayes_order,
-    "inert even_sep": lambda: order_from(validate_field(F4, "even_sep", B=P(F4, "2*T+2"), C=P(F4, "T")), pr.one(F4)),
-    "ramified odd": lambda: order_from_discriminant(F3, P(F3, "T^3+2*T+1")),
+    "inert even_sep": lambda: order_from(sep4("2*T+2", "T"), pr.one(field(2, 2))),
+    "ramified odd": lambda: order_from_discriminant(field(3), P(field(3), "T^3+2*T+1")),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_STATE_ORDERS))
-def test_eval_j_shared_state_matches_fresh(name, monkeypatch):
-    # a fresh order has a fresh QuadField, hence no held xi series
+def test_eval_j_shared_state_matches_fresh(name):
+    # after `empty_registry` an order is built over a fresh base field and a
+    # fresh QuadField, which hold no Carlitz context and no xi series
     make = SHARED_STATE_ORDERS[name]
     lo, hi = 12, 40
 
     def fresh(i, prec):
-        monkeypatch.setattr(EvalContext, "_shared", {})
+        empty_registry()
         return eval_j(enumerate_points(make())[i], prec)
 
     npts = len(enumerate_points(make()))
     expect = {(i, prec): fresh(i, prec) for i in range(npts) for prec in (lo, hi)}
     for precs in ((hi, lo), (lo, hi)):
-        monkeypatch.setattr(EvalContext, "_shared", {})
+        empty_registry()
         pts = enumerate_points(make())
         for prec in precs:
             for i, pt in enumerate(pts):
@@ -199,13 +203,16 @@ def test_eval_j_shared_state_matches_fresh(name, monkeypatch):
                     assert got.value == want.value
                 else:
                     assert (got.value.x, got.value.y) == (want.value.x, want.value.y)
-        assert 0 < len(EvalContext._shared) < 2 * npts  # some points shared a context
-        if pts[0].order.field.infinite_type == "inert":
-            assert pts[0].order.field._xi  # the field held its xi series
+        k = pts[0].order.field
+        contexts = [key for key in k.base._held if key[0] == "carlitz"]
+        assert 0 < len(contexts) < 2 * npts  # some points shared a context
+        if k.infinite_type == "inert":
+            assert any(key[0] == "xi" for key in k._held)  # the field held its xi series
 
 
 def sep4(B, C):
-    return validate_field(F4, "even_sep", B=P(F4, B), C=P(F4, C))
+    base = field(2, 2)  # the registry's current F_4, as in hayes_order
+    return validate_field(base, "even_sep", B=P(base, B), C=P(base, C))
 
 
 STACK_ORDERS = {
@@ -275,7 +282,7 @@ def test_stacked_retry_matches_one_point_retry(monkeypatch):
         return real(order, prec - 20)
 
     monkeypatch.setattr(modforms, "_context_for", starved)
-    monkeypatch.setattr(EvalContext, "_shared", {})
+    empty_registry()  # the orders below are built over fresh base fields, which hold no context
     for name in ("q3 odd inert", "q4 even_sep inert"):
         group = max(stacks(STACK_ORDERS[name]()), key=len)
         works.clear()

@@ -467,3 +467,22 @@ def test_ring_axioms_hypothesis(ca, cb):
 def test_deg_marker():
     assert pr.zero(F3).deg == pr.NEG_INF
     assert pr.zero(F3).deg < 0
+
+
+def products_of_power(e: int) -> int:
+    """The products square-and-multiply needs for x^e, e >= 1: one squaring per
+    bit below the top one, and one product by x per further set bit."""
+    return e.bit_length() - 1 + bin(e).count("1") - 1
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 4, 5, 7, 8, 13, 16, 31])
+def test_poly_power_makes_only_the_needed_products(e, monkeypatch):
+    a = P(F3, "T^2+2*T+1")
+    want = pr.one(F3)
+    for _ in range(e):
+        want = want * a
+    calls = []
+    real = pr.Poly.__mul__
+    monkeypatch.setattr(pr.Poly, "__mul__", lambda x, y: calls.append(1) or real(x, y))
+    assert a**e == want
+    assert len(calls) == (products_of_power(e) if e else 0)

@@ -22,6 +22,8 @@ from drinfeld_cm.quadfield import (
     xi_series,
 )
 
+from conftest import empty_registry
+
 F2 = field(2)
 F3 = field(3)
 
@@ -109,6 +111,16 @@ def test_order_from_examples():
     ki = validate_field(F2, "even_insep")
     oi = order_from(ki, P(F2, "T"))
     assert oi.D_O is None and oi.disc_deg() == 3  # |f^2 T| proxy
+
+
+def test_validate_field_gives_one_field_per_key():
+    # the field holds K's data (xi series, contexts, L-data), so one K is one
+    # object, held by the one descriptor of its base
+    B, C = P(F2, "T^2+T+1"), P(F2, "T^2+T")
+    assert validate_field(field(2), "even_sep", B=B, C=C) is validate_field(field(2, 1), "even_sep", C=C, B=B)
+    k = validate_field(field(3), "odd", D=P(F3, "2*T^2+T"))
+    assert order_from_discriminant(field(3), P(F3, "2*T^2+T")).field is k
+    assert order_from_discriminant(field(3), P(F3, "2*T^4+T^3")).field is not k  # defined by another D
 
 
 def test_order_from_discriminant():
@@ -247,18 +259,18 @@ def test_embed_even_sep_inert_relation():
 
 @pytest.mark.parametrize("flavor, data", [("odd", {"D": "T-T^2"}), ("even_sep", {"B": "T+1", "C": "T"})])
 def test_xi_series_held_at_highest_precision(flavor, data):
-    base = F3 if flavor == "odd" else F2
-    desc2 = quadratic_extension(base)
-
     def fresh_field():
+        empty_registry()  # a fresh base field, hence a fresh QuadField that holds no xi series
+        base = field(3 if flavor == "odd" else 2)
         return validate_field(base, flavor, **{k: P(base, v) for k, v in data.items()})
 
+    desc2 = quadratic_extension(fresh_field().base)
     fresh = {prec: xi_series(fresh_field(), desc2, prec) for prec in (10, 40)}
     for order in ((40, 10), (10, 40)):
         k = fresh_field()
         for prec in order:
             assert xi_series(k, desc2, prec) == fresh[prec]
-        assert k._xi[desc2] == fresh[40]
+        assert k._held[("xi", desc2)] == fresh[40]
 
 
 @pytest.mark.parametrize("flavor, data", [("odd", {"D": "T-T^2"}), ("even_sep", {"B": "T+1", "C": "T"})])
@@ -266,8 +278,10 @@ def test_xi_series_rising_requests_take_log_many_roots(flavor, data, monkeypatch
     # a request beyond the held precision takes the root at least at twice it
     base = F3 if flavor == "odd" else F2
     desc2 = quadratic_extension(base)
-    k = validate_field(base, flavor, **{key: P(base, v) for key, v in data.items()})
     want = xi_series(validate_field(base, flavor, **{key: P(base, v) for key, v in data.items()}), desc2, 80)
+    empty_registry()
+    base = field(base.p)  # a fresh base field, hence a fresh QuadField that holds no xi series
+    k = validate_field(base, flavor, **{key: P(base, v) for key, v in data.items()})
     roots = []
     for name in ("sqrt", "artin_schreier_root"):
         real = getattr(LaurentSeries, name)
