@@ -27,8 +27,9 @@ entries hold them, and the least recently used entry loses its values when
 another one gains some, together with what was read off them (the plans of
 their evaluations and the class polynomial); the rest stays.  Callers
 ask `OrderCM.j_values` for all the points a step needs at once, and the
-points not yet held are evaluated as stacks (`modforms.eval_j_stack`), one
-per group of equal n, eps, |j| and precision.
+points not yet held are evaluated as one stack (`modforms.eval_j_stack`),
+whose rows may differ in n, |j| and precision: each row is held relative
+to its own valuation, so one call serves every point of the order.
 """
 
 from __future__ import annotations
@@ -231,21 +232,18 @@ class OrderCM:
         return _store[key]
 
     def _evaluate(self, points: list, need) -> None:
-        """Evaluate j at the points over the order's value field, one stack
-        per group of equal (n, eps, |j|, precision need(pt)); keep each value
-        unless a more precise one is held."""
+        """Evaluate j at the points over the order's value field, each to
+        precision need(pt), as one stack; keep each value unless a more
+        precise one is held."""
         from .modforms import eval_j_stack
 
-        groups: dict = {}
-        for pt in points:
-            groups.setdefault((pt.n, pt.eps, log_abs_j(pt), need(pt)), []).append(pt)
-        for (*_, prec), group in groups.items():
-            for jv in eval_j_stack(group, prec):
-                pt = jv.point
-                key = (pt.a, pt.b)
-                if key not in self.values or self.values[key][0] < prec:
-                    self.values[key] = (prec, jv)
-                self.plans[(pt.a, pt.b, prec)] = jv.plan
+        precs = [need(pt) for pt in points]
+        for jv, prec in zip(eval_j_stack(points, precs), precs):
+            pt = jv.point
+            key = (pt.a, pt.b)
+            if key not in self.values or self.values[key][0] < prec:
+                self.values[key] = (prec, jv)
+            self.plans[(pt.a, pt.b, prec)] = jv.plan
         _holding[self.key] = self
         _holding.move_to_end(self.key)
         while len(_holding) > VALUE_CAP:
@@ -259,9 +257,8 @@ class OrderCM:
         number, or a function of the point such as `brown_prec`), over the
         order's `value_field`.
 
-        The points not yet held to that precision are evaluated in one call:
-        one stacked evaluation per group of equal (n, eps, |j|, precision),
-        whose rows share every truncation target.
+        The points not yet held to that precision are evaluated in one
+        stacked call, each to its own precision.
         """
         need = prec if callable(prec) else (lambda pt: prec)
         missing = {}

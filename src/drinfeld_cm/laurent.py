@@ -295,6 +295,40 @@ class LaurentSeries:
         summed = c.reshape(c.shape[0] // k, k, c.shape[1], c.shape[2]).sum(axis=1) % self.field.p
         return LaurentSeries(self.field, self.n0, summed, self.prec, reduced=True)
 
+    def spread(self, rows: int, index, shifts) -> "LaurentSeries":
+        """The stack of `rows` rows whose row i is the sum of the rows k with
+        index[k] = i, each times T^-shifts[k] (its exponents raised by
+        shifts[k]), and 0 where no k has index i; a one-row series stands for
+        every k.  The precision is the least shifted one, min(prec +
+        shifts[k]); digits beyond it are dropped."""
+        shifts = np.asarray(shifts, dtype=np.int64)
+        index = np.asarray(index, dtype=np.int64)
+        K = len(index)
+        lo_shift, hi_shift = int(shifts.min()), int(shifts.max())
+        R, s, L = self.comps.shape
+        if lo_shift == hi_shift and rows == R == K and (index == np.arange(K)).all():
+            return self.mul_t_power(-lo_shift) if lo_shift else self  # one shift for every row, in place
+        prec = None if self.prec is None else self.prec + lo_shift
+        lo = self.n0 + lo_shift
+        width = L + hi_shift - lo_shift if L else 0
+        if prec is not None:
+            width = max(0, min(width, prec - lo))
+        comps = self.comps if R == K else np.broadcast_to(self.comps, (K, s, L))
+        unique = len(set(index.tolist())) == K
+        # rows that share an index are placed apart, then summed by one 0/1 matrix
+        out = np.zeros((rows, s, width) if unique else (K, s, width), dtype=np.int64)
+        for shift in set(shifts.tolist()):  # one slice per distinct shift
+            ks = np.flatnonzero(shifts == shift)
+            c0 = shift - lo_shift
+            n = min(L, width - c0)
+            if n > 0:
+                out[index[ks] if unique else ks, :, c0 : c0 + n] = comps[ks, :, :n]
+        if not unique:
+            gather = np.zeros((rows, K), dtype=np.int64)
+            gather[index, np.arange(K)] = 1
+            out = (gather @ out.reshape(K, -1)).reshape(rows, s, width) % self.field.p
+        return LaurentSeries(self.field, lo, out, prec, reduced=True)
+
     def row_valuations(self) -> list:
         """The valuation of each row, None for a row indistinguishable from 0."""
         if not self.comps.shape[2]:
@@ -494,7 +528,8 @@ class LaurentSeries:
         lead = (U[:, :, 0] @ _tensors(fld)["codes"]).tolist()
         if not all(lead):
             raise PrecisionError("inversion of a row that is 0 or of higher valuation than its stack")
-        y = np.array([fld.coords(fld.inv(c)) for c in lead], dtype=np.int64)[:, :, None]
+        inv = {c: fld.coords(fld.inv(c)) for c in set(lead)}
+        y = np.array([inv[c] for c in lead], dtype=np.int64)[:, :, None]
         one = np.array(fld.coords(1), dtype=np.int64)
         known = 1
         while known < ell:

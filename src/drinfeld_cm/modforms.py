@@ -22,14 +22,27 @@ Frobenius powers (az)^(q^i) are coefficientwise, so they cost no
 convolutions and lose no precision.
 
 Evaluation runs on stacks (see `laurent`).  `eval_j_stack` evaluates j at
-several points of one order with equal n, eps and |j| in one computation:
-their z are embedded by one `quadfield.embed` call, on every retry round,
-as the rows of one series (one Newton inverse for all their denominators),
-and the terms t(az)^(q-1) for every monic a of one degree are one stack of
-(point, a) rows.  The rows share every target, every Carlitz index set and
-every certified valuation, since v(az) = v(z) - deg a and v(z) is fixed by
-n; each row's valuation is still asserted against its formula.  `eval_j` is
-the one-point case.
+any points of one order in one computation, each point to its own
+precision: their z are embedded by one `quadfield.embed` call, on every
+retry round, as the rows of one series (one Newton inverse for all their
+denominators), and the terms t(az)^(q-1) for every point and every monic a
+of every degree that point needs are one stack of (point, a) rows.  The
+points differ in n, so in v(z) and in every valuation after it, and each
+row is held relative to its own exact valuation: a stack holds every row
+with its exponents lowered by its offset, the formula's valuation at that
+row minus the one at the stack's first row (an integer, since one order
+has one eps; the valuations of a term depend on n + deg a alone).  Every
+row of a stack then has the valuation of the first, and all rows share one
+relative length, the largest any row needs.  A product adds the offsets,
+Frobenius multiplies them by q and an inverse negates them, so each series
+operation runs once for all rows; a sum of terms held at other offsets
+places each row at its own shift (`LaurentSeries.spread`).  (One shared
+absolute precision would not do: inverting rows whose valuations differ by
+dv loses 2 dv digits, and the Frobenius after it multiplies the loss by q.)
+The degrees of a and the Carlitz indices a stack runs are unions over its
+rows, each term on the rows that need it.  Each row's valuation is still
+asserted against its own formula, and its plan is its own truncation need,
+so every row equals what `eval_j`, the one-point case, makes at that point.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ from .cmpoints import CMPoint
 from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of
 
 GUARD = 10
+MARGIN = 6  # digits past every target on a first round; x3 on each retry
 
 
 def _coeff_valuation(q: int, i: int) -> int:
@@ -65,9 +79,9 @@ class EvalContext:
 
     The data depend only on (base, cdesc, rel), so the base field holds one
     context per (cdesc, rel) for the life of the process (`_context_for`),
-    and every evaluation with that key reads the same pi^(q-1), pi^-(q-1)
-    and the same lazily grown coefficient list; the digits are exact, so
-    sharing changes no result.
+    and every evaluation with that key reads the same pi^(q-1), pi^-(q-1),
+    bracket T^q - T and the same lazily grown coefficient list; the digits
+    are exact, so sharing changes no result.
     """
 
     def __init__(self, base: FieldDesc, cdesc: FieldDesc, rel: int):
@@ -77,6 +91,7 @@ class EvalContext:
         self.rel = rel
         self.pi = pi_power_qm1(cdesc, rel + 2)  # v = -q, so rel + q + 2 known digits
         self.pi_inv = self.pi.inverse()  # the same relative precision
+        self.bracket = LaurentSeries.from_poly(pr.T(base) ** self.q - pr.T(base), cdesc)
         self._coeffs = [LaurentSeries.one(cdesc, rel)]
 
     def coeff(self, i: int) -> LaurentSeries:
@@ -104,9 +119,38 @@ def _monic_stack(base: FieldDesc, cdesc: FieldDesc, d: int, e: int):
     return base.held(("monics", cdesc, d, e), build)
 
 
-def _tiled(stack, points: int):
-    """The rows of `stack` once per point: row r * stack.rows + k is row k."""
-    return stack.take(np.tile(np.arange(stack.rows), points))
+class _Terms:
+    """The rows of a stack of terms over the points pts: for each block (d,
+    point indices) in turn, the q^d monic a of degree d at each of the
+    block's points, in order.  `point`, `deg` and `k` give each row's point
+    index, degree and monic index, `m` its n + d, on which every valuation
+    of the Carlitz sum and of t(az) depends (v(az) = eps - n - d)."""
+
+    def __init__(self, ctx: "EvalContext", pts: list, blocks: list):
+        self.ctx, self.pts, self.blocks = ctx, pts, blocks
+        self.monics = {d: _monic_stack(ctx.base, ctx.cdesc, d, 1)[0] for d, _ in blocks}
+        sizes = [(d, idx, len(self.monics[d])) for d, idx in blocks]
+        self.point = np.concatenate([np.repeat(idx, size) for _, idx, size in sizes])
+        self.deg = np.concatenate([np.full(len(idx) * size, d) for d, idx, size in sizes])
+        self.k = np.concatenate([np.tile(np.arange(size), len(idx)) for _, idx, size in sizes])
+        self.m = np.array([p.n for p in pts])[self.point] + self.deg
+
+    def powers(self, e: int):
+        """The stack of a^e / T^(e deg a) over the rows: valuation 0 in every row."""
+        parts = [(_monic_stack(self.ctx.base, self.ctx.cdesc, d, e)[1].comps, len(idx)) for d, idx in self.blocks]
+        out = np.zeros((len(self.m), self.ctx.cdesc.s, max(c.shape[2] for c, _ in parts)), dtype=np.int64)
+        r = 0
+        for comps, points in parts:  # a^e has exponents -e deg a (its leading 1) to 0
+            out[r : r + comps.shape[0] * points, :, : comps.shape[2]] = np.tile(comps, (points, 1, 1))
+            r += comps.shape[0] * points
+        return LaurentSeries(self.ctx.cdesc, 0, out, None, reduced=True)
+
+    def monic(self, row: int):
+        return self.monics[int(self.deg[row])][int(self.k[row])]
+
+    def where(self, row: int) -> str:
+        p = self.pts[self.point[row]]
+        return f"a={self.monic(row)}, point a={p.a}, b={p.b}"
 
 
 def _context_for(order: Order, prec: int) -> EvalContext:
@@ -120,100 +164,152 @@ def _truncate(el, prec: Fraction | int):
     return el.truncate(int(math.ceil(prec)))
 
 
-def _assert_rows(el, expected: Fraction, what: str, where) -> None:
-    """Every row's valuation equals its exact formula; where(i) names row i."""
+def _theta(pt: CMPoint) -> Fraction:
+    q = pt.order.field.q
+    return Fraction(q, q - 1) - pt.eps
+
+
+def _offsets(vals: list) -> list:
+    """The offsets of a stack held relative to its row 0 (see the module
+    doc): each row's valuation minus that of row 0."""
+    ks = {v: Fraction(v - vals[0]) for v in set(vals)}
+    if any(k.denominator != 1 for k in ks.values()):
+        raise InvariantError(f"the rows of a stack differ in valuation by {sorted(ks.values())}")
+    return [int(ks[v]) for v in vals]
+
+
+def _theta_offsets(theta: Fraction, q: int, ms: list, m0: int) -> dict:
+    """{m: theta (q^m - q^m0)} over the values m of ms (and m0): the offset
+    against m0 of a valuation c theta q^m is c times this.  They are
+    integers for the points of one order, which share eps."""
+    out = {}
+    for m in set(ms) | {m0}:
+        k = theta * (q**m - q**m0)
+        if k.denominator != 1:
+            raise InvariantError(f"the rows of a stack differ in valuation by {k}")
+        out[m] = int(k)
+    return out
+
+
+def _shift(el, k: int):
+    """el with every exponent raised by k."""
+    return el.mul_t_power(-k) if k else el
+
+
+def _assert_rows(el, v0, offsets: list, what: str, where) -> None:
+    """Every row of a stack held relative to its row 0 has there the
+    valuation v0 that the exact formula gives at row 0, that is its own
+    formula's valuation less its offset; where(i) names row i."""
+    v0 = int(v0) if Fraction(v0).denominator == 1 else v0
     for i, v in enumerate(el.row_valuations()):
-        if v != expected:
-            raise InvariantError(f"{what} is {v}, formula says {expected} ({where(i)})")
+        if v != v0:
+            k = offsets[i]
+            raise InvariantError(f"{what} is {None if v is None else v + k}, formula says {v0 + k} ({where(i)})")
 
 
-def _term_row(pts: list, monics: tuple):
-    """where(row) for a stack of terms: row r q^d + k is the k-th monic at the r-th point."""
-
-    def where(row):
-        p = pts[row // len(monics)]
-        return f"a={monics[row % len(monics)]}, point a={p.a}, b={p.b}"
-
-    return where
-
-
-def carlitz_S(ctx: EvalContext, z_el, pts: list, d: int, s_target: Fraction):
-    """S_a = e_C(pi a z)/pi at every point of the stack z_el (one row per
-    point of pts) and every monic a of degree d, to absolute precision
-    s_target; row r q^d + k holds the k-th monic at the r-th point.  Each
-    row's valuation is asserted against the exact formula
-    -(q/(q-1) - eps) q^(n + d) + q/(q-1).
-
-    Returns (S, last index used).  The certified index set consists of the
-    i with exact term valuation i q^i - q (q^i-1)/(q-1) + q^i v(az) below
-    s_target; the valuations dip to the dominant index and then grow.  Every
-    row has the same v(az), hence the same index set.
-    """
-    q = ctx.q
-    pt = pts[0]
-    theta = Fraction(q, q - 1) - pt.eps
-    v_s = -theta * q ** (pt.n + d) + Fraction(q, q - 1)
-    v_rows = set(z_el.row_valuations())
-    if None in v_rows:
-        raise PrecisionError("z indistinguishable from 0")
-    if len(v_rows) != 1:
-        raise InvariantError(f"the rows of a stack differ in v(z): {sorted(v_rows)}")
-    v_az = Fraction(v_rows.pop()) - d
+def _carlitz_indices(q: int, v_az: Fraction, s_target: Fraction) -> list:
+    """The certified index set of S_a to absolute precision s_target: the i
+    with exact term valuation i q^i - q (q^i-1)/(q-1) + q^i v(az) below it.
+    The valuations dip to the dominant index and then grow.  (The loop runs
+    on integers: every valuation times one common denominator.)"""
+    den = math.lcm(Fraction(v_az).denominator, Fraction(s_target).denominator)
+    v_az, s_target = int(v_az * den), int(s_target * den)
     incl = []
     i = 0
     prev_v = None
     while True:
-        v_term = Fraction(_coeff_valuation(q, i)) + q**i * v_az
+        v_term = _coeff_valuation(q, i) * den + q**i * v_az
         if v_term < s_target:
             incl.append(i)
         elif prev_v is not None and v_term >= prev_v and v_term >= s_target and incl:
-            break
+            return incl
         prev_v = v_term
         i += 1
         if i > 80:  # pragma: no cover
             raise InvariantError("Carlitz sum did not terminate")
-    imax = incl[-1]
 
-    def fut(i):  # the digits of u that every included index after i needs
-        return max((s_target - _coeff_valuation(q, j)) / Fraction(q ** (j - i)) for j in incl if j > i)
 
-    # a*z only to the digits its first use keeps: z to that precision plus deg a
-    first = ([s_target - _coeff_valuation(q, 0)] if 0 in incl else []) + ([fut(0)] if imax else [])
-    monics, a_stack = _monic_stack(ctx.base, ctx.cdesc, d, 1)
-    z_rows = _truncate(z_el, max(first) + 2 + d).take(np.repeat(np.arange(len(pts)), len(monics)))
-    u = z_rows * _tiled(a_stack, len(pts))
+def carlitz_S(ctx: EvalContext, z_at, terms: _Terms, s_targets: dict):
+    """S_a = e_C(pi a z)/pi at the (point, a) rows of `terms`.  z_at(prec)
+    gives z at the points, held relative to point 0, to at least precision
+    prec.  The result is held relative to its first row (see the module
+    doc), and its rows at the points of n and the monics of degree d
+    are known at least to the absolute precision s_targets[(n, d)].  Each
+    row's valuation is asserted against the exact formula
+    -(q/(q-1) - eps) q^(n + d) + q/(q-1).
+
+    Rows of equal n + d share their index set, the indices certified for
+    the precision S is known to there (`_carlitz_indices`); the loop runs
+    over the union of the sets, each term on the rows whose set holds its
+    index, and u = a z keeps only the rows some later index needs.
+    """
+    q = ctx.q
+    pts = terms.pts
+    eps, theta, n0, m0 = pts[0].eps, _theta(pts[0]), pts[0].n, int(terms.m[0])
+    ks = {m: -k for m, k in _theta_offsets(theta, q, terms.m.tolist(), m0).items()}  # v(S) = -theta q^m + q/(q-1)
+    ku = {m: n0 - m for m in ks}  # u = a z is held like z, lowered by deg a: by v(az) = eps - n - d
+    s_prec = max(t - ks[n + d] for (n, d), t in s_targets.items())  # relative to the reference
+    incl = {m: _carlitz_indices(q, eps - m, s_prec + ks[m]) for m in ks}
+    imax = max(s[-1] for s in incl.values())
+    # the digits of u_i = (az)^(q^i) that term i needs at the rows of m, relative to the reference
+    need = {(i, m): s_prec + ks[m] - q**i * ku[m] - _coeff_valuation(q, i) for m in incl for i in incl[m]}
+
+    def fut(i, ms):  # the digits of u_i that every included index after i needs
+        return max(need[(j, m)] / Fraction(q ** (j - i)) for m in ms for j in incl[m] if j > i)
+
+    # a*z only to the digits its first use keeps (a / T^deg a has valuation 0)
+    first = [need[(0, m)] for m in incl if incl[m][0] == 0] + ([fut(0, incl)] if imax else [])
+    z_el = z_at(max(first) + 2)
+    if None in z_el.row_valuations():
+        raise PrecisionError("z indistinguishable from 0")
+    _assert_rows(z_el, eps - n0, [n0 - p.n for p in pts], "v(z)", lambda r: f"point a={pts[r].a}, b={pts[r].b}")
+    u = _truncate(z_el, max(first) + 2).take(terms.point) * terms.powers(1)
+    rows = len(terms.m)
+    ks_row = np.array([ks[m] for m in terms.m])
+    ku_row = np.array([ku[m] for m in terms.m])
+    last = np.array([incl[m][-1] for m in terms.m])
+    alive = np.arange(rows)  # the rows u holds
     s_val = None
     for i in range(imax + 1):
-        if i in incl:
-            needed = s_target - _coeff_valuation(q, i)
-            term = _truncate(u, needed + 2) * ctx.coeff(i)
+        ms = [m for m in incl if i in incl[m]]
+        use = np.flatnonzero(np.isin(terms.m[alive], ms))
+        if use.size:
+            sub = u if use.size == alive.size else u.take(use)
+            term = _truncate(sub, max(need[(i, m)] for m in ms) + 2) * ctx.coeff(i)
+            ids = alive[use]
+            term = term.spread(rows, ids, q**i * ku_row[ids] - ks_row[ids])
             s_val = term if s_val is None else s_val + term
         if i < imax:
-            u = _truncate(u, fut(i) + 2).frobenius_q()
-    s_val = _truncate(s_val, s_target)
-    _assert_rows(s_val, v_s, "valuation of e_C(pi a z)/pi", _term_row(pts, monics))
-    return s_val, imax
+            keep = np.flatnonzero(last[alive] > i)
+            if keep.size < alive.size:
+                u, alive = u.take(keep), alive[keep]
+            u = _truncate(u, fut(i, set(terms.m[alive].tolist())) + 2).frobenius_q()
+    s_val = _truncate(s_val, s_prec)
+    v_s = -theta * q**m0 + Fraction(q, q - 1)
+    _assert_rows(s_val, v_s, ks_row.tolist(), "valuation of e_C(pi a z)/pi", terms.where)
+    return s_val
 
 
-def t_pow_qm1(ctx: EvalContext, z_el, pts: list, d: int, target: Fraction):
-    """(t(az)^(q-1) to absolute precision `target`, last Carlitz index) for the
-    rows of carlitz_S; None when every term of degree d is negligible."""
+def t_pow_qm1(ctx: EvalContext, z_at, terms: _Terms, targets: dict):
+    """t(az)^(q-1) at the rows of `terms`, held relative to its first row,
+    the rows at the points of n and the monics of degree d known at least to
+    the absolute precision targets[(n, d)]."""
     q = ctx.q
-    pt = pts[0]
-    theta = Fraction(q, q - 1) - pt.eps
-    v_t1 = theta * q ** (pt.n + d)
-    v_tq = (q - 1) * v_t1
-    ell = Fraction(target) - v_tq
-    if ell <= 0:
-        return None
+    theta, m0 = _theta(terms.pts[0]), int(terms.m[0])
+    k1 = _theta_offsets(theta, q, terms.m.tolist(), m0)  # of v(t(az)) = theta q^(n + d)
+    v_t1 = theta * q**m0  # v(t(az)) at the first row; v(t^(q-1)) = (q-1) v(t), v(S) = -v(t) + q/(q-1)
+    kt = {m: (q - 1) * k for m, k in k1.items()}
+    t_prec = max(t - kt[n + d] for (n, d), t in targets.items())
+    ell = t_prec - (q - 1) * v_t1  # every row to this relative length
     v_s = -v_t1 + Fraction(q, q - 1)
-    s_val, used = carlitz_S(ctx, z_el, pts, d, v_s + ell + 1)
+    s_targets = {(n, d): v_s - k1[n + d] + ell + 1 for n, d in targets}
+    s_val = carlitz_S(ctx, z_at, terms, s_targets)
     # t^(q-1) = S (1/S)^q / pi^(q-1); (1/S)^q is kept to the relative length of S
     keep = s_val.prec - (q + 1) * v_s
     inv_q = _truncate(_truncate(s_val.inverse(), keep / q).frobenius_q(), keep)
-    t_qm1 = _truncate(s_val * (inv_q * ctx.pi_inv), target)
-    _assert_rows(t_qm1, v_tq, "v(t(az)^(q-1))", _term_row(pts, _monic_stack(ctx.base, ctx.cdesc, d, 1)[0]))
-    return t_qm1, used
+    t_qm1 = _truncate(s_val * (inv_q * ctx.pi_inv), t_prec)
+    _assert_rows(t_qm1, (q - 1) * v_t1, [kt[m] for m in terms.m], "v(t(az)^(q-1))", terms.where)
+    return t_qm1
 
 
 @dataclass
@@ -223,87 +319,169 @@ class JValue:
     plan: dict
 
 
-def eval_gt_dt(ctx: EvalContext, pts: list, z_el, target_g: Fraction, target_d: Fraction):
-    """(gt, dt) at every point of the stack z_el to the requested absolute
-    precisions, with certified a-tails; the terms of one degree are one stack."""
-    q = ctx.q
-    pt = pts[0]
-    theta = Fraction(q, q - 1) - pt.eps
-    gsum = zero_like(z_el, math.ceil(Fraction(target_g) + q))
-    dsum = zero_like(z_el, math.ceil(target_d))
+def _degrees(q: int, theta: Fraction, n: int, target_g: Fraction, target_d: Fraction) -> list:
+    """(d, the absolute precision t(az)^(q-1) needs) for every degree d of a
+    whose terms are not negligible, up to the degree from which the a-tail
+    is certified beyond the targets of gt and dt at a point of this n.  (The
+    loop runs on integers: every valuation times one common denominator.)"""
+    w = (q - 1) * theta  # v(t(az)^(q-1)) = w q^(n + d)
+    den = math.lcm(w.denominator, Fraction(target_g).denominator, Fraction(target_d).denominator)
+    w, target_g, target_d = int(w * den), int(target_g * den), int(target_d * den)
+    out = []
     d = 0
-    max_deg_a = 0
-    e_c_terms = 0
     prev = None
     while True:
-        v_tq = (q - 1) * theta * q ** (pt.n + d)
-        v_g_term = v_tq - q
-        v_d_term = v_tq - q * (q - 1) * d
+        v_tq = w * q ** (n + d)
+        v_g_term = v_tq - q * den
+        v_d_term = v_tq - q * (q - 1) * d * den
         beyond = v_g_term >= target_g and v_d_term >= target_d
         increasing = prev is None or (v_g_term >= prev[0] and v_d_term >= prev[1])
         if beyond and increasing:
-            break
+            return out
         prev = (v_g_term, v_d_term)
-        need_t = max(Fraction(target_g) + q, Fraction(target_d) + q * (q - 1) * d)
-        term = t_pow_qm1(ctx, z_el, pts, d, need_t)
-        if term is not None:
-            t_qm1, used = term
-            max_deg_a = max(max_deg_a, d)
-            e_c_terms = max(e_c_terms, used)
-            gsum = _truncate(gsum + t_qm1.fold(q**d), Fraction(target_g) + q)
-            apow = _tiled(_monic_stack(ctx.base, ctx.cdesc, d, q * (q - 1))[1], len(pts))
-            dsum = _truncate(dsum + (t_qm1 * apow).fold(q**d), target_d)
+        need_t = max(target_g + q * den, target_d + q * (q - 1) * d * den)
+        if need_t > v_tq:
+            out.append((d, Fraction(need_t, den)))
         d += 1
         if d > 40:  # pragma: no cover
             raise InvariantError("a-sum did not terminate")
-    bracket = LaurentSeries.from_poly(pr.parse_poly(ctx.base, f"T^{q}") - pr.T(ctx.base), ctx.cdesc)
-    gt = one_like(z_el) - _truncate(gsum * bracket, target_g)
-    dt = -dsum
-    return gt, dt, {"max_deg_a": max_deg_a, "e_c_terms": e_c_terms}
 
 
-def eval_j_stack(points: list, prec: int) -> list:
-    """j at every point to absolute precision `prec`, as one stacked computation.
-
-    The points must belong to one order and share n, eps and the exact
-    valuation of j, so that every target is shared; each row's valuation
-    must match the exact formula.  Returns one JValue per point, in order,
-    each equal to what `eval_j` makes at that point.  A shortfall of the
-    tracked precision retries the whole stack with enlarged internal
-    targets (margin x3, at most three rounds), then raises PrecisionError.
-    """
-    pt = points[0]
-    vj = -log_abs_j(pt)
-    if any((p.order, p.n, p.eps) != (pt.order, pt.n, pt.eps) or log_abs_j(p) != -vj for p in points):
-        raise BadInputError("a stack needs points of one order with equal n, eps and |j|")
+def _plan(pt: CMPoint, v_j: Fraction, prec: int, margin: int) -> dict:
+    """The truncation plan of the one-point evaluation of j at pt to
+    precision prec with this margin: the largest degree of a and the largest
+    Carlitz index its terms use.  It depends on q, eps, n, v(j), prec and
+    the margin alone, so the base field holds it."""
     q = pt.order.field.q
-    theta = Fraction(q, q - 1) - pt.eps
+    theta = _theta(pt)
     v_d = (q - 1) * theta * q**pt.n
-    v_g = (Fraction(vj) + v_d) / (q + 1)
+    v_g = (v_j + v_d) / (q + 1)
+    target = Fraction(prec) + margin
+    plan = {"max_deg_a": 0, "e_c_terms": 0}
+    for d, need_t in _degrees(q, theta, pt.n, target + v_d - q * v_g, target + 2 * v_d - (q + 1) * v_g):
+        v_t1 = theta * q ** (pt.n + d)
+        s_target = -v_t1 + Fraction(q, q - 1) + need_t - (q - 1) * v_t1 + 1
+        used = _carlitz_indices(q, pt.eps - pt.n - d, s_target)[-1]
+        plan = {"max_deg_a": d, "e_c_terms": max(plan["e_c_terms"], used)}
+    return plan
+
+
+def eval_gt_dt(ctx: EvalContext, pts: list, rel: Fraction):
+    """(gt, dt) at every point of pts (sorted by n), held relative to row 0,
+    every row known at least to `rel` digits past its valuation, with
+    certified a-tails.  gt is held by v(gt) = (v(j) + v(dt))/(q + 1), dt by
+    v(dt) = (q-1)(q/(q-1) - eps) q^n.  The terms t(az)^(q-1) of every
+    degree a point needs are one stack (`_Terms`), and each sum gathers a
+    point's terms into its row in one step.  The z of all points are
+    embedded as one stack, to the precision the Carlitz sum needs: row 0
+    has the least n, so every row gets at least the relative length it
+    would alone."""
+    q = ctx.q
+    R = len(pts)
+    eps, theta, n0 = pts[0].eps, _theta(pts[0]), pts[0].n
+    ns = [p.n for p in pts]
+    kd = {n: (q - 1) * k for n, k in _theta_offsets(theta, q, ns, n0).items()}
+    v_d = (q - 1) * theta * q**n0  # v(dt) at row 0
+    v_g = [(v_d + kd[p.n] - log_abs_j(p)) / (q + 1) for p in pts]
+    off_g, off_d = _offsets(v_g), [kd[n] for n in ns]
+    gt_prec = v_g[0] + rel
+    # the sums are held like dt; bracket * gsum reaches gt_prec in every row once moved to gt's offsets
+    gsum_prec = gt_prec + q + max(kg - k for kg, k in zip(off_g, off_d))
+    dsum_prec = v_d + rel
+    # at the points of each n: {degree of a: the precision its terms need}
+    needs = {n: dict(_degrees(q, theta, n, gsum_prec - q + k, dsum_prec + k)) for n, k in kd.items()}
+    blocks = []
+    for d in range(1 + max(max(nd, default=-1) for nd in needs.values())):
+        use = [r for r in range(R) if d in needs[ns[r]]]
+        if use:
+            blocks.append((d, use))
+    terms = _Terms(ctx, pts, blocks)
+    z_el = []  # the last embedding of z at pts, held relative to row 0
+
+    def z_at(prec):
+        if not z_el or z_el[0].prec < prec:
+            z_el[:] = [embed([p.z for p in pts], math.ceil(prec), [n0 - n for n in ns])]
+        return z_el[0]
+
+    t_qm1 = t_pow_qm1(ctx, z_at, terms, {(n, d): t for n in needs for d, t in needs[n].items()})
+    # from the offsets of t(az)^(q-1), kt, to those of the sums; a^(q(q-1)) lowers the exponents by q(q-1) d
+    kt = _theta_offsets(theta, q, terms.m.tolist(), int(terms.m[0]))
+    shifts = (q - 1) * np.array([kt[m] for m in terms.m]) - np.array(off_d)[terms.point]
+    gsum = _truncate(t_qm1.spread(R, terms.point, shifts), gsum_prec)
+    d_terms = t_qm1 * terms.powers(q * (q - 1))
+    dsum = _truncate(d_terms.spread(R, terms.point, shifts - q * (q - 1) * terms.deg), dsum_prec)
+    ones = one_like(gsum).spread(R, range(R), [-k for k in off_g])
+    moved = (gsum * ctx.bracket).spread(R, range(R), [kd - kg for kd, kg in zip(off_d, off_g)])
+    return ones - _truncate(moved, gt_prec), -dsum
+
+
+def _eval_rows(points: list, precs: list, margins: list) -> list:
+    """One round of `eval_j_stack` over points sorted by n: the JValue of
+    each point, or None where the tracked precision fell short."""
+    pt = points[0]
+    q = pt.order.field.q
+    theta = _theta(pt)
+    v_j = [-log_abs_j(p) for p in points]
+    kd = {n: (q - 1) * k for n, k in _theta_offsets(theta, q, [p.n for p in points], pt.n).items()}
+    v_d = [(q - 1) * theta * q**pt.n + kd[p.n] for p in points]
+    # j, gt and dt share one relative length: the largest any row needs
+    rel = max(Fraction(p) - v + m for p, v, m in zip(precs, v_j, margins))
+    margin = max(margins)
+    # the targets of gt and dt lie rel past v(gt) = (v(j) + v(dt))/(q + 1) and v(dt)
+    work = [int(math.ceil(max((j + d) / (q + 1) + rel, d + rel, p))) + margin for j, d, p in zip(v_j, v_d, precs)]
+    ctx = _context_for(pt.order, max(work) + 4)
+    gt, dt = eval_gt_dt(ctx, points, rel)
 
     def where(row):
         p = points[row]
         return f"order {p.order.label()}, a={p.a}, b={p.b}"
 
-    margin = 6
-    for _ in range(3):
-        target = Fraction(prec)
-        target_g = target + v_d - q * v_g + margin
-        target_d = target + 2 * v_d - (q + 1) * v_g + margin
-        work = int(math.ceil(max(target_g, target_d, target))) + margin
-        ctx = _context_for(pt.order, work + 4)
-        z_el = embed([p.z for p in points], work + 4)
-        gt, dt, plan = eval_gt_dt(ctx, points, z_el, target_g, target_d)
-        _assert_rows(dt, v_d, "v(dt)", where)
-        num = gt.frobenius_q() * gt
-        jval = _truncate(num * dt.inverse(), prec)
-        got_prec = jval.prec
-        if got_prec is not None and Fraction(got_prec) < prec:
-            margin *= 3
+    _assert_rows(dt, v_d[0], [kd[p.n] for p in points], "v(dt)", where)
+    num = gt.frobenius_q() * gt
+    off_j = _offsets(v_j)
+    jval = _truncate(num * dt.inverse(), max(p - k for p, k in zip(precs, off_j)))
+    vals = jval.row_valuations()
+    out = []
+    for r, (p, prec, k) in enumerate(zip(points, precs, off_j)):
+        if jval.prec is not None and jval.prec + k < prec:
+            out.append(None)
             continue
-        _assert_rows(jval, vj, "numeric valuation of j", where)
-        return [JValue(p, jval.take([i]), plan) for i, p in enumerate(points)]
-    raise PrecisionError(f"could not reach precision {prec} for j at point a={pt.a}")
+        if vals[r] is None or vals[r] + k != v_j[r]:
+            got = None if vals[r] is None else vals[r] + k
+            raise InvariantError(f"numeric valuation of j is {got}, formula says {v_j[r]} ({where(r)})")
+        key = ("plan", p.eps, p.n, v_j[r], prec, margins[r])
+        plan = p.order.field.base.held(key, _plan, p, v_j[r], prec, margins[r])
+        out.append(JValue(p, _shift(jval.take([r]), k).truncate(prec), plan))
+    return out
+
+
+def eval_j_stack(points: list, prec) -> list:
+    """j at every point, as one stacked computation: point i to absolute
+    precision prec[i] (or to `prec`, one int for every point).
+
+    The points must belong to one order; they may differ in n, |j| and
+    precision.  Each row's valuation must match its exact formula.  Returns
+    one JValue per point, in order, each equal to what `eval_j` makes at that
+    point, plan included.  A point whose tracked precision falls short is
+    evaluated again with enlarged internal targets (margin x3, at most three
+    rounds; the others keep their values), then PrecisionError is raised.
+    """
+    precs = [prec] * len(points) if isinstance(prec, int) else list(prec)
+    pt = points[0]
+    if any(p.order != pt.order or p.eps != pt.eps for p in points):
+        raise BadInputError("a stack needs points of one order")
+    margins = [MARGIN] * len(points)
+    out = [None] * len(points)
+    todo = sorted(range(len(points)), key=lambda i: points[i].n)
+    for _ in range(3):
+        for i, jv in zip(todo, _eval_rows([points[i] for i in todo], [precs[i] for i in todo], [margins[i] for i in todo])):
+            out[i] = jv
+        todo = [i for i in todo if out[i] is None]
+        if not todo:
+            return out
+        for i in todo:
+            margins[i] *= 3
+    raise PrecisionError(f"could not reach precision {precs[todo[0]]} for j at point a={points[todo[0]].a}")
 
 
 def eval_j(pt: CMPoint, prec: int) -> JValue:
@@ -319,42 +497,54 @@ def eval_j(pt: CMPoint, prec: int) -> JValue:
 # appendix lemmas as runnable checks
 
 
-def verify_lemma_A1(pt: CMPoint, max_deg_a: int = 2, extra_prec: int = 6) -> list:
-    """v(t(az)) = (q/(q-1) - eps) q^(n + deg a) and the companion for delta_a.
+def verify_lemma_A1(pts: list, max_deg_a: int = 2, extra_prec: int = 6) -> list:
+    """v(t(az)) = (q/(q-1) - eps) q^(n + deg a) and the companion for delta_a,
+    at points of one order as one stack.
 
-    Returns one report row per monic a with deg a <= max_deg_a; every row's
-    `ok` must be True (exact Fraction equality of valuations).  Each sum is
-    resolved with a small relative window around its own valuation, so the
-    check stays cheap even at points with huge |t|-valuations.
+    Returns, per point, one report row per monic a with deg a <= max_deg_a;
+    every row's `ok` must be True (exact Fraction equality of valuations).
+    Each sum is resolved with a small relative window around its own
+    valuation, so the check stays cheap even at points with huge
+    |t|-valuations.  The rows are held relative to the point of least n (see
+    the module doc).
     """
-    order = pt.order
+    rank = sorted(range(len(pts)), key=lambda i: pts[i].n)
+    pts = [pts[i] for i in rank]
+    order, n0 = pts[0].order, pts[0].n
     q = order.field.q
-    theta = Fraction(q, q - 1) - pt.eps
-    rows = []
+    theta = _theta(pts[0])
     ctx = _context_for(order, extra_prec + 3 * q + 14)
-    zprec = pt.n + extra_prec + 14
-    z_el = embed([pt.z], zprec)
-    for d in range(max_deg_a + 1):
-        monics, a_stack = _monic_stack(order.field.base, ctx.cdesc, d, 1)
-        v_t_expected = theta * q ** (pt.n + d)
-        v_s = -v_t_expected + Fraction(q, q - 1)
-        s_val, _ = carlitz_S(ctx, z_el, [pt], d, v_s + extra_prec)
-        # delta_a = 1/t(az) - pi a z = pi*(S_a - az): v = -theta q^(n+deg a)
-        r_val = s_val - z_el * a_stack
-        for a, v_s_row, v_r in zip(monics, s_val.row_valuations(), r_val.row_valuations()):
-            v_t_computed = -(v_s_row - Fraction(q, q - 1))
-            v_delta = v_r - Fraction(q, q - 1) if v_r is not None else None
-            rows.append(
-                {
-                    "a": str(a),
-                    "v_t_expected": v_t_expected,
-                    "v_t_computed": v_t_computed,
-                    "v_delta_expected": -v_t_expected,
-                    "v_delta_computed": v_delta,
-                    "ok": v_t_computed == v_t_expected and v_delta == -v_t_expected,
-                }
-            )
-    return rows
+    off_z = [n0 - p.n for p in pts]
+    z_el = embed([p.z for p in pts], max(p.n + extra_prec + 14 - k for p, k in zip(pts, off_z)), off_z)
+    terms = _Terms(ctx, pts, [(d, list(range(len(pts)))) for d in range(max_deg_a + 1)])
+    ks = {m: -k for m, k in _theta_offsets(theta, q, terms.m.tolist(), n0).items()}
+    v_s = -theta * q**n0 + Fraction(q, q - 1)  # at n0; at m it is v_s + ks[m]
+    s_targets = {(p.n, d): v_s + ks[p.n + d] + extra_prec for p in pts for d, _ in terms.blocks}
+    s_val = carlitz_S(ctx, lambda prec: z_el, terms, s_targets)
+    # delta_a = 1/t(az) - pi a z = pi*(S_a - az): v = -theta q^(n+deg a); a z is held by v(az) = eps - n - d
+    shifts = np.array([n0 - m - ks[m] for m in terms.m])
+    az = _truncate(z_el.take(terms.point) * terms.powers(1), s_val.prec - int(shifts.min()))
+    r_val = s_val - az.spread(len(shifts), range(len(shifts)), shifts)
+    rows: list = [[] for _ in pts]
+    for row, (v_s_row, v_r) in enumerate(zip(s_val.row_valuations(), r_val.row_valuations())):
+        m, k = int(terms.m[row]), int(terms.point[row])
+        v_t = theta * q**m
+        v_t_computed = -(v_s_row + ks[m] - Fraction(q, q - 1))
+        v_delta = v_r + ks[m] - Fraction(q, q - 1) if v_r is not None else None
+        rows[k].append(
+            {
+                "a": str(terms.monic(row)),
+                "v_t_expected": v_t,
+                "v_t_computed": v_t_computed,
+                "v_delta_expected": -v_t,
+                "v_delta_computed": v_delta,
+                "ok": v_t_computed == v_t and v_delta == -v_t,
+            }
+        )
+    out = [None] * len(pts)
+    for r, i in enumerate(rank):
+        out[i] = rows[r]
+    return out
 
 
 def verify_lemma_A2(pt: CMPoint, delta: int, mu: int, nu: int, extra_prec: int = 8) -> dict:
@@ -390,7 +580,8 @@ def verify_lemma_A2(pt: CMPoint, delta: int, mu: int, nu: int, extra_prec: int =
         v_s = -theta * q ** (pt.n + d) + Fraction(q, q - 1)
         s_window = extra_prec + q + 4
         monics, a_stack = _monic_stack(order.field.base, ctx.cdesc, d, 1)
-        s_val, _ = carlitz_S(ctx, z_el, [pt], d, v_s + s_window)
+        # one block: the stack is held relative to its first row, that is absolutely
+        s_val = carlitz_S(ctx, lambda prec: z_el, _Terms(ctx, [pt], [(d, [0])]), {(pt.n, d): v_s + s_window})
         r_val = s_val - z_el * a_stack
         # S_a^(-delta) R_a^nu a^mu, summed over the monic a of degree d
         s_inv = s_val.inverse()

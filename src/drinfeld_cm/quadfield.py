@@ -536,6 +536,12 @@ class QuadSeries:
     def fold(self, k: int) -> "QuadSeries":
         return QuadSeries(self.ctx, self.x.fold(k), self.y.fold(k))
 
+    def spread(self, rows: int, index, shifts) -> "QuadSeries":
+        return QuadSeries(self.ctx, self.x.spread(rows, index, shifts), self.y.spread(rows, index, shifts))
+
+    def mul_t_power(self, k: int) -> "QuadSeries":
+        return QuadSeries(self.ctx, self.x.mul_t_power(k), self.y.mul_t_power(k))
+
     def __repr__(self):
         return f"QuadSeries(x: {self.x!r} | y: {self.y!r})"
 
@@ -590,34 +596,36 @@ def _divided_out(z: QuadElement) -> QuadElement:
     return QuadElement(z.field, qx, qy, pr.one(den.field)) if ry.is_zero() else z
 
 
-def embed(zs: list, prec: int):
+def embed(zs: list, prec: int, offsets: list | None = None):
     """Analytic embedding of exact elements of one field, as one stack, at
-    absolute precision `prec`: row r is zs[r], and a one-element list gives
-    that element's one-row value.
+    absolute precision `prec`: row r is zs[r] times T^offsets[r] (its
+    exponents lowered by offsets[r], none by default), and a one-element
+    list gives that element's one-row value.
 
     Inert flavor: a flattened LaurentSeries; ramified flavors: a QuadSeries;
     the coefficients lie in `value_field`.  Each z is read
     as it is held, (x + y xi)/den, or as (x/den + (y/den) xi)/1 when den
     divides x and y: the unit parts den/T^deg den of all rows are inverted by
     one Newton call, made only when some unit part is not 1, and the
-    numerators, shifted by T^-deg den, are multiplied by them as one stacked
-    product.  Every digit is exact, so each row equals the element embedded
-    alone.
+    numerators, shifted by T^(offset - deg den), are multiplied by them as
+    one stacked product.  Every digit is exact, so each row equals the
+    element embedded alone and shifted.
     """
     qf = zs[0].field
     zs = [_divided_out(z) for z in zs]
+    offsets = offsets or [0] * len(zs)
     inert = qf.infinite_type == "inert"
     cdesc = value_field(qf)
     slack = 4 if inert else int(math.ceil(-qf.v_xi())) + 4
     lift = 0  # the most any numerator row exceeds its denominator in degree
-    for z in zs:
+    for z, k in zip(zs, offsets):
         if inert:
-            slack = max(slack, _minus_v(z.x, z.den) + 4, _minus_v(z.y, z.den) + int(-qf.v_xi() + 1) + 4)
-        lift = max(lift, z.x.deg - z.den.deg, z.y.deg - z.den.deg)
-    shifts = [z.den.deg for z in zs]
+            slack = max(slack, _minus_v(z.x, z.den) + k + 4, _minus_v(z.y, z.den) + k + int(-qf.v_xi() + 1) + 4)
+        lift = max(lift, z.x.deg - z.den.deg + k, z.y.deg - z.den.deg + k)
+    shifts = [z.den.deg - k for z, k in zip(zs, offsets)]
     xs = LaurentSeries.from_polys([z.x for z in zs], cdesc, shifts)
     ys = LaurentSeries.from_polys([z.y for z in zs], cdesc, shifts)
-    units = LaurentSeries.from_polys([z.den for z in zs], cdesc, shifts)  # den/T^deg den: valuation 0 in every row
+    units = LaurentSeries.from_polys([z.den for z in zs], cdesc, [z.den.deg for z in zs])  # den/T^deg den: valuation 0
     if units.comps.shape[2] > 1:  # some unit part is not 1 (den is not a power of T)
         inv_a = units.truncate(prec + slack + lift + 2).inverse()
         xs, ys = xs * inv_a, ys * inv_a

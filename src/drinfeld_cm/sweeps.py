@@ -16,10 +16,11 @@ values the entry still holds, when a checked report is asked for.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brownval import OrderCM, brown_prec, moduli_of, weil_height
+from .brownval import BROWN_DIGITS, OrderCM, brown_prec, log_abs_j, moduli_of, weil_height
 from .classno import l_data, l_route_applies
 from .errors import BadInputError
 from .ffield import FieldDesc, is_square
@@ -142,7 +143,18 @@ def order_report(order: Order, *, check_brown: bool = True) -> OrderReport:
     if cm.report is not None and (cm.report.brown_checked or not check_brown):
         return cm.report
     if check_brown:
-        cm.j_values(cm.points, brown_prec)
+        need = brown_prec
+        if cm.moduli is None:
+            # moduli_of's cross-check separates classes of equal valuation by
+            # the values of their first points: ask for those now, at twice
+            # BROWN_DIGITS, so that the one evaluation serves it as well
+            logs = Counter(log_abs_j(cls[0]) for cls in cm.classes())
+            firsts = {(c[0].a, c[0].b) for c in cm.classes() if logs[log_abs_j(c[0])] > 1}
+
+            def need(pt):
+                return brown_prec(pt) + (BROWN_DIGITS if (pt.a, pt.b) in firsts else 0)
+
+        cm.j_values(cm.points, need)
     mods = moduli_of(order)
     h = len(mods)  # the conductor count, which moduli_of checked
     h_l = l_data(order.field).h_OK if l_route_applies(order) else None

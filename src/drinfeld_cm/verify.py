@@ -437,14 +437,13 @@ def check_certificate(q: int) -> dict:
 
 
 def check_appendix_lemmas(base: FieldDesc, d_bound: int, max_deg_a: int = 2) -> dict:
-    """Lemma A.1 (deg a <= max_deg_a) and the A.2 sum-valuation on every point."""
+    """Lemma A.1 (deg a <= max_deg_a, one stack per order) and the A.2 sum-valuation on every point."""
     q = base.q
     points = 0
     for order in iter_orders(base, d_bound):
         rep = order_report(order, check_brown=False)
-        for pt in rep.points:
+        for pt, rows in zip(rep.points, verify_lemma_A1(rep.points, max_deg_a=max_deg_a)):
             points += 1
-            rows = verify_lemma_A1(pt, max_deg_a=max_deg_a)
             if not all(r["ok"] for r in rows):
                 return {"name": "appendix", "ok": False, "fail": f"{order.label()} a={pt.a}"}
             for params in ((q, 1, 1), (q - 1, 0, 0)):

@@ -21,20 +21,34 @@ def empty_store(monkeypatch):
     empty_registry()
 
 
-def count_rows(monkeypatch) -> list:
-    """From now on, record (point, precision) for every row
-    evaluated through `modforms.eval_j_stack`, the entry every held j-value
-    comes from: a point evaluated twice is recorded twice."""
+def _record_evaluations(monkeypatch, record) -> None:
+    """From now on, pass the rows [(point, precision), ...] of every call of
+    `modforms.eval_j_stack`, the entry every held j-value comes from, to
+    record."""
     from drinfeld_cm import modforms
 
-    rows = []
     real = modforms.eval_j_stack
 
     def counting(points, prec):
-        rows.extend((pt, prec) for pt in points)
+        record(list(zip(points, [prec] * len(points) if isinstance(prec, int) else prec)))
         return real(points, prec)
 
     monkeypatch.setattr(modforms, "eval_j_stack", counting)
+
+
+def count_calls(monkeypatch) -> list:
+    """From now on, record the rows of every `modforms.eval_j_stack` call, one list per call."""
+    calls = []
+    _record_evaluations(monkeypatch, calls.append)
+    return calls
+
+
+def count_rows(monkeypatch) -> list:
+    """From now on, record (point, precision) for every row evaluated
+    through `modforms.eval_j_stack`: a point evaluated twice is recorded
+    twice."""
+    rows = []
+    _record_evaluations(monkeypatch, rows.extend)
     return rows
 
 

@@ -64,13 +64,13 @@ def test_eval_j_matches_formula_other_flavors():
 def test_lemma_A1_identity():
     # insep z = sqrt(T): v(t(z)) = (2 - 1/2)*2 = 3 (the worked example)
     o = order_from(validate_field(F2, "even_insep"), pr.one(F2))
-    rows = verify_lemma_A1(all_points(o)[0], max_deg_a=2)
+    (rows,) = verify_lemma_A1([all_points(o)[0]], max_deg_a=2)
     assert all(r["ok"] for r in rows)
     assert rows[0]["v_t_computed"] == 3
     # deg a = 1 scales the valuation by q
     assert rows[1]["v_t_computed"] == 6
     seed = [p for p in all_points(hayes_order()) if p.a.is_one()][0]
-    rows3 = verify_lemma_A1(seed, max_deg_a=2)
+    (rows3,) = verify_lemma_A1([seed], max_deg_a=2)
     assert all(r["ok"] for r in rows3)
     assert rows3[0]["v_t_computed"] == Fraction(9, 2)  # v(t(z)^2) = 9
 
@@ -252,10 +252,40 @@ def test_stacked_rows_equal_one_point_evaluations(name):
             assert all(same_value(jv, eval_j(pt, prec)) for jv, pt in zip(rows, group))
 
 
-def test_stack_rejects_points_of_different_targets():
-    groups = stacks(hayes_order())
+@pytest.mark.parametrize("name", sorted(STACK_ORDERS))
+def test_one_call_over_an_order_equals_one_point_evaluations(name):
+    # the points differ in n, |j| and precision, so the rows differ in every valuation
+    pts = enumerate_points(STACK_ORDERS[name]())
+    assert len({p.n for p in pts}) > 1
+    for precs in ([brown_prec(p) for p in pts], [20] * len(pts)):
+        rows = eval_j_stack(pts, precs)
+        assert [jv.point for jv in rows] == pts
+        for jv, pt, prec in zip(rows, pts, precs):
+            assert same_value(jv, eval_j(pt, prec)) and jv.value.prec == prec
+
+
+def test_stack_rejects_points_of_two_orders():
+    pts = enumerate_points(hayes_order())
+    other = enumerate_points(order_from_discriminant(F3, P(F3, "2*T^2+2")))
     with pytest.raises(BadInputError):
-        eval_j_stack([groups[0][0], groups[1][0]], 12)
+        eval_j_stack([pts[0], other[0]], 12)
+
+
+def test_a_forged_row_in_a_mixed_stack_is_caught():
+    pts = enumerate_points(order_from_discriminant(F3, P(F3, "2*T^4+2")))
+    assert len({p.n for p in pts}) == 3
+    far = next(p for p in pts if p.n == 0 and log_abs_j(p) == -1)
+    near = next(p for p in pts if p.n == 0 and log_abs_j(p) == -5)
+    high = next(p for p in pts if p.n == 2)
+    precs = [brown_prec(p) for p in pts]
+    # the z of a point of another n: the embedding's valuation is checked
+    forged = [replace(p, z=far.z) if p is high else p for p in pts]
+    with pytest.raises(InvariantError, match="v\\(z\\) is 0, formula says -2"):
+        eval_j_stack(forged, precs)
+    # the z of a point of the same n but another |j|: only the check of every row sees it
+    forged = [replace(p, z=near.z) if p is far else p for p in pts]
+    with pytest.raises(InvariantError, match="numeric valuation of j is 5"):
+        eval_j_stack(forged, 12)
 
 
 def test_stack_checks_the_valuation_of_every_row():

@@ -8,7 +8,7 @@ import math
 import textwrap
 from fractions import Fraction
 
-from drinfeld_cm import brownval, certlog, cli, modforms
+from drinfeld_cm import brownval, certlog, cli, modforms, sweeps
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.bounds import upper_bound_h
 from drinfeld_cm.brownval import OrderCM, log_abs_j, moduli_of, weil_height
@@ -17,7 +17,7 @@ from drinfeld_cm.ffield import field
 from drinfeld_cm.modforms import GUARD, hilbert_constant_degree, hilbert_poly
 from drinfeld_cm.quadfield import order_from_discriminant
 
-from conftest import count_products, count_rows
+from conftest import count_calls, count_products, count_rows
 from test_cli import separate_run
 
 F3 = field(3)
@@ -223,3 +223,29 @@ def test_a_held_answer_still_runs_the_count_check():
     assert cm.hilbert and cm.height_bounds
     cm._h_conductor += 1  # an independent count that no longer agrees
     assert [run(argv) for argv in requests] == [(1, ""), (1, "")]
+
+
+def test_the_brown_check_makes_one_evaluation_per_order(monkeypatch):
+    calls = count_calls(monkeypatch)
+    for D in ("T-T^2", "T^3"):  # the Hayes order; two classes of T^3 share the valuation 6
+        calls.clear()
+        rep = sweeps.order_report(odd_order(D), check_brown=True)
+        assert len(calls) == 1 and len(calls[0]) == len(rep.points)
+    logs = [m.log_j for m in rep.moduli]
+    assert len(set(logs)) < len(logs)  # the cross-check separated them from the held values
+
+
+def test_a_class_polynomial_makes_one_evaluation(monkeypatch):
+    # the classes' first points have two values of n; the printed truncation
+    # and residuals are those of one evaluation per (n, |j|) group
+    calls = count_calls(monkeypatch)
+    for D, plan, residuals in (
+        ("T-T^2", {"max_deg_a": 2, "e_c_terms": 3}, [16, 25, None]),
+        ("T^3", {"max_deg_a": 2, "e_c_terms": 4}, [22, 28, 46, None]),
+    ):
+        calls.clear()
+        order = odd_order(D)
+        assert len({cls[0].n for cls in OrderCM.of(order).classes()}) == 2
+        H = hilbert_poly(order)
+        assert len(calls) == 1
+        assert H.plan == plan and H.residuals == residuals
