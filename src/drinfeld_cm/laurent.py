@@ -479,6 +479,8 @@ class LaurentSeries:
 
     def truncate(self, prec: int) -> "LaurentSeries":
         new = _min_prec(self.prec, prec)
+        if new == self.prec:
+            return self  # no known digit lies at or beyond prec
         comps = self.comps
         if new is not None and comps.shape[2] > new - self.n0:
             comps = comps[:, :, : max(0, new - self.n0)]

@@ -48,6 +48,7 @@ so every row equals what `eval_j`, the one-point case, makes at that point.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +64,7 @@ from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of
 
 GUARD = 10
 MARGIN = 6  # digits past every target on a first round; x3 on each retry
+PAD = 1 << 16  # rows x digits^2 of padding worth one stack less (`_close`)
 
 
 def _coeff_valuation(q: int, i: int) -> int:
@@ -267,23 +269,24 @@ def carlitz_S(ctx: EvalContext, z_at, terms: _Terms, s_targets: dict):
     rows = len(terms.m)
     ks_row = np.array([ks[m] for m in terms.m])
     ku_row = np.array([ku[m] for m in terms.m])
-    last = np.array([incl[m][-1] for m in terms.m])
-    alive = np.arange(rows)  # the rows u holds
+    alive, live = np.arange(rows), set(incl)  # the rows u holds, and their values of n + d
     s_val = None
     for i in range(imax + 1):
-        ms = [m for m in incl if i in incl[m]]
-        use = np.flatnonzero(np.isin(terms.m[alive], ms))
-        if use.size:
-            sub = u if use.size == alive.size else u.take(use)
+        ms = {m for m in live if i in incl[m]}
+        if ms:
+            use = slice(None) if ms == live else np.flatnonzero(np.isin(terms.m[alive], list(ms)))
+            sub = u if ms == live else u.take(use)
             term = _truncate(sub, max(need[(i, m)] for m in ms) + 2) * ctx.coeff(i)
             ids = alive[use]
             term = term.spread(rows, ids, q**i * ku_row[ids] - ks_row[ids])
             s_val = term if s_val is None else s_val + term
         if i < imax:
-            keep = np.flatnonzero(last[alive] > i)
-            if keep.size < alive.size:
+            ending = {m for m in live if incl[m][-1] == i}
+            if ending:
+                live -= ending
+                keep = np.flatnonzero(np.isin(terms.m[alive], list(live)))
                 u, alive = u.take(keep), alive[keep]
-            u = _truncate(u, fut(i, set(terms.m[alive].tolist())) + 2).frobenius_q()
+            u = _truncate(u, fut(i, live) + 2).frobenius_q()
     s_val = _truncate(s_val, s_prec)
     v_s = -theta * q**m0 + Fraction(q, q - 1)
     _assert_rows(s_val, v_s, ks_row.tolist(), "valuation of e_C(pi a z)/pi", terms.where)
@@ -366,11 +369,11 @@ def _plan(pt: CMPoint, v_j: Fraction, prec: int, margin: int) -> dict:
     return plan
 
 
-def eval_gt_dt(ctx: EvalContext, pts: list, rel: Fraction):
+def eval_gt_dt(ctx: EvalContext, pts: list, v_g: list, rel: Fraction):
     """(gt, dt) at every point of pts (sorted by n), held relative to row 0,
     every row known at least to `rel` digits past its valuation, with
-    certified a-tails.  gt is held by v(gt) = (v(j) + v(dt))/(q + 1), dt by
-    v(dt) = (q-1)(q/(q-1) - eps) q^n.  The terms t(az)^(q-1) of every
+    certified a-tails.  gt is held by v(gt) = (v(j) + v(dt))/(q + 1), given
+    for each point in v_g, dt by v(dt) = (q-1)(q/(q-1) - eps) q^n.  The terms t(az)^(q-1) of every
     degree a point needs are one stack (`_Terms`), and each sum gathers a
     point's terms into its row in one step.  The z of all points are
     embedded as one stack, to the precision the Carlitz sum needs: row 0
@@ -382,7 +385,6 @@ def eval_gt_dt(ctx: EvalContext, pts: list, rel: Fraction):
     ns = [p.n for p in pts]
     kd = {n: (q - 1) * k for n, k in _theta_offsets(theta, q, ns, n0).items()}
     v_d = (q - 1) * theta * q**n0  # v(dt) at row 0
-    v_g = [(v_d + kd[p.n] - log_abs_j(p)) / (q + 1) for p in pts]
     off_g, off_d = _offsets(v_g), [kd[n] for n in ns]
     gt_prec = v_g[0] + rel
     # the sums are held like dt; bracket * gsum reaches gt_prec in every row once moved to gt's offsets
@@ -390,12 +392,6 @@ def eval_gt_dt(ctx: EvalContext, pts: list, rel: Fraction):
     dsum_prec = v_d + rel
     # at the points of each n: {degree of a: the precision its terms need}
     needs = {n: dict(_degrees(q, theta, n, gsum_prec - q + k, dsum_prec + k)) for n, k in kd.items()}
-    blocks = []
-    for d in range(1 + max(max(nd, default=-1) for nd in needs.values())):
-        use = [r for r in range(R) if d in needs[ns[r]]]
-        if use:
-            blocks.append((d, use))
-    terms = _Terms(ctx, pts, blocks)
     z_el = []  # the last embedding of z at pts, held relative to row 0
 
     def z_at(prec):
@@ -403,13 +399,23 @@ def eval_gt_dt(ctx: EvalContext, pts: list, rel: Fraction):
             z_el[:] = [embed([p.z for p in pts], math.ceil(prec), [n0 - n for n in ns])]
         return z_el[0]
 
-    t_qm1 = t_pow_qm1(ctx, z_at, terms, {(n, d): t for n in needs for d, t in needs[n].items()})
-    # from the offsets of t(az)^(q-1), kt, to those of the sums; a^(q(q-1)) lowers the exponents by q(q-1) d
-    kt = _theta_offsets(theta, q, terms.m.tolist(), int(terms.m[0]))
-    shifts = (q - 1) * np.array([kt[m] for m in terms.m]) - np.array(off_d)[terms.point]
-    gsum = _truncate(t_qm1.spread(R, terms.point, shifts), gsum_prec)
-    d_terms = t_qm1 * terms.powers(q * (q - 1))
-    dsum = _truncate(d_terms.spread(R, terms.point, shifts - q * (q - 1) * terms.deg), dsum_prec)
+    # the terms of each (n, deg a) are computed to their digits past v(t(az)^(q-1)); close ones share a stack
+    ell = {(n, d): t - (q - 1) * theta * q ** (n + d) for n in needs for d, t in needs[n].items()}
+    gsum = dsum = None
+    count = Counter(ns)
+    for kinds in reversed(_close(list(ell), ell.get, lambda kind: count[kind[0]] * q ** kind[1])):
+        blocks = []
+        for d in sorted({d for _, d in kinds}):
+            blocks.append((d, [r for r in range(R) if (ns[r], d) in kinds]))
+        terms = _Terms(ctx, pts, blocks)
+        t_qm1 = t_pow_qm1(ctx, z_at, terms, {(n, d): needs[n][d] for n, d in kinds})
+        # from the offsets of t(az)^(q-1), kt, to those of the sums; a^(q(q-1)) lowers the exponents by q(q-1) d
+        kt = _theta_offsets(theta, q, terms.m.tolist(), int(terms.m[0]))
+        shifts = (q - 1) * np.array([kt[m] for m in terms.m]) - np.array(off_d)[terms.point]
+        g_terms = t_qm1.spread(R, terms.point, shifts)
+        gsum = _truncate(g_terms if gsum is None else gsum + g_terms, gsum_prec)
+        d_terms = (t_qm1 * terms.powers(q * (q - 1))).spread(R, terms.point, shifts - q * (q - 1) * terms.deg)
+        dsum = _truncate(d_terms if dsum is None else dsum + d_terms, dsum_prec)
     ones = one_like(gsum).spread(R, range(R), [-k for k in off_g])
     moved = (gsum * ctx.bracket).spread(R, range(R), [kd - kg for kd, kg in zip(off_d, off_g)])
     return ones - _truncate(moved, gt_prec), -dsum
@@ -424,13 +430,13 @@ def _eval_rows(points: list, precs: list, margins: list) -> list:
     v_j = [-log_abs_j(p) for p in points]
     kd = {n: (q - 1) * k for n, k in _theta_offsets(theta, q, [p.n for p in points], pt.n).items()}
     v_d = [(q - 1) * theta * q**pt.n + kd[p.n] for p in points]
+    v_g = [(a + b) / (q + 1) for a, b in zip(v_j, v_d)]
     # j, gt and dt share one relative length: the largest any row needs
     rel = max(Fraction(p) - v + m for p, v, m in zip(precs, v_j, margins))
-    margin = max(margins)
-    # the targets of gt and dt lie rel past v(gt) = (v(j) + v(dt))/(q + 1) and v(dt)
-    work = [int(math.ceil(max((j + d) / (q + 1) + rel, d + rel, p))) + margin for j, d, p in zip(v_j, v_d, precs)]
-    ctx = _context_for(pt.order, max(work) + 4)
-    gt, dt = eval_gt_dt(ctx, points, rel)
+    # the Carlitz data to the largest absolute target of gt, dt and j
+    work = int(math.ceil(max(max(v_g) + rel, max(v_d) + rel, max(precs)))) + max(margins)
+    ctx = _context_for(pt.order, work + 4)
+    gt, dt = eval_gt_dt(ctx, points, v_g, rel)
 
     def where(row):
         p = points[row]
@@ -455,12 +461,30 @@ def _eval_rows(points: list, precs: list, margins: list) -> list:
     return out
 
 
+def _close(items: list, need, rows) -> list:
+    """items in groups, least need(item) first, each group one stack.  A
+    stack computes every row to the largest need in it, and a product costs
+    about rows times length squared, so a group takes the next item only
+    while the padding that adds, rows times the growth of the squared
+    length, stays within PAD, about what one more stack costs."""
+    groups: list = []
+    for item in sorted(items, key=need):
+        if groups:
+            top = need(groups[-1][-1])
+            if sum(map(rows, groups[-1])) * (need(item) ** 2 - top**2) <= PAD:
+                groups[-1].append(item)
+                continue
+        groups.append([item])
+    return groups
+
+
 def eval_j_stack(points: list, prec) -> list:
-    """j at every point, as one stacked computation: point i to absolute
+    """j at every point, as stacked computations: point i to absolute
     precision prec[i] (or to `prec`, one int for every point).
 
     The points must belong to one order; they may differ in n, |j| and
-    precision.  Each row's valuation must match its exact formula.  Returns
+    precision, and points of close relative need share one stack
+    (`_close`).  Each row's valuation must match its exact formula.  Returns
     one JValue per point, in order, each equal to what `eval_j` makes at that
     point, plan included.  A point whose tracked precision falls short is
     evaluated again with enlarged internal targets (margin x3, at most three
@@ -472,10 +496,18 @@ def eval_j_stack(points: list, prec) -> list:
         raise BadInputError("a stack needs points of one order")
     margins = [MARGIN] * len(points)
     out = [None] * len(points)
-    todo = sorted(range(len(points)), key=lambda i: points[i].n)
+    todo = list(range(len(points)))
     for _ in range(3):
-        for i, jv in zip(todo, _eval_rows([points[i] for i in todo], [precs[i] for i in todo], [margins[i] for i in todo])):
-            out[i] = jv
+        # the relative need of j at each point: at the Brown precision every point of an order needs
+        # about the same, at the working precision of a class polynomial classes of very different |j|
+        # stack apart
+        rel = {i: Fraction(precs[i]) + log_abs_j(points[i]) + margins[i] for i in todo}
+        q = pt.order.field.q
+        for part in _close(todo, rel.get, lambda i: q**2):  # about q^2 terms a point
+            part.sort(key=lambda i: points[i].n)
+            rows = _eval_rows([points[i] for i in part], [precs[i] for i in part], [margins[i] for i in part])
+            for i, jv in zip(part, rows):
+                out[i] = jv
         todo = [i for i in todo if out[i] is None]
         if not todo:
             return out
