@@ -15,7 +15,8 @@ to the integral data of each boundary point, in exact arithmetic.  Numerical
 j-values from the t-expansion evaluator only cross-check the partition.
 
 Held data has three owners: the canonical `ffield.FieldDesc` holds what
-depends on the coefficient field alone (tables, Carlitz contexts), the
+depends on the coefficient field alone (tables, Carlitz contexts, the
+truncation plans of one-point evaluations), the
 canonical `quadfield.QuadField` what depends on K alone (xi series, L-data),
 and `OrderCM` what belongs to one order.
 `OrderCM.of(order)` is the one `OrderCM` of an order for the life of the

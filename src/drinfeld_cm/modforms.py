@@ -182,15 +182,10 @@ def _offsets(vals: list) -> list:
 
 def _theta_offsets(theta: Fraction, q: int, ms: list, m0: int) -> dict:
     """{m: theta (q^m - q^m0)} over the values m of ms (and m0): the offset
-    against m0 of a valuation c theta q^m is c times this.  They are
-    integers for the points of one order, which share eps."""
-    out = {}
-    for m in set(ms) | {m0}:
-        k = theta * (q**m - q**m0)
-        if k.denominator != 1:
-            raise InvariantError(f"the rows of a stack differ in valuation by {k}")
-        out[m] = int(k)
-    return out
+    against m0 of a valuation c theta q^m is c times this (an integer for
+    the points of one order, which share eps)."""
+    keys = [m0, *(set(ms) - {m0})]
+    return dict(zip(keys, _offsets([theta * q**m for m in keys])))
 
 
 def _shift(el, k: int):
@@ -373,12 +368,12 @@ def eval_gt_dt(ctx: EvalContext, pts: list, v_g: list, rel: Fraction):
     """(gt, dt) at every point of pts (sorted by n), held relative to row 0,
     every row known at least to `rel` digits past its valuation, with
     certified a-tails.  gt is held by v(gt) = (v(j) + v(dt))/(q + 1), given
-    for each point in v_g, dt by v(dt) = (q-1)(q/(q-1) - eps) q^n.  The terms t(az)^(q-1) of every
-    degree a point needs are one stack (`_Terms`), and each sum gathers a
-    point's terms into its row in one step.  The z of all points are
-    embedded as one stack, to the precision the Carlitz sum needs: row 0
-    has the least n, so every row gets at least the relative length it
-    would alone."""
+    for each point in v_g, dt by v(dt) = (q-1)(q/(q-1) - eps) q^n.  The
+    terms t(az)^(q-1) of every degree a point needs are stacks of close
+    relative need (`_Terms`, `_close`), and each sum gathers a point's terms
+    into its row in one step per stack.  The z of all points are embedded as
+    one stack, to the precision the Carlitz sums need: row 0 has the least
+    n, so every row gets at least the relative length it would alone."""
     q = ctx.q
     R = len(pts)
     eps, theta, n0 = pts[0].eps, _theta(pts[0]), pts[0].n
@@ -494,6 +489,7 @@ def eval_j_stack(points: list, prec) -> list:
     pt = points[0]
     if any(p.order != pt.order or p.eps != pt.eps for p in points):
         raise BadInputError("a stack needs points of one order")
+    q = pt.order.field.q
     margins = [MARGIN] * len(points)
     out = [None] * len(points)
     todo = list(range(len(points)))
@@ -502,7 +498,6 @@ def eval_j_stack(points: list, prec) -> list:
         # about the same, at the working precision of a class polynomial classes of very different |j|
         # stack apart
         rel = {i: Fraction(precs[i]) + log_abs_j(points[i]) + margins[i] for i in todo}
-        q = pt.order.field.q
         for part in _close(todo, rel.get, lambda i: q**2):  # about q^2 terms a point
             part.sort(key=lambda i: points[i].n)
             rows = _eval_rows([points[i] for i in part], [precs[i] for i in part], [margins[i] for i in part])

@@ -215,14 +215,19 @@ def sep4(B, C):
     return validate_field(base, "even_sep", B=P(base, B), C=P(base, C))
 
 
+def odd(q, D):
+    base = field(q)  # the registry's current F_q, as in hayes_order
+    return order_from_discriminant(base, P(base, D))
+
+
 STACK_ORDERS = {
     "q3 odd inert": hayes_order,
-    "q3 odd ramified": lambda: order_from_discriminant(F3, P(F3, "T^3+T")),
-    "q4 even_sep inert": lambda: order_from(sep4("2*T+2", "T"), pr.one(F4)),
-    "q4 even_sep ramified": lambda: order_from(sep4("T", "1"), P(F4, "T+2")),
-    "q4 even_insep": lambda: order_from(validate_field(F4, "even_insep"), P(F4, "T^2")),
-    "q5 odd inert": lambda: order_from_discriminant(F5, P(F5, "2*T^2+2")),
-    "q5 odd ramified": lambda: order_from_discriminant(F5, P(F5, "2*T^3+1")),
+    "q3 odd ramified": lambda: odd(3, "T^3+T"),
+    "q4 even_sep inert": lambda: order_from(sep4("2*T+2", "T"), pr.one(field(2, 2))),
+    "q4 even_sep ramified": lambda: order_from(sep4("T", "1"), P(field(2, 2), "T+2")),
+    "q4 even_insep": lambda: order_from(validate_field(field(2, 2), "even_insep"), P(field(2, 2), "T^2")),
+    "q5 odd inert": lambda: odd(5, "2*T^2+2"),
+    "q5 odd ramified": lambda: odd(5, "2*T^3+1"),
 }
 
 
@@ -239,29 +244,64 @@ def same_value(a, b):
     return parts(a.value) == parts(b.value) and a.plan == b.plan
 
 
+def one_point_values(make, precs_of) -> list:
+    """eval_j at every point of the order make() builds, over a fresh field
+    registry, at each precision list of precs_of(points); then the registry
+    is emptied again, so a stack evaluated next shares no held context or
+    plan with these."""
+    empty_registry()
+    pts = enumerate_points(make())
+    values = [[eval_j(p, prec) for p, prec in zip(pts, precs)] for precs in precs_of(pts)]
+    empty_registry()
+    return values
+
+
 @pytest.mark.parametrize("name", sorted(STACK_ORDERS))
 def test_stacked_rows_equal_one_point_evaluations(name):
-    groups = stacks(STACK_ORDERS[name]())
+    make = STACK_ORDERS[name]
+
+    def precs_of(pts):
+        return [brown_prec(p) for p in pts], [20] * len(pts)
+
+    want = one_point_values(make, precs_of)
+    pts = enumerate_points(make())
+    groups = stacks(make())
     assert max(map(len, groups)) > 1
     if "ramified" in name:  # a row whose x-part is 0 shares a stack with rows whose x-part is not
         assert any(any(p.b.is_zero() for p in g) and not all(p.b.is_zero() for p in g) for g in groups)
     for group in groups:
-        for prec in (brown_prec(group[0]), 20):
+        for k, prec in enumerate((brown_prec(group[0]), 20)):
             rows = eval_j_stack(group, prec)
             assert [jv.point for jv in rows] == group
-            assert all(same_value(jv, eval_j(pt, prec)) for jv, pt in zip(rows, group))
+            assert all(same_value(jv, want[k][pts.index(pt)]) for jv, pt in zip(rows, group))
 
 
 @pytest.mark.parametrize("name", sorted(STACK_ORDERS))
 def test_one_call_over_an_order_equals_one_point_evaluations(name):
     # the points differ in n, |j| and precision, so the rows differ in every valuation
-    pts = enumerate_points(STACK_ORDERS[name]())
+    make = STACK_ORDERS[name]
+
+    def precs_of(pts):
+        return [brown_prec(p) for p in pts], [20] * len(pts)
+
+    want = one_point_values(make, precs_of)
+    pts = enumerate_points(make())
     assert len({p.n for p in pts}) > 1
-    for precs in ([brown_prec(p) for p in pts], [20] * len(pts)):
+    for precs, expect in zip(precs_of(pts), want):
         rows = eval_j_stack(pts, precs)
         assert [jv.point for jv in rows] == pts
-        for jv, pt, prec in zip(rows, pts, precs):
-            assert same_value(jv, eval_j(pt, prec)) and jv.value.prec == prec
+        for jv, w, prec in zip(rows, expect, precs):
+            assert same_value(jv, w) and jv.value.prec == prec
+
+
+def test_close_needs_share_a_stack_and_far_ones_do_not():
+    # needs within a digit, as at the Brown precision: one stack
+    needs = [Fraction(10), Fraction(21, 2), Fraction(11)]
+    assert modforms._close([0, 1, 2], needs.__getitem__, lambda i: 9) == [[0, 1, 2]]
+    # short rows padded to a longer one cost less than one more stack
+    assert modforms._close(["d2", "d0"], {"d0": 15, "d2": 2}.get, {"d0": 8, "d2": 72}.get) == [["d2", "d0"]]
+    # 28 rows padded from 112 to 142 digits cost more than one more stack
+    assert modforms._close(["d0", "d1"], {"d0": 142, "d1": 112}.get, {"d0": 5, "d1": 28}.get) == [["d1"], ["d0"]]
 
 
 def test_stack_rejects_points_of_two_orders():
