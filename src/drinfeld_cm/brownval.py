@@ -28,9 +28,10 @@ entries hold them, and the least recently used entry loses its values when
 another one gains some, together with what was read off them (the plans of
 their evaluations and the class polynomial); the rest stays.  Callers
 ask `OrderCM.j_values` for all the points a step needs at once, and the
-points not yet held are evaluated as one stack (`modforms.eval_j_stack`),
+points not yet held are evaluated in one call of `modforms.eval_j_stack`,
 whose rows may differ in n, |j| and precision: each row is held relative
-to its own valuation, so one call serves every point of the order.
+to its own valuation, so one stack serves every point of the order whose
+relative need is close to the others'.
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ class OrderCM:
 
     def _evaluate(self, points: list, need) -> None:
         """Evaluate j at the points over the order's value field, each to
-        precision need(pt), as one stack; keep each value unless a more
-        precise one is held."""
+        precision need(pt), in one stacked call; keep each value unless a
+        more precise one is held."""
         from .modforms import eval_j_stack
 
         precs = [need(pt) for pt in points]
