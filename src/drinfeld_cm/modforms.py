@@ -40,7 +40,10 @@ places each row at its own shift (`LaurentSeries.spread`).  (One shared
 absolute precision would not do: inverting rows whose valuations differ by
 dv loses 2 dv digits, and the Frobenius after it multiplies the loss by q.)
 The degrees of a and the Carlitz indices a stack runs are unions over its
-rows, each term on the rows that need it.  Each row's valuation is still
+rows, each term on the rows that need it.  Since every row is padded to the
+longest, rows of far apart relative need (classes of very different |j| at
+a class polynomial's working precision) go to separate stacks of the one
+call (`_close`).  Each row's valuation is still
 asserted against its own formula, and its plan is its own truncation need,
 so every row equals what `eval_j`, the one-point case, makes at that point.
 """
