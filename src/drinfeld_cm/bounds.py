@@ -111,6 +111,11 @@ def lower_bounds_h(order: Order) -> dict:
     return cm.height_bounds
 
 
+def field_constants(base: FieldDesc) -> tuple:
+    """The enclosures (ln q, ln 2, sqrt q), held by the base field."""
+    return base.held("constants", lambda: (certlog.ln(base.q), certlog.ln(2), certlog.sqrt(base.q)))
+
+
 def _lower_bounds_h(order: Order, h: int) -> dict:
     field = order.field
     q = field.base.q
@@ -119,8 +124,7 @@ def _lower_bounds_h(order: Order, h: int) -> dict:
     sqrt_D = certlog.exp_q(Fraction(d, 2), q)
     easy = sqrt_D / h if d >= 1 else None
     out = {"easy": easy, "h": h}
-    ln_q = certlog.ln(q)
-    ln_2 = certlog.ln(2)
+    ln_q, ln_2, sq = field_constants(field.base)
     cor = Interval.point(Fraction(d, 120)) * ln_2 - Interval.point(3) * ln_q - 8
     out["cor"] = cor
     if field.flavor == "even_insep":
@@ -128,14 +132,10 @@ def _lower_bounds_h(order: Order, h: int) -> dict:
         return out
     deg_dk = field.D_K.deg
     deg_f = order.f.deg
-    sq = certlog.sqrt(q)
     term1 = Interval.point(Fraction(deg_dk, 10)) * (Fraction(1, 2) - 1 / (sq + 1)) * ln_q
     term2 = (Interval.point(Fraction(7 * q - 5, 4 * q - 4)) + 8 / ln_q) * ln_q * Fraction(1, 5)
     term3 = Interval.point(Fraction(deg_f, 10))
-    if deg_f >= 1:
-        loglogf = certlog.log_q(max(1, deg_f), q)
-    else:
-        loglogf = Interval.point(0)
+    loglogf = certlog.ln(deg_f) / ln_q if deg_f >= 1 else Interval.point(0)
     term4 = Interval.point(Fraction(4 * q * q, 5 * (q - 1) ** 2)) * loglogf
     out["wei"] = term1 - term2 + term3 - term4
     return out
@@ -172,12 +172,10 @@ class CertificateReport:
         }
 
 
-def final_certificate(q: int) -> CertificateReport:
-    """The discriminant-bound constants and the auxiliary facts behind them."""
-    if q < 2:
-        raise BadInputError("q >= 2 required")
-    ln2 = certlog.ln(2)
-    lnq = certlog.ln(q)
+def final_certificate(base: FieldDesc) -> CertificateReport:
+    """The discriminant-bound constants for q = |base| and the auxiliary facts behind them."""
+    q = base.q
+    lnq, ln2, _ = field_constants(base)
     bound = Interval.point(2400 * (q + 1)) / ln2
     x0 = Interval.point(240 * (q + 1)) / (ln2 * lnq)
     case2 = x0 * x0

@@ -5,6 +5,12 @@ converted to exact Fraction endpoints, then combined with plain Fraction
 interval arithmetic.  Every inequality asserted downstream compares against
 the safe side of the enclosure (outward/directed rounding), so no verdict
 depends on floating-point luck.  Default enclosure width is far below 1e-12.
+
+A product takes the least and greatest of the four endpoint products.  When
+both factors have lo >= 0 these are always lo*lo' and hi*hi' (each factor
+grows with the other's endpoint), so `Interval.__mul__` forms only those
+two; Fractions are exact, so the endpoints are the same numbers either way
+and stored endpoints (the `height` references) cannot move.
 """
 
 from __future__ import annotations
@@ -59,6 +65,8 @@ class Interval:
 
     def __mul__(self, other):
         other = _coerce(other)
+        if self.lo >= 0 and other.lo >= 0:
+            return Interval(self.lo * other.lo, self.hi * other.hi)
         prods = [self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi]
         return Interval(min(prods), max(prods))
 

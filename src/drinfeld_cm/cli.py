@@ -175,7 +175,7 @@ def cmd_hilbert(cfg: RunConfig, args) -> int:
 
 def cmd_certificate(cfg: RunConfig, args) -> int:
     """the discriminant-bound constants for q, certified"""
-    rep = final_certificate(cfg.base().q)
+    rep = final_certificate(cfg.base())
     _emit(cfg, {"certificate": rep.to_jsonable()})
     return 0 if rep.ok() else 1
 

@@ -11,10 +11,8 @@ the order's w = f omega, with no gcd taken.  For every point, |z|^2 = |c|/|a|
 fractional defect eps is 0 (inert) or 1/2 (ramified); `enumerate_points`
 replays that identity from the polynomials.  Points on the unit sphere of
 an inert field acquire an elliptic neighbor e in F_{q^2}\\F_q together with
-the exact distance |z - e|, a power of q read from a flattened series.
-`enumerate_points` embeds all those points of an order as one stack
-(`quadfield.embed`) and hands each row to `elliptic_neighbor`; a point whose
-distance is not yet resolved is embedded again alone at doubled precision.
+the exact distance |z - e|, a power of q; both are read from the integer
+data with no series (`elliptic_neighbor`).
 """
 
 from __future__ import annotations
@@ -22,15 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import BadInputError, InvariantError, PrecisionError
+from .errors import BadInputError, InvariantError
 from .certlog import exact_log_q
-from .ffield import embedding_table, quadratic_extension
+from .ffield import artin_schreier_solve, embedding_table, quadratic_extension, sqrt as ff_sqrt
 from .laurent import LaurentSeries
 from . import polyring as pr
 from .polyring import Poly
 from .quadfield import Order, QuadElement, RatFunc, embed
-
-ELLIPTIC_DIGITS = 8  # digits past the distance floor at which |z - e| is first read
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ def _rhs(order: Order, b: Poly) -> Poly:
     k = order.field
     f = order.f
     if k.flavor == "odd":
-        return b * b - order.D_O
+        return (b * b - order.D_O).scale(k.base.inv(4 % k.base.p))  # b^2 - 4ac = D_O
     if k.flavor == "even_sep":
         fG = f * k.G
         return b * b + b * fG + f * f * k.radG * k.B
@@ -104,23 +100,22 @@ def enumerate_points(order: Order) -> list:
 
     Each point is the exact element (x w_den + w_num xi)/(A w_den) of
     `point_form`, where w = w_num/w_den = f omega is reduced once for the
-    order; its valuation is replayed against |c|/|a| from the norm.  Points
-    with |z| = 1 in an inert field carry their elliptic neighbor and the
-    exact distance |z - e|.
+    order; its valuation is replayed against |c|/|a| from the norm.  The
+    product a c = rhs(b) of `_rhs` is formed once per b, in code order, so
+    the b of degree < deg a are a prefix of that list.  Points with |z| = 1
+    in an inert field carry their elliptic neighbor and the exact distance
+    |z - e|.
     """
     k = order.field
     base = k.base
     w = RatFunc(order.f * k.omega.num, k.omega.den)
-    four_inv = base.inv(4 % base.p) if base.p != 2 else None
+    bound = _deg_a_bound(order)
+    rhs_of = [(b, _rhs(order, b)) for b in pr.all_of_degree_less(base, bound)]
     points = []
-    for da in range(_deg_a_bound(order) + 1):
+    for da in range(bound + 1):
+        bs = [(b, rhs) for b, rhs in rhs_of[: base.order**da] if not rhs.is_zero()]
         for a in pr.monic_of_degree(base, da):
-            for b in pr.all_of_degree_less(base, da):
-                rhs = _rhs(order, b)
-                if k.flavor == "odd":
-                    rhs = rhs.scale(four_inv)  # b^2 - 4ac = D => ac = (b^2 - D)/4
-                if rhs.is_zero():
-                    continue
+            for b, rhs in bs:
                 q_, r_ = divmod(rhs, a)
                 if not r_.is_zero():
                     continue
@@ -146,11 +141,13 @@ def enumerate_points(order: Order) -> list:
                 # replay |z|^2 = |c|/|a| exactly, from the norm's numerator
                 if z.v_infinity() != Fraction(a.deg - c.deg, 2):
                     raise InvariantError("point valuation does not match |c|/|a|")
-                points.append(CMPoint(order, a, b, c, z, n, eps))
+                pt = CMPoint(order, a, b, c, z, n, eps)
+                near = elliptic_neighbor(pt)
+                points.append(pt if near is None else replace(pt, e_code=near[0], dist_e_log=near[1]))
     points.sort(key=CMPoint.sort_key)
     if len({(p.a, p.b) for p in points}) != len(points):
         raise InvariantError("(a, b) does not determine the point")  # pragma: no cover
-    return attach_elliptic_data(points)
+    return points
 
 
 def elliptic_floor_log(order: Order) -> int:
@@ -161,28 +158,19 @@ def elliptic_floor_log(order: Order) -> int:
     return order.f.deg + k.G.deg  # |z - e| >= 1/|fG|
 
 
-def attach_elliptic_data(points: list) -> list:
-    """The points of one order, each inert point with n = 0 carrying its
-    elliptic neighbor; those points are embedded as one stack."""
-    near = [i for i, p in enumerate(points) if p.n == 0 and p.order.field.infinite_type == "inert"]
-    if not near:
-        return points
-    flat = embed([points[i].z for i in near], elliptic_floor_log(points[0].order) + ELLIPTIC_DIGITS)
-    out = list(points)
-    for r, i in enumerate(near):
-        e_code, dist_log = elliptic_neighbor(points[i], flat.take([r]))
-        out[i] = replace(points[i], e_code=e_code, dist_e_log=dist_log)
-    return out
-
-
-def elliptic_neighbor(pt: CMPoint, flat=None):
+def elliptic_neighbor(pt: CMPoint):
     """(e, log_q|z-e|) for an inert point with |z| = 1; None otherwise.
 
-    `flat` is the point's embedding at precision elliptic_floor_log +
-    ELLIPTIC_DIGITS when the caller has it (`attach_elliptic_data` embeds an
-    order's points as one stack).  Verifies e^2 = sgn(D)/4 (odd) or e^2 + e
-    = sgn(B) (even separable) and the distance floors of the key lemmas;
-    retries alone at doubled precision when the distance is not yet resolved.
+    Both are exact and read from the integer data, with no series.  The
+    point z = (x + y xi)/den has |x/den| < 1 = |z| and den monic, so
+    e = lead(y) lead(xi), where lead(xi) is the branch `xi_series` takes:
+    the canonical square root of sgn D (odd) or the least Artin-Schreier
+    root of sgn B (even separable).  z and its conjugate zbar are the roots
+    of a X^2 + s X + c, s = b (odd) or fG (even separable), and
+    |e - zbar| = 1, so a e^2 + s e + c = a (e - z)(e - zbar) gives
+    log_q|z - e| = deg(a e^2 + s e + c) - deg a.  Verifies e not in F_q,
+    e^2 = sgn(D)/4 (odd) or e^2 + e = sgn(B) (even separable) and the
+    distance floors of the key lemmas.
     """
     order = pt.order
     k = order.field
@@ -191,36 +179,31 @@ def elliptic_neighbor(pt: CMPoint, flat=None):
     base = k.base
     desc2 = quadratic_extension(base)
     emb = embedding_table(base, desc2)
+    if k.flavor == "odd":
+        lead_xi, s = ff_sqrt(desc2, emb[k.D.sgn]), pt.b
+    else:
+        lead_xi, s = artin_schreier_solve(desc2, emb[k.B.sgn])[0], order.f * k.G
+    e_code = desc2.mul(emb[pt.z.y.sgn], lead_xi)
+    if e_code in set(emb):
+        raise InvariantError("residue of z lies in F_q: |z|_i < 1 contradicts the fundamental domain")
+    # residue identity
+    if k.flavor == "odd":
+        target = desc2.mul(emb[order.D_O.sgn], desc2.inv(emb[4 % base.p]))
+        if desc2.mul(e_code, e_code) != target:
+            raise InvariantError("e^2 != sgn(D)/4")
+    elif desc2.add(desc2.mul(e_code, e_code), e_code) != emb[k.B.sgn]:
+        raise InvariantError("e^2 + e != sgn(B)")
+    a2, s2, c2 = (p.map_coeffs(emb, desc2) for p in (pt.a, s, pt.c))
+    value = a2.scale(desc2.mul(e_code, e_code)) + s2.scale(e_code) + c2
+    if value.is_zero():
+        raise InvariantError("z = e would mean j = 0, an excluded order")  # pragma: no cover
+    dist = value.deg - pt.a.deg
     floor = elliptic_floor_log(order)
-    p = floor + ELLIPTIC_DIGITS
-    for _ in range(5):
-        if flat is None:
-            flat = embed([pt.z], p)
-        if flat.valuation() != 0:
-            raise InvariantError("inert point with n = 0 must have |z| = 1")
-        e_code = flat.coeff_code(0)
-        if e_code in set(emb):
-            raise InvariantError("residue of z lies in F_q: |z|_i < 1 contradicts the fundamental domain")
-        # residue identity
-        if k.flavor == "odd":
-            target = desc2.mul(emb[order.D_O.sgn], desc2.inv(emb[4 % base.p]))
-            if desc2.mul(e_code, e_code) != target:
-                raise InvariantError("e^2 != sgn(D)/4")
-        else:
-            if desc2.add(desc2.mul(e_code, e_code), e_code) != emb[k.B.sgn]:
-                raise InvariantError("e^2 + e != sgn(B)")
-        diff = flat - LaurentSeries.constant(desc2, e_code, None)
-        v = diff.valuation()
-        if v is None:
-            p *= 2
-            flat = None
-            continue
-        if v < 1:
-            raise InvariantError("|z - e| >= 1 at an n = 0 point")  # pragma: no cover
-        if v > floor:
-            raise InvariantError(f"|z - e| = q^-{v} below the floor q^-{floor}")
-        return e_code, -v
-    raise PrecisionError("could not resolve |z - e| (z = e would mean j = 0, an excluded order)")
+    if dist > -1:
+        raise InvariantError("|z - e| >= 1 at an n = 0 point")  # pragma: no cover
+    if -dist > floor:
+        raise InvariantError(f"|z - e| = q^{dist} below the floor q^-{floor}")
+    return e_code, dist
 
 
 def c_epsilon_set(points: list, eps: Fraction) -> list:

@@ -353,15 +353,28 @@ def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 
     return {"name": "counting", "ok": True, "pairs": pairs}
 
 
-def log_bound_holds(kind: str, value: int, d: int, lnq2) -> bool:
-    """Whether 15 deg a (ln q)^2, with lnq2 an enclosure of (ln q)^2 and
-    deg a = d, certainly bounds ln d(a) ln(deg a) (kind "d", value d(a)) or
-    omega(a) ln 2 ln(deg a) (kind "w", value omega(a))."""
+class LogTable(dict):
+    """Enclosures of ln n, each taken by one `certlog.ln` call on first use,
+    and `lnq2`, the enclosure of (ln q)^2 made from the one of ln q."""
+
+    def __init__(self, q: int):
+        super().__init__()
+        self.lnq2 = self[q] * self[q]
+
+    def __missing__(self, n: int):
+        value = self[n] = certlog.ln(n)
+        return value
+
+
+def log_bound_holds(kind: str, value: int, d: int, logs: LogTable) -> bool:
+    """Whether 15 deg a (ln q)^2, deg a = d, certainly bounds ln d(a) ln(deg a)
+    (kind "d", value d(a)) or omega(a) ln 2 ln(deg a) (kind "w", value
+    omega(a)); the enclosures come from the table `logs`."""
     if kind == "d":
-        lhs = certlog.ln(value) * certlog.ln(d) if value > 1 else certlog.Interval.point(0)
+        lhs = logs[value] * logs[d] if value > 1 else certlog.Interval.point(0)
     else:
-        lhs = certlog.ln(2) * certlog.ln(d) * value if value else certlog.Interval.point(0)
-    return lhs.certainly_le(lnq2 * (15 * d))
+        lhs = logs[2] * logs[d] * value if value else certlog.Interval.point(0)
+    return lhs.certainly_le(logs.lnq2 * (15 * d))
 
 
 def check_analytic_lemmas(base: FieldDesc, maxdeg: int = 10) -> dict:
@@ -373,14 +386,15 @@ def check_analytic_lemmas(base: FieldDesc, maxdeg: int = 10) -> dict:
     `log_bound_holds` on d(a) and omega(a).  The statistics come one degree
     at a time from `pr.sieve_stats`, whose recurrences run through
     R(a) = a / spf(a)^E, and each check runs on a whole block at once.  The
-    log bounds are certified through interval enclosures once per distinct
-    (value, degree).  A failure names the least failing a in code order and,
-    at that a, the first failing check in the order sigma1, mertens,
-    maj-omega (d(a)), majomega (omega(a)).
+    log bounds are certified once per distinct (kind, value, degree), from
+    interval enclosures of ln n taken once per n per call (`LogTable`).  A
+    failure names the least failing a in code order and, at that a, the
+    first failing check in the order sigma1, mertens, maj-omega (d(a)),
+    majomega (omega(a)).
     """
     q = base.q
     table = pr.spf_table(base, maxdeg)
-    lnq2 = certlog.ln(q) * certlog.ln(q)
+    logs = LogTable(q)
     checked: dict = {}
     count = 0
     for d, first, omega, dcount, sigma1, mnum, mden in pr.sieve_stats(base, table, maxdeg):
@@ -390,7 +404,7 @@ def check_analytic_lemmas(base: FieldDesc, maxdeg: int = 10) -> dict:
             holds = np.zeros(len(seen), dtype=bool)
             for v in np.flatnonzero(seen).tolist():
                 if (kind, v, d) not in checked:
-                    checked[kind, v, d] = log_bound_holds(kind, v, d, lnq2)
+                    checked[kind, v, d] = log_bound_holds(kind, v, d, logs)
                 holds[v] = checked[kind, v, d]
             fails.append((name, ~holds[values]))
         failing = np.logical_or.reduce([bad for _, bad in fails])
@@ -422,8 +436,9 @@ def check_unit_sweep(base: FieldDesc, d_bound: int) -> dict:
     }
 
 
-def check_certificate(q: int) -> dict:
-    rep = bnd.final_certificate(q)
+def check_certificate(base: FieldDesc) -> dict:
+    q = base.q
+    rep = bnd.final_certificate(base)
     window_ok = None
     if q == 2:
         window_ok = Fraction("10387.5") <= rep.bound_loglog.lo and rep.bound_loglog.hi <= Fraction("10387.6")
@@ -507,5 +522,5 @@ def run_all(base: FieldDesc, d_bound: int) -> list:
     out.append(check_analytic_lemmas(base))
     out.append(check_andre_oort(base, d_bound))
     out.append(check_unit_sweep(base, d_bound))
-    out.append(check_certificate(base.q))
+    out.append(check_certificate(base))
     return out

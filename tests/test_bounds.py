@@ -119,3 +119,27 @@ def test_easycounting_counts_match_the_scalar_oracle(q):
                     for m in pr.monic_of_degree(fld, dm)
                 ]
                 assert (counts <= math.floor(bound)).tolist() == verdicts
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_height_constants_are_held_by_the_base_field(p, r, monkeypatch):
+    # ln q, ln 2 and sqrt q are enclosed once per field, equal to fresh
+    # enclosures; cold heights take no fresh one, and the certificate no fresh ln 2
+    from drinfeld_cm import certlog
+    from drinfeld_cm.bounds import field_constants, final_certificate, lower_bounds_h
+
+    base = field(p, r)
+    q = base.q
+    held = field_constants(base)
+    assert held == (certlog.ln(q), certlog.ln(2), certlog.sqrt(q))
+    asked = []
+    for name in ("ln", "sqrt"):
+        real = getattr(certlog, name)
+        monkeypatch.setattr(certlog, name, lambda x, real=real, name=name: asked.append((name, x)) or real(x))
+    orders = [o for o in iter_orders(base, q**2) if o.f.is_one()]
+    for order in orders:
+        lower_bounds_h(order)
+    assert orders and field_constants(base) is held
+    assert [a for a in asked if a[0] == "sqrt" or a[1] in (2, q)] == []
+    final_certificate(base)  # its own ln calls are on other arguments, x = q among them
+    assert ("ln", 2) not in asked

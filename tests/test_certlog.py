@@ -80,6 +80,25 @@ def test_interval_ops_contain_point_results(a, b, s, t):
             a / b
 
 
+def nonnegative_intervals():
+    return st.tuples(st.fractions(min_value=0, max_value=10**6), st.fractions(min_value=0, max_value=10**6)).map(
+        lambda t: Interval(min(t), max(t))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(nonnegative_intervals(), intervals()), st.one_of(nonnegative_intervals(), intervals()))
+@example(Interval(Fraction(0), Fraction(0)), Interval(Fraction(0), Fraction(3)))
+@example(Interval(Fraction(0), Fraction(2)), Interval(Fraction(0), Fraction(5, 7)))
+@example(Interval(Fraction(0), Fraction(2)), Interval(Fraction(-1, 3), Fraction(5)))
+@example(Interval(Fraction(-1), Fraction(0)), Interval(Fraction(1), Fraction(2)))
+def test_product_endpoints_are_the_least_and_greatest_endpoint_products(a, b):
+    # two nonnegative factors take the fast path; every product has exactly
+    # the endpoints of the four-product rule
+    prods = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
+    assert a * b == Interval(min(prods), max(prods))
+
+
 def test_exact_log_q():
     assert certlog.exact_log_q(81, 3) == 4
     assert certlog.exact_log_q(Fraction(1, 9), 3) == -2

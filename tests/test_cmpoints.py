@@ -7,15 +7,18 @@ from drinfeld_cm.ffield import field
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.cmpoints import (
     c_epsilon_set,
-    elliptic_neighbor,
+    elliptic_floor_log,
     enumerate_points,
     majb_check,
 )
+from drinfeld_cm.laurent import LaurentSeries
 from drinfeld_cm.quadfield import embed, order_from, order_from_discriminant, validate_field
+from drinfeld_cm.sweeps import iter_orders
 from test_quadfield import imag_part_log, lattice_dist_log
 
 F2 = field(2)
 F3 = field(3)
+FIELDS = {2: F2, 3: F3, 4: field(2, 2), 5: field(5)}
 
 
 def P(fld, text):
@@ -63,22 +66,44 @@ def test_elliptic_neighbors_hayes():
     assert all(p.dist_e_log is None for p in ram)  # ramified flavor: never
 
 
-def test_enumerate_embeds_the_unit_sphere_points_as_one_stack(monkeypatch):
-    from drinfeld_cm import cmpoints
+def series_neighbor(pt):
+    """(e, log_q|z - e|) read from the flattened series of z, as the
+    enumeration once did: e is the constant digit and the distance the
+    valuation of z - e, resolved below the distance floor."""
+    flat = embed([pt.z], elliptic_floor_log(pt.order) + 8)
+    e_code = flat.coeff_code(0)
+    v = (flat - LaurentSeries.constant(flat.field, e_code, None)).valuation()
+    assert v is not None
+    return e_code, -v
+
+
+@pytest.mark.parametrize("q, bound", [(2, 64), (3, 81), (4, 16), (5, 25)])
+def test_elliptic_data_is_exact_and_matches_the_series(q, bound, monkeypatch):
+    # enumeration embeds nothing: e and |z - e| come from the integer data,
+    # and they equal what the flattened series of each n = 0 point reads
+    from drinfeld_cm import cmpoints, quadfield
 
     calls = []
-    real = cmpoints.embed
 
     def counting(zs, prec, **kwargs):
         calls.append(len(zs))
         return real(zs, prec, **kwargs)
 
+    real = quadfield.embed
     monkeypatch.setattr(cmpoints, "embed", counting)
-    pts = enumerate_points(hayes_order())
-    assert calls == [4]  # the four n = 0 points, in one call, none retried
-    lone = [elliptic_neighbor(p) for p in pts if p.n == 0]  # each point embedded alone
-    assert lone == [(p.e_code, p.dist_e_log) for p in pts if p.n == 0]
-    assert calls == [4, 1, 1, 1, 1]
+    monkeypatch.setattr(quadfield, "embed", counting)
+    base = FIELDS[q]
+    pools = [(o, enumerate_points(o)) for o in iter_orders(base, bound)]
+    assert calls == []
+    near = 0
+    for order, pts in pools:
+        inert = order.field.infinite_type == "inert"
+        for p in pts:
+            assert (p.dist_e_log is not None) == (inert and p.n == 0)
+            if p.dist_e_log is not None:
+                near += 1
+                assert (p.e_code, p.dist_e_log) == series_neighbor(p)
+    assert near > 0
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,55 @@ def test_analytic_failure_names_the_least_polynomial_with_the_failing_key(monkey
     assert len(asked) == len(set(asked))
 
 
+def test_analytic_suite_takes_each_log_once(monkeypatch):
+    # one certlog.ln call per distinct argument, and every enclosure the
+    # suite held equals a fresh one
+    from drinfeld_cm import certlog
+
+    real_ln, real_holds = certlog.ln, verify.log_bound_holds
+    args, tables = [], []
+
+    def counting(x):
+        args.append(x)
+        return real_ln(x)
+
+    def holds(kind, value, d, logs):
+        tables.append(logs)
+        return real_holds(kind, value, d, logs)
+
+    monkeypatch.setattr(certlog, "ln", counting)
+    monkeypatch.setattr(verify, "log_bound_holds", holds)
+    rep = check_analytic_lemmas(field(3), 9)
+    assert rep == {"name": "analytic", "ok": True, "polynomials": 29523}
+    assert len(args) == len(set(args)) == 32
+    logs = tables[0]
+    assert all(t is logs for t in tables)
+    monkeypatch.setattr(certlog, "ln", real_ln)
+    assert sorted(logs) == sorted(args)
+    for n, held in logs.items():
+        assert held == certlog.ln(n)
+    assert logs.lnq2 == certlog.ln(3) * certlog.ln(3)
+
+
+@pytest.mark.parametrize("q, d", [(2, 3), (2, 9), (3, 2), (3, 5), (5, 2), (5, 9)])
+def test_log_bound_holds_up_to_the_exact_threshold(q, d):
+    # omega ln 2 ln d <= 15 d (ln q)^2 exactly for omega <= K, and
+    # ln d(a) = k ln 2 for d(a) = 2^k; K is found at 200 bits and lies far
+    # from an integer (q = 2 with d = 2 or 4 would put it on one), so each
+    # key reads every enclosure it should
+    import mpmath
+
+    with mpmath.workprec(200):
+        bound = 15 * d * mpmath.ln(q) ** 2 / (mpmath.ln(2) * mpmath.ln(d))
+        K = int(mpmath.floor(bound))
+        assert min(bound - K, K + 1 - bound) > mpmath.mpf(10) ** -6
+    logs = verify.LogTable(q)
+    assert verify.log_bound_holds("w", K, d, logs)
+    assert not verify.log_bound_holds("w", K + 1, d, logs)
+    assert verify.log_bound_holds("d", 2**K, d, logs)
+    assert not verify.log_bound_holds("d", 2 ** (K + 1), d, logs)
+
+
 @pytest.mark.parametrize("q", [3, 5])
 def test_counting_lemmas_tiny(q):
     # F_3 runs the default easycounting range (deg m <= 4), F_5 deg m <= 2
