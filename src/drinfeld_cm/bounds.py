@@ -116,13 +116,22 @@ def field_constants(base: FieldDesc) -> tuple:
     return base.held("constants", lambda: (certlog.ln(base.q), certlog.ln(2), certlog.sqrt(base.q)))
 
 
+def sqrt_disc(base: FieldDesc, d: int) -> Interval:
+    """The enclosure of |D|^(1/2) = q^(d/2) for deg D = d, held by the base field."""
+    return base.held(("sqrt_disc", d), lambda: certlog.exp_q(Fraction(d, 2), base.q))
+
+
+def ln_int(base: FieldDesc, n: int) -> Interval:
+    """The enclosure of ln n, held by the base field."""
+    return base.held(("ln", n), lambda: certlog.ln(n))
+
+
 def _lower_bounds_h(order: Order, h: int) -> dict:
     field = order.field
     q = field.base.q
     d = order.disc_deg()
     # easy: |D|^(1/2)/h(O), meaningful for |D| >= q
-    sqrt_D = certlog.exp_q(Fraction(d, 2), q)
-    easy = sqrt_D / h if d >= 1 else None
+    easy = sqrt_disc(field.base, d) / h if d >= 1 else None
     out = {"easy": easy, "h": h}
     ln_q, ln_2, sq = field_constants(field.base)
     cor = Interval.point(Fraction(d, 120)) * ln_2 - Interval.point(3) * ln_q - 8
@@ -135,7 +144,7 @@ def _lower_bounds_h(order: Order, h: int) -> dict:
     term1 = Interval.point(Fraction(deg_dk, 10)) * (Fraction(1, 2) - 1 / (sq + 1)) * ln_q
     term2 = (Interval.point(Fraction(7 * q - 5, 4 * q - 4)) + 8 / ln_q) * ln_q * Fraction(1, 5)
     term3 = Interval.point(Fraction(deg_f, 10))
-    loglogf = certlog.ln(deg_f) / ln_q if deg_f >= 1 else Interval.point(0)
+    loglogf = ln_int(field.base, deg_f) / ln_q if deg_f >= 1 else Interval.point(0)
     term4 = Interval.point(Fraction(4 * q * q, 5 * (q - 1) ** 2)) * loglogf
     out["wei"] = term1 - term2 + term3 - term4
     return out

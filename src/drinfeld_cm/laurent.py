@@ -42,8 +42,8 @@ _WORD_BITS = 62
 
 
 def _tensors(desc: FieldDesc) -> dict:
-    """The field's numpy matrices of power reduction and Frobenius and its
-    coordinates-to-code weights, held by the field."""
+    """The field's numpy matrices of power reduction and of the q-th and
+    p-th power maps and its coordinates-to-code weights, held by the field."""
     return desc.held("tensors", _build_tensors, desc)
 
 
@@ -51,10 +51,45 @@ def _build_tensors(desc: FieldDesc) -> dict:
     s = desc.s
     # column k: coordinates of x^k mod desc.modulus (x has code p), k = 0..2s-2
     reduce = np.array([desc.coords(desc.pow(desc.p, k)) for k in range(2 * s - 1)], dtype=np.int64).T
-    # column j: coordinates of (x^j)^q, an F_p-linear map of the power basis
+    # column j: coordinates of (x^j)^q and of (x^j)^p, F_p-linear maps of the power basis
+    # (they differ whenever q != p, as on F_4 and on F_9 with q = 9)
     frob = np.array([desc.coords(desc.frob_q(desc.p**j)) for j in range(s)], dtype=np.int64).T
+    frob_p = np.array([desc.coords(desc.pow(desc.p**j, desc.p)) for j in range(s)], dtype=np.int64).T
     codes = desc.p ** np.arange(s, dtype=np.int64)  # coordinates -> code
-    return {"reduce": reduce, "frob": frob, "codes": codes}
+    return {"reduce": reduce, "frob": frob, "frob_p": frob_p, "codes": codes}
+
+
+def _dilate(desc: FieldDesc, comps: np.ndarray, key: str, k: int) -> np.ndarray:
+    """Coefficientwise Frobenius of a (rows, s, L) array, L >= 1, by the
+    matrix `_tensors(desc)[key]` (the k-th power map), its columns placed k
+    apart: the digits of x^k."""
+    mapped = (_tensors(desc)[key] @ comps) % desc.p
+    out = np.zeros((comps.shape[0], desc.s, (comps.shape[2] - 1) * k + 1), dtype=np.int64)
+    out[:, :, ::k] = mapped
+    return out
+
+
+def _descent(unit: "LaurentSeries", e: int, y: np.ndarray) -> np.ndarray:
+    """The digits, to the relative length ell = unit.prec, of the fixed
+    point y = unit^e Frob_p(y) whose leading digits are the one column y;
+    `unit` is a stack of valuation 0.
+
+    Frob_p, the coefficientwise p-th power with exponents times p, is the
+    ring map x -> x^p, so a y right to m digits gives Frob_p(y) right to p m
+    and unit^e Frob_p(y) right to min(p m, ell).  The digits are made at the
+    lengths ell_0 = ell, ell_(k+1) = ceil(ell_k / p), from 1 up, one product
+    per length, plus those of unit^e (`binary_power`) when ell > 1.
+    """
+    fld = unit.field
+    p = fld.p
+    lengths = [unit.prec]
+    while lengths[-1] > 1:
+        lengths.append(-(-lengths[-1] // p))
+    if len(lengths) > 1:
+        w = binary_power(unit, e).comps
+        for n in reversed(lengths[:-1]):
+            y = _raw_mul(fld, w, _dilate(fld, y, "frob_p", p), n)
+    return y
 
 
 def _scalar_matrix(desc: FieldDesc, code: int):
@@ -495,17 +530,18 @@ class LaurentSeries:
 
     def frobenius_q(self) -> "LaurentSeries":
         """x -> x^q: coefficientwise Frobenius with exponents dilated by q."""
-        fld = self.field
-        q = fld.q
-        R, _, L = self.comps.shape
-        prec = None if self.prec is None else q * self.prec
-        if L == 0:
-            return LaurentSeries(fld, 0, self.comps, prec, reduced=True)
-        M = _tensors(fld)["frob"]
-        mapped = (M @ self.comps) % fld.p
-        out = np.zeros((R, fld.s, (L - 1) * q + 1), dtype=np.int64)
-        out[:, :, ::q] = mapped
-        return LaurentSeries(fld, q * self.n0, out, prec, reduced=True)
+        return self._frobenius("frob", self.field.q)
+
+    def frobenius_p(self) -> "LaurentSeries":
+        """x -> x^p: coefficientwise p-th power with exponents dilated by p
+        (for p = 2, the square of x, to precision 2 prec)."""
+        return self._frobenius("frob_p", self.field.p)
+
+    def _frobenius(self, key: str, k: int) -> "LaurentSeries":
+        prec = None if self.prec is None else k * self.prec
+        if not self.comps.shape[2]:
+            return LaurentSeries(self.field, 0, self.comps, prec, reduced=True)
+        return LaurentSeries(self.field, k * self.n0, _dilate(self.field, self.comps, key, k), prec, reduced=True)
 
     def conjugate(self) -> "LaurentSeries":
         """Coefficientwise x -> x^q, the exponents kept: over F_{q^2} the
@@ -517,40 +553,41 @@ class LaurentSeries:
         return LaurentSeries(fld, self.n0, mapped, self.prec, reduced=True)
 
     def inverse(self) -> "LaurentSeries":
-        """Multiplicative inverse of every row by Newton iteration; requires
-        finite precision and, in a stack, rows of one valuation."""
+        """Multiplicative inverse of every row; requires finite precision
+        and, in a stack, rows of one valuation v.
+
+        Frobenius descent (`_descent`): with u the unit parts, of relative
+        length ell = prec - v, 1/u is the fixed point y = u^(p-1) Frob_p(y)
+        whose leading digit is the inverse of u's.  Since Frob_p(y) = y^p
+        in characteristic p, y = 1/u to m digits gives u^(p-1) Frob_p(y) =
+        u^(p-1)/u^p = 1/u to p m digits: from each row's inverse leading
+        digit, ceil(log_p ell) products at the lengths ceil(ell / p^k), plus
+        those of u^(p-1) (none for p = 2, one for p = 3).  Every digit is
+        exact and the precision is prec - 2v, as Newton's iteration gives.
+        """
         if self.is_zero_known():
             raise PrecisionError("inversion of a series indistinguishable from 0")
         if self.prec is None:
             raise BadInputError("inverse of an exact series: truncate() first")
         fld = self.field
         v = self.n0
-        ell = self.prec - v  # relative length
-        U = self.comps  # unit parts, exponents 0..L-1 relative
-        lead = (U[:, :, 0] @ _tensors(fld)["codes"]).tolist()
+        lead = (self.comps[:, :, 0] @ _tensors(fld)["codes"]).tolist()
         if not all(lead):
             raise PrecisionError("inversion of a row that is 0 or of higher valuation than its stack")
         inv = {c: fld.coords(fld.inv(c)) for c in set(lead)}
         y = np.array([inv[c] for c in lead], dtype=np.int64)[:, :, None]
-        one = np.array(fld.coords(1), dtype=np.int64)
-        known = 1
-        while known < ell:
-            known = min(2 * known, ell)
-            # y <- y + y*(1 - u*y) to `known` columns
-            r = (-_raw_mul(fld, U[:, :, :known], y, known)) % fld.p
-            r[:, :, 0] = (r[:, :, 0] + one) % fld.p
-            corr = _raw_mul(fld, y, r, known)
-            ynew = np.zeros(corr.shape, dtype=np.int64)
-            ynew[:, :, : y.shape[2]] = y
-            y = (ynew + corr) % fld.p
-        return LaurentSeries(fld, -v, y, self.prec - 2 * v, reduced=True)
+        unit = LaurentSeries(fld, 0, self.comps, self.prec - v, reduced=True)
+        return LaurentSeries(fld, -v, _descent(unit, fld.p - 1, y), self.prec - 2 * v, reduced=True)
 
     def sqrt(self) -> "LaurentSeries":
         """Canonical square root of a one-row series (odd characteristic).
 
         Requires even valuation and a square leading coefficient in the
-        coefficient field; the branch is fixed by the canonical square root of
-        the leading coefficient.
+        coefficient field; the branch is fixed by the canonical square root
+        root0 of the leading coefficient.  Frobenius descent (`_descent`):
+        r = u^(-1/2) of the unit part u is the fixed point r = u^((p-1)/2)
+        Frob_p(r) with leading digit 1/root0 (right to m digits, r gives
+        u^((p-1)/2) r^p = u^(-1/2) to p m), and sqrt(u) = u r.
         """
         fld = self.field
         if fld.p == 2:
@@ -566,27 +603,10 @@ class LaurentSeries:
         if self.prec is None:
             raise BadInputError("sqrt of an exact series: truncate() first")
         ell = self.prec - v
-        # inverse square root of the unit part by Newton: r <- r + r*(1 - u r^2)/2
-        U = self.comps
-        inv2 = fld.inv(2 % fld.p)
-        one = np.array(fld.coords(1), dtype=np.int64)
+        unit = LaurentSeries(fld, 0, self.comps, ell, reduced=True)
         r = np.array(fld.coords(fld.inv(root0)), dtype=np.int64).reshape(1, fld.s, 1)
-        known = 1
-        while known < ell:
-            known = min(2 * known, ell)
-            r2 = _raw_mul(fld, r, r, known)
-            e = (-_raw_mul(fld, U[:, :, :known], r2, known)) % fld.p
-            e[:, :, 0] = (e[:, :, 0] + one) % fld.p
-            half_e = (_scalar_matrix(fld, inv2) @ e) % fld.p
-            corr = _raw_mul(fld, r, half_e, known)
-            rnew = np.zeros(corr.shape, dtype=np.int64)
-            rnew[:, :, : r.shape[2]] = r
-            r = (rnew + corr) % fld.p
-        invsqrt_unit = LaurentSeries(fld, 0, r, ell, reduced=True)
-        unit = LaurentSeries(fld, 0, U, ell, reduced=True)
-        y_unit = unit * invsqrt_unit  # sqrt of the unit part, leading coeff c0/root0 = root0
-        y = y_unit.mul_t_power(-v // 2)
-        return LaurentSeries(fld, y.n0, y.comps, self.prec - v // 2, reduced=True)
+        invsqrt_unit = LaurentSeries(fld, 0, _descent(unit, (fld.p - 1) // 2, r), ell, reduced=True)
+        return (unit * invsqrt_unit).mul_t_power(-v // 2)  # leading coeff c0/root0 = root0
 
     def artin_schreier_root(self) -> "LaurentSeries":
         """Canonical y with y^2 + y = self (p = 2, valuation >= 0).

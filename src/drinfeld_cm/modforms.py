@@ -7,9 +7,11 @@ and j = gt^(q+1)/dt, all powers of the Carlitz period cancelling since
 (q-1)(q+1) = q^2 - 1.  The period itself (a (q-1)-st root) is never
 constructed: with S_a = e_C(pi*a*z)/pi = sum_i pi^(q^i-1) (az)^(q^i) / D_i,
 only pi^(q-1) appears, and t(az)^(q-1) = S_a / (pi^(q-1) * S_a^q).
-Frobenius is a ring map, so 1/S_a^q = (1/S_a)^q: S_a is inverted only to
-its own relative length, the inverse is raised to the q-th power
-coefficientwise and multiplied by pi^-(q-1), which each `EvalContext` holds.
+Frobenius is a ring map, so 1/S_a^q = (1/S_a)^q: the q-th power of 1/S_a
+is coefficientwise and multiplies the precision by q, so to keep S_a's own
+relative length l it is enough to invert S_a to ceil(l/q) digits, and S_a
+is cut to the digits that inverse needs; (1/S_a)^q is multiplied by
+pi^-(q-1), which each `EvalContext` holds.
 For the same reason gt^(q+1) = gt^q * gt is one product: the q-th power is
 coefficientwise, and its tracked precision min(q p + v, p + q v) = p + q v
 is that of q repeated products.
@@ -24,7 +26,7 @@ convolutions and lose no precision.
 Evaluation runs on stacks (see `laurent`).  `eval_j_stack` evaluates j at
 any points of one order in one computation, each point to its own
 precision: their z are embedded by one `quadfield.embed` call, on every
-retry round, as the rows of one series (one Newton inverse for all their
+retry round, as the rows of one series (one inverse for all their
 denominators), and the terms t(az)^(q-1) for every point and every monic a
 of every degree that point needs are one stack of (point, a) rows.  The
 points differ in n, so in v(z) and in every valuation after it, and each
@@ -305,9 +307,14 @@ def t_pow_qm1(ctx: EvalContext, z_at, terms: _Terms, targets: dict):
     v_s = -v_t1 + Fraction(q, q - 1)
     s_targets = {(n, d): v_s - k1[n + d] + ell + 1 for n, d in targets}
     s_val = carlitz_S(ctx, z_at, terms, s_targets)
-    # t^(q-1) = S (1/S)^q / pi^(q-1); (1/S)^q is kept to the relative length of S
+    # t^(q-1) = S (1/S)^q / pi^(q-1); (1/S)^q is kept to the relative length
+    # of S, so 1/S only to ceil(keep/q), and S only as far as that inverse needs
     keep = s_val.prec - (q + 1) * v_s
-    inv_q = _truncate(_truncate(s_val.inverse(), keep / q).frobenius_q(), keep)
+    need = math.ceil(keep / q)
+    inv = _truncate(s_val, need + 2 * v_s).inverse()
+    if inv.prec < need:
+        raise InvariantError(f"1/S is known to {inv.prec}, (1/S)^q needs {need}")
+    inv_q = _truncate(inv.frobenius_q(), keep)
     t_qm1 = _truncate(s_val * (inv_q * ctx.pi_inv), t_prec)
     _assert_rows(t_qm1, (q - 1) * v_t1, [kt[m] for m in terms.m], "v(t(az)^(q-1))", terms.where)
     return t_qm1

@@ -377,6 +377,15 @@ def _times(a: LaurentSeries, c) -> LaurentSeries:
     return a * c
 
 
+def _square(x: LaurentSeries) -> LaurentSeries:
+    """x * x; in characteristic 2 the Frobenius image x^2, no product, cut to
+    the precision prec + v the product has."""
+    if x.field.p != 2 or x.is_zero_known():
+        return x * x
+    sq = x.frobenius_p()
+    return sq if x.prec is None else sq.truncate(x.prec + x.n0)
+
+
 class QuadSeriesContext:
     """The relation xi^2 = s xi + t, xi^q = alpha + beta xi over one
     coefficient field, with t to a fixed precision.
@@ -405,7 +414,7 @@ class QuadSeriesContext:
             term = self.t
             for _ in range(qf.base.r * qf.base.m):
                 sigma = sigma + term
-                term = (term * term).truncate(self.t.prec)
+                term = _square(term).truncate(self.t.prec)
             self.alpha, self.beta = sigma, 1
         else:
             # xi^q = T^(q/2): the xi-part collapses under Frobenius
@@ -453,8 +462,7 @@ class QuadSeries:
     def norm(self) -> LaurentSeries:
         """x^2 + s x y - t y^2."""
         x, y = self.x, self.y
-        yy = y * y
-        return _mac(x * x, x, y if self.ctx.s else 0) - yy * self.ctx.t
+        return _mac(_square(x), x, y if self.ctx.s else 0) - _square(y) * self.ctx.t
 
     def inverse(self) -> "QuadSeries":
         n = self.norm()
@@ -606,7 +614,7 @@ def embed(zs: list, prec: int, offsets: list | None = None):
     the coefficients lie in `value_field`.  Each z is read
     as it is held, (x + y xi)/den, or as (x/den + (y/den) xi)/1 when den
     divides x and y: the unit parts den/T^deg den of all rows are inverted by
-    one Newton call, made only when some unit part is not 1, and the
+    one `inverse` call, made only when some unit part is not 1, and the
     numerators, shifted by T^(offset - deg den), are multiplied by them as
     one stacked product.  Every digit is exact, so each row equals the
     element embedded alone and shifted.

@@ -143,3 +143,33 @@ def test_height_constants_are_held_by_the_base_field(p, r, monkeypatch):
     assert [a for a in asked if a[0] == "sqrt" or a[1] in (2, q)] == []
     final_certificate(base)  # its own ln calls are on other arguments, x = q among them
     assert ("ln", 2) not in asked
+
+
+@pytest.mark.parametrize("p, r, bound", [(2, 1, 32), (3, 1, 27), (2, 2, 16)])
+def test_disc_and_conductor_enclosures_are_held_by_the_base_field(p, r, bound, monkeypatch):
+    # |D|^(1/2) is enclosed once per deg D and ln deg f once per deg f, equal
+    # to fresh enclosures; a cold height on held degrees encloses nothing afresh
+    from drinfeld_cm import certlog
+    from drinfeld_cm.bounds import ln_int, lower_bounds_h, sqrt_disc
+
+    base = field(p, r)
+    q = base.q
+    orders = list(iter_orders(base, bound))
+    ds = sorted({o.disc_deg() for o in orders} - {0})  # the easy bound needs deg D >= 1
+    fs = sorted({o.f.deg for o in orders} - {0})
+    assert len(ds) > 1 and fs
+    asked = []
+    for name in ("exp_q", "ln"):
+        real = getattr(certlog, name)
+        monkeypatch.setattr(certlog, name, lambda *a, real=real, name=name: asked.append((name, a[0])) or real(*a))
+    for order in orders:
+        lower_bounds_h(order)
+    assert sorted(x for name, x in asked if name == "exp_q") == [Fraction(d, 2) for d in ds]
+    assert sorted(x for name, x in asked if name == "ln") == sorted(fs + [2, q])  # ln 2, ln q: field_constants
+    assert all(sqrt_disc(base, d) == certlog.exp_q(Fraction(d, 2), q) for d in ds)
+    assert all(ln_int(base, n) == certlog.ln(n) for n in fs)
+    asked.clear()
+    for order in orders:
+        OrderCM.of(order).height_bounds = None
+        lower_bounds_h(order)
+    assert asked == []

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_products
 from drinfeld_cm.errors import BadInputError, PrecisionError
-from drinfeld_cm.ffield import field
+from drinfeld_cm.ffield import field, sqrt as ff_sqrt
 from drinfeld_cm import laurent
 from drinfeld_cm.laurent import LaurentSeries, _packing, _raw_mul, pi_power_qm1
 from drinfeld_cm.modforms import EvalContext
@@ -320,3 +321,137 @@ def test_series_power_makes_only_the_needed_products(e, monkeypatch):
     got = x**e
     assert got == want and got.prec == want.prec
     assert len(calls) == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0)
+
+
+# -- Frobenius descent ---------------------------------------------------------
+
+
+def newton_inverse(x: LaurentSeries) -> LaurentSeries:
+    """1/x by Newton's iteration y <- y + y (1 - u y), the precision doubling
+    each step: the method `LaurentSeries.inverse` replaced, kept as its oracle."""
+    fld, v = x.field, x.n0
+    ell = x.prec - v
+    U = x.comps
+    lead = (U[:, :, 0] @ laurent._tensors(fld)["codes"]).tolist()
+    y = np.array([fld.coords(fld.inv(c)) for c in lead], dtype=np.int64)[:, :, None]
+    one = np.array(fld.coords(1), dtype=np.int64)
+    known = 1
+    while known < ell:
+        known = min(2 * known, ell)
+        r = (-_raw_mul(fld, U[:, :, :known], y, known)) % fld.p
+        r[:, :, 0] = (r[:, :, 0] + one) % fld.p
+        corr = _raw_mul(fld, y, r, known)
+        ynew = np.zeros(corr.shape, dtype=np.int64)
+        ynew[:, :, : y.shape[2]] = y
+        y = (ynew + corr) % fld.p
+    return LaurentSeries(fld, -v, y, x.prec - 2 * v)
+
+
+def newton_sqrt(x: LaurentSeries) -> LaurentSeries:
+    """The canonical square root of a one-row x by Newton's iteration for
+    r = u^(-1/2), r <- r + r (1 - u r^2)/2, then u r: the oracle of `sqrt`."""
+    fld, v = x.field, x.n0
+    ell = x.prec - v
+    U = x.comps
+    root0 = ff_sqrt(fld, x.sgn_code())
+    inv2 = laurent._scalar_matrix(fld, fld.inv(2 % fld.p))
+    one = np.array(fld.coords(1), dtype=np.int64)
+    r = np.array(fld.coords(fld.inv(root0)), dtype=np.int64).reshape(1, fld.s, 1)
+    known = 1
+    while known < ell:
+        known = min(2 * known, ell)
+        r2 = _raw_mul(fld, r, r, known)
+        e = (-_raw_mul(fld, U[:, :, :known], r2, known)) % fld.p
+        e[:, :, 0] = (e[:, :, 0] + one) % fld.p
+        corr = _raw_mul(fld, r, (inv2 @ e) % fld.p, known)
+        rnew = np.zeros(corr.shape, dtype=np.int64)
+        rnew[:, :, : r.shape[2]] = r
+        r = (rnew + corr) % fld.p
+    unit = LaurentSeries(fld, 0, U, ell) * LaurentSeries(fld, 0, r, ell)
+    return LaurentSeries(fld, v // 2, unit.comps, x.prec - v // 2)
+
+
+# q != p on field(2, 2), field(3, 2), F16 and field(5, 2): the p-power and q-power maps differ
+DESCENT_FIELDS = [F2, F3, F4, field(5), field(7), field(3, 2), F9, F16, field(5, 2), F25]
+
+
+def unit_stack(fld, rows, ell, seed, n0=0, square_lead=False):
+    """A stack of `rows` random rows of valuation n0, known to n0 + ell, each
+    with a nonzero (for square_lead, a square) leading digit."""
+    rng = np.random.default_rng(seed)
+    comps = rng.integers(0, fld.p, (rows, fld.s, ell))
+    for r in range(rows):
+        c = int(rng.integers(1, fld.order))
+        comps[r, :, 0] = fld.coords(fld.mul(c, c) if square_lead else c)
+    return LaurentSeries(fld, n0, comps, n0 + ell)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(DESCENT_FIELDS), st.integers(1, 6), st.integers(1, 80), st.integers(-5, 5), st.integers(0, 2**32))
+def test_descent_inverse_equals_newton(fld, rows, ell, n0, seed):
+    x = unit_stack(fld, rows, ell, seed, n0)
+    inv = x.inverse()
+    want = newton_inverse(x)
+    assert (inv.n0, inv.prec) == (want.n0, want.prec) == (-n0, n0 + ell - 2 * n0)
+    assert np.array_equal(inv.comps, want.comps)
+    prod = x * inv
+    assert prod.prec == ell and (prod - LaurentSeries.one(fld)).is_zero_known()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([f for f in DESCENT_FIELDS if f.p > 2]), st.integers(1, 80), st.integers(-3, 3), st.integers(0, 2**32))
+def test_descent_sqrt_equals_newton(fld, ell, half_v, seed):
+    x = unit_stack(fld, 1, ell, seed, 2 * half_v, square_lead=True)
+    y = x.sqrt()
+    want = newton_sqrt(x)
+    assert (y.n0, y.prec) == (want.n0, want.prec) == (half_v, x.prec - half_v)
+    assert np.array_equal(y.comps, want.comps)
+    assert y * y == x
+    assert y.sgn_code() == ff_sqrt(fld, x.sgn_code())  # the canonical branch
+
+
+@pytest.mark.parametrize(
+    "fld, ell, products",
+    [
+        (F2, 1, 0),
+        (F2, 2, 1),
+        (F2, 80, 7),  # lengths 80 40 20 10 5 3 2 1; u^1 costs nothing
+        (F4, 33, 6),  # 33 17 9 5 3 2 1
+        (F3, 1, 0),
+        (F3, 3, 2),  # 3 1, and u^2
+        (F3, 80, 5),  # 80 27 9 3 1, and u^2
+        (field(5), 80, 5),  # 80 16 4 1, and u^2, u^4
+        (field(7), 80, 6),  # 80 12 2 1, and u^2, u^3, u^6
+        (F25, 26, 5),  # 26 6 2 1, and u^2, u^4
+    ],
+)
+def test_descent_inverse_product_count(fld, ell, products, monkeypatch):
+    x = unit_stack(fld, 3, ell, ell)
+    want = newton_inverse(x)
+    calls = count_products(monkeypatch)
+    assert x.inverse() == want
+    assert len(calls) == products
+
+
+@pytest.mark.parametrize(
+    "fld, ell, products",
+    [(F3, 80, 5), (field(5), 80, 5), (field(7), 80, 6), (F9, 9, 3)],  # levels, u^((p-1)/2), and u r
+)
+def test_descent_sqrt_product_count(fld, ell, products, monkeypatch):
+    x = unit_stack(fld, 1, ell, ell, square_lead=True)
+    calls = count_products(monkeypatch)
+    x.sqrt()
+    assert len(calls) == products
+
+
+@pytest.mark.parametrize("fld", [F2, F3, F4, F9, F16, field(3, 2), field(5, 2)], ids=lambda f: f"p{f.p}q{f.q}s{f.s}")
+def test_frobenius_p_is_the_p_th_power(fld):
+    rng = random.Random(fld.order + fld.q)
+    for _ in range(10):
+        x = rand_series(fld, rng, prec=14)
+        want = LaurentSeries.one(fld)
+        for _ in range(fld.p):
+            want = want * x
+        y = x.frobenius_p()
+        assert y.prec == fld.p * x.prec and y.n0 == fld.p * x.n0
+        assert y.truncate(want.prec) == want

@@ -1,3 +1,4 @@
+import math
 from collections import OrderedDict
 from dataclasses import replace
 from fractions import Fraction
@@ -12,6 +13,7 @@ from drinfeld_cm.brownval import brown_prec, log_abs_j, moduli_of
 from drinfeld_cm.cmpoints import enumerate_points
 from drinfeld_cm import brownval, modforms
 from drinfeld_cm.modforms import (
+    _truncate,
     eval_j,
     eval_j_stack,
     hilbert_poly,
@@ -19,7 +21,7 @@ from drinfeld_cm.modforms import (
     verify_lemma_A1,
     verify_lemma_A2,
 )
-from drinfeld_cm.quadfield import order_from, order_from_discriminant, validate_field
+from drinfeld_cm.quadfield import QuadSeries, order_from, order_from_discriminant, validate_field
 
 from conftest import empty_registry
 
@@ -360,3 +362,69 @@ def test_stacked_retry_matches_one_point_retry(monkeypatch):
         assert len(group) > 1 and len(works) == 2  # one retry
         for jv, pt in zip(rows, group):
             assert same_value(jv, eval_j(pt, 20)) and jv.value.prec == 20
+
+
+def parent_t_pow_qm1(ctx, z_at, terms, targets):
+    """t(az)^(q-1) as `t_pow_qm1` made it with 1/S taken to the whole
+    relative length of S and then cut at keep/q: the oracle of the cut."""
+    q = ctx.q
+    theta, m0 = modforms._theta(terms.pts[0]), int(terms.m[0])
+    k1 = modforms._theta_offsets(theta, q, terms.m.tolist(), m0)
+    v_t1 = theta * q**m0
+    t_prec = max(t - (q - 1) * k1[n + d] for (n, d), t in targets.items())
+    ell = t_prec - (q - 1) * v_t1
+    v_s = -v_t1 + Fraction(q, q - 1)
+    s_val = modforms.carlitz_S(ctx, z_at, terms, {(n, d): v_s - k1[n + d] + ell + 1 for n, d in targets})
+    keep = s_val.prec - (q + 1) * v_s
+    inv_q = _truncate(_truncate(s_val.inverse(), keep / q).frobenius_q(), keep)
+    return _truncate(s_val * (inv_q * ctx.pi_inv), t_prec)
+
+
+@pytest.mark.parametrize("name", sorted(STACK_ORDERS))
+def test_t_pow_qm1_inverts_S_only_to_the_digits_its_q_th_power_keeps(name, monkeypatch):
+    # (1/S)^q is cut at keep, so 1/S must reach ceil(keep/q): S is cut at the
+    # least precision whose inverse does, and t^(q-1) is the oracle's
+    calls = []
+    real_S, real_t = modforms.carlitz_S, modforms.t_pow_qm1
+
+    def recording_S(*args):
+        calls[-1]["S"] = real_S(*args)
+        return calls[-1]["S"]
+
+    def recording_t(*args):
+        calls.append({"args": args})
+        calls[-1]["t"] = real_t(*args)
+        return calls[-1]["t"]
+
+    def recording_inverse(real):
+        def inverse(self):
+            out = real(self)
+            call = calls[-1] if calls else {}
+            if "S" in call and "cut" not in call and isinstance(self, type(call["S"])):
+                call["cut"], call["inv"] = self, out  # the first inverse of S's kind after S
+            return out
+
+        return inverse
+
+    pts = enumerate_points(STACK_ORDERS[name]())
+    with monkeypatch.context() as m:
+        m.setattr(modforms, "carlitz_S", recording_S)
+        m.setattr(modforms, "t_pow_qm1", recording_t)
+        for cls in (LaurentSeries, QuadSeries):
+            m.setattr(cls, "inverse", recording_inverse(cls.inverse))
+        for prec in ([brown_prec(p) for p in pts], 60):
+            eval_j_stack(pts, prec)
+    assert calls
+    for call in calls:
+        s, q = call["S"], call["args"][0].q
+        v_s = s.valuation()
+        need = math.ceil((s.prec - (q + 1) * v_s) / q)
+        assert call["inv"].prec == need and call["cut"].prec == need + 2 * v_s
+        assert _truncate(s, need + 2 * v_s - 1).inverse().prec < need
+        want = parent_t_pow_qm1(*call["args"])
+        assert coordinates(call["t"]) == coordinates(want)
+
+
+def coordinates(v) -> tuple:
+    """The Laurent coordinates of a value: itself, or x and y of a QuadSeries."""
+    return (v,) if isinstance(v, LaurentSeries) else (v.x, v.y)

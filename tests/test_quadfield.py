@@ -19,6 +19,7 @@ from drinfeld_cm.quadfield import (
     order_from_discriminant,
     round_to_A,
     validate_field,
+    _square,
     xi_series,
 )
 
@@ -416,6 +417,34 @@ def test_round_to_a_reads_coefficients_in_the_base_presentation(base):
         outside = next(c for c in rng.sample(range(ext.order), ext.order) if c not in emb)
         with pytest.raises(InvariantError, match="Galois-stable"):
             round_to_A(s + LaurentSeries.constant(ext, outside), base)
+
+
+@pytest.mark.parametrize("name", ["even_sep F4", "even_insep F4"])
+def test_char2_squares_are_frobenius_images_at_the_product_precision(name):
+    # norm and the even_sep alpha square by frobenius_p, cut to prec + v:
+    # the same series, to the same precision, as the products they replace
+    k = RAMIFIED[name][0]()
+    rng = random.Random(17)
+    for cdesc in (k.base, quadratic_extension(k.base)):
+        ctx = QuadSeriesContext(k, cdesc, 30)
+        sigma, term = LaurentSeries.zero(cdesc, ctx.t.prec), ctx.t
+        for _ in range(k.base.r * k.base.m):
+            sigma, term = sigma + term, (term * term).truncate(ctx.t.prec)
+        if k.flavor == "even_sep":
+            assert ctx.alpha == sigma
+        for _ in range(20):
+            x, y = (rand_series(cdesc, rng, rng.randint(-3, 3), rng.randint(0, 25)) for _ in "xy")
+            for a in (x, y, x.truncate(x.n0 + 1), LaurentSeries.from_poly(P(k.base, "T^3+T"), cdesc)):
+                assert _square(a) == a * a
+            want = x * x + (x * y if k.s else LaurentSeries.zero(cdesc)) - (y * y) * ctx.t
+            got = QuadSeries(ctx, x, y).norm()
+            assert got == want and got.prec == want.prec
+
+
+def rand_series(fld, rng, n0, length):
+    """A one-row series of valuation n0 known to n0 + length + 1 (digits random)."""
+    codes = [rng.randrange(1, fld.order)] + [rng.randrange(fld.order) for _ in range(length)]
+    return LaurentSeries.from_codes(fld, n0, codes, n0 + length + 1)
 
 
 def sep4(B, C):
