@@ -147,7 +147,9 @@ def l_route(field: QuadField) -> LPolyData:
 
 
 def check_class_bound(order: Order, h: int) -> dict:
-    """h = h(O) <= 37/(2(q+1)) sqrt|D| (log_q|D|)^2 for inert orders with |D| > 1."""
+    """h = h(O) <= 37/(2(q+1)) sqrt|D| (log_q|D|)^2 for inert orders with |D| > 1,
+    and h(O_K) <= 2/(q+1) q^(deg D_K/2) deg D_K for the maximal order when
+    D_K is not constant; InvariantError when either fails."""
     field = order.field
     if field.infinite_type != "inert":
         raise BadInputError("the class bound is stated for the inert case")
@@ -171,4 +173,6 @@ def check_class_bound(order: Order, h: int) -> dict:
         report["maximal_bound_holds"] = hk <= sub
     if not report["holds"]:
         raise InvariantError(f"class bound fails for {order.label()}")  # pragma: no cover
+    if not report.get("maximal_bound_holds", True):
+        raise InvariantError(f"class bound h(O_K) <= 2/(q+1) q^(deg D_K/2) deg D_K fails for {order.label()}")
     return report

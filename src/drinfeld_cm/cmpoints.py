@@ -12,7 +12,8 @@ fractional defect eps is 0 (inert) or 1/2 (ramified); `enumerate_points`
 replays that identity from the polynomials.  Points on the unit sphere of
 an inert field acquire an elliptic neighbor e in F_{q^2}\\F_q together with
 the exact distance |z - e|, a power of q; both are read from the integer
-data with no series (`elliptic_neighbor`).
+data with no series (`elliptic_neighbor`), and so are the closeness tests
+of the approximation lemmas near e (`majb_check`).
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from fractions import Fraction
 from .errors import BadInputError, InvariantError
 from .certlog import exact_log_q
 from .ffield import artin_schreier_solve, embedding_table, quadratic_extension, sqrt as ff_sqrt
-from .laurent import LaurentSeries
 from . import polyring as pr
 from .polyring import Poly
-from .quadfield import Order, QuadElement, RatFunc, embed
+from .quadfield import Order, QuadElement, RatFunc
 
 
 @dataclass(frozen=True)
@@ -214,45 +214,34 @@ def c_epsilon_set(points: list, eps: Fraction) -> list:
 
 
 def majb_check(pt: CMPoint, eps: Fraction) -> dict:
-    """Exact data for the near-elliptic approximation lemmas.
+    """Exact data for the near-elliptic approximation lemmas, read from the
+    integer data (a, b, c) with no series.
 
     For a point with |z - e| < eps: |a| = |D|^(1/2), |b| < eps|a|, and the
     flavor-specific closeness |sqrt(D)/(2e) - a| < eps|a| (odd) resp.
     |fG - a| < eps|a| and |b + beta*fG| < eps|a| with beta = xi - e (even).
+
+    Odd: sqrt(D) = 2az + b is the point's branch.  As |z - e| < 1 and
+    |b| < |a|, its leading coefficient is 2e, so |sqrt(D) + 2ae| = |4ae| =
+    |a|; and (sqrt(D) - 2ae)(sqrt(D) + 2ae) = D - 4a^2 e^2 with |2e| = 1, so
+    log_q|sqrt(D)/(2e) - a| = deg(D - 4a^2 e^2) - deg a, where 4e^2 = sgn(D)
+    (`elliptic_neighbor` asserts e^2 = sgn(D)/4).
+    Even: z = (b + fG xi)/a, so b + beta fG = az - e fG = a(z - e) + e(a - fG)
+    with |e| = 1.  Its size is at most the larger of |a||z - e| < eps|a| and
+    |a - fG|, and equal to |a - fG| when that is >= eps|a|.  So
+    |b + beta fG| < eps|a| exactly when |a - fG| < eps|a|, that is when
+    deg(a - fG) < deg a + log_q eps: one degree decides both tests.
     """
     order = pt.order
     k = order.field
-    base = k.base
     if pt.dist_e_log is None or not pt.dist_e < eps:
         raise BadInputError("majb_check needs a point with |z - e| < eps")
-    q = base.q
     out = {"a_matches_sqrtD": 2 * pt.a.deg == order.D_O.deg}
-    eps_a_log = exact_log_q(eps, q) + pt.a.deg  # log_q(eps |a|)
+    eps_a_log = exact_log_q(eps, k.base.q) + pt.a.deg  # log_q(eps |a|)
     out["b_small"] = pt.b.is_zero() or pt.b.deg < eps_a_log
-    floor = elliptic_floor_log(order)
-    p = floor + 12
-    desc2 = quadratic_extension(base)
-    flat = embed([pt.z], p)
-    a_s = LaurentSeries.from_poly(pt.a, desc2)
-    b_s = LaurentSeries.from_poly(pt.b, desc2)
     if k.flavor == "odd":
-        two = LaurentSeries.constant(desc2, 2 % base.p, None)
-        sqrtD = two * a_s * flat + b_s
-        e_inv = desc2.inv(desc2.mul(2 % base.p, pt.e_code))
-        w = sqrtD.scale(e_inv) - a_s
-        v = w.valuation()
-        out["sqrtD_over_2e_close"] = v is None or -v < eps_a_log
+        w = order.D_O - (pt.a * pt.a).scale(order.D_O.sgn)  # deg of the zero polynomial is NEG_INF
+        out["sqrtD_over_2e_close"] = w.deg - pt.a.deg < eps_a_log
     else:
-        fG = order.f * k.G
-        fg_s = LaurentSeries.from_poly(fG, desc2)
-        w1 = fg_s - a_s
-        v1 = w1.valuation()
-        out["fG_close"] = v1 is None or -v1 < eps_a_log
-        xi = (flat * a_s - b_s) * fg_s.truncate(p + fG.deg + 2).inverse()
-        beta = xi - LaurentSeries.constant(desc2, pt.e_code, None)
-        if not (beta - beta.conjugate()).is_zero_known():
-            raise InvariantError("xi - e is not in k_infinity")
-        w2 = b_s + beta * fg_s
-        v2 = w2.valuation()
-        out["b_beta_close"] = v2 is None or -v2 < eps_a_log
+        out["fG_close"] = out["b_beta_close"] = (pt.a - order.f * k.G).deg < eps_a_log
     return out

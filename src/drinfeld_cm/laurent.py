@@ -321,15 +321,6 @@ class LaurentSeries:
             return self
         return LaurentSeries(self.field, self.n0, self.comps[np.asarray(index)], self.prec, reduced=True)
 
-    def fold(self, k: int) -> "LaurentSeries":
-        """Sum each run of k consecutive rows: a stack of rows/k rows (a
-        one-row series stands for every row, so each sum is k times it)."""
-        if self.comps.shape[0] == 1:
-            return self.scale(k % self.field.p)
-        c = self.comps
-        summed = c.reshape(c.shape[0] // k, k, c.shape[1], c.shape[2]).sum(axis=1) % self.field.p
-        return LaurentSeries(self.field, self.n0, summed, self.prec, reduced=True)
-
     def spread(self, rows: int, index, shifts) -> "LaurentSeries":
         """The stack of `rows` rows whose row i is the sum of the rows k with
         index[k] = i, each times T^-shifts[k] (its exponents raised by
@@ -542,15 +533,6 @@ class LaurentSeries:
         if not self.comps.shape[2]:
             return LaurentSeries(self.field, 0, self.comps, prec, reduced=True)
         return LaurentSeries(self.field, k * self.n0, _dilate(self.field, self.comps, key, k), prec, reduced=True)
-
-    def conjugate(self) -> "LaurentSeries":
-        """Coefficientwise x -> x^q, the exponents kept: over F_{q^2} the
-        conjugate zbar of z under Gal(F_{q^2}/F_q)."""
-        if not self.comps.shape[2]:
-            return self
-        fld = self.field
-        mapped = (_tensors(fld)["frob"] @ self.comps) % fld.p
-        return LaurentSeries(fld, self.n0, mapped, self.prec, reduced=True)
 
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse of every row; requires finite precision

@@ -48,6 +48,12 @@ a class polynomial's working precision) go to separate stacks of the one
 call (`_close`).  Each row's valuation is still
 asserted against its own formula, and its plan is its own truncation need,
 so every row equals what `eval_j`, the one-point case, makes at that point.
+
+The appendix lemmas A.1 and A.2 run on the same stacks (`verify_appendix`):
+all points of an order are one stack of (point, a) rows over every degree
+of a that either lemma needs at that point, with one embedding of z, one
+Carlitz sum S, R = S - az and one inverse of S.  Each A.2 sum is then one
+stacked product a^mu S^-delta R^nu, gathered into its point's row.
 """
 
 from __future__ import annotations
@@ -534,114 +540,98 @@ def eval_j(pt: CMPoint, prec: int) -> JValue:
 # appendix lemmas as runnable checks
 
 
-def verify_lemma_A1(pts: list, max_deg_a: int = 2, extra_prec: int = 6) -> list:
-    """v(t(az)) = (q/(q-1) - eps) q^(n + deg a) and the companion for delta_a,
-    at points of one order as one stack.
+def verify_appendix(pts: list, params, max_deg_a: int = 2, extra_prec: int = 8) -> list:
+    """Lemmas A.1 and A.2 at points of one order, as one stack.
 
-    Returns, per point, one report row per monic a with deg a <= max_deg_a;
-    every row's `ok` must be True (exact Fraction equality of valuations).
-    Each sum is resolved with a small relative window around its own
-    valuation, so the check stays cheap even at points with huge
-    |t|-valuations.  The rows are held relative to the point of least n (see
-    the module doc).
+    A.1: delta_a = 1/t(az) - pi a z = pi (S_a - az) has valuation
+    -(q/(q-1) - eps) q^(n + deg a), for every monic a with deg a <= max_deg_a.
+    (The companion v(t(az)) = (q/(q-1) - eps) q^(n + deg a) is not reported:
+    `carlitz_S` asserts v(S_a) = -v(t(az)) + q/(q-1) on every row.)
+    A.2: for each (delta, mu, nu) of params, with delta >= nu + 1 and
+    mu < q^n (delta - nu)(q - eps(q-1)) at every point (BadInputError
+    otherwise), sum_a a^mu t(az)^delta delta_a(z)^nu has valuation
+    (delta - nu)(q/(q-1) - eps) q^n.  The sum is pi^(nu - delta) Q with
+    Q = sum_a a^mu S_a^(-delta) R_a^nu, R_a = S_a - az, so its valuation is
+    (delta - nu) q/(q-1) + v(Q).  The a-term of Q has valuation
+    (delta - nu)(q/(q-1) - eps) q^(n + deg a) - mu deg a - (delta - nu) q/(q-1),
+    increasing in deg a under the hypothesis, and Q is resolved to
+    extra_prec digits past its lemma valuation, from the degrees of a below
+    the first d > 0 whose terms lie beyond that.
+
+    One `_Terms` stack holds, at every point, the degrees of a that either
+    lemma needs there; z is embedded once, S once (every row to extra_prec +
+    q + 4 digits past its valuation), R = S - az and 1/S once.  Each A.2 sum
+    is one stacked product a^mu S^-delta R^nu gathered into its point's row:
+    the term of a at a point of n is held at the offset
+    o = (nu - delta) k_S(n + deg a) - mu deg a (k_S the offsets of S, see the
+    module doc) and moves to the point's row at o minus the offset at deg a = 0.
+    Returns, per point, (the A.1 rows, one per a; one A.2 row per entry of
+    params, with Q to extra_prec digits past the lemma's v(Q)); every row's
+    `ok` must be True (exact Fraction equality).
     """
     rank = sorted(range(len(pts)), key=lambda i: pts[i].n)
     pts = [pts[i] for i in rank]
     order, n0 = pts[0].order, pts[0].n
     q = order.field.q
     theta = _theta(pts[0])
-    ctx = _context_for(order, extra_prec + 3 * q + 14)
+    window = extra_prec + q + 4  # the digits of S past its valuation
+    cuts = []  # per entry of params, per point: the first degree of a that Q leaves out
+    for delta, mu, nu in params:
+        gamma = delta - nu
+        if gamma < 1:
+            raise BadInputError("need delta >= nu + 1")
+        if any(mu >= q**p.n * gamma * (q - p.eps * (q - 1)) for p in pts):
+            raise BadInputError("mu too large for the valuation lemma")
+        cut = []
+        for p in pts:  # the a-term of Q minus the lemma's v(Q): gamma theta (q^(n + d) - q^n) - mu d
+            d = 1
+            while gamma * theta * (q ** (p.n + d) - q**p.n) - mu * d < extra_prec:
+                d += 1
+            cut.append(d)
+        cuts.append(np.array(cut))
+    top = np.maximum.reduce([np.full(len(pts), max_deg_a + 1), *cuts])
+    ctx = _context_for(order, window + 3 * q + 14)
     off_z = [n0 - p.n for p in pts]
-    z_el = embed([p.z for p in pts], max(p.n + extra_prec + 14 - k for p, k in zip(pts, off_z)), off_z)
-    terms = _Terms(ctx, pts, [(d, list(range(len(pts)))) for d in range(max_deg_a + 1)])
+    z_el = embed([p.z for p in pts], max(p.n + window + 14 - k for p, k in zip(pts, off_z)), off_z)
+    terms = _Terms(ctx, pts, [(d, np.flatnonzero(top > d).tolist()) for d in range(int(top.max()))])
     ks = {m: -k for m, k in _theta_offsets(theta, q, terms.m.tolist(), n0).items()}
     v_s = -theta * q**n0 + Fraction(q, q - 1)  # at n0; at m it is v_s + ks[m]
-    s_targets = {(p.n, d): v_s + ks[p.n + d] + extra_prec for p in pts for d, _ in terms.blocks}
+    s_targets = {(pts[i].n, d): v_s + ks[pts[i].n + d] + window for d, idx in terms.blocks for i in idx}
     s_val = carlitz_S(ctx, lambda prec: z_el, terms, s_targets)
-    # delta_a = 1/t(az) - pi a z = pi*(S_a - az): v = -theta q^(n+deg a); a z is held by v(az) = eps - n - d
+    # a z is held by v(az) = eps - n - d, S by v(S) = v_s + ks[n + d]
     shifts = np.array([n0 - m - ks[m] for m in terms.m])
     az = _truncate(z_el.take(terms.point) * terms.powers(1), s_val.prec - int(shifts.min()))
     r_val = s_val - az.spread(len(shifts), range(len(shifts)), shifts)
-    rows: list = [[] for _ in pts]
-    for row, (v_s_row, v_r) in enumerate(zip(s_val.row_valuations(), r_val.row_valuations())):
-        m, k = int(terms.m[row]), int(terms.point[row])
-        v_t = theta * q**m
-        v_t_computed = -(v_s_row + ks[m] - Fraction(q, q - 1))
-        v_delta = v_r + ks[m] - Fraction(q, q - 1) if v_r is not None else None
-        rows[k].append(
-            {
-                "a": str(terms.monic(row)),
-                "v_t_expected": v_t,
-                "v_t_computed": v_t_computed,
-                "v_delta_expected": -v_t,
-                "v_delta_computed": v_delta,
-                "ok": v_t_computed == v_t and v_delta == -v_t,
-            }
-        )
+    rows: list = [([], []) for _ in pts]
+    for row, v_r in enumerate(r_val.row_valuations()):
+        if terms.deg[row] <= max_deg_a:
+            v = -theta * q ** int(terms.m[row])
+            v_delta = v_r + ks[int(terms.m[row])] - Fraction(q, q - 1) if v_r is not None else None
+            rows[terms.point[row]][0].append(
+                {"a": str(terms.monic(row)), "v_delta_expected": v, "v_delta_computed": v_delta, "ok": v_delta == v}
+            )
+    s_inv = s_val.inverse()
+    for (delta, mu, nu), cut in zip(params, cuts):
+        gamma = delta - nu
+        term = pr.binary_power(s_inv, delta)
+        if nu:
+            term = term * pr.binary_power(r_val, nu)
+        if mu:
+            term = term * terms.powers(mu)
+        use = np.flatnonzero(terms.deg < cut[terms.point])
+        o_point = [-gamma * ks[p.n] for p in pts]
+        o_row = [-gamma * ks[int(terms.m[r])] - mu * int(terms.deg[r]) - o_point[terms.point[r]] for r in use]
+        qsum = term.take(use).spread(len(pts), terms.point[use], o_row)
+        qsum = _truncate(qsum, -gamma * v_s + extra_prec)  # every row is held at the lemma's v(Q) at n0
+        for i, v_q in enumerate(qsum.row_valuations()):
+            total = v_q + o_point[i] + gamma * Fraction(q, q - 1) if v_q is not None else None
+            expected = gamma * theta * q ** pts[i].n
+            row = {"delta": delta, "mu": mu, "nu": nu, "expected": expected, "computed": total, "ok": total == expected}
+            rows[i][1].append({**row, "Q": _shift(qsum.take([i]), o_point[i])})
     out = [None] * len(pts)
     for r, i in enumerate(rank):
         out[i] = rows[r]
     return out
-
-
-def verify_lemma_A2(pt: CMPoint, delta: int, mu: int, nu: int, extra_prec: int = 8) -> dict:
-    """Valuation of sum_a a^mu t(az)^delta delta_a(z)^nu (period-free bookkeeping).
-
-    Hypotheses: delta >= nu + 1 and mu < q^n (delta - nu)(q - eps(q-1)).
-    The sum equals pi^(nu - delta) * Q with Q = sum_a a^mu S_a^(-delta) R_a^nu,
-    R_a = S_a - az, so its valuation is (delta-nu) q/(q-1) + v(Q); the lemma
-    predicts (delta - nu)(q/(q-1) - eps) q^n.
-    """
-    order = pt.order
-    q = order.field.q
-    if delta < nu + 1:
-        raise BadInputError("need delta >= nu + 1")
-    gamma = delta - nu
-    theta = Fraction(q, q - 1) - pt.eps
-    if mu >= q**pt.n * gamma * (q - pt.eps * (q - 1)):
-        raise BadInputError("mu too large for the valuation lemma")
-    expected = gamma * theta * q**pt.n
-    expected_q = expected - gamma * Fraction(q, q - 1)  # valuation of Q
-    target_q = expected_q + extra_prec
-    rel = (delta + nu + 2) * (extra_prec + q + 6)
-    ctx = _context_for(order, rel)
-    zprec = pt.n + extra_prec + 14
-    z_el = embed([pt.z], zprec)
-    qsum = None
-    d = 0
-    while True:
-        # v of the a-term of Q: gamma*theta*q^(n+d) - mu*d - gamma*q/(q-1)
-        v_term = gamma * theta * q ** (pt.n + d) - mu * d - gamma * Fraction(q, q - 1)
-        if v_term >= target_q and d > 0:
-            break
-        v_s = -theta * q ** (pt.n + d) + Fraction(q, q - 1)
-        s_window = extra_prec + q + 4
-        monics, a_stack = _monic_stack(order.field.base, ctx.cdesc, d, 1)
-        # one block: the stack is held relative to its first row, that is absolutely
-        s_val = carlitz_S(ctx, lambda prec: z_el, _Terms(ctx, [pt], [(d, [0])]), {(pt.n, d): v_s + s_window})
-        r_val = s_val - z_el * a_stack
-        # S_a^(-delta) R_a^nu a^mu, summed over the monic a of degree d
-        s_inv = s_val.inverse()
-        acc = None
-        for _ in range(delta):
-            acc = s_inv if acc is None else acc * s_inv
-        for _ in range(nu):
-            acc = acc * r_val
-        acc = (acc * _monic_stack(order.field.base, ctx.cdesc, d, mu)[1]).fold(len(monics))
-        qsum = acc if qsum is None else qsum + acc
-        d += 1
-        if d > 12:  # pragma: no cover
-            raise InvariantError("A2 sum did not terminate")
-    v_q = _truncate(qsum, target_q).valuation()
-    total = v_q + gamma * Fraction(q, q - 1) if v_q is not None else None
-    return {
-        "delta": delta,
-        "mu": mu,
-        "nu": nu,
-        "expected": expected,
-        "computed": total,
-        "ok": total == expected,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -541,9 +541,6 @@ class QuadSeries:
     def take(self, index) -> "QuadSeries":
         return QuadSeries(self.ctx, self.x.take(index), self.y.take(index))
 
-    def fold(self, k: int) -> "QuadSeries":
-        return QuadSeries(self.ctx, self.x.fold(k), self.y.fold(k))
-
     def spread(self, rows: int, index, shifts) -> "QuadSeries":
         return QuadSeries(self.ctx, self.x.spread(rows, index, shifts), self.y.spread(rows, index, shifts))
 

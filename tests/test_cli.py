@@ -210,3 +210,13 @@ def test_repeated_class_number_requests_build_one_field_and_one_l_route(spec, fi
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert len(built) == fields and len(routes) == 1
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("q, bound", [(3, 27), (2, 16)])
+def test_verify_stdout_is_pinned(q, bound, capsys):
+    # every suite's report, byte for byte, against the recorded run
+    assert cli.main(["verify", "--q", str(q), "--dbound", str(bound)]) == 0
+    assert capsys.readouterr().out == (DATA / f"verify_q{q}_d{bound}.txt").read_text()

@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from drinfeld_cm.errors import BadInputError, InvariantError
-from drinfeld_cm.ffield import field
+from drinfeld_cm.certlog import exact_log_q
+from drinfeld_cm.ffield import field, quadratic_extension
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.cmpoints import (
     c_epsilon_set,
@@ -14,7 +16,7 @@ from drinfeld_cm.cmpoints import (
 from drinfeld_cm.laurent import LaurentSeries
 from drinfeld_cm.quadfield import embed, order_from, order_from_discriminant, validate_field
 from drinfeld_cm.sweeps import iter_orders
-from test_quadfield import imag_part_log, lattice_dist_log
+from test_quadfield import conjugate, imag_part_log, lattice_dist_log
 
 F2 = field(2)
 F3 = field(3)
@@ -90,8 +92,8 @@ def test_elliptic_data_is_exact_and_matches_the_series(q, bound, monkeypatch):
         return real(zs, prec, **kwargs)
 
     real = quadfield.embed
-    monkeypatch.setattr(cmpoints, "embed", counting)
-    monkeypatch.setattr(quadfield, "embed", counting)
+    monkeypatch.setattr(quadfield, "embed", counting)  # cmpoints imports no embed
+    assert not hasattr(cmpoints, "embed")
     base = FIELDS[q]
     pools = [(o, enumerate_points(o)) for o in iter_orders(base, bound)]
     assert calls == []
@@ -203,6 +205,54 @@ def test_majb():
         if p.dist_e_log is not None:
             res = majb_check(p, Fraction(1))
             assert all(res.values()), res
+
+
+def series_majb(pt, eps):
+    """`majb_check`'s closeness tests read from the embedded series of z, as
+    `majb_check` once read them: its oracle."""
+    order = pt.order
+    k = order.field
+    base = k.base
+    out = {"a_matches_sqrtD": 2 * pt.a.deg == order.D_O.deg}
+    eps_a_log = exact_log_q(eps, base.q) + pt.a.deg  # log_q(eps |a|)
+    out["b_small"] = pt.b.is_zero() or pt.b.deg < eps_a_log
+    p = elliptic_floor_log(order) + 12
+    desc2 = quadratic_extension(base)
+    flat = embed([pt.z], p)
+    a_s = LaurentSeries.from_poly(pt.a, desc2)
+    b_s = LaurentSeries.from_poly(pt.b, desc2)
+    if k.flavor == "odd":
+        two = LaurentSeries.constant(desc2, 2 % base.p, None)
+        sqrtD = two * a_s * flat + b_s
+        e_inv = desc2.inv(desc2.mul(2 % base.p, pt.e_code))
+        v = (sqrtD.scale(e_inv) - a_s).valuation()
+        out["sqrtD_over_2e_close"] = v is None or -v < eps_a_log
+    else:
+        fG = order.f * k.G
+        fg_s = LaurentSeries.from_poly(fG, desc2)
+        v1 = (fg_s - a_s).valuation()
+        out["fG_close"] = v1 is None or -v1 < eps_a_log
+        xi = (flat * a_s - b_s) * fg_s.truncate(p + fG.deg + 2).inverse()
+        beta = xi - LaurentSeries.constant(desc2, pt.e_code, None)
+        assert (beta - conjugate(beta)).is_zero_known()  # xi - e lies in k_infinity
+        v2 = (b_s + beta * fg_s).valuation()
+        out["b_beta_close"] = v2 is None or -v2 < eps_a_log
+    return out
+
+
+@pytest.mark.parametrize("q, bound", [(2, 64), (3, 81), (4, 16), (5, 25)])
+def test_majb_from_the_integer_data_matches_the_series(q, bound):
+    # every near point and every eps in {1, 1/q, 1/q^2} that it lies within
+    checked = Counter()
+    for order in iter_orders(FIELDS[q], bound):
+        for p in enumerate_points(order):
+            for eps in (Fraction(1), Fraction(1, q), Fraction(1, q * q)):
+                if p.dist_e_log is not None and p.dist_e < eps:
+                    got = majb_check(p, eps)
+                    assert got == series_majb(p, eps), (order.label(), p.a, p.b, eps)
+                    assert got["a_matches_sqrtD"] and all(v for k, v in got.items() if k.endswith("close"))
+                    checked[eps] += 1
+    assert checked[1] > 0 and (q > 3 or checked[Fraction(1, q)] > 0)
 
 
 def fundamental_domain_check(pt) -> bool:

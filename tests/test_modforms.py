@@ -18,8 +18,7 @@ from drinfeld_cm.modforms import (
     eval_j_stack,
     hilbert_poly,
     unit_check,
-    verify_lemma_A1,
-    verify_lemma_A2,
+    verify_appendix,
 )
 from drinfeld_cm.quadfield import QuadSeries, order_from, order_from_discriminant, validate_field
 
@@ -64,29 +63,29 @@ def test_eval_j_matches_formula_other_flavors():
 
 
 def test_lemma_A1_identity():
-    # insep z = sqrt(T): v(t(z)) = (2 - 1/2)*2 = 3 (the worked example)
+    # insep z = sqrt(T): v(t(z)) = (2 - 1/2)*2 = 3 (the worked example), and v(delta_a) = -v(t(az))
     o = order_from(validate_field(F2, "even_insep"), pr.one(F2))
-    (rows,) = verify_lemma_A1([all_points(o)[0]], max_deg_a=2)
-    assert all(r["ok"] for r in rows)
-    assert rows[0]["v_t_computed"] == 3
+    ((rows, _),) = verify_appendix([all_points(o)[0]], [], max_deg_a=2)
+    assert all(r["ok"] for r in rows) and len(rows) == 1 + 2 + 4
+    assert rows[0]["v_delta_computed"] == -3
     # deg a = 1 scales the valuation by q
-    assert rows[1]["v_t_computed"] == 6
+    assert rows[1]["v_delta_computed"] == -6
     seed = [p for p in all_points(hayes_order()) if p.a.is_one()][0]
-    (rows3,) = verify_lemma_A1([seed], max_deg_a=2)
+    ((rows3, _),) = verify_appendix([seed], [], max_deg_a=2)
     assert all(r["ok"] for r in rows3)
-    assert rows3[0]["v_t_computed"] == Fraction(9, 2)  # v(t(z)^2) = 9
+    assert rows3[0]["v_delta_computed"] == -Fraction(9, 2)  # v(t(z)^2) = 9
 
 
 def test_lemma_A2():
     seed = [p for p in all_points(hayes_order()) if p.a.is_one()][0]
-    r1 = verify_lemma_A2(seed, 3, 1, 1)  # (delta=q, mu=1, nu=1)
+    # (delta=q, mu=1, nu=1) and (delta=q-1, nu=0): the leading term of 1 - gt
+    ((_, (r1, r2)),) = verify_appendix([seed], [(3, 1, 1), (2, 0, 0)])
     assert r1["ok"] and r1["expected"] == (3 - 1) * Fraction(3, 2) * 3
-    r2 = verify_lemma_A2(seed, 2, 0, 0)  # (delta=q-1, nu=0): leading term of 1 - gt
     assert r2["ok"]
     with pytest.raises(BadInputError):
-        verify_lemma_A2(seed, 1, 0, 1)  # delta < nu + 1
+        verify_appendix([seed], [(1, 0, 1)])  # delta < nu + 1
     with pytest.raises(BadInputError):
-        verify_lemma_A2(seed, 3, 10**6, 1)  # mu too large
+        verify_appendix([seed], [(3, 10**6, 1)])  # mu too large
 
 
 def test_hayes_product_and_branch():
@@ -428,3 +427,57 @@ def test_t_pow_qm1_inverts_S_only_to_the_digits_its_q_th_power_keeps(name, monke
 def coordinates(v) -> tuple:
     """The Laurent coordinates of a value: itself, or x and y of a QuadSeries."""
     return (v,) if isinstance(v, LaurentSeries) else (v.x, v.y)
+
+
+def per_point_lemma_A2(pt, delta, mu, nu, extra_prec=8):
+    """Q = sum_a a^mu S_a^(-delta) R_a^nu, R_a = S_a - az, at one point, to
+    extra_prec digits past the valuation Lemma A.2 gives it: one degree of a
+    at a time, each with its own Carlitz sum, up to the first d > 0 whose
+    terms lie beyond that.  The routine `verify_appendix` replaced, kept as
+    its oracle."""
+    order = pt.order
+    q = order.field.q
+    gamma = delta - nu
+    theta = modforms._theta(pt)
+    target_q = gamma * theta * q**pt.n - gamma * Fraction(q, q - 1) + extra_prec
+    ctx = modforms._context_for(order, (delta + nu + 2) * (extra_prec + q + 6))
+    z_el = modforms.embed([pt.z], pt.n + extra_prec + 14)
+    qsum = None
+    d = 0
+    while d == 0 or gamma * theta * q ** (pt.n + d) - mu * d - gamma * Fraction(q, q - 1) < target_q:
+        v_s = -theta * q ** (pt.n + d) + Fraction(q, q - 1)
+        monics, a_stack = modforms._monic_stack(order.field.base, ctx.cdesc, d, 1)
+        terms = modforms._Terms(ctx, [pt], [(d, [0])])
+        s_val = modforms.carlitz_S(ctx, lambda prec: z_el, terms, {(pt.n, d): v_s + extra_prec + q + 4})
+        s_inv, r_val = s_val.inverse(), s_val - z_el * a_stack
+        acc = s_inv
+        for _ in range(delta - 1):
+            acc = acc * s_inv
+        for _ in range(nu):
+            acc = acc * r_val
+        acc = acc * modforms._monic_stack(order.field.base, ctx.cdesc, d, mu)[1]
+        acc = acc.spread(1, [0] * len(monics), [0] * len(monics))  # the sum over the monics
+        qsum = acc if qsum is None else qsum + acc
+        d += 1
+    return _truncate(qsum, target_q)
+
+
+@pytest.mark.parametrize("extra_prec", [8, 30])
+@pytest.mark.parametrize("name", sorted(STACK_ORDERS))
+def test_appendix_stack_equals_per_point_sums(name, extra_prec):
+    # one stack over the order's points, which differ in n: every A.2 sum
+    # equals the per-point oracle digit for digit, not only in valuation (the
+    # valuation is that of the deg a = 0 term alone).  The largest mu the
+    # hypothesis allows at every point, and 30 digits, bring the terms of
+    # deg a >= 1 into the digits compared.
+    pts = enumerate_points(STACK_ORDERS[name]())
+    q = pts[0].order.field.q
+    mu = min(math.ceil(q**p.n * (q - p.eps * (q - 1))) for p in pts) - 1
+    params = [(q, 1, 1), (q - 1, 0, 0), (q, mu, 1)]
+    assert len({p.n for p in pts}) > 1
+    for pt, (a1, a2) in zip(pts, verify_appendix(pts, params, extra_prec=extra_prec)):
+        assert len(a1) == 1 + q + q * q and all(r["ok"] for r in a1)
+        for (delta, mu, nu), row in zip(params, a2):
+            assert (row["delta"], row["mu"], row["nu"]) == (delta, mu, nu) and row["ok"]
+            want = per_point_lemma_A2(pt, delta, mu, nu, extra_prec)
+            assert coordinates(row["Q"]) == coordinates(want)

@@ -339,3 +339,42 @@ def test_cardc_bound_runs_on_inert_orders_from_q4():
     # verify at q = 2, |D| <= 8 and q = 3, |D| <= 27 stays below |D| = q^4, where the cardC bound starts
     rep = check_elliptic_lemmas(field(2), 16)
     assert rep["ok"] and rep["cardC_checked"] == 60
+
+
+def test_appendix_runs_one_carlitz_sum_per_order_and_elliptic_embeds_nothing(monkeypatch):
+    # the order reports (points and j-values) are held before counting
+    from drinfeld_cm import modforms, quadfield
+
+    base = field(3)
+    orders = verify.check_brown_sweep(base, 27)["orders"]
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(modforms, "carlitz_S")
+    counting(modforms, "embed")
+    counting(quadfield, "embed")
+    assert verify.check_appendix_lemmas(base, 27) == {"name": "appendix", "ok": True, "points": 237}
+    assert calls.count("carlitz_S") == calls.count("embed") == orders == 69
+    calls.clear()
+    assert check_elliptic_lemmas(base, 27)["ok"] and calls == []
+
+
+def test_a_failing_maximal_class_bound_fails_verify(monkeypatch, capsys):
+    # h(O_K) past 2/(q+1) q^(deg D_K/2) deg D_K is an invariant violation:
+    # exit 1.  The reports, whose conductor counts read h(O_K) too, are held first
+    from drinfeld_cm import classno, cli
+
+    verify.check_hayes()
+    verify.check_brown_sweep(field(3), 9)
+    monkeypatch.setattr(classno, "maximal_class_number", lambda fld: 10**6)
+    assert cli.main(["verify", "--dbound", "9"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("invariant violation: class bound h(O_K) <= 2/(q+1)")
