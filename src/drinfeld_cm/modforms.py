@@ -48,6 +48,10 @@ a class polynomial's working precision) go to separate stacks of the one
 call (`_close`).  Each row's valuation is still
 asserted against its own formula, and its plan is its own truncation need,
 so every row equals what `eval_j`, the one-point case, makes at that point.
+A first round evaluates every point at its precision itself, with no
+digits to spare; only the rows whose tracked precision falls short are
+evaluated again, with their internal targets 18 and then 54 digits past it
+(`RETRY_MARGINS`).
 
 The appendix lemmas A.1 and A.2 run on the same stacks (`verify_appendix`):
 all points of an order are one stack of (point, a) rows over every degree
@@ -74,7 +78,7 @@ from .cmpoints import CMPoint
 from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of
 
 GUARD = 10
-MARGIN = 6  # digits past every target on a first round; x3 on each retry
+RETRY_MARGINS = (0, 18, 54)  # digits past every target on each round: the first at the target itself
 PAD = 1 << 16  # rows x digits^2 of padding worth one stack less (`_close`)
 
 
@@ -361,16 +365,17 @@ def _degrees(q: int, theta: Fraction, n: int, target_g: Fraction, target_d: Frac
             raise InvariantError("a-sum did not terminate")
 
 
-def _plan(pt: CMPoint, v_j: Fraction, prec: int, margin: int) -> dict:
-    """The truncation plan of the one-point evaluation of j at pt to
-    precision prec with this margin: the largest degree of a and the largest
-    Carlitz index its terms use.  It depends on q, eps, n, v(j), prec and
-    the margin alone, so the base field holds it."""
+def _plan(pt: CMPoint, v_j: Fraction, target: int) -> dict:
+    """The truncation plan of the one-point evaluation of j at pt whose
+    internal target is `target`, the precision asked for plus the round's
+    margin: the largest degree of a and the largest Carlitz index its terms
+    use.  It depends on q, eps, n, v(j) and that sum alone (an evaluation to
+    prec + 6 with margin 0 has the plan of one to prec with margin 6), so
+    the base field holds it under that sum."""
     q = pt.order.field.q
     theta = _theta(pt)
     v_d = (q - 1) * theta * q**pt.n
     v_g = (v_j + v_d) / (q + 1)
-    target = Fraction(prec) + margin
     plan = {"max_deg_a": 0, "e_c_terms": 0}
     for d, need_t in _degrees(q, theta, pt.n, target + v_d - q * v_g, target + 2 * v_d - (q + 1) * v_g):
         v_t1 = theta * q ** (pt.n + d)
@@ -432,9 +437,10 @@ def eval_gt_dt(ctx: EvalContext, pts: list, v_g: list, rel: Fraction):
     return ones - _truncate(moved, gt_prec), -dsum
 
 
-def _eval_rows(points: list, precs: list, margins: list) -> list:
-    """One round of `eval_j_stack` over points sorted by n: the JValue of
-    each point, or None where the tracked precision fell short."""
+def _eval_rows(points: list, precs: list, margin: int) -> list:
+    """One round of `eval_j_stack` over points sorted by n, every row to its
+    precision plus `margin` digits: the JValue of each point, cut at its
+    precision, or None where the tracked precision fell short."""
     pt = points[0]
     q = pt.order.field.q
     theta = _theta(pt)
@@ -443,9 +449,9 @@ def _eval_rows(points: list, precs: list, margins: list) -> list:
     v_d = [(q - 1) * theta * q**pt.n + kd[p.n] for p in points]
     v_g = [(a + b) / (q + 1) for a, b in zip(v_j, v_d)]
     # j, gt and dt share one relative length: the largest any row needs
-    rel = max(Fraction(p) - v + m for p, v, m in zip(precs, v_j, margins))
+    rel = max(Fraction(p) - v for p, v in zip(precs, v_j)) + margin
     # the Carlitz data to the largest absolute target of gt, dt and j
-    work = int(math.ceil(max(max(v_g) + rel, max(v_d) + rel, max(precs)))) + max(margins)
+    work = int(math.ceil(max(max(v_g) + rel, max(v_d) + rel, max(precs)))) + margin
     ctx = _context_for(pt.order, work + 4)
     gt, dt = eval_gt_dt(ctx, points, v_g, rel)
 
@@ -466,8 +472,8 @@ def _eval_rows(points: list, precs: list, margins: list) -> list:
         if vals[r] is None or vals[r] + k != v_j[r]:
             got = None if vals[r] is None else vals[r] + k
             raise InvariantError(f"numeric valuation of j is {got}, formula says {v_j[r]} ({where(r)})")
-        key = ("plan", p.eps, p.n, v_j[r], prec, margins[r])
-        plan = p.order.field.base.held(key, _plan, p, v_j[r], prec, margins[r])
+        target = prec + margin
+        plan = p.order.field.base.held(("plan", p.eps, p.n, v_j[r], target), _plan, p, v_j[r], target)
         out.append(JValue(p, _shift(jval.take([r]), k).truncate(prec), plan))
     return out
 
@@ -497,33 +503,32 @@ def eval_j_stack(points: list, prec) -> list:
     precision, and points of close relative need share one stack
     (`_close`).  Each row's valuation must match its exact formula.  Returns
     one JValue per point, in order, each equal to what `eval_j` makes at that
-    point, plan included.  A point whose tracked precision falls short is
-    evaluated again with enlarged internal targets (margin x3, at most three
-    rounds; the others keep their values), then PrecisionError is raised.
+    point, plan included.  The first round evaluates every point at its
+    precision itself; a point whose tracked precision falls short is
+    evaluated again with its internal targets that many digits past it, for
+    each margin of RETRY_MARGINS after the first in turn (the others keep
+    their values), then PrecisionError is raised.
     """
     precs = [prec] * len(points) if isinstance(prec, int) else list(prec)
     pt = points[0]
     if any(p.order != pt.order or p.eps != pt.eps for p in points):
         raise BadInputError("a stack needs points of one order")
     q = pt.order.field.q
-    margins = [MARGIN] * len(points)
     out = [None] * len(points)
     todo = list(range(len(points)))
-    for _ in range(3):
+    for margin in RETRY_MARGINS:
         # the relative need of j at each point: at the Brown precision every point of an order needs
         # about the same, at the working precision of a class polynomial classes of very different |j|
         # stack apart
-        rel = {i: Fraction(precs[i]) + log_abs_j(points[i]) + margins[i] for i in todo}
+        rel = {i: Fraction(precs[i]) + log_abs_j(points[i]) + margin for i in todo}
         for part in _close(todo, rel.get, lambda i: q**2):  # about q^2 terms a point
             part.sort(key=lambda i: points[i].n)
-            rows = _eval_rows([points[i] for i in part], [precs[i] for i in part], [margins[i] for i in part])
+            rows = _eval_rows([points[i] for i in part], [precs[i] for i in part], margin)
             for i, jv in zip(part, rows):
                 out[i] = jv
         todo = [i for i in todo if out[i] is None]
         if not todo:
             return out
-        for i in todo:
-            margins[i] *= 3
     raise PrecisionError(f"could not reach precision {precs[todo[0]]} for j at point a={points[todo[0]].a}")
 
 
@@ -557,6 +562,21 @@ def verify_appendix(pts: list, params, max_deg_a: int = 2, extra_prec: int = 8) 
     increasing in deg a under the hypothesis, and Q is resolved to
     extra_prec digits past its lemma valuation, from the degrees of a below
     the first d > 0 whose terms lie beyond that.
+
+    The A.2 verdict follows from A.1's at a = 1, so it checks nothing more.
+    With theta = q/(q-1) - eps and m = n + deg a, `carlitz_S` asserts
+    v(S_a) = -theta q^m + q/(q-1), the valuation of its dominant term, on
+    every row (it raises otherwise).  R_a is S_a without its i = 0 term, so
+    v(R_a) >= v(S_a), with equality exactly when A.1 holds at a, since
+    v(R_a) = v(delta_a) + q/(q-1).  If A.1 holds at a = 1, the a = 1 term
+    S_1^-delta R_1^nu has valuation -(delta - nu) v(S_1) exactly.  A term of
+    degree d >= 1 has valuation at least -(delta - nu) v(S_a) - mu d, which
+    is higher by (delta - nu) theta (q^(n+d) - q^n) - mu d >= d ((delta - nu)
+    theta (q - 1) q^n - mu) > 0 under the hypothesis on mu.  So v(Q) is
+    -(delta - nu) v(S_1), the lemma's value, at every point.  A term of
+    degree >= 1 that is misplaced, dropped or wrong therefore leaves every
+    A.2 `ok` True; only a comparison of the digits of Q with an independent
+    evaluation catches it.
 
     One `_Terms` stack holds, at every point, the degrees of a that either
     lemma needs there; z is embedded once, S once (every row to extra_prec +
@@ -680,13 +700,23 @@ class HilbertPoly:
 def hilbert_poly(order: Order) -> HilbertPoly:
     """Assemble the monic class polynomial from the distinct conjugates.
 
-    Each class's first point is evaluated at the working precision W (GUARD
-    + 6 digits past the coefficients' degree bound) before the moduli are
-    certified, so the numeric cross-check starts from these values and
-    `plan` is that of the evaluations at W (made again at W when the order's
-    OrderCM holds the value only at a higher precision).  The polynomial is
-    held on the OrderCM once its checks pass; a repeat runs only the count
-    check of the moduli.
+    The coefficients are rounded from the j-values at the working precision
+    W (GUARD + 6 digits past the coefficients' degree bound).  Each class's
+    first point is evaluated at W + 6 before the moduli are certified, so the
+    numeric cross-check starts from these values, and `plan` is that of the
+    evaluations at W + 6 (made again at W + 6 when the order's OrderCM holds
+    the value only at a higher precision).  Why W + 6: the printed plan
+    (`truncation`) is part of every stored class-polynomial answer, and it
+    was set when a first round ran 6 digits past its target.  A plan depends
+    on the precision plus the round's margin alone (`_plan`), and a first
+    round now runs at the target itself, so W + 6 runs exactly the
+    truncation that W with margin 6 ran: the same plan and the same work, and
+    the plan printed is the plan of the evaluation made.  (At plain W, the
+    plans of some even_sep orders over F_4 would print one Carlitz term
+    fewer.)  `moduli_of(order, value_prec=W)` cuts the values at W, so the
+    coefficients and residuals are those of W.  The polynomial is held on
+    the OrderCM once its checks pass; a repeat runs only the count check of
+    the moduli.
     """
     cm = OrderCM.of(order)
     if cm.hilbert is not None:
@@ -695,7 +725,7 @@ def hilbert_poly(order: Order) -> HilbertPoly:
     sum_pos = sum(max(Fraction(0), log_abs_j(cls[0])) for cls in cm.classes())
     W = int(math.ceil(sum_pos)) + GUARD + 6
     plans: dict = {}
-    for plan in cm.plans_at([cls[0] for cls in cm.classes()], W):
+    for plan in cm.plans_at([cls[0] for cls in cm.classes()], W + 6):
         plans = {k: max(plans.get(k, 0), v) for k, v in plan.items()}
     mods = moduli_of(order, value_prec=W)
     vals = [s.numeric for s in mods]

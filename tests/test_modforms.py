@@ -11,7 +11,7 @@ from drinfeld_cm.laurent import LaurentSeries
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.brownval import brown_prec, log_abs_j, moduli_of
 from drinfeld_cm.cmpoints import enumerate_points
-from drinfeld_cm import brownval, modforms
+from drinfeld_cm import brownval, modforms, sweeps
 from drinfeld_cm.modforms import (
     _truncate,
     eval_j,
@@ -361,6 +361,65 @@ def test_stacked_retry_matches_one_point_retry(monkeypatch):
         assert len(group) > 1 and len(works) == 2  # one retry
         for jv, pt in zip(rows, group):
             assert same_value(jv, eval_j(pt, 20)) and jv.value.prec == 20
+
+
+def record_rounds(monkeypatch) -> list:
+    """From now on, record (margin, points, short) for every call of
+    `modforms._eval_rows`, one round of a stack: short[i] is True where
+    points[i] fell short of its precision."""
+    rounds = []
+    real = modforms._eval_rows
+
+    def recording(points, precs, margin):
+        out = real(points, precs, margin)
+        rounds.append((margin, points, [jv is None for jv in out]))
+        return out
+
+    monkeypatch.setattr(modforms, "_eval_rows", recording)
+    return rounds
+
+
+def test_the_first_round_of_a_stack_runs_at_the_target(monkeypatch):
+    rounds = record_rounds(monkeypatch)
+    for make in STACK_ORDERS.values():
+        pts = enumerate_points(make())
+        eval_j_stack(pts, [brown_prec(p) for p in pts])
+        eval_j_stack(pts, 20)
+    assert rounds and all(margin == 0 and not any(short) for margin, _, short in rounds)
+
+
+@pytest.mark.parametrize("name", ["q3 odd inert", "q4 even_insep", "q5 odd inert"])
+def test_short_rows_reach_their_target_on_the_retry_at_margin_18(name, monkeypatch):
+    # Carlitz data 16 digits short leave rows of the first round, made at the
+    # target itself, short of it; only those rows are made again, 18 digits
+    # past the target, and reach it with the digits of an unstarved one-point
+    # evaluation and the plan of one made 18 digits further
+    pts = enumerate_points(STACK_ORDERS[name]())
+    want = [(eval_j(p, 20), eval_j(p, 38).plan) for p in pts]
+    real = modforms._context_for
+    monkeypatch.setattr(modforms, "_context_for", lambda order, prec: real(order, prec - 16))
+    rounds = record_rounds(monkeypatch)
+    rows = eval_j_stack(pts, 20)
+    made = {0: [], 18: []}  # the point indices of each margin's rounds, and whether they fell short
+    for margin, points, short in rounds:
+        made[margin] += [(pts.index(p), s) for p, s in zip(points, short)]
+    assert sorted(i for i, _ in made[0]) == list(range(len(pts)))
+    retried = sorted(i for i, s in made[0] if s)
+    assert retried and sorted(i for i, _ in made[18]) == retried and not any(s for _, s in made[18])
+    for i, jv in enumerate(rows):
+        one_point, plan = want[i]
+        assert jv.point == pts[i] and jv.value.prec == 20 and coordinates(jv.value) == coordinates(one_point.value)
+        assert jv.plan == (plan if i in retried else one_point.plan)
+
+
+def test_the_sweep_buys_no_retries(monkeypatch):
+    # cold order reports with the Brown check on the 150 orders of F_3[T]
+    # with |D| <= 81: one round per order, every row at its target
+    rounds = record_rounds(monkeypatch)
+    for order in sweeps.iter_orders(field(3), 81):
+        sweeps.order_report(order, check_brown=True)
+    rows = [s for _, _, short in rounds for s in short]
+    assert (len(rounds), len(rows), sum(rows)) == (150, 1182, 0)
 
 
 def parent_t_pow_qm1(ctx, z_at, terms, targets):
