@@ -44,7 +44,7 @@ from itertools import combinations
 
 from .errors import BadInputError, InvariantError, PrecisionError
 from . import classno
-from .cmpoints import CMPoint, enumerate_points, point_form
+from .cmpoints import CMPoint, enumerate_points, partner_b, point_form
 from .ffield import FieldDesc
 from .quadfield import Order
 
@@ -200,10 +200,21 @@ class OrderCM:
     The points are enumerated once; each j-value is kept at the highest
     precision asked for so far, per coefficient field, so a point is
     evaluated again only when a question needs more digits than are known.
+
+    The moduli carry the involution [a] -> [a]^-1 (`partners`), read from
+    the integer data: the partner of the point (a, b, c) is (a, -b, c) for
+    odd q and (a, (b + fG) mod a, c') for even_sep (`cmpoints.partner_b`),
+    and every class is its own partner for even_insep, where K/k is purely
+    inseparable and sigma is trivial.  The lattice of the partner is sigma of
+    the lattice of the class, up to sign, and j commutes with sigma, so
+    j([a]^-1) = sigma(j([a])): one evaluation serves a pair
+    (`class_values`).  A value derived by sigma is never held in `values`,
+    which holds only evaluations, so a question about a partner's point
+    (the Brown check of every point) still evaluates it.
     At most VALUE_CAP entries hold values: the least recently used entry
     loses its values, their plans and the class polynomial rounded from
-    them first, and keeps everything else (points, classes, moduli, class
-    number, report and height bounds).  Only what is certified is stored, so
+    them first, and keeps everything else (points, classes, moduli and their
+    involution, class number, report and height bounds).  Only what is certified is stored, so
     a build or a check that raised leaves nothing that a later request would
     take as its success.
     """
@@ -221,6 +232,8 @@ class OrderCM:
         self.hilbert = None  # the modforms.HilbertPoly, once its checks passed
         self.height_bounds: dict | None = None  # bounds.lower_bounds_h, once computed
         self._classes: list | None = None
+        self._exact_moduli: list | None = None
+        self._involution: list | None = None  # partners(), once read
         self._h_conductor: int | None = None
 
     @classmethod
@@ -282,20 +295,67 @@ class OrderCM:
         return [self.plans[(pt.a, pt.b, prec)] for pt in points]
 
     def exact_moduli(self) -> list:
-        """One SingularModulus per exact class, sorted; `moduli_of` certifies them."""
-        mods = []
-        for cls in self.classes():
-            logs = {log_abs_j(p) for p in cls}
-            if len(logs) != 1:
-                raise InvariantError(f"conjugate points of {self.order.label()} have different valuations")
-            mods.append(SingularModulus(self.order, logs.pop(), cls))
-        mods.sort(key=SingularModulus.sort_key)
-        return mods
+        """One SingularModulus per exact class, sorted (held once made); `moduli_of` certifies them."""
+        if self._exact_moduli is None:
+            mods = []
+            for cls in self.classes():
+                logs = {log_abs_j(p) for p in cls}
+                if len(logs) != 1:
+                    raise InvariantError(f"conjugate points of {self.order.label()} have different valuations")
+                mods.append(SingularModulus(self.order, logs.pop(), cls))
+            self._exact_moduli = sorted(mods, key=SingularModulus.sort_key)
+        return self._exact_moduli
 
     def classes(self) -> list:
         if self._classes is None:
             self._classes = conjugate_classes(self.points)
         return self._classes
+
+    def partners(self) -> list:
+        """For each modulus, in the order of `exact_moduli` and `moduli_of`,
+        the index of its sigma-partner: the modulus of the class [a]^-1, whose
+        j is sigma(j) and whose points have the same n, eps and |j|.  A class
+        that is its own partner has j in F_q((1/T)) (or sigma is trivial).
+
+        Read from the integer data alone: the partner of a class is the class
+        of the partner of its first point (`cmpoints.partner_b`).
+        InvariantError when that point is not among the reduced points or
+        when the map is not an involution.
+        """
+        if self._involution is None:
+            mods = self.exact_moduli()
+            where = {(p.a.coeffs, p.b.coeffs): i for i, m in enumerate(mods) for p in m.points}
+            out = [where.get((m.points[0].a.coeffs, partner_b(m.points[0]).coeffs)) for m in mods]
+            if None in out:
+                raise InvariantError(f"the partner of a point of {self.order.label()} is not a reduced point")
+            if any(out[k] != i for i, k in enumerate(out)):
+                raise InvariantError("the partner map is not an involution on the classes")
+            self._involution = out
+        return self._involution
+
+    def class_values(self, mods: list, idx, prec: int) -> dict:
+        """{i: j at the points of mods[i], to absolute precision at least
+        prec} for the indices idx of mods, from one evaluation per sigma-pair:
+        the pair's modulus of least index is evaluated (or read where held),
+        and the other's value is sigma of it.  A value held for the first
+        point of the partner's class, the point that sigma(j) stands for, must
+        agree with sigma(j) on every known digit (InvariantError otherwise).
+        (`_cross_check` compares the other points of a class with the first;
+        that sigma fixes the j of a class that is its own partner is checked
+        where it is used, by `quadfield.descend` in `hilbert_poly`.)"""
+        partner = self.partners()
+        reps = sorted({min(i, partner[i]) for i in idx})
+        out = {}
+        for r, jv in zip(reps, self.j_values([mods[r].points[0] for r in reps], prec)):
+            out[r] = jv.value
+            if partner[r] == r:
+                continue
+            out[partner[r]] = sigma_j = jv.value.conj()
+            p = mods[partner[r]].points[0]
+            held = self.values.get((p.a, p.b))
+            if held is not None and not (held[1].value - sigma_j).is_zero_known():
+                raise InvariantError(f"j at the partner point a={p.a}, b={p.b} of {self.order.label()} is not sigma(j)")
+        return {i: out[i] for i in idx}
 
     def class_number_by_conductor(self) -> int:
         if self._h_conductor is None:
@@ -310,7 +370,10 @@ def _cross_check(cm: OrderCM, mods: list) -> None:
     classes of equal valuation must show a nonzero digit: the values already
     known (at BROWN_DIGITS past the valuation or more) are tried first, then
     only the pairs not yet separated are evaluated at doubled digits, up to
-    MAX_SEPARATION_DIGITS.
+    MAX_SEPARATION_DIGITS, one point per sigma-pair (`OrderCM.class_values`,
+    which also compares a value held for a partner's first point with
+    sigma(j)).  A class and its partner always have equal valuation, and are
+    separated by the digits of j - sigma(j).
     """
     for m in mods:
         known = [cm.values[k][1].value for k in ((p.a, p.b) for p in m.points) if k in cm.values]
@@ -325,9 +388,7 @@ def _cross_check(cm: OrderCM, mods: list) -> None:
         while pairs:
             if digits > MAX_SEPARATION_DIGITS:
                 raise PrecisionError("could not separate conjugate moduli at the precision cap")
-            prec = int(math.ceil(-lg)) + digits
-            idx = sorted({i for pair in pairs for i in pair})
-            vals = {i: jv.value for i, jv in zip(idx, cm.j_values([mods[i].points[0] for i in idx], prec))}
+            vals = cm.class_values(mods, sorted({i for pair in pairs for i in pair}), int(math.ceil(-lg)) + digits)
             pairs = [(i, j) for i, j in pairs if (vals[i] - vals[j]).is_zero_known()]
             digits *= 2
 
@@ -344,7 +405,7 @@ def moduli_of(order: Order, *, value_prec: int | None = None) -> list:
     its first point to that precision.
     """
     cm = OrderCM.of(order)
-    mods = cm.moduli if cm.moduli is not None else cm.exact_moduli()
+    mods = cm.exact_moduli()
     h = cm.class_number_by_conductor()
     if len(mods) != h:
         raise InvariantError(f"distinct-moduli count {len(mods)} disagrees with the conductor class number {h}")

@@ -87,6 +87,54 @@ def class_number_by_conductor(order: Order) -> int:
     return int(val)
 
 
+def genus_fixed_classes(order: Order) -> int:
+    """The number of classes of Pic(O) that [a] -> [a]^-1 fixes, odd q:
+    2^(t - 1) when infinity ramifies; when it is inert, 2^t if every prime
+    dividing D_O has even degree and 2^(t - 1) otherwise, where t is the
+    number of distinct monic primes dividing D_O.  (Even q is not covered.)
+
+    Proof (genus theory).  The fixed classes are Pic[2], of the order of
+    Pic/Pic^2 = 2^r.  Let L be the ring class field of O: Gal(L/K) = Pic(O),
+    the place of K over infinity splits completely in L, and L/k is Galois
+    with sigma acting on Pic by inversion; a decomposition group over
+    infinity has order 2 and is not in Gal(L/K), so Gal(L/k) = Pic x| <s>
+    with s x s = x^-1.  Its commutator group is Pic^2, so the largest
+    subfield of L abelian over k has Galois group (Z/2)^(r+1) and holds
+    exactly 2^(r+1) - 1 quadratic fields k(sqrt d).  Such a field lies in L
+    exactly when (i) it is unramified outside D_O and infinity, (ii) the
+    place of K over infinity splits in K(sqrt d), that is d is a square in
+    K_infinity, and (iii) the Artin symbol of K(sqrt d)/K, which on an ideal
+    is the Jacobi symbol (d/N) of its norm N, is 1 on the principal ideals
+    (alpha), alpha in O prime to D_O.  By (i), d = c P_S up to squares, for a
+    constant c in {1, nu} (nu a non-square) and the product P_S of a set S of
+    the primes dividing D_O, of degree delta.  For m = N(alpha) = x^2 - D_O y^2
+    (the normalisation b^2 - 4ac = D_O: 2 is a unit), m = x^2 mod each P | D_O,
+    so (m/P) = 1, and quadratic reciprocity in F_q[T] (with chi the quadratic
+    character of F_q^x and (c/P) = chi(c)^(deg P)) gives
+        (d / (m/sgn m)) = chi(c)^(deg m) chi(sgn m)^delta chi(-1)^(delta deg m).
+    Infinity inert (deg D_O even, sgn D_O a non-square): deg m is even and sgn
+    m takes every value (the norm F_{q^2} -> F_q is onto), so (iii) holds
+    exactly when delta is even, as does (ii), since every constant is a
+    square in F_{q^2}.  So the d form a group of order 2 * #{S : delta even},
+    which is 2^(t+1) if every prime has even degree and 2^t otherwise.
+    Infinity ramified (deg D_O odd): m has deg m even with sgn m a square, or
+    deg m odd with sgn m = -sgn D_O times a square, and both occur; so (iii)
+    reads chi(c) = chi(sgn D_O)^delta, and so does (ii), since d is a square
+    in K_infinity exactly when d or d D_O is a square in k_infinity.  One c
+    for each S: 2^t values of d.  With 2^(r+1) = the number of d, the count
+    follows.  (The CM points themselves are not used: the rule is checked
+    against `brownval.OrderCM.partners`, which reads the involution from
+    the points, in `verify.check_class_numbers`.)
+    """
+    if order.field.base.p == 2:
+        raise BadInputError("the genus count is for odd q")
+    _, items = pr.factor(order.D_O)
+    t = len(items)
+    if order.field.infinite_type == "inert" and all(P.deg % 2 == 0 for P, _ in items):
+        return 2**t
+    return 2 ** (t - 1)
+
+
 def l_route_applies(order: Order) -> bool:
     """Whether the reports print the L-route: O maximal in an inert separable
     field other than the constant extension (`l_route` itself covers the

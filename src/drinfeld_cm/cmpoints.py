@@ -86,6 +86,26 @@ def point_form(order: Order, a: Poly, b: Poly, c: Poly) -> tuple:
     return a, b, c, beta
 
 
+def partner_b(pt: CMPoint) -> Poly:
+    """The b of the reduced point of the class [a]^-1 that shares a and c
+    with pt: the point -sigma(z), whose j is sigma(j(z)).
+
+    sigma fixes A and maps xi to s - xi, and j(-w) = j(w).  Odd: z =
+    (-b + sqrt(D_O))/(2a), so -sigma(z) = (b + sqrt(D_O))/(2a), the point
+    (a, -b, c).  Even separable: z = (b + fG xi)/a and -1 = 1, so -sigma(z)
+    = (b + fG + fG xi)/a; a translate z + k (k in A) has b + k a and the
+    same j, so the point has b' = (b + fG) mod a, and it is reduced, since
+    |c'| = |a| |z'|^2 = |c| (c' itself may differ from c).  Even
+    inseparable: sigma is trivial, b' = b.
+    """
+    k = pt.order.field
+    if k.flavor == "odd":
+        return -pt.b
+    if k.flavor == "even_sep":
+        return (pt.b + pt.order.f * k.G) % pt.a
+    return pt.b
+
+
 def _deg_a_bound(order: Order) -> int:
     k = order.field
     if k.flavor == "odd":

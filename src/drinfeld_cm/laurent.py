@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadInputError, PrecisionError
+from .errors import BadInputError, InvariantError, PrecisionError
 from .ffield import FieldDesc, artin_schreier_solve, embedding_table, sqrt as ff_sqrt
 from .polyring import Poly, binary_power
 
@@ -533,6 +533,30 @@ class LaurentSeries:
         if not self.comps.shape[2]:
             return LaurentSeries(self.field, 0, self.comps, prec, reduced=True)
         return LaurentSeries(self.field, k * self.n0, _dilate(self.field, self.comps, key, k), prec, reduced=True)
+
+    def conj(self) -> "LaurentSeries":
+        """The conjugate under Gal(F_{q^2}/F_q): every digit c -> c^q, the
+        exponents kept.  Over F_{q^2}((1/T)), the completion of K when
+        infinity is inert, this is the nontrivial automorphism over
+        F_q((1/T)); a series over F_q is its own conjugate."""
+        frob = _tensors(self.field)["frob"]
+        return LaurentSeries(self.field, self.n0, (frob @ self.comps) % self.field.p, self.prec, reduced=True)
+
+    def to_subfield(self, sub: FieldDesc) -> "LaurentSeries":
+        """The same series over the subfield `sub`, each digit mapped back
+        through `embedding_table` (itself when it is over sub already);
+        InvariantError when a digit lies outside sub, that is when the series
+        is not fixed by `conj`."""
+        fld = self.field
+        if sub == fld:
+            return self
+        back = np.full(fld.order, -1, dtype=np.int64)
+        back[list(embedding_table(sub, fld))] = np.arange(sub.order)
+        codes = back[np.einsum("s,rsl->rl", _tensors(fld)["codes"], self.comps)]
+        if (codes < 0).any():
+            raise InvariantError("coefficient not Galois-stable: a digit lies outside F_q")
+        coords = np.array([sub.coords(c) for c in range(sub.order)], dtype=np.int64)
+        return LaurentSeries(sub, self.n0, np.ascontiguousarray(coords[codes].transpose(0, 2, 1)), self.prec, reduced=True)
 
     def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse of every row; requires finite precision

@@ -53,6 +53,16 @@ digits to spare; only the rows whose tracked precision falls short are
 evaluated again, with their internal targets 18 and then 54 digits past it
 (`RETRY_MARGINS`).
 
+A class polynomial (`hilbert_poly`) evaluates one class of each pair
+[a], [a]^-1: the classes carry the involution that `brownval.OrderCM`
+reads from the integer data (the partner of the point (a, b, c) is
+(a, -b, c) for odd q and (a, (b + fG) mod a, c') for even_sep; every class
+is its own partner for even_insep), and j([a]^-1) = sigma(j([a])), sigma the
+nontrivial automorphism of K_infinity over F_q((1/T)) (`conj`).  Partners
+share n, eps and |j|, so their truncation plans are equal and the printed
+plan does not move; H_O is multiplied out over F_q((1/T)) from one monic
+factor of degree 2 per pair and of degree 1 per fixed class.
+
 The appendix lemmas A.1 and A.2 run on the same stacks (`verify_appendix`):
 all points of an order are one stack of (point, a) rows over every degree
 of a that either lemma needs at that point, with one embedding of z, one
@@ -73,7 +83,7 @@ from .errors import BadInputError, InvariantError, PrecisionError
 from .ffield import FieldDesc
 from .laurent import LaurentSeries, inverse_bracket_series, pi_power_qm1
 from . import polyring as pr
-from .quadfield import Order, embed, one_like, round_to_A, value_field, zero_like
+from .quadfield import Order, descend, embed, one_like, round_to_A, value_field, zero_like
 from .cmpoints import CMPoint
 from .brownval import OrderCM, brown_prec, log_abs_j, moduli_of
 
@@ -698,47 +708,81 @@ class HilbertPoly:
 
 
 def hilbert_poly(order: Order) -> HilbertPoly:
-    """Assemble the monic class polynomial from the distinct conjugates.
+    """Assemble the monic class polynomial from one j per sigma-pair of classes.
+
+    `OrderCM.partners` pairs each class [a] with [a]^-1, read from the
+    integer data: the partner of the point (a, b, c) is (a, -b, c) for odd q
+    and (a, (b + fG) mod a, c') for even_sep, and every class is its own for
+    even_insep, where sigma is trivial.  j([a]^-1) = sigma(j([a])), sigma the
+    coefficient conjugation over F_{q^2} when infinity is inert and
+    `QuadSeries.conj` when it ramifies.  So only the pair's modulus of least
+    index is evaluated, and H_O is multiplied out over F_q((1/T)) (over
+    K_infinity for even_insep) in one loop over monic factors of degree 1
+    or 2: X^2 - (j + sigma j) X + j sigma j per pair, X - j per class that
+    sigma fixes.  `quadfield.descend` takes each factor's digits to F_q and
+    raises InvariantError on a digit that sigma does not fix, so a pairing
+    of the wrong classes cannot pass; a value held for the first point of
+    a partner's class (after the Brown check, say) must equal sigma(j)
+    (`OrderCM.class_values`).
 
     The coefficients are rounded from the j-values at the working precision
-    W (GUARD + 6 digits past the coefficients' degree bound).  Each class's
-    first point is evaluated at W + 6 before the moduli are certified, so the
-    numeric cross-check starts from these values, and `plan` is that of the
-    evaluations at W + 6 (made again at W + 6 when the order's OrderCM holds
-    the value only at a higher precision).  Why W + 6: the printed plan
-    (`truncation`) is part of every stored class-polynomial answer, and it
-    was set when a first round ran 6 digits past its target.  A plan depends
-    on the precision plus the round's margin alone (`_plan`), and a first
-    round now runs at the target itself, so W + 6 runs exactly the
-    truncation that W with margin 6 ran: the same plan and the same work, and
-    the plan printed is the plan of the evaluation made.  (At plain W, the
-    plans of some even_sep orders over F_4 would print one Carlitz term
-    fewer.)  `moduli_of(order, value_prec=W)` cuts the values at W, so the
-    coefficients and residuals are those of W.  The polynomial is held on
-    the OrderCM once its checks pass; a repeat runs only the count check of
-    the moduli.
+    W (GUARD + 6 digits past the coefficients' degree bound).  The first
+    point of each evaluated class is evaluated at W + 6 before the moduli
+    are certified, so the numeric cross-check starts from these values, and
+    `plan` is that of the evaluations at W + 6 (made again at W + 6 when the
+    order's OrderCM holds the value only at a higher precision).  Why W + 6:
+    the printed plan (`truncation`) is part of every stored class-polynomial
+    answer, and it was set when a first round ran 6 digits past its target.
+    A plan depends on the precision plus the round's margin alone (`_plan`),
+    and a first round now runs at the target itself, so W + 6 runs exactly
+    the truncation that W with margin 6 ran: the same plan and the same
+    work, and the plan printed is the plan of the evaluation made.  (At
+    plain W, the plans of some even_sep orders over F_4 would print one
+    Carlitz term fewer.)  The values are cut at W, so the coefficients and
+    residuals are those of W.
+
+    Why pairing moves neither the plan nor the residuals: a plan depends on
+    q, eps, n, |j| and the target alone, and partners share n, eps and |j|,
+    so the evaluated classes have the plans of all.  sigma keeps digits'
+    places and the precision, so sigma(j) cut at W is the partner's j cut at
+    W, and the coefficients are the same series.  A residual is a
+    coefficient's tracked precision, which the order of the products and
+    sums can change only through cancellation in a partial sum; the tests
+    compare every coefficient, residual and plan with the expansion over
+    all classes.  The polynomial is held on the OrderCM once its checks
+    pass; a repeat runs only the count check of the moduli.
     """
     cm = OrderCM.of(order)
     if cm.hilbert is not None:
         moduli_of(order)
         return cm.hilbert
-    sum_pos = sum(max(Fraction(0), log_abs_j(cls[0])) for cls in cm.classes())
-    W = int(math.ceil(sum_pos)) + GUARD + 6
+    mods = cm.exact_moduli()
+    partner = cm.partners()
+    reps = [i for i, k in enumerate(partner) if i <= k]
+    W = int(math.ceil(sum(max(Fraction(0), m.log_j) for m in mods))) + GUARD + 6
     plans: dict = {}
-    for plan in cm.plans_at([cls[0] for cls in cm.classes()], W + 6):
+    for plan in cm.plans_at([mods[i].points[0] for i in reps], W + 6):
         plans = {k: max(plans.get(k, 0), v) for k, v in plan.items()}
-    mods = moduli_of(order, value_prec=W)
-    vals = [s.numeric for s in mods]
-    # expand prod (X - j_i)
-    coeffs = [one_like(vals[0])]
-    zero = zero_like(vals[0])
-    for v in vals:
-        new = [zero] * (len(coeffs) + 1)
+    mods = moduli_of(order)
+    vals = cm.class_values(mods, range(len(mods)), W)
+    base = order.field.base
+    factors = []  # the coefficients below the leading 1 of each monic factor, over the fixed field of sigma
+    for i in reps:
+        j = vals[i].truncate(W)
+        if partner[i] == i:
+            factors.append([descend(-j, base)])
+        else:
+            sj = vals[partner[i]].truncate(W)
+            factors.append([descend(j * sj, base), descend(-(j + sj), base)])
+    coeffs = [one_like(factors[0][0])]
+    zero = zero_like(factors[0][0])
+    for f in factors:
+        new = [zero] * len(f) + coeffs
         for i, c in enumerate(coeffs):
-            new[i + 1] = new[i + 1] + c
-            new[i] = new[i] - c * v
+            for k, fk in enumerate(f):
+                new[i + k] = new[i + k] + c * fk
         coeffs = new
-    rounded, residuals = (list(col) for col in zip(*(round_to_A(c, order.field.base) for c in coeffs)))
+    rounded, residuals = (list(col) for col in zip(*(round_to_A(c, base) for c in coeffs)))
     H = HilbertPoly(order, rounded, residuals, len(mods), plans)
     lead = H.coeffs[-1]
     if isinstance(lead, tuple):

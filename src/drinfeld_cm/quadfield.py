@@ -22,7 +22,12 @@ field (`value_field`) of the analytic embedding: a flattened series over
 F_{q^2} when infinity is inert, a `QuadSeries` over F_q when it ramifies (no
 series uniformizer is ever constructed; valuations come from the norm and
 live in (1/2)Z).  Other modules work on embedded values through `zero_like`,
-`one_like` and `round_to_A`, without asking which type they hold.
+`one_like`, `descend` and `round_to_A`, and through `conj`, which both types
+have, without asking which type they hold.  `conj` is sigma, the
+nontrivial automorphism of K_infinity over k_infinity = F_q((1/T)):
+coefficient conjugation over F_{q^2} when infinity is inert, xi -> s - xi
+when it ramifies (trivial for even_insep, where K/k is inseparable);
+`descend` takes a sigma-fixed value to the fixed field.
 
 `validate_field` gives one QuadField per (base, flavor, data), held by the
 base, and that field holds what depends on K alone (`QuadField.held`): its
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadInputError, InvariantError, PrecisionError
-from .ffield import FieldDesc, Holder, embedding_table, is_square, quadratic_extension
+from .ffield import FieldDesc, Holder, is_square, quadratic_extension
 from .laurent import LaurentSeries
 from . import polyring as pr
 from .polyring import Poly
@@ -660,34 +665,47 @@ def one_like(z):
     return QuadSeries(z.ctx, LaurentSeries.one(z.ctx.cdesc), LaurentSeries.zero(z.ctx.cdesc))
 
 
-def _round_flat(s: LaurentSeries, base: FieldDesc):
-    """(the polynomial over `base` = F_q that s equals, s.prec), its F_{q^2}
-    codes mapped back through `embedding_table`; InvariantError when s is not in A."""
+def descend(z, base: FieldDesc):
+    """A value fixed by sigma (`conj`), over the fixed field of sigma.
+
+    sigma is the nontrivial automorphism of K_infinity over
+    k_infinity = F_q((1/T)): coefficient conjugation of a flat value
+    (`LaurentSeries.conj`) and xi -> s - xi of a QuadSeries (`QuadSeries.conj`).
+    A flat value becomes a series over `base`, the order's F_q (InvariantError
+    when a digit lies outside F_q); a value of a separable ramified field
+    becomes its x-part (InvariantError when its xi-part is not 0).  K/k is
+    purely inseparable for even_insep, sigma is trivial and a value is
+    returned as it is.
+    """
+    if isinstance(z, LaurentSeries):
+        return z.to_subfield(base)
+    if z.ctx.qf.flavor == "even_insep":
+        return z
+    if not z.y.is_zero_known():
+        raise InvariantError("class polynomial coefficient has a nonzero xi-part")
+    return z.x
+
+
+def _round_flat(s: LaurentSeries):
+    """(the polynomial that s equals, s.prec); InvariantError when s is not in A."""
     poly, tail = s.polynomial_part()
     if tail is not None:
         raise InvariantError(f"coefficient has a nonzero digit at exponent {tail}: not in A")
-    if poly.field.m == 1:
-        return poly, s.prec
-    back = {c: i for i, c in enumerate(embedding_table(base, poly.field))}
-    if any(c not in back for c in poly.coeffs):
-        raise InvariantError("coefficient not Galois-stable: F_{q^2}-part is nonzero")
-    return Poly(base, [back[c] for c in poly.coeffs]), s.prec
+    return poly, s.prec
 
 
 def round_to_A(z, base: FieldDesc):
     """(the exact coefficient that z equals, the precision certifying it).
 
     A flat value or one of a separable field rounds to a Poly over `base`,
-    the order's F_q (its xi-part must vanish); a value of the inseparable
-    field rounds to the pair (x, y) of Polys, x + y sqrt(T).  The precision
-    is None when z is exact; InvariantError when z is not of that form.
+    the order's F_q (`descend`: its digits lie in F_q, its xi-part vanishes);
+    a value of the inseparable field rounds to the pair (x, y) of Polys,
+    x + y sqrt(T).  The precision is None when z is exact; InvariantError
+    when z is not of that form.
     """
+    z = descend(z, base)
     if isinstance(z, LaurentSeries):
-        return _round_flat(z, base)
-    if z.ctx.qf.flavor == "even_insep":
-        px, rx = _round_flat(z.x, base)
-        py, ry = _round_flat(z.y, base)
-        return (px, py), min(r for r in (rx, ry) if r is not None) if (rx or ry) else None
-    if not z.y.is_zero_known():
-        raise InvariantError("class polynomial coefficient has a nonzero xi-part")
-    return _round_flat(z.x, base)
+        return _round_flat(z)
+    px, rx = _round_flat(z.x)
+    py, ry = _round_flat(z.y)
+    return (px, py), min(r for r in (rx, ry) if r is not None) if (rx or ry) else None

@@ -18,8 +18,8 @@ from .errors import InvariantError
 from .ffield import FieldDesc, embedding_table, field, quadratic_extension
 from . import polyring as pr
 from . import bounds as bnd
-from .brownval import moduli_of
-from .classno import check_class_bound
+from .brownval import OrderCM, moduli_of
+from .classno import check_class_bound, genus_fixed_classes
 from .cmpoints import c_epsilon_set, elliptic_floor_log, majb_check
 from .laurent import LaurentSeries
 from .modforms import hilbert_poly, verify_appendix
@@ -100,10 +100,18 @@ def check_brown_sweep(base: FieldDesc, d_bound: int) -> dict:
 
 
 def check_class_numbers(base: FieldDesc, d_bound: int) -> dict:
-    """Orbit = conductor (`moduli_of` checks it) everywhere, and the class bound on inert orders."""
+    """Orbit = conductor (`moduli_of` checks it) everywhere, the class bound
+    on inert orders, and for odd q the genus count of the classes that the
+    involution [a] -> [a]^-1 fixes (`classno.genus_fixed_classes`; even q is
+    not checked): a mismatch is an InvariantError."""
     counts = {"orders": 0, "lroute": 0, "bounds": 0}
     for order in iter_orders(base, d_bound):
         rep = order_report(order, check_brown=False)
+        if base.p != 2:
+            fixed = sum(i == k for i, k in enumerate(OrderCM.of(order).partners()))
+            genus = genus_fixed_classes(order)
+            if fixed != genus:
+                raise InvariantError(f"{order.label()}: {fixed} classes fixed by [a] -> [a]^-1, genus theory says {genus}")
         counts["orders"] += 1
         if rep.h_lroute is not None:
             counts["lroute"] += 1

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from drinfeld_cm.brownval import (
     weil_height,
 )
 from drinfeld_cm.cmpoints import enumerate_points
-from drinfeld_cm.quadfield import order_from, order_from_discriminant, validate_field
+from drinfeld_cm.laurent import LaurentSeries
+from drinfeld_cm.quadfield import QuadSeries, order_from, order_from_discriminant, validate_field
 
 from conftest import count_rows
 
@@ -252,3 +254,30 @@ def test_report_cache_serves_unchecked_from_checked(monkeypatch):
     rows.clear()
     assert sweeps.order_report(order, check_brown=False) is checked
     assert not rows
+
+
+@pytest.mark.parametrize("D", ["2*T^4+2", "T^3"])
+def test_a_held_partner_value_that_is_not_sigma_j_is_caught(D):
+    # every point held, then one digit changed in the value of a point whose
+    # class is alone with it and is the sigma-partner of another class: only
+    # the comparison with sigma(j) sees it
+    order = order_from_discriminant(F3, P(F3, D))
+    cm = OrderCM.of(order)
+    cm.j_values(cm.points, brown_prec)
+    mods = cm.exact_moduli()
+    partner = cm.partners()
+    k = next(k for i, k in enumerate(partner) if i < k and len(mods[k].points) == 1)
+    pt = mods[k].points[0]
+    prec, jv = cm.values[(pt.a, pt.b)]
+    flat = isinstance(jv.value, LaurentSeries)
+    x = jv.value if flat else jv.value.x
+    x = x + LaurentSeries.constant(x.field, 1).mul_t_power(1 - x.prec)  # the last known digit
+    cm.values[(pt.a, pt.b)] = (prec, replace(jv, value=x if flat else QuadSeries(jv.value.ctx, x, jv.value.y)))
+    with pytest.raises(InvariantError, match="is not sigma\\(j\\)"):
+        moduli_of(order)
+
+
+def test_a_partner_outside_the_reduced_points_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(brownval, "partner_b", lambda pt: pt.b + pt.a)  # deg b' = deg a: not reduced
+    with pytest.raises(InvariantError, match="not a reduced point"):
+        moduli_of(order_from_discriminant(F3, P(F3, "T^3")))

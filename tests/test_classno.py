@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from drinfeld_cm.brownval import OrderCM, moduli_of
-from drinfeld_cm.errors import BadInputError
+from drinfeld_cm.errors import BadInputError, InvariantError
 from drinfeld_cm.ffield import field
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.classno import (
     check_class_bound,
     class_number_by_conductor,
+    genus_fixed_classes,
     l_data,
     l_route,
     l_route_applies,
@@ -17,6 +18,7 @@ from drinfeld_cm.classno import (
 )
 from drinfeld_cm.quadfield import Order, order_from, order_from_discriminant, validate_field
 from drinfeld_cm.sweeps import iter_orders
+from drinfeld_cm import verify
 from drinfeld_cm.verify import check_brown_sweep, check_class_numbers
 
 from conftest import count_rows
@@ -205,3 +207,30 @@ def test_class_numbers_reuse_the_checked_reports(monkeypatch):
     rep = check_class_numbers(F3, 81)
     assert rep["ok"] and rep["bounds"] > 0
     assert rows == []
+
+
+@pytest.mark.parametrize("p, r, bound", [(3, 1, 243), (5, 1, 125), (7, 1, 49), (3, 2, 81)])
+def test_the_involution_fixes_the_genus_count_of_classes(p, r, bound):
+    # the classes [a] = [a]^-1 that the involution read from the points fixes
+    # number 2^(t-1), or 2^t when infinity is inert and every prime of D_O has
+    # even degree; no j is evaluated.  The degree condition reads the primes
+    # of D_O, not only those of D_K: both kinds of order occur below
+    seen = set()
+    for order in iter_orders(field(p, r), bound):
+        fixed = sum(i == k for i, k in enumerate(OrderCM.of(order).partners()))
+        assert fixed == genus_fixed_classes(order), order.label()
+        _, items = pr.factor(order.D_O)
+        odd_in_f_only = any(P.deg % 2 and not (order.field.D_K % P).is_zero() for P, _ in items)
+        seen.add((order.field.infinite_type, fixed == 2 ** len(items), odd_in_f_only))
+    assert {("ramified", False, False), ("inert", True, False), ("inert", False, False)} <= seen
+    if (p, r) == (3, 1):
+        assert ("inert", False, True) in seen
+
+
+def test_a_wrong_genus_count_fails_the_class_number_suite(monkeypatch):
+    real = verify.genus_fixed_classes
+    monkeypatch.setattr(verify, "genus_fixed_classes", lambda order: 2 * real(order))
+    with pytest.raises(InvariantError, match="genus theory says"):
+        check_class_numbers(F3, 27)
+    with pytest.raises(BadInputError):
+        genus_fixed_classes(order_from(validate_field(field(2), "even_insep"), pr.one(field(2))))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from drinfeld_cm import cli
+from drinfeld_cm import brownval, cli
 from drinfeld_cm.errors import InvariantError, PrecisionError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -220,3 +220,11 @@ def test_verify_stdout_is_pinned(q, bound, capsys):
     # every suite's report, byte for byte, against the recorded run
     assert cli.main(["verify", "--q", str(q), "--dbound", str(bound)]) == 0
     assert capsys.readouterr().out == (DATA / f"verify_q{q}_d{bound}.txt").read_text()
+
+
+def test_a_forged_partner_map_exits_1_with_empty_stdout(capsys, monkeypatch):
+    # a partner point outside the reduced set is an invariant violation, not a KeyError
+    monkeypatch.setattr(brownval, "partner_b", lambda pt: pt.b + pt.a)
+    assert cli.main(["hilbert", "--q", "3", "--flavor", "odd", "--D", "T^3"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("invariant violation: the partner of a point of odd D=T^3")

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_products
-from drinfeld_cm.errors import BadInputError, PrecisionError
-from drinfeld_cm.ffield import field, sqrt as ff_sqrt
+from drinfeld_cm.errors import BadInputError, InvariantError, PrecisionError
+from drinfeld_cm.ffield import embedding_table, field, quadratic_extension, sqrt as ff_sqrt
 from drinfeld_cm import laurent
 from drinfeld_cm.laurent import LaurentSeries, _packing, _raw_mul, pi_power_qm1
 from drinfeld_cm.modforms import EvalContext
@@ -455,3 +455,24 @@ def test_frobenius_p_is_the_p_th_power(fld):
         y = x.frobenius_p()
         assert y.prec == fld.p * x.prec and y.n0 == fld.p * x.n0
         assert y.truncate(want.prec) == want
+
+
+@pytest.mark.parametrize("base", [F3, F4, field(3, 2), field(3, 2, 1, (2, 1, 1))], ids=lambda f: f"q{f.q}s{f.s}")
+def test_conj_is_the_galois_conjugation_and_fixes_exactly_the_base(base):
+    # over F_{q^2}: conj is a ring map of order 2 that fixes the series over
+    # F_q; to_subfield maps those back digit by digit and refuses any other
+    ext = quadratic_extension(base)
+    emb = embedding_table(base, ext)
+    rng = random.Random(base.order)
+    for _ in range(10):
+        x, y = rand_series(ext, rng, prec=12), rand_series(ext, rng, prec=12)
+        assert x.conj().conj() == x
+        assert (x * y).conj() == x.conj() * y.conj() and (x + y).conj() == x.conj() + y.conj()
+        fixed = x + x.conj()
+        down = fixed.to_subfield(base)
+        assert down.field == base and down.prec == fixed.prec and down.n0 == fixed.n0
+        assert [emb[down.coeff_code(e)] for e in range(down.n0, 12)] == [fixed.coeff_code(e) for e in range(down.n0, 12)]
+        assert down.conj() == down and down.to_subfield(base) is down
+        outside = next(c for c in rng.sample(range(ext.order), ext.order) if c not in emb)
+        with pytest.raises(InvariantError, match="Galois-stable"):
+            (fixed + LaurentSeries.constant(ext, outside).mul_t_power(-3)).to_subfield(base)

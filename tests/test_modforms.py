@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from drinfeld_cm.errors import BadInputError, InvariantError
+from drinfeld_cm.errors import BadInputError, InvariantError, PrecisionError
 from drinfeld_cm.ffield import field, quadratic_extension, embedding_table
 from drinfeld_cm.laurent import LaurentSeries
 from drinfeld_cm import polyring as pr
@@ -20,9 +20,9 @@ from drinfeld_cm.modforms import (
     unit_check,
     verify_appendix,
 )
-from drinfeld_cm.quadfield import QuadSeries, order_from, order_from_discriminant, validate_field
+from drinfeld_cm.quadfield import QuadSeries, one_like, order_from, order_from_discriminant, round_to_A, validate_field, zero_like
 
-from conftest import empty_registry
+from conftest import count_rows, empty_registry
 
 F2 = field(2)
 F3 = field(3)
@@ -165,6 +165,77 @@ def test_hilbert_h_of_j_vanishes():
         for c in reversed(H.coeffs):
             acc = acc * j + LaurentSeries.from_poly(c, F9)
         assert acc.is_zero_known()
+
+
+def linear_hilbert(order) -> tuple:
+    """(coefficients, residuals, plan) of the class polynomial as
+    `hilbert_poly` built it before it paired the classes: the first point of
+    every class evaluated at W + 6 for the plan, prod (X - j) expanded over
+    the value field from the values cut at W, each coefficient rounded.  The
+    oracle of the pairing."""
+    cm = brownval.OrderCM.of(order)
+    firsts = [cls[0] for cls in cm.classes()]
+    W = int(math.ceil(sum(max(Fraction(0), log_abs_j(p)) for p in firsts))) + modforms.GUARD + 6
+    plan: dict = {}
+    for one in cm.plans_at(firsts, W + 6):
+        plan = {k: max(plan.get(k, 0), v) for k, v in one.items()}
+    vals = [m.numeric for m in moduli_of(order, value_prec=W)]
+    coeffs = [one_like(vals[0])]
+    for v in vals:
+        new = [zero_like(vals[0])] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            new[i + 1] = new[i + 1] + c
+            new[i] = new[i] - c * v
+        coeffs = new
+    rounded, residuals = zip(*(round_to_A(c, order.field.base) for c in coeffs))
+    return list(rounded), list(residuals), plan
+
+
+# (p, r, |D| bound): rows at W + 6 with one evaluation per sigma-pair, and with one per class
+HILBERT_POOLS = {"q3 |D|<=27": (3, 1, 27, 165, 219), "q4 |D|<=16": (2, 2, 16, 693, 981), "q5 |D|<=25": (5, 1, 25, 55, 55)}
+
+
+@pytest.mark.parametrize("name", sorted(HILBERT_POOLS))
+def test_one_j_per_sigma_pair_gives_the_expansion_over_every_class(name, monkeypatch):
+    # every order of the pool, cold: coefficients, residuals and printed plan
+    # equal the oracle's, which then evaluates the partners' first points too
+    p, r, bound, paired, linear = HILBERT_POOLS[name]
+    rows = count_rows(monkeypatch)
+    counts = [0, 0]
+    for order in sweeps.iter_orders(field(p, r), bound):
+        mods = brownval.OrderCM.of(order).exact_moduli()
+        W = int(math.ceil(sum(max(Fraction(0), m.log_j) for m in mods))) + modforms.GUARD + 6
+        start = len(rows)
+        H = hilbert_poly(order)
+        middle = len(rows)
+        assert (H.coeffs, H.residuals, H.plan) == linear_hilbert(order), order.label()
+        counts[0] += sum(prec == W + 6 for _, prec in rows[start:middle])
+        counts[1] += sum(prec == W + 6 for _, prec in rows[middle:])
+    assert (counts[0], counts[0] + counts[1]) == (paired, linear)
+
+
+@pytest.mark.parametrize("D, flat", [("2*T^4+2", True), ("T^3", False)])
+def test_a_pairing_sigma_does_not_fix_is_an_invariant_error(D, flat, monkeypatch):
+    # the orders have sigma-pairs of classes (inert: flat values; ramified: QuadSeries)
+    order = odd(3, D)
+    # every class taken as its own partner: the factor X - j of a class that
+    # sigma does not fix has a digit outside F_q, or a nonzero xi-part
+    real = brownval.partner_b
+    monkeypatch.setattr(brownval, "partner_b", lambda pt: pt.b)
+    with pytest.raises(InvariantError, match="Galois-stable" if flat else "nonzero xi-part"):
+        hilbert_poly(order)
+    monkeypatch.setattr(brownval, "partner_b", real)
+    # sigma taken as the identity: cold, a pair never shows a digit of
+    # j - sigma(j), so the cross-check runs out of precision; with the moduli
+    # certified before, the pair's factor has digits outside F_q
+    monkeypatch.setattr(brownval, "_store", {})
+    moduli_of(order)
+    monkeypatch.setattr(LaurentSeries if flat else QuadSeries, "conj", lambda self: self)
+    with pytest.raises(InvariantError, match="Galois-stable" if flat else "nonzero xi-part"):
+        hilbert_poly(order)
+    monkeypatch.setattr(brownval, "_store", {})
+    with pytest.raises(PrecisionError, match="could not separate"):
+        hilbert_poly(order)
 
 
 def test_eval_j_plan_reported():
@@ -420,6 +491,25 @@ def test_the_sweep_buys_no_retries(monkeypatch):
         sweeps.order_report(order, check_brown=True)
     rows = [s for _, _, short in rounds for s in short]
     assert (len(rounds), len(rows), sum(rows)) == (150, 1182, 0)
+
+
+def test_a_cold_hilbert_leaves_every_other_point_to_the_brown_check(monkeypatch):
+    # hilbert evaluates one class of each sigma-pair, and sigma(j) is never
+    # held: the Brown check after it evaluates every point hilbert did not
+    order = odd(3, "2*T^4+2")
+    cm = brownval.OrderCM.of(order)
+    rows = count_rows(monkeypatch)
+    hilbert_poly(order)
+    partner = cm.partners()
+    assert sum(i < k for i, k in enumerate(partner)) == 2
+    by_hilbert = {(p.a, p.b) for p, _ in rows}
+    assert by_hilbert == {(cm.moduli[i].points[0].a, cm.moduli[i].points[0].b) for i, k in enumerate(partner) if i <= k}
+    rows.clear()
+    sweeps.order_report(order, check_brown=True)
+    every = {(p.a, p.b) for p in cm.points}
+    made = [(p.a, p.b) for p, _ in rows]
+    assert len(made) == len(set(made)) and set(made) == every - by_hilbert
+    assert set(cm.values) == every
 
 
 def parent_t_pow_qm1(ctx, z_at, terms, targets):

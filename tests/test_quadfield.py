@@ -5,7 +5,6 @@ import pytest
 
 from drinfeld_cm.errors import BadInputError, InvariantError, PrecisionError
 from drinfeld_cm.ffield import embedding_table, field, quadratic_extension
-from drinfeld_cm import laurent
 from drinfeld_cm.laurent import LaurentSeries
 from drinfeld_cm import polyring as pr
 from drinfeld_cm.quadfield import (
@@ -354,10 +353,8 @@ def test_quad_series_frobenius_and_norm_every_flavor(name):
 
 
 def conjugate(x: LaurentSeries) -> LaurentSeries:
-    """Coefficientwise x -> x^q, the exponents kept: over F_{q^2} the
-    conjugate of x under Gal(F_{q^2}/F_q)."""
-    frob = laurent._tensors(x.field)["frob"]
-    return LaurentSeries(x.field, x.n0, (frob @ x.comps) % x.field.p, x.prec)
+    """The conjugate of x under Gal(F_{q^2}/F_q) (`LaurentSeries.conj`)."""
+    return x.conj()
 
 
 def imag_part_log(z) -> Fraction | None:

@@ -206,7 +206,7 @@ def _attributes_cleared_on_eviction() -> set:
 
 
 # what an entry keeps when it loses its values; the eviction branch names the rest
-KEPT_ON_EVICTION = {"order", "key", "points", "moduli", "report", "height_bounds", "_classes", "_h_conductor"}
+KEPT_ON_EVICTION = {"order", "key", "points", "moduli", "report", "height_bounds", "_classes", "_exact_moduli", "_involution", "_h_conductor"}
 
 
 def test_every_holder_states_its_eviction_policy():
