@@ -62,11 +62,12 @@ def easycounting_counts(base: FieldDesc, deg_m: int, b0_deg: int, M_log: Fractio
 # height bounds
 
 
-def disc_power(q: int, d: int) -> tuple:
+def disc_power(base: FieldDesc, d: int) -> tuple:
     """(log_q log_q sqrt|D|, |D|^(15/(2 log_q log_q sqrt|D|))) for |D| = q^d,
     as outward-rounded intervals: the |D|-power of the cardC bound and of
     `upper_bound_h`."""
-    loglog = certlog.log_q(Fraction(d, 2), q)
+    q = base.q
+    loglog = certlog.ln(Fraction(d, 2)) / ln_int(base, q)
     expo = Interval.point(Fraction(15 * d, 2)) / loglog
     return loglog, Interval(certlog.exp_q(expo.lo, q).lo, certlog.exp_q(expo.hi, q).hi)
 
@@ -88,11 +89,12 @@ def upper_bound_h(order: Order, eps: Fraction) -> dict:
         raise BadInputError("0 < eps <= 1 required")
     h = len(moduli_of(order))
     sqrt_D = Fraction(q) ** (d // 2)
-    loglog, d_power = disc_power(q, d)
-    eps_term = Interval.point(Fraction(q + 1)) * certlog.log_q(1 / eps, q) if eps != 1 else Interval.point(0)
+    ln_q = ln_int(field.base, q)
+    loglog, d_power = disc_power(field.base, d)
+    eps_term = Interval.point(Fraction(q + 1)) * (certlog.ln(1 / eps) / ln_q) if eps != 1 else Interval.point(0)
     main = Interval.point(Fraction(3 * q * (q + 1), 4) * eps * Fraction(sqrt_D, h) * d * d) * d_power
     eps_bound = eps_term + main
-    cor = Interval.point(Fraction(q + 1)) * certlog.log_q(Fraction(sqrt_D, h), q) + Interval.point(
+    cor = Interval.point(Fraction(q + 1)) * (certlog.ln(Fraction(sqrt_D, h)) / ln_q) + Interval.point(
         Fraction(10 * (q + 1) * d)
     ) / loglog
     return {"eps": eps, "eps_bound": eps_bound, "cor_bound": cor, "conditional": True}
@@ -113,7 +115,7 @@ def lower_bounds_h(order: Order) -> dict:
 
 def field_constants(base: FieldDesc) -> tuple:
     """The enclosures (ln q, ln 2, sqrt q), held by the base field."""
-    return base.held("constants", lambda: (certlog.ln(base.q), certlog.ln(2), certlog.sqrt(base.q)))
+    return base.held("constants", lambda: (ln_int(base, base.q), ln_int(base, 2), certlog.sqrt(base.q)))
 
 
 def sqrt_disc(base: FieldDesc, d: int) -> Interval:

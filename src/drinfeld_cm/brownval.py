@@ -15,30 +15,33 @@ to the integral data of each boundary point, in exact arithmetic.  Numerical
 j-values from the t-expansion evaluator only cross-check the partition.
 
 Held data has three owners: the canonical `ffield.FieldDesc` holds what
-depends on the coefficient field alone (tables, Carlitz contexts, the
-truncation plans of one-point evaluations), the
+depends on the coefficient field alone (tables, Carlitz contexts, ln
+enclosures, and the truncation plan of a one-point evaluation, a function
+of q, eps, n, |j| and the target alone: `modforms.plan_of`), the
 canonical `quadfield.QuadField` what depends on K alone (xi series, L-data),
 and `OrderCM` what belongs to one order.
 `OrderCM.of(order)` is the one `OrderCM` of an order for the life of the
 process, so a repeated request reuses its points, j-values, classes,
 certified moduli, class number, `sweeps.OrderReport`, certified class
 polynomial (`modforms.hilbert_poly`) and height lower bounds
-(`bounds.lower_bounds_h`).  Only the j-values are bounded: at most VALUE_CAP
-entries hold them, and the least recently used entry loses its values when
-another one gains some, together with what was read off them (the plans of
-their evaluations and the class polynomial); the rest stays.  Callers
-ask `OrderCM.j_values` for all the points a step needs at once, and the
-points not yet held are evaluated in one call of `modforms.eval_j_stack`,
-whose rows may differ in n, |j| and precision: each row is held relative
-to its own valuation, so one stack serves every point of the order whose
-relative need is close to the others'.
+(`bounds.lower_bounds_h`).  `OrderCM` is the only door to evaluated j:
+callers ask `OrderCM.j_values` (given points), `OrderCM.class_values` (the
+classes, one evaluation per sigma-pair) or `OrderCM.brown_values` (every
+point, for the Brown check) for all the points a step needs at once, and
+the points not yet held are evaluated in one call of
+`modforms.eval_j_stack`, whose rows may differ in n, |j| and precision:
+each row is held relative to its own valuation, so one stack serves every
+point of the order whose relative need is close to the others'.  Only the
+j-values are bounded: at most VALUE_CAP entries hold them, and the least
+recently used entry loses its values when another one gains some,
+together with the class polynomial rounded from them; the rest stays.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from collections import Counter, OrderedDict
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -80,7 +83,6 @@ class SingularModulus:
     order: Order
     log_j: Fraction
     points: tuple
-    numeric: object | None = None  # LaurentSeries (inert) or QuadSeries (ramified)
 
     def sort_key(self):
         return (-self.log_j, self.points[0].sort_key())
@@ -212,11 +214,11 @@ class OrderCM:
     which holds only evaluations, so a question about a partner's point
     (the Brown check of every point) still evaluates it.
     At most VALUE_CAP entries hold values: the least recently used entry
-    loses its values, their plans and the class polynomial rounded from
-    them first, and keeps everything else (points, classes, moduli and their
-    involution, class number, report and height bounds).  Only what is certified is stored, so
-    a build or a check that raised leaves nothing that a later request would
-    take as its success.
+    loses its values and the class polynomial rounded from them first, and
+    keeps everything else (points, classes, moduli, whether they are
+    certified, their involution, class number, report and height bounds).
+    Only what is certified is stored, so a build or a check that raised
+    leaves nothing that a later request would take as its success.
     """
 
     def __init__(self, order: Order):
@@ -226,8 +228,7 @@ class OrderCM:
         if not self.points:
             raise InvariantError("a valid order has a nonempty reduced point set")
         self.values: dict = {}  # (a, b) -> (precision, JValue over the order's value field)
-        self.plans: dict = {}  # (a, b, precision) -> plan of the evaluation made at that precision
-        self.moduli: list | None = None  # set by moduli_of once certified
+        self.certified = False  # set by moduli_of once the moduli passed the cross-check
         self.report = None  # the sweeps.OrderReport, once built
         self.hilbert = None  # the modforms.HilbertPoly, once its checks passed
         self.height_bounds: dict | None = None  # bounds.lower_bounds_h, once computed
@@ -258,13 +259,11 @@ class OrderCM:
             key = (pt.a, pt.b)
             if key not in self.values or self.values[key][0] < prec:
                 self.values[key] = (prec, jv)
-            self.plans[(pt.a, pt.b, prec)] = jv.plan
         _holding[self.key] = self
         _holding.move_to_end(self.key)
         while len(_holding) > VALUE_CAP:
             _, old = _holding.popitem(last=False)
             old.values.clear()
-            old.plans.clear()
             old.hilbert = None
 
     def j_values(self, points: list, prec) -> list:
@@ -285,14 +284,24 @@ class OrderCM:
             self._evaluate(list(missing.values()), need)
         return [self.values[(pt.a, pt.b)][1] for pt in points]
 
-    def plans_at(self, points: list, prec: int) -> list:
-        """The truncation plan of an evaluation of each point at exactly
-        `prec` (a value held at a higher precision was made with another
-        plan); the points without one are evaluated in one call."""
-        missing = {(pt.a, pt.b): pt for pt in points if (pt.a, pt.b, prec) not in self.plans}
-        if missing:
-            self._evaluate(list(missing.values()), lambda pt: prec)
-        return [self.plans[(pt.a, pt.b, prec)] for pt in points]
+    def brown_values(self) -> list:
+        """The JValues of every point to `brown_prec`, from one stacked call:
+        the Brown check, as the evaluator compares each row's valuation with
+        its exact formula.  Until the moduli are certified, the first points
+        of classes that share a valuation get BROWN_DIGITS more, the
+        precision of the second round of `_cross_check`, which separates
+        those classes by the values of their first points: the one
+        evaluation then serves it as well."""
+        need = brown_prec
+        if not self.certified:
+            mods = self.exact_moduli()
+            logs = Counter(m.log_j for m in mods)
+            firsts = {(m.points[0].a, m.points[0].b) for m in mods if logs[m.log_j] > 1}
+
+            def need(pt):
+                return brown_prec(pt) + (BROWN_DIGITS if (pt.a, pt.b) in firsts else 0)
+
+        return self.j_values(self.points, need)
 
     def exact_moduli(self) -> list:
         """One SingularModulus per exact class, sorted (held once made); `moduli_of` certifies them."""
@@ -319,8 +328,8 @@ class OrderCM:
 
         Read from the integer data alone: the partner of a class is the class
         of the partner of its first point (`cmpoints.partner_b`).
-        InvariantError when that point is not among the reduced points or
-        when the map is not an involution.
+        InvariantError when that point is not among the reduced points, when
+        the map is not an involution or when it moves a valuation.
         """
         if self._involution is None:
             mods = self.exact_moduli()
@@ -330,12 +339,15 @@ class OrderCM:
                 raise InvariantError(f"the partner of a point of {self.order.label()} is not a reduced point")
             if any(out[k] != i for i, k in enumerate(out)):
                 raise InvariantError("the partner map is not an involution on the classes")
+            if any(mods[k].log_j != m.log_j for m, k in zip(mods, out)):
+                raise InvariantError("a class and its partner have different valuations")
             self._involution = out
         return self._involution
 
-    def class_values(self, mods: list, idx, prec: int) -> dict:
+    def class_values(self, mods: list, idx, prec) -> dict:
         """{i: j at the points of mods[i], to absolute precision at least
-        prec} for the indices idx of mods, from one evaluation per sigma-pair:
+        prec (a number, or a function of the point as in `j_values`)} for
+        the indices idx of mods, from one evaluation per sigma-pair:
         the pair's modulus of least index is evaluated (or read where held),
         and the other's value is sigma of it.  A value held for the first
         point of the partner's class, the point that sigma(j) stands for, must
@@ -393,28 +405,25 @@ def _cross_check(cm: OrderCM, mods: list) -> None:
             digits *= 2
 
 
-def moduli_of(order: Order, *, value_prec: int | None = None) -> list:
+def moduli_of(order: Order) -> list:
     """The distinct singular moduli of an order, one per exact conjugate class:
     the one certification of the class count.
 
     Every call compares the number of classes with the order's conductor
     count (`OrderCM.class_number_by_conductor`), held moduli included.
     Until a call succeeds, each call also cross-checks the classes
-    numerically; the first that passes both checks stores the moduli on the
-    order's OrderCM.  With `value_prec`, each modulus carries the j-value of
-    its first point to that precision.
+    numerically; the first that passes both checks marks the order's
+    OrderCM certified.  Their j-values are read through
+    `OrderCM.class_values`.
     """
     cm = OrderCM.of(order)
     mods = cm.exact_moduli()
     h = cm.class_number_by_conductor()
     if len(mods) != h:
         raise InvariantError(f"distinct-moduli count {len(mods)} disagrees with the conductor class number {h}")
-    if cm.moduli is None:
+    if not cm.certified:
         _cross_check(cm, mods)
-        cm.moduli = mods
-    if value_prec is not None:
-        vals = cm.j_values([m.points[0] for m in mods], value_prec)
-        mods = [replace(m, numeric=jv.value.truncate(value_prec)) for m, jv in zip(mods, vals)]
+        cm.certified = True
     return mods
 
 

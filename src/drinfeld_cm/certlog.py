@@ -131,11 +131,6 @@ def sqrt(x) -> Interval:
     return _iv_call(mpmath.iv.sqrt, x)
 
 
-def log_q(x, q: int) -> Interval:
-    """log base q of a positive rational, as a certified interval."""
-    return ln(x) / ln(q)
-
-
 def exact_log_q(x, q: int) -> int:
     """log_q of an exact power of q (BadInputError otherwise)."""
     n = 0

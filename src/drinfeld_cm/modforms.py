@@ -395,6 +395,12 @@ def _plan(pt: CMPoint, v_j: Fraction, target: int) -> dict:
     return plan
 
 
+def plan_of(pt: CMPoint, target: int) -> dict:
+    """`_plan` at pt for the internal target `target`, held by the base field."""
+    v_j = -log_abs_j(pt)
+    return pt.order.field.base.held(("plan", pt.eps, pt.n, v_j, target), _plan, pt, v_j, target)
+
+
 def eval_gt_dt(ctx: EvalContext, pts: list, v_g: list, rel: Fraction):
     """(gt, dt) at every point of pts (sorted by n), held relative to row 0,
     every row known at least to `rel` digits past its valuation, with
@@ -482,9 +488,7 @@ def _eval_rows(points: list, precs: list, margin: int) -> list:
         if vals[r] is None or vals[r] + k != v_j[r]:
             got = None if vals[r] is None else vals[r] + k
             raise InvariantError(f"numeric valuation of j is {got}, formula says {v_j[r]} ({where(r)})")
-        target = prec + margin
-        plan = p.order.field.base.held(("plan", p.eps, p.n, v_j[r], target), _plan, p, v_j[r], target)
-        out.append(JValue(p, _shift(jval.take([r]), k).truncate(prec), plan))
+        out.append(JValue(p, _shift(jval.take([r]), k).truncate(prec), plan_of(p, prec + margin)))
     return out
 
 
@@ -727,19 +731,19 @@ def hilbert_poly(order: Order) -> HilbertPoly:
 
     The coefficients are rounded from the j-values at the working precision
     W (GUARD + 6 digits past the coefficients' degree bound).  The first
-    point of each evaluated class is evaluated at W + 6 before the moduli
-    are certified, so the numeric cross-check starts from these values, and
-    `plan` is that of the evaluations at W + 6 (made again at W + 6 when the
-    order's OrderCM holds the value only at a higher precision).  Why W + 6:
-    the printed plan (`truncation`) is part of every stored class-polynomial
-    answer, and it was set when a first round ran 6 digits past its target.
-    A plan depends on the precision plus the round's margin alone (`_plan`),
-    and a first round now runs at the target itself, so W + 6 runs exactly
-    the truncation that W with margin 6 ran: the same plan and the same
-    work, and the plan printed is the plan of the evaluation made.  (At
-    plain W, the plans of some even_sep orders over F_4 would print one
-    Carlitz term fewer.)  The values are cut at W, so the coefficients and
-    residuals are those of W.
+    point of each evaluated class is evaluated at W + 6 (or read where held
+    to W + 6 or more) before the moduli are certified, so the numeric
+    cross-check starts from these values.  `plan` is the largest
+    `plan_of(first, W + 6)`, a function of the point's q, eps, n, |j| and
+    the target alone, so a value held to more digits is not evaluated again
+    for it.  Why W + 6: the printed plan (`truncation`) is part of every
+    stored class-polynomial answer, and it was set when a first round ran 6
+    digits past its target; a first round now runs at the target itself,
+    so W + 6 runs exactly the truncation that W with margin 6 ran, and a
+    cold evaluation's own plan is the one printed.  (At plain W, the plans
+    of some even_sep orders over F_4 would print one Carlitz term fewer.)
+    The values are cut at W, so the coefficients and residuals are those
+    of W.
 
     Why pairing moves neither the plan nor the residuals: a plan depends on
     q, eps, n, |j| and the target alone, and partners share n, eps and |j|,
@@ -760,11 +764,11 @@ def hilbert_poly(order: Order) -> HilbertPoly:
     partner = cm.partners()
     reps = [i for i, k in enumerate(partner) if i <= k]
     W = int(math.ceil(sum(max(Fraction(0), m.log_j) for m in mods))) + GUARD + 6
+    vals = cm.class_values(mods, range(len(mods)), W + 6)
+    moduli_of(order)
     plans: dict = {}
-    for plan in cm.plans_at([mods[i].points[0] for i in reps], W + 6):
-        plans = {k: max(plans.get(k, 0), v) for k, v in plan.items()}
-    mods = moduli_of(order)
-    vals = cm.class_values(mods, range(len(mods)), W)
+    for i in reps:
+        plans = {k: max(plans.get(k, 0), v) for k, v in plan_of(mods[i].points[0], W + 6).items()}
     base = order.field.base
     factors = []  # the coefficients below the leading 1 of each monic factor, over the fixed field of sigma
     for i in reps:
@@ -810,10 +814,14 @@ def unit_check(H: HilbertPoly):
 def hilbert_constant_degree(order: Order) -> Fraction:
     """Degree of the class-polynomial constant term as sum of conjugate valuations.
 
-    Each conjugate's valuation is individually verified against the numeric
-    evaluator, so this equals the assembled polynomial's constant degree
-    without building the full product.
+    Each conjugate's valuation is verified against the numeric evaluator:
+    the first point of one class per sigma-pair is evaluated at `brown_prec`
+    (`OrderCM.class_values`), which checks its valuation, and the partner's
+    j is sigma of it, of the same valuation (`OrderCM.partners` checks that
+    the exact ones agree).  So this equals the assembled polynomial's
+    constant degree without building the full product.
     """
     cm = OrderCM.of(order)
-    cm.j_values([cls[0] for cls in cm.classes()], brown_prec)  # the evaluation checks each valuation
+    mods = cm.exact_moduli()
+    cm.class_values(mods, range(len(mods)), brown_prec)
     return sum(s.log_j for s in moduli_of(order))

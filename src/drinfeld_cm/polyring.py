@@ -462,7 +462,8 @@ def count_monic_irreducibles(n: int, q: int) -> int:
             items = factor_int(n // d)
             if all(e == 1 for _, e in items):  # Moebius(n/d) = (-1)^len(items), else 0
                 total += (-1) ** len(items) * q**d
-    assert total % n == 0
+    if total % n:
+        raise InvariantError(f"the Moebius sum {total} for degree {n} is not a multiple of {n}")
     return total // n
 
 

@@ -33,9 +33,10 @@ def check_hayes() -> dict:
     F3 = field(3)
     D = pr.parse_poly(F3, "T-T^2")
     order = order_from_discriminant(F3, D)
-    mods = moduli_of(order, value_prec=40)
+    mods = moduli_of(order)
     ok_logs = [m.log_j for m in mods] == [9, -1]
-    j1, j2 = mods[0].numeric, mods[1].numeric
+    vals = OrderCM.of(order).class_values(mods, range(2), 40)
+    j1, j2 = (vals[i].truncate(40) for i in range(2))
     prod = j1 * j2
     poly, tail = prod.polynomial_part()
     F9 = quadratic_extension(F3)
@@ -361,28 +362,17 @@ def check_counting_lemmas(base: FieldDesc, max_deg_a: int = 5, max_deg_d: int = 
     return {"name": "counting", "ok": True, "pairs": pairs}
 
 
-class LogTable(dict):
-    """Enclosures of ln n, each taken by one `certlog.ln` call on first use,
-    and `lnq2`, the enclosure of (ln q)^2 made from the one of ln q."""
-
-    def __init__(self, q: int):
-        super().__init__()
-        self.lnq2 = self[q] * self[q]
-
-    def __missing__(self, n: int):
-        value = self[n] = certlog.ln(n)
-        return value
-
-
-def log_bound_holds(kind: str, value: int, d: int, logs: LogTable) -> bool:
+def log_bound_holds(base: FieldDesc, kind: str, value: int, d: int) -> bool:
     """Whether 15 deg a (ln q)^2, deg a = d, certainly bounds ln d(a) ln(deg a)
     (kind "d", value d(a)) or omega(a) ln 2 ln(deg a) (kind "w", value
-    omega(a)); the enclosures come from the table `logs`."""
+    omega(a)); the enclosures of ln n and (ln q)^2 are those the base field
+    holds (`bounds.ln_int`)."""
+    ln_q2 = base.held("ln q squared", lambda: bnd.ln_int(base, base.q) * bnd.ln_int(base, base.q))
     if kind == "d":
-        lhs = logs[value] * logs[d] if value > 1 else certlog.Interval.point(0)
+        lhs = bnd.ln_int(base, value) * bnd.ln_int(base, d) if value > 1 else certlog.Interval.point(0)
     else:
-        lhs = logs[2] * logs[d] * value if value else certlog.Interval.point(0)
-    return lhs.certainly_le(logs.lnq2 * (15 * d))
+        lhs = bnd.ln_int(base, 2) * bnd.ln_int(base, d) * value if value else certlog.Interval.point(0)
+    return lhs.certainly_le(ln_q2 * (15 * d))
 
 
 def check_analytic_lemmas(base: FieldDesc, maxdeg: int = 10) -> dict:
@@ -394,15 +384,14 @@ def check_analytic_lemmas(base: FieldDesc, maxdeg: int = 10) -> dict:
     `log_bound_holds` on d(a) and omega(a).  The statistics come one degree
     at a time from `pr.sieve_stats`, whose recurrences run through
     R(a) = a / spf(a)^E, and each check runs on a whole block at once.  The
-    log bounds are certified once per distinct (kind, value, degree), from
-    interval enclosures of ln n taken once per n per call (`LogTable`).  A
+    log bounds are certified once per distinct (kind, value, degree) per
+    call, from the enclosures of ln n the base field holds (`bounds.ln_int`).  A
     failure names the least failing a in code order and, at that a, the
     first failing check in the order sigma1, mertens, maj-omega (d(a)),
     majomega (omega(a)).
     """
     q = base.q
     table = pr.spf_table(base, maxdeg)
-    logs = LogTable(q)
     checked: dict = {}
     count = 0
     for d, first, omega, dcount, sigma1, mnum, mden in pr.sieve_stats(base, table, maxdeg):
@@ -412,7 +401,7 @@ def check_analytic_lemmas(base: FieldDesc, maxdeg: int = 10) -> dict:
             holds = np.zeros(len(seen), dtype=bool)
             for v in np.flatnonzero(seen).tolist():
                 if (kind, v, d) not in checked:
-                    checked[kind, v, d] = log_bound_holds(kind, v, d, logs)
+                    checked[kind, v, d] = log_bound_holds(base, kind, v, d)
                 holds[v] = checked[kind, v, d]
             fails.append((name, ~holds[values]))
         failing = np.logical_or.reduce([bad for _, bad in fails])
@@ -459,8 +448,8 @@ def check_certificate(base: FieldDesc) -> dict:
     }
 
 
-def check_appendix_lemmas(base: FieldDesc, d_bound: int, max_deg_a: int = 2) -> dict:
-    """Lemma A.1 (the delta_a valuation, deg a <= max_deg_a) and the A.2
+def check_appendix_lemmas(base: FieldDesc, d_bound: int) -> dict:
+    """Lemma A.1 (the delta_a valuation, deg a <= 2) and the A.2
     sum-valuation for (delta, mu, nu) = (q, 1, 1) and (q - 1, 0, 0) on every
     point, as one stack per order (`modforms.verify_appendix`): one embedding
     of the order's points and one Carlitz sum S_a for every (point, a) that
@@ -471,7 +460,7 @@ def check_appendix_lemmas(base: FieldDesc, d_bound: int, max_deg_a: int = 2) -> 
     points = 0
     for order in iter_orders(base, d_bound):
         rep = order_report(order, check_brown=False)
-        for pt, (a1, a2) in zip(rep.points, verify_appendix(rep.points, params, max_deg_a)):
+        for pt, (a1, a2) in zip(rep.points, verify_appendix(rep.points, params)):
             points += 1
             if not all(r["ok"] for r in a1):
                 return {"name": "appendix", "ok": False, "fail": f"{order.label()} a={pt.a}"}
@@ -504,7 +493,7 @@ def check_elliptic_lemmas(base: FieldDesc, d_bound: int) -> dict:
         # cardC bound for |D| >= q^4
         d = order.disc_deg()
         if order.field.infinite_type == "inert" and d >= 4:
-            _, power = bnd.disc_power(q, d)
+            _, power = bnd.disc_power(base, d)
             for eps in (Fraction(1), Fraction(1, q), Fraction(1, q * q)):
                 card = len(c_epsilon_set(near, eps))
                 # 3 q eps sqrt|D| |D|^(15/(2 loglog sqrt|D|)) log_q sqrt|D|

@@ -281,3 +281,15 @@ def test_a_partner_outside_the_reduced_points_is_an_invariant_error(monkeypatch)
     monkeypatch.setattr(brownval, "partner_b", lambda pt: pt.b + pt.a)  # deg b' = deg a: not reduced
     with pytest.raises(InvariantError, match="not a reduced point"):
         moduli_of(order_from_discriminant(F3, P(F3, "T^3")))
+
+
+def test_a_partner_of_another_valuation_is_an_invariant_error():
+    # sigma keeps valuations, so a pairing across two valuations is wrong;
+    # hilbert_constant_degree takes a partner's valuation from its class
+    cm = OrderCM.of(order_from_discriminant(F3, P(F3, "2*T^4+2")))
+    mods = cm.exact_moduli()
+    i = next(i for i, k in enumerate(cm.partners()) if i < k)
+    cm._involution = None
+    mods[i].log_j += 1
+    with pytest.raises(InvariantError, match="different valuations"):
+        cm.partners()

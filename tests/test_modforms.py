@@ -88,9 +88,16 @@ def test_lemma_A2():
         verify_appendix([seed], [(3, 10**6, 1)])  # mu too large
 
 
+def class_values(order, prec) -> list:
+    """j at the first point of every class of the order, sorted as
+    `moduli_of` sorts them, cut at prec."""
+    mods = moduli_of(order)
+    vals = brownval.OrderCM.of(order).class_values(mods, range(len(mods)), prec)
+    return [vals[i].truncate(prec) for i in range(len(mods))]
+
+
 def test_hayes_product_and_branch():
-    mods = moduli_of(hayes_order(), value_prec=40)
-    j1, j2 = mods[0].numeric, mods[1].numeric
+    j1, j2 = class_values(hayes_order(), 40)
     prod = j1 * j2
     poly, tail = prod.polynomial_part()
     assert tail is None
@@ -157,10 +164,8 @@ def test_hilbert_h_of_j_vanishes():
     # H(j_i) = 0 to precision for each conjugate
     o = hayes_order()
     H = hilbert_poly(o)
-    mods = moduli_of(o, value_prec=40)
     F9 = quadratic_extension(F3)
-    for m in mods:
-        j = m.numeric
+    for j in class_values(o, 40):
         acc = LaurentSeries.zero(F9, None)
         for c in reversed(H.coeffs):
             acc = acc * j + LaurentSeries.from_poly(c, F9)
@@ -170,16 +175,17 @@ def test_hilbert_h_of_j_vanishes():
 def linear_hilbert(order) -> tuple:
     """(coefficients, residuals, plan) of the class polynomial as
     `hilbert_poly` built it before it paired the classes: the first point of
-    every class evaluated at W + 6 for the plan, prod (X - j) expanded over
-    the value field from the values cut at W, each coefficient rounded.  The
-    oracle of the pairing."""
-    cm = brownval.OrderCM.of(order)
-    firsts = [cls[0] for cls in cm.classes()]
+    every class evaluated at W + 6, outside the store, the plan the largest
+    of those evaluations', prod (X - j) expanded over the value field from
+    the values cut at W, each coefficient rounded.  The oracle of the
+    pairing and of `modforms.plan_of`."""
+    firsts = [m.points[0] for m in brownval.OrderCM.of(order).exact_moduli()]
     W = int(math.ceil(sum(max(Fraction(0), log_abs_j(p)) for p in firsts))) + modforms.GUARD + 6
+    evaluated = modforms.eval_j_stack(firsts, W + 6)
     plan: dict = {}
-    for one in cm.plans_at(firsts, W + 6):
-        plan = {k: max(plan.get(k, 0), v) for k, v in one.items()}
-    vals = [m.numeric for m in moduli_of(order, value_prec=W)]
+    for jv in evaluated:
+        plan = {k: max(plan.get(k, 0), v) for k, v in jv.plan.items()}
+    vals = [jv.value.truncate(W) for jv in evaluated]
     coeffs = [one_like(vals[0])]
     for v in vals:
         new = [zero_like(vals[0])] * (len(coeffs) + 1)
@@ -198,7 +204,7 @@ HILBERT_POOLS = {"q3 |D|<=27": (3, 1, 27, 165, 219), "q4 |D|<=16": (2, 2, 16, 69
 @pytest.mark.parametrize("name", sorted(HILBERT_POOLS))
 def test_one_j_per_sigma_pair_gives_the_expansion_over_every_class(name, monkeypatch):
     # every order of the pool, cold: coefficients, residuals and printed plan
-    # equal the oracle's, which then evaluates the partners' first points too
+    # equal the oracle's, which evaluates the first point of every class
     p, r, bound, paired, linear = HILBERT_POOLS[name]
     rows = count_rows(monkeypatch)
     counts = [0, 0]
@@ -211,7 +217,7 @@ def test_one_j_per_sigma_pair_gives_the_expansion_over_every_class(name, monkeyp
         assert (H.coeffs, H.residuals, H.plan) == linear_hilbert(order), order.label()
         counts[0] += sum(prec == W + 6 for _, prec in rows[start:middle])
         counts[1] += sum(prec == W + 6 for _, prec in rows[middle:])
-    assert (counts[0], counts[0] + counts[1]) == (paired, linear)
+    assert tuple(counts) == (paired, linear)
 
 
 @pytest.mark.parametrize("D, flat", [("2*T^4+2", True), ("T^3", False)])
@@ -236,6 +242,29 @@ def test_a_pairing_sigma_does_not_fix_is_an_invariant_error(D, flat, monkeypatch
     monkeypatch.setattr(brownval, "_store", {})
     with pytest.raises(PrecisionError, match="could not separate"):
         hilbert_poly(order)
+
+
+def test_the_constant_degree_evaluates_one_class_per_sigma_pair(monkeypatch):
+    # inert orders of deg D = 6 over F_3, the route `bounds` takes for their
+    # norm degree: before the cross-check, the first point of one class per
+    # sigma-pair is evaluated at brown_prec, and no other point
+    rows = count_rows(monkeypatch)
+    before = []
+    real = brownval._cross_check
+    monkeypatch.setattr(brownval, "_cross_check", lambda cm, mods: before.append(len(rows)) or real(cm, mods))
+    classes = orbits = 0
+    for D in ("2*T^6+1", "2*T^6+T+1", "2*T^6+T^5+T+2"):
+        order = odd(3, D)
+        cm = brownval.OrderCM.of(order)
+        start = len(rows)
+        deg = modforms.hilbert_constant_degree(order)
+        mods, partner = cm.exact_moduli(), cm.partners()
+        firsts = [mods[i].points[0] for i, k in enumerate(partner) if i <= k]
+        made = sorted((p.a.coeffs, p.b.coeffs, prec) for p, prec in rows[start : before[-1]])
+        assert made == sorted((p.a.coeffs, p.b.coeffs, brown_prec(p)) for p in firsts)
+        assert deg == sum(m.log_j for m in mods)
+        classes, orbits = classes + len(mods), orbits + len(firsts)
+    assert (classes, orbits) == (52, 29)
 
 
 def test_eval_j_plan_reported():
@@ -503,7 +532,8 @@ def test_a_cold_hilbert_leaves_every_other_point_to_the_brown_check(monkeypatch)
     partner = cm.partners()
     assert sum(i < k for i, k in enumerate(partner)) == 2
     by_hilbert = {(p.a, p.b) for p, _ in rows}
-    assert by_hilbert == {(cm.moduli[i].points[0].a, cm.moduli[i].points[0].b) for i, k in enumerate(partner) if i <= k}
+    mods = cm.exact_moduli()
+    assert by_hilbert == {(mods[i].points[0].a, mods[i].points[0].b) for i, k in enumerate(partner) if i <= k}
     rows.clear()
     sweeps.order_report(order, check_brown=True)
     every = {(p.a, p.b) for p in cm.points}

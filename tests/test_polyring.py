@@ -217,6 +217,14 @@ def test_count_monic_irreducibles():
     assert count == 3
 
 
+def test_a_moebius_sum_off_a_multiple_of_n_is_an_invariant_error(monkeypatch):
+    # every n/d read as squarefree: for n = 4, q = 3 the sum is 81 - 9 - 3 = 69,
+    # which 4 does not divide; the check must hold under python -O too
+    monkeypatch.setattr(pr, "factor_int", lambda m: [(m, 1)] if m > 1 else [])
+    with pytest.raises(InvariantError, match="Moebius sum 69"):
+        pr.count_monic_irreducibles(4, 3)
+
+
 def test_an_bounds():
     # a_n <= q^n/n + 2/3 q^(n/2) and a_n <= q^n, certified rationally
     for q in (2, 3):

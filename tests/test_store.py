@@ -59,7 +59,7 @@ def test_least_recently_used_entry_loses_its_values(monkeypatch):
     first[c] = (hilbert_poly(c).to_jsonable(), moduli_keys(c))
     cm_a, cm_b, cm_c = map(OrderCM.of, (a, b, c))
     assert cm_a.values and not cm_b.values and cm_c.values
-    assert not cm_b.plans and cm_b.moduli is not None  # only the values go
+    assert cm_b.certified  # only the values go
     calls = count_rows(monkeypatch)
     again = (hilbert_poly(b).to_jsonable(), moduli_keys(b))
     assert again == first[b]
@@ -83,7 +83,7 @@ def test_failed_certification_caches_no_success(monkeypatch):
 
     monkeypatch.setattr(brownval, "_cross_check", fail_once)
     assert run(argv) == (1, "")
-    assert OrderCM.of(raised[0]).moduli is None  # nothing certified was stored
+    assert not OrderCM.of(raised[0]).certified  # nothing certified was stored
     monkeypatch.setattr(brownval, "_cross_check", real)
     assert run(argv) == separate_run(argv)
 
@@ -106,13 +106,17 @@ def test_order_that_fails_fails_on_every_repeat(monkeypatch):
 
 
 def test_hilbert_plan_ignores_a_held_higher_precision(monkeypatch):
+    # the printed plan is `modforms.plan_of` at W + 6: a value held to W + 20
+    # is read as it is, and prints the plan of a cold run
     argv = ["hilbert", "--q", "3", "--flavor", "odd", "--D", "T"]
     order = odd_order("T")
     cm = OrderCM.of(order)
     classes = cm.classes()
     W = int(math.ceil(sum(max(Fraction(0), log_abs_j(cls[0])) for cls in classes))) + GUARD + 6
-    held = cm.j_values([classes[0][0]], W + 20)[0]
+    (held,) = cm.j_values([cls[0] for cls in classes], W + 20)  # the order has one class
+    rows = count_rows(monkeypatch)
     code, out = run(argv)
+    assert rows == []  # no evaluation
     assert (code, out) == separate_run(argv)
     assert '"truncation": {"e_c_terms": 3, "max_deg_a": 1}' in out
     assert held.plan != {"e_c_terms": 3, "max_deg_a": 1}  # the held evaluation's plan differs
@@ -206,12 +210,12 @@ def _attributes_cleared_on_eviction() -> set:
 
 
 # what an entry keeps when it loses its values; the eviction branch names the rest
-KEPT_ON_EVICTION = {"order", "key", "points", "moduli", "report", "height_bounds", "_classes", "_exact_moduli", "_involution", "_h_conductor"}
+KEPT_ON_EVICTION = {"order", "key", "points", "certified", "report", "height_bounds", "_classes", "_exact_moduli", "_involution", "_h_conductor"}
 
 
 def test_every_holder_states_its_eviction_policy():
     cleared = _attributes_cleared_on_eviction()
-    assert cleared == {"values", "plans", "hilbert"}
+    assert cleared == {"values", "hilbert"}
     assert not cleared & KEPT_ON_EVICTION
     assert _attributes_set_by_init() == cleared | KEPT_ON_EVICTION
 

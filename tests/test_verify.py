@@ -76,9 +76,9 @@ def test_analytic_failure_names_the_least_polynomial_with_the_failing_key(monkey
     real = verify.log_bound_holds
     asked = []
 
-    def failing(kind, value, d, lnq2):
+    def failing(base, kind, value, d):
         asked.append((kind, value, d))
-        return (kind, value, d) not in keys and real(kind, value, d, lnq2)
+        return (kind, value, d) not in keys and real(base, kind, value, d)
 
     monkeypatch.setattr(verify, "log_bound_holds", failing)
     rep = check_analytic_lemmas(base, 5)
@@ -88,33 +88,30 @@ def test_analytic_failure_names_the_least_polynomial_with_the_failing_key(monkey
 
 
 def test_analytic_suite_takes_each_log_once(monkeypatch):
-    # one certlog.ln call per distinct argument, and every enclosure the
-    # suite held equals a fresh one
+    # one certlog.ln call per distinct argument for the life of the base
+    # field: a second run takes none, and every enclosure the field holds
+    # equals a fresh one
     from drinfeld_cm import certlog
+    from drinfeld_cm.bounds import ln_int
 
-    real_ln, real_holds = certlog.ln, verify.log_bound_holds
-    args, tables = [], []
+    real_ln = certlog.ln
+    args = []
 
     def counting(x):
         args.append(x)
         return real_ln(x)
 
-    def holds(kind, value, d, logs):
-        tables.append(logs)
-        return real_holds(kind, value, d, logs)
-
     monkeypatch.setattr(certlog, "ln", counting)
-    monkeypatch.setattr(verify, "log_bound_holds", holds)
-    rep = check_analytic_lemmas(field(3), 9)
-    assert rep == {"name": "analytic", "ok": True, "polynomials": 29523}
-    assert len(args) == len(set(args)) == 32
-    logs = tables[0]
-    assert all(t is logs for t in tables)
+    base = field(3)
+    for _ in range(2):
+        rep = check_analytic_lemmas(base, 9)
+        assert rep == {"name": "analytic", "ok": True, "polynomials": 29523}
+        assert len(args) == len(set(args)) == 32
     monkeypatch.setattr(certlog, "ln", real_ln)
-    assert sorted(logs) == sorted(args)
-    for n, held in logs.items():
-        assert held == certlog.ln(n)
-    assert logs.lnq2 == certlog.ln(3) * certlog.ln(3)
+    assert 3 in args
+    for n in args:
+        assert ln_int(base, n) == certlog.ln(n)
+    assert base.held("ln q squared", lambda: None) == certlog.ln(3) * certlog.ln(3)
 
 
 @pytest.mark.parametrize("q, d", [(2, 3), (2, 9), (3, 2), (3, 5), (5, 2), (5, 9)])
@@ -129,11 +126,11 @@ def test_log_bound_holds_up_to_the_exact_threshold(q, d):
         bound = 15 * d * mpmath.ln(q) ** 2 / (mpmath.ln(2) * mpmath.ln(d))
         K = int(mpmath.floor(bound))
         assert min(bound - K, K + 1 - bound) > mpmath.mpf(10) ** -6
-    logs = verify.LogTable(q)
-    assert verify.log_bound_holds("w", K, d, logs)
-    assert not verify.log_bound_holds("w", K + 1, d, logs)
-    assert verify.log_bound_holds("d", 2**K, d, logs)
-    assert not verify.log_bound_holds("d", 2 ** (K + 1), d, logs)
+    base = field(q)
+    assert verify.log_bound_holds(base, "w", K, d)
+    assert not verify.log_bound_holds(base, "w", K + 1, d)
+    assert verify.log_bound_holds(base, "d", 2**K, d)
+    assert not verify.log_bound_holds(base, "d", 2 ** (K + 1), d)
 
 
 @pytest.mark.parametrize("q", [3, 5])
